@@ -39,6 +39,14 @@ const (
 // 500 ms", Linux-like 200 ms here).
 const TailDelay = 200 * sim.Millisecond
 
+// MinInterval is the floor of the TACK spacing α = RTTmin/β. The reason is
+// the sender's window model, not the clock: at sub-millisecond RTTs a
+// rate-based controller's window is little more than its allowance for
+// aggregated acknowledgments, which TACKs paced faster than this shrink
+// until the flow stalls (at 250 µs a loopback transfer never completes).
+// The TACK policy, Receiver.AckTargetHz and the sender's PTO all read it.
+const MinInterval = sim.Millisecond
+
 // Policy decides acknowledgment timing.
 type Policy interface {
 	// Name identifies the policy for reporting.
@@ -291,10 +299,8 @@ func (t *TACK) Update(_ float64, rttMin sim.Time) {
 		return
 	}
 	t.alpha = rttMin / sim.Time(t.beta)
-	if t.alpha < sim.Millisecond {
-		// Spacing floor: at sub-millisecond RTTs the periodic bound would
-		// exceed practical timer resolution.
-		t.alpha = sim.Millisecond
+	if t.alpha < MinInterval {
+		t.alpha = MinInterval
 	}
 }
 

@@ -363,18 +363,6 @@ func (b *SendBuffer) LossMarked() []*Segment {
 // HasMarked reports whether any segment is flagged lost.
 func (b *SendBuffer) HasMarked() bool { return b.markedLive > 0 }
 
-// FirstEligibleRetransmit returns the lowest-Seq loss-marked segment whose
-// once-per-RTT cooldown has expired, or nil.
-func (b *SendBuffer) FirstEligibleRetransmit(now, rtt sim.Time) *Segment {
-	b.compactMarked()
-	for _, seg := range b.marked {
-		if markedEntryLive(seg) && b.MayRetransmit(seg, now, rtt) {
-			return seg
-		}
-	}
-	return nil
-}
-
 // ForEachEligibleRetransmit visits every loss-marked segment whose
 // once-per-RTT cooldown has expired, in stream order, in one pass. The
 // callback may retransmit the segment (clearing its mark); returning false

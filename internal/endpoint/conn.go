@@ -24,8 +24,8 @@ const (
 )
 
 // Conn is one connection half multiplexed on an Endpoint: a sans-IO
-// Sender (dialed connections) or Receiver (accepted connections) running
-// on a private sim.Loop whose virtual clock is pinned to wall time.
+// Sender (dialed connections) or Receiver (accepted connections) whose
+// timers live on the owning shard's loop (see shard.loop).
 //
 // All protocol state — including the Sender/Receiver state machines and
 // their Stats — is driven by the connection's owning shard goroutine.
@@ -37,10 +37,10 @@ type Conn struct {
 	id   uint32
 	peer *net.UDPAddr
 
-	loop    *sim.Loop
-	start   time.Time // wall anchor of the virtual clock
 	created time.Time
 
+	// The protocol half, built on the shard goroutine (its timers go on
+	// the shard's loop) before the application sees the connection.
 	snd *transport.Sender
 	rcv *transport.Receiver
 
@@ -56,11 +56,20 @@ type Conn struct {
 	hsRetries int
 	nextHS    time.Time
 
+	// hk is the housekeeping timer on the shard loop, set to the earliest
+	// lifecycle deadline (see shard.housekeep) — including, while packets
+	// keep arriving or leaving (lastActive), nextRefresh: the next
+	// snapshot/anomaly pass, zero while there is none to run.
+	hk          *sim.Timer
+	nextRefresh time.Time
+	lastActive  time.Time
+
 	// Path-migration state machine (shard-owned; see migration.go).
 	// migAddr is the candidate peer address under (or failed) validation;
 	// migRx/migTx are the anti-amplification byte counters of the current
 	// probing episode; migNext/migDeadline drive the challenge retransmit
-	// schedule on the lifecycle tick.
+	// schedule from the housekeeping timer, and migBlocked marks a
+	// challenge held back by the budget until the candidate sends more.
 	migState      pathState
 	migAddr       *net.UDPAddr
 	migToken      uint64
@@ -68,6 +77,7 @@ type Conn struct {
 	migTx         int64
 	migRetries    int
 	migChallenges int
+	migBlocked    bool
 	migNext       time.Time
 	migDeadline   time.Time
 	migStarted    time.Time
@@ -88,8 +98,7 @@ type Conn struct {
 	// (StateSnapshot, the debug endpoint) only load the pointer.
 	snap atomic.Pointer[ConnState]
 
-	estOnce   sync.Once
-	estCh     chan struct{}
+	estCh     chan struct{} // closed by the shard on establishment
 	doneOnce  sync.Once
 	doneCh    chan struct{}
 	closeOnce sync.Once
@@ -102,13 +111,10 @@ type Conn struct {
 
 // newConn builds the shared connection scaffolding; the caller assigns
 // id + shard and attaches the protocol half.
-func (ep *Endpoint) newConn(peer *net.UDPAddr) *Conn {
-	now := time.Now()
+func (ep *Endpoint) newConn(peer *net.UDPAddr, now time.Time) *Conn {
 	return &Conn{
 		ep:       ep,
 		peer:     peer,
-		loop:     sim.NewLoop(now.UnixNano()),
-		start:    now,
 		created:  now,
 		lastRecv: now,
 		lastSent: now,
@@ -117,26 +123,20 @@ func (ep *Endpoint) newConn(peer *net.UDPAddr) *Conn {
 	}
 }
 
-// attachRecorder installs the per-connection flight recorder in front
-// of the template tracer (unless Config.FlightRecorder is negative) and
-// leaves the effective tracer in c.tracer for endpoint-level events.
-func (c *Conn) attachRecorder(tcfg *transport.Config) {
-	c.tracer = tcfg.Tracer
+// engineConfig returns the transport template made c's own: its id, and
+// the per-connection flight recorder installed in front of the template
+// tracer (unless Config.FlightRecorder is negative). The effective tracer
+// stays in c.tracer: endpoint-level events about the connection (migration
+// rejects, anomalies) go through it and so land in the recorder too.
+func (c *Conn) engineConfig() transport.Config {
+	tcfg := c.ep.cfg.Transport
+	tcfg.ConnID = c.id
 	if c.ep.cfg.FlightRecorder >= 0 {
 		c.ring = telemetry.NewRing(c.ep.cfg.FlightRecorder)
-		c.tracer = telemetry.WithRing(c.ring, tcfg.Tracer)
-		tcfg.Tracer = c.tracer
+		tcfg.Tracer = telemetry.WithRing(c.ring, tcfg.Tracer)
 	}
-}
-
-// trc returns the tracer endpoint-level events about this connection
-// (migration rejects, anomalies) are recorded through, so they land in
-// the flight recorder alongside the transport's own events.
-func (c *Conn) trc() *telemetry.Tracer {
-	if c.tracer != nil {
-		return c.tracer
-	}
-	return c.ep.cfg.Transport.Tracer
+	c.tracer = tcfg.Tracer
+	return tcfg
 }
 
 // FlightRecorder returns the connection's flight-recorder ring (nil
@@ -144,23 +144,18 @@ func (c *Conn) trc() *telemetry.Tracer {
 func (c *Conn) FlightRecorder() *telemetry.Ring { return c.ring }
 
 // StateSnapshot returns the most recent observability snapshot the
-// owning shard published for this connection, or nil before the first
-// lifecycle tick. The returned struct is a private copy; the call reads
-// one atomic pointer and takes no locks shared with the datapath.
+// owning shard published for this connection: the first when it registers
+// or accepts the connection, one every snapshotRefresh while packets flow,
+// the last when the connection finishes. The returned struct is a private
+// copy; the call reads one atomic pointer and takes no datapath lock.
 func (c *Conn) StateSnapshot() *ConnState {
 	s := c.snap.Load()
 	if s == nil {
 		return nil
 	}
-	cp := *s
+	cp := s.read()
 	return &cp
 }
-
-// vnow maps wall clock onto the connection's virtual clock.
-func (c *Conn) vnow() sim.Time { return sim.Time(time.Since(c.start)) }
-
-// advance runs the connection's timers up to the current wall time.
-func (c *Conn) advance() { c.loop.RunUntil(c.vnow()) }
 
 // output transmits a protocol packet to the peer. Runs on the shard
 // goroutine (loop callbacks execute there), which owns the egress queue:
@@ -168,10 +163,12 @@ func (c *Conn) advance() { c.loop.RunUntil(c.vnow()) }
 // of the burst into one batched write.
 func (c *Conn) output(p *packet.Packet) {
 	c.lastSent = c.sh.now
+	c.sh.touch(c)
 	c.sh.enqueue(p, c.peer)
 }
 
-// finish closes doneCh exactly once with the given terminal error.
+// finish closes doneCh exactly once with the given terminal error. Shard
+// goroutine only: it reads the protocol half the shard built.
 func (c *Conn) finish(err error) {
 	c.doneOnce.Do(func() {
 		c.err = err
@@ -192,9 +189,6 @@ func (c *Conn) finish(err error) {
 		}
 	})
 }
-
-// waitErr returns the terminal error; call only after doneCh is closed.
-func (c *Conn) waitErr() error { return c.err }
 
 // ConnID returns the connection id carried by every packet of this
 // connection.
@@ -299,7 +293,7 @@ func (c *Conn) Close() error {
 		select {
 		case c.sh.in <- shardMsg{op: opClose, conn: c}:
 		case <-c.ep.stop:
-			c.finish(ErrClosed)
+			// shard.shutdown finishes every connection of a closing endpoint.
 		}
 	})
 	return nil

@@ -13,12 +13,14 @@
 //	UDP ───▶  │ read goroutine│ ───────────────────▶   │  shard 0..N │
 //	socket    │ (unmarshal)  │     bounded channel     │  goroutine  │
 //	          └──────────────┘  (overflow == drop: the └─────────────┘
-//	                             protocol is loss-       │ owns conns
-//	                             tolerant)               │ map + loops
+//	                             protocol is loss-       │ owns conns map
+//	                             tolerant)               │ + one sim.Loop
 //	                                                     ▼
 //	                                        per-conn sans-IO Sender /
-//	                                        Receiver on a private
-//	                                        sim.Loop pinned to wall time
+//	                                        Receiver, all scheduling on
+//	                                        the shard's loop, which is
+//	                                        pinned to wall time and
+//	                                        backed by one time.Timer
 //
 // Each connection's protocol engine runs on exactly one shard goroutine —
 // the engines keep their single-threaded discipline, and the dispatch hot
@@ -30,8 +32,10 @@
 // Lifecycle: inbound SYNs create embryonic connections that reach Accept
 // only once the handshake completes (first non-SYN packet); Dial blocks
 // until the SYN/SYNACK exchange finishes; Close performs a graceful
-// FIN/FINACK teardown; idle connections and stale embryos are reaped by a
-// per-shard timer. A shared endpoint must also sanity-check receiver
+// FIN/FINACK teardown; idle connections and stale embryos are reaped by
+// each connection's housekeeping timer on the shard's loop (between
+// deadlines an idle connection costs its shard nothing). A shared endpoint
+// must also sanity-check receiver
 // feedback before acting on it (cf. misbehaving-receiver / optimistic-ACK
 // attacks): acknowledgments claiming bytes that were never sent are
 // dropped and counted instead of inflating the congestion controller.
@@ -327,6 +331,11 @@ type Endpoint struct {
 	mDials             *telemetry.Counter
 	mAccepts           *telemetry.Counter
 	mHandshake         *telemetry.Histogram
+	// Shard scheduling: wake-ups by cause, OS-timer lateness, queued timers.
+	mWakeups   [numWakeCauses]*telemetry.Counter
+	mTimerLate *telemetry.Histogram
+	mTimers    *telemetry.Gauge
+	nTimers    atomic.Int64
 	// Anomaly counters, indexed like anomalyClasses, plus post-mortem
 	// dump accounting and the aggregated ACK-overhead gauge.
 	mAnomaly         [len(anomalyClasses)]*telemetry.Counter
@@ -422,6 +431,12 @@ func Listen(laddr string, cfg Config) (*Endpoint, error) {
 	ep.mDials = reg.Counter("ep.dials")
 	ep.mAccepts = reg.Counter("ep.accepts")
 	ep.mHandshake = reg.Histogram("ep.handshake_s")
+	ep.mWakeups[wakePacket] = reg.Counter("ep.shard.wakeups.packet")
+	ep.mWakeups[wakeKick] = reg.Counter("ep.shard.wakeups.kick")
+	ep.mWakeups[wakeTimer] = reg.Counter("ep.shard.wakeups.timer")
+	ep.mWakeups[wakeControl] = reg.Counter("ep.shard.wakeups.control")
+	ep.mTimerLate = reg.Histogram("ep.shard.timer_late_s")
+	ep.mTimers = reg.Gauge("ep.shard.timers")
 	ep.mAnomaly[anomalyIndex(telemetry.TrigStall)] = reg.Counter("ep.anomaly.stall")
 	ep.mAnomaly[anomalyIndex(telemetry.TrigRetxStorm)] = reg.Counter("ep.anomaly.retx_storm")
 	ep.mAnomaly[anomalyIndex(telemetry.TrigWndExhaust)] = reg.Counter("ep.anomaly.wnd_exhaust")
@@ -603,14 +618,20 @@ func (ep *Endpoint) AcceptTimeout(d time.Duration) (*Conn, error) {
 func (ep *Endpoint) Dial(raddr string) (*Conn, error) { return ep.dial(raddr, false) }
 
 func (ep *Endpoint) dial(raddr string, owns bool) (*Conn, error) {
-	c, err := ep.newSenderConn(raddr, ep.cfg.Transport)
+	ra, err := net.ResolveUDPAddr("udp", raddr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("endpoint: resolve %q: %w", raddr, err)
 	}
+	c := ep.newConn(ra, time.Now())
 	c.ownsEndpoint = owns
-	if err := ep.register(c); err != nil {
+	c.id = ep.allocID(c)
+	c.sh = ep.shardFor(c.id)
+	// The owning shard builds the sending half and starts the handshake.
+	select {
+	case c.sh.in <- shardMsg{op: opRegister, conn: c}:
+	case <-ep.stop:
 		ep.releaseID(c.id)
-		return nil, err
+		return nil, ErrClosed
 	}
 	ep.mDials.Inc()
 	t := time.NewTimer(ep.cfg.HandshakeTimeout)
@@ -619,40 +640,17 @@ func (ep *Endpoint) dial(raddr string, owns bool) (*Conn, error) {
 	case <-c.estCh:
 		return c, nil
 	case <-c.doneCh:
-		return nil, c.waitErr()
+		return nil, c.err
 	case <-t.C:
 		c.Close()
-		<-c.doneCh // teardown is complete before reporting failure
+		select {
+		case <-c.doneCh: // teardown is complete before reporting failure
+		case <-ep.stop: // a closing endpoint's shards may already be gone
+		}
 		return nil, ErrHandshakeTimeout
 	case <-ep.stop:
 		return nil, ErrClosed
 	}
-}
-
-// newSenderConn builds (without registering) a sending connection toward
-// raddr with a freshly allocated connection id.
-func (ep *Endpoint) newSenderConn(raddr string, tcfg transport.Config) (*Conn, error) {
-	ra, err := net.ResolveUDPAddr("udp", raddr)
-	if err != nil {
-		return nil, fmt.Errorf("endpoint: resolve %q: %w", raddr, err)
-	}
-	c := ep.newConn(ra)
-	c.id = ep.allocID(c)
-	c.sh = ep.shardFor(c.id)
-	tcfg.ConnID = c.id
-	c.attachRecorder(&tcfg)
-	snd, err := transport.NewSender(c.loop, tcfg, c.output)
-	if err != nil {
-		ep.releaseID(c.id)
-		return nil, err
-	}
-	c.snd = snd
-	if m := snd.Streams(); m != nil {
-		// Stream writes land on application goroutines; route their
-		// wakeups through the shard instead of the conn's private loop.
-		m.SetKick(func() { c.sh.kick(c) })
-	}
-	return c, nil
 }
 
 // allocID reserves a locally unique non-zero connection id for c.
@@ -688,17 +686,6 @@ func (ep *Endpoint) releaseID(id uint32) {
 	ep.mu.Lock()
 	delete(ep.used, id)
 	ep.mu.Unlock()
-}
-
-// register hands a dialed connection to its owning shard, which starts
-// the handshake on its loop.
-func (ep *Endpoint) register(c *Conn) error {
-	select {
-	case c.sh.in <- shardMsg{op: opRegister, conn: c}:
-		return nil
-	case <-ep.stop:
-		return ErrClosed
-	}
 }
 
 // connAdded / connRemoved maintain the live-connection count and gauge.

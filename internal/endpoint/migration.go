@@ -106,6 +106,9 @@ func (sh *shard) onForeignPacket(c *Conn, p *packet.Packet, from *net.UDPAddr) {
 			// Non-response traffic from the candidate is held back until
 			// the path validates (~1 RTT); the loss machinery repairs the
 			// gap afterwards. Its bytes still widen the send budget.
+			if c.migBlocked {
+				sh.sendChallenge(c)
+			}
 			return
 		}
 		// The peer moved again mid-probe: chase the newest address with a
@@ -135,7 +138,8 @@ func (sh *shard) onForeignPacket(c *Conn, p *packet.Packet, from *net.UDPAddr) {
 func (sh *shard) rejectForeign(c *Conn, p *packet.Packet) {
 	sh.ep.mMigrationRejected.Inc()
 	c.anom.migRejects++
-	c.trc().MigrationRejected(c.vnow(), c.id, p.PktSeq, p.EncodedLen())
+	sh.touch(c) // feeds the migration-storm detector
+	c.tracer.MigrationRejected(sh.loop.Now(), c.id, p.PktSeq, p.EncodedLen())
 }
 
 // startProbing opens a probing episode toward a new candidate address,
@@ -157,22 +161,22 @@ func (sh *shard) startProbing(c *Conn, p *packet.Packet, from *net.UDPAddr) {
 	c.migStarted = sh.now
 	c.migDeadline = sh.now.Add(migrationTimeout)
 	sh.sendChallenge(c)
+	sh.poke(c)
 }
 
 // sendChallenge emits one PATH_CHALLENGE to the candidate address, unless
-// the anti-amplification budget is exhausted — then it backs off to the
-// next lifecycle tick, waiting for the candidate to send more bytes.
+// the anti-amplification budget is exhausted — then the challenge waits
+// for the candidate to send more bytes (see onForeignPacket).
 func (sh *shard) sendChallenge(c *Conn) {
-	c.advance()
 	chp := &packet.Packet{
 		Type: packet.TypePathChallenge, ConnID: c.id,
-		SentAt: c.vnow(), Token: c.migToken,
+		SentAt: sh.loop.Now(), Token: c.migToken,
 	}
 	size := wireSize(chp)
-	if c.migTx+size > migAmplificationFactor*c.migRx {
-		// Budget-blocked: re-check every tick; the episode deadline still
-		// bounds how long a silent candidate is tolerated.
-		c.migNext = sh.now
+	// Budget-blocked: the episode deadline still bounds how long a silent
+	// candidate is tolerated.
+	c.migBlocked = c.migTx+size > migAmplificationFactor*c.migRx
+	if c.migBlocked {
 		return
 	}
 	c.migTx += size
@@ -180,20 +184,8 @@ func (sh *shard) sendChallenge(c *Conn) {
 	c.migNext = sh.now.Add(sh.ep.cfg.handshakeRetryRTO(c.migRetries))
 	c.migRetries++
 	sh.ep.mMigProbes.Inc()
-	c.trc().PathChallenge(c.vnow(), c.id, c.migChallenges, int(size))
+	c.tracer.PathChallenge(sh.loop.Now(), c.id, c.migChallenges, int(size))
 	sh.enqueue(chp, c.migAddr)
-}
-
-// migrationTick drives the probing episode's retransmit schedule and
-// deadline from the shard's 1 ms lifecycle tick.
-func (sh *shard) migrationTick(c *Conn, now time.Time) {
-	if now.After(c.migDeadline) {
-		sh.failMigration(c)
-		return
-	}
-	if now.After(c.migNext) {
-		sh.sendChallenge(c)
-	}
 }
 
 // failMigration latches a candidate that never proved itself: subsequent
@@ -215,8 +207,7 @@ func (sh *shard) completeMigration(c *Conn, p *packet.Packet) {
 	c.migAddr = nil
 	c.migCompleted++
 	c.lastRecv = sh.now
-	c.advance()
-	c.trc().PathResponse(c.vnow(), c.id, p.EncodedLen())
+	c.tracer.PathResponse(sh.loop.Now(), c.id, p.EncodedLen())
 	if c.snd != nil {
 		c.snd.OnPathMigration()
 	}
@@ -224,7 +215,7 @@ func (sh *shard) completeMigration(c *Conn, p *packet.Packet) {
 		c.rcv.OnPathMigration()
 	}
 	sh.ep.mMigCompleted.Inc()
-	c.trc().MigrationCompleted(c.vnow(), c.id, c.migChallenges, sim.Time(elapsed))
+	c.tracer.MigrationCompleted(sh.loop.Now(), c.id, c.migChallenges, sim.Time(elapsed))
 	sh.refreshSnapshot(c)
 }
 
@@ -235,9 +226,8 @@ func (sh *shard) completeMigration(c *Conn, p *packet.Packet) {
 // the bound peer: echoing tokens for arbitrary third parties would make
 // the endpoint a validation oracle. Shard goroutine only.
 func (sh *shard) onPathChallenge(c *Conn, p *packet.Packet) {
-	c.advance()
 	c.output(&packet.Packet{
 		Type: packet.TypePathResponse, ConnID: c.id,
-		SentAt: c.vnow(), Token: p.Token,
+		SentAt: sh.loop.Now(), Token: p.Token,
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/tacktp/tack/internal/batchio"
 	"github.com/tacktp/tack/internal/packet"
+	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -18,6 +19,18 @@ const (
 	opRegister               // attach a freshly dialed connection
 	opClose                  // user-initiated connection close
 )
+
+// What ended a shard's sleep: the <cause> of ep.shard.wakeups.<cause>.
+const (
+	wakePacket = iota
+	wakeKick
+	wakeTimer
+	wakeControl
+	numWakeCauses
+)
+
+// disarmed is shard.armed while the OS timer is not set.
+const disarmed sim.Time = -1
 
 // shardMsg is one unit of work on a shard's channel.
 type shardMsg struct {
@@ -41,15 +54,19 @@ type shard struct {
 	in    chan shardMsg
 	conns map[uint32]*Conn
 
-	// now is the shard's coarse wall clock, refreshed once per work burst
-	// and lifecycle tick instead of per packet (time.Now in the dispatch
-	// hot path costs a vDSO call per datagram; connection liveness
-	// bookkeeping only needs millisecond granularity).
-	now time.Time
-
-	// lastSnap is when this shard last republished every connection's
-	// observability snapshot (see snapshotRefresh).
-	lastSnap time.Time
+	// loop is the shard's timer heap: every engine of every connection the
+	// shard owns schedules on it, and so does each connection's
+	// housekeeping timer. Its clock is wall time since epoch, moved forward
+	// once per wake-up, so one burst shares one coarse now (loop.Now() in
+	// engine time, now on the wall clock). Wire timestamps are relative to
+	// the writing shard's epoch; peers only echo them.
+	loop  *sim.Loop
+	epoch time.Time
+	now   time.Time
+	// timer, the one OS timer, is set to armed, the loop's earliest event.
+	timer  *time.Timer
+	armed  sim.Time
+	timers int // loop.Pending() as last folded into ep.shard.timers
 
 	// Egress queue: encoded datagrams awaiting one WriteBatch. egress and
 	// egressBufs are parallel (egressBufs keeps the pool pointers so the
@@ -69,12 +86,19 @@ type shard struct {
 }
 
 func newShard(ep *Endpoint, sock *epSocket) *shard {
+	now := time.Now()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	return &shard{
 		ep:         ep,
 		sock:       sock,
 		in:         make(chan shardMsg, 1024),
 		conns:      map[uint32]*Conn{},
-		now:        time.Now(),
+		loop:       sim.NewLoop(now.UnixNano()),
+		epoch:      now,
+		now:        now,
+		timer:      timer,
+		armed:      disarmed,
 		wr:         sock.bconn.NewWriter(egressBatchSize),
 		egress:     make([]batchio.Message, 0, egressBatchSize),
 		egressBufs: make([]*[]byte, 0, egressBatchSize),
@@ -112,7 +136,6 @@ func (sh *shard) processKicks() {
 		if sh.conns[c.id] != c {
 			continue // torn down since the kick was queued
 		}
-		c.advance()
 		if c.snd != nil {
 			c.snd.Kick()
 		}
@@ -122,27 +145,30 @@ func (sh *shard) processKicks() {
 	}
 }
 
-// run is the shard worker: it serializes inbound packets, control
-// messages, and a 1 ms lifecycle tick (the same granularity the
-// single-connection runner used for its virtual clock). Each wakeup
-// drains a bounded burst of queued work before flushing the egress
-// queue, so packets arriving together (and the acks they trigger) leave
-// in one batched write.
+// run is the shard worker. It sleeps until a packet, a control message, a
+// stream kick or the deadline of the loop's earliest timer. Each wake-up
+// runs the timers that are due, drains a bounded burst of queued work,
+// runs what that work scheduled for right now, and only then flushes the
+// egress queue — so packets arriving together, the acks they trigger and
+// what the timers sent leave in one batched write — and resets the OS timer.
 func (sh *shard) run() {
 	defer sh.ep.wg.Done()
 	defer sh.shutdown()
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
+	defer sh.timer.Stop()
 	for {
 		select {
 		case <-sh.ep.stop:
 			return
 		case m := <-sh.in:
-			sh.now = time.Now()
+			if m.op == opPacket {
+				sh.wake(wakePacket)
+			} else {
+				sh.wake(wakeControl)
+			}
 			sh.handle(m)
 		drain:
 			// Bounded opportunistic drain: batch the rest of the burst
-			// without starving the tick or spinning forever.
+			// without starving the timers or spinning forever.
 			for i := 0; i < 2*readBatchSize; i++ {
 				select {
 				case m := <-sh.in:
@@ -151,17 +177,86 @@ func (sh *shard) run() {
 					break drain
 				}
 			}
-			sh.flush()
 		case <-sh.kickCh:
-			sh.now = time.Now()
+			sh.wake(wakeKick)
 			sh.processKicks()
-			sh.flush()
-		case <-tick.C:
-			sh.now = time.Now()
-			sh.tick()
-			sh.flush()
+		case <-sh.timer.C:
+			sh.wake(wakeTimer)
+		}
+		sh.loop.RunUntil(sh.loop.Now())
+		sh.flush()
+		sh.rearm()
+	}
+}
+
+// wake starts a work burst: it reads the wall clock once and runs every
+// timer that is due by it.
+func (sh *shard) wake(cause int) {
+	sh.ep.mWakeups[cause].Inc()
+	sh.now = time.Now()
+	vnow := sim.Time(sh.now.Sub(sh.epoch))
+	if cause == wakeTimer && sh.armed != disarmed {
+		sh.ep.mTimerLate.Observe((vnow - sh.armed).Seconds())
+		sh.armed = disarmed
+	}
+	sh.loop.RunUntil(vnow)
+}
+
+// rearm sets the OS timer to the loop's earliest pending event, leaving
+// it alone when that has not moved since the last burst.
+func (sh *shard) rearm() {
+	if n := sh.loop.Pending(); n != sh.timers {
+		sh.ep.mTimers.Set(float64(sh.ep.nTimers.Add(int64(n - sh.timers))))
+		sh.timers = n
+	}
+	at, ok := sh.loop.NextAt()
+	if !ok {
+		at = disarmed
+	}
+	if at == sh.armed {
+		return
+	}
+	// A timer that fired while the shard was busy left a tick behind.
+	if !sh.timer.Stop() {
+		select {
+		case <-sh.timer.C:
+		default:
 		}
 	}
+	if sh.armed = at; ok {
+		sh.timer.Reset(time.Until(sh.epoch.Add(time.Duration(at))))
+	}
+}
+
+// add takes ownership of a connection whose protocol half and lifecycle
+// state are set up: table entry, housekeeping timer, first snapshot.
+func (sh *shard) add(c *Conn) {
+	sh.conns[c.id] = c
+	sh.ep.connAdded()
+	c.hk = sim.NewTimer(sh.loop, func() { sh.housekeep(c) })
+	sh.refreshSnapshot(c)
+	sh.poke(c)
+}
+
+// poke has housekeep look at c before this burst ends, after a change of
+// state that may have brought c's next deadline forward. (Housekeep may
+// remove c, so it must not run in the middle of what caused the change.)
+func (sh *shard) poke(c *Conn) { c.hk.Reset(sh.loop.Now()) }
+
+// touch notes a packet of c, in either direction: activity is what keeps
+// the periodic snapshot/anomaly pass of housekeep running.
+func (sh *shard) touch(c *Conn) {
+	c.lastActive = sh.now
+	if c.nextRefresh.IsZero() {
+		c.nextRefresh = sh.refreshSlot()
+		sh.poke(c)
+	}
+}
+
+// refreshSlot returns the next point of the shard's snapshotRefresh grid;
+// on one grid, however many connections are active share a wake-up.
+func (sh *shard) refreshSlot() time.Time {
+	return sh.epoch.Add((sh.now.Sub(sh.epoch)/snapshotRefresh + 1) * snapshotRefresh)
 }
 
 func (sh *shard) handle(m shardMsg) {
@@ -170,14 +265,31 @@ func (sh *shard) handle(m shardMsg) {
 		sh.onPacket(&m.ipk.pkt, &m.ipk.from)
 		sh.ep.putPacket(m.ipk)
 	case opRegister:
-		c := m.conn
-		sh.conns[c.id] = c
-		sh.ep.connAdded()
-		c.advance()
-		c.snd.Start()
+		sh.startDial(m.conn)
 	case opClose:
 		sh.closeConn(m.conn)
 	}
+}
+
+// startDial builds a dialed connection's sending half on the shard's
+// loop, registers the connection and sends the SYN.
+func (sh *shard) startDial(c *Conn) {
+	snd, err := transport.NewSender(sh.loop, c.engineConfig(), c.output)
+	if err != nil {
+		sh.remove(c, err)
+		return
+	}
+	c.snd = snd
+	snd.OnHandshakeFailed = func() { // fail now, not at HandshakeTimeout
+		sh.ep.mReaped.Inc()
+		sh.remove(c, ErrHandshakeTimeout)
+	}
+	if m := snd.Streams(); m != nil {
+		// Stream writes happen on application goroutines: kick the shard.
+		m.SetKick(func() { sh.kick(c) })
+	}
+	sh.add(c)
+	snd.Start()
 }
 
 // enqueue appends one encoded datagram to the shard's egress queue,
@@ -243,6 +355,7 @@ func (sh *shard) onPacket(p *packet.Packet, from *net.UDPAddr) {
 		return
 	}
 	c.lastRecv = sh.now
+	sh.touch(c)
 	switch p.Type {
 	case packet.TypePathChallenge:
 		// The peer is validating this path (its view of our address
@@ -255,7 +368,6 @@ func (sh *shard) onPacket(p *packet.Packet, from *net.UDPAddr) {
 		// (we only probe *foreign* addresses): stale or duplicated. Drop.
 		return
 	}
-	c.advance()
 	if c.snd != nil {
 		if a := p.Ack; a != nil && a.CumAck > c.snd.SentSeq() {
 			// Misbehaving-receiver guard: an optimistic acknowledgment
@@ -285,7 +397,7 @@ func (sh *shard) acceptSYN(p *packet.Packet, from *net.UDPAddr) {
 	}
 	// from aliases pooled reader storage that is recycled after dispatch;
 	// the connection outlives it, so it keeps its own copy.
-	c := sh.ep.newConn(cloneAddr(from))
+	c := sh.ep.newConn(cloneAddr(from), sh.now)
 	c.id = p.ConnID
 	c.sh = sh
 	if !sh.ep.reserveID(c.id, c) {
@@ -294,20 +406,18 @@ func (sh *shard) acceptSYN(p *packet.Packet, from *net.UDPAddr) {
 		sh.ep.mDemuxDrops.Inc()
 		return
 	}
-	tcfg := sh.ep.cfg.Transport
-	tcfg.ConnID = c.id
-	c.attachRecorder(&tcfg)
-	c.rcv = transport.NewReceiver(c.loop, tcfg, c.output)
+	c.rcv = transport.NewReceiver(sh.loop, c.engineConfig(), c.output)
+	// Per-packet sample logs for the simulator's reports: 8 bytes a packet
+	// for the life of the connection, and OWD needs a clock shared with the peer.
+	c.rcv.OWD, c.rcv.BlockedSamples = nil, nil
 	if m := c.rcv.Streams(); m != nil {
 		// Stream reads drain per-stream windows on application
 		// goroutines; route window-update wakeups through the shard.
-		m.SetKick(func() { c.sh.kick(c) })
+		m.SetKick(func() { sh.kick(c) })
 	}
-	sh.conns[c.id] = c
-	sh.ep.connAdded()
-	c.advance()
-	c.rcv.OnPacket(p) // emits the SYNACK
 	c.nextHS = sh.now.Add(sh.ep.cfg.handshakeRetryRTO(0))
+	sh.add(c)
+	c.rcv.OnPacket(p) // emits the SYNACK
 }
 
 // postDispatch advances connection lifecycle after a packet was handled:
@@ -337,8 +447,9 @@ func (sh *shard) postDispatch(c *Conn, p *packet.Packet) {
 
 func (sh *shard) establish(c *Conn) {
 	c.established = true
-	sh.ep.mHandshake.Observe(time.Since(c.created).Seconds())
-	c.estOnce.Do(func() { close(c.estCh) })
+	sh.ep.mHandshake.Observe(sh.now.Sub(c.created).Seconds())
+	close(c.estCh)
+	sh.poke(c) // handshake deadlines out, idle and keepalive in
 }
 
 // checkDone detects transfer completion. Sender connections are removed
@@ -353,82 +464,104 @@ func (sh *shard) checkDone(c *Conn) {
 		return
 	}
 	if c.rcv != nil && c.rcv.Complete() && c.completeAt.IsZero() {
-		c.completeAt = time.Now()
+		c.completeAt = sh.now
+		c.ring.Release() // what is left is re-acknowledging the tail
+		sh.poke(c)
 	}
 }
 
-// tick drives every connection's virtual clock forward and applies the
-// lifecycle policies: linger expiry, embryo reaping, idle timeout,
-// keepalive. It also runs the anomaly detectors and republishes each
-// connection's observability snapshot on the snapshotRefresh cadence.
-func (sh *shard) tick() {
-	now := sh.now
-	ep := sh.ep
-	refresh := now.Sub(sh.lastSnap) >= snapshotRefresh
-	if refresh {
-		sh.lastSnap = now
-	}
-	for _, c := range sh.conns {
-		c.advance()
-		sh.checkDone(c)
-		if sh.conns[c.id] != c {
-			continue // removed by checkDone
+// housekeep is the callback of a connection's housekeeping timer: it
+// applies whichever lifecycle policies have come due — close and
+// completion linger, embryo reap and SYNACK retransmission, idle timeout,
+// keepalive, the path-challenge schedule, and on an active connection the
+// anomaly check and snapshot refresh. Having acted it looks again; else it
+// sets the timer to the earliest deadline ahead. Idle and keepalive
+// deadlines move later with every packet and are not chased: the timer
+// fires at the old one, finds nothing due, and is set again.
+func (sh *shard) housekeep(c *Conn) {
+	now, cfg := sh.now, &sh.ep.cfg
+	var next time.Time
+	acted := false
+	// due reports whether deadline t has come; if not, the timer may wait for it.
+	due := func(t time.Time) bool {
+		if !now.Before(t) {
+			return true
 		}
-		switch {
-		case c.closing && now.After(c.closeDeadline):
-			sh.remove(c, nil) // FINACK never came; tear down anyway
-		case !c.completeAt.IsZero() && now.Sub(c.completeAt) > completeLinger:
+		if next.IsZero() || t.Before(next) {
+			next = t
+		}
+		return false
+	}
+	switch {
+	case c.closing: // FINACK never came; tear down anyway
+		if due(c.closeDeadline) {
 			sh.remove(c, nil)
-		case !c.established && c.snd != nil && c.snd.HandshakeFailed():
-			// The SYN retry budget is exhausted: fail the dial now
-			// instead of letting it idle out the full HandshakeTimeout.
-			ep.mReaped.Inc()
+			return
+		}
+	case !c.completeAt.IsZero():
+		if due(c.completeAt.Add(completeLinger)) {
+			sh.remove(c, nil)
+			return
+		}
+	case c.established:
+		if cfg.IdleTimeout > 0 && due(c.lastRecv.Add(cfg.IdleTimeout)) {
+			sh.ep.mReaped.Inc()
+			sh.remove(c, ErrIdleTimeout)
+			return
+		}
+		// Keepalive: a liveness-probe IACK on a transmit-idle dialed connection.
+		if ka := cfg.KeepaliveInterval; ka > 0 && c.snd != nil && due(c.lastSent.Add(ka)) {
+			c.output(&packet.Packet{
+				Type: packet.TypeIACK, ConnID: c.id, SentAt: sh.loop.Now(),
+				IACK: packet.IACKKeepalive, AckOldestPktSeq: c.snd.OldestOutstanding(),
+			})
+			acted = true
+		}
+	case c.rcv != nil:
+		// An embryo. (A dialed connection's handshake is bounded by Dial's
+		// own timer and the SYN retry budget, see startDial.)
+		if due(c.created.Add(cfg.HandshakeTimeout)) { // never completed
+			sh.ep.mReaped.Inc()
 			sh.remove(c, ErrHandshakeTimeout)
-		case !c.established && c.rcv != nil && now.Sub(c.created) > ep.cfg.HandshakeTimeout:
-			// Stale embryo: the SYN's sender never completed the
-			// handshake. (Dialed connections are governed by Dial's own
-			// handshake timer and SYN retry budget.)
-			ep.mReaped.Inc()
-			sh.remove(c, ErrHandshakeTimeout)
-		case !c.established && c.rcv != nil && c.hsRetries < ep.cfg.handshakeRetryBudget() && now.After(c.nextHS):
-			// The embryo's SYNACK (or the client's follow-up) appears
-			// lost; re-emit on the same doubling schedule the client's
-			// SYN retransmission uses, within the same retry budget.
+			return
+		}
+		if c.hsRetries < cfg.handshakeRetryBudget() && due(c.nextHS) {
+			// The SYNACK (or the client's follow-up) appears lost; re-emit
+			// on the same doubling schedule the client's SYN retransmission
+			// uses, within the same retry budget.
 			c.hsRetries++
 			if c.rcv.RetransmitSYNACK() {
-				ep.mSynackRetrans.Inc()
+				sh.ep.mSynackRetrans.Inc()
 			}
-			c.nextHS = now.Add(ep.cfg.handshakeRetryRTO(c.hsRetries))
-		case ep.cfg.IdleTimeout > 0 && c.established && now.Sub(c.lastRecv) > ep.cfg.IdleTimeout:
-			ep.mReaped.Inc()
-			sh.remove(c, ErrIdleTimeout)
-		default:
-			sh.maybeKeepalive(c, now)
+			c.nextHS = now.Add(cfg.handshakeRetryRTO(c.hsRetries))
+			acted = true
 		}
-		if sh.conns[c.id] != c {
-			continue // removed by a lifecycle arm above
+	}
+	if c.migState == pathProbing {
+		if due(c.migDeadline) {
+			sh.failMigration(c)
+		} else if !c.migBlocked && due(c.migNext) {
+			sh.sendChallenge(c)
+			acted = true
 		}
-		if c.migState == pathProbing {
-			sh.migrationTick(c, now)
-		}
+	}
+	if !c.nextRefresh.IsZero() && due(c.nextRefresh) {
 		sh.detectAnomalies(c, now)
-		if refresh || c.snap.Load() == nil {
-			sh.refreshSnapshot(c)
+		sh.refreshSnapshot(c)
+		c.nextRefresh = time.Time{}
+		// A connection quiet for longer than any detector needs to see
+		// silence has nothing left to detect or to republish, and neither
+		// has a receiver that is only lingering after completion.
+		if c.completeAt.IsZero() && now.Sub(c.lastActive) <= sh.stallTimeout(c)+wndExhaustTimeout {
+			c.nextRefresh = sh.refreshSlot()
 		}
+		acted = true
 	}
-}
-
-// maybeKeepalive emits a liveness-probe IACK on dialed connections that
-// have been transmit-idle for a keepalive interval.
-func (sh *shard) maybeKeepalive(c *Conn, now time.Time) {
-	ka := sh.ep.cfg.KeepaliveInterval
-	if ka <= 0 || c.snd == nil || !c.established || now.Sub(c.lastSent) < ka {
-		return
+	if acted {
+		sh.poke(c)
+	} else if !next.IsZero() {
+		c.hk.Reset(sim.Time(next.Sub(sh.epoch)))
 	}
-	c.output(&packet.Packet{
-		Type: packet.TypeIACK, ConnID: c.id, SentAt: c.vnow(),
-		IACK: packet.IACKKeepalive, AckOldestPktSeq: c.snd.OldestOutstanding(),
-	})
 }
 
 // closeConn implements a user-initiated Close on the owning shard. A
@@ -440,25 +573,34 @@ func (sh *shard) closeConn(c *Conn) {
 		return
 	}
 	if c.snd != nil && c.established && !c.snd.Done() && !c.closing {
-		c.advance()
 		c.output(&packet.Packet{
-			Type: packet.TypeFIN, ConnID: c.id, SentAt: c.vnow(),
+			Type: packet.TypeFIN, ConnID: c.id, SentAt: sh.loop.Now(),
 			Seq: c.snd.SentSeq(),
 		})
 		c.closing = true
-		c.closeDeadline = time.Now().Add(closeLinger)
+		c.closeDeadline = sh.now.Add(closeLinger)
+		sh.poke(c)
 		c.finish(nil)
 		return
 	}
 	sh.remove(c, nil)
 }
 
-// remove deletes the connection from the shard table (idempotent) and
-// signals its terminal state.
+// remove deletes the connection from the shard table (idempotent),
+// publishes its last snapshot, takes everything of it off the loop,
+// releases its recorder's storage and signals its terminal state.
 func (sh *shard) remove(c *Conn, err error) {
 	if sh.conns[c.id] == c {
 		delete(sh.conns, c.id)
 		sh.ep.connRemoved()
+		sh.refreshSnapshot(c)
+		c.hk.Stop()
+		if c.snd != nil {
+			c.snd.Stop()
+		} else {
+			c.rcv.Stop()
+		}
+		c.ring.Release()
 	}
 	sh.ep.releaseID(c.id)
 	c.finish(err)
@@ -467,11 +609,8 @@ func (sh *shard) remove(c *Conn, err error) {
 // shutdown finishes every connection when the endpoint closes, then
 // drains queued control messages so pending Dial/Close callers unblock.
 func (sh *shard) shutdown() {
-	for id, c := range sh.conns {
-		delete(sh.conns, id)
-		sh.ep.connRemoved()
-		sh.ep.releaseID(id)
-		c.finish(ErrClosed)
+	for _, c := range sh.conns {
+		sh.remove(c, ErrClosed)
 	}
 	for {
 		select {

@@ -69,15 +69,31 @@ type ConnState struct {
 	// FlightRecorded is the total number of events the connection's
 	// flight-recorder ring has seen (0 when the recorder is disabled).
 	FlightRecorded uint64 `json:"flight_recorded"`
+
+	// at is when the shard built this snapshot.
+	at time.Time
+}
+
+// read returns a reader's copy of a published snapshot. AgeSec is the age
+// at publication — so a changed AgeSec means a newer snapshot — unless the
+// connection has gone quiet, is not refreshed, and the copy must catch up.
+func (s *ConnState) read() ConnState {
+	cp := *s
+	if quiet := time.Since(cp.at); quiet > 2*snapshotRefresh {
+		cp.AgeSec += quiet.Seconds()
+	}
+	return cp
 }
 
 // Anomaly-detector thresholds that are not per-deployment knobs: the
-// rolling windows are coarse by design (detectors run on the 1 ms
-// lifecycle tick and must stay cheap), and each class latches once per
-// connection so a wedged flow produces one post-mortem, not a stream.
+// rolling windows are coarse by design (detectors run with the snapshot
+// refresh, from the connection's housekeeping timer, and must stay
+// cheap), and each class latches once per connection so a wedged flow
+// produces one post-mortem, not a stream.
 const (
-	// snapshotRefresh is how often a shard rebuilds every connection's
-	// published ConnState (anomalies additionally refresh immediately).
+	// snapshotRefresh is how often a shard runs the detectors on an active
+	// connection and republishes its ConnState (anomalies, registration
+	// and removal additionally publish immediately).
 	snapshotRefresh = 100 * time.Millisecond
 	// retxStormWindow is the rolling window the retransmission-storm
 	// threshold (Config.RetxStormThreshold) applies to.
@@ -142,6 +158,7 @@ func (sh *shard) buildState(c *Conn) *ConnState {
 		ConnID: c.id,
 		Peer:   c.peer.String(),
 		AgeSec: now.Sub(c.created).Seconds(),
+		at:     now,
 	}
 	switch {
 	case c.closing:
@@ -237,7 +254,9 @@ func (sh *shard) detectAnomalies(c *Conn, now time.Time) {
 	// (receiver) with nothing moving for > StallRTOs × RTO.
 	stallAfter := sh.stallTimeout(c)
 	if snd := c.snd; snd != nil && !snd.Done() {
-		if cum := snd.CumAcked(); cum != a.lastCum {
+		if cum := snd.CumAcked(); cum != a.lastCum || snd.Inflight() == 0 {
+			// (Nothing in flight is nothing to stall on: a sender back from
+			// an application pause starts a fresh clock.)
 			a.lastCum = cum
 			a.lastProgress = now
 		} else if snd.Inflight() > 0 && now.Sub(a.lastProgress) > stallAfter {
@@ -318,7 +337,7 @@ func (sh *shard) fireAnomaly(c *Conn, class uint8, detail uint64) {
 	if c.snd != nil {
 		inflight = c.snd.Inflight()
 	}
-	c.trc().Anomaly(c.vnow(), c.id, class, inflight, detail)
+	c.tracer.Anomaly(sh.loop.Now(), c.id, class, inflight, detail)
 	sh.dumpPostMortem(c, name)
 	sh.refreshSnapshot(c)
 }
@@ -379,9 +398,9 @@ func (ep *Endpoint) StateSnapshots() []ConnState {
 	for _, c := range conns {
 		s := c.snap.Load()
 		if s == nil {
-			continue // first tick hasn't published yet
+			continue // dialed, not yet registered with its shard
 		}
-		out = append(out, *s)
+		out = append(out, s.read())
 		ackBytes += s.AckBytes
 		dataBytes += s.BytesAcked + s.BytesDelivered
 	}

@@ -41,7 +41,7 @@ type Event struct {
 	at     Time
 	seq    uint64 // tie-break: FIFO among equal timestamps
 	fn     func()
-	index  int // heap index, -1 when popped or cancelled
+	index  int // heap index, -1 while not queued
 	cancel bool
 }
 
@@ -115,9 +115,21 @@ func (l *Loop) Rand() *rand.Rand { return l.rng }
 // as a runaway guard).
 func (l *Loop) Fired() uint64 { return l.fired }
 
-// Pending returns the number of events still queued (including cancelled
-// events that have not yet been popped).
+// Pending returns the number of events still queued (including ones
+// cancelled through Event.Cancel but not yet popped; stopped Timers are gone).
 func (l *Loop) Pending() int { return len(l.queue) }
+
+// NextAt returns the timestamp of the earliest pending event, and false
+// when nothing is queued. A loop pinned to wall time sleeps until then.
+func (l *Loop) NextAt() (Time, bool) {
+	for len(l.queue) > 0 {
+		if e := l.queue[0]; !e.cancel {
+			return e.at, true
+		}
+		heap.Pop(&l.queue)
+	}
+	return 0, false
+}
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // panics: that is always a logic error in a discrete-event model.
@@ -142,17 +154,14 @@ func (l *Loop) After(d Time, fn func()) *Event {
 // Step executes the next event, advancing the clock to its timestamp.
 // It reports false when the queue is empty.
 func (l *Loop) Step() bool {
-	for len(l.queue) > 0 {
-		e := heap.Pop(&l.queue).(*Event)
-		if e.cancel {
-			continue
-		}
-		l.now = e.at
-		l.fired++
-		e.fn()
-		return true
+	if _, ok := l.NextAt(); !ok {
+		return false
 	}
-	return false
+	e := heap.Pop(&l.queue).(*Event)
+	l.now = e.at
+	l.fired++
+	e.fn()
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -164,14 +173,8 @@ func (l *Loop) Run() {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline. Events scheduled beyond the deadline stay queued.
 func (l *Loop) RunUntil(deadline Time) {
-	for len(l.queue) > 0 {
-		// Peek cheapest event without popping cancelled ones eagerly.
-		e := l.queue[0]
-		if e.cancel {
-			heap.Pop(&l.queue)
-			continue
-		}
-		if e.at > deadline {
+	for {
+		if at, ok := l.NextAt(); !ok || at > deadline {
 			break
 		}
 		l.Step()
@@ -182,48 +185,54 @@ func (l *Loop) RunUntil(deadline Time) {
 }
 
 // Timer is a resettable one-shot timer on a Loop, the building block for
-// protocol retransmission and ack-delay timers.
+// protocol retransmission and ack-delay timers. The timer owns its one
+// Event: re-arming moves that event inside the loop's heap and stopping
+// removes it, so neither allocates and a loop shared by many connections
+// holds exactly one entry per armed timer.
 type Timer struct {
 	loop *Loop
-	ev   *Event
-	fn   func()
+	ev   Event
 }
 
 // NewTimer returns an unarmed timer invoking fn when it fires.
 func NewTimer(loop *Loop, fn func()) *Timer {
-	return &Timer{loop: loop, fn: fn}
+	return &Timer{loop: loop, ev: Event{fn: fn, index: -1}}
 }
 
 // Reset (re)arms the timer to fire at absolute time at; deadlines already
-// in the past fire as soon as possible.
+// in the past fire as soon as possible. Among events with equal timestamps
+// the timer fires in the order of its latest Reset.
 func (t *Timer) Reset(at Time) {
-	t.Stop()
-	if at < t.loop.Now() {
-		at = t.loop.Now()
+	l := t.loop
+	if at < l.now {
+		at = l.now
 	}
-	t.ev = t.loop.At(at, func() {
-		t.ev = nil
-		t.fn()
-	})
+	t.ev.at = at
+	t.ev.seq = l.nextID
+	l.nextID++
+	if t.ev.index >= 0 {
+		heap.Fix(&l.queue, t.ev.index)
+	} else {
+		heap.Push(&l.queue, &t.ev)
+	}
 }
 
 // ResetAfter (re)arms the timer to fire d from now.
-func (t *Timer) ResetAfter(d Time) { t.Reset(t.loop.Now() + d) }
+func (t *Timer) ResetAfter(d Time) { t.Reset(t.loop.now + d) }
 
 // Stop disarms the timer if pending.
 func (t *Timer) Stop() {
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
+	if t.ev.index >= 0 {
+		heap.Remove(&t.loop.queue, t.ev.index)
 	}
 }
 
 // Armed reports whether the timer is pending.
-func (t *Timer) Armed() bool { return t.ev != nil }
+func (t *Timer) Armed() bool { return t.ev.index >= 0 }
 
 // Deadline returns the pending fire time; valid only when Armed.
 func (t *Timer) Deadline() Time {
-	if t.ev == nil {
+	if !t.Armed() {
 		return 0
 	}
 	return t.ev.at

@@ -253,3 +253,101 @@ func TestAfterNegativeClamps(t *testing.T) {
 		t.Fatalf("clock = %v", l.Now())
 	}
 }
+
+// A timer owns its event: re-arming and stopping must neither allocate nor
+// leave anything behind in the queue, however often they happen.
+func TestTimerRearmIsFreeAndLeavesNoTombstones(t *testing.T) {
+	l := NewLoop(1)
+	other := NewTimer(l, func() {})
+	other.Reset(Second) // something else in the heap to sift past
+	tm := NewTimer(l, func() {})
+	at := Time(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		at += Microsecond
+		tm.Reset(at)
+	}); n != 0 {
+		t.Errorf("Reset allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tm.Reset(at)
+		tm.Stop()
+	}); n != 0 {
+		t.Errorf("Reset+Stop allocates %v times per call, want 0", n)
+	}
+	for i := 0; i < 1_000_000; i++ {
+		tm.Reset(Time(i%1000) * Millisecond)
+	}
+	if got := l.Pending(); got != 2 {
+		t.Fatalf("Pending = %d after 10^6 re-arms of one timer, want 2", got)
+	}
+	tm.Stop()
+	other.Stop()
+	if got := l.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after stopping every timer, want 0", got)
+	}
+}
+
+// Among equal timestamps everything fires in the order it was scheduled,
+// and a timer counts from its latest Reset, whether that moved its event
+// inside the heap or pushed it anew.
+func TestTimerFIFOAmongEqualTimestamps(t *testing.T) {
+	l := NewLoop(1)
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	a, b, c := NewTimer(l, note("a")), NewTimer(l, note("b")), NewTimer(l, note("c"))
+	at := 5 * Millisecond
+	a.Reset(at)
+	l.At(at, note("e1"))
+	b.Reset(2 * at) // armed elsewhere first ...
+	c.Reset(at)
+	l.At(at, note("e2"))
+	a.Reset(at) // re-armed at the same time: now behind e2
+	b.Reset(at) // ... then moved here: behind a
+	l.Run()
+	want := []string{"e1", "c", "e2", "a", "b"}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+}
+
+func TestTimerRearmedFromItsOwnCallback(t *testing.T) {
+	l := NewLoop(1)
+	fires := 0
+	var tm *Timer
+	tm = NewTimer(l, func() {
+		if tm.Armed() {
+			t.Error("timer reports armed while its callback runs")
+		}
+		if fires++; fires < 3 {
+			tm.ResetAfter(Millisecond)
+		}
+	})
+	tm.Reset(0)
+	l.Run()
+	if fires != 3 || l.Now() != 2*Millisecond || l.Pending() != 0 {
+		t.Fatalf("fires=%d now=%v pending=%d, want 3, 2ms, 0", fires, l.Now(), l.Pending())
+	}
+}
+
+func TestNextAtSkipsCancelledEvents(t *testing.T) {
+	l := NewLoop(1)
+	if _, ok := l.NextAt(); ok {
+		t.Fatal("empty loop reports a next event")
+	}
+	l.At(Millisecond, func() {}).Cancel()
+	tm := NewTimer(l, func() {})
+	tm.Reset(3 * Millisecond)
+	l.At(2*Millisecond, func() {})
+	if at, ok := l.NextAt(); !ok || at != 2*Millisecond {
+		t.Fatalf("NextAt = %v, %v; want 2ms, true", at, ok)
+	}
+	tm.Reset(Microsecond)
+	if at, _ := l.NextAt(); at != Microsecond {
+		t.Fatalf("NextAt = %v after moving the timer to the head, want 1µs", at)
+	}
+}

@@ -24,8 +24,11 @@ type Summary struct {
 // NewSummary returns an empty summary.
 func NewSummary() *Summary { return &Summary{} }
 
-// Add records one observation.
+// Add records one observation. A nil summary records nothing.
 func (s *Summary) Add(v float64) {
+	if s == nil {
+		return
+	}
 	if len(s.vals) == 0 || v < s.min {
 		s.min = v
 	}

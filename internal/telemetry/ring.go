@@ -8,22 +8,26 @@ import (
 // DefaultRingSize is the flight-recorder capacity used when a caller
 // asks for a ring without choosing a size. 256 events cover several
 // RTTs of ack/loss/cc activity at TACK ack frequencies while costing
-// ~18 KiB per connection.
+// ~18 KiB per connection once a connection has recorded that many.
 const DefaultRingSize = 256
 
-// Ring is a fixed-capacity flight recorder for Events: writes overwrite
-// the oldest entry once the buffer is full, and recording never
-// allocates after construction. It is the always-on capture layer behind
-// anomaly post-mortems — cheap enough to run on every connection even
-// when full tracing is disabled.
+// Ring is a bounded flight recorder for Events: writes overwrite the
+// oldest entry once its capacity is reached. Storage grows on demand —
+// nothing until the first event, then doubling up to the capacity, so a
+// connection that only shakes hands and idles holds a few events' worth —
+// and recording never allocates in steady state. It is the always-on
+// capture layer behind anomaly post-mortems — cheap enough to run on
+// every connection even when full tracing is disabled.
 //
 // A Ring is safe for concurrent use; Put takes a mutex (not the
 // per-packet hot path's atomics, but recording is a single struct copy
 // under the lock, and dump/snapshot readers are rare).
 type Ring struct {
 	mu    sync.Mutex
-	buf   []Event
-	total uint64 // events ever recorded; buf index = total % len(buf)
+	size  int     // capacity in events
+	buf   []Event // the held events; event n since start lives at buf[n % size]
+	total uint64  // events ever recorded
+	start uint64  // total at the last Release
 }
 
 // NewRing returns a ring holding the last size events (DefaultRingSize
@@ -32,7 +36,7 @@ func NewRing(size int) *Ring {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Ring{buf: make([]Event, size)}
+	return &Ring{size: size}
 }
 
 // Put records one event, overwriting the oldest when full. Nil-safe.
@@ -41,8 +45,25 @@ func (r *Ring) Put(e *Event) {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.total%uint64(len(r.buf))] = *e
+	if n := r.total - r.start; n < uint64(r.size) {
+		r.buf = append(r.buf, *e) // below capacity: grow, amortised doubling
+	} else {
+		r.buf[n%uint64(r.size)] = *e
+	}
 	r.total++
+	r.mu.Unlock()
+}
+
+// Release drops the held events and their storage; the ring stays usable
+// and Total keeps counting. For an owner that knows the history will not
+// be asked for again (a connection that has finished). Nil-safe.
+func (r *Ring) Release() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.buf = nil
+	r.start = r.total
 	r.mu.Unlock()
 }
 
@@ -51,7 +72,7 @@ func (r *Ring) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.buf)
+	return r.size
 }
 
 // Len returns the number of events currently held (≤ capacity).
@@ -61,9 +82,6 @@ func (r *Ring) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total < uint64(len(r.buf)) {
-		return int(r.total)
-	}
 	return len(r.buf)
 }
 
@@ -86,11 +104,10 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := uint64(len(r.buf))
-	if r.total < n {
-		return append(dst, r.buf[:r.total]...)
+	head := (r.total - r.start) % uint64(r.size) // index of the oldest event
+	if len(r.buf) < r.size {
+		head = 0 // never wrapped
 	}
-	head := r.total % n // index of the oldest event
 	dst = append(dst, r.buf[head:]...)
 	return append(dst, r.buf[:head]...)
 }

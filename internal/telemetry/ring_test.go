@@ -195,3 +195,48 @@ func TestWithRingForwards(t *testing.T) {
 		t.Fatalf("forwarded flow = %d, want 9", fwd.Events()[0].Flow)
 	}
 }
+
+// Storage follows use: none before the first event, never more than the
+// capacity, gone after Release — with ordering and Total intact throughout.
+func TestRingGrowsOnDemandAndReleases(t *testing.T) {
+	r := NewRing(64)
+	if cap(r.buf) != 0 {
+		t.Fatalf("fresh ring holds storage for %d events", cap(r.buf))
+	}
+	put := func(from, to int) {
+		for i := from; i < to; i++ {
+			r.Put(&Event{Seq: uint64(i)})
+		}
+	}
+	check := func(wantFirst, wantLast int) {
+		t.Helper()
+		got := r.Snapshot(nil)
+		if len(got) != wantLast-wantFirst+1 || r.Len() != len(got) {
+			t.Fatalf("holds %d events (Len %d), want %d", len(got), r.Len(), wantLast-wantFirst+1)
+		}
+		for i, e := range got {
+			if e.Seq != uint64(wantFirst+i) {
+				t.Fatalf("event %d has Seq %d, want %d", i, e.Seq, wantFirst+i)
+			}
+		}
+	}
+	put(0, 5)
+	if c := cap(r.buf); c < 5 || c > 16 {
+		t.Fatalf("5 events took storage for %d", c)
+	}
+	check(0, 4)
+	put(5, 200) // through every growth step and three times around
+	if c := cap(r.buf); c < 64 || c >= 128 || r.Cap() != 64 {
+		t.Fatalf("storage for %d events, Cap %d; want 64 (plus allocator rounding)", c, r.Cap())
+	}
+	check(136, 199)
+	r.Release()
+	if r.buf != nil || r.Len() != 0 || r.Total() != 200 || r.Snapshot(nil) != nil {
+		t.Fatalf("after Release: storage %d, Len %d, Total %d", cap(r.buf), r.Len(), r.Total())
+	}
+	put(200, 203)
+	check(200, 202)
+	if n := testing.AllocsPerRun(100, func() { put(0, 64) }); n > 1 {
+		t.Fatalf("a full ring allocates %v times per 64 events", n)
+	}
+}

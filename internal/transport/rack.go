@@ -19,6 +19,7 @@ package transport
 // loss mark disproven by a late original arrival.
 
 import (
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/rtt"
 	"github.com/tacktp/tack/internal/sim"
 )
@@ -123,21 +124,21 @@ func (r *rackState) rackRTT(srtt sim.Time) sim.Time {
 	return 100 * sim.Millisecond
 }
 
-// probeTimeout returns the TLP timer duration: ProbeTimeoutMult×SRTT plus —
-// mirroring the RTO's budget — half the minimum RTT for the receiver's
-// maximum acknowledgment delay under TACK thinning (one TACK interval plus
-// the IACK settle delay). Before any RTT estimate it falls back to a full
-// second, like the RTO.
+// probeTimeout returns the TLP timer duration: ProbeTimeoutMult×SRTT plus
+// the longest the receiver may hold the acknowledgment the probe would
+// race — the RTO's RTTmin/2 budget (one TACK interval plus the IACK settle
+// delay at the defaults), but never under two ackpolicy.MinInterval: the
+// interval is floored there and the peer's timer service is no better, so
+// a budget that follows RTTmin below a millisecond expires just as the
+// floored TACK is due and short transfers end in spurious probes. Before
+// any RTT estimate it falls back to a full second, like the RTO.
 func (r *rackState) probeTimeout(srtt, minRTT sim.Time) sim.Time {
 	if srtt <= 0 {
 		return sim.Second
 	}
-	pto := sim.Time(r.cfg.ProbeTimeoutMult * float64(srtt))
-	if minRTT > 0 {
-		pto += minRTT / 2
+	hold := minRTT / 2
+	if floored := 2 * ackpolicy.MinInterval; hold < floored {
+		hold = floored
 	}
-	if pto < sim.Millisecond {
-		pto = sim.Millisecond
-	}
-	return pto
+	return sim.Time(r.cfg.ProbeTimeoutMult*float64(srtt)) + hold
 }

@@ -208,3 +208,41 @@ func TestRACKDetectsLossFasterThanDupThreshLegacy(t *testing.T) {
 		t.Fatalf("RACK completion %v much slower than dup-thresh %v", rack, dup)
 	}
 }
+
+// On a sub-millisecond path the receiver's TACK spacing is floored at
+// ackpolicy.MinInterval, far above RTTmin/β, and a real peer's timers add
+// lateness of their own (modelled here: every acknowledgment leaves up to
+// half a millisecond after the receiver decided to send it). A probe
+// timeout that follows RTTmin down races each of those TACKs. A lossless
+// short transfer must not probe at all (it used to: about three probes,
+// and three duplicates, per 64 KiB object on loopback).
+func TestNoSpuriousTLPOnSubMillisecondRTT(t *testing.T) {
+	const owd = 50 * sim.Microsecond
+	for seed := int64(60); seed < 68; seed++ {
+		loop := sim.NewLoop(seed)
+		cfg := Config{Mode: ModeTACK, TransferBytes: 64 << 10}
+		var snd *Sender
+		var rcv *Receiver
+		snd, err := NewSender(loop, cfg, func(p *packet.Packet) {
+			loop.After(owd, func() { rcv.OnPacket(p) })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcv = NewReceiver(loop, cfg, func(p *packet.Packet) {
+			late := sim.Time(loop.Rand().Int63n(int64(500 * sim.Microsecond)))
+			loop.After(owd+late, func() { snd.OnPacket(p) })
+		})
+		snd.Start()
+		loop.RunUntil(sim.Second)
+		if !snd.Done() {
+			t.Fatalf("seed %d: transfer incomplete: acked %d", seed, snd.CumAcked())
+		}
+		if n := snd.Stats.TLPProbes; n != 0 {
+			t.Errorf("seed %d: %d tail loss probes on a lossless 100µs path", seed, n)
+		}
+		if n := rcv.Stats.DupPackets; n != 0 {
+			t.Errorf("seed %d: receiver saw %d duplicates", seed, n)
+		}
+	}
+}

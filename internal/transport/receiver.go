@@ -152,6 +152,7 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 	}
 	r.ackTimer = sim.NewTimer(loop, r.onAckTimer)
 	r.settleTimer = sim.NewTimer(loop, r.onSettleTimer)
+	r.streamTimer = sim.NewTimer(loop, r.FlushStreamWindows)
 	if cfg.Streams != nil {
 		r.mux = stream.NewRecvMux(*cfg.Streams, stream.RecvDeps{
 			ConnID:  cfg.ConnID,
@@ -161,7 +162,6 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 		// FEC recovery synthesizes STREAM frames, so the decoder only
 		// exists on stream-multiplexed connections.
 		r.fecDec = fec.NewDecoder(0, 0)
-		r.streamTimer = sim.NewTimer(loop, r.FlushStreamWindows)
 		// Default kick: route the urgent window update through the loop
 		// (the kick fires under the mux lock, which FlushStreamWindows
 		// re-acquires). Endpoint owners install a cross-goroutine kick via
@@ -203,6 +203,14 @@ func (r *Receiver) FlushStreamWindows() {
 func (r *Receiver) OnPathMigration() {
 	r.timing = rtt.NewReceiverTiming(0)
 	r.deliv = rate.NewDeliveryEstimator(sim.Second)
+}
+
+// Stop disarms the receiver's timers, so that a loop shared with other
+// connections holds nothing of one its owner has removed.
+func (r *Receiver) Stop() {
+	r.ackTimer.Stop()
+	r.settleTimer.Stop()
+	r.streamTimer.Stop()
 }
 
 // Policy returns the acknowledgment discipline in force.
@@ -735,7 +743,7 @@ func (r *Receiver) RTTMinSynced() sim.Time { return r.rttMin }
 // AckTargetHz returns Eq. 3's target acknowledgment frequency
 // min(bw/(L·MSS), β/RTTmin) evaluated at the receiver's current
 // delivery-rate and RTTmin state, with the same discretizations the
-// live policy applies (the 1 ms α floor; byte-count threshold crossed
+// live policy applies (the MinInterval α floor; byte-count threshold crossed
 // only on whole-packet arrivals). 0 when neither bound is computable
 // yet or in legacy mode.
 func (r *Receiver) AckTargetHz() float64 {
@@ -746,8 +754,8 @@ func (r *Receiver) AckTargetHz() float64 {
 	var periodicHz float64
 	if r.rttMin > 0 && beta > 0 {
 		alpha := r.rttMin / sim.Time(beta)
-		if alpha < sim.Millisecond {
-			alpha = sim.Millisecond
+		if alpha < ackpolicy.MinInterval {
+			alpha = ackpolicy.MinInterval
 		}
 		periodicHz = 1 / alpha.Seconds()
 	}

@@ -48,8 +48,7 @@ type Sender struct {
 	synSentAt sim.Time
 
 	// Handshake retransmission state.
-	synRetries int  // SYNs re-sent so far
-	hsFailed   bool // retry budget exhausted without a SYNACK
+	synRetries int // SYNs re-sent so far
 
 	// Loss bookkeeping.
 	recoverPkt      uint64 // loss episode ends when acks pass this PKT.SEQ (TACK)
@@ -116,6 +115,10 @@ type Sender struct {
 
 	// OnDone fires once when the transfer completes (all bytes acked).
 	OnDone func()
+	// OnHandshakeFailed fires once when the SYN retry budget
+	// (MaxSYNRetries) is exhausted without a SYNACK. The owner is expected
+	// to tear the connection down with a handshake-timeout error.
+	OnHandshakeFailed func()
 }
 
 // NewSender builds the sending half. Packets are emitted through out.
@@ -209,16 +212,20 @@ func (s *Sender) Start() {
 	s.rtoTimer.ResetAfter(s.handshakeRTO())
 }
 
+// Stop disarms the sender's timers, so that a loop shared with other
+// connections holds nothing of one its owner has removed.
+func (s *Sender) Stop() {
+	s.sendTimer.Stop()
+	s.rtoTimer.Stop()
+	s.rackTimer.Stop()
+	s.tlpTimer.Stop()
+}
+
 // Done reports whether the configured transfer completed.
 func (s *Sender) Done() bool { return s.done }
 
 // Established reports whether the handshake completed.
 func (s *Sender) Established() bool { return s.established }
-
-// HandshakeFailed reports whether the SYN retry budget (MaxSYNRetries) was
-// exhausted without a SYNACK. The owner is expected to tear the connection
-// down with a handshake-timeout error.
-func (s *Sender) HandshakeFailed() bool { return s.hsFailed }
 
 // handshakeRTO returns the SYN retransmission timeout for the current
 // retry count: HandshakeRTO doubled per retry, clamped to MaxRTO.
@@ -431,18 +438,6 @@ func (s *Sender) nextChunk() int {
 		}
 	}
 	return n
-}
-
-// nextRetransmit returns the first loss-marked segment eligible under the
-// once-per-RTT rule.
-func (s *Sender) nextRetransmit(now sim.Time) *buffer.Segment {
-	srtt := s.est().Smoothed()
-	if srtt <= 0 {
-		srtt = 100 * sim.Millisecond
-	}
-	// Segments retransmitted too recently (once-per-RTT rule) keep their
-	// mark and are retried when the cooldown expires.
-	return s.buf.FirstEligibleRetransmit(now, srtt)
 }
 
 func (s *Sender) sendNewSegment(now sim.Time) {
@@ -663,8 +658,10 @@ func (s *Sender) onRTO() {
 		// RTO, since no RTT estimate exists yet and a stalled handshake
 		// must fail fast rather than back off for minutes.
 		if s.synRetries >= s.cfg.MaxSYNRetries {
-			s.hsFailed = true
 			s.tracer.RTOFired(now, s.cfg.ConnID, 0, s.synRetries)
+			if s.OnHandshakeFailed != nil {
+				s.OnHandshakeFailed()
+			}
 			return
 		}
 		s.synRetries++
@@ -868,9 +865,6 @@ func (s *Sender) onAck(p *packet.Packet) {
 	}
 	s.ackLoss.OnAck(a.AckSeq)
 
-	prevInflight := s.inflight()
-	_ = prevInflight
-
 	// --- Release acknowledged data. ---
 	var ackFloor sim.Time
 	if s.rack != nil {
@@ -1051,10 +1045,7 @@ func (s *Sender) onAck(p *packet.Packet) {
 	if s.cfg.TransferBytes > 0 && !s.done &&
 		s.finSent && int64(s.cumAcked) >= s.cfg.TransferBytes {
 		s.done = true
-		s.rtoTimer.Stop()
-		s.sendTimer.Stop()
-		s.rackTimer.Stop()
-		s.tlpTimer.Stop()
+		s.Stop()
 		if s.OnDone != nil {
 			s.OnDone()
 		}

@@ -6,7 +6,8 @@
 // state machines attached to a sim.Loop for timers; packets leave through
 // an injected output function and arrive through OnPacket. The same state
 // machines run over the in-process 802.11/netem simulators (deterministic)
-// and over real UDP sockets (transport/udprunner).
+// and over real UDP sockets (internal/endpoint, whose shards each run one
+// wall-clock-pinned loop shared by all of their connections).
 //
 // Mode differences (paper §5):
 //
@@ -258,8 +259,8 @@ type Config struct {
 	// in flight to protect from spurious retransmission.
 	HandshakeRTO sim.Time
 	// MaxSYNRetries caps SYN retransmissions (not counting the original).
-	// When the budget is exhausted without a SYNACK the sender reports
-	// HandshakeFailed. Default 8; negative disables retransmission
+	// When the budget is exhausted without a SYNACK the sender calls
+	// OnHandshakeFailed. Default 8; negative disables retransmission
 	// entirely (a single SYN is sent).
 	MaxSYNRetries int
 	// Streams enables stream multiplexing: the sender transmits STREAM
