@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +21,7 @@ import (
 // It is the command-line face of the chaos soak in internal/endpoint:
 //
 //	tackbench chaos -conns 8 -bytes 256K -seed 7
-//	tackbench chaos -ge-enter 0.05 -ge-exit 0.2 -corrupt 0.05 -json
+//	tackbench chaos -ge-enter 0.05 -ge-exit 0.2 -corrupt 0.05
 //	tackbench chaos -rebind 500ms                # NAT-timeout emulation: must recover via path migration
 //	tackbench chaos -rebind 500ms -migrate=false # legacy behavior: reject the new address, fail cleanly
 //
@@ -47,7 +46,6 @@ func chaosCmd(args []string) {
 	migrate := fs.Bool("migrate", true, "enable path migration (PATH_CHALLENGE validation of rebound addresses); -migrate=false reproduces the legacy reject-and-stall behavior")
 	hrtoMs := fs.Float64("hrto", 50, "handshake retransmission timeout in ms")
 	timeout := fs.Duration("timeout", 2*time.Minute, "per-connection completion deadline")
-	jsonOut := fs.Bool("json", false, "emit a JSON result document on stdout")
 	fs.Parse(args)
 
 	size, err := parseBytes(*bytesStr)
@@ -106,8 +104,7 @@ func chaosCmd(args []string) {
 	// Pre/post-rebind delivery accounting: the shared server registry's
 	// data-packet counter is cumulative and survives connection teardown,
 	// so sampling it at the rebind instant splits delivery into before and
-	// after — the recovery gate in scripts/bench_smoke.sh compares the two
-	// rates.
+	// after (TestEndpointMigrationRecovery gates the same ratio).
 	var rebindMu sync.Mutex
 	var rebindAt time.Time
 	var pktsAtRebind int64
@@ -163,37 +160,6 @@ func chaosCmd(args []string) {
 	}
 	rebindMu.Unlock()
 
-	if *jsonOut {
-		doc := map[string]any{
-			"conns": *conns, "bytes": size, "seed": *seed,
-			"ok": ok, "failed": failed, "errors": errs,
-			"elapsed_s": elapsed.Seconds(), "agg_goodput_mbps": goodput,
-			"rebinds":   proxy.Rebinds(),
-			"migration": *migrate,
-			"pre_rebind_pkts_per_s":  preRate,
-			"post_rebind_pkts_per_s": postRate,
-			"to_server":              up, "to_client": down,
-			"server": map[string]int64{
-				"rx_corrupt":          srvReg.Counter("ep.rx_corrupt").Value(),
-				"rx_garbage":          srvReg.Counter("ep.rx_garbage").Value(),
-				"migration_rejected":  srvReg.Counter("ep.migration_rejected").Value(),
-				"migration_probes":    srvReg.Counter("ep.migration.probes").Value(),
-				"migration_completed": srvReg.Counter("ep.migration.completed").Value(),
-				"migration_failed":    srvReg.Counter("ep.migration.failed").Value(),
-				"bad_feedback":        srvReg.Counter("ep.bad_feedback").Value(),
-				"synack_retransmits":  srvReg.Counter("ep.synack_retransmits").Value(),
-			},
-			"client": map[string]int64{
-				"syn_retransmits": cliReg.Counter("snd.syn_retransmits").Value(),
-				"rx_corrupt":      cliReg.Counter("ep.rx_corrupt").Value(),
-				"rx_garbage":      cliReg.Counter("ep.rx_garbage").Value(),
-			},
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-		return
-	}
 	fmt.Printf("chaos seed=%d conns=%d bytes=%d: %d/%d ok in %v, agg goodput %.2f Mbit/s\n",
 		*seed, *conns, size, ok, *conns, elapsed.Round(time.Millisecond), goodput)
 	for e, n := range errs {

@@ -1,25 +1,24 @@
 // Command tackbench regenerates the TACK paper's evaluation tables and
-// figures from the simulated substrate.
+// figures, and the A/B comparisons behind the features grown on top of the
+// paper, from the simulated substrate.
 //
 // Usage:
 //
 //	tackbench list                 # list experiment ids
 //	tackbench all [-quick]         # run everything
-//	tackbench fig3 fig10a ...      # run specific experiments
+//	tackbench fig3 ab-hol ...      # run specific experiments
 //	tackbench run [-path wlan] [-trace out.jsonl] [-json]   # one traced flow
 //	tackbench chaos [-conns 8] [-bytes 256K] [-seed 7]      # adversarial live soak
-//	tackbench mux [-objects 8] [-bytes 256K] [-json]        # stream multiplexing vs serialized
-//	tackbench rack [-objects 4] [-bytes 16K] [-json]        # RACK-TLP vs dup-thresh under burst loss
-//	tackbench swarm [-conns 10000] [-sockets 4] [-json]     # connection-scale swarm vs socket group
-//	tackbench fec [-seeds 5] [-duration 30] [-json]         # FEC stream class vs ARQ-only under burst loss
+//	tackbench swarm [-conns 10000] [-sockets 4]             # connection-scale swarm vs socket group
 //
 // Flags:
 //
 //	-quick   reduced durations/ensembles (CI-friendly)
 //	-seed N  RNG seed (default 1)
 //
-// The run subcommand has its own flag set (see tackbench run -h); its
-// -trace output is the input format of cmd/tacktrace.
+// The run, chaos and swarm subcommands drive real or traced flows and have
+// their own flag sets (see tackbench run -h); run's -trace output is the
+// input format of cmd/tacktrace.
 package main
 
 import (
@@ -35,7 +34,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced durations and ensembles")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tackbench [-quick] [-seed N] list | all | <fig-id>... | run [flags] | chaos [flags] | mux [flags] | rack [flags] | swarm [flags] | fec [flags]\n")
+		fmt.Fprintf(os.Stderr, "usage: tackbench [-quick] [-seed N] list | all | <id>... | run [flags] | chaos [flags] | swarm [flags]\n")
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", experiments.IDs())
 	}
 	flag.Parse()
@@ -59,17 +58,8 @@ func main() {
 	case "chaos":
 		chaosCmd(args[1:])
 		return
-	case "mux":
-		muxCmd(args[1:])
-		return
-	case "rack":
-		rackCmd(args[1:])
-		return
 	case "swarm":
 		swarmCmd(args[1:])
-		return
-	case "fec":
-		fecCmd(args[1:])
 		return
 	case "all":
 		ids = experiments.IDs()

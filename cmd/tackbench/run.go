@@ -55,8 +55,16 @@ func runCmd(args []string) {
 	}
 	reg := telemetry.NewRegistry()
 
+	m, err := parseMode(*mode)
+	if err != nil {
+		fatal(err)
+	}
+	standard, err := parseStd(*std)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := transport.Config{
-		Mode: parseMode(*mode), CC: *ccName, RichTACK: true,
+		Mode: m, CC: *ccName, RichTACK: true,
 		Tracer: tr, Metrics: reg,
 	}
 	if *bytesStr != "" {
@@ -68,7 +76,7 @@ func runCmd(args []string) {
 	}
 
 	loop := sim.NewLoop(*seed)
-	wlanCfg := topo.WLANConfig{Standard: parseStd(*std), PER: *per, Tracer: tr}
+	wlanCfg := topo.WLANConfig{Standard: standard, PER: *per, Tracer: tr}
 	wanCfg := topo.WANConfig{
 		RateBps: *rateMbps * 1e6, OWD: sim.Time(*owdMs * 1e6),
 		QueueBytes: 256 << 10, DataLoss: *loss,
@@ -158,11 +166,17 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func parseMode(s string) transport.Mode {
-	if strings.EqualFold(s, "legacy") {
-		return transport.ModeLegacy
+// parseMode accepts tack or legacy, in any case. Anything else is an error:
+// a mistyped baseline must not silently run (and be labelled as) the other
+// arm of the comparison.
+func parseMode(s string) (transport.Mode, error) {
+	switch strings.ToLower(s) {
+	case "tack":
+		return transport.ModeTACK, nil
+	case "legacy":
+		return transport.ModeLegacy, nil
 	}
-	return transport.ModeTACK
+	return 0, fmt.Errorf("bad -mode %q: want tack or legacy", s)
 }
 
 // parseBytes accepts 1048576, 64K, 100M, 2G.
@@ -183,17 +197,18 @@ func parseBytes(s string) (int64, error) {
 	return n * mult, nil
 }
 
-func parseStd(s string) phy.Standard {
+func parseStd(s string) (phy.Standard, error) {
 	switch s {
 	case "b":
-		return phy.Std80211b
+		return phy.Std80211b, nil
 	case "g":
-		return phy.Std80211g
+		return phy.Std80211g, nil
+	case "n":
+		return phy.Std80211n, nil
 	case "ac":
-		return phy.Std80211ac
-	default:
-		return phy.Std80211n
+		return phy.Std80211ac, nil
 	}
+	return 0, fmt.Errorf("bad -std %q: want b, g, n or ac", s)
 }
 
 func max(a, b int) int {

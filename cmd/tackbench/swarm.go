@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -16,6 +15,44 @@ import (
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
 )
+
+// swarmConfig sizes one swarm run; defaultSwarm holds the values the flags
+// default to (the two sizes default in their K/M/G flag form).
+type swarmConfig struct {
+	conns      int           // held connections (app-paced, keepalive-held)
+	sockets    int           // server socket-group size
+	shards     int           // server shard count (0 = endpoint default)
+	clients    int           // client endpoints the held swarm is spread over
+	dialers    int           // concurrent dial workers per client endpoint during ramp
+	churn      float64       // fraction of held connections redialed per second
+	short      int           // short-transfer workers
+	shortBytes int64         // short-transfer size
+	long       int           // long-lived bulk flows
+	longBytes  int64         // long-flow transfer size
+	duration   time.Duration // steady-state window after the ramp
+	timeout    time.Duration // per-dial handshake deadline
+}
+
+func defaultSwarm() swarmConfig {
+	return swarmConfig{
+		conns: 10000, sockets: min(4, runtime.GOMAXPROCS(0)), clients: 64, dialers: 8, churn: 0.05,
+		short: 32, long: 8, duration: 10 * time.Second, timeout: 30 * time.Second,
+	}
+}
+
+// swarmResult is what one run measured.
+type swarmResult struct {
+	heldOK, sockets     int
+	rampElapsed, steady time.Duration
+	setupRate           float64 // held connections established per second over the ramp
+	hsP50, hsP99        float64 // handshake latency, seconds
+	peakConns           int64
+	churned             int64
+	shortDone, longDone int64
+	goodputMBs          float64 // payload moved by the transfer classes over the steady window
+	dialErrs            int64
+	server              telemetry.Snapshot
+}
 
 // swarmCmd is the connection-scale harness: one server endpoint (an
 // SO_REUSEPORT socket group when -sockets > 1) under a swarm of
@@ -36,62 +73,77 @@ import (
 // would collapse onto one member and measure nothing.
 //
 //	tackbench swarm -conns 10000 -sockets 4 -duration 10s
-//	tackbench swarm -conns 2000 -duration 5s -json > BENCH_swarm.json
 //
-// scripts/bench_smoke.sh runs this twice (sockets=1 vs N) and gates the
-// multi-socket speedup on multi-core runners.
+// TestSwarmSocketGroupSpeedup runs it twice (sockets=1 vs 4) and gates the
+// multi-socket speedup on multi-core machines.
 func swarmCmd(args []string) {
+	cfg := defaultSwarm()
 	fs := flag.NewFlagSet("swarm", flag.ExitOnError)
-	conns := fs.Int("conns", 10000, "held connections (app-paced, keepalive-held)")
-	sockets := fs.Int("sockets", 0, "server socket-group size (0 = min(4, GOMAXPROCS))")
-	shards := fs.Int("shards", 0, "server shard count (0 = endpoint default)")
-	clients := fs.Int("clients", 64, "client endpoints the held swarm is spread over")
-	dialers := fs.Int("dialers", 8, "concurrent dial workers per client endpoint during ramp")
-	churn := fs.Float64("churn", 0.05, "held-connection churn: this fraction redialed per second")
-	short := fs.Int("short", 32, "short-transfer workers (continuous dial→transfer→close loops)")
+	fs.IntVar(&cfg.conns, "conns", cfg.conns, "held connections (app-paced, keepalive-held)")
+	fs.IntVar(&cfg.sockets, "sockets", cfg.sockets, "server socket-group size (default min(4, GOMAXPROCS))")
+	fs.IntVar(&cfg.shards, "shards", cfg.shards, "server shard count (0 = endpoint default)")
+	fs.IntVar(&cfg.clients, "clients", cfg.clients, "client endpoints the held swarm is spread over")
+	fs.IntVar(&cfg.dialers, "dialers", cfg.dialers, "concurrent dial workers per client endpoint during ramp")
+	fs.Float64Var(&cfg.churn, "churn", cfg.churn, "held-connection churn: this fraction redialed per second")
+	fs.IntVar(&cfg.short, "short", cfg.short, "short-transfer workers (continuous dial→transfer→close loops)")
 	bytesStr := fs.String("bytes", "2K", "short-transfer size (K/M/G)")
-	long := fs.Int("long", 8, "long-lived bulk flows (each from its own client endpoint)")
+	fs.IntVar(&cfg.long, "long", cfg.long, "long-lived bulk flows (each from its own client endpoint)")
 	longBytesStr := fs.String("long-bytes", "64M", "long-flow transfer size (K/M/G)")
-	duration := fs.Duration("duration", 10*time.Second, "steady-state window after the ramp")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-dial handshake deadline")
-	jsonOut := fs.Bool("json", false, "emit a JSON result document on stdout")
+	fs.DurationVar(&cfg.duration, "duration", cfg.duration, "steady-state window after the ramp")
+	fs.DurationVar(&cfg.timeout, "timeout", cfg.timeout, "per-dial handshake deadline")
 	fs.Parse(args)
 
-	size, err := parseBytes(*bytesStr)
+	var err error
+	if cfg.shortBytes, err = parseBytes(*bytesStr); err != nil {
+		fatal(err)
+	}
+	if cfg.longBytes, err = parseBytes(*longBytesStr); err != nil {
+		fatal(err)
+	}
+	r, err := runSwarm(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	longBytes, err := parseBytes(*longBytesStr)
-	if err != nil {
-		fatal(err)
+	perSock := map[string]int64{}
+	for i := 0; i < r.sockets; i++ {
+		perSock[fmt.Sprintf("sock%d", i)] = r.server.Counters[fmt.Sprintf("ep.sock.%d.rx_packets", i)]
 	}
-	if *sockets <= 0 {
-		*sockets = runtime.GOMAXPROCS(0)
-		if *sockets > 4 {
-			*sockets = 4
-		}
+	fmt.Printf("ramp: %d/%d held conns in %v (%.0f conns/s, p99 handshake %.2f ms)\n",
+		r.heldOK, cfg.conns, r.rampElapsed.Round(time.Millisecond), r.setupRate, r.hsP99*1e3)
+	fmt.Printf("swarm sockets=%d(%d) conns=%d: setup %.0f/s, hs p50 %.2f ms p99 %.2f ms, peak %d conns\n",
+		r.sockets, cfg.sockets, r.heldOK, r.setupRate, r.hsP50*1e3, r.hsP99*1e3, r.peakConns)
+	fmt.Printf("  steady %v: churn %d redials, %d short + %d long transfers, %.1f MB/s goodput, %d dial errors\n",
+		r.steady.Round(time.Millisecond), r.churned, r.shortDone, r.longDone, r.goodputMBs, r.dialErrs)
+	fmt.Printf("  server: rx %d pkts (per-socket %v), rx_err %d, demux_drops %d, accept_drops %d\n",
+		r.server.Counters["ep.rx_packets"], perSock, r.server.Counters["ep.rx_err"],
+		r.server.Counters["ep.demux_drops"], r.server.Counters["ep.accept_drops"])
+	if r.dialErrs > 0 {
+		os.Exit(1)
 	}
+}
 
+// runSwarm executes one swarm run in this process.
+func runSwarm(cfg swarmConfig) (swarmResult, error) {
 	// The server's idle reaper must comfortably outlive both the ramp (an
 	// overloaded single-core run can take tens of seconds) and the
 	// keepalive cadence below; churn-closed conns leave via FIN teardown,
 	// not the reaper, so a generous floor costs nothing.
-	idle := 2 * *duration
+	idle := 2 * cfg.duration
 	if idle < 2*time.Minute {
 		idle = 2 * time.Minute
 	}
 	reg := telemetry.NewRegistry()
 	srv, err := endpoint.Listen("127.0.0.1:0", endpoint.Config{
 		Transport:        transport.Config{Mode: transport.ModeTACK, Metrics: reg},
-		Sockets:          *sockets,
-		Shards:           *shards,
+		Sockets:          cfg.sockets,
+		Shards:           cfg.shards,
 		AcceptBacklog:    4096,
 		IdleTimeout:      idle,
 		HandshakeTimeout: 15 * time.Second,
 		FlightRecorder:   -1,
 	})
 	if err != nil {
-		fatal(err)
+		return swarmResult{}, err
 	}
 	defer srv.Close()
 	addr := srv.LocalAddr().String()
@@ -105,9 +157,14 @@ func swarmCmd(args []string) {
 
 	// Client pools. Held conns send nothing after the handshake (app-paced
 	// source with no bytes); keepalives defeat the server's idle reaper.
-	mkPool := func(n int, tcfg transport.Config, keepalive time.Duration) []*endpoint.Endpoint {
-		pool := make([]*endpoint.Endpoint, n)
-		for i := range pool {
+	var eps []*endpoint.Endpoint
+	defer func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	}()
+	mkPool := func(n int, tcfg transport.Config, keepalive time.Duration) ([]*endpoint.Endpoint, error) {
+		for i := 0; i < n; i++ {
 			ep, err := endpoint.Listen("127.0.0.1:0", endpoint.Config{
 				Transport:         tcfg,
 				KeepaliveInterval: keepalive,
@@ -116,24 +173,26 @@ func swarmCmd(args []string) {
 				FlightRecorder:    -1,
 			})
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
-			pool[i] = ep
+			eps = append(eps, ep)
 		}
-		return pool
+		return eps[len(eps)-n:], nil
 	}
 	// A 5s keepalive keeps 10k held conns at ~2k background pps instead
 	// of 10k; the server's idle floor above dwarfs it.
-	heldPool := mkPool(*clients, transport.Config{Mode: transport.ModeTACK, AppPaced: true}, 5*time.Second)
-	shortPool := mkPool(max(1, *clients/8), transport.Config{Mode: transport.ModeTACK, TransferBytes: size}, 0)
-	longPool := mkPool(*long, transport.Config{Mode: transport.ModeTACK, TransferBytes: longBytes}, 0)
-	defer func() {
-		for _, p := range [][]*endpoint.Endpoint{heldPool, shortPool, longPool} {
-			for _, ep := range p {
-				ep.Close()
-			}
-		}
-	}()
+	heldPool, err := mkPool(cfg.clients, transport.Config{Mode: transport.ModeTACK, AppPaced: true}, 5*time.Second)
+	if err != nil {
+		return swarmResult{}, err
+	}
+	shortPool, err := mkPool(max(1, cfg.clients/8), transport.Config{Mode: transport.ModeTACK, TransferBytes: cfg.shortBytes}, 0)
+	if err != nil {
+		return swarmResult{}, err
+	}
+	longPool, err := mkPool(cfg.long, transport.Config{Mode: transport.ModeTACK, TransferBytes: cfg.longBytes}, 0)
+	if err != nil {
+		return swarmResult{}, err
+	}
 
 	var (
 		mu        sync.Mutex
@@ -201,12 +260,12 @@ func swarmCmd(args []string) {
 					return
 				}
 				done := make(chan error, 1)
-				go func() { done <- c.Wait(10 * *duration) }()
+				go func() { done <- c.Wait(10 * cfg.duration) }()
 				select {
 				case err := <-done:
 					if err == nil {
 						longDone.Add(1)
-						longBytesMoved.Add(longBytes)
+						longBytesMoved.Add(cfg.longBytes)
 					}
 				case <-stop:
 					if s := c.StateSnapshot(); s != nil {
@@ -220,7 +279,7 @@ func swarmCmd(args []string) {
 	}
 
 	// Short transfers: full dial→transfer→teardown lifecycles.
-	for w := 0; w < *short; w++ {
+	for w := 0; w < cfg.short; w++ {
 		loadWG.Add(1)
 		go func(ep *endpoint.Endpoint) {
 			defer loadWG.Done()
@@ -229,7 +288,7 @@ func swarmCmd(args []string) {
 				if !ok {
 					return
 				}
-				if err := c.Wait(*timeout); err == nil {
+				if err := c.Wait(cfg.timeout); err == nil {
 					shortDone.Add(1)
 				} else {
 					c.Close()
@@ -244,8 +303,8 @@ func swarmCmd(args []string) {
 	held := make([][]*endpoint.Conn, len(heldPool))
 	var rampWG sync.WaitGroup
 	for i, ep := range heldPool {
-		target := *conns / len(heldPool)
-		if i < *conns%len(heldPool) {
+		target := cfg.conns / len(heldPool)
+		if i < cfg.conns%len(heldPool) {
 			target++
 		}
 		held[i] = make([]*endpoint.Conn, 0, target)
@@ -254,7 +313,7 @@ func swarmCmd(args []string) {
 			defer rampWG.Done()
 			var cmu sync.Mutex
 			var dwg sync.WaitGroup
-			sem := make(chan struct{}, *dialers)
+			sem := make(chan struct{}, cfg.dialers)
 			for n := 0; n < target; n++ {
 				sem <- struct{}{}
 				dwg.Add(1)
@@ -284,17 +343,12 @@ func swarmCmd(args []string) {
 	for i := range held {
 		heldOK += len(held[i])
 	}
-	setupRate := float64(heldOK) / rampElapsed.Seconds()
-	if !*jsonOut {
-		fmt.Printf("ramp: %d/%d held conns in %v (%.0f conns/s, p99 handshake %.2f ms)\n",
-			heldOK, *conns, rampElapsed.Round(time.Millisecond), setupRate, hs.Percentile(99)*1e3)
-	}
 
 	// Steady state: hold the swarm for -duration while churning it.
 	steadyStart := time.Now()
 	var churnWG sync.WaitGroup
-	if *churn > 0 && heldOK > 0 {
-		interval := time.Duration(float64(time.Second) / (*churn * float64(heldOK)))
+	if cfg.churn > 0 && heldOK > 0 {
+		interval := time.Duration(float64(time.Second) / (cfg.churn * float64(heldOK)))
 		if interval < 200*time.Microsecond {
 			interval = 200 * time.Microsecond
 		}
@@ -328,7 +382,7 @@ func swarmCmd(args []string) {
 			}
 		}()
 	}
-	time.Sleep(*duration)
+	time.Sleep(cfg.duration)
 	close(stop)
 	churnWG.Wait()
 	loadWG.Wait()
@@ -342,59 +396,17 @@ func swarmCmd(args []string) {
 			c.Close()
 		}
 	}
-	bytesMoved := longBytesMoved.Load() + shortDone.Load()*size
-	goodputMBs := float64(bytesMoved) / 1e6 / steadyElapsed.Seconds()
+	bytesMoved := longBytesMoved.Load() + shortDone.Load()*cfg.shortBytes
 
-	s := reg.Snapshot()
-	perSock := map[string]int64{}
-	for i := 0; i < srv.SocketCount(); i++ {
-		perSock[fmt.Sprintf("sock%d", i)] = s.Counters[fmt.Sprintf("ep.sock.%d.rx_packets", i)]
-	}
-	mu.Lock()
-	doc := map[string]any{
-		"conns":             *conns,
-		"held_ok":           heldOK,
-		"sockets_requested": *sockets,
-		"sockets":           srv.SocketCount(),
-		"clients":           *clients,
-		"ramp_s":            rampElapsed.Seconds(),
-		"steady_s":          steadyElapsed.Seconds(),
-		"setup_rate_per_s":  setupRate,
-		"hs_p50_ms":         hs.Percentile(50) * 1e3,
-		"hs_p99_ms":         hs.Percentile(99) * 1e3,
-		"peak_conns":        peakConns.Load(),
-		"churned":           churned.Load(),
-		"short_done":        shortDone.Load(),
-		"long_done":         longDone.Load(),
-		"bytes_moved":       bytesMoved,
-		"goodput_mb_s":      goodputMBs,
-		"dial_errors":       dialErrs.Load(),
-		"server": map[string]int64{
-			"rx_packets":   s.Counters["ep.rx_packets"],
-			"rx_err":       s.Counters["ep.rx_err"],
-			"demux_drops":  s.Counters["ep.demux_drops"],
-			"accept_drops": s.Counters["ep.accept_drops"],
-			"reaped":       s.Counters["ep.reaped"],
-		},
-		"per_socket_rx": perSock,
-	}
-	mu.Unlock()
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-		return
-	}
-	fmt.Printf("swarm sockets=%d(%d) conns=%d: setup %.0f/s, hs p50 %.2f ms p99 %.2f ms, peak %d conns\n",
-		srv.SocketCount(), *sockets, heldOK, setupRate,
-		hs.Percentile(50)*1e3, hs.Percentile(99)*1e3, peakConns.Load())
-	fmt.Printf("  steady %v: churn %d redials, %d short + %d long transfers, %.1f MB/s goodput, %d dial errors\n",
-		steadyElapsed.Round(time.Millisecond), churned.Load(), shortDone.Load(), longDone.Load(),
-		goodputMBs, dialErrs.Load())
-	fmt.Printf("  server: rx %d pkts (per-socket %v), rx_err %d, demux_drops %d, accept_drops %d\n",
-		s.Counters["ep.rx_packets"], perSock, s.Counters["ep.rx_err"],
-		s.Counters["ep.demux_drops"], s.Counters["ep.accept_drops"])
-	if dialErrs.Load() > 0 {
-		os.Exit(1)
-	}
+	return swarmResult{
+		heldOK: heldOK, sockets: srv.SocketCount(),
+		rampElapsed: rampElapsed, steady: steadyElapsed,
+		setupRate: float64(heldOK) / rampElapsed.Seconds(),
+		hsP50:     hs.Percentile(50), hsP99: hs.Percentile(99),
+		peakConns: peakConns.Load(), churned: churned.Load(),
+		shortDone: shortDone.Load(), longDone: longDone.Load(),
+		goodputMBs: float64(bytesMoved) / 1e6 / steadyElapsed.Seconds(),
+		dialErrs:   dialErrs.Load(),
+		server:     reg.Snapshot(),
+	}, nil
 }

@@ -56,11 +56,17 @@ func usage() {
 	os.Exit(2)
 }
 
-func parseMode(s string) tack.Mode {
-	if strings.EqualFold(s, "legacy") {
-		return tack.ModeLegacy
+// parseMode accepts tack or legacy, in any case. Anything else is an error:
+// a mistyped baseline must not silently run (and be labelled as) the other
+// arm of the comparison.
+func parseMode(s string) (tack.Mode, error) {
+	switch strings.ToLower(s) {
+	case "tack":
+		return tack.ModeTACK, nil
+	case "legacy":
+		return tack.ModeLegacy, nil
 	}
-	return tack.ModeTACK
+	return 0, fmt.Errorf("bad -mode %q: want tack or legacy", s)
 }
 
 // parseBytes accepts 1048576, 64K, 100M, 2G.
@@ -197,6 +203,10 @@ func serve(args []string) {
 	postmortem := fs.String("postmortem", "", "directory for anomaly post-mortem flight-recorder dumps")
 	fs.Parse(args)
 
+	m, err := parseMode(*mode)
+	if err != nil {
+		fatal(err)
+	}
 	sink, err := openTrace(*tracePath)
 	if err != nil {
 		fatal(err)
@@ -205,7 +215,7 @@ func serve(args []string) {
 	if tr := sink.tracer(); tr != nil {
 		tr.CountDrops(reg.Counter("telemetry.dropped_events"))
 	}
-	cfg := tack.Config{Mode: parseMode(*mode), Tracer: sink.tracer(), Metrics: reg}
+	cfg := tack.Config{Mode: m, Tracer: sink.tracer(), Metrics: reg}
 	ep, err := tack.Listen(*listen, tack.EndpointConfig{
 		Transport: cfg, Sockets: *sockets, DebugAddr: *debugAddr, PostMortemDir: *postmortem,
 	})
@@ -342,6 +352,10 @@ func send(args []string) {
 		fmt.Fprintf(os.Stderr, "bad -bytes: %v\n", err)
 		os.Exit(2)
 	}
+	m, err := parseMode(*mode)
+	if err != nil {
+		fatal(err)
+	}
 
 	sink, err := openTrace(*tracePath)
 	if err != nil {
@@ -352,7 +366,7 @@ func send(args []string) {
 		tr.CountDrops(reg.Counter("telemetry.dropped_events"))
 	}
 	cfg := tack.Config{
-		Mode: parseMode(*mode), CC: *ccName, TransferBytes: size, RichTACK: true,
+		Mode: m, CC: *ccName, TransferBytes: size, RichTACK: true,
 		Tracer: sink.tracer(), Metrics: reg,
 	}
 	ep, err := tack.Listen(":0", tack.EndpointConfig{

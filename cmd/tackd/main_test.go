@@ -35,16 +35,18 @@ func TestParseBytes(t *testing.T) {
 }
 
 func TestParseMode(t *testing.T) {
-	if parseMode("legacy") != transport.ModeLegacy {
-		t.Fatal("legacy not parsed")
+	for in, want := range map[string]transport.Mode{
+		"legacy": transport.ModeLegacy, "LEGACY": transport.ModeLegacy,
+		"tack": transport.ModeTACK, "Tack": transport.ModeTACK,
+	} {
+		if got, err := parseMode(in); err != nil || got != want {
+			t.Errorf("parseMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
 	}
-	if parseMode("LEGACY") != transport.ModeLegacy {
-		t.Fatal("case-insensitive parse broken")
-	}
-	if parseMode("tack") != transport.ModeTACK {
-		t.Fatal("tack not parsed")
-	}
-	if parseMode("anything-else") != transport.ModeTACK {
-		t.Fatal("default should be TACK")
+	// A typo must not run the other arm under the requested label.
+	for _, in := range []string{"legcay", "", "anything-else"} {
+		if got, err := parseMode(in); err == nil {
+			t.Errorf("parseMode(%q) = %v, want an error naming the accepted values", in, got)
+		}
 	}
 }

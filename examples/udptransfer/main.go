@@ -33,14 +33,17 @@ func main() {
 	flag.Parse()
 
 	cfg := tack.Config{Mode: tack.ModeTACK, CC: "bbr", RichTACK: true}
-	useStreams := *mode != "legacy"
-	if useStreams {
+	useStreams := *mode == "tack"
+	switch *mode {
+	case "tack":
 		streams := tack.DefaultStreamConfig()
 		streams.MaxStreams = *nStreams + 1
 		cfg.Streams = &streams
-	} else {
+	case "legacy":
 		cfg.Mode = tack.ModeLegacy
 		cfg.TransferBytes = *size
+	default:
+		log.Fatalf("bad -mode %q: want tack or legacy", *mode)
 	}
 
 	srv, err := tack.Listen("127.0.0.1:0", tack.EndpointConfig{Transport: cfg})

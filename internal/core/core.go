@@ -177,21 +177,6 @@ func (lt *LossTracker) DueLossDetails(now sim.Time, settle sim.Time) []DueLoss {
 	return due
 }
 
-// PruneReported drops reported holes first flagged before cutoff. Call with
-// cutoff = now − a few RTTs so TACKs stop repeating holes the sender has
-// long since repaired under fresh packet numbers.
-func (lt *LossTracker) PruneReported(cutoff sim.Time) {
-	kept := lt.reportedAt[:0]
-	for _, s := range lt.reportedAt {
-		if s.at >= cutoff {
-			kept = append(kept, s)
-			continue
-		}
-		lt.reported.Remove(s.r.Lo, s.r.Hi)
-	}
-	lt.reportedAt = kept
-}
-
 // NextDue returns the earliest settle deadline among pending suspects
 // (ok=false when none).
 func (lt *LossTracker) NextDue(settle sim.Time) (sim.Time, bool) {

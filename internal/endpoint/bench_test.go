@@ -1,23 +1,17 @@
 package endpoint
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
+	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/transport"
 )
 
-// benchPair binds a server and client endpoint on loopback and returns
+// benchPairCfg binds a server and client endpoint on loopback and returns
 // them with a cleanup. The server drains accepted connections so their
 // lifecycle machinery (linger, reaping) never blocks the accept queue.
-func benchPair(b *testing.B, tcfg transport.Config) (*Endpoint, *Endpoint) {
-	return benchPairCfg(b, Config{Transport: tcfg})
-}
-
-// benchPairCfg is benchPair with full endpoint-level configuration (used
-// to toggle the flight recorder).
-func benchPairCfg(b *testing.B, cfg Config) (*Endpoint, *Endpoint) {
+func benchPairCfg(b testing.TB, cfg Config) (*Endpoint, *Endpoint) {
 	b.Helper()
 	scfg := cfg
 	scfg.HandshakeTimeout = 15 * time.Second
@@ -54,7 +48,7 @@ func benchPairCfg(b *testing.B, cfg Config) (*Endpoint, *Endpoint) {
 
 // transfer dials one connection and waits for its bounded stream to
 // complete.
-func transfer(b *testing.B, srv, cli *Endpoint) {
+func transfer(b testing.TB, srv, cli *Endpoint) {
 	b.Helper()
 	c, err := cli.Dial(srv.LocalAddr().String())
 	if err != nil {
@@ -65,16 +59,21 @@ func transfer(b *testing.B, srv, cli *Endpoint) {
 	}
 }
 
-// BenchmarkEndpointEcho measures the full datapath cost of a small
-// transfer (handshake, 64 KiB of data, acknowledgments, FIN teardown)
-// over real loopback UDP. allocs/op is the figure of merit: it counts
-// every per-packet allocation in the read loop, codec, shard dispatch,
-// and write path.
-func BenchmarkEndpointEcho(b *testing.B) {
-	const size = 64 << 10
-	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: size}
-	srv, cli := benchPair(b, tcfg)
-	b.SetBytes(size)
+// throughputSize is the bounded stream one throughput iteration moves.
+const throughputSize = 4 << 20
+
+// throughputPair is the loopback pair of the throughput benchmarks, with
+// the per-connection flight recorder at its default (0) or disabled (-1).
+func throughputPair(tb testing.TB, recorder int) (srv, cli *Endpoint) {
+	return benchPairCfg(tb, Config{
+		Transport:      transport.Config{Mode: transport.ModeTACK, TransferBytes: throughputSize},
+		FlightRecorder: recorder,
+	})
+}
+
+func benchThroughput(b *testing.B, recorder int) {
+	srv, cli := throughputPair(b, recorder)
+	b.SetBytes(throughputSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -85,68 +84,43 @@ func BenchmarkEndpointEcho(b *testing.B) {
 // BenchmarkEndpointThroughput measures sustained loopback goodput with a
 // multi-megabyte bounded stream per iteration; bytes/s is the figure of
 // merit.
-func BenchmarkEndpointThroughput(b *testing.B) {
-	const size = 4 << 20
-	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: size}
-	srv, cli := benchPair(b, tcfg)
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		transfer(b, srv, cli)
-	}
-}
+func BenchmarkEndpointThroughput(b *testing.B) { benchThroughput(b, 0) }
 
 // BenchmarkEndpointThroughputNoRecorder is BenchmarkEndpointThroughput
-// with the per-connection flight recorder disabled. The default run
-// (recorder on) must stay within a few percent of this baseline —
-// scripts/bench_smoke.sh gates the ratio — so always-on recording stays
-// effectively free.
-func BenchmarkEndpointThroughputNoRecorder(b *testing.B) {
-	const size = 4 << 20
-	srv, cli := benchPairCfg(b, Config{
-		Transport:      transport.Config{Mode: transport.ModeTACK, TransferBytes: size},
-		FlightRecorder: -1,
-	})
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		transfer(b, srv, cli)
-	}
-}
+// with the per-connection flight recorder disabled: the baseline
+// TestFlightRecorderOverhead compares the default run against.
+func BenchmarkEndpointThroughputNoRecorder(b *testing.B) { benchThroughput(b, -1) }
 
-// BenchmarkEndpointThroughputFlows measures aggregate loopback goodput
-// with N concurrent bounded streams per iteration — the shape `tackd
-// -flows N` exercises, and the case batched socket I/O helps most (many
-// connections' sends coalesce into one syscall).
-func BenchmarkEndpointThroughputFlows(b *testing.B) {
-	for _, flows := range []int{4, 8} {
-		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			const size = 1 << 20
-			tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: size}
-			srv, cli := benchPair(b, tcfg)
-			b.SetBytes(int64(size * flows))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				done := make(chan error, flows)
-				for f := 0; f < flows; f++ {
-					go func() {
-						c, err := cli.Dial(srv.LocalAddr().String())
-						if err != nil {
-							done <- err
-							return
-						}
-						done <- c.Wait(60 * time.Second)
-					}()
-				}
-				for f := 0; f < flows; f++ {
-					if err := <-done; err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
+// TestFlightRecorderOverhead gates the cost of the always-on flight
+// recorder: it is a struct copy into a ring, so the default datapath must
+// hold the goodput it reaches with the recorder off. The arms alternate
+// transfer by transfer so that drift in the machine's load hits both, and
+// each arm is judged by its median transfer: one loopback flow is
+// latency-bound, so single transfers land anywhere between 40 and 80 MB/s
+// with scheduling luck and neither the mean nor the best is stable. Even so
+// the ratio of medians spreads with σ ≈ 0.03 around 1.01 on 2 vCPUs (41 runs:
+// 0.949–1.071), so the bar is 0.90 — four σ out — rather than the 0.95 a
+// quieter machine could hold.
+func TestFlightRecorderOverhead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock gate")
+	}
+	var mbPerSec [2]*stats.Summary // recorder on, off
+	var srv, cli [2]*Endpoint
+	for arm, recorder := range []int{0, -1} {
+		mbPerSec[arm] = stats.NewSummary()
+		srv[arm], cli[arm] = throughputPair(t, recorder)
+	}
+	for i := 0; i < 30; i++ {
+		for arm := range mbPerSec {
+			start := time.Now()
+			transfer(t, srv[arm], cli[arm])
+			mbPerSec[arm].Add(throughputSize / 1e6 / time.Since(start).Seconds())
+		}
+	}
+	on, off := mbPerSec[0].Median(), mbPerSec[1].Median()
+	t.Logf("flight recorder: on %.1f MB/s, off %.1f MB/s (ratio %.3f)", on, off, on/off)
+	if on < 0.90*off {
+		t.Errorf("recorder-on goodput %.1f MB/s below 90%% of recorder-off %.1f MB/s", on, off)
 	}
 }

@@ -185,9 +185,6 @@ type Config struct {
 	// StallRTOs is the no-progress stall detector's threshold in
 	// multiples of the (backoff-free) RTO. Default 4.
 	StallRTOs int
-	// RetxStormThreshold is how many retransmissions within one rolling
-	// second fire the retransmission-storm anomaly. Default 50.
-	RetxStormThreshold int
 }
 
 func (c Config) withDefaults() Config {
@@ -222,9 +219,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StallRTOs <= 0 {
 		c.StallRTOs = 4
-	}
-	if c.RetxStormThreshold <= 0 {
-		c.RetxStormThreshold = 50
 	}
 	// Fold the endpoint-level handshake overrides into the transport
 	// template once, so every per-connection copy inherits them.

@@ -321,9 +321,9 @@ func TestEndpointDemuxDrops(t *testing.T) {
 	// (The datagram must carry a valid frame CRC to get past the read
 	// loop's corruption check and reach demux.)
 	stray := &packet.Packet{Type: packet.TypeData, ConnID: 4242, Payload: []byte("x")}
-	sock.Write(appendFrameCRC(stray.Marshal()))
-	sock.Write([]byte{0xFF, 0xFF, 0xFF}) // not a packet at all
-	sock.Write(append(stray.Marshal(), 0xDE, 0xAD, 0xBE, 0xEF)) // bad frame CRC
+	sock.Write(appendFrameCRC(stray.AppendMarshal(nil)))
+	sock.Write([]byte{0xFF, 0xFF, 0xFF})                                 // not a packet at all
+	sock.Write(append(stray.AppendMarshal(nil), 0xDE, 0xAD, 0xBE, 0xEF)) // bad frame CRC
 
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {

@@ -11,8 +11,31 @@ import (
 	"github.com/tacktp/tack/internal/transport"
 )
 
+// simServer is the in-simulation analogue of Endpoint's demux: packets are
+// routed by ConnID to per-connection Receivers; an unknown connection id is
+// accepted on SYN (the reply callback passed with the SYN becomes the
+// connection's transmit path) and dropped otherwise. It runs entirely on the
+// caller's sim.Loop, so many stations contending for one AP share a virtual
+// clock.
+type simServer struct {
+	loop  *sim.Loop
+	conns map[uint32]*transport.Receiver
+}
+
+func (s *simServer) onPacket(p *packet.Packet, reply func(*packet.Packet)) {
+	r := s.conns[p.ConnID]
+	if r == nil {
+		if p.Type != packet.TypeSYN {
+			return
+		}
+		r = transport.NewReceiver(s.loop, transport.Config{Mode: transport.ModeTACK, ConnID: p.ConnID}, reply)
+		s.conns[p.ConnID] = r
+	}
+	r.OnPacket(p)
+}
+
 // multiflowGoodput runs `flows` unbounded TACK flows spread across
-// `stas` client stations toward a demuxing AP-side SimServer on a shared
+// `stas` client stations toward a demuxing AP-side simServer on a shared
 // 802.11n medium (multiple connections per station mirror the
 // multi-connection endpoint). It returns each flow's delivered bytes
 // during the measurement window (after warmup).
@@ -22,13 +45,13 @@ func multiflowGoodput(t *testing.T, flows, stas int, warmup, measure sim.Time) [
 	m := mac.NewMedium(loop, phy.Get(phy.Std80211n))
 	ap := m.AddStation("ap", 4096)
 
-	srv := NewSimServer(loop, transport.Config{Mode: transport.ModeTACK})
+	srv := &simServer{loop: loop, conns: map[uint32]*transport.Receiver{}}
 	staFor := map[uint32]*mac.Station{}
 	snds := map[uint32]*transport.Sender{}
 	// The MAC delivers frames without a source handle, so both directions
 	// route by ConnID.
 	reply := func(p *packet.Packet) { ap.Send(staFor[p.ConnID], p.WireSize(), p) }
-	ap.Receive = func(f *mac.Frame) { srv.OnPacket(f.Payload.(*packet.Packet), reply) }
+	ap.Receive = func(f *mac.Frame) { srv.onPacket(f.Payload.(*packet.Packet), reply) }
 
 	stations := make([]*mac.Station, stas)
 	for i := range stations {
@@ -59,7 +82,7 @@ func multiflowGoodput(t *testing.T, flows, stas int, warmup, measure sim.Time) [
 	loop.RunUntil(warmup)
 	base := make([]int64, flows)
 	for i := range base {
-		if r := srv.Receiver(uint32(i + 1)); r != nil {
+		if r := srv.conns[uint32(i+1)]; r != nil {
 			base[i] = r.Delivered()
 		} else {
 			t.Fatalf("flow %d never established", i+1)
@@ -68,7 +91,7 @@ func multiflowGoodput(t *testing.T, flows, stas int, warmup, measure sim.Time) [
 	loop.RunUntil(warmup + measure)
 	out := make([]int64, flows)
 	for i := range out {
-		out[i] = srv.Receiver(uint32(i+1)).Delivered() - base[i]
+		out[i] = srv.conns[uint32(i+1)].Delivered() - base[i]
 	}
 	return out
 }

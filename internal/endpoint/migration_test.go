@@ -93,10 +93,18 @@ func waitCounter(reg *telemetry.Registry, name string, want int64, deadline time
 // guaranteed double ErrIdleTimeout — a proxy Rebind yanking the peer
 // address mid-transfer, under the full chaos impairment profile — now
 // completes, with zero idle timeouts, because the server validates the
-// new address and follows it.
+// new address and follows it. A validated migration that limps is a
+// congestion-reset or pacing regression even when it "works", so the
+// delivery rate on the migrated path (the quantity `tackbench chaos -rebind`
+// prints) must also come back. The bar is a quarter of the pre-rebind rate:
+// the congestion controller restarts in slow start and one PATH_CHALLENGE
+// lost to the chaos profile costs a 250 ms retransmit interval out of a
+// ≈ 0.5 s post-rebind window, which puts healthy runs at 0.44–9× (110 runs
+// on 2 vCPUs), while a window or pacer stuck after the reset sits below
+// 0.1× and the unmigrated path starves at 4 pkt/s.
 func TestEndpointMigrationRecovery(t *testing.T) {
 	before := runtime.NumGoroutine()
-	size := int64(4 << 20)
+	size := int64(16 << 20)
 	tr := telemetry.New()
 	srvReg, cliReg := telemetry.NewRegistry(), telemetry.NewRegistry()
 
@@ -122,16 +130,18 @@ func TestEndpointMigrationRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	start := time.Now()
 	srvConn, cliConn := dialEstablished(t, srv, cli, proxy.Addr().String())
 
 	// Rebind once the transfer is demonstrably in flight but nowhere near
 	// done: gate on the server's live data-packet counter rather than a
-	// timer so the test is robust to machine speed (4 MiB is ~2900
-	// payloads; 200 in means ≳93% of the transfer still crosses the
-	// migrated path).
-	if got := waitCounter(srvReg, "rcv.data_packets", 200, 10*time.Second); got < 200 {
+	// timer so the test is robust to machine speed (16 MiB is ~11700
+	// payloads; 2000 in is past the handshake and the first slow start,
+	// and ≳80% of the transfer still crosses the migrated path).
+	if got := waitCounter(srvReg, "rcv.data_packets", 2000, 10*time.Second); got < 2000 {
 		t.Fatalf("transfer never got going: %d data packets at the server", got)
 	}
+	rebindAt, pktsAtRebind := time.Now(), srvReg.Counter("rcv.data_packets").Value()
 	if err := proxy.Rebind(); err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
@@ -140,6 +150,7 @@ func TestEndpointMigrationRecovery(t *testing.T) {
 	if err := cliConn.Wait(60 * time.Second); err != nil {
 		t.Fatalf("client conn after rebind: %v", err)
 	}
+	end, pktsAtEnd := time.Now(), srvReg.Counter("rcv.data_packets").Value()
 	if err := srvConn.Wait(60 * time.Second); err != nil {
 		t.Fatalf("server conn after rebind: %v", err)
 	}
@@ -147,11 +158,21 @@ func TestEndpointMigrationRecovery(t *testing.T) {
 		t.Errorf("server delivered %d bytes, want exactly %d", got, size)
 	}
 
+	pre := float64(pktsAtRebind) / rebindAt.Sub(start).Seconds()
+	post := float64(pktsAtEnd-pktsAtRebind) / end.Sub(rebindAt).Seconds()
+	t.Logf("delivery rate: pre-rebind %.0f pkt/s, post-rebind %.0f pkt/s (%.2fx)", pre, post, post/pre)
+	if !testing.Short() && post < 0.25*pre { // wall-clock gate
+		t.Errorf("post-rebind delivery rate %.0f pkt/s below a quarter of the pre-rebind rate %.0f pkt/s", post, pre)
+	}
+
 	if probes := srvReg.Counter("ep.migration.probes").Value(); probes == 0 {
 		t.Error("ep.migration.probes = 0: the rebind never triggered a challenge")
 	}
 	if done := srvReg.Counter("ep.migration.completed").Value(); done == 0 {
 		t.Error("ep.migration.completed = 0: transfer finished without a validated migration?")
+	}
+	if failed := srvReg.Counter("ep.migration.failed").Value(); failed != 0 {
+		t.Errorf("ep.migration.failed = %d, want 0", failed)
 	}
 	found := false
 	for _, e := range tr.Events() {
@@ -218,8 +239,8 @@ func TestEndpointMigrationSpoofedChallenge(t *testing.T) {
 			t.Errorf("server sent a datagram failing its own frame CRC")
 			continue
 		}
-		p, err := packet.Unmarshal(enc)
-		if err != nil {
+		var p packet.Packet
+		if err := packet.DecodeInto(&p, enc); err != nil {
 			t.Errorf("server sent undecodable datagram: %v", err)
 			continue
 		}
@@ -285,8 +306,8 @@ func TestEndpointMigrationWrongToken(t *testing.T) {
 		if !ok {
 			continue
 		}
-		p, err := packet.Unmarshal(enc)
-		if err != nil || p.Type != packet.TypePathChallenge {
+		var p packet.Packet
+		if err := packet.DecodeInto(&p, enc); err != nil || p.Type != packet.TypePathChallenge {
 			continue
 		}
 		forged := frame(&packet.Packet{

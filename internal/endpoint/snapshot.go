@@ -95,9 +95,10 @@ const (
 	// connection and republishes its ConnState (anomalies, registration
 	// and removal additionally publish immediately).
 	snapshotRefresh = 100 * time.Millisecond
-	// retxStormWindow is the rolling window the retransmission-storm
-	// threshold (Config.RetxStormThreshold) applies to.
-	retxStormWindow = time.Second
+	// retxStormThreshold retransmissions inside one rolling
+	// retxStormWindow fire the retransmission-storm anomaly.
+	retxStormWindow    = time.Second
+	retxStormThreshold = 50
 	// wndExhaustTimeout is how long the send window must stay exhausted
 	// with data queued before the window-exhaustion anomaly fires.
 	wndExhaustTimeout = time.Second
@@ -275,7 +276,7 @@ func (sh *shard) detectAnomalies(c *Conn, now time.Time) {
 		// Retransmission storm: too many retransmissions inside one
 		// rolling window.
 		if now.Sub(a.retxWindowAt) >= retxStormWindow {
-			if d := snd.Stats.Retransmits - a.retxAtWindow; d >= sh.ep.cfg.RetxStormThreshold {
+			if d := snd.Stats.Retransmits - a.retxAtWindow; d >= retxStormThreshold {
 				sh.fireAnomaly(c, telemetry.TrigRetxStorm, uint64(d))
 			}
 			a.retxWindowAt = now

@@ -1,7 +1,10 @@
-// Package experiments reproduces every table and figure of the TACK
-// paper's evaluation (§3.2, §5, §6 and the appendices). Each experiment is
-// registered under the paper's figure id (fig1 … fig17) and can be run by
-// the tackbench command or the repository's benchmark harness.
+// Package experiments is the in-simulation evaluation harness. It
+// reproduces every table and figure of the TACK paper's evaluation (§3.2,
+// §5, §6 and the appendices) under the paper's figure id (fig1 … fig17),
+// the paper's §7 discussion points as ext-*, and the A/B comparisons that
+// justify the features grown on top of the paper (streams, RACK-TLP, FEC)
+// as ab-*. The tackbench command runs any of them by id; the package's
+// tests gate the ab-* headline numbers.
 //
 // Absolute numbers depend on the simulated substrate; the experiments are
 // judged on the paper's qualitative shape (who wins, by roughly what
@@ -76,20 +79,33 @@ func (r *Result) String() string {
 type Runner func(Options) (*Result, error)
 
 var registry = map[string]Runner{}
-var order []string
 
 func register(id string, r Runner) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}
 	registry[id] = r
-	order = append(order, id)
 }
 
-// IDs lists registered experiments in registration (paper) order.
+// paperOrder maps an id to its sort key: the paper's figures by number then
+// suffix (fig3 before fig10a before fig10b), ahead of everything else by
+// name (the ab-* feature A/Bs, then the ext-* extensions).
+func paperOrder(id string) string {
+	var n int
+	var suffix string
+	if got, _ := fmt.Sscanf(id, "fig%d%s", &n, &suffix); got == 0 {
+		return id
+	}
+	return fmt.Sprintf(" %03d%s", n, suffix)
+}
+
+// IDs lists registered experiments in paper order (see paperOrder).
 func IDs() []string {
-	out := append([]string(nil), order...)
-	sort.Strings(out)
+	out := make([]string, 0, len(registry))
+	for id := range registry {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return paperOrder(out[i]) < paperOrder(out[j]) })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,24 +9,18 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 )
 
+// TestIDsCoverEveryPaperFigure pins the registry: every paper figure, the
+// feature A/Bs and the extensions, in the one order IDs promises.
 func TestIDsCoverEveryPaperFigure(t *testing.T) {
-	have := map[string]bool{}
-	for _, id := range IDs() {
-		have[id] = true
-	}
 	want := []string{
 		"fig1", "fig3", "fig5a", "fig5b", "fig6a", "fig6b", "fig8",
 		"fig9a", "fig9b", "fig10a", "fig10b", "fig11", "fig13", "fig14",
 		"fig15", "fig16", "fig17",
-		"ext-split", "ext-reorder", "ext-pacing",
+		"ab-fec", "ab-hol", "ab-rack",
+		"ext-pacing", "ext-reorder", "ext-split",
 	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %q not registered", id)
-		}
-	}
-	if len(have) != len(want) {
-		t.Errorf("registered %d experiments, expected %d: %v", len(have), len(want), IDs())
+	if got := IDs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("IDs() = %v\nwant    %v", got, want)
 	}
 }
 

@@ -2,9 +2,13 @@ package experiments
 
 import "testing"
 
-// TestAllExperimentsQuick smoke-runs every registered experiment in quick
-// mode, asserting they produce non-empty tables without error.
+// TestAllExperimentsQuick smoke-runs every id `tackbench list` prints in
+// quick mode, asserting they produce non-empty tables without error. The
+// simulations are single-goroutine, so the -short race job skips them.
 func TestAllExperimentsQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {

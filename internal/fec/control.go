@@ -79,13 +79,6 @@ func (c *Controller) Reset() {
 	c.lossEWMA, c.burstEWMA = 0, 0
 }
 
-// LossEstimate returns the current smoothed loss-rate estimate (0..1).
-func (c *Controller) LossEstimate() float64 { return c.lossEWMA }
-
-// BurstEstimate returns the current smoothed burst-length estimate in
-// packets (0 until a gap has been observed).
-func (c *Controller) BurstEstimate() float64 { return c.burstEWMA }
-
 // Geometry returns the (k, r) the next group should use under the current
 // estimates, always honoring r/k ≤ MaxOverhead.
 func (c *Controller) Geometry() (k, r int) {

@@ -155,10 +155,6 @@ func NewImpairer(imp Impairments, rng *rand.Rand) *Impairer {
 	return &Impairer{imp: imp, rng: rng}
 }
 
-// InBurst reports whether the Gilbert–Elliott channel is currently in the
-// bad state.
-func (im *Impairer) InBurst() bool { return im.bad }
-
 // Next draws the verdict for the next packet.
 func (im *Impairer) Next() Verdict {
 	var v Verdict

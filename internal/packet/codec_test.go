@@ -227,22 +227,47 @@ func TestPathFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// benchPackets are the hot-path shapes: a full-size data packet, a rich
-// TACK, a full-size stream frame, a TACK carrying stream-window
-// advertisements, and a full-size FEC repair symbol.
-func benchPackets() (data, tack, stream, tackWindows, repair *Packet) {
+// hotShape is one packet shape of the endpoint's hot path.
+type hotShape struct {
+	name string
+	p    *Packet
+}
+
+// hotShapes are the hot-path shapes: a full-size data packet, a rich TACK,
+// a full-size stream frame, a TACK carrying stream-window advertisements,
+// and a full-size FEC repair symbol.
+func hotShapes() []hotShape {
 	cases := codecCases()
-	return cases["data"], cases["tack"], cases["stream-data"], cases["tack-windows"], cases["repair"]
+	var out []hotShape
+	for _, name := range []string{"data", "tack", "stream-data", "tack-windows", "repair"} {
+		out = append(out, hotShape{name, cases[name]})
+	}
+	return out
+}
+
+// TestCodecZeroAllocs is the hard invariant behind the datapath's
+// allocation budget: AppendMarshal into a buffer with room and DecodeInto
+// into a warm packet allocate nothing, for every hot shape.
+func TestCodecZeroAllocs(t *testing.T) {
+	for _, sh := range hotShapes() {
+		buf := make([]byte, 0, sh.p.EncodedLen())
+		if n := testing.AllocsPerRun(100, func() { buf = sh.p.AppendMarshal(buf[:0]) }); n != 0 {
+			t.Errorf("AppendMarshal(%s): %v allocs/op, want 0", sh.name, n)
+		}
+		var p Packet
+		if err := DecodeInto(&p, buf); err != nil { // warm storage
+			t.Fatalf("DecodeInto(%s): %v", sh.name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = DecodeInto(&p, buf) }); n != 0 {
+			t.Errorf("DecodeInto(%s): %v allocs/op, want 0", sh.name, n)
+		}
+	}
 }
 
 // BenchmarkMarshal measures AppendMarshal into a reused buffer — the
-// endpoint egress path. Must report 0 allocs/op.
+// endpoint egress path (TestCodecZeroAllocs pins its 0 allocs/op).
 func BenchmarkMarshal(b *testing.B) {
-	data, tack, stream, tackWindows, repair := benchPackets()
-	for _, bc := range []struct {
-		name string
-		p    *Packet
-	}{{"data", data}, {"tack", tack}, {"stream-data", stream}, {"tack-windows", tackWindows}, {"repair", repair}} {
+	for _, bc := range hotShapes() {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := make([]byte, 0, bc.p.EncodedLen())
 			b.SetBytes(int64(bc.p.EncodedLen()))
@@ -257,13 +282,9 @@ func BenchmarkMarshal(b *testing.B) {
 }
 
 // BenchmarkUnmarshal measures DecodeInto into a reused packet — the
-// endpoint ingress path. Must report 0 allocs/op once storage is warm.
+// endpoint ingress path (0 allocs/op once storage is warm).
 func BenchmarkUnmarshal(b *testing.B) {
-	data, tack, stream, tackWindows, repair := benchPackets()
-	for _, bc := range []struct {
-		name string
-		p    *Packet
-	}{{"data", data}, {"tack", tack}, {"stream-data", stream}, {"tack-windows", tackWindows}, {"repair", repair}} {
+	for _, bc := range hotShapes() {
 		b.Run(bc.name, func(b *testing.B) {
 			wire := bc.p.Marshal()
 			var p Packet

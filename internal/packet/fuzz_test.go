@@ -7,6 +7,22 @@ import (
 	"github.com/tacktp/tack/internal/seqspace"
 )
 
+// Marshal encodes the packet to a freshly allocated wire-byte slice: the
+// allocating counterpart of AppendMarshal the differential fuzzer and the
+// round-trip tests compare against.
+func (p *Packet) Marshal() []byte {
+	return p.AppendMarshal(make([]byte, 0, p.EncodedLen()))
+}
+
+// Unmarshal decodes a packet from wire bytes into a fresh Packet.
+func Unmarshal(buf []byte) (*Packet, error) {
+	p := &Packet{}
+	if err := DecodeInto(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // FuzzUnmarshal exercises the wire decoder with arbitrary bytes: it must
 // never panic, and any packet it accepts must re-encode to a decodable
 // form (decode→encode→decode fixpoint).

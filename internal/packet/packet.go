@@ -331,11 +331,6 @@ func (p *Packet) IsAck() bool {
 // structure.
 var errTruncated = errors.New("packet: truncated")
 
-// Marshal encodes the packet to a freshly allocated wire-byte slice.
-func (p *Packet) Marshal() []byte {
-	return p.AppendMarshal(make([]byte, 0, p.EncodedLen()))
-}
-
 // AppendMarshal appends the packet's wire encoding to buf and returns the
 // extended slice. It appends exactly EncodedLen bytes; a caller that
 // provides that much spare capacity gets an allocation-free encode.
@@ -431,15 +426,6 @@ func (a *AckInfo) marshal(buf []byte) []byte {
 		buf = binary.BigEndian.AppendUint64(buf, w.Limit)
 	}
 	return buf
-}
-
-// Unmarshal decodes a packet from wire bytes into a fresh Packet.
-func Unmarshal(buf []byte) (*Packet, error) {
-	p := &Packet{}
-	if err := DecodeInto(p, buf); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // DecodeInto decodes a packet from wire bytes into the caller-owned p,

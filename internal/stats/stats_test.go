@@ -62,6 +62,40 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 }
 
+// TestPercentileSmallAndPooled pins the one percentile implementation on
+// the shapes the experiments feed it: a single object, a pair, and the
+// ab-rack pool of 120 completions whose p99 falls between two ranks.
+func TestPercentileSmallAndPooled(t *testing.T) {
+	one := NewSummary()
+	one.Add(7)
+	for _, p := range []float64{0, 50, 95, 99, 100} {
+		if got := one.Percentile(p); got != 7 {
+			t.Errorf("n=1: P%v = %v, want 7", p, got)
+		}
+	}
+
+	two := NewSummary()
+	two.Add(20)
+	two.Add(10)
+	for p, want := range map[float64]float64{0: 10, 50: 15, 95: 19.5, 99: 19.9, 100: 20} {
+		if got := two.Percentile(p); math.Abs(got-want) > 1e-9 {
+			t.Errorf("n=2: P%v = %v, want %v", p, got, want)
+		}
+	}
+
+	pool := NewSummary()
+	for i := 120; i >= 1; i-- {
+		pool.Add(float64(i)) // 1..120
+	}
+	// rank = 0.99 × 119 = 117.81: between the 118th and 119th values.
+	if got := pool.Percentile(99); math.Abs(got-118.81) > 1e-9 {
+		t.Errorf("n=120: P99 = %v, want 118.81", got)
+	}
+	if got := pool.Percentile(95); math.Abs(got-114.05) > 1e-9 {
+		t.Errorf("n=120: P95 = %v, want 114.05", got)
+	}
+}
+
 func TestAddAfterPercentileQuery(t *testing.T) {
 	s := NewSummary()
 	s.Add(10)

@@ -83,9 +83,6 @@ func (m *SendMux) SetKick(kick func()) {
 	m.mu.Unlock()
 }
 
-// SchedulerName returns the active scheduler's identifier.
-func (m *SendMux) SchedulerName() string { return m.sched.Name() }
-
 // Open creates a new outgoing stream.
 func (m *SendMux) Open(opts Options) (*SendStream, error) {
 	m.mu.Lock()

@@ -13,7 +13,7 @@ package transport
 //
 // The reorder window starts at min-RTT/4 over a sliding sample window (the
 // VPP tcp_rack shape: the minimum of the last few RTTs, not a global
-// minimum), clamps to [ReorderWindowMin, ReorderWindowMax], and widens
+// minimum), clamps to [reorderWindowMin, reorderWindowMax], and widens
 // multiplicatively whenever the send buffer observes actual reordering
 // evidence — an original transmission acknowledged out of send order, or a
 // loss mark disproven by a late original arrival.
@@ -24,18 +24,29 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 )
 
-// rackMaxWndMult caps the multiplicative reorder-window widening; beyond it
-// the [min, max] clamp dominates anyway and further doubling only risks
-// overflow.
-const rackMaxWndMult = 64
+const (
+	// reorderWindowInit is the reorder window before the first RTT sample,
+	// when no adaptive base exists yet; reorderWindowMin and
+	// reorderWindowMax clamp the adaptive window (RFC 8985 §6.1.1 shape).
+	reorderWindowInit = 10 * sim.Millisecond
+	reorderWindowMin  = sim.Millisecond
+	reorderWindowMax  = 200 * sim.Millisecond
+	// probeTimeoutMult is the TLP probe timeout in units of SRTT (RFC 8985
+	// §7.2: PTO ≈ 2×SRTT; below 1 it would probe inside one round trip).
+	probeTimeoutMult = 2
+	// rackMaxWndMult caps the multiplicative reorder-window widening;
+	// beyond it the [min, max] clamp dominates anyway and further doubling
+	// only risks overflow.
+	rackMaxWndMult = 64
+)
 
 // rackState holds the per-connection RACK-TLP machinery: the reorder-window
 // adaptation inputs and the tail-probe bookkeeping. The sender owns the
 // timers; rackState is pure state.
 type rackState struct {
-	cfg LossDetection
-
-	// minRTT is the sliding-window minimum the reorder window derives from.
+	// minRTT is the sliding-window minimum the reorder window derives
+	// from. It forgets by sample count (rtt.DefaultSlidingMinSize) so a
+	// route change flushes a stale minimum.
 	minRTT *rtt.SlidingMin
 	// rtt is the most recent RTT sample (RFC 8985 RACK.rtt: the RTT of the
 	// most recently delivered packet).
@@ -59,12 +70,8 @@ type rackState struct {
 	lastPTO sim.Time
 }
 
-func newRackState(cfg LossDetection) *rackState {
-	return &rackState{
-		cfg:     cfg,
-		minRTT:  rtt.NewSlidingMin(cfg.MinRTTWindow),
-		wndMult: 1,
-	}
+func newRackState() *rackState {
+	return &rackState{minRTT: rtt.NewSlidingMin(rtt.DefaultSlidingMinSize), wndMult: 1}
 }
 
 // onRTTSample folds one RTT sample into the window base and RACK.rtt.
@@ -77,24 +84,14 @@ func (r *rackState) onRTTSample(sample sim.Time) {
 }
 
 // reorderWindow returns the current adaptive reorder window: min-RTT/4
-// scaled by the widening multiplier, clamped to the configured bounds;
-// before any RTT sample it is the configured initial window.
+// scaled by the widening multiplier, clamped to [reorderWindowMin,
+// reorderWindowMax]; before any RTT sample it is reorderWindowInit.
 func (r *rackState) reorderWindow() sim.Time {
-	min, ok := r.minRTT.Min()
+	minRTT, ok := r.minRTT.Min()
 	if !ok {
-		return r.clampWnd(r.cfg.ReorderWindowInit)
+		return reorderWindowInit
 	}
-	return r.clampWnd(sim.Time(int64(min) / 4 * r.wndMult))
-}
-
-func (r *rackState) clampWnd(w sim.Time) sim.Time {
-	if w < r.cfg.ReorderWindowMin {
-		w = r.cfg.ReorderWindowMin
-	}
-	if w > r.cfg.ReorderWindowMax {
-		w = r.cfg.ReorderWindowMax
-	}
-	return w
+	return max(reorderWindowMin, min(reorderWindowMax, sim.Time(int64(minRTT)/4*r.wndMult)))
 }
 
 // observeReorders diffs the send buffer's cumulative reorder-event count
@@ -124,7 +121,7 @@ func (r *rackState) rackRTT(srtt sim.Time) sim.Time {
 	return 100 * sim.Millisecond
 }
 
-// probeTimeout returns the TLP timer duration: ProbeTimeoutMult×SRTT plus
+// probeTimeout returns the TLP timer duration: probeTimeoutMult×SRTT plus
 // the longest the receiver may hold the acknowledgment the probe would
 // race — the RTO's RTTmin/2 budget (one TACK interval plus the IACK settle
 // delay at the defaults), but never under two ackpolicy.MinInterval: the
@@ -140,5 +137,5 @@ func (r *rackState) probeTimeout(srtt, minRTT sim.Time) sim.Time {
 	if floored := 2 * ackpolicy.MinInterval; hold < floored {
 		hold = floored
 	}
-	return sim.Time(r.cfg.ProbeTimeoutMult*float64(srtt)) + hold
+	return probeTimeoutMult*srtt + hold
 }

@@ -8,12 +8,10 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 )
 
-func defaultRack() *rackState { return newRackState(LossDetection{}.withDefaults()) }
-
 func TestReorderWindowStartsAtQuarterRTT(t *testing.T) {
-	r := defaultRack()
-	if got := r.reorderWindow(); got != DefaultReorderWindowInit {
-		t.Fatalf("window before any sample = %v, want init %v", got, DefaultReorderWindowInit)
+	r := newRackState()
+	if got := r.reorderWindow(); got != reorderWindowInit {
+		t.Fatalf("window before any sample = %v, want init %v", got, reorderWindowInit)
 	}
 	r.onRTTSample(ms(40))
 	if got := r.reorderWindow(); got != ms(10) {
@@ -28,21 +26,21 @@ func TestReorderWindowStartsAtQuarterRTT(t *testing.T) {
 }
 
 func TestReorderWindowClampsToBounds(t *testing.T) {
-	r := defaultRack()
+	r := newRackState()
 	r.onRTTSample(2 * sim.Millisecond) // RTT/4 = 0.5ms, below the 1ms floor
-	if got := r.reorderWindow(); got != DefaultReorderWindowMin {
-		t.Fatalf("window for 2ms RTT = %v, want floor %v", got, DefaultReorderWindowMin)
+	if got := r.reorderWindow(); got != reorderWindowMin {
+		t.Fatalf("window for 2ms RTT = %v, want floor %v", got, reorderWindowMin)
 	}
 
-	r = defaultRack()
+	r = newRackState()
 	r.onRTTSample(2 * sim.Second) // RTT/4 = 500ms, above the 200ms ceiling
-	if got := r.reorderWindow(); got != DefaultReorderWindowMax {
-		t.Fatalf("window for 2s RTT = %v, want ceiling %v", got, DefaultReorderWindowMax)
+	if got := r.reorderWindow(); got != reorderWindowMax {
+		t.Fatalf("window for 2s RTT = %v, want ceiling %v", got, reorderWindowMax)
 	}
 }
 
 func TestReorderWindowWidensOnReordering(t *testing.T) {
-	r := defaultRack()
+	r := newRackState()
 	r.onRTTSample(ms(40)) // base window 10ms
 
 	if fresh := r.observeReorders(1); fresh != 1 {
@@ -67,13 +65,13 @@ func TestReorderWindowWidensOnReordering(t *testing.T) {
 		t.Fatalf("window after three events = %v, want 80ms", got)
 	}
 	r.observeReorders(1000)
-	if got := r.reorderWindow(); got != DefaultReorderWindowMax {
-		t.Fatalf("window after many events = %v, want ceiling %v", got, DefaultReorderWindowMax)
+	if got := r.reorderWindow(); got != reorderWindowMax {
+		t.Fatalf("window after many events = %v, want ceiling %v", got, reorderWindowMax)
 	}
 }
 
 func TestProbeTimeout(t *testing.T) {
-	r := defaultRack()
+	r := newRackState()
 	if got := r.probeTimeout(0, 0); got != sim.Second {
 		t.Fatalf("PTO before any RTT estimate = %v, want 1s", got)
 	}

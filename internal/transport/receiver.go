@@ -776,7 +776,3 @@ func (r *Receiver) AckTargetHz() float64 {
 
 // LossTracker exposes the receiver's loss tracker (diagnostics only).
 func (r *Receiver) LossTracker() *core.LossTracker { return r.loss }
-
-// PktFloor returns the highest sender-advertised oldest-outstanding packet
-// number seen (diagnostics only).
-func (r *Receiver) PktFloor() uint64 { return r.pktFloor }

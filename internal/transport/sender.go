@@ -164,7 +164,7 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		mFECRatio:       cfg.Metrics.Gauge("fec.redundancy_ratio"),
 	}
 	if cfg.Loss.Detector == DetectorRACK {
-		s.rack = newRackState(cfg.Loss)
+		s.rack = newRackState()
 	}
 	s.sendTimer = sim.NewTimer(loop, s.trySend)
 	s.rtoTimer = sim.NewTimer(loop, s.onRTO)
@@ -720,7 +720,7 @@ func (s *Sender) OnPathMigration() {
 	if s.rack != nil {
 		// The reorder window was learned on the old path; the pending tail
 		// probe was timed against the old SRTT.
-		s.rack = newRackState(s.cfg.Loss)
+		s.rack = newRackState()
 		s.tlpTimer.Stop()
 		s.rackTimer.Stop()
 	}
@@ -1130,7 +1130,7 @@ func (s *Sender) onRackTimer() {
 	}
 }
 
-// armTLP schedules the tail loss probe at ProbeTimeoutMult×SRTT after the
+// armTLP schedules the tail loss probe at probeTimeoutMult×SRTT after the
 // last transmission. The timer stays disarmed while nothing is in flight,
 // while marked segments already drive recovery, or while a probe is
 // outstanding (one-probe rule).
@@ -1314,23 +1314,9 @@ func (s *Sender) Inflight() int { return s.inflight() }
 // CumAcked returns the cumulative acknowledged byte offset.
 func (s *Sender) CumAcked() uint64 { return s.cumAcked }
 
-// AckPathLossRate returns the sender's ρ′ estimate.
-func (s *Sender) AckPathLossRate() float64 { return s.ackLoss.Rate() }
-
-// BufSegment exposes the send-buffer segment starting at byte seq
-// (diagnostics and experiments only).
-func (s *Sender) BufSegment(seq uint64) *buffer.Segment { return s.buf.BySeq(seq) }
-
-// MarkedCount returns how many segments are currently loss-marked.
-func (s *Sender) MarkedCount() int { return len(s.buf.LossMarked()) }
-
 // OldestOutstanding returns the sender's oldest outstanding packet number
 // (diagnostics only).
 func (s *Sender) OldestOutstanding() uint64 { return s.buf.OldestPktSeq(s.nextPktSeq) }
-
-// BufByPkt exposes the segment currently transmitted as pktSeq
-// (diagnostics only).
-func (s *Sender) BufByPkt(pktSeq uint64) *buffer.Segment { return s.buf.ByPktSeq(pktSeq) }
 
 // ReleasedBytes exposes the cumulative acknowledged payload bytes
 // (diagnostics only).

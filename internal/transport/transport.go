@@ -32,7 +32,6 @@ import (
 	"github.com/tacktp/tack/internal/cc"
 	"github.com/tacktp/tack/internal/core"
 	"github.com/tacktp/tack/internal/packet"
-	"github.com/tacktp/tack/internal/rtt"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stream"
 	"github.com/tacktp/tack/internal/telemetry"
@@ -86,106 +85,33 @@ func (d LossDetector) String() string {
 	return "dupthresh"
 }
 
-// Default reorder-window bounds (RFC 8985 §6.1.1 shape; the initial value
-// covers the pre-RTT-sample window where no adaptive base exists yet).
-const (
-	DefaultReorderWindowMin  = sim.Millisecond
-	DefaultReorderWindowMax  = 200 * sim.Millisecond
-	DefaultReorderWindowInit = 10 * sim.Millisecond
-)
-
-// DefaultProbeTimeoutMult is the default TLP probe timeout as a multiple of
-// the smoothed RTT (RFC 8985 §7.2: PTO ≈ 2×SRTT).
-const DefaultProbeTimeoutMult = 2.0
-
 // LossDetection groups the sender's loss-detection knobs, replacing the
 // scattered per-detector flags that would otherwise accrete on Config. The
-// zero value selects RACK-TLP with the RFC 8985 defaults.
+// zero value selects RACK-TLP; its reorder-window bounds, probe timeout and
+// min-RTT window are the constants in rack.go.
 type LossDetection struct {
 	// Detector picks the machinery: DetectorRACK (default) or
 	// DetectorDupThresh for A/B comparison against the baseline.
 	Detector LossDetector
-	// ReorderWindowInit is the reorder window used before the first RTT
-	// sample exists (default 10 ms). Must lie within [Min, Max].
-	ReorderWindowInit sim.Time
-	// ReorderWindowMin / ReorderWindowMax clamp the adaptive reorder window
-	// (defaults 1 ms and 200 ms). The window starts at min-RTT/4 and widens
-	// multiplicatively when reordering is actually observed.
-	ReorderWindowMin, ReorderWindowMax sim.Time
 	// DisableTLP suppresses Tail Loss Probes, leaving RACK marking alone
 	// (ablation; tail losses then wait for the RTO).
 	DisableTLP bool
-	// ProbeTimeoutMult scales the TLP probe timeout in units of SRTT
-	// (default 2.0; values below 1 are rejected as they would probe inside
-	// one round trip).
-	ProbeTimeoutMult float64
-	// MinRTTWindow is the sliding min-RTT window size in samples (default
-	// rtt.DefaultSlidingMinSize): RACK's window base forgets by sample
-	// count so a route change flushes a stale minimum.
-	MinRTTWindow int
 	// DupThresh is the legacy detector's threshold in packets: a segment is
 	// lost once DupThresh×Payload bytes above it were sacked (default 3).
 	DupThresh int
 }
 
 func (l LossDetection) withDefaults() LossDetection {
-	if l.ReorderWindowMin <= 0 {
-		l.ReorderWindowMin = DefaultReorderWindowMin
-	}
-	if l.ReorderWindowMax <= 0 {
-		l.ReorderWindowMax = DefaultReorderWindowMax
-	}
-	if l.ReorderWindowInit <= 0 {
-		l.ReorderWindowInit = DefaultReorderWindowInit
-		// Keep the default init inside caller-narrowed bounds.
-		if l.ReorderWindowInit > l.ReorderWindowMax {
-			l.ReorderWindowInit = l.ReorderWindowMax
-		}
-		if l.ReorderWindowInit < l.ReorderWindowMin {
-			l.ReorderWindowInit = l.ReorderWindowMin
-		}
-	}
-	if l.ProbeTimeoutMult <= 0 {
-		l.ProbeTimeoutMult = DefaultProbeTimeoutMult
-	}
-	if l.MinRTTWindow <= 0 {
-		l.MinRTTWindow = rtt.DefaultSlidingMinSize
-	}
 	if l.DupThresh <= 0 {
 		l.DupThresh = 3
 	}
 	return l
 }
 
-// Validate rejects nonsense loss-detection bounds.
+// Validate rejects an unknown detector or a negative threshold.
 func (l LossDetection) Validate() error {
 	if l.Detector != DetectorRACK && l.Detector != DetectorDupThresh {
 		return fmt.Errorf("transport: unknown loss detector %d", int(l.Detector))
-	}
-	if l.ReorderWindowMin < 0 || l.ReorderWindowMax < 0 || l.ReorderWindowInit < 0 {
-		return fmt.Errorf("transport: negative reorder window bound (min=%v max=%v init=%v)",
-			l.ReorderWindowMin, l.ReorderWindowMax, l.ReorderWindowInit)
-	}
-	if l.ReorderWindowMin > 0 && l.ReorderWindowMax > 0 && l.ReorderWindowMin > l.ReorderWindowMax {
-		return fmt.Errorf("transport: reorder window min %v above max %v",
-			l.ReorderWindowMin, l.ReorderWindowMax)
-	}
-	if l.ReorderWindowInit > 0 {
-		if l.ReorderWindowMin > 0 && l.ReorderWindowInit < l.ReorderWindowMin {
-			return fmt.Errorf("transport: initial reorder window %v below min %v",
-				l.ReorderWindowInit, l.ReorderWindowMin)
-		}
-		if l.ReorderWindowMax > 0 && l.ReorderWindowInit > l.ReorderWindowMax {
-			return fmt.Errorf("transport: initial reorder window %v above max %v",
-				l.ReorderWindowInit, l.ReorderWindowMax)
-		}
-	}
-	if l.ProbeTimeoutMult != 0 && l.ProbeTimeoutMult < 1 {
-		return fmt.Errorf("transport: probe timeout multiplier %v below 1 (would probe inside one RTT)",
-			l.ProbeTimeoutMult)
-	}
-	if l.MinRTTWindow < 0 {
-		return fmt.Errorf("transport: negative min-RTT window %d", l.MinRTTWindow)
 	}
 	if l.DupThresh < 0 {
 		return fmt.Errorf("transport: negative dup threshold %d", l.DupThresh)

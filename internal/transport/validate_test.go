@@ -60,19 +60,7 @@ func TestConfigValidate(t *testing.T) {
 			Streams: &stream.Config{RecvWindow: 64 << 10, MaxStreams: 16, Scheduler: "fifo"}}, false},
 		{"loss rack default", Config{Loss: LossDetection{Detector: DetectorRACK}}, true},
 		{"loss dupthresh", Config{Loss: LossDetection{Detector: DetectorDupThresh}}, true},
-		{"loss custom window bounds", Config{Loss: LossDetection{
-			ReorderWindowMin: sim.Millisecond, ReorderWindowInit: 5 * sim.Millisecond,
-			ReorderWindowMax: 100 * sim.Millisecond}}, true},
 		{"loss unknown detector", Config{Loss: LossDetection{Detector: LossDetector(7)}}, false},
-		{"loss negative window min", Config{Loss: LossDetection{ReorderWindowMin: -1}}, false},
-		{"loss window min above max", Config{Loss: LossDetection{
-			ReorderWindowMin: 10 * sim.Millisecond, ReorderWindowMax: 5 * sim.Millisecond}}, false},
-		{"loss init below min", Config{Loss: LossDetection{
-			ReorderWindowMin: 5 * sim.Millisecond, ReorderWindowInit: sim.Millisecond}}, false},
-		{"loss init above max", Config{Loss: LossDetection{
-			ReorderWindowMax: 5 * sim.Millisecond, ReorderWindowInit: 10 * sim.Millisecond}}, false},
-		{"loss probe mult below one", Config{Loss: LossDetection{ProbeTimeoutMult: 0.5}}, false},
-		{"loss negative minrtt window", Config{Loss: LossDetection{MinRTTWindow: -1}}, false},
 		{"loss negative dupthresh", Config{Loss: LossDetection{DupThresh: -3}}, false},
 	}
 	for _, tc := range cases {

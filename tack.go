@@ -48,8 +48,8 @@ type (
 	// (β, L, q, settle fraction) carried in Config.Params.
 	Params = core.Params
 	// LossDetection groups the sender's loss-detection knobs carried in
-	// Config.Loss: the detector choice, the adaptive reorder-window
-	// bounds, and the tail-loss-probe timeout.
+	// Config.Loss: the detector choice, the tail-loss-probe ablation
+	// switch, and the baseline's duplicate threshold.
 	LossDetection = transport.LossDetection
 	// LossDetector names a loss-detection machinery (DetectorRACK or
 	// DetectorDupThresh) in LossDetection.Detector.
