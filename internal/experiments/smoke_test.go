@@ -1,10 +1,25 @@
 package experiments
 
-import "testing"
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
-// TestAllExperimentsQuick smoke-runs every id `tackbench list` prints in
-// quick mode, asserting they produce non-empty tables without error. The
-// simulations are single-goroutine, so the -short race job skips them.
+var update = flag.Bool("update", false, "rewrite testdata/quick/*.golden from this run")
+
+// TestAllExperimentsQuick runs every id `tackbench list` prints in quick
+// mode and compares each rendered table byte for byte with
+// testdata/quick/<id>.golden: the simulations are deterministic, so any
+// difference is a behaviour change in the engine or the substrate. A PR
+// that means to move a table regenerates it with
+//
+//	go test ./internal/experiments -run TestAllExperimentsQuick -update
+//
+// and says so. The simulations are single-goroutine, so the -short race
+// job skips them.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -19,9 +34,48 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if r.Table == "" {
 				t.Fatal("empty table")
 			}
-			t.Log("\n" + r.String())
+			got := r.String()
+			path := filepath.Join("testdata", "quick", id+".golden")
+			if *update {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line, g, w, differ := firstDiff(got, string(want)); differ {
+				t.Fatalf("%s differs from %s at line %d:\n got: %s\nwant: %s", id, path, line, g, w)
+			}
 		})
 	}
+}
+
+// firstDiff returns the first line (1-based) at which got and want differ,
+// with that line from each side ("<end of table>" where one side ran out).
+func firstDiff(got, want string) (line int, g, w string, differ bool) {
+	if got == want {
+		return 0, "", "", false
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		g, w = "<end of table>", "<end of table>"
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			return i + 1, g, w, true
+		}
+	}
+	return 0, "", "", false // unreachable: unequal strings differ on some line
 }
 
 func TestUnknownExperiment(t *testing.T) {
