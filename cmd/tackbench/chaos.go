@@ -62,11 +62,11 @@ func chaosCmd(args []string) {
 		GE:            netem.GilbertElliott{PEnterBad: *geEnter, PExitBad: *geExit, LossBad: *geLoss},
 	}
 
+	hrto := sim.Time(*hrtoMs * float64(sim.Millisecond))
 	srvReg, cliReg := telemetry.NewRegistry(), telemetry.NewRegistry()
 	srv, err := endpoint.Listen("127.0.0.1:0", endpoint.Config{
-		Transport:        transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: srvReg},
+		Transport:        transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: srvReg, HandshakeRTO: hrto},
 		HandshakeTimeout: 30 * time.Second,
-		HandshakeRTO:     time.Duration(*hrtoMs * float64(time.Millisecond)),
 		EnableMigration:  *migrate,
 	})
 	if err != nil {
@@ -81,9 +81,8 @@ func chaosCmd(args []string) {
 	}
 	defer proxy.Close()
 	cli, err := endpoint.Listen("127.0.0.1:0", endpoint.Config{
-		Transport:        transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: cliReg},
+		Transport:        transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: cliReg, HandshakeRTO: hrto},
 		HandshakeTimeout: 30 * time.Second,
-		HandshakeRTO:     time.Duration(*hrtoMs * float64(time.Millisecond)),
 		EnableMigration:  *migrate,
 	})
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 func init() {
-	Register("bbr", func(cfg Config) Controller { return NewBBR(cfg) })
+	Register("bbr", func() Controller { return NewBBR() })
 }
 
 // BBR state machine phases.
@@ -41,7 +41,6 @@ var bbrCycle = []float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 // update per TACK interval suffices — BBR's own gain-cycle steps are RTT
 // granular — BBR tolerates the excessively delayed ACK clock.
 type BBR struct {
-	cfg    Config
 	bwFilt *rate.MaxFilter // bottleneck bandwidth, bits/s
 	minRTT sim.Time
 	srtt   sim.Time
@@ -76,14 +75,13 @@ type BBR struct {
 }
 
 // NewBBR constructs a BBR controller.
-func NewBBR(cfg Config) *BBR {
+func NewBBR() *BBR {
 	return &BBR{
-		cfg:        cfg,
 		bwFilt:     rate.NewMaxFilter(10 * sim.Second),
 		extraFilt:  rate.NewMaxFilter(10 * sim.Second),
 		state:      bbrStartup,
 		pacingGain: bbrHighGain,
-		cwnd:       cfg.initialCWND(),
+		cwnd:       InitialWindow,
 	}
 }
 
@@ -94,7 +92,7 @@ func (b *BBR) Name() string { return "bbr" }
 func (b *BBR) bdpBytes(gain float64) int {
 	bw := b.bwFilt.Get(b.lastNow)
 	if bw <= 0 || b.minRTT <= 0 {
-		return b.cfg.initialCWND()
+		return InitialWindow
 	}
 	bdp := bw / 8 * b.minRTT.Seconds() * gain
 	if bdp < 4*MSS {
@@ -270,8 +268,8 @@ func (b *BBR) updateCwnd() {
 			b.priorCwnd = 0
 		}
 	}
-	if b.cwnd > b.cfg.maxCWND() {
-		b.cwnd = b.cfg.maxCWND()
+	if b.cwnd > maxWindow {
+		b.cwnd = maxWindow
 	}
 }
 

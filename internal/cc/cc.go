@@ -74,30 +74,11 @@ type Controller interface {
 // InitialWindow is the conventional initial congestion window (10 MSS).
 const InitialWindow = 10 * MSS
 
-// Config parameterizes controller construction.
-type Config struct {
-	// InitialCWND in bytes (0 selects InitialWindow).
-	InitialCWND int
-	// MaxCWND bounds window growth in bytes (0 = 64 MiB).
-	MaxCWND int
-}
-
-func (c Config) initialCWND() int {
-	if c.InitialCWND > 0 {
-		return c.InitialCWND
-	}
-	return InitialWindow
-}
-
-func (c Config) maxCWND() int {
-	if c.MaxCWND > 0 {
-		return c.MaxCWND
-	}
-	return 64 << 20
-}
+// maxWindow bounds window growth in bytes.
+const maxWindow = 64 << 20
 
 // Factory builds a controller instance.
-type Factory func(cfg Config) Controller
+type Factory func() Controller
 
 var registry = map[string]Factory{}
 
@@ -110,12 +91,12 @@ func Register(name string, f Factory) {
 }
 
 // New builds a registered controller by name.
-func New(name string, cfg Config) (Controller, error) {
+func New(name string) (Controller, error) {
 	f, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("cc: unknown controller %q", name)
 	}
-	return f(cfg), nil
+	return f(), nil
 }
 
 // Names lists registered controllers, sorted.

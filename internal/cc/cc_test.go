@@ -20,10 +20,10 @@ func TestRegistryLists(t *testing.T) {
 			t.Errorf("controller %q not registered", n)
 		}
 	}
-	if _, err := New("bbr", Config{}); err != nil {
+	if _, err := New("bbr"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New("nope", Config{}); err == nil {
+	if _, err := New("nope"); err == nil {
 		t.Fatal("unknown controller should error")
 	}
 }
@@ -34,11 +34,11 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate Register should panic")
 		}
 	}()
-	Register("reno", func(Config) Controller { return nil })
+	Register("reno", func() Controller { return nil })
 }
 
 func TestRenoSlowStartDoubles(t *testing.T) {
-	r := NewReno(Config{})
+	r := NewReno()
 	start := r.CWND()
 	// Ack a full window: slow start should double it.
 	r.OnAck(Ack{Now: ms(10), Bytes: start, SRTT: ms(50)})
@@ -48,7 +48,7 @@ func TestRenoSlowStartDoubles(t *testing.T) {
 }
 
 func TestRenoCongestionAvoidanceLinear(t *testing.T) {
-	r := NewReno(Config{})
+	r := NewReno()
 	r.OnLoss(Loss{Now: 0}) // forces ssthresh = cwnd/2, cwnd = ssthresh
 	w := r.CWND()
 	// One full window of acks → exactly one MSS growth.
@@ -59,7 +59,7 @@ func TestRenoCongestionAvoidanceLinear(t *testing.T) {
 }
 
 func TestRenoLossHalves(t *testing.T) {
-	r := NewReno(Config{})
+	r := NewReno()
 	r.OnAck(Ack{Now: ms(1), Bytes: 100 * MSS})
 	w := r.CWND()
 	r.OnLoss(Loss{Now: ms(2)})
@@ -73,7 +73,7 @@ func TestRenoLossHalves(t *testing.T) {
 }
 
 func TestRenoAppLimitedNoGrowth(t *testing.T) {
-	r := NewReno(Config{})
+	r := NewReno()
 	w := r.CWND()
 	r.OnAck(Ack{Now: ms(1), Bytes: 10 * MSS, AppLimited: true})
 	if r.CWND() != w {
@@ -82,7 +82,7 @@ func TestRenoAppLimitedNoGrowth(t *testing.T) {
 }
 
 func TestCubicRecoversTowardWmax(t *testing.T) {
-	c := NewCubic(Config{})
+	c := NewCubic()
 	// Grow to ~100 MSS then lose.
 	c.OnAck(Ack{Now: ms(1), Bytes: 100 * MSS, SRTT: ms(50)})
 	wBefore := c.CWND()
@@ -102,7 +102,7 @@ func TestCubicRecoversTowardWmax(t *testing.T) {
 }
 
 func TestCubicTimeoutCollapses(t *testing.T) {
-	c := NewCubic(Config{})
+	c := NewCubic()
 	c.OnAck(Ack{Now: ms(1), Bytes: 100 * MSS, SRTT: ms(50)})
 	c.OnLoss(Loss{Now: ms(2), Timeout: true})
 	if c.CWND() != 2*MSS {
@@ -111,7 +111,7 @@ func TestCubicTimeoutCollapses(t *testing.T) {
 }
 
 func TestVegasBacksOffOnQueueing(t *testing.T) {
-	v := NewVegas(Config{})
+	v := NewVegas()
 	// Slow start with no queueing.
 	for i := int64(0); i < 20; i++ {
 		v.OnAck(Ack{Now: ms(i * 50), Bytes: v.CWND(), SRTT: ms(50), MinRTT: ms(50)})
@@ -132,7 +132,7 @@ func TestVegasBacksOffOnQueueing(t *testing.T) {
 }
 
 func TestVegasStableInBand(t *testing.T) {
-	v := NewVegas(Config{})
+	v := NewVegas()
 	v.slowStart = false
 	v.cwnd = 20 * MSS
 	// backlog = cwnd*(1-base/srtt)/MSS: choose srtt so backlog ∈ (2,4):
@@ -150,7 +150,7 @@ func TestVegasStableInBand(t *testing.T) {
 }
 
 func TestBBRStartupToProbeBW(t *testing.T) {
-	b := NewBBR(Config{})
+	b := NewBBR()
 	if b.State() != "startup" {
 		t.Fatalf("initial state %s", b.State())
 	}
@@ -178,7 +178,7 @@ func TestBBRStartupToProbeBW(t *testing.T) {
 }
 
 func TestBBRGainCycleProbes(t *testing.T) {
-	b := NewBBR(Config{})
+	b := NewBBR()
 	now := ms(0)
 	seen := map[float64]bool{}
 	for i := 0; i < 400; i++ {
@@ -193,7 +193,7 @@ func TestBBRGainCycleProbes(t *testing.T) {
 }
 
 func TestBBRIgnoresAppLimitedSamples(t *testing.T) {
-	b := NewBBR(Config{})
+	b := NewBBR()
 	b.OnAck(Ack{Now: ms(10), Bytes: MSS, RTT: ms(20), DeliveryRate: 500e6, AppLimited: true})
 	if b.BtlBw() != 0 {
 		t.Fatal("app-limited delivery sample polluted the bw filter")
@@ -201,7 +201,7 @@ func TestBBRIgnoresAppLimitedSamples(t *testing.T) {
 }
 
 func TestBBRTimeoutCollapse(t *testing.T) {
-	b := NewBBR(Config{})
+	b := NewBBR()
 	b.OnAck(Ack{Now: ms(10), Bytes: 30 * MSS, RTT: ms(20), DeliveryRate: 100e6})
 	b.OnLoss(Loss{Now: ms(20), Timeout: true})
 	if b.CWND() != 4*MSS {
@@ -210,7 +210,7 @@ func TestBBRTimeoutCollapse(t *testing.T) {
 }
 
 func TestCopaShrinksOnStandingQueue(t *testing.T) {
-	c := NewCopa(Config{})
+	c := NewCopa()
 	// Exit slow start with queueing, then hold a big standing queue.
 	now := ms(0)
 	for i := 0; i < 50; i++ {
@@ -225,7 +225,7 @@ func TestCopaShrinksOnStandingQueue(t *testing.T) {
 }
 
 func TestCopaGrowsWhenQueueEmpty(t *testing.T) {
-	c := NewCopa(Config{})
+	c := NewCopa()
 	c.slow = false
 	start := c.CWND()
 	now := ms(0)
@@ -239,7 +239,7 @@ func TestCopaGrowsWhenQueueEmpty(t *testing.T) {
 }
 
 func TestPCCMovesRateUpWhenClean(t *testing.T) {
-	p := NewPCC(Config{})
+	p := NewPCC()
 	r0 := p.rate
 	now := ms(0)
 	for i := 0; i < 200; i++ {
@@ -252,7 +252,7 @@ func TestPCCMovesRateUpWhenClean(t *testing.T) {
 }
 
 func TestPCCBacksOffOnLoss(t *testing.T) {
-	p := NewPCC(Config{})
+	p := NewPCC()
 	p.rate = 50e6
 	now := ms(0)
 	for i := 0; i < 200; i++ {
@@ -270,7 +270,7 @@ func TestPCCBacksOffOnLoss(t *testing.T) {
 }
 
 func TestStaticFixedRate(t *testing.T) {
-	s := NewStatic(42e6, Config{})
+	s := NewStatic(42e6)
 	s.OnAck(Ack{Bytes: 100 * MSS})
 	s.OnLoss(Loss{Bytes: 100 * MSS, Timeout: true})
 	if s.PacingRate() != 42e6 {
@@ -289,7 +289,7 @@ func TestAllControllersSurviveArbitraryFeedback(t *testing.T) {
 	// Smoke: no controller may panic, return nonpositive cwnd, or a negative
 	// pacing rate under adversarial event streams.
 	for _, name := range Names() {
-		ctrl, err := New(name, Config{})
+		ctrl, err := New(name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,7 @@ package cc
 import "github.com/tacktp/tack/internal/sim"
 
 func init() {
-	Register("copa", func(cfg Config) Controller { return NewCopa(cfg) })
+	Register("copa", func() Controller { return NewCopa() })
 }
 
 // copaDelta is Copa's delay-sensitivity parameter: the target rate is
@@ -14,7 +14,6 @@ const copaDelta = 0.5
 // NSDI'18): it steers the window toward target = cwnd_bdp + 1/(delta·dq)
 // packets, increasing velocity when consistently on one side of the target.
 type Copa struct {
-	cfg      Config
 	cwnd     int
 	srtt     sim.Time
 	minRTT   sim.Time
@@ -26,8 +25,8 @@ type Copa struct {
 }
 
 // NewCopa constructs a Copa-style controller.
-func NewCopa(cfg Config) *Copa {
-	return &Copa{cfg: cfg, cwnd: cfg.initialCWND(), velocity: 1, slow: true}
+func NewCopa() *Copa {
+	return &Copa{cwnd: InitialWindow, velocity: 1, slow: true}
 }
 
 // Name implements Controller.
@@ -61,7 +60,7 @@ func (c *Copa) OnAck(a Ack) {
 	// srtt/(delta·dq) packets.
 	var targetPkts float64
 	if dq <= 0 {
-		targetPkts = float64(c.cfg.maxCWND()) / MSS
+		targetPkts = float64(maxWindow) / MSS
 	} else {
 		targetPkts = float64(c.srtt) / (copaDelta * float64(dq))
 	}
@@ -101,8 +100,8 @@ func (c *Copa) OnLoss(l Loss) {
 }
 
 func (c *Copa) clamp() {
-	if c.cwnd > c.cfg.maxCWND() {
-		c.cwnd = c.cfg.maxCWND()
+	if c.cwnd > maxWindow {
+		c.cwnd = maxWindow
 	}
 	if c.cwnd < 2*MSS {
 		c.cwnd = 2 * MSS

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	Register("cubic", func(cfg Config) Controller { return NewCubic(cfg) })
+	Register("cubic", func() Controller { return NewCubic() })
 }
 
 // CUBIC constants (RFC 8312): scaling constant C and multiplicative
@@ -21,7 +21,6 @@ const (
 // Wmax, the window follows W(t) = C·(t−K)³ + Wmax with K = ∛(Wmax·(1−β)/C),
 // giving fast recovery toward Wmax and aggressive probing beyond it.
 type Cubic struct {
-	cfg      Config
 	cwnd     int
 	ssthresh int
 	srtt     sim.Time
@@ -34,8 +33,8 @@ type Cubic struct {
 }
 
 // NewCubic constructs a CUBIC controller.
-func NewCubic(cfg Config) *Cubic {
-	return &Cubic{cfg: cfg, cwnd: cfg.initialCWND(), ssthresh: cfg.maxCWND()}
+func NewCubic() *Cubic {
+	return &Cubic{cwnd: InitialWindow, ssthresh: maxWindow}
 }
 
 // Name implements Controller.
@@ -51,8 +50,8 @@ func (c *Cubic) OnAck(a Ack) {
 	}
 	if c.cwnd < c.ssthresh {
 		c.cwnd += a.Bytes
-		if c.cwnd > c.cfg.maxCWND() {
-			c.cwnd = c.cfg.maxCWND()
+		if c.cwnd > maxWindow {
+			c.cwnd = maxWindow
 		}
 		return
 	}
@@ -87,8 +86,8 @@ func (c *Cubic) OnAck(a Ack) {
 			c.cwnd += MSS
 		}
 	}
-	if c.cwnd > c.cfg.maxCWND() {
-		c.cwnd = c.cfg.maxCWND()
+	if c.cwnd > maxWindow {
+		c.cwnd = maxWindow
 	}
 }
 

@@ -3,7 +3,7 @@ package cc
 import "github.com/tacktp/tack/internal/sim"
 
 func init() {
-	Register("pcc", func(cfg Config) Controller { return NewPCC(cfg) })
+	Register("pcc", func() Controller { return NewPCC() })
 }
 
 // PCC is a simplified PCC-Allegro-style online rate prober: it runs
@@ -11,7 +11,6 @@ func init() {
 // throughput-minus-loss-penalty utility, and moves the base rate toward
 // the better-scoring direction with adaptive step size.
 type PCC struct {
-	cfg    Config
 	srtt   sim.Time
 	minRTT sim.Time
 
@@ -31,8 +30,8 @@ type PCC struct {
 }
 
 // NewPCC constructs a PCC-style controller starting at 1 Mbit/s.
-func NewPCC(cfg Config) *PCC {
-	return &PCC{cfg: cfg, rate: 1e6, epsilon: 0.05, step: 1.05}
+func NewPCC() *PCC {
+	return &PCC{rate: 1e6, epsilon: 0.05, step: 1.05}
 }
 
 // Name implements Controller.
@@ -110,7 +109,7 @@ func (p *PCC) OnAck(a Ack) {
 	if p.rate < 64e3 {
 		p.rate = 64e3
 	}
-	if maxR := float64(p.cfg.maxCWND()) * 8; p.rate > maxR {
+	if maxR := float64(maxWindow) * 8; p.rate > maxR {
 		p.rate = maxR
 	}
 }
@@ -137,8 +136,8 @@ func (p *PCC) CWND() int {
 	if w < 4*MSS {
 		w = 4 * MSS
 	}
-	if w > p.cfg.maxCWND() {
-		w = p.cfg.maxCWND()
+	if w > maxWindow {
+		w = maxWindow
 	}
 	return w
 }

@@ -3,13 +3,12 @@ package cc
 import "github.com/tacktp/tack/internal/sim"
 
 func init() {
-	Register("reno", func(cfg Config) Controller { return NewReno(cfg) })
+	Register("reno", func() Controller { return NewReno() })
 }
 
 // Reno is classic NewReno-style AIMD: slow start to ssthresh, then one MSS
 // of growth per RTT, halving on loss.
 type Reno struct {
-	cfg      Config
 	cwnd     int
 	ssthresh int
 	srtt     sim.Time
@@ -18,8 +17,8 @@ type Reno struct {
 }
 
 // NewReno constructs a Reno controller.
-func NewReno(cfg Config) *Reno {
-	return &Reno{cfg: cfg, cwnd: cfg.initialCWND(), ssthresh: cfg.maxCWND()}
+func NewReno() *Reno {
+	return &Reno{cwnd: InitialWindow, ssthresh: maxWindow}
 }
 
 // Name implements Controller.
@@ -44,8 +43,8 @@ func (r *Reno) OnAck(a Ack) {
 			r.cwnd += MSS
 		}
 	}
-	if r.cwnd > r.cfg.maxCWND() {
-		r.cwnd = r.cfg.maxCWND()
+	if r.cwnd > maxWindow {
+		r.cwnd = maxWindow
 	}
 }
 

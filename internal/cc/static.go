@@ -1,20 +1,19 @@
 package cc
 
 func init() {
-	Register("static", func(cfg Config) Controller { return NewStatic(100e6, cfg) })
+	Register("static", func() Controller { return NewStatic(100e6) })
 }
 
 // Static is a fixed-rate controller used by the UDP-style measurement tool
 // (paper §3.2) and in tests: it paces at a constant rate with an
 // effectively unbounded window.
 type Static struct {
-	cfg  Config
 	rate float64
 }
 
 // NewStatic constructs a fixed-rate controller at rateBps.
-func NewStatic(rateBps float64, cfg Config) *Static {
-	return &Static{cfg: cfg, rate: rateBps}
+func NewStatic(rateBps float64) *Static {
+	return &Static{rate: rateBps}
 }
 
 // Name implements Controller.
@@ -27,7 +26,7 @@ func (s *Static) OnAck(Ack) {}
 func (s *Static) OnLoss(Loss) {}
 
 // CWND implements Controller.
-func (s *Static) CWND() int { return s.cfg.maxCWND() }
+func (s *Static) CWND() int { return maxWindow }
 
 // PacingRate implements Controller.
 func (s *Static) PacingRate() float64 { return s.rate }

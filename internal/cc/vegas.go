@@ -3,7 +3,7 @@ package cc
 import "github.com/tacktp/tack/internal/sim"
 
 func init() {
-	Register("vegas", func(cfg Config) Controller { return NewVegas(cfg) })
+	Register("vegas", func() Controller { return NewVegas() })
 }
 
 // Vegas parameters: keep between alpha and beta packets queued at the
@@ -17,7 +17,6 @@ const (
 // diff = cwnd·(1 − baseRTT/RTT) in packets and nudges the window to keep
 // the backlog between alpha and beta.
 type Vegas struct {
-	cfg     Config
 	cwnd    int
 	srtt    sim.Time
 	baseRTT sim.Time
@@ -27,8 +26,8 @@ type Vegas struct {
 }
 
 // NewVegas constructs a Vegas controller.
-func NewVegas(cfg Config) *Vegas {
-	return &Vegas{cfg: cfg, cwnd: cfg.initialCWND(), slowStart: true}
+func NewVegas() *Vegas {
+	return &Vegas{cwnd: InitialWindow, slowStart: true}
 }
 
 // Name implements Controller.
@@ -81,8 +80,8 @@ func (v *Vegas) OnLoss(l Loss) {
 }
 
 func (v *Vegas) clamp() {
-	if v.cwnd > v.cfg.maxCWND() {
-		v.cwnd = v.cfg.maxCWND()
+	if v.cwnd > maxWindow {
+		v.cwnd = maxWindow
 	}
 	if v.cwnd < 2*MSS {
 		v.cwnd = 2 * MSS

@@ -70,9 +70,9 @@ func TestEndpointChaosSoak(t *testing.T) {
 
 	srvReg, cliReg := telemetry.NewRegistry(), telemetry.NewRegistry()
 	srv, err := Listen("127.0.0.1:0", Config{
-		Transport:        transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: srvReg},
+		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: srvReg,
+			HandshakeRTO: 50 * sim.Millisecond},
 		HandshakeTimeout: 15 * time.Second,
-		HandshakeRTO:     50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +87,9 @@ func TestEndpointChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli, err := Listen("127.0.0.1:0", Config{
-		Transport:        transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: cliReg},
+		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: cliReg,
+			HandshakeRTO: 50 * sim.Millisecond},
 		HandshakeTimeout: 15 * time.Second,
-		HandshakeRTO:     50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +187,9 @@ func TestEndpointHandshakeUnder30PctLoss(t *testing.T) {
 	reg := telemetry.NewRegistry()
 
 	srv, err := Listen("127.0.0.1:0", Config{
-		Transport:        transport.Config{Mode: transport.ModeTACK, TransferBytes: size},
+		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size,
+			HandshakeRTO: 30 * sim.Millisecond},
 		HandshakeTimeout: 30 * time.Second,
-		HandshakeRTO:     30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,11 +209,11 @@ func TestEndpointHandshakeUnder30PctLoss(t *testing.T) {
 			// Cap the doubling at 500ms so the 30s deadline buys ~60
 			// attempts; the chance 30% symmetric loss defeats them all is
 			// negligible (0.51^60).
-			MaxRTO: 500 * sim.Millisecond,
+			MaxRTO:        500 * sim.Millisecond,
+			HandshakeRTO:  30 * sim.Millisecond,
+			MaxSYNRetries: 64,
 		},
-		HandshakeTimeout:    30 * time.Second,
-		HandshakeRTO:        30 * time.Millisecond,
-		MaxHandshakeRetries: 64,
+		HandshakeTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,6 @@ import (
 
 	"github.com/tacktp/tack/internal/batchio"
 	"github.com/tacktp/tack/internal/packet"
-	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
 )
@@ -142,17 +141,6 @@ type Config struct {
 	// emit a keepalive IACK after this long without transmitting, keeping
 	// the peer's idle reaper at bay during app-paced silences.
 	KeepaliveInterval time.Duration
-	// HandshakeRTO, when positive, overrides the transport's initial
-	// handshake retransmission timeout (Transport.HandshakeRTO, default
-	// 250ms) for both dialed SYNs and embryo SYNACK re-emission. The
-	// timeout doubles per retry.
-	HandshakeRTO time.Duration
-	// MaxHandshakeRetries, when non-zero, overrides the handshake
-	// retransmission budget (Transport.MaxSYNRetries, default 8) for both
-	// sides: a dialed connection whose budget is exhausted fails with
-	// ErrHandshakeTimeout without waiting out HandshakeTimeout, and an
-	// embryo stops re-emitting SYNACKs. Negative disables retransmission.
-	MaxHandshakeRetries int
 	// EnableMigration turns on QUIC-style path validation for established
 	// connections: a known ConnID arriving from a new address starts a
 	// PATH_CHALLENGE probe of that address instead of being rejected
@@ -220,20 +208,13 @@ func (c Config) withDefaults() Config {
 	if c.StallRTOs <= 0 {
 		c.StallRTOs = 4
 	}
-	// Fold the endpoint-level handshake overrides into the transport
-	// template once, so every per-connection copy inherits them.
-	if c.HandshakeRTO > 0 {
-		c.Transport.HandshakeRTO = sim.Time(c.HandshakeRTO)
-	}
-	if c.MaxHandshakeRetries != 0 {
-		c.Transport.MaxSYNRetries = c.MaxHandshakeRetries
-	}
 	return c
 }
 
 // handshakeRetryRTO returns the embryo SYNACK retransmission timeout for
-// the given retry count: the handshake RTO doubled per retry, clamped to
-// HandshakeTimeout (beyond which the embryo reaper wins anyway).
+// the given retry count: Transport.HandshakeRTO — the schedule the dialed
+// side's SYNs follow — doubled per retry, clamped to HandshakeTimeout
+// (beyond which the embryo reaper wins anyway).
 func (c Config) handshakeRetryRTO(retries int) time.Duration {
 	rto := time.Duration(c.Transport.HandshakeRTO)
 	if rto <= 0 {
@@ -248,7 +229,8 @@ func (c Config) handshakeRetryRTO(retries int) time.Duration {
 	return rto
 }
 
-// handshakeRetryBudget returns the SYNACK retransmission cap for embryos.
+// handshakeRetryBudget returns the SYNACK retransmission cap for embryos:
+// Transport.MaxSYNRetries, read the way the transport reads it.
 func (c Config) handshakeRetryBudget() int {
 	switch n := c.Transport.MaxSYNRetries; {
 	case n < 0:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/tacktp/tack/internal/packet"
+	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
 )
@@ -204,12 +205,11 @@ func TestEndpointHandshakeRetryBudget(t *testing.T) {
 	defer hole.Close()
 
 	reg := telemetry.NewRegistry()
-	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 10, Metrics: reg}
+	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 10, Metrics: reg,
+		HandshakeRTO: 20 * sim.Millisecond, MaxSYNRetries: 3}
 	ep, err := Listen("127.0.0.1:0", Config{
-		Transport:           tcfg,
-		HandshakeTimeout:    30 * time.Second, // deliberately not the limiter
-		HandshakeRTO:        20 * time.Millisecond,
-		MaxHandshakeRetries: 3,
+		Transport:        tcfg,
+		HandshakeTimeout: 30 * time.Second, // deliberately not the limiter
 	})
 	if err != nil {
 		t.Fatal(err)

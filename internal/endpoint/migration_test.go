@@ -15,6 +15,7 @@ import (
 
 	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/packet"
+	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
 )
@@ -24,10 +25,10 @@ import (
 // 3 s validation window (Listen enforces it), and stays generous so the
 // only way a test passes is the migration machinery actually working.
 func migConfig(tcfg transport.Config) Config {
+	tcfg.HandshakeRTO = 50 * sim.Millisecond
 	return Config{
 		Transport:        tcfg,
 		HandshakeTimeout: 15 * time.Second,
-		HandshakeRTO:     50 * time.Millisecond,
 		IdleTimeout:      20 * time.Second,
 		EnableMigration:  true,
 	}

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"github.com/tacktp/tack/internal/netem"
+	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stream"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
@@ -44,12 +45,12 @@ func streamEndpointPair(t *testing.T, scfg stream.Config, srvReg, cliReg *teleme
 	mk := func(reg *telemetry.Registry) Config {
 		return Config{
 			Transport: transport.Config{
-				Mode:    transport.ModeTACK,
-				Streams: &scfg,
-				Metrics: reg,
+				Mode:         transport.ModeTACK,
+				Streams:      &scfg,
+				Metrics:      reg,
+				HandshakeRTO: 50 * sim.Millisecond,
 			},
 			HandshakeTimeout: 15 * time.Second,
-			HandshakeRTO:     50 * time.Millisecond,
 		}
 	}
 	srv, err := Listen("127.0.0.1:0", mk(srvReg))

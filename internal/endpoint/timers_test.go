@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/tacktp/tack/internal/packet"
+	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stream"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
@@ -203,8 +204,9 @@ func TestEmbryoSYNACKScheduleBudgetAndReap(t *testing.T) {
 	const rto, hsTimeout = 100 * time.Millisecond, 900 * time.Millisecond
 	reg := telemetry.NewRegistry()
 	srv, err := Listen("127.0.0.1:0", Config{
-		Transport:        transport.Config{Mode: transport.ModeTACK, Metrics: reg},
-		HandshakeTimeout: hsTimeout, HandshakeRTO: rto, MaxHandshakeRetries: 2,
+		Transport: transport.Config{Mode: transport.ModeTACK, Metrics: reg,
+			HandshakeRTO: sim.Time(rto), MaxSYNRetries: 2},
+		HandshakeTimeout: hsTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +339,7 @@ func TestPathChallengeScheduleAndDeadline(t *testing.T) {
 	const rto = 100 * time.Millisecond
 	srvReg := telemetry.NewRegistry()
 	cfg := migConfig(transport.Config{Mode: transport.ModeTACK, AppPaced: true, Metrics: srvReg})
-	cfg.HandshakeRTO = rto
+	cfg.Transport.HandshakeRTO = sim.Time(rto)
 	srv, err := Listen("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)

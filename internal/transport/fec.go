@@ -221,9 +221,7 @@ func (r *Receiver) injectRecovered(p *packet.Packet) {
 		r.mux.OnFrame(now, p.StreamID, p.StreamOff, p.Payload, p.StreamFIN)
 	}
 	r.deliv.OnDeliver(now, accepted)
-	if r.cfg.Mode == ModeTACK {
-		r.loss.OnPacket(now, p.PktSeq)
-	}
+	r.loss.OnPacket(now, p.PktSeq)
 	if !r.cfg.ManualDrain {
 		r.Stats.BytesDelivered += int64(r.buf.Read(r.buf.Readable()))
 	}
@@ -232,6 +230,6 @@ func (r *Receiver) injectRecovered(p *packet.Packet) {
 	} else {
 		r.armAckTimer()
 	}
-	r.maybeWindowIACK()
+	r.scheme.windowMoved()
 	r.checkComplete()
 }

@@ -20,8 +20,10 @@ package transport
 
 import (
 	"github.com/tacktp/tack/internal/ackpolicy"
+	"github.com/tacktp/tack/internal/buffer"
 	"github.com/tacktp/tack/internal/rtt"
 	"github.com/tacktp/tack/internal/sim"
+	"github.com/tacktp/tack/internal/telemetry"
 )
 
 const (
@@ -138,4 +140,104 @@ func (r *rackState) probeTimeout(srtt, minRTT sim.Time) sim.Time {
 		hold = floored
 	}
 	return probeTimeoutMult*srtt + hold
+}
+
+// --- Sender side: the scan, its re-check timer and the tail probe. ---
+
+// rackDetect runs the RFC 8985 scan: every unacked segment sent at or
+// before the most recently delivered transmission whose age exceeds
+// RACK.rtt plus the adaptive reorder window is marked lost. Returns newly
+// marked bytes; when a candidate's deadline is still in the future the
+// re-check timer is armed at that deadline.
+func (s *Sender) rackDetect(now sim.Time) int {
+	if ev := s.rack.observeReorders(s.buf.ReorderEvents()); ev > 0 {
+		s.mRackReorder.Add(ev)
+	}
+	cutoff, cutoffPkt, ok := s.buf.RackState()
+	if !ok {
+		return 0
+	}
+	reoWnd := s.rack.reorderWindow()
+	deadline := s.rack.rackRTT(s.est.Smoothed()) + reoWnd + s.scheme.rackHold()
+	lost := 0
+	sentAt, pending := s.buf.ScanRackLosses(cutoff, cutoffPkt, func(seg *buffer.Segment) bool {
+		if now-seg.SentAt < deadline {
+			return false
+		}
+		s.buf.MarkLoss(seg)
+		lost += seg.Len
+		s.Stats.RackMarked++
+		s.mRackMarked.Inc()
+		s.mReoWnd.Observe(reoWnd.Seconds())
+		s.tracer.LossMarked(now, s.cfg.ConnID, telemetry.TrigDetRACK,
+			seg.Seq, seg.PktSeq, seg.Len, reoWnd, now-seg.SentAt)
+		return true
+	})
+	if pending {
+		s.rackTimer.Reset(sentAt + deadline)
+	} else {
+		s.rackTimer.Stop()
+	}
+	return lost
+}
+
+// onRackTimer re-runs detection when a previously-too-young candidate's
+// reorder-window deadline arrives without an acknowledgment.
+func (s *Sender) onRackTimer() {
+	if s.rack == nil || s.done || !s.established {
+		return
+	}
+	now := s.loop.Now()
+	if lost := s.rackDetect(now); lost > 0 {
+		s.enterLossEpisode(now, lost)
+		s.pacer.SetRate(now, s.ctrl.PacingRate())
+		s.trySend()
+	}
+}
+
+// armTLP schedules the tail loss probe at probeTimeoutMult×SRTT after the
+// last transmission. The timer stays disarmed while nothing is in flight,
+// while marked segments already drive recovery, or while a probe is
+// outstanding (one-probe rule).
+func (s *Sender) armTLP() {
+	if s.rack == nil || s.cfg.Loss.DisableTLP {
+		return
+	}
+	if s.done || !s.established || s.buf.Len() == 0 || s.buf.HasMarked() || s.rack.tlpOut {
+		s.tlpTimer.Stop()
+		return
+	}
+	now := s.loop.Now()
+	min, _ := s.est.Min(now)
+	pto := s.rack.probeTimeout(s.est.Smoothed(), min)
+	s.rack.lastPTO = pto
+	at := s.lastDataSend + pto
+	if at <= now {
+		at = now + sim.Millisecond
+	}
+	s.tlpTimer.Reset(at)
+}
+
+// onTLP fires the tail loss probe: retransmit the newest unacked segment
+// (with a fresh packet number, so in TACK mode the receiver sees a PKT.SEQ
+// beyond the potentially-lost tail and raises a loss report), then restart
+// the RTO from the probe.
+func (s *Sender) onTLP() {
+	if s.rack == nil || s.done || !s.established || s.rack.tlpOut || s.buf.HasMarked() {
+		return
+	}
+	now := s.loop.Now()
+	seg := s.buf.Newest()
+	if seg == nil {
+		return // zero inflight: nothing to probe
+	}
+	s.retransmit(now, seg)
+	s.rack.tlpOut = true
+	s.rack.tlpHighPkt = seg.PktSeq // the fresh number retransmit assigned
+	s.Stats.TLPProbes++
+	s.mTLPProbes.Inc()
+	s.tracer.TLPProbe(now, s.cfg.ConnID, seg.Seq, seg.PktSeq, seg.Len, s.rack.lastPTO)
+	// RFC 8985 §7.3: the probe restarts the timeout so the RTO measures
+	// from the most recent transmission.
+	s.rtoTimer.ResetAfter(s.rto())
 }

@@ -184,29 +184,6 @@ func TestRACKNoSpuriousMarksUnderMildReordering(t *testing.T) {
 	}
 }
 
-func TestRACKDetectsLossFasterThanDupThreshLegacy(t *testing.T) {
-	// In legacy mode (no receiver loss reports) RACK's time-based scan is
-	// the only fast path; both arms must finish, and the RACK arm must not
-	// be slower.
-	run := func(d LossDetector) sim.Time {
-		cfg := Config{Mode: ModeLegacy, TransferBytes: 1 << 20,
-			Loss: LossDetection{Detector: d}}
-		h := newHarness(t, 56, cfg, 50e6, ms(20), 0.02, 0)
-		done := sim.Time(0)
-		h.snd.OnDone = func() { done = h.loop.Now() }
-		h.run(30 * sim.Second)
-		if done == 0 {
-			t.Fatalf("lossy legacy transfer (detector=%v) incomplete", d)
-		}
-		return done
-	}
-	rack := run(DetectorRACK)
-	dup := run(DetectorDupThresh)
-	if rack > dup*3/2 {
-		t.Fatalf("RACK completion %v much slower than dup-thresh %v", rack, dup)
-	}
-}
-
 // On a sub-millisecond path the receiver's TACK spacing is floored at
 // ackpolicy.MinInterval, far above RTTmin/β, and a real peer's timers add
 // lateness of their own (modelled here: every acknowledgment leaves up to

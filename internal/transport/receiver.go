@@ -32,7 +32,10 @@ type Receiver struct {
 	// keeps running in accounting-only mode underneath: it still derives
 	// CumAck and loss state from connection sequence numbers, while the
 	// payload bytes live in the mux's per-stream rings.
-	mux    *stream.RecvMux
+	mux *stream.RecvMux
+	// scheme is the acknowledgment scheme this half speaks — TACK, or the
+	// legacy-TCP baseline of legacy.go — picked once in NewReceiver.
+	scheme receiverScheme
 	policy ackpolicy.Policy
 	loss   *core.LossTracker
 	budget *core.BlockBudget
@@ -55,10 +58,11 @@ type Receiver struct {
 	synSeen      bool     // a SYN has arrived (SYNACK state is valid)
 	synDeparture sim.Time // SentAt of the most recent SYN, echoed on retransmits
 
-	// Legacy-mode echo state: departure timestamp of the first packet that
-	// triggered the pending (delayed) ack.
-	legacyEchoDeparture sim.Time
-	legacyEchoValid     bool
+	// Departure timestamp of the first packet the pending acknowledgment
+	// will cover: the legacy timestamp echo, and on a TACK the uncorrected
+	// FirstEchoDeparture of the Figure 6(a) sampled-vs-advanced comparison.
+	firstEchoDeparture sim.Time
+	firstEchoValid     bool
 
 	lastRho      float64  // last interval loss rate
 	lastLossIACK sim.Time // rate limit: one loss IACK per settle delay
@@ -112,11 +116,13 @@ type Receiver struct {
 // NewReceiver builds the receiving half. Packets are emitted through out.
 func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 	cfg = cfg.withDefaults()
+	legacy := cfg.Mode == ModeLegacy
 	r := &Receiver{
 		loop:           loop,
 		cfg:            cfg,
 		out:            out,
 		buf:            buffer.NewReceiveBuffer(cfg.RecvBuf),
+		policy:         cfg.AckPolicy,
 		loss:           core.NewLossTracker(),
 		budget:         core.NewBlockBudget(cfg.Params),
 		window:         core.NewWindowMonitor(cfg.RecvBuf),
@@ -140,15 +146,18 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 		mFECRepairsWasted:  cfg.Metrics.Counter("fec.repairs_wasted"),
 		mFECDropped:        cfg.Metrics.Counter("fec.dropped"),
 	}
-	r.tracer.FlowParams(loop.Now(), cfg.ConnID, cfg.Mode == ModeLegacy,
+	r.tracer.FlowParams(loop.Now(), cfg.ConnID, legacy,
 		cfg.Params.Beta, cfg.Params.L, cfg.Payload, cfg.Params.SettleFraction)
-	if cfg.AckPolicy != nil {
-		r.policy = cfg.AckPolicy
-	} else if cfg.Mode == ModeTACK {
-		p := cfg.Params
-		r.policy = ackpolicy.NewTACK(p.Beta, p.L)
+	if legacy {
+		r.scheme = legacyReceiver{r}
+		if r.policy == nil {
+			r.policy = ackpolicy.NewDelayed(40 * sim.Millisecond)
+		}
 	} else {
-		r.policy = ackpolicy.NewDelayed(40 * sim.Millisecond)
+		r.scheme = tackReceiver{r}
+		if r.policy == nil {
+			r.policy = ackpolicy.NewTACK(cfg.Params.Beta, cfg.Params.L)
+		}
 	}
 	r.ackTimer = sim.NewTimer(loop, r.onAckTimer)
 	r.settleTimer = sim.NewTimer(loop, r.onSettleTimer)
@@ -213,9 +222,6 @@ func (r *Receiver) Stop() {
 	r.streamTimer.Stop()
 }
 
-// Policy returns the acknowledgment discipline in force.
-func (r *Receiver) Policy() ackpolicy.Policy { return r.policy }
-
 // Delivered returns the in-order bytes handed to the application.
 func (r *Receiver) Delivered() int64 { return int64(r.buf.Delivered()) }
 
@@ -227,7 +233,7 @@ func (r *Receiver) Read(n int) int {
 	got := r.buf.Read(n)
 	if got > 0 {
 		r.Stats.BytesDelivered += int64(got)
-		r.maybeWindowIACK()
+		r.scheme.windowMoved()
 	}
 	r.checkComplete()
 	return got
@@ -366,9 +372,7 @@ func (r *Receiver) updateFloor(oldest uint64) {
 // onSenderIACK handles sender-originated IACKs (handshake completion and
 // RTTmin / oldest-outstanding sync).
 func (r *Receiver) onSenderIACK(p *packet.Packet) {
-	if r.cfg.Mode == ModeTACK {
-		r.updateFloor(p.AckOldestPktSeq)
-	}
+	r.updateFloor(p.AckOldestPktSeq)
 	switch p.IACK {
 	case packet.IACKHandshake, packet.IACKRTTSync:
 		if p.RTTMinNS > 0 {
@@ -421,27 +425,11 @@ func (r *Receiver) onData(p *packet.Packet) {
 	r.deliv.OnDeliver(now, accepted)
 	r.timing.OnData(now, p.SentAt)
 
-	if r.cfg.Mode == ModeTACK {
-		if !r.legacyEchoValid {
-			// First pending packet of this ack interval — the legacy
-			// timestamp echo used for the Figure 6(a) sampled-vs-advanced
-			// comparison.
-			r.legacyEchoDeparture = p.SentAt
-			r.legacyEchoValid = true
-		}
-		_, gapped := r.loss.OnPacket(now, p.PktSeq)
-		if gapped && !r.cfg.DisableIACK {
-			r.armSettleTimer()
-		}
-		// Discard loss state below the sender's oldest outstanding packet
-		// number: those holes can never fill (the sender repaired them
-		// under fresh numbers) and must not clog the unacked lists.
-		r.updateFloor(p.OldestPktSeq)
-	} else if !r.legacyEchoValid {
-		// Legacy timestamp echo: first packet of the pending-ack interval.
-		r.legacyEchoDeparture = p.SentAt
-		r.legacyEchoValid = true
+	if !r.firstEchoValid {
+		r.firstEchoDeparture = p.SentAt
+		r.firstEchoValid = true
 	}
+	r.scheme.onData(now, p)
 
 	if !r.cfg.ManualDrain {
 		r.Stats.BytesDelivered += int64(r.buf.Read(r.buf.Readable()))
@@ -459,7 +447,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 	} else {
 		r.armAckTimer()
 	}
-	r.maybeWindowIACK()
+	r.scheme.windowMoved()
 	r.checkComplete()
 }
 
@@ -538,17 +526,6 @@ func (r *Receiver) onSettleTimer() {
 	r.armSettleTimer()
 }
 
-// maybeWindowIACK announces abrupt receive-window changes immediately.
-func (r *Receiver) maybeWindowIACK() {
-	if r.cfg.Mode != ModeTACK {
-		return
-	}
-	if r.window.Check(r.buf.Window()) {
-		r.Stats.WindowIACKs++
-		r.sendAck(packet.TypeIACK, packet.IACKWindow, telemetry.TrigWindow, nil)
-	}
-}
-
 // sendTACK emits a scheduled acknowledgment (closing the delivery-rate and
 // loss-rate measurement intervals). trigger names the Eq. 3 condition that
 // warranted it (telemetry only).
@@ -587,99 +564,7 @@ func (r *Receiver) sendAck(typ packet.Type, kind packet.IACKKind, trigger uint8,
 		)
 	}
 
-	if r.cfg.Mode == ModeTACK {
-		largest, have := r.loss.Largest()
-		if have {
-			a.LargestPktSeq = largest
-		}
-		a.CumPktSeq = r.contiguousPktSeq()
-		// §5.1: TACK only repeats missing packets already reported by
-		// loss-event IACKs (the settle timer feeds that pool). With IACKs
-		// disabled (Figure 5(a) ablation) nothing enters the pool and loss
-		// recovery falls back to the sender's RTO, exactly as the paper's
-		// "without IACK" arm degrades.
-		// Delivery-rate / loss-rate sync (only TACKs close intervals, so
-		// IACKs do not fragment the measurement).
-		if typ == packet.TypeTACK {
-			sample := r.deliv.EndInterval(now)
-			if sample.Packets > 0 {
-				r.tracer.RateSample(now, r.cfg.ConnID, sample.Bytes, sample.Elapsed, sample.IntervalBps())
-			}
-			r.lastRho = r.loss.CloseInterval()
-			echo := r.timing.OnAckSent(now)
-			if echo.Valid {
-				a.EchoDeparture = echo.Departure
-				a.AckDelay = echo.AckDelay
-			}
-			if r.legacyEchoValid {
-				a.FirstEchoDeparture = r.legacyEchoDeparture
-				r.legacyEchoValid = false
-			}
-		}
-		a.DeliveryRate = uint64(r.deliv.MaxBps(now))
-		a.LossRatePermille = uint16(r.lastRho * 1000)
-		r.policy.Update(float64(a.DeliveryRate), r.rttMin)
-
-		// Block lists.
-		maxBlocks := packet.MaxBlocks(1500)
-		acked := r.loss.AckedRanges()
-		unacked := r.loss.ReportedMissing()
-		if typ == packet.TypeIACK && kind == packet.IACKLoss {
-			// Loss IACK: report the fresh ranges (plus cumulative state).
-			unacked = lossRanges
-		}
-		ackedBudget, unackedBudget := maxBlocks/2, maxBlocks/2
-		if !r.RichEnabled() && !(typ == packet.TypeIACK && kind == packet.IACKLoss) {
-			// TACK-poor: the periodic TACK repeats only the Appendix A
-			// budget. A loss IACK always reports every due range — that is
-			// its entire purpose (§4.4).
-			q := r.budget.Blocks(r.lastRho, r.rhoPrime, r.bdpBytes(now))
-			if q < len(unacked) {
-				unackedBudget = q
-			}
-			ackedBudget = 2 // cumulative prefix plus the freshest block
-		}
-		a.AckedBlocks, a.UnackedBlocks = core.AckBuilder{}.Build(acked, unacked, ackedBudget, unackedBudget)
-		// ReportedThrough: the unacked list is authoritative below the
-		// first pending (unsettled) suspect and below its own truncation
-		// point — everything under it not listed as a gap was received.
-		// A loss IACK carries only the newest gaps (not the full map), so
-		// it must not claim completeness.
-		if kind != packet.IACKLoss {
-			rt := a.LargestPktSeq + 1
-			if fr, ok := r.loss.SuspectFrontier(); ok && fr < rt {
-				rt = fr
-			}
-			if len(a.UnackedBlocks) < len(unacked) {
-				// Truncated: complete only below the first omitted gap.
-				if cut := unacked[len(a.UnackedBlocks)].Lo; cut < rt {
-					rt = cut
-				}
-			}
-			a.ReportedThrough = rt
-		}
-	} else {
-		// Legacy: SACK byte-range blocks above the cumulative point
-		// (skipped entirely in the common in-order case).
-		if r.buf.HasHoles() {
-			next := r.buf.NextExpected()
-			var sack []seqspace.Range
-			for _, rr := range r.buf.RangesView() {
-				if rr.Lo >= next {
-					sack = append(sack, rr)
-				}
-			}
-			if len(sack) > r.cfg.LegacySACKBlocks {
-				// Prefer the newest (highest) blocks, like TCP SACK.
-				sack = sack[len(sack)-r.cfg.LegacySACKBlocks:]
-			}
-			a.AckedBlocks = sack
-		}
-		if r.legacyEchoValid {
-			a.EchoDeparture = r.legacyEchoDeparture
-			r.legacyEchoValid = false
-		}
-	}
+	r.scheme.fill(now, a, typ, kind, lossRanges)
 
 	r.BlockedSamples.Add(float64(r.buf.BlockedBytes()))
 	if typ == packet.TypeTACK {
@@ -709,9 +594,6 @@ func (r *Receiver) sendAck(typ packet.Type, kind packet.IACKKind, trigger uint8,
 	r.nextPktSeq++
 }
 
-// RichEnabled reports whether this receiver sends rich TACKs.
-func (r *Receiver) RichEnabled() bool { return r.cfg.RichTACK }
-
 // bdpBytes estimates the flow's bandwidth-delay product for the block
 // budget regime decision.
 func (r *Receiver) bdpBytes(now sim.Time) float64 {
@@ -740,16 +622,130 @@ func (r *Receiver) DeliveryRateBps() float64 { return r.deliv.MaxBps(r.loop.Now(
 // RTT-sync IACK lands).
 func (r *Receiver) RTTMinSynced() sim.Time { return r.rttMin }
 
-// AckTargetHz returns Eq. 3's target acknowledgment frequency
-// min(bw/(L·MSS), β/RTTmin) evaluated at the receiver's current
-// delivery-rate and RTTmin state, with the same discretizations the
-// live policy applies (the MinInterval α floor; byte-count threshold crossed
-// only on whole-packet arrivals). 0 when neither bound is computable
-// yet or in legacy mode.
-func (r *Receiver) AckTargetHz() float64 {
-	if r.cfg.Mode != ModeTACK {
-		return 0
+// AckTargetHz returns the acknowledgment frequency the scheme aims for at
+// the receiver's current delivery-rate and RTTmin state: Eq. 3's
+// min(bw/(L·MSS), β/RTTmin) on a TACK connection, 0 when neither bound is
+// computable yet or the scheme has no such target (legacy).
+func (r *Receiver) AckTargetHz() float64 { return r.scheme.targetHz() }
+
+// receiverScheme is the receiver half of an acknowledgment scheme: what an
+// arriving DATA packet is tracked by, when the window is worth an immediate
+// acknowledgment, and what an acknowledgment carries. NewReceiver picks one
+// — TACK below, or the legacy-TCP baseline in legacy.go — and the engine
+// only ever calls it.
+type receiverScheme interface {
+	// onData notes an accepted-or-not DATA packet's arrival.
+	onData(now sim.Time, p *packet.Packet)
+	// windowMoved runs whenever the receive window may have changed.
+	windowMoved()
+	// fill completes an outgoing acknowledgment beyond CumAck, Window and
+	// AckSeq. lossRanges are a loss IACK's freshly due ranges.
+	fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kind packet.IACKKind, lossRanges []seqspace.Range)
+	// targetHz answers AckTargetHz.
+	targetHz() float64
+}
+
+// tackReceiver is the paper's scheme: PKT.SEQ loss tracking with a settle
+// delay, window IACKs, and TACKs carrying block lists, the timing echo and
+// the delivery-rate / loss-rate sync. Its state lives on the Receiver.
+type tackReceiver struct{ *Receiver }
+
+func (r tackReceiver) onData(now sim.Time, p *packet.Packet) {
+	_, gapped := r.loss.OnPacket(now, p.PktSeq)
+	if gapped && !r.cfg.DisableIACK {
+		r.armSettleTimer()
 	}
+	// Discard loss state below the sender's oldest outstanding packet
+	// number: those holes can never fill (the sender repaired them under
+	// fresh numbers) and must not clog the unacked lists.
+	r.updateFloor(p.OldestPktSeq)
+}
+
+// windowMoved announces abrupt receive-window changes immediately.
+func (r tackReceiver) windowMoved() {
+	if r.window.Check(r.buf.Window()) {
+		r.Stats.WindowIACKs++
+		r.sendAck(packet.TypeIACK, packet.IACKWindow, telemetry.TrigWindow, nil)
+	}
+}
+
+func (r tackReceiver) fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kind packet.IACKKind, lossRanges []seqspace.Range) {
+	largest, have := r.loss.Largest()
+	if have {
+		a.LargestPktSeq = largest
+	}
+	a.CumPktSeq = r.contiguousPktSeq()
+	// §5.1: TACK only repeats missing packets already reported by
+	// loss-event IACKs (the settle timer feeds that pool). With IACKs
+	// disabled (Figure 5(a) ablation) nothing enters the pool and loss
+	// recovery falls back to the sender's RTO, exactly as the paper's
+	// "without IACK" arm degrades.
+	// Delivery-rate / loss-rate sync (only TACKs close intervals, so
+	// IACKs do not fragment the measurement).
+	if typ == packet.TypeTACK {
+		sample := r.deliv.EndInterval(now)
+		if sample.Packets > 0 {
+			r.tracer.RateSample(now, r.cfg.ConnID, sample.Bytes, sample.Elapsed, sample.IntervalBps())
+		}
+		r.lastRho = r.loss.CloseInterval()
+		echo := r.timing.OnAckSent(now)
+		if echo.Valid {
+			a.EchoDeparture = echo.Departure
+			a.AckDelay = echo.AckDelay
+		}
+		if r.firstEchoValid {
+			a.FirstEchoDeparture = r.firstEchoDeparture
+			r.firstEchoValid = false
+		}
+	}
+	a.DeliveryRate = uint64(r.deliv.MaxBps(now))
+	a.LossRatePermille = uint16(r.lastRho * 1000)
+	r.policy.Update(float64(a.DeliveryRate), r.rttMin)
+
+	// Block lists.
+	maxBlocks := packet.MaxBlocks(1500)
+	acked := r.loss.AckedRanges()
+	unacked := r.loss.ReportedMissing()
+	if typ == packet.TypeIACK && kind == packet.IACKLoss {
+		// Loss IACK: report the fresh ranges (plus cumulative state).
+		unacked = lossRanges
+	}
+	ackedBudget, unackedBudget := maxBlocks/2, maxBlocks/2
+	if !r.cfg.RichTACK && !(typ == packet.TypeIACK && kind == packet.IACKLoss) {
+		// TACK-poor: the periodic TACK repeats only the Appendix A
+		// budget. A loss IACK always reports every due range — that is
+		// its entire purpose (§4.4).
+		q := r.budget.Blocks(r.lastRho, r.rhoPrime, r.bdpBytes(now))
+		if q < len(unacked) {
+			unackedBudget = q
+		}
+		ackedBudget = 2 // cumulative prefix plus the freshest block
+	}
+	a.AckedBlocks, a.UnackedBlocks = core.AckBuilder{}.Build(acked, unacked, ackedBudget, unackedBudget)
+	// ReportedThrough: the unacked list is authoritative below the
+	// first pending (unsettled) suspect and below its own truncation
+	// point — everything under it not listed as a gap was received.
+	// A loss IACK carries only the newest gaps (not the full map), so
+	// it must not claim completeness.
+	if kind != packet.IACKLoss {
+		rt := a.LargestPktSeq + 1
+		if fr, ok := r.loss.SuspectFrontier(); ok && fr < rt {
+			rt = fr
+		}
+		if len(a.UnackedBlocks) < len(unacked) {
+			// Truncated: complete only below the first omitted gap.
+			if cut := unacked[len(a.UnackedBlocks)].Lo; cut < rt {
+				rt = cut
+			}
+		}
+		a.ReportedThrough = rt
+	}
+}
+
+// targetHz evaluates Eq. 3 with the same discretizations the live policy
+// applies (the MinInterval α floor; byte-count threshold crossed only on
+// whole-packet arrivals).
+func (r tackReceiver) targetHz() float64 {
 	beta, l := r.cfg.Params.Beta, r.cfg.Params.L
 	var periodicHz float64
 	if r.rttMin > 0 && beta > 0 {
@@ -773,6 +769,3 @@ func (r *Receiver) AckTargetHz() float64 {
 		return byteHz
 	}
 }
-
-// LossTracker exposes the receiver's loss tracker (diagnostics only).
-func (r *Receiver) LossTracker() *core.LossTracker { return r.loss }

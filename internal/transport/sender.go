@@ -4,7 +4,6 @@ import (
 	"github.com/tacktp/tack/internal/buffer"
 	"github.com/tacktp/tack/internal/cc"
 	"github.com/tacktp/tack/internal/core"
-	"github.com/tacktp/tack/internal/pacing"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/rtt"
 	"github.com/tacktp/tack/internal/seqspace"
@@ -20,7 +19,7 @@ type Sender struct {
 	out  Output
 
 	ctrl  cc.Controller
-	pacer *pacing.Pacer
+	pacer *pacer
 	buf   *buffer.SendBuffer
 
 	// mux is the stream multiplexer (nil on single-bytestream
@@ -42,29 +41,32 @@ type Sender struct {
 	awnd      uint64
 	awndKnown bool
 
-	// Timing.
-	timing    *rtt.SenderTiming // TACK-mode corrected estimator
-	legacyRTT *rtt.Sampler      // legacy-mode biased estimator
+	// scheme is the acknowledgment scheme this half speaks — TACK, or the
+	// legacy-TCP baseline of legacy.go — picked once in NewSender.
+	scheme senderScheme
+
+	// Timing. The corrected estimator and the uncorrected sampler both run
+	// on a TACK flow (one flow yields both series of Figure 6(a)); est is
+	// the one that drives control.
+	timing    *rtt.SenderTiming
+	legacyRTT *rtt.Sampler
+	est       *rtt.Estimate
 	synSentAt sim.Time
 
 	// Handshake retransmission state.
 	synRetries int // SYNs re-sent so far
 
 	// Loss bookkeeping.
-	recoverPkt      uint64 // loss episode ends when acks pass this PKT.SEQ (TACK)
-	recoverSeq      uint64 // ... or this byte seq (legacy)
+	recoverPkt      uint64 // loss episode ends when acks pass this PKT.SEQ
 	inRecovery      bool
-	sacked          seqspace.RangeSet // legacy: sacked byte ranges
 	ackLoss         *core.AckLossEstimator
 	largestAckedPkt uint64
 
-	// Legacy sender-side delivery-rate sampling.
+	// lastDeliveredBytes is the send buffer's released-bytes counter as of
+	// the previous acknowledgment (the controller is fed the difference).
 	lastDeliveredBytes int64
-	lastDeliveredAt    sim.Time
-	lastRateBytes      int64
-	deliveredBytes     int64
 
-	// RTTmin / oldest-outstanding sync (TACK mode).
+	// RTTmin / oldest-outstanding sync.
 	syncedRTTMin     sim.Time
 	lastSyncAt       sim.Time
 	advertisedOldest uint64
@@ -136,7 +138,7 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		cfg:       cfg,
 		out:       out,
 		ctrl:      ctrl,
-		pacer:     pacing.New(ctrl.PacingRate(), 10*cfg.Payload),
+		pacer:     newPacer(ctrl.PacingRate(), 10*cfg.Payload),
 		buf:       buffer.NewSendBuffer(),
 		timing:    rtt.NewSenderTiming(0),
 		legacyRTT: rtt.NewSampler(0),
@@ -162,6 +164,14 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		mFECRepairBytes: cfg.Metrics.Counter("fec.repair_bytes_sent"),
 		mFECQueueDrops:  cfg.Metrics.Counter("fec.queue_drops"),
 		mFECRatio:       cfg.Metrics.Gauge("fec.redundancy_ratio"),
+	}
+	if cfg.Mode == ModeLegacy {
+		s.scheme, s.est = &legacySender{s: s}, &s.legacyRTT.Estimate
+	} else {
+		s.scheme, s.est = tackSender{s}, &s.timing.Estimate
+		if cfg.LegacyTiming {
+			s.est = &s.legacyRTT.Estimate
+		}
 	}
 	if cfg.Loss.Detector == DetectorRACK {
 		s.rack = newRackState()
@@ -246,17 +256,18 @@ func (s *Sender) Controller() cc.Controller { return cc.Unwrap(s.ctrl) }
 
 // RTTMin returns the sender's current minimum-RTT estimate.
 func (s *Sender) RTTMin() (sim.Time, bool) {
-	return s.est().Min(s.loop.Now())
+	return s.est.Min(s.loop.Now())
 }
 
 // SRTT returns the smoothed RTT estimate.
-func (s *Sender) SRTT() sim.Time { return s.est().Smoothed() }
+func (s *Sender) SRTT() sim.Time { return s.est.Smoothed() }
 
-func (s *Sender) est() *rtt.Estimate {
-	if s.cfg.Mode == ModeTACK && !s.cfg.LegacyTiming {
-		return &s.timing.Estimate
+// srttOrGuess is SRTT with a 100 ms stand-in before the first sample.
+func (s *Sender) srttOrGuess() sim.Time {
+	if srtt := s.est.Smoothed(); srtt > 0 {
+		return srtt
 	}
-	return &s.legacyRTT.Estimate
+	return 100 * sim.Millisecond
 }
 
 // SampledRTTMin returns the legacy (uncorrected) estimator's minimum — the
@@ -274,38 +285,30 @@ func (s *Sender) AdvancedRTTMin() (sim.Time, bool) {
 	return s.timing.Estimate.Min(s.loop.Now())
 }
 
-func (s *Sender) rto() sim.Time {
-	rto := s.est().RTO(s.cfg.MinRTO, s.cfg.MaxRTO, sim.Second)
-	if s.cfg.Mode == ModeTACK {
-		// Like QUIC's PTO, the timeout budgets the receiver's maximum
-		// acknowledgment delay: one TACK interval plus the IACK settle
-		// delay (each RTTmin/4 at the defaults).
-		if min, ok := s.est().Min(s.loop.Now()); ok {
-			rto += min / 2
-		}
-	}
-	return rto << s.rtoBackoff
+// rtoAfter returns the data-path retransmission timeout after backoff
+// doublings: the estimator's RTO plus the scheme's budget for the
+// receiver's acknowledgment hold, doubled, and only then clamped — MaxRTO
+// bounds the timeout that is armed, like handshakeRTO's.
+func (s *Sender) rtoAfter(backoff int) sim.Time {
+	rto := s.est.RTO(s.cfg.MinRTO, s.cfg.MaxRTO, sim.Second) + s.scheme.rtoHold(s.loop.Now())
+	return min(rto<<backoff, s.cfg.MaxRTO)
 }
+
+func (s *Sender) rto() sim.Time { return s.rtoAfter(s.rtoBackoff) }
 
 // BaseRTO returns the current retransmission timeout before exponential
 // backoff — the stable per-connection timescale the endpoint's stall
 // detector multiplies (backoff would make an N×RTO threshold chase its
 // own tail during the very stalls it is meant to catch).
-func (s *Sender) BaseRTO() sim.Time {
-	rto := s.est().RTO(s.cfg.MinRTO, s.cfg.MaxRTO, sim.Second)
-	if s.cfg.Mode == ModeTACK {
-		if min, ok := s.est().Min(s.loop.Now()); ok {
-			rto += min / 2
-		}
-	}
-	return rto
-}
+func (s *Sender) BaseRTO() sim.Time { return s.rtoAfter(0) }
 
-// inflight returns unacknowledged payload bytes.
-func (s *Sender) inflight() int { return s.buf.Bytes() }
+// Inflight returns unacknowledged payload bytes.
+func (s *Sender) Inflight() int { return s.buf.Bytes() }
 
-// streamRemaining reports whether un-transmitted stream bytes remain.
-func (s *Sender) streamRemaining() bool {
+// StreamBacklog reports whether un-transmitted application bytes remain
+// (stream frames queued, app-paced bytes pending, or a bounded transfer
+// not yet fully handed to the network).
+func (s *Sender) StreamBacklog() bool {
 	if s.mux != nil {
 		_, ok := s.mux.NextFrameLen(1)
 		return ok
@@ -333,22 +336,18 @@ func (s *Sender) AddBytes(n int64) {
 // network so far).
 func (s *Sender) SentSeq() uint64 { return s.nextSeq }
 
-// window returns the byte budget currently available for new data.
-func (s *Sender) window() int {
-	w := s.ctrl.CWND() - s.inflight()
+// WindowFree returns the byte budget currently available for new data
+// (cwnd and peer-advertised window minus flight); ≤ 0 means the sender
+// is window-blocked.
+func (s *Sender) WindowFree() int {
+	w := s.ctrl.CWND() - s.Inflight()
 	if s.awndKnown {
-		if peer := int64(s.awnd) - int64(s.inflight()); int64(w) > peer {
+		if peer := int64(s.awnd) - int64(s.Inflight()); int64(w) > peer {
 			w = int(peer)
 		}
 	}
 	return w
 }
-
-// WindowFree returns the byte budget currently available for new data
-// (cwnd and peer-advertised window minus flight); ≤ 0 means the sender
-// is window-blocked. Introspection for snapshots and the endpoint's
-// window-exhaustion detector.
-func (s *Sender) WindowFree() int { return s.window() }
 
 // CWND returns the congestion controller's current window in bytes.
 func (s *Sender) CWND() int { return s.ctrl.CWND() }
@@ -357,11 +356,6 @@ func (s *Sender) CWND() int { return s.ctrl.CWND() }
 // whether one has been seen.
 func (s *Sender) PeerWindow() (uint64, bool) { return s.awnd, s.awndKnown }
 
-// StreamBacklog reports whether un-transmitted application bytes remain
-// (stream frames queued, app-paced bytes pending, or a bounded transfer
-// not yet fully handed to the network).
-func (s *Sender) StreamBacklog() bool { return s.streamRemaining() }
-
 // trySend transmits retransmissions first, then new data, subject to the
 // congestion window, the peer window, and pacing.
 func (s *Sender) trySend() {
@@ -369,10 +363,7 @@ func (s *Sender) trySend() {
 		return
 	}
 	now := s.loop.Now()
-	srtt := s.est().Smoothed()
-	if srtt <= 0 {
-		srtt = 100 * sim.Millisecond
-	}
+	srtt := s.srttOrGuess()
 	// 1. Pending retransmissions (loss-marked segments), one pass in
 	// stream order. Segments still in their once-per-RTT cooldown keep
 	// their mark and are retried when eligible.
@@ -389,13 +380,13 @@ func (s *Sender) trySend() {
 	if !paceBlocked {
 		for budgetGuard := 0; budgetGuard < 4096; budgetGuard++ {
 			next := s.nextChunk()
-			if next <= 0 || s.window() < next {
+			if next <= 0 || s.WindowFree() < next {
 				break
 			}
 			if !s.cfg.DisablePacing && !s.pacer.CanSend(now, next) {
 				break
 			}
-			s.sendNewSegment(now)
+			s.sendNewSegment(now, next)
 		}
 	}
 	// 3. FEC repairs: seal tail groups of momentarily-dry streams, then
@@ -423,7 +414,7 @@ func (s *Sender) nextChunk() int {
 		}
 		return n
 	}
-	if !s.streamRemaining() {
+	if !s.StreamBacklog() {
 		return 0
 	}
 	n := s.cfg.Payload
@@ -440,88 +431,38 @@ func (s *Sender) nextChunk() int {
 	return n
 }
 
-func (s *Sender) sendNewSegment(now sim.Time) {
+// sendNewSegment transmits the next n bytes of new data (n is what
+// nextChunk just returned): the flat bytestream's next chunk, or — on
+// stream-multiplexed connections — the scheduler's next frame, whose
+// connection-sequence footprint (payload plus FIN phantom byte) advances
+// nextSeq so the acknowledgment machinery below the stream layer is
+// untouched.
+func (s *Sender) sendNewSegment(now sim.Time, n int) {
+	seg := &buffer.Segment{Seq: s.nextSeq, Len: n, PktSeq: s.nextPktSeq, SentAt: now}
+	var p *packet.Packet
 	if s.mux != nil {
-		s.sendStreamFrame(now)
-		return
-	}
-	n := s.cfg.Payload
-	if s.cfg.TransferBytes > 0 {
-		if rem := s.cfg.TransferBytes - int64(s.nextSeq); int64(n) > rem {
-			n = int(rem)
+		fr, ok := s.mux.NextFrame(now, s.cfg.Payload)
+		if !ok {
+			return
 		}
-	}
-	if s.cfg.AppPaced {
-		if rem := s.appAvail - int64(s.nextSeq); int64(n) > rem {
-			n = int(rem)
+		seg.Len = fr.WireLen()
+		seg.HasStream, seg.StreamID, seg.StreamOff, seg.StreamFIN = true, fr.ID, fr.Off, fr.FIN
+		p = s.dataPacket(seg, fr.Data, false)
+		// Fold the packet into its stream's repair group (no-op for
+		// unprotected streams); the tag must be on the wire packet so the
+		// receiver's decoder can key it.
+		s.fecCapture(now, p, &fr)
+	} else {
+		if s.cfg.TransferBytes > 0 && int64(s.nextSeq)+int64(n) >= s.cfg.TransferBytes {
+			seg.FIN = true
+			s.finSent = true
 		}
-	}
-	if n <= 0 {
-		return
-	}
-	fin := false
-	if s.cfg.TransferBytes > 0 && int64(s.nextSeq)+int64(n) >= s.cfg.TransferBytes {
-		fin = true
-		s.finSent = true
-	}
-	p := &packet.Packet{
-		Type:         packet.TypeData,
-		ConnID:       s.cfg.ConnID,
-		PktSeq:       s.nextPktSeq,
-		SentAt:       now,
-		Seq:          s.nextSeq,
-		Payload:      s.payload[:n],
-		FIN:          fin,
-		OldestPktSeq: s.buf.OldestPktSeq(s.nextPktSeq),
-	}
-	if p.OldestPktSeq > s.advertisedOldest {
-		s.advertisedOldest = p.OldestPktSeq
-	}
-	seg := &buffer.Segment{Seq: s.nextSeq, Len: n, PktSeq: s.nextPktSeq, SentAt: now, FIN: fin}
-	s.buf.Insert(seg)
-	s.nextSeq += uint64(n)
-	s.nextPktSeq++
-	s.emitData(p, n)
-}
-
-// sendStreamFrame commits the stream scheduler's next frame as a DATA
-// packet. The frame's connection-sequence footprint (payload plus FIN
-// phantom byte) advances nextSeq, so the TACK/IACK machinery below the
-// stream layer is untouched.
-func (s *Sender) sendStreamFrame(now sim.Time) {
-	fr, ok := s.mux.NextFrame(now, s.cfg.Payload)
-	if !ok {
-		return
-	}
-	wire := fr.WireLen()
-	p := &packet.Packet{
-		Type:         packet.TypeData,
-		ConnID:       s.cfg.ConnID,
-		PktSeq:       s.nextPktSeq,
-		SentAt:       now,
-		Seq:          s.nextSeq,
-		Payload:      fr.Data,
-		HasStream:    true,
-		StreamID:     fr.ID,
-		StreamOff:    fr.Off,
-		StreamFIN:    fr.FIN,
-		OldestPktSeq: s.buf.OldestPktSeq(s.nextPktSeq),
-	}
-	if p.OldestPktSeq > s.advertisedOldest {
-		s.advertisedOldest = p.OldestPktSeq
-	}
-	// Fold the packet into its stream's repair group (no-op for
-	// unprotected streams); the tag must be on the wire packet so the
-	// receiver's decoder can key it.
-	s.fecCapture(now, p, &fr)
-	seg := &buffer.Segment{
-		Seq: s.nextSeq, Len: wire, PktSeq: s.nextPktSeq, SentAt: now,
-		HasStream: true, StreamID: fr.ID, StreamOff: fr.Off, StreamFIN: fr.FIN,
+		p = s.dataPacket(seg, s.payload[:n], false)
 	}
 	s.buf.Insert(seg)
-	s.nextSeq += uint64(wire)
+	s.nextSeq += uint64(seg.Len)
 	s.nextPktSeq++
-	s.emitData(p, wire)
+	s.emitData(p, seg.Len)
 }
 
 func (s *Sender) retransmit(now sim.Time, seg *buffer.Segment) {
@@ -544,14 +485,23 @@ func (s *Sender) retransmit(now sim.Time, seg *buffer.Segment) {
 	} else {
 		payload = s.payload[:seg.Len]
 	}
+	p := s.dataPacket(seg, payload, true)
+	s.nextPktSeq++
+	s.Stats.Retransmits++
+	s.emitData(p, seg.Len)
+}
+
+// dataPacket builds the DATA packet for seg's current transmission and
+// advertises the oldest outstanding packet number on it.
+func (s *Sender) dataPacket(seg *buffer.Segment, payload []byte, retrans bool) *packet.Packet {
 	p := &packet.Packet{
 		Type:         packet.TypeData,
 		ConnID:       s.cfg.ConnID,
-		PktSeq:       s.nextPktSeq,
-		SentAt:       now,
+		PktSeq:       seg.PktSeq,
+		SentAt:       seg.SentAt,
 		Seq:          seg.Seq,
 		Payload:      payload,
-		Retrans:      true,
+		Retrans:      retrans,
 		FIN:          seg.FIN,
 		HasStream:    seg.HasStream,
 		StreamID:     seg.StreamID,
@@ -562,9 +512,7 @@ func (s *Sender) retransmit(now sim.Time, seg *buffer.Segment) {
 	if p.OldestPktSeq > s.advertisedOldest {
 		s.advertisedOldest = p.OldestPktSeq
 	}
-	s.nextPktSeq++
-	s.Stats.Retransmits++
-	s.emitData(p, seg.Len)
+	return p
 }
 
 func (s *Sender) emitData(p *packet.Packet, n int) {
@@ -586,13 +534,9 @@ func (s *Sender) armSendTimer() {
 		return
 	}
 	now := s.loop.Now()
-	srtt := s.est().Smoothed()
-	if srtt <= 0 {
-		srtt = 100 * sim.Millisecond
-	}
 	pendingRetx := s.buf.HasMarked() || len(s.fecQueue) > 0
 	next := s.nextChunk()
-	canNew := next > 0 && s.window() >= next
+	canNew := next > 0 && s.WindowFree() >= next
 	if !pendingRetx && !canNew {
 		return // ack arrival will re-arm
 	}
@@ -601,7 +545,7 @@ func (s *Sender) armSendTimer() {
 	// every eligible one) — a poll a fraction of an RTT out.
 	at := now
 	if !canNew {
-		at = now + srtt/8
+		at = now + s.srttOrGuess()/8
 	}
 	if s.cfg.DisablePacing {
 		// ACK-clocked: bursts happen on ack arrival; poll at the
@@ -676,13 +620,13 @@ func (s *Sender) onRTO() {
 	}
 	s.Stats.Timeouts++
 	s.mTimeouts.Inc()
-	s.tracer.RTOFired(now, s.cfg.ConnID, s.inflight(), s.rtoBackoff)
+	s.tracer.RTOFired(now, s.cfg.ConnID, s.Inflight(), s.rtoBackoff)
 	s.rtoBackoff++
 	if s.rtoBackoff > 6 {
 		s.rtoBackoff = 6
 	}
-	s.tracer.LossEpisode(now, s.cfg.ConnID, s.inflight(), s.inflight(), true)
-	s.ctrl.OnLoss(cc.Loss{Now: now, Bytes: s.inflight(), Inflight: s.inflight(), Timeout: true})
+	s.tracer.LossEpisode(now, s.cfg.ConnID, s.Inflight(), s.Inflight(), true)
+	s.ctrl.OnLoss(cc.Loss{Now: now, Bytes: s.Inflight(), Inflight: s.Inflight(), Timeout: true})
 	s.pacer.SetRate(now, s.ctrl.PacingRate())
 	if s.rack != nil {
 		// The timeout supersedes any pending tail probe; a new flight will
@@ -712,11 +656,12 @@ func (s *Sender) OnPathMigration() {
 	if ctrl, err := newController(s.cfg); err == nil {
 		s.ctrl = ctrl
 	}
-	s.timing = rtt.NewSenderTiming(0)
-	s.legacyRTT = rtt.NewSampler(0)
+	// Reseeded in place: est keeps pointing at the one that drives control.
+	*s.timing = *rtt.NewSenderTiming(0)
+	*s.legacyRTT = *rtt.NewSampler(0)
 	s.rtoBackoff = 0
 	s.inRecovery = false
-	s.pacer = pacing.New(s.ctrl.PacingRate(), 10*s.cfg.Payload)
+	s.pacer = newPacer(s.ctrl.PacingRate(), 10*s.cfg.Payload)
 	if s.rack != nil {
 		// The reorder window was learned on the old path; the pending tail
 		// probe was timed against the old SRTT.
@@ -758,7 +703,7 @@ func (s *Sender) onSynAck(p *packet.Packet) {
 	s.established = true
 	s.rtoBackoff = 0
 	initialRTT := now - s.synSentAt
-	s.est().Update(now, initialRTT)
+	s.est.Update(now, initialRTT)
 	s.pacer.SetRate(now, s.ctrl.PacingRate())
 	if s.mux != nil && p.Ack != nil {
 		// The SYNACK carries the peer's initial per-stream window grant
@@ -775,14 +720,19 @@ func (s *Sender) onSynAck(p *packet.Packet) {
 // to the receiver (§5.4).
 func (s *Sender) sendRTTSync(kind packet.IACKKind) {
 	now := s.loop.Now()
-	min, ok := s.est().Min(now)
+	min, ok := s.est.Min(now)
 	if !ok {
 		return
 	}
 	s.syncedRTTMin = min
 	s.lastSyncAt = now
 	s.Stats.RTTSyncsSent++
-	oldest := s.buf.OldestPktSeq(s.nextPktSeq)
+	s.sendSyncIACK(now, kind, min, s.buf.OldestPktSeq(s.nextPktSeq))
+}
+
+// sendSyncIACK emits the sender-originated IACK both syncs share: RTTmin,
+// the oldest outstanding packet number and the ACK-path loss estimate.
+func (s *Sender) sendSyncIACK(now sim.Time, kind packet.IACKKind, min sim.Time, oldest uint64) {
 	s.advertisedOldest = oldest
 	s.lastOldestSync = now
 	s.tracer.RTTSync(now, s.cfg.ConnID, iackTrigger(kind), oldest, min, s.ackLoss.Rate())
@@ -795,42 +745,156 @@ func (s *Sender) sendRTTSync(kind packet.IACKKind) {
 	})
 }
 
-// maybeSyncOldest keeps the receiver's loss-state floor fresh when the
-// data path cannot (window-starved or idle): if the oldest outstanding
-// packet number advanced past what data packets last advertised, sync it
-// with a state IACK (§4.4), rate-limited to a fraction of the RTT.
-func (s *Sender) maybeSyncOldest() {
-	now := s.loop.Now()
-	oldest := s.buf.OldestPktSeq(s.nextPktSeq)
-	if oldest <= s.advertisedOldest {
-		return
+// senderScheme is the sender half of an acknowledgment scheme: what the
+// peer's acknowledgments carry and what the sender owes it back. NewSender
+// picks one — TACK below, or the legacy-TCP baseline in legacy.go — and the
+// engine only ever calls it.
+type senderScheme interface {
+	// rtoHold and rackHold are the scheme's budgets for the longest the
+	// receiver may hold an acknowledgment, added to the retransmission
+	// timeout and to the RACK loss deadline.
+	rtoHold(now sim.Time) sim.Time
+	rackHold() sim.Time
+	// absorb applies one acknowledgment beyond its cumulative byte point
+	// (already released): selective release, the timing echo, and whatever
+	// the receiver reported lost.
+	absorb(now sim.Time, p *packet.Packet) ackSample
+	// lossEpisodeBegan records where the episode that just opened ends.
+	lossEpisodeBegan()
+	// afterAck closes the acknowledgment: recovery exit, and anything the
+	// scheme sends back to the receiver.
+	afterAck(a *packet.AckInfo)
+}
+
+// ackSample is what a scheme extracts from one acknowledgment.
+type ackSample struct {
+	rtt          sim.Time // sample for the control estimator (0: none)
+	rackRTT      sim.Time // the same echo as RACK wants it: receiver hold included
+	lost         int      // bytes newly marked lost from the receiver's reports
+	deliveryRate float64  // bit/s (0: none)
+}
+
+// tackSender is the paper's scheme: packet-number block lists, the Δt-
+// corrected timing echo, receiver-reported losses and a receiver-computed
+// delivery rate in, RTTmin / oldest-outstanding sync IACKs out. Its state
+// lives on the Sender — TACK is the engine.
+type tackSender struct{ *Sender }
+
+// rtoHold: like QUIC's PTO, the timeout budgets the receiver's maximum
+// acknowledgment delay — one TACK interval plus the IACK settle delay (each
+// RTTmin/4 at the defaults).
+func (s tackSender) rtoHold(now sim.Time) sim.Time {
+	if min, ok := s.est.Min(now); ok {
+		return min / 2
 	}
-	interval := s.est().Smoothed() / 4
-	if interval < 5*sim.Millisecond {
-		interval = 5 * sim.Millisecond
+	return 0
+}
+
+// rackHold: TACK thinning can hold an acknowledgment up to one TACK
+// interval (~RTT/4) beyond the RTT the latest sample happened to observe;
+// the RACK deadline budgets for the worst case like the probe timeout does,
+// or every segment behind a fully-held ack ages into a spurious mark.
+func (s tackSender) rackHold() sim.Time {
+	if m, ok := s.rack.minRTT.Min(); ok {
+		return m / 4
 	}
-	if now-s.lastOldestSync < interval {
-		return
+	return 0
+}
+
+func (s tackSender) absorb(now sim.Time, p *packet.Packet) ackSample {
+	a := p.Ack
+	s.buf.AckPktRanges(a.AckedBlocks)
+	// Everything below the cumulative packet number was received, even if
+	// its selective-ack block was crowded out of the TACK's budget;
+	// releasing it keeps the oldest-outstanding floor advancing (which in
+	// turn lets the receiver drop dead holes).
+	s.buf.ReleasePktBelow(a.CumPktSeq)
+	// Below ReportedThrough the unacked list is complete, so the
+	// complement of the listed gaps was received: release it too.
+	if a.ReportedThrough > 0 {
+		cur := a.CumPktSeq
+		var recvd []seqspace.Range
+		for _, gap := range a.UnackedBlocks {
+			if gap.Lo >= a.ReportedThrough {
+				break
+			}
+			if gap.Lo > cur {
+				recvd = append(recvd, seqspace.Range{Lo: cur, Hi: gap.Lo})
+			}
+			if gap.Hi > cur {
+				cur = gap.Hi
+			}
+		}
+		if cur < a.ReportedThrough {
+			recvd = append(recvd, seqspace.Range{Lo: cur, Hi: a.ReportedThrough})
+		}
+		if len(recvd) > 0 {
+			s.buf.AckPktRanges(recvd)
+		}
 	}
-	s.advertisedOldest = oldest
-	s.lastOldestSync = now
-	min, _ := s.est().Min(now)
-	s.tracer.RTTSync(now, s.cfg.ConnID, telemetry.TrigRTTSync, oldest, min, s.ackLoss.Rate())
-	s.out(&packet.Packet{
-		Type: packet.TypeIACK, ConnID: s.cfg.ConnID, SentAt: now,
-		IACK: packet.IACKRTTSync, RTTMinNS: int64(min), AckOldestPktSeq: oldest,
-		Ack: &packet.AckInfo{LossRatePermille: uint16(s.ackLoss.Rate() * 1000)},
-	})
+	if a.LargestPktSeq > s.largestAckedPkt {
+		s.largestAckedPkt = a.LargestPktSeq
+	}
+
+	var got ackSample
+	if a.EchoDeparture > 0 {
+		e := rtt.Echo{Departure: a.EchoDeparture, AckDelay: a.AckDelay, Valid: true}
+		before := s.timing.Samples()
+		s.timing.OnAck(now, e)
+		if s.timing.Samples() > before {
+			got.rtt = now - a.EchoDeparture - a.AckDelay
+		}
+	}
+	if a.FirstEchoDeparture > 0 {
+		// The uncorrected sampler runs in parallel, echoing the first
+		// pending packet with no Δt correction — exactly what legacy RTT
+		// sampling under delayed ACKs measures (Figure 6). It only drives
+		// control when LegacyTiming is set.
+		s.legacyRTT.OnAck(now, a.FirstEchoDeparture)
+		if s.cfg.LegacyTiming {
+			got.rtt = now - a.FirstEchoDeparture
+		}
+	}
+	// RACK deadlines bound a segment's age at ack *arrival*, so its RTT
+	// base keeps the receiver's ack hold (no Δt correction): under TACK
+	// thinning an ack legitimately arrives a full TACK interval after the
+	// corrected RTT, and a corrected base would age every segment sitting
+	// behind a held acknowledgment into a spurious loss mark.
+	got.rackRTT = got.rtt
+	if a.EchoDeparture > 0 {
+		got.rackRTT = now - a.EchoDeparture
+	}
+
+	// Receiver-reported losses: the TACK's unacked list, or — for a loss
+	// IACK that lists nothing — everything between its two packet numbers.
+	ranges := a.UnackedBlocks
+	if p.IACK == packet.IACKLoss && len(ranges) == 0 && a.LargestPktSeq > a.CumPktSeq {
+		ranges = []seqspace.Range{{Lo: a.CumPktSeq, Hi: a.LargestPktSeq}}
+	}
+	for _, seg := range s.buf.MarkLossByPktRanges(ranges) {
+		got.lost += seg.Len
+		s.tracer.LossMarked(now, s.cfg.ConnID, telemetry.TrigDetDupThresh,
+			seg.Seq, seg.PktSeq, seg.Len, 0, now-seg.SentAt)
+	}
+	got.deliveryRate = float64(a.DeliveryRate)
+	return got
+}
+
+func (s tackSender) lossEpisodeBegan() { s.recoverPkt = s.nextPktSeq }
+
+func (s tackSender) afterAck(*packet.AckInfo) {
+	if s.inRecovery && s.largestAckedPkt >= s.recoverPkt {
+		s.inRecovery = false
+	}
+	s.maybeSyncRTTMin()
+	s.maybeSyncOldest()
 }
 
 // maybeSyncRTTMin re-syncs when the estimate moved by >10% (rate-limited
 // to one per second).
-func (s *Sender) maybeSyncRTTMin() {
-	if s.cfg.Mode != ModeTACK {
-		return
-	}
+func (s tackSender) maybeSyncRTTMin() {
 	now := s.loop.Now()
-	min, ok := s.est().Min(now)
+	min, ok := s.est.Min(now)
 	if !ok || now-s.lastSyncAt < sim.Second {
 		return
 	}
@@ -846,8 +910,30 @@ func (s *Sender) maybeSyncRTTMin() {
 	s.sendRTTSync(packet.IACKRTTSync)
 }
 
-// onAck is the heart of the sender: cumulative/selective release, loss
-// marking, timing, and congestion-controller feedback.
+// maybeSyncOldest keeps the receiver's loss-state floor fresh when the
+// data path cannot (window-starved or idle): if the oldest outstanding
+// packet number advanced past what data packets last advertised, sync it
+// with a state IACK (§4.4), rate-limited to a fraction of the RTT.
+func (s tackSender) maybeSyncOldest() {
+	now := s.loop.Now()
+	oldest := s.buf.OldestPktSeq(s.nextPktSeq)
+	if oldest <= s.advertisedOldest {
+		return
+	}
+	interval := s.est.Smoothed() / 4
+	if interval < 5*sim.Millisecond {
+		interval = 5 * sim.Millisecond
+	}
+	if now-s.lastOldestSync < interval {
+		return
+	}
+	min, _ := s.est.Min(now)
+	s.sendSyncIACK(now, packet.IACKRTTSync, min, oldest)
+}
+
+// onAck is the heart of the sender: cumulative release, the scheme's share
+// (selective release, timing, reported losses), RACK, and
+// congestion-controller feedback.
 func (s *Sender) onAck(p *packet.Packet) {
 	now := s.loop.Now()
 	a := p.Ack
@@ -877,101 +963,26 @@ func (s *Sender) onAck(p *packet.Packet) {
 		s.cumAcked = a.CumAck
 		s.rtoBackoff = 0
 		s.restartRTO()
-	} else if s.cfg.Mode == ModeTACK && a.LargestPktSeq > s.largestAckedPkt {
+	} else if a.LargestPktSeq > s.largestAckedPkt {
 		// QUIC-style: any acknowledgment of new data proves the pipe is
 		// alive; hole repair is the loss-report machinery's job, so the
-		// timeout only backstops total silence.
+		// timeout only backstops total silence. (Legacy acknowledgments
+		// carry no packet numbers and never get here.)
 		s.rtoBackoff = 0
 		s.restartRTO()
 	}
 	s.buf.AckBytes(a.CumAck)
-	if s.cfg.Mode == ModeTACK {
-		s.buf.AckPktRanges(a.AckedBlocks)
-		// Everything below the cumulative packet number was received, even
-		// if its selective-ack block was crowded out of the TACK's budget;
-		// releasing it keeps the oldest-outstanding floor advancing (which
-		// in turn lets the receiver drop dead holes).
-		s.buf.ReleasePktBelow(a.CumPktSeq)
-		// Below ReportedThrough the unacked list is complete, so the
-		// complement of the listed gaps was received: release it too.
-		if a.ReportedThrough > 0 {
-			cur := a.CumPktSeq
-			var recvd []seqspace.Range
-			for _, gap := range a.UnackedBlocks {
-				if gap.Lo >= a.ReportedThrough {
-					break
-				}
-				if gap.Lo > cur {
-					recvd = append(recvd, seqspace.Range{Lo: cur, Hi: gap.Lo})
-				}
-				if gap.Hi > cur {
-					cur = gap.Hi
-				}
-			}
-			if cur < a.ReportedThrough {
-				recvd = append(recvd, seqspace.Range{Lo: cur, Hi: a.ReportedThrough})
-			}
-			if len(recvd) > 0 {
-				s.buf.AckPktRanges(recvd)
-			}
-		}
-		if a.LargestPktSeq > s.largestAckedPkt {
-			s.largestAckedPkt = a.LargestPktSeq
-		}
-	} else {
-		// Legacy: acked blocks are byte ranges (SACK).
-		for _, r := range a.AckedBlocks {
-			s.sacked.AddRange(r)
-		}
-		s.sacked.RemoveBelow(a.CumAck)
-		s.releaseSackedSegments()
-	}
+	got := s.scheme.absorb(now, p)
 	ackedBytes := s.buf.ReleasedBytes() - s.lastDeliveredBytes
 	if ackedBytes < 0 {
 		ackedBytes = 0
 	}
-	s.deliveredBytes = s.buf.ReleasedBytes()
-
-	// --- Timing. ---
-	var rttSample sim.Time
-	if s.cfg.Mode == ModeTACK {
-		if a.EchoDeparture > 0 {
-			e := rtt.Echo{Departure: a.EchoDeparture, AckDelay: a.AckDelay, Valid: true}
-			before := s.timing.Samples()
-			s.timing.OnAck(now, e)
-			if s.timing.Samples() > before {
-				rttSample = now - a.EchoDeparture - a.AckDelay
-			}
-		}
-		if a.FirstEchoDeparture > 0 {
-			// The legacy estimator runs in parallel, echoing the first
-			// pending packet with no Δt correction — exactly what legacy
-			// RTT sampling under delayed ACKs measures (Figure 6). It only
-			// drives control when LegacyTiming is set.
-			s.legacyRTT.OnAck(now, a.FirstEchoDeparture)
-			if s.cfg.LegacyTiming {
-				rttSample = now - a.FirstEchoDeparture
-			}
-		}
-	} else if a.EchoDeparture > 0 {
-		// Legacy timestamp echo: no ACK-delay correction.
-		s.legacyRTT.OnAck(now, a.EchoDeparture)
-		rttSample = now - a.EchoDeparture
-	}
 
 	// --- Loss handling. ---
+	lostBytes := got.lost
 	if s.rack != nil {
-		// RACK deadlines bound a segment's age at ack *arrival*, so its RTT
-		// base keeps the receiver's ack hold (no Δt correction): under TACK
-		// thinning an ack legitimately arrives a full TACK interval after
-		// the corrected RTT, and a corrected base would age every segment
-		// sitting behind a held acknowledgment into a spurious loss mark.
-		rackSample := rttSample
-		if s.cfg.Mode == ModeTACK && a.EchoDeparture > 0 {
-			rackSample = now - a.EchoDeparture
-		}
-		if rackSample > 0 {
-			s.rack.onRTTSample(rackSample)
+		if got.rackRTT > 0 {
+			s.rack.onRTTSample(got.rackRTT)
 		}
 		if s.rack.tlpOut && (s.largestAckedPkt >= s.rack.tlpHighPkt ||
 			s.buf.ByPktSeq(s.rack.tlpHighPkt) == nil) {
@@ -979,46 +990,29 @@ func (s *Sender) onAck(p *packet.Packet) {
 			// segment was released/superseded: the probe is answered.
 			s.rack.tlpOut = false
 		}
-	}
-	lostBytes := s.handleLossReports(now, a, p.IACK == packet.IACKLoss)
-	if s.rack != nil {
 		lostBytes += s.rackDetect(now)
 	}
 
-	// --- Delivery rate. ---
-	var deliveryRate float64
-	if s.cfg.Mode == ModeTACK {
-		deliveryRate = float64(a.DeliveryRate)
-	} else {
-		deliveryRate = s.legacyDeliveryRate(now)
-	}
-
 	s.mAcksReceived.Inc()
-	if rttSample > 0 {
-		s.mRTT.Observe(rttSample.Seconds())
+	if got.rtt > 0 {
+		s.mRTT.Observe(got.rtt.Seconds())
 	}
 	s.tracer.AckReceived(now, s.cfg.ConnID, iackTrigger(p.IACK), a.CumAck,
-		a.LargestPktSeq, ackedBytes, rttSample, deliveryRate)
+		a.LargestPktSeq, ackedBytes, got.rtt, got.deliveryRate)
 
 	// --- Feed the controller. ---
-	min, _ := s.est().Min(now)
+	min, _ := s.est.Min(now)
 	s.ctrl.OnAck(cc.Ack{
 		Now:          now,
 		Bytes:        int(ackedBytes),
-		RTT:          rttSample,
-		SRTT:         s.est().Smoothed(),
+		RTT:          got.rtt,
+		SRTT:         s.est.Smoothed(),
 		MinRTT:       min,
-		DeliveryRate: deliveryRate,
-		Inflight:     s.inflight(),
-		AppLimited:   !s.streamRemaining() && s.buf.Len() == 0,
+		DeliveryRate: got.deliveryRate,
+		Inflight:     s.Inflight(),
+		AppLimited:   !s.StreamBacklog() && s.buf.Len() == 0,
 	})
 	s.enterLossEpisode(now, lostBytes)
-	if s.inRecovery {
-		if (s.cfg.Mode == ModeTACK && s.largestAckedPkt >= s.recoverPkt) ||
-			(s.cfg.Mode == ModeLegacy && a.CumAck >= s.recoverSeq) {
-			s.inRecovery = false
-		}
-	}
 	s.pacer.SetRate(now, s.ctrl.PacingRate())
 
 	// --- Adaptive FEC redundancy. ---
@@ -1035,10 +1029,7 @@ func (s *Sender) onAck(p *packet.Packet) {
 		s.mux.OnWindowAdverts(now, a.StreamWindows)
 	}
 
-	s.maybeSyncRTTMin()
-	if s.cfg.Mode == ModeTACK {
-		s.maybeSyncOldest()
-	}
+	s.scheme.afterAck(a)
 
 	// --- Completion. ---
 	s.Stats.BytesAcked = int64(s.cumAcked)
@@ -1062,254 +1053,16 @@ func (s *Sender) enterLossEpisode(now sim.Time, lostBytes int) {
 		return
 	}
 	s.inRecovery = true
-	s.recoverPkt = s.nextPktSeq
-	s.recoverSeq = s.nextSeq
+	s.scheme.lossEpisodeBegan()
 	s.Stats.LossEpisodes++
 	s.mLossEpisodes.Inc()
-	s.tracer.LossEpisode(now, s.cfg.ConnID, lostBytes, s.inflight(), false)
-	s.ctrl.OnLoss(cc.Loss{Now: now, Bytes: lostBytes, Inflight: s.inflight()})
-}
-
-// rackDetect runs the RFC 8985 scan: every unacked segment sent at or
-// before the most recently delivered transmission whose age exceeds
-// RACK.rtt plus the adaptive reorder window is marked lost. Returns newly
-// marked bytes; when a candidate's deadline is still in the future the
-// re-check timer is armed at that deadline.
-func (s *Sender) rackDetect(now sim.Time) int {
-	if ev := s.rack.observeReorders(s.buf.ReorderEvents()); ev > 0 {
-		s.mRackReorder.Add(ev)
-	}
-	cutoff, cutoffPkt, ok := s.buf.RackState()
-	if !ok {
-		return 0
-	}
-	reoWnd := s.rack.reorderWindow()
-	deadline := s.rack.rackRTT(s.est().Smoothed()) + reoWnd
-	if s.cfg.Mode == ModeTACK {
-		// TACK thinning can hold an acknowledgment up to one TACK interval
-		// (~RTT/4) beyond the RTT the latest sample happened to observe;
-		// budget for the worst case like the probe timeout does, or every
-		// segment behind a fully-held ack ages into a spurious mark.
-		if m, ok := s.rack.minRTT.Min(); ok {
-			deadline += m / 4
-		}
-	}
-	lost := 0
-	sentAt, pending := s.buf.ScanRackLosses(cutoff, cutoffPkt, func(seg *buffer.Segment) bool {
-		if now-seg.SentAt < deadline {
-			return false
-		}
-		s.buf.MarkLoss(seg)
-		lost += seg.Len
-		s.Stats.RackMarked++
-		s.mRackMarked.Inc()
-		s.mReoWnd.Observe(reoWnd.Seconds())
-		s.tracer.LossMarked(now, s.cfg.ConnID, telemetry.TrigDetRACK,
-			seg.Seq, seg.PktSeq, seg.Len, reoWnd, now-seg.SentAt)
-		return true
-	})
-	if pending {
-		s.rackTimer.Reset(sentAt + deadline)
-	} else {
-		s.rackTimer.Stop()
-	}
-	return lost
-}
-
-// onRackTimer re-runs detection when a previously-too-young candidate's
-// reorder-window deadline arrives without an acknowledgment.
-func (s *Sender) onRackTimer() {
-	if s.rack == nil || s.done || !s.established {
-		return
-	}
-	now := s.loop.Now()
-	if lost := s.rackDetect(now); lost > 0 {
-		s.enterLossEpisode(now, lost)
-		s.pacer.SetRate(now, s.ctrl.PacingRate())
-		s.trySend()
-	}
-}
-
-// armTLP schedules the tail loss probe at probeTimeoutMult×SRTT after the
-// last transmission. The timer stays disarmed while nothing is in flight,
-// while marked segments already drive recovery, or while a probe is
-// outstanding (one-probe rule).
-func (s *Sender) armTLP() {
-	if s.rack == nil || s.cfg.Loss.DisableTLP {
-		return
-	}
-	if s.done || !s.established || s.buf.Len() == 0 || s.buf.HasMarked() || s.rack.tlpOut {
-		s.tlpTimer.Stop()
-		return
-	}
-	now := s.loop.Now()
-	min, _ := s.est().Min(now)
-	pto := s.rack.probeTimeout(s.est().Smoothed(), min)
-	s.rack.lastPTO = pto
-	at := s.lastDataSend + pto
-	if at <= now {
-		at = now + sim.Millisecond
-	}
-	s.tlpTimer.Reset(at)
-}
-
-// onTLP fires the tail loss probe: retransmit the newest unacked segment
-// (with a fresh packet number, so in TACK mode the receiver sees a PKT.SEQ
-// beyond the potentially-lost tail and raises a loss report), then restart
-// the RTO from the probe.
-func (s *Sender) onTLP() {
-	if s.rack == nil || s.done || !s.established || s.rack.tlpOut || s.buf.HasMarked() {
-		return
-	}
-	now := s.loop.Now()
-	seg := s.buf.Newest()
-	if seg == nil {
-		return // zero inflight: nothing to probe
-	}
-	s.retransmit(now, seg)
-	s.rack.tlpOut = true
-	s.rack.tlpHighPkt = seg.PktSeq // the fresh number retransmit assigned
-	s.Stats.TLPProbes++
-	s.mTLPProbes.Inc()
-	s.tracer.TLPProbe(now, s.cfg.ConnID, seg.Seq, seg.PktSeq, seg.Len, s.rack.lastPTO)
-	// RFC 8985 §7.3: the probe restarts the timeout so the RTO measures
-	// from the most recent transmission.
-	s.rtoTimer.ResetAfter(s.rto())
-}
-
-// handleLossReports marks segments lost per mode rules and returns the
-// newly marked byte count.
-func (s *Sender) handleLossReports(now sim.Time, a *packet.AckInfo, lossIACK bool) int {
-	lost := 0
-	if s.cfg.Mode == ModeTACK {
-		var ranges []seqspace.Range
-		ranges = append(ranges, a.UnackedBlocks...)
-		if lossIACK && len(ranges) == 0 && a.LargestPktSeq > a.CumPktSeq {
-			ranges = append(ranges, seqspace.Range{Lo: a.CumPktSeq, Hi: a.LargestPktSeq})
-		}
-		for _, seg := range s.buf.MarkLossByPktRanges(ranges) {
-			lost += seg.Len
-			s.tracer.LossMarked(now, s.cfg.ConnID, telemetry.TrigDetDupThresh,
-				seg.Seq, seg.PktSeq, seg.Len, 0, now-seg.SentAt)
-		}
-		return lost
-	}
-	if s.cfg.Loss.Detector == DetectorRACK {
-		// Legacy mode with RACK selected: the time-based scan replaces the
-		// FACK byte threshold (sacked ranges still release segments above).
-		return 0
-	}
-	// Legacy FACK-style: a segment is lost when >= DupThresh*MSS bytes
-	// above it have been sacked. One pass over the sacked region with
-	// precomputed suffix sums keeps per-ack cost
-	// O(segments below maxSacked + ranges).
-	maxSacked, ok := s.sacked.Max()
-	if !ok {
-		return 0
-	}
-	threshold := s.cfg.Loss.DupThresh * s.cfg.Payload
-	ranges := s.sacked.View() // read-only within this call
-	// suffix[i] = total sacked bytes in ranges[i:].
-	suffix := make([]int, len(ranges)+1)
-	for i := len(ranges) - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + int(ranges[i].Len())
-	}
-	sackedAbove := func(end uint64) int {
-		lo, hi := 0, len(ranges)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ranges[mid].Lo >= end {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		above := suffix[lo]
-		// Partial overlap of the straddling range, if any.
-		if lo > 0 && ranges[lo-1].Hi > end {
-			above += int(ranges[lo-1].Hi - end)
-		}
-		return above
-	}
-	var marked []*buffer.Segment
-	s.buf.Walk(func(seg *buffer.Segment) bool {
-		if seg.Seq > maxSacked {
-			return false // beyond the sacked region; nothing to learn
-		}
-		if seg.LossMarked {
-			return true
-		}
-		if s.sacked.ContainsRange(seg.Seq, seg.End()) {
-			return true // fully sacked; released separately
-		}
-		if sackedAbove(seg.End()) >= threshold {
-			s.buf.MarkLoss(seg)
-			marked = append(marked, seg)
-		}
-		return true
-	})
-	for _, seg := range marked {
-		lost += seg.Len
-		s.tracer.LossMarked(now, s.cfg.ConnID, telemetry.TrigDetDupThresh,
-			seg.Seq, seg.PktSeq, seg.Len, 0, now-seg.SentAt)
-	}
-	return lost
-}
-
-// releaseSackedSegments drops fully sacked segments from the send buffer
-// (legacy mode keeps byte-space state only).
-func (s *Sender) releaseSackedSegments() {
-	var done []seqspace.Range
-	s.buf.Walk(func(seg *buffer.Segment) bool {
-		if maxS, ok := s.sacked.Max(); !ok || seg.Seq > maxS {
-			return false
-		}
-		if s.sacked.ContainsRange(seg.Seq, seg.End()) {
-			done = append(done, seqspace.Range{Lo: seg.PktSeq, Hi: seg.PktSeq + 1})
-		}
-		return true
-	})
-	if len(done) > 0 {
-		s.buf.AckPktRanges(done)
-	}
-}
-
-// legacyDeliveryRate computes sender-side delivery-rate samples by
-// measuring released (cumulatively or selectively acknowledged) bytes over
-// windows of at least a quarter RTT. Selective releases spread hole-repair
-// credit over time, and the srtt/4 floor averages out ack bursts, so the
-// samples cannot sustain an overestimate of the true drain rate.
-func (s *Sender) legacyDeliveryRate(now sim.Time) float64 {
-	if s.lastDeliveredAt == 0 {
-		s.lastDeliveredAt = now
-		s.lastRateBytes = s.buf.ReleasedBytes()
-		return 0
-	}
-	minElapsed := s.est().Smoothed() / 2
-	if minElapsed < 20*sim.Millisecond {
-		minElapsed = 20 * sim.Millisecond
-	}
-	elapsed := now - s.lastDeliveredAt
-	if elapsed < minElapsed {
-		return 0
-	}
-	bytes := s.buf.ReleasedBytes() - s.lastRateBytes
-	s.lastDeliveredAt = now
-	s.lastRateBytes = s.buf.ReleasedBytes()
-	if bytes <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / elapsed.Seconds()
+	s.tracer.LossEpisode(now, s.cfg.ConnID, lostBytes, s.Inflight(), false)
+	s.ctrl.OnLoss(cc.Loss{Now: now, Bytes: lostBytes, Inflight: s.Inflight()})
 }
 
 // Kick schedules an immediate send attempt (used by harnesses after
 // construction or when the source becomes ready).
 func (s *Sender) Kick() { s.trySend() }
-
-// Rate-limited observability helpers used by experiments.
-
-// Inflight returns unacknowledged bytes.
-func (s *Sender) Inflight() int { return s.inflight() }
 
 // CumAcked returns the cumulative acknowledged byte offset.
 func (s *Sender) CumAcked() uint64 { return s.cumAcked }

@@ -1,6 +1,6 @@
 // Package transport implements the reliable transport engine that carries
-// the paper's protocols: TCP-TACK (TACK mode) and a legacy-TCP emulation
-// (legacy mode) used as the baseline.
+// the paper's protocol, TCP-TACK, and — as a plug-in — the legacy-TCP
+// emulation its evaluation uses as the baseline.
 //
 // The engine is sans-IO: a Sender and a Receiver are pure event-driven
 // state machines attached to a sim.Loop for timers; packets leave through
@@ -9,20 +9,33 @@
 // and over real UDP sockets (internal/endpoint, whose shards each run one
 // wall-clock-pinned loop shared by all of their connections).
 //
-// Mode differences (paper §5):
+// The engine is TACK. What an acknowledgment carries and means is the one
+// thing the two protocols disagree on, and it sits behind one seam per
+// connection half — senderScheme and receiverScheme, each picked once, by
+// Config.Mode, in NewSender / NewReceiver and from then on only called. The
+// TACK implementations are in sender.go and receiver.go next to the state
+// they use; the legacy ones are the whole of legacy.go, which no TACK
+// connection executes. Everything else (buffers, pacing, RACK-TLP, the
+// controller feed, flow control, streams, FEC) is shared. Per scheme
+// (paper §5):
 //
 //	              legacy                      TACK
 //	ACK timing    per-packet / delayed /      Eq. 3 balance of byte-counting
 //	              byte-counting(L)            and periodic (ackpolicy.TACK)
-//	loss          sender-based: SACK blocks   receiver-based: PKT.SEQ gaps
-//	detection     + FACK threshold + RTO      with settle delay → loss IACK,
-//	                                          repeated in TACK unacked lists
+//	release       cumulative byte ack +       cumulative + PKT.SEQ block
+//	              byte-range SACK blocks      lists (acked and unacked)
+//	loss          sender-based: RACK-TLP      receiver-based: PKT.SEQ gaps
+//	detection     + RTO                       with settle delay → loss IACK,
+//	                                          repeated in TACK unacked lists;
+//	                                          RACK-TLP + RTO behind them
 //	round-trip    ACK echo without delay      receiver min-OWD echo + Δt⋆
 //	timing        correction (biased)         correction (paper Fig. 4)
 //	rate inputs   sender-computed delivery    receiver-computed delivery
-//	              rate from cumack growth     rate + ρ synced inside TACKs
-//	send pattern  optional ACK-clocked        paced (token bucket at the
-//	              bursts                      controller's pacing rate)
+//	              rate from released bytes    rate + ρ synced inside TACKs
+//	ack hold      none budgeted               RTTmin/2 on the RTO, RTTmin/4
+//	                                          on the RACK deadline
+//	sender → rcv  handshake IACK only         RTTmin and oldest-outstanding
+//	                                          sync IACKs
 package transport
 
 import (
@@ -71,9 +84,10 @@ const (
 	// acknowledged and the segment's age exceeds the RACK RTT plus an
 	// adaptive reorder window.
 	DetectorRACK LossDetector = iota
-	// DetectorDupThresh is the duplicate-threshold baseline: in legacy mode
-	// the FACK-style 3×MSS sacked-above scan; in TACK mode the receiver's
-	// gap reports alone. No sender-side timers, no tail probes.
+	// DetectorDupThresh is the A/B baseline without sender-side timers or
+	// tail probes: the TACK receiver's gap reports alone (a segment is
+	// reported once packets numbered above it have arrived and the settle
+	// delay has passed). TACK mode only — a legacy receiver reports no gaps.
 	DetectorDupThresh
 )
 
@@ -85,10 +99,9 @@ func (d LossDetector) String() string {
 	return "dupthresh"
 }
 
-// LossDetection groups the sender's loss-detection knobs, replacing the
-// scattered per-detector flags that would otherwise accrete on Config. The
-// zero value selects RACK-TLP; its reorder-window bounds, probe timeout and
-// min-RTT window are the constants in rack.go.
+// LossDetection groups the sender's loss-detection knobs. The zero value
+// selects RACK-TLP; its reorder-window bounds, probe timeout and min-RTT
+// window are the constants in rack.go.
 type LossDetection struct {
 	// Detector picks the machinery: DetectorRACK (default) or
 	// DetectorDupThresh for A/B comparison against the baseline.
@@ -96,25 +109,12 @@ type LossDetection struct {
 	// DisableTLP suppresses Tail Loss Probes, leaving RACK marking alone
 	// (ablation; tail losses then wait for the RTO).
 	DisableTLP bool
-	// DupThresh is the legacy detector's threshold in packets: a segment is
-	// lost once DupThresh×Payload bytes above it were sacked (default 3).
-	DupThresh int
 }
 
-func (l LossDetection) withDefaults() LossDetection {
-	if l.DupThresh <= 0 {
-		l.DupThresh = 3
-	}
-	return l
-}
-
-// Validate rejects an unknown detector or a negative threshold.
+// Validate rejects an unknown detector.
 func (l LossDetection) Validate() error {
 	if l.Detector != DetectorRACK && l.Detector != DetectorDupThresh {
 		return fmt.Errorf("transport: unknown loss detector %d", int(l.Detector))
-	}
-	if l.DupThresh < 0 {
-		return fmt.Errorf("transport: negative dup threshold %d", l.DupThresh)
 	}
 	return nil
 }
@@ -125,8 +125,6 @@ type Config struct {
 	Mode Mode
 	// CC names the congestion controller (default "bbr").
 	CC string
-	// CCConfig tunes the controller.
-	CCConfig cc.Config
 	// Payload is the data bytes per packet (default DefaultPayload).
 	Payload int
 	// Params are the TACK mechanism constants (β, L, Q, settle fraction).
@@ -139,9 +137,6 @@ type Config struct {
 	// selects ackpolicy.NewTACK(β, L) in TACK mode and
 	// ackpolicy.NewDelayed(40 ms) in legacy mode.
 	AckPolicy ackpolicy.Policy
-	// LegacySACKBlocks bounds the SACK blocks carried by legacy ACKs
-	// (default 3, like a timestamp-bearing TCP SACK option).
-	LegacySACKBlocks int
 	// RecvBuf is the receive buffer capacity in bytes (default 32 MiB,
 	// emulating an autotuned receive window).
 	RecvBuf int
@@ -167,8 +162,8 @@ type Config struct {
 	// timing without the Δt correction).
 	LegacyTiming bool
 	// Loss groups the sender-side loss-detection knobs: which detector
-	// runs (RACK-TLP by default, dup-thresh for A/B baselines), the
-	// adaptive reorder-window bounds, and the TLP probe timeout.
+	// runs (RACK-TLP by default, the TACK-only dup-thresh A/B baseline)
+	// and whether tail loss probes are sent.
 	Loss LossDetection
 	// AdaptiveSettle enables dynamic adjustment of the IACK reordering
 	// settle delay (the paper's §7 future work): the delay grows when
@@ -233,9 +228,6 @@ func (c Config) withDefaults() Config {
 		// at 200 ms RTT needs ~14 MB; give 2 BDP like an autotuned stack).
 		c.RecvBuf = 32 << 20
 	}
-	if c.LegacySACKBlocks <= 0 {
-		c.LegacySACKBlocks = 3
-	}
 	if c.MinRTO <= 0 {
 		c.MinRTO = 200 * sim.Millisecond
 	}
@@ -250,7 +242,6 @@ func (c Config) withDefaults() Config {
 	} else if c.MaxSYNRetries < 0 {
 		c.MaxSYNRetries = 0
 	}
-	c.Loss = c.Loss.withDefaults()
 	return c
 }
 
@@ -259,13 +250,13 @@ func (c Config) withDefaults() Config {
 // rejects values that withDefaults would otherwise paper over silently and
 // combinations whose semantics contradict each other:
 //
-//   - negative sizes (Payload, TransferBytes, RecvBuf, LegacySACKBlocks)
+//   - negative sizes (Payload, TransferBytes, RecvBuf)
 //   - Payload beyond the wire format's 16-bit length field (65535)
 //   - negative mechanism constants (β, L, Q, settle fraction)
 //   - negative RTO bounds, or MinRTO above MaxRTO when both are set
-//   - inconsistent LossDetection bounds (see LossDetection.Validate):
-//     negative or inverted reorder-window limits, an initial window outside
-//     them, a probe timeout multiplier below one SRTT, an unknown detector
+//   - an unknown loss detector, or DetectorDupThresh in legacy mode (the
+//     dup-thresh baseline is the TACK receiver's gap reports; a legacy
+//     receiver sends none, so nothing short of the RTO would detect loss)
 //   - an unknown protocol Mode or congestion-controller name
 //   - AppPaced combined with TransferBytes: a stream has exactly one
 //     termination authority — the application feed (AppPaced) or the byte
@@ -291,9 +282,6 @@ func (c Config) Validate() error {
 	if c.RecvBuf < 0 {
 		return fmt.Errorf("transport: negative RecvBuf %d", c.RecvBuf)
 	}
-	if c.LegacySACKBlocks < 0 {
-		return fmt.Errorf("transport: negative LegacySACKBlocks %d", c.LegacySACKBlocks)
-	}
 	p := c.Params
 	if p.Beta < 0 || p.L < 0 || p.Q < 0 || p.SettleFraction < 0 {
 		return fmt.Errorf("transport: negative TACK params (beta=%v L=%d Q=%d settle=%v)",
@@ -310,6 +298,9 @@ func (c Config) Validate() error {
 	}
 	if err := c.Loss.Validate(); err != nil {
 		return err
+	}
+	if c.Mode == ModeLegacy && c.Loss.Detector == DetectorDupThresh {
+		return fmt.Errorf("transport: DetectorDupThresh requires TACK mode (a legacy receiver reports no gaps)")
 	}
 	if c.AppPaced && c.TransferBytes > 0 {
 		return fmt.Errorf("transport: AppPaced and TransferBytes=%d both set; a stream has one termination authority", c.TransferBytes)
@@ -332,7 +323,7 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.CC != "" {
-		if _, err := cc.New(c.CC, c.CCConfig); err != nil {
+		if _, err := cc.New(c.CC); err != nil {
 			return fmt.Errorf("transport: %w", err)
 		}
 	}
@@ -405,7 +396,7 @@ type Output func(*packet.Packet)
 // newController builds the configured congestion controller, wrapped with
 // telemetry when the connection is instrumented.
 func newController(cfg Config) (cc.Controller, error) {
-	ctrl, err := cc.New(cfg.CC, cfg.CCConfig)
+	ctrl, err := cc.New(cfg.CC)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}

@@ -350,3 +350,39 @@ func TestUnknownControllerErrors(t *testing.T) {
 		t.Fatal("bogus controller should error")
 	}
 }
+
+// MaxRTO bounds the data-path timeout after the ack-hold budget and the
+// exponential backoff, not just the estimator's share of it: with the peer
+// gone silent after the handshake, the seventh timeout must still come
+// within MaxRTO of the sixth.
+func TestMaxRTOBoundsBackedOffTimeout(t *testing.T) {
+	const maxRTO = 500 * sim.Millisecond
+	loop := sim.NewLoop(1)
+	cfg := Config{TransferBytes: 1 << 20, MaxRTO: maxRTO, Loss: LossDetection{DisableTLP: true}}
+	var snd *Sender
+	var timeouts []sim.Time // departure of each RTO retransmission
+	snd, err := NewSender(loop, cfg, func(p *packet.Packet) {
+		switch {
+		case p.Type == packet.TypeSYN:
+			synack := &packet.Packet{Type: packet.TypeSYNACK, Ack: &packet.AckInfo{EchoDeparture: p.SentAt, Window: 1 << 20}}
+			loop.After(ms(10), func() { snd.OnPacket(synack) })
+		case p.Type == packet.TypeData && p.Retrans:
+			timeouts = append(timeouts, p.SentAt)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd.Start()
+	loop.RunUntil(30 * sim.Second)
+	if snd.Stats.Timeouts < 7 || len(timeouts) != snd.Stats.Timeouts {
+		t.Fatalf("want ≥ 7 timeouts, each one retransmission; got %d timeouts, %d retransmissions",
+			snd.Stats.Timeouts, len(timeouts))
+	}
+	if gap := timeouts[6] - timeouts[5]; gap > maxRTO {
+		t.Fatalf("seventh timeout %v after the sixth, MaxRTO is %v", gap, maxRTO)
+	}
+	if rto := snd.BaseRTO(); rto > maxRTO {
+		t.Fatalf("BaseRTO %v above MaxRTO %v", rto, maxRTO)
+	}
+}

@@ -30,7 +30,6 @@ func TestConfigValidate(t *testing.T) {
 		{"payload beyond wire length", Config{Payload: 70000}, false},
 		{"negative transfer", Config{TransferBytes: -1}, false},
 		{"negative recvbuf", Config{RecvBuf: -1}, false},
-		{"negative sack blocks", Config{LegacySACKBlocks: -1}, false},
 		{"negative beta", Config{Params: core.Params{Beta: -1}}, false},
 		{"negative rto", Config{MinRTO: -sim.Second}, false},
 		{"min rto above max", Config{MinRTO: 2 * sim.Second, MaxRTO: sim.Second}, false},
@@ -61,7 +60,7 @@ func TestConfigValidate(t *testing.T) {
 		{"loss rack default", Config{Loss: LossDetection{Detector: DetectorRACK}}, true},
 		{"loss dupthresh", Config{Loss: LossDetection{Detector: DetectorDupThresh}}, true},
 		{"loss unknown detector", Config{Loss: LossDetection{Detector: LossDetector(7)}}, false},
-		{"loss negative dupthresh", Config{Loss: LossDetection{DupThresh: -3}}, false},
+		{"loss dupthresh legacy mode", Config{Mode: ModeLegacy, Loss: LossDetection{Detector: DetectorDupThresh}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
