@@ -187,9 +187,6 @@ func (b *SendBuffer) MayRetransmit(seg *Segment, now sim.Time, rtt sim.Time) boo
 // or nil (e.g. the report refers to a superseded transmission).
 func (b *SendBuffer) ByPktSeq(pktSeq uint64) *Segment { return b.byPkt[pktSeq] }
 
-// BySeq returns the segment starting at byte offset seq, or nil.
-func (b *SendBuffer) BySeq(seq uint64) *Segment { return b.bySeq[seq] }
-
 // AckBytes removes every segment fully below cumAck (cumulative byte
 // acknowledgment) and returns the number of segments released. Because
 // order ascends in Seq, the release is a prefix: amortized O(released).

@@ -102,7 +102,7 @@ func TestForEachEligibleRetransmit(t *testing.T) {
 		t.Fatalf("visited %v, want first three in stream order", visited)
 	}
 	// Retransmit one mid-walk style: cooldown applies afterwards.
-	s1 := b.BySeq(0)
+	s1 := b.bySeq[0]
 	b.MarkLoss(s1) // still marked? Retransmitted clears; re-mark first
 	b.Retransmitted(s1, 10, 50*sim.Millisecond)
 	b.MarkLoss(s1)

@@ -94,7 +94,6 @@ type LossTracker struct {
 	// Interval accounting for the receiver-computed loss rate ρ.
 	intervalBase     uint64 // largest at last interval close
 	intervalReceived int
-	totalLost        int
 }
 
 // NewLossTracker returns an empty tracker.
@@ -141,22 +140,10 @@ type DueLoss struct {
 	Observed sim.Time
 }
 
-// DueLosses returns the suspected ranges whose settle delay has elapsed and
-// that are still missing; they are marked as reported (the IACK trigger).
-// The caller sends one loss IACK covering the returned ranges.
-func (lt *LossTracker) DueLosses(now sim.Time, settle sim.Time) []seqspace.Range {
-	details := lt.DueLossDetails(now, settle)
-	if len(details) == 0 {
-		return nil
-	}
-	due := make([]seqspace.Range, len(details))
-	for i, d := range details {
-		due[i] = d.Range
-	}
-	return due
-}
-
-// DueLossDetails is DueLosses with the per-range observation time retained.
+// DueLossDetails returns the suspected ranges whose settle delay has
+// elapsed and that are still missing, each with its observation time; they
+// are marked as reported (the IACK trigger). The caller sends one loss IACK
+// covering the returned ranges.
 func (lt *LossTracker) DueLossDetails(now sim.Time, settle sim.Time) []DueLoss {
 	var due []DueLoss
 	kept := lt.suspects[:0]
@@ -170,7 +157,6 @@ func (lt *LossTracker) DueLossDetails(now sim.Time, settle sim.Time) []DueLoss {
 			due = append(due, DueLoss{Range: missing, Observed: s.at})
 			lt.reported.AddRange(missing)
 			lt.reportedAt = append(lt.reportedAt, suspect{r: missing, at: now})
-			lt.totalLost += int(missing.Len())
 		}
 	}
 	lt.suspects = kept
@@ -268,9 +254,6 @@ func (lt *LossTracker) Compact(floor uint64) {
 	}
 	lt.reportedAt = keptRep
 }
-
-// TotalLost returns the cumulative count of PKT.SEQs declared lost.
-func (lt *LossTracker) TotalLost() int { return lt.totalLost }
 
 // BlockBudget computes how many unacked blocks a TACK should carry
 // (Appendix A). Inputs: the configured primary budget Q, measured loss

@@ -1,4 +1,4 @@
-package analytic
+package experiments
 
 import (
 	"math"
@@ -12,46 +12,46 @@ func ms(n int64) sim.Time { return sim.Time(n) * sim.Millisecond }
 
 func TestFreqByteCount(t *testing.T) {
 	// 12 Mbit/s, L=1: 1000 packets/s.
-	if got := FreqByteCount(12e6, 1); math.Abs(got-1000) > 1e-9 {
+	if got := freqByteCount(12e6, 1); math.Abs(got-1000) > 1e-9 {
 		t.Fatalf("f_b = %v, want 1000", got)
 	}
-	if got := FreqByteCount(12e6, 2); math.Abs(got-500) > 1e-9 {
+	if got := freqByteCount(12e6, 2); math.Abs(got-500) > 1e-9 {
 		t.Fatalf("f_b(L=2) = %v, want 500", got)
 	}
-	if got := FreqByteCount(12e6, 0); got != 1000 {
+	if got := freqByteCount(12e6, 0); got != 1000 {
 		t.Fatalf("L<1 should clamp to 1: %v", got)
 	}
 }
 
 func TestFreqPeriodic(t *testing.T) {
-	if got := FreqPeriodic(ms(25)); math.Abs(got-40) > 1e-9 {
+	if got := freqPeriodic(ms(25)); math.Abs(got-40) > 1e-9 {
 		t.Fatalf("f = %v, want 40", got)
 	}
-	if !math.IsInf(FreqPeriodic(0), 1) {
+	if !math.IsInf(freqPeriodic(0), 1) {
 		t.Fatal("alpha=0 should be +Inf")
 	}
 }
 
 func TestFreqTACKRegimes(t *testing.T) {
 	// Low bw: byte-counting side wins. 1.2 Mbit/s, L=2 → 50 Hz vs β/RTT=400.
-	if got := FreqTACK(1.2e6, 2, 4, ms(10)); math.Abs(got-50) > 1e-9 {
+	if got := freqTACK(1.2e6, 2, 4, ms(10)); math.Abs(got-50) > 1e-9 {
 		t.Fatalf("low-bw f = %v, want 50", got)
 	}
 	// High bw: periodic side wins. 300 Mbit/s → f = 4/0.01 = 400 Hz.
-	if got := FreqTACK(300e6, 2, 4, ms(10)); math.Abs(got-400) > 1e-9 {
+	if got := freqTACK(300e6, 2, 4, ms(10)); math.Abs(got-400) > 1e-9 {
 		t.Fatalf("high-bw f = %v, want 400", got)
 	}
 }
 
 func TestFreqDelayedPivot(t *testing.T) {
 	gamma := 40 * sim.Millisecond
-	pivot := 2 * float64(MSS) * 8 / gamma.Seconds() // 600 kbit/s
-	below := FreqDelayed(pivot*0.9, gamma)
-	if math.Abs(below-FreqPerPacket(pivot*0.9)) > 1e-9 {
+	pivot := 2 * float64(mss) * 8 / gamma.Seconds() // 600 kbit/s
+	below := freqDelayed(pivot*0.9, gamma)
+	if math.Abs(below-freqPerPacket(pivot*0.9)) > 1e-9 {
 		t.Fatalf("below pivot should be per-packet: %v", below)
 	}
-	above := FreqDelayed(pivot*2, gamma)
-	if math.Abs(above-FreqByteCount(pivot*2, 2)) > 1e-9 {
+	above := freqDelayed(pivot*2, gamma)
+	if math.Abs(above-freqByteCount(pivot*2, 2)) > 1e-9 {
 		t.Fatalf("above pivot should be L=2: %v", above)
 	}
 }
@@ -61,23 +61,25 @@ func TestPaperFigure8Numbers(t *testing.T) {
 	// ceiling): RTTmin=10ms → 400 Hz (periodic); TCP(L=2) ≈ 24777 Hz at
 	// 594.65 Mbit/s goodput. We verify orders of magnitude.
 	bw := 590e6
-	ftack := FreqTACK(bw, 2, 4, ms(10))
+	ftack := freqTACK(bw, 2, 4, ms(10))
 	if ftack != 400 {
 		t.Fatalf("f_tack = %v, want 400 (β/RTTmin)", ftack)
 	}
-	ftcp := FreqByteCount(bw, 2)
-	if ftcp < 20000 || ftcp > 30000 {
-		t.Fatalf("f_tcp(L=2) = %v, want ~24.6k", ftcp)
+	if ftcp := math.Round(freqByteCount(bw, 2)); ftcp != 24583 {
+		t.Fatalf("f_tcp(L=2) = %v, want 24583", ftcp)
+	}
+	if fpp := math.Round(freqPerPacket(bw)); fpp != 49167 {
+		t.Fatalf("f_tcp(per-packet) = %v, want 49167", fpp)
 	}
 	// At RTTmin=80ms the TACK frequency drops to 50 Hz: nearly three orders
 	// below the legacy rate.
-	if got := FreqTACK(bw, 2, 4, ms(80)); got != 50 {
+	if got := freqTACK(bw, 2, 4, ms(80)); got != 50 {
 		t.Fatalf("f_tack(80ms) = %v, want 50", got)
 	}
 	// 802.11b low-rate small-RTT corner: TACK falls back to byte counting
 	// and equals TCP(L=2): paper reports 294 Hz for both at 7 Mbit/s.
 	b := 7e6
-	if FreqTACK(b, 2, 4, ms(10)) != FreqByteCount(b, 2) {
+	if freqTACK(b, 2, 4, ms(10)) != freqByteCount(b, 2) {
 		t.Fatal("802.11b/10ms corner should be byte-counting-limited")
 	}
 }
@@ -90,8 +92,8 @@ func TestQuickTACKNeverExceedsLegacy(t *testing.T) {
 		rtt := ms(int64(rttMsRaw%400) + 1)
 		l := int(lRaw%16) + 1
 		beta := int(betaRaw%8) + 1
-		ft := FreqTACK(bw, l, beta, rtt)
-		return ft <= FreqByteCount(bw, l)+1e-9 && ft <= FreqPerPacket(bw)+1e-9
+		ft := freqTACK(bw, l, beta, rtt)
+		return ft <= freqByteCount(bw, l)+1e-9 && ft <= freqPerPacket(bw)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -113,11 +115,11 @@ func TestQuickReductionMonotone(t *testing.T) {
 			t1, t2 = t2, t1
 		}
 		// Reduction monotone in bw at fixed RTT:
-		if ReductionVsPerPacket(b1, 2, 4, t1) > ReductionVsPerPacket(b2, 2, 4, t1)+1e-9 {
+		if reductionVsPerPacket(b1, 2, 4, t1) > reductionVsPerPacket(b2, 2, 4, t1)+1e-9 {
 			return false
 		}
 		// Monotone in RTT at fixed bw:
-		return ReductionVsPerPacket(b1, 2, 4, t1) <= ReductionVsPerPacket(b1, 2, 4, t2)+1e-9
+		return reductionVsPerPacket(b1, 2, 4, t1) <= reductionVsPerPacket(b1, 2, 4, t2)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -126,16 +128,16 @@ func TestQuickReductionMonotone(t *testing.T) {
 
 func TestPivotPoints(t *testing.T) {
 	// Pivot bw for RTT=10ms, β=4, L=2: 4*2*1500*8/0.01 = 9.6 Mbit/s.
-	if got := PivotBandwidth(4, 2, ms(10)); math.Abs(got-9.6e6) > 1 {
+	if got := pivotBandwidth(4, 2, ms(10)); math.Abs(got-9.6e6) > 1 {
 		t.Fatalf("pivot bw = %v, want 9.6e6", got)
 	}
 	// Pivot RTT for 100 Mbit/s: 4*2*1500*8/100e6 = 0.96 ms.
-	if got := PivotRTT(4, 2, 100e6); got != sim.Time(960000) {
+	if got := pivotRTT(4, 2, 100e6); got != sim.Time(960000) {
 		t.Fatalf("pivot rtt = %v, want 0.96ms", got)
 	}
 	// At the pivot, the two regimes agree.
-	bw := PivotBandwidth(4, 2, ms(10))
-	fb := FreqByteCount(bw, 2)
+	bw := pivotBandwidth(4, 2, ms(10))
+	fb := freqByteCount(bw, 2)
 	fp := float64(4) / ms(10).Seconds()
 	if math.Abs(fb-fp) > 1e-6 {
 		t.Fatalf("regimes disagree at pivot: %v vs %v", fb, fp)
@@ -145,15 +147,19 @@ func TestPivotPoints(t *testing.T) {
 func TestMinSendWindowAndBuffer(t *testing.T) {
 	bdp := 1e6
 	// β=2: W=2·bdp, buffer=1·bdp (Appendix B.1 / Figure 16).
-	if got := MinSendWindow(bdp, 2); got != 2e6 {
+	if got := minSendWindow(bdp, 2); got != 2e6 {
 		t.Fatalf("Wmin(2) = %v", got)
 	}
-	if got := BufferRequirement(bdp, 2); got != 1e6 {
+	if got := bufferRequirement(bdp, 2); got != 1e6 {
 		t.Fatalf("buffer(2) = %v", got)
 	}
 	// β=4: buffer = bdp/3 ≈ 0.33 bdp (§7).
-	if got := BufferRequirement(bdp, 4) / bdp; math.Abs(got-1.0/3) > 1e-9 {
+	if got := bufferRequirement(bdp, 4) / bdp; math.Abs(got-1.0/3) > 1e-9 {
 		t.Fatalf("buffer(4)/bdp = %v, want 0.333", got)
+	}
+	// The ideal bottleneck buffer keeps shrinking as β grows: 0.14 bdp at β=8.
+	if got := bufferRequirement(bdp, 8) / bdp; math.Abs(got-1.0/7) > 1e-9 {
+		t.Fatalf("buffer(8)/bdp = %v, want 0.143", got)
 	}
 }
 
@@ -163,36 +169,36 @@ func TestMinSendWindowPanicsBelow2(t *testing.T) {
 			t.Fatal("beta=1 should panic (stop-and-wait)")
 		}
 	}()
-	MinSendWindow(1e6, 1)
+	minSendWindow(1e6, 1)
 }
 
 func TestMaxL(t *testing.T) {
 	// Appendix B.2 example: Q=4, ρ=ρ′=10% → L ≤ 400.
-	if got := MaxL(4, 0.1, 0.1); math.Abs(got-400) > 1e-9 {
-		t.Fatalf("MaxL = %v, want 400", got)
+	if got := maxL(4, 0.1, 0.1); math.Abs(got-400) > 1e-9 {
+		t.Fatalf("maxL = %v, want 400", got)
 	}
-	if !math.IsInf(MaxL(4, 0, 0.1), 1) {
-		t.Fatal("loss-free MaxL should be +Inf")
+	if !math.IsInf(maxL(4, 0, 0.1), 1) {
+		t.Fatal("loss-free maxL should be +Inf")
 	}
 }
 
 func TestRichThresholdAndDeltaQ(t *testing.T) {
-	bdp := 1000.0 * MSS
-	// Large-bdp: threshold Q·MSS/(ρ·bdp) with Q=1, ρ=5% → 1/(0.05·1000)=2%.
-	th := RichThreshold(1, 0.05, bdp, 4, 2)
+	bdp := 1000.0 * mss
+	// Large-bdp: threshold Q·mss/(ρ·bdp) with Q=1, ρ=5% → 1/(0.05·1000)=2%.
+	th := richThreshold(1, 0.05, bdp, 4, 2)
 	if math.Abs(th-0.02) > 1e-9 {
 		t.Fatalf("threshold = %v, want 0.02", th)
 	}
-	// ΔQ above threshold: ρ·ρ′·bdp/MSS − Q = 0.05*0.1*1000 − 1 = 4.
-	if got := DeltaQ(1, 0.05, 0.1, bdp, 4, 2); math.Abs(got-4) > 1e-9 {
+	// ΔQ above threshold: ρ·ρ′·bdp/mss − Q = 0.05*0.1*1000 − 1 = 4.
+	if got := deltaQ(1, 0.05, 0.1, bdp, 4, 2); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("ΔQ = %v, want 4", got)
 	}
 	// Below threshold: ΔQ floors at 0.
-	if got := DeltaQ(1, 0.05, 0.001, bdp, 4, 2); got != 0 {
+	if got := deltaQ(1, 0.05, 0.001, bdp, 4, 2); got != 0 {
 		t.Fatalf("ΔQ = %v, want 0", got)
 	}
 	// Small-bdp regime path.
-	smallTh := RichThreshold(1, 0.5, MSS, 4, 2)
+	smallTh := richThreshold(1, 0.5, mss, 4, 2)
 	if smallTh != 1 {
 		t.Fatalf("small-bdp threshold = %v, want clamped 1", smallTh)
 	}
@@ -200,7 +206,7 @@ func TestRichThresholdAndDeltaQ(t *testing.T) {
 
 func TestIACKBound(t *testing.T) {
 	// ρ=1%, 120 Mbit/s → 0.01 * 10000 pkt/s = 100 Hz.
-	if got := IACKLossFreqUpperBound(0.01, 120e6); math.Abs(got-100) > 1e-9 {
+	if got := iackLossFreqUpperBound(0.01, 120e6); math.Abs(got-100) > 1e-9 {
 		t.Fatalf("IACK bound = %v, want 100", got)
 	}
 }
@@ -208,17 +214,17 @@ func TestIACKBound(t *testing.T) {
 func TestPerPacketVsTackExampleFromAppendixB4(t *testing.T) {
 	// Appendix B.4: bw=48 Mbit/s, RTTmin=10ms, L=1: TACK is 10% of
 	// per-packet frequency.
-	ratio := FreqTACK(48e6, 1, 4, ms(10)) / FreqPerPacket(48e6)
+	ratio := freqTACK(48e6, 1, 4, ms(10)) / freqPerPacket(48e6)
 	if math.Abs(ratio-0.1) > 0.001 {
 		t.Fatalf("ratio = %v, want 0.10", ratio)
 	}
 	// bw=200 Mbit/s, RTTmin=10ms: ~2.4%.
-	ratio2 := FreqTACK(200e6, 1, 4, ms(10)) / FreqPerPacket(200e6)
+	ratio2 := freqTACK(200e6, 1, 4, ms(10)) / freqPerPacket(200e6)
 	if math.Abs(ratio2-0.024) > 0.001 {
 		t.Fatalf("ratio2 = %v, want 0.024", ratio2)
 	}
 	// RTTmin 10→80ms at 200 Mbit/s: ~0.3%.
-	ratio3 := FreqTACK(200e6, 1, 4, ms(80)) / FreqPerPacket(200e6)
+	ratio3 := freqTACK(200e6, 1, 4, ms(80)) / freqPerPacket(200e6)
 	if math.Abs(ratio3-0.003) > 0.0002 {
 		t.Fatalf("ratio3 = %v, want 0.003", ratio3)
 	}

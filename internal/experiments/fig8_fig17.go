@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/tacktp/tack/internal/analytic"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
@@ -33,8 +32,8 @@ func runFig8(opt Options) (*Result, error) {
 	for _, std := range phy.All() {
 		bw := stdGoodput[std]
 		for _, rtt := range rtts {
-			ftcp := analytic.FreqByteCount(bw, 2)
-			ftack := analytic.FreqTACK(bw, 2, 4, rtt)
+			ftcp := freqByteCount(bw, 2)
+			ftack := freqTACK(bw, 2, 4, rtt)
 			tbl.AddRow(std.String(), rtt.String(),
 				fmt.Sprintf("%.0f", ftcp), fmt.Sprintf("%.0f", ftack),
 				fmt.Sprintf("%.0f", ftcp-ftack), stats.Pct(1-ftack/ftcp))
@@ -51,8 +50,8 @@ func runFig16(opt Options) (*Result, error) {
 	bdp := 1e6 // 1 MB reference bdp
 	tbl := stats.NewTable("beta", "W_min / bdp", "buffer / bdp", "note")
 	for _, beta := range []int{2, 3, 4, 6, 8} {
-		w := analytic.MinSendWindow(bdp, beta) / bdp
-		b := analytic.BufferRequirement(bdp, beta) / bdp
+		w := minSendWindow(bdp, beta) / bdp
+		b := bufferRequirement(bdp, beta) / bdp
 		note := ""
 		if beta == 2 {
 			note = "minimum viable (Appendix B.1)"
@@ -74,21 +73,21 @@ func runFig17(opt Options) (*Result, error) {
 	for _, bwM := range []float64{1, 2, 5, 10, 50, 100, 500, 1000, 3000} {
 		bw := bwM * 1e6
 		tblA.AddRow(fmt.Sprintf("%.0f", bwM),
-			fmt.Sprintf("%.0f", analytic.FreqPerPacket(bw)),
-			fmt.Sprintf("%.0f", analytic.FreqTACK(bw, 1, 4, 10*sim.Millisecond)),
-			fmt.Sprintf("%.0f", analytic.FreqTACK(bw, 1, 4, 80*sim.Millisecond)),
-			fmt.Sprintf("%.0f", analytic.FreqTACK(bw, 1, 4, 200*sim.Millisecond)))
+			fmt.Sprintf("%.0f", freqPerPacket(bw)),
+			fmt.Sprintf("%.0f", freqTACK(bw, 1, 4, 10*sim.Millisecond)),
+			fmt.Sprintf("%.0f", freqTACK(bw, 1, 4, 80*sim.Millisecond)),
+			fmt.Sprintf("%.0f", freqTACK(bw, 1, 4, 200*sim.Millisecond)))
 	}
 	tblB := stats.NewTable("RTTmin ms", "f_tack@0.1Mbps", "f_tack@100Mbps", "f_tack@1000Mbps")
 	for _, rttMs := range []int64{1, 5, 10, 20, 40, 80, 100} {
 		rtt := sim.Time(rttMs) * sim.Millisecond
 		tblB.AddRow(fmt.Sprintf("%d", rttMs),
-			fmt.Sprintf("%.1f", analytic.FreqTACK(0.1e6, 1, 4, rtt)),
-			fmt.Sprintf("%.0f", analytic.FreqTACK(100e6, 1, 4, rtt)),
-			fmt.Sprintf("%.0f", analytic.FreqTACK(1000e6, 1, 4, rtt)))
+			fmt.Sprintf("%.1f", freqTACK(0.1e6, 1, 4, rtt)),
+			fmt.Sprintf("%.0f", freqTACK(100e6, 1, 4, rtt)),
+			fmt.Sprintf("%.0f", freqTACK(1000e6, 1, 4, rtt)))
 	}
-	pivot10 := analytic.PivotBandwidth(4, 1, 10*sim.Millisecond) / 1e6
-	pivot100M := analytic.PivotRTT(4, 1, 100e6)
+	pivot10 := pivotBandwidth(4, 1, 10*sim.Millisecond) / 1e6
+	pivot100M := pivotRTT(4, 1, 100e6)
 	notes := fmt.Sprintf("Pivot points: at RTTmin=10 ms the regimes cross at %.1f Mbit/s; at 100 Mbit/s they cross at %v. Above the pivot TACK is periodic (flat in bw), below it byte-counting (flat in RTT).",
 		pivot10, pivot100M)
 	return &Result{

@@ -51,7 +51,6 @@ type DeliveryEstimator struct {
 	packets    int
 
 	started    bool
-	totalBytes int64
 }
 
 // NewDeliveryEstimator returns an estimator whose max filter spans window.
@@ -75,7 +74,6 @@ func (e *DeliveryEstimator) OnDeliver(now sim.Time, bytes int) {
 	e.lastAt = now
 	e.packets++
 	e.bytes += int64(bytes)
-	e.totalBytes += int64(bytes)
 }
 
 // EndInterval closes the current measurement interval (called when a TACK
@@ -110,9 +108,6 @@ func (e *DeliveryEstimator) EndInterval(now sim.Time) DeliverySample {
 
 // MaxBps returns the current windowed maximum delivery rate in bits/s.
 func (e *DeliveryEstimator) MaxBps(now sim.Time) float64 { return e.max.Get(now) }
-
-// TotalBytes returns the total bytes delivered since construction.
-func (e *DeliveryEstimator) TotalBytes() int64 { return e.totalBytes }
 
 // SetWindow adjusts the max-filter window (θ_filter), e.g. as RTT estimates
 // firm up.

@@ -71,9 +71,6 @@ func (e *Estimate) Update(now sim.Time, sample sim.Time) {
 // Smoothed returns the smoothed RTT (0 before the first sample).
 func (e *Estimate) Smoothed() sim.Time { return e.srtt }
 
-// Var returns the RTT variance estimate.
-func (e *Estimate) Var() sim.Time { return e.rttvar }
-
 // Min returns the windowed minimum RTT at time now; ok is false before the
 // first sample (or after the window empties).
 func (e *Estimate) Min(now sim.Time) (sim.Time, bool) {
@@ -178,7 +175,10 @@ func (s *Sampler) OnAck(now, sentAt sim.Time) {
 
 // ReceiverTiming is the receiver half of the advanced scheme.
 type ReceiverTiming struct {
-	owd *rate.MinFilter // per-interval relative OWD tracking (reset per TACK)
+	// owd is the windowed minimum of the smoothed OWD series. Nothing but
+	// the package's test reads it; the per-packet update stays until the
+	// allocation work (ROADMAP item 1) can remove it with the rung it moves.
+	owd *rate.MinFilter
 	// EWMA of raw per-packet OWD samples; the per-interval minimum is taken
 	// over the smoothed series to suppress single-packet jitter.
 	smooth *sim.Time
@@ -245,23 +245,6 @@ func (r *ReceiverTiming) OnAckSent(now sim.Time) Echo {
 	e := Echo{Departure: r.bestDeparture, AckDelay: now - r.bestArrival, Valid: true}
 	r.haveBest = false
 	return e
-}
-
-// SmoothedOWD returns the current smoothed relative OWD and whether any
-// sample exists.
-func (r *ReceiverTiming) SmoothedOWD() (sim.Time, bool) {
-	if r.smooth == nil {
-		return 0, false
-	}
-	return *r.smooth, true
-}
-
-// MinOWD returns the windowed minimum smoothed OWD observed at time now.
-func (r *ReceiverTiming) MinOWD(now sim.Time) (sim.Time, bool) {
-	if r.owd.Empty(now) {
-		return 0, false
-	}
-	return sim.Time(r.owd.Get(now)), true
 }
 
 // SenderTiming is the sender half of the advanced scheme: it converts TACK

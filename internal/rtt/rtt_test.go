@@ -14,8 +14,8 @@ func TestEstimateFirstSample(t *testing.T) {
 	if e.Smoothed() != ms(50) {
 		t.Fatalf("srtt = %v, want 50ms", e.Smoothed())
 	}
-	if e.Var() != ms(25) {
-		t.Fatalf("rttvar = %v, want 25ms", e.Var())
+	if e.rttvar != ms(25) {
+		t.Fatalf("rttvar = %v, want 25ms", e.rttvar)
 	}
 	if m, ok := e.Min(ms(100)); !ok || m != ms(50) {
 		t.Fatalf("min = %v,%v", m, ok)
@@ -143,18 +143,16 @@ func TestReceiverTimingIntervalReset(t *testing.T) {
 
 func TestReceiverSmoothedAndMinOWD(t *testing.T) {
 	rt := NewReceiverTiming(0.5)
-	if _, ok := rt.SmoothedOWD(); ok {
+	if rt.smooth != nil {
 		t.Fatal("no samples yet")
 	}
 	rt.OnData(ms(100), ms(0))   // owd 100
 	rt.OnData(ms(250), ms(200)) // owd 50 → smoothed 75
-	sm, ok := rt.SmoothedOWD()
-	if !ok || sm != ms(75) {
-		t.Fatalf("smoothed OWD = %v,%v want 75ms", sm, ok)
+	if rt.smooth == nil || *rt.smooth != ms(75) {
+		t.Fatalf("smoothed OWD = %v want 75ms", rt.smooth)
 	}
-	min, ok := rt.MinOWD(ms(250))
-	if !ok || min != ms(75) {
-		t.Fatalf("min OWD = %v,%v want 75ms (min of smoothed series)", min, ok)
+	if min := sim.Time(rt.owd.Get(ms(250))); rt.owd.Empty(ms(250)) || min != ms(75) {
+		t.Fatalf("min OWD = %v want 75ms (min of smoothed series)", min)
 	}
 }
 

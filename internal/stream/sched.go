@@ -12,8 +12,6 @@ import "container/heap"
 // rotate, retire, or retain it. A stream that stops being frameable
 // between Push and Peek is removed by the mux via Consumed(s, 0, false).
 type Scheduler interface {
-	// Name returns the scheduler's Config.Scheduler identifier.
-	Name() string
 	// Push enters a ready stream.
 	Push(s *SendStream)
 	// Peek returns the next stream to service, or nil when none is ready.
@@ -39,9 +37,6 @@ func newScheduler(name string) Scheduler {
 type rrSched struct {
 	q []*SendStream
 }
-
-// Name identifies the scheduler.
-func (r *rrSched) Name() string { return SchedulerRoundRobin }
 
 // Push appends the stream to the rotation.
 func (r *rrSched) Push(s *SendStream) { r.q = append(r.q, s) }
@@ -72,9 +67,6 @@ func (r *rrSched) Consumed(s *SendStream, n int, still bool) {
 type prioSched struct {
 	h prioHeap
 }
-
-// Name identifies the scheduler.
-func (p *prioSched) Name() string { return SchedulerPriority }
 
 // Push enters the stream into the priority heap.
 func (p *prioSched) Push(s *SendStream) { heap.Push(&p.h, s) }
@@ -130,9 +122,6 @@ type drrSched struct {
 }
 
 func newDRRSched() *drrSched { return &drrSched{} }
-
-// Name identifies the scheduler.
-func (d *drrSched) Name() string { return SchedulerWeighted }
 
 // Push enters the stream with a fresh quantum.
 func (d *drrSched) Push(s *SendStream) {
