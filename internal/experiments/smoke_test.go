@@ -49,21 +49,20 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if line, g, w, differ := firstDiff(got, string(want)); differ {
+			if got != string(want) {
+				line, g, w := firstDiff(got, string(want))
 				t.Fatalf("%s differs from %s at line %d:\n got: %s\nwant: %s", id, path, line, g, w)
 			}
 		})
 	}
 }
 
-// firstDiff returns the first line (1-based) at which got and want differ,
-// with that line from each side ("<end of table>" where one side ran out).
-func firstDiff(got, want string) (line int, g, w string, differ bool) {
-	if got == want {
-		return 0, "", "", false
-	}
+// firstDiff returns the first line (1-based) at which two unequal tables
+// differ, with that line from each side ("<end of table>" where one side
+// ran out).
+func firstDiff(got, want string) (line int, g, w string) {
 	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
+	for i := 0; ; i++ {
 		g, w = "<end of table>", "<end of table>"
 		if i < len(gl) {
 			g = gl[i]
@@ -71,11 +70,10 @@ func firstDiff(got, want string) (line int, g, w string, differ bool) {
 		if i < len(wl) {
 			w = wl[i]
 		}
-		if g != w {
-			return i + 1, g, w, true
+		if g != w || (i >= len(gl) && i >= len(wl)) {
+			return i + 1, g, w
 		}
 	}
-	return 0, "", "", false // unreachable: unequal strings differ on some line
 }
 
 func TestUnknownExperiment(t *testing.T) {

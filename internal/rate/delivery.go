@@ -50,7 +50,7 @@ type DeliveryEstimator struct {
 	bytes      int64
 	packets    int
 
-	started    bool
+	started bool
 }
 
 // NewDeliveryEstimator returns an estimator whose max filter spans window.

@@ -675,11 +675,6 @@ func (r tackReceiver) fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kin
 		a.LargestPktSeq = largest
 	}
 	a.CumPktSeq = r.contiguousPktSeq()
-	// §5.1: TACK only repeats missing packets already reported by
-	// loss-event IACKs (the settle timer feeds that pool). With IACKs
-	// disabled (Figure 5(a) ablation) nothing enters the pool and loss
-	// recovery falls back to the sender's RTO, exactly as the paper's
-	// "without IACK" arm degrades.
 	// Delivery-rate / loss-rate sync (only TACKs close intervals, so
 	// IACKs do not fragment the measurement).
 	if typ == packet.TypeTACK {
@@ -702,7 +697,11 @@ func (r tackReceiver) fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kin
 	a.LossRatePermille = uint16(r.lastRho * 1000)
 	r.policy.Update(float64(a.DeliveryRate), r.rttMin)
 
-	// Block lists.
+	// Block lists. §5.1: a TACK only repeats missing packets already
+	// reported by loss-event IACKs (the settle timer feeds that pool). With
+	// IACKs disabled (Figure 5(a) ablation) nothing enters the pool and
+	// loss recovery falls back to the sender's RTO, exactly as the paper's
+	// "without IACK" arm degrades.
 	maxBlocks := packet.MaxBlocks(1500)
 	acked := r.loss.AckedRanges()
 	unacked := r.loss.ReportedMissing()

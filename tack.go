@@ -48,8 +48,8 @@ type (
 	// (β, L, q, settle fraction) carried in Config.Params.
 	Params = core.Params
 	// LossDetection groups the sender's loss-detection knobs carried in
-	// Config.Loss: the detector choice, the tail-loss-probe ablation
-	// switch, and the baseline's duplicate threshold.
+	// Config.Loss: the detector choice and the tail-loss-probe ablation
+	// switch.
 	LossDetection = transport.LossDetection
 	// LossDetector names a loss-detection machinery (DetectorRACK or
 	// DetectorDupThresh) in LossDetection.Detector.
@@ -76,8 +76,8 @@ const (
 	// DetectorRACK is RFC 8985 time-based loss detection with tail loss
 	// probes (the default).
 	DetectorRACK = transport.DetectorRACK
-	// DetectorDupThresh is the duplicate-threshold baseline used for A/B
-	// comparison against RACK.
+	// DetectorDupThresh is the A/B baseline against RACK: the TACK
+	// receiver's gap reports alone (TACK mode only).
 	DetectorDupThresh = transport.DetectorDupThresh
 )
 
