@@ -6,11 +6,11 @@
 //
 //	go run ./cmd/doclint ./...
 //
-// With -metrics README.md it additionally cross-checks the telemetry
+// With -metrics DESIGN.md it additionally cross-checks the telemetry
 // surface: every metric name registered in the source with a string
 // literal (reg.Counter("..."), .Gauge, .Histogram) must appear verbatim
-// in the named document, so the README's metrics table can never fall
-// behind the code.
+// in the named document, so the metrics reference can never fall behind
+// the code.
 //
 // Arguments are directories (or the literal ./... to walk the whole
 // module); _test.go files and testdata directories are skipped. Exit

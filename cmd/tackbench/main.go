@@ -8,17 +8,14 @@
 //	tackbench all [-quick]         # run everything
 //	tackbench fig3 ab-hol ...      # run specific experiments
 //	tackbench run [-path wlan] [-trace out.jsonl] [-json]   # one traced flow
-//	tackbench chaos [-conns 8] [-bytes 256K] [-seed 7]      # adversarial live soak
-//	tackbench swarm [-conns 10000] [-sockets 4]             # connection-scale swarm vs socket group
 //
 // Flags:
 //
 //	-quick   reduced durations/ensembles (CI-friendly)
 //	-seed N  RNG seed (default 1)
 //
-// The run, chaos and swarm subcommands drive real or traced flows and have
-// their own flag sets (see tackbench run -h); run's -trace output is the
-// input format of cmd/tacktrace.
+// The run subcommand drives one traced flow and has its own flag set (see
+// tackbench run -h); its -trace output is the input format of cmd/tacktrace.
 package main
 
 import (
@@ -34,7 +31,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced durations and ensembles")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tackbench [-quick] [-seed N] list | all | <id>... | run [flags] | chaos [flags] | swarm [flags]\n")
+		fmt.Fprintf(os.Stderr, "usage: tackbench [-quick] [-seed N] list | all | <id>... | run [flags]\n")
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", experiments.IDs())
 	}
 	flag.Parse()
@@ -54,12 +51,6 @@ func main() {
 		return
 	case "run":
 		runCmd(args[1:])
-		return
-	case "chaos":
-		chaosCmd(args[1:])
-		return
-	case "swarm":
-		swarmCmd(args[1:])
 		return
 	case "all":
 		ids = experiments.IDs()

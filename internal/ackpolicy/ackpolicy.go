@@ -304,9 +304,6 @@ func (t *TACK) Update(_ float64, rttMin sim.Time) {
 	}
 }
 
-// Alpha exposes the current TACK interval (for tests and diagnostics).
-func (t *TACK) Alpha() sim.Time { return t.alpha }
-
 // OnData implements Policy: both conditions must hold.
 func (t *TACK) OnData(now sim.Time, bytes int) bool {
 	prevPending := t.bytesPending

@@ -92,16 +92,16 @@ func TestPeriodicFrequencyIndependentOfBandwidth(t *testing.T) {
 func TestTACKAlphaFromRTTMin(t *testing.T) {
 	p := NewTACK(4, 2)
 	p.Update(0, ms(80))
-	if p.Alpha() != ms(20) {
-		t.Fatalf("alpha = %v, want RTTmin/beta = 20ms", p.Alpha())
+	if p.alpha != ms(20) {
+		t.Fatalf("alpha = %v, want RTTmin/beta = 20ms", p.alpha)
 	}
 	p.Update(0, 0)
-	if p.Alpha() != ms(25) {
-		t.Fatalf("fallback alpha = %v, want 25ms", p.Alpha())
+	if p.alpha != ms(25) {
+		t.Fatalf("fallback alpha = %v, want 25ms", p.alpha)
 	}
 	p.Update(0, sim.Microsecond)
-	if p.Alpha() != sim.Millisecond {
-		t.Fatalf("alpha floor = %v, want 1ms", p.Alpha())
+	if p.alpha != sim.Millisecond {
+		t.Fatalf("alpha floor = %v, want 1ms", p.alpha)
 	}
 }
 

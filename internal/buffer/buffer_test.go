@@ -81,8 +81,8 @@ func TestMarkLossSkipsStaleReports(t *testing.T) {
 	if marked := b.MarkLossByPktRanges([]seqspace.Range{{Lo: 9, Hi: 10}}); len(marked) != 0 {
 		t.Fatal("re-marking should be idempotent")
 	}
-	if got := b.LossMarked(); len(got) != 1 || got[0] != s {
-		t.Fatalf("LossMarked = %v", got)
+	if !s.LossMarked || b.markedLive != 1 {
+		t.Fatalf("LossMarked = %v with %d live marks, want the one segment marked", s.LossMarked, b.markedLive)
 	}
 }
 
@@ -174,9 +174,9 @@ func TestReceiveBufferHoLB(t *testing.T) {
 	if rb.BlockedBytes() != 3000 {
 		t.Fatalf("BlockedBytes = %d, want 3000", rb.BlockedBytes())
 	}
-	holes := rb.Holes()
+	holes := rb.received.Gaps(rb.NextExpected(), 6000)
 	if len(holes) != 1 || holes[0] != (seqspace.Range{Lo: 1500, Hi: 3000}) {
-		t.Fatalf("Holes = %v", holes)
+		t.Fatalf("holes = %v", holes)
 	}
 	// Fill the hole: everything drains to readable.
 	rb.Offer(1500, 1500)
@@ -237,8 +237,8 @@ func TestReceiveBufferFIN(t *testing.T) {
 	if !rb.Complete() {
 		t.Fatal("should be complete")
 	}
-	if fin, ok := rb.FinSeq(); !ok || fin != 500 {
-		t.Fatalf("FinSeq = %d,%v", fin, ok)
+	if !rb.finKnown || rb.finSeq != 500 {
+		t.Fatalf("finSeq = %d,%v", rb.finSeq, rb.finKnown)
 	}
 }
 

@@ -100,25 +100,9 @@ func (b *ReceiveBuffer) Window() uint64 {
 // Delivered returns total bytes consumed by the application.
 func (b *ReceiveBuffer) Delivered() uint64 { return b.delivered }
 
-// Capacity returns the configured buffer size.
-func (b *ReceiveBuffer) Capacity() int { return b.capacity }
-
 // Complete reports whether the whole stream (through FIN) was consumed.
 func (b *ReceiveBuffer) Complete() bool {
 	return b.finKnown && b.nextRead >= b.finSeq
-}
-
-// FinSeq returns the end-of-stream offset and whether it is known.
-func (b *ReceiveBuffer) FinSeq() (uint64, bool) { return b.finSeq, b.finKnown }
-
-// Holes returns the missing byte ranges between the cumulative point and
-// the highest received byte.
-func (b *ReceiveBuffer) Holes() []seqspace.Range {
-	max, ok := b.received.Max()
-	if !ok {
-		return nil
-	}
-	return b.received.Gaps(b.nextRead, max+1)
 }
 
 // Ranges returns the byte ranges currently buffered (unconsumed), in

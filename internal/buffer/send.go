@@ -346,17 +346,6 @@ func (b *SendBuffer) compactMarked() {
 	b.marked = kept
 }
 
-// LossMarked returns all segments currently flagged lost, in stream order.
-func (b *SendBuffer) LossMarked() []*Segment {
-	out := make([]*Segment, 0, b.markedLive)
-	for _, seg := range b.marked {
-		if markedEntryLive(seg) {
-			out = append(out, seg)
-		}
-	}
-	return out
-}
-
 // HasMarked reports whether any segment is flagged lost.
 func (b *SendBuffer) HasMarked() bool { return b.markedLive > 0 }
 

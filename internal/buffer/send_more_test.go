@@ -70,9 +70,6 @@ func TestReleaseClearsLossMark(t *testing.T) {
 	if b.HasMarked() {
 		t.Fatal("released segment still counted as marked")
 	}
-	if got := b.LossMarked(); len(got) != 0 {
-		t.Fatalf("LossMarked = %v", got)
-	}
 }
 
 func TestMarkLossIgnoresReleased(t *testing.T) {

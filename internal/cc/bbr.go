@@ -41,7 +41,7 @@ var bbrCycle = []float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 // update per TACK interval suffices — BBR's own gain-cycle steps are RTT
 // granular — BBR tolerates the excessively delayed ACK clock.
 type BBR struct {
-	bwFilt *rate.MaxFilter // bottleneck bandwidth, bits/s
+	bwFilt *rate.Filter // bottleneck bandwidth, bits/s
 	minRTT sim.Time
 	srtt   sim.Time
 
@@ -68,7 +68,7 @@ type BBR struct {
 	// integrate BBR's aggregation improvements; links with A-MPDU deliver
 	// ACK credit in bursts, so cwnd must provision bdp + max extra acked,
 	// mirroring Linux bbr_update_ack_aggregation).
-	extraFilt     *rate.MaxFilter
+	extraFilt     *rate.Filter
 	ackEpochStart sim.Time
 	ackEpochAcked int64
 	haveAckEpoch  bool

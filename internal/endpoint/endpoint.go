@@ -218,7 +218,7 @@ func (c Config) withDefaults() Config {
 func (c Config) handshakeRetryRTO(retries int) time.Duration {
 	rto := time.Duration(c.Transport.HandshakeRTO)
 	if rto <= 0 {
-		rto = 250 * time.Millisecond
+		rto = time.Duration(transport.DefaultHandshakeRTO)
 	}
 	for i := 0; i < retries; i++ {
 		rto *= 2
@@ -236,7 +236,7 @@ func (c Config) handshakeRetryBudget() int {
 	case n < 0:
 		return 0
 	case n == 0:
-		return 8
+		return transport.DefaultMaxSYNRetries
 	default:
 		return n
 	}

@@ -96,13 +96,13 @@ func waitCounter(reg *telemetry.Registry, name string, want int64, deadline time
 // completes, with zero idle timeouts, because the server validates the
 // new address and follows it. A validated migration that limps is a
 // congestion-reset or pacing regression even when it "works", so the
-// delivery rate on the migrated path (the quantity `tackbench chaos -rebind`
-// prints) must also come back. The bar is a quarter of the pre-rebind rate:
-// the congestion controller restarts in slow start and one PATH_CHALLENGE
-// lost to the chaos profile costs a 250 ms retransmit interval out of a
-// ≈ 0.5 s post-rebind window, which puts healthy runs at 0.44–9× (110 runs
-// on 2 vCPUs), while a window or pacer stuck after the reset sits below
-// 0.1× and the unmigrated path starves at 4 pkt/s.
+// delivery rate on the migrated path must also come back. The bar is a
+// quarter of the pre-rebind rate: the congestion controller restarts in
+// slow start and one PATH_CHALLENGE lost to the chaos profile costs a
+// 250 ms retransmit interval out of a ≈ 0.5 s post-rebind window, which
+// puts healthy runs at 0.44–9× (110 runs on 2 vCPUs), while a window or
+// pacer stuck after the reset sits below 0.1× and the unmigrated path
+// starves at 4 pkt/s.
 func TestEndpointMigrationRecovery(t *testing.T) {
 	before := runtime.NumGoroutine()
 	size := int64(16 << 20)

@@ -407,9 +407,6 @@ func (sh *shard) acceptSYN(p *packet.Packet, from *net.UDPAddr) {
 		return
 	}
 	c.rcv = transport.NewReceiver(sh.loop, c.engineConfig(), c.output)
-	// Per-packet sample logs for the simulator's reports: 8 bytes a packet
-	// for the life of the connection, and OWD needs a clock shared with the peer.
-	c.rcv.OWD, c.rcv.BlockedSamples = nil, nil
 	if m := c.rcv.Streams(); m != nil {
 		// Stream reads drain per-stream windows on application
 		// goroutines; route window-update wakeups through the shard.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/tacktp/tack/internal/telemetry"
+	"github.com/tacktp/tack/internal/transport"
 )
 
 // ConnState is a point-in-time, JSON-friendly snapshot of one
@@ -317,7 +318,7 @@ func (sh *shard) stallTimeout(c *Conn) time.Duration {
 	}
 	rto := time.Duration(sh.ep.cfg.Transport.MinRTO)
 	if rto <= 0 {
-		rto = 200 * time.Millisecond
+		rto = time.Duration(transport.DefaultMinRTO)
 	}
 	return rto * time.Duration(n)
 }

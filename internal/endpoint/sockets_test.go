@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +107,113 @@ func TestSocketGroupEndToEnd(t *testing.T) {
 		if strings.HasPrefix(name, fmt.Sprintf("ep.sock.%d.", srv.SocketCount())) {
 			t.Fatalf("unexpected metric %q beyond socket group", name)
 		}
+	}
+}
+
+// TestSocketGroupSpeedup gates the reason socket groups exist: the same
+// client pool ramps 2048 held connections and then moves bulk data, once
+// against one server socket and once against an SO_REUSEPORT group of four,
+// compared on connection-setup rate and goodput. Speedup from the group
+// requires cores to spread across; below 4 the comparison measures
+// scheduler noise.
+func TestSocketGroupSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock gate")
+	}
+	if n := runtime.NumCPU(); n < 4 {
+		t.Skipf("need >= 4 CPUs for a meaningful socket-group comparison, have %d", n)
+	}
+	if !batchio.ReusePortSupported() {
+		t.Skip("no SO_REUSEPORT: the platform clamps the socket group to one socket")
+	}
+	const (
+		clients, perClient = 64, 32 // 2048 held connections
+		flows, size        = 4, 64 << 20
+	)
+	run := func(sockets int) (setupRate, goodputMBs float64) {
+		srv, err := Listen("127.0.0.1:0", Config{
+			Transport: transport.Config{Mode: transport.ModeTACK},
+			Sockets:   sockets, AcceptBacklog: 4096, HandshakeTimeout: 15 * time.Second, FlightRecorder: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if got := srv.SocketCount(); got != sockets {
+			t.Fatalf("asked for %d sockets, endpoint bound %d", sockets, got)
+		}
+		go func() {
+			for {
+				if _, err := srv.Accept(); err != nil {
+					return
+				}
+			}
+		}()
+		var clis []*Endpoint
+		defer func() {
+			for _, cli := range clis {
+				cli.Close()
+			}
+		}()
+		// Each client endpoint is its own socket, so the reuseport hash can
+		// spread the pool over the group.
+		pool := func(n int, tcfg transport.Config) []*Endpoint {
+			for i := 0; i < n; i++ {
+				cli, err := Listen("127.0.0.1:0", Config{Transport: tcfg, KeepaliveInterval: 5 * time.Second,
+					IdleTimeout: -1, HandshakeTimeout: 30 * time.Second, FlightRecorder: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				clis = append(clis, cli)
+			}
+			return clis[len(clis)-n:]
+		}
+		// drive dials per connections from every endpoint of the pool at
+		// once, waits for wait(c) on each, and returns the wall time taken.
+		drive := func(eps []*Endpoint, per int, wait func(*Conn) error) time.Duration {
+			var wg sync.WaitGroup
+			start := time.Now()
+			for _, cli := range eps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := 0; j < per; j++ {
+						c, err := cli.Dial(srv.LocalAddr().String())
+						if err == nil {
+							err = wait(c)
+						}
+						if err != nil {
+							t.Errorf("sockets=%d: %v", sockets, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			return time.Since(start)
+		}
+		// Held connections send nothing after the handshake (app-paced
+		// source with no bytes) and are ramped while the bulk flows load the
+		// server, so the setup rate is the one a busy endpoint sustains.
+		heldEps := pool(clients, transport.Config{Mode: transport.ModeTACK, AppPaced: true})
+		bulkEps := pool(flows, transport.Config{Mode: transport.ModeTACK, TransferBytes: size})
+		bulk := make(chan time.Duration, 1)
+		go func() {
+			bulk <- drive(bulkEps, 1, func(c *Conn) error { return c.Wait(2 * time.Minute) })
+		}()
+		ramp := drive(heldEps, perClient, func(*Conn) error { return nil })
+		setupRate = float64(clients*perClient) / ramp.Seconds()
+		goodputMBs = float64(flows*size) / 1e6 / (<-bulk).Seconds()
+		t.Logf("sockets=%d: setup %.0f conns/s, goodput %.1f MB/s", sockets, setupRate, goodputMBs)
+		return setupRate, goodputMBs
+	}
+	setup1, goodput1 := run(1)
+	setup4, goodput4 := run(4)
+	if ratio := setup4 / setup1; ratio < 1.2 {
+		t.Errorf("socket group sets up connections %.2fx as fast as one socket, want >= 1.2x", ratio)
+	}
+	if ratio := goodput4 / goodput1; ratio < 1.2 {
+		t.Errorf("socket group moves %.2fx the goodput of one socket, want >= 1.2x", ratio)
 	}
 }
 

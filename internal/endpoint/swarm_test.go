@@ -10,8 +10,8 @@ import (
 	"github.com/tacktp/tack/internal/transport"
 )
 
-// TestSwarmLifecycleChurn is the -race miniature of `tackbench swarm`:
-// a 4-socket server group under connection churn from a pool of client
+// TestSwarmLifecycleChurn is a connection swarm small enough for -race: a
+// 4-socket server group under connection churn from a pool of client
 // endpoints — some connections run their bounded transfer to
 // completion, every third one is torn down mid-flight. The invariants
 // are lifecycle-structural: no goroutine leaks once everything closes,

@@ -253,6 +253,28 @@ func TestEmbryoSYNACKScheduleBudgetAndReap(t *testing.T) {
 	}
 }
 
+// TestUnsetTransportTimersFollowTransport sets none of HandshakeRTO,
+// MaxSYNRetries and MinRTO: the embryo's SYNACK schedule and the
+// receiver-side stall threshold must then be the transport's own defaults,
+// not numbers the endpoint keeps for itself.
+func TestUnsetTransportTimersFollowTransport(t *testing.T) {
+	cfg := Config{Transport: transport.Config{Mode: transport.ModeTACK}}.withDefaults()
+	rto := time.Duration(transport.DefaultHandshakeRTO)
+	for retries, want := range []time.Duration{rto, 2 * rto, 4 * rto} {
+		if got := cfg.handshakeRetryRTO(retries); got != want {
+			t.Errorf("embryo SYNACK timeout after %d retries = %v, want %v", retries, got, want)
+		}
+	}
+	if got := cfg.handshakeRetryBudget(); got != transport.DefaultMaxSYNRetries {
+		t.Errorf("embryo SYNACK budget = %d, want the transport's %d", got, transport.DefaultMaxSYNRetries)
+	}
+	sh := &shard{ep: &Endpoint{cfg: cfg}}
+	want := time.Duration(cfg.StallRTOs) * time.Duration(transport.DefaultMinRTO)
+	if got := sh.stallTimeout(&Conn{}); got != want {
+		t.Errorf("receiver-side stall timeout = %v, want %d × the transport's minimum RTO = %v", got, cfg.StallRTOs, want)
+	}
+}
+
 func TestCloseLingerFiresOnTime(t *testing.T) {
 	peer := newRawPeer(t)
 	reg := telemetry.NewRegistry()

@@ -10,7 +10,6 @@ import (
 	"github.com/tacktp/tack/internal/stream"
 	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
-	"github.com/tacktp/tack/internal/video"
 )
 
 func init() {
@@ -117,8 +116,8 @@ func runFECSession(seed int64, dur sim.Time, withFEC bool) (fecResult, error) {
 		return fecResult{}, err
 	}
 
-	src := &video.Source{FPS: fecVideoFPS, AvgBitrate: fecVideoBps, PeakFactor: 2, GOPSize: 30}
-	playout := video.NewPlayout(fecVideoFPS, 2)
+	src := &videoSource{FPS: fecVideoFPS, AvgBitrate: fecVideoBps, PeakFactor: 2, GOPSize: 30}
+	playout := newVideoPlayout(fecVideoFPS, 2)
 	frameDur := src.Interval()
 	deadline := fecDeadlineFrames * frameDur
 

@@ -140,7 +140,7 @@ func metricsOf(f *topo.Flow, dur sim.Time) flowMetrics {
 		AcksSent:    f.Receiver.Stats.AcksSent(),
 		Retransmits: f.Sender.Stats.Retransmits,
 		Timeouts:    f.Sender.Stats.Timeouts,
-		OWD95:       sim.Time(f.Receiver.OWD.Percentile(95) * 1e9),
+		OWD95:       sim.Time(f.OWD.Percentile(95) * 1e9),
 		LossIACKs:   f.Receiver.Stats.LossIACKs,
 		Delivered:   f.Receiver.Delivered(),
 		Done:        f.Sender.Done(),

@@ -9,7 +9,6 @@ import (
 	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
-	"github.com/tacktp/tack/internal/video"
 )
 
 func init() {
@@ -63,8 +62,8 @@ func runMiracastReliable(seed int64, cfg transport.Config, dur sim.Time) miracas
 	}
 	flow.Start()
 
-	src := video.NewSource(miracastBitrate)
-	playout := video.NewPlayout(miracastFPS, 5)
+	src := newVideoSource(miracastBitrate)
+	playout := newVideoPlayout(miracastFPS, 5)
 	// frameEnds[i] is the stream offset at which frame i completes.
 	var frameEnds []uint64
 	var total uint64
@@ -118,7 +117,7 @@ func runMiracastRTP(seed int64, dur sim.Time) miracastResult {
 		due  sim.Time
 	}
 	frames := map[int]*frameState{}
-	playout := video.NewPlayout(miracastFPS, 5)
+	playout := newVideoPlayout(miracastFPS, 5)
 	tv.Receive = func(f *mac.Frame) {
 		id := f.Payload.(int)
 		if st, ok := frames[id]; ok {
@@ -126,7 +125,7 @@ func runMiracastRTP(seed int64, dur sim.Time) miracastResult {
 		}
 	}
 
-	src := video.NewSource(miracastBitrate)
+	src := newVideoSource(miracastBitrate)
 	frame := src.Interval()
 	renderBudget := 6 * frame // ~100 ms Miracast-typical playout deadline
 	id := 0

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/tacktp/tack/internal/pantheon"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/topo"
@@ -21,9 +20,9 @@ func init() {
 func runFig14(opt Options) (*Result, error) {
 	n := opt.count(16)
 	dur := opt.dur(16 * sim.Second)
-	scenarios := pantheon.SampleScenarios(n, opt.seed(), dur)
-	schemes := pantheon.DefaultSchemes()
-	rankings, _ := pantheon.Evaluate(scenarios, schemes)
+	scenarios := samplePantheon(n, opt.seed(), dur)
+	schemes := pantheonSchemes()
+	rankings := rankPantheon(scenarios, schemes)
 	tbl := stats.NewTable("Rank", "Scheme", "mean rank", "median", "best", "worst")
 	for i, r := range rankings {
 		tbl.AddRow(fmt.Sprintf("%d", i+1), r.Scheme,

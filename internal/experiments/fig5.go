@@ -39,7 +39,7 @@ func runFig5a(opt Options) (*Result, error) {
 		flow.Start()
 		flow.Sender.Controller().(*cc.Static).SetRate(30e6)
 		loop.RunUntil(dur)
-		return flow.Receiver.BlockedSamples
+		return flow.BlockedSamples
 	}
 
 	with := stats.NewSummary()

@@ -1,16 +1,16 @@
-// Package pantheon reproduces the paper's §6.6 horizontal evaluation: a
-// Pantheon-style community benchmark that runs a population of transport
-// schemes over an ensemble of randomized WAN scenarios and ranks them per
-// scenario by Kleinrock's power metric log(throughput_avg / OWD_95th).
+package experiments
+
+// The paper's §6.6 horizontal evaluation (fig14): a Pantheon-style community
+// benchmark that runs a population of transport schemes over an ensemble of
+// randomized WAN scenarios and ranks them per scenario by Kleinrock's power
+// metric log(throughput_avg / OWD_95th).
 //
 // The real Pantheon measured wild Internet paths for 200 days; here each
 // scenario is an emulated path sampled from realistic ranges (bandwidth,
 // RTT, loss, queue depth), optionally with competing cross traffic, which
 // preserves the figure's who-beats-whom ranking structure.
-package pantheon
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -20,24 +20,24 @@ import (
 	"github.com/tacktp/tack/internal/transport"
 )
 
-// Scheme is one ranked transport configuration.
-type Scheme struct {
+// pantheonScheme is one ranked transport configuration.
+type pantheonScheme struct {
 	Name string
 	// Config builds the transport configuration for a run.
 	Config func() transport.Config
 }
 
-// DefaultSchemes returns the scheme population: TCP-TACK plus the
+// pantheonSchemes returns the scheme population: TCP-TACK plus the
 // implemented baseline family. (Sprout/Verus/Indigo from the paper are
 // learned/forecast controllers tied to cellular traces and are out of
 // scope; the six families below preserve the ranking structure.)
-func DefaultSchemes() []Scheme {
+func pantheonSchemes() []pantheonScheme {
 	legacy := func(cc string) func() transport.Config {
 		return func() transport.Config {
 			return transport.Config{Mode: transport.ModeLegacy, CC: cc}
 		}
 	}
-	return []Scheme{
+	return []pantheonScheme{
 		{Name: "tcp-tack", Config: func() transport.Config {
 			return transport.Config{Mode: transport.ModeTACK, CC: "bbr", RichTACK: true}
 		}},
@@ -50,8 +50,8 @@ func DefaultSchemes() []Scheme {
 	}
 }
 
-// Scenario is one emulated path configuration.
-type Scenario struct {
+// pantheonScenario is one emulated path configuration.
+type pantheonScenario struct {
 	RateBps  float64
 	OWD      sim.Time
 	Loss     float64
@@ -64,19 +64,10 @@ type Scenario struct {
 	CrossTraffic bool
 }
 
-// String summarizes the scenario.
-func (s Scenario) String() string {
-	tag := ""
-	if s.CrossTraffic {
-		tag = "/cross"
-	}
-	return fmt.Sprintf("%.0fMbps/%v/%.2f%%/q=%.1fbdp%s", s.RateBps/1e6, 2*s.OWD, s.Loss*100, s.QueueBDP, tag)
-}
-
-// SampleScenarios draws n randomized scenarios from Pantheon-like ranges.
-func SampleScenarios(n int, seed int64, dur sim.Time) []Scenario {
+// samplePantheon draws n randomized scenarios from Pantheon-like ranges.
+func samplePantheon(n int, seed int64, dur sim.Time) []pantheonScenario {
 	rng := sim.NewLoop(seed).Rand()
-	out := make([]Scenario, n)
+	out := make([]pantheonScenario, n)
 	for i := range out {
 		rate := (5 + rng.Float64()*195) * 1e6              // 5–200 Mbit/s
 		owd := sim.Time(2+rng.Intn(120)) * sim.Millisecond // 4–240 ms RTT
@@ -84,7 +75,7 @@ func SampleScenarios(n int, seed int64, dur sim.Time) []Scenario {
 		if rng.Float64() < 0.4 {
 			loss = rng.Float64() * 0.01 // up to 1%
 		}
-		out[i] = Scenario{
+		out[i] = pantheonScenario{
 			RateBps:      rate,
 			OWD:          owd,
 			Loss:         loss,
@@ -97,8 +88,8 @@ func SampleScenarios(n int, seed int64, dur sim.Time) []Scenario {
 	return out
 }
 
-// RunResult is one scheme's outcome on one scenario.
-type RunResult struct {
+// pantheonResult is one scheme's outcome on one scenario.
+type pantheonResult struct {
 	Scheme    string
 	Goodput   float64 // bits/s
 	OWD95     sim.Time
@@ -106,8 +97,8 @@ type RunResult struct {
 	Completed bool
 }
 
-// RunScheme measures one scheme over one scenario.
-func RunScheme(sc Scenario, scheme Scheme) RunResult {
+// runPantheon measures one scheme over one scenario.
+func runPantheon(sc pantheonScenario, scheme pantheonScheme) pantheonResult {
 	loop := sim.NewLoop(sc.Seed)
 	queueBytes := int(sc.RateBps / 8 * (2 * sc.OWD).Seconds() * sc.QueueBDP)
 	if queueBytes < 32<<10 {
@@ -124,7 +115,7 @@ func RunScheme(sc Scenario, scheme Scheme) RunResult {
 	cfg.ConnID = 1
 	flow, err := topo.NewFlow(loop, cfg, path)
 	if err != nil {
-		return RunResult{Scheme: scheme.Name}
+		return pantheonResult{Scheme: scheme.Name}
 	}
 	if sc.CrossTraffic {
 		cross, err := topo.NewFlow(loop, transport.Config{
@@ -138,12 +129,12 @@ func RunScheme(sc Scenario, scheme Scheme) RunResult {
 	loop.RunUntil(sc.Dur)
 	delivered := flow.Receiver.Delivered()
 	goodput := float64(delivered) * 8 / sc.Dur.Seconds()
-	owd95 := sim.Time(flow.Receiver.OWD.Percentile(95) * 1e9)
+	owd95 := sim.Time(flow.OWD.Percentile(95) * 1e9)
 	power := math.Inf(-1)
 	if goodput > 0 && owd95 > 0 {
 		power = math.Log(goodput / owd95.Seconds())
 	}
-	return RunResult{
+	return pantheonResult{
 		Scheme:    scheme.Name,
 		Goodput:   goodput,
 		OWD95:     owd95,
@@ -152,27 +143,25 @@ func RunScheme(sc Scenario, scheme Scheme) RunResult {
 	}
 }
 
-// Ranking aggregates per-scenario ranks for each scheme.
-type Ranking struct {
+// pantheonRanking aggregates per-scenario ranks for each scheme.
+type pantheonRanking struct {
 	Scheme string
 	Ranks  *stats.Summary // 1 = best per scenario
 	Mean   float64
 }
 
-// Evaluate runs every scheme over every scenario and returns rankings
-// sorted best-first, plus the raw per-scenario results.
-func Evaluate(scenarios []Scenario, schemes []Scheme) ([]Ranking, [][]RunResult) {
+// rankPantheon runs every scheme over every scenario and returns rankings
+// sorted best-first.
+func rankPantheon(scenarios []pantheonScenario, schemes []pantheonScheme) []pantheonRanking {
 	perScheme := map[string]*stats.Summary{}
 	for _, s := range schemes {
 		perScheme[s.Name] = stats.NewSummary()
 	}
-	all := make([][]RunResult, len(scenarios))
-	for i, sc := range scenarios {
-		results := make([]RunResult, len(schemes))
+	for _, sc := range scenarios {
+		results := make([]pantheonResult, len(schemes))
 		for j, scheme := range schemes {
-			results[j] = RunScheme(sc, scheme)
+			results[j] = runPantheon(sc, scheme)
 		}
-		all[i] = results
 		// Rank by power, best (highest) first.
 		order := make([]int, len(results))
 		for k := range order {
@@ -185,11 +174,11 @@ func Evaluate(scenarios []Scenario, schemes []Scheme) ([]Ranking, [][]RunResult)
 			perScheme[results[idx].Scheme].Add(float64(rank + 1))
 		}
 	}
-	out := make([]Ranking, 0, len(schemes))
+	out := make([]pantheonRanking, 0, len(schemes))
 	for _, s := range schemes {
 		r := perScheme[s.Name]
-		out = append(out, Ranking{Scheme: s.Name, Ranks: r, Mean: r.Mean()})
+		out = append(out, pantheonRanking{Scheme: s.Name, Ranks: r, Mean: r.Mean()})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Mean < out[b].Mean })
-	return out, all
+	return out
 }

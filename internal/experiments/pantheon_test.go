@@ -1,4 +1,4 @@
-package pantheon
+package experiments
 
 import (
 	"testing"
@@ -7,8 +7,8 @@ import (
 )
 
 func TestSampleScenariosDeterministic(t *testing.T) {
-	a := SampleScenarios(5, 42, sim.Second)
-	b := SampleScenarios(5, 42, sim.Second)
+	a := samplePantheon(5, 42, sim.Second)
+	b := samplePantheon(5, 42, sim.Second)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("scenario sampling not deterministic: %+v vs %+v", a[i], b[i])
@@ -29,7 +29,7 @@ func TestSampleScenariosDeterministic(t *testing.T) {
 
 func TestDefaultSchemesIncludeTACKAndBaselines(t *testing.T) {
 	names := map[string]bool{}
-	for _, s := range DefaultSchemes() {
+	for _, s := range pantheonSchemes() {
 		names[s.Name] = true
 	}
 	for _, want := range []string{"tcp-tack", "tcp-bbr", "tcp-cubic", "tcp-vegas"} {
@@ -40,8 +40,8 @@ func TestDefaultSchemesIncludeTACKAndBaselines(t *testing.T) {
 }
 
 func TestRunSchemeProducesTraffic(t *testing.T) {
-	sc := Scenario{RateBps: 50e6, OWD: 10 * sim.Millisecond, QueueBDP: 2, Dur: 2 * sim.Second, Seed: 1}
-	res := RunScheme(sc, DefaultSchemes()[0]) // tcp-tack
+	sc := pantheonScenario{RateBps: 50e6, OWD: 10 * sim.Millisecond, QueueBDP: 2, Dur: 2 * sim.Second, Seed: 1}
+	res := runPantheon(sc, pantheonSchemes()[0]) // tcp-tack
 	if !res.Completed || res.Goodput < 5e6 {
 		t.Fatalf("tack run: %+v", res)
 	}
@@ -51,11 +51,11 @@ func TestRunSchemeProducesTraffic(t *testing.T) {
 }
 
 func TestEvaluateRanksAllSchemes(t *testing.T) {
-	scenarios := SampleScenarios(2, 7, sim.Second)
-	schemes := DefaultSchemes()[:3] // keep the smoke test fast
-	rankings, raw := Evaluate(scenarios, schemes)
-	if len(rankings) != 3 || len(raw) != 2 {
-		t.Fatalf("sizes: %d rankings, %d scenario rows", len(rankings), len(raw))
+	scenarios := samplePantheon(2, 7, sim.Second)
+	schemes := pantheonSchemes()[:3] // keep the smoke test fast
+	rankings := rankPantheon(scenarios, schemes)
+	if len(rankings) != 3 {
+		t.Fatalf("%d rankings, want 3", len(rankings))
 	}
 	for _, r := range rankings {
 		if r.Ranks.Count() != 2 {

@@ -1,5 +1,7 @@
-// Package video models the Miracast-style screen-projection workload of the
-// paper's §6.4 deployment study: a constant-frame-rate encoder feeding a
+package experiments
+
+// The Miracast-style screen-projection workload of the paper's §6.4
+// deployment study (fig11, ab-fec): a constant-frame-rate encoder feeding a
 // transport, and a playout model charging rebuffering (reliable transports
 // that fall behind) and macroblocking artifacts (unreliable transports that
 // lose frame fragments).
@@ -7,13 +9,12 @@
 // The metrics mirror Figure 11: rebuffering ratio (fraction of wall-clock
 // time the playout buffer is empty) and macroblocking events per 30 minutes
 // (frames rendered with missing fragments).
-package video
 
 import "github.com/tacktp/tack/internal/sim"
 
-// Source generates encoded video frames at a constant frame rate and
+// videoSource generates encoded video frames at a constant frame rate and
 // average bit rate with a configurable peak factor (I-frames).
-type Source struct {
+type videoSource struct {
 	FPS        int
 	AvgBitrate float64 // bits/s
 	// PeakFactor scales every GOPSize-th frame (I-frame); the paper notes
@@ -24,17 +25,17 @@ type Source struct {
 	frame int
 }
 
-// NewSource returns a 60 fps source at the given average bit rate with 2x
+// newVideoSource returns a 60 fps source at the given average bit rate with 2x
 // I-frames every 30 frames (a typical Miracast configuration).
-func NewSource(avgBitrate float64) *Source {
-	return &Source{FPS: 60, AvgBitrate: avgBitrate, PeakFactor: 2, GOPSize: 30}
+func newVideoSource(avgBitrate float64) *videoSource {
+	return &videoSource{FPS: 60, AvgBitrate: avgBitrate, PeakFactor: 2, GOPSize: 30}
 }
 
 // Interval returns the frame period.
-func (s *Source) Interval() sim.Time { return sim.Second / sim.Time(s.FPS) }
+func (s *videoSource) Interval() sim.Time { return sim.Second / sim.Time(s.FPS) }
 
 // NextFrameBytes returns the size of the next frame in bytes.
-func (s *Source) NextFrameBytes() int {
+func (s *videoSource) NextFrameBytes() int {
 	base := s.AvgBitrate / float64(s.FPS) / 8
 	s.frame++
 	gop := s.GOPSize
@@ -50,9 +51,9 @@ func (s *Source) NextFrameBytes() int {
 	return int(base * shrink)
 }
 
-// Playout consumes frames at the source frame rate and accounts stalls and
+// videoPlayout consumes frames at the source frame rate and accounts stalls and
 // artifacts.
-type Playout struct {
+type videoPlayout struct {
 	fps        int
 	frameDur   sim.Time
 	buffered   int // frames ready to render
@@ -70,18 +71,18 @@ type Playout struct {
 	lastTick     sim.Time
 }
 
-// NewPlayout returns a playout buffer targeting the given startup depth in
+// newVideoPlayout returns a playout buffer targeting the given startup depth in
 // frames (e.g. 5 frames ≈ 83 ms at 60 fps).
-func NewPlayout(fps, targetFrames int) *Playout {
+func newVideoPlayout(fps, targetFrames int) *videoPlayout {
 	if targetFrames < 1 {
 		targetFrames = 1
 	}
-	return &Playout{fps: fps, frameDur: sim.Second / sim.Time(fps), target: targetFrames, buffering: true}
+	return &videoPlayout{fps: fps, frameDur: sim.Second / sim.Time(fps), target: targetFrames, buffering: true}
 }
 
 // OnFrame delivers a decoded frame at time now; corrupted marks a frame
 // rendered with missing data (macroblocking) rather than discarded.
-func (p *Playout) OnFrame(now sim.Time, corrupted bool) {
+func (p *videoPlayout) OnFrame(now sim.Time, corrupted bool) {
 	if !p.started {
 		p.started = true
 		p.startAt = now
@@ -100,7 +101,7 @@ func (p *Playout) OnFrame(now sim.Time, corrupted bool) {
 
 // Tick advances playout to time now, consuming frames at the frame rate.
 // Call at frame-interval granularity or coarser.
-func (p *Playout) Tick(now sim.Time) {
+func (p *videoPlayout) Tick(now sim.Time) {
 	if !p.started {
 		return
 	}
@@ -121,7 +122,7 @@ func (p *Playout) Tick(now sim.Time) {
 }
 
 // Finish closes accounting at time now.
-func (p *Playout) Finish(now sim.Time) {
+func (p *videoPlayout) Finish(now sim.Time) {
 	p.Tick(now)
 	if p.buffering && p.started {
 		p.StallTime += now - p.bufferFrom
@@ -129,7 +130,7 @@ func (p *Playout) Finish(now sim.Time) {
 }
 
 // RebufferRatio returns stalled time over total session time.
-func (p *Playout) RebufferRatio(now sim.Time) float64 {
+func (p *videoPlayout) RebufferRatio(now sim.Time) float64 {
 	if !p.started || now <= p.startAt {
 		return 0
 	}
@@ -143,7 +144,7 @@ func (p *Playout) RebufferRatio(now sim.Time) float64 {
 
 // MacroblockPer30Min scales the artifact count to the paper's
 // times-per-30-minutes unit.
-func (p *Playout) MacroblockPer30Min(sessionDur sim.Time) float64 {
+func (p *videoPlayout) MacroblockPer30Min(sessionDur sim.Time) float64 {
 	if sessionDur <= 0 {
 		return 0
 	}

@@ -1,4 +1,4 @@
-package video
+package experiments
 
 import (
 	"testing"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestSourceAverageBitrate(t *testing.T) {
-	s := NewSource(16e6) // 16 Mbit/s UHD stream
+	s := newVideoSource(16e6) // 16 Mbit/s UHD stream
 	total := 0
 	for i := 0; i < 600; i++ { // 10 seconds at 60 fps
 		total += s.NextFrameBytes()
@@ -19,7 +19,7 @@ func TestSourceAverageBitrate(t *testing.T) {
 }
 
 func TestSourceIFramePeaks(t *testing.T) {
-	s := NewSource(16e6)
+	s := newVideoSource(16e6)
 	first := s.NextFrameBytes() // I-frame
 	second := s.NextFrameBytes()
 	if first <= second {
@@ -28,7 +28,7 @@ func TestSourceIFramePeaks(t *testing.T) {
 }
 
 func TestPlayoutSmoothSession(t *testing.T) {
-	p := NewPlayout(60, 3)
+	p := newVideoPlayout(60, 3)
 	dur := 10 * sim.Second
 	frame := sim.Second / 60
 	// Frames arrive on time.
@@ -49,7 +49,7 @@ func TestPlayoutSmoothSession(t *testing.T) {
 }
 
 func TestPlayoutStallsOnStarvation(t *testing.T) {
-	p := NewPlayout(60, 3)
+	p := newVideoPlayout(60, 3)
 	frame := sim.Second / 60
 	// 2 seconds of frames, then a 3-second gap, then more frames.
 	at := sim.Time(0)
@@ -73,7 +73,7 @@ func TestPlayoutStallsOnStarvation(t *testing.T) {
 }
 
 func TestMacroblockAccounting(t *testing.T) {
-	p := NewPlayout(60, 3)
+	p := newVideoPlayout(60, 3)
 	frame := sim.Second / 60
 	at := sim.Time(0)
 	for i := 0; i < 600; i++ {
@@ -93,7 +93,7 @@ func TestMacroblockAccounting(t *testing.T) {
 }
 
 func TestRebufferRatioBeforeStart(t *testing.T) {
-	p := NewPlayout(60, 3)
+	p := newVideoPlayout(60, 3)
 	if p.RebufferRatio(sim.Second) != 0 {
 		t.Fatal("unstarted playout should report 0")
 	}

@@ -132,8 +132,8 @@ func (v Verdict) Delay(imp Impairments) sim.Time {
 
 // Impairer draws per-packet impairment verdicts from a seeded RNG. Given
 // the same Impairments, seed and call sequence it produces the identical
-// verdict sequence, which is what makes `tackbench chaos -seed` rows
-// reproducible.
+// verdict sequence, which is what makes a chaos-soak failure reproducible
+// from its seed.
 //
 // The draw order per packet is fixed: Gilbert–Elliott state transition and
 // state-loss draw (if enabled), then Bernoulli loss, duplication,

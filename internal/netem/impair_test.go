@@ -22,7 +22,7 @@ func chaosImpairments() Impairments {
 }
 
 // Same seed ⇒ the Impairer emits the identical verdict sequence. This is
-// the property that makes `tackbench chaos -seed` rows reproducible.
+// the property that makes a chaos-soak failure reproducible from its seed.
 func TestImpairerDeterministicPerSeed(t *testing.T) {
 	imp := chaosImpairments()
 	draw := func(seed int64) []Verdict {

@@ -1,5 +1,5 @@
-// Package rate provides windowed extremum filters and delivery-rate
-// estimation.
+// Package rate provides the windowed extremum filter the congestion
+// controllers and the transport's estimators share.
 //
 // The TACK receiver estimates the path's delivery rate (bw in paper Eq. 3)
 // as a windowed maximum of per-TACK-interval delivery-rate samples; the
@@ -15,84 +15,49 @@ type sample struct {
 	val float64
 }
 
-// MaxFilter tracks the maximum observation within a sliding time window.
-// The zero value is unusable; construct with NewMaxFilter.
-type MaxFilter struct {
+// Filter tracks the maximum — or, built by NewMinFilter, the minimum —
+// observation within a sliding time window. The zero value is unusable;
+// construct with NewMaxFilter or NewMinFilter.
+type Filter struct {
 	window sim.Time
-	// samples holds a monotonically decreasing deque: samples[0] is the
-	// current window maximum.
+	min    bool
+	// samples holds a monotonic deque (decreasing for a max filter,
+	// increasing for a min filter): samples[0] is the window's extremum.
 	samples []sample
 }
 
 // NewMaxFilter returns a max filter over the given window length.
-func NewMaxFilter(window sim.Time) *MaxFilter { return &MaxFilter{window: window} }
+func NewMaxFilter(window sim.Time) *Filter { return &Filter{window: window} }
 
-// Update folds in an observation at time now and returns the new window max.
-func (f *MaxFilter) Update(now sim.Time, v float64) float64 {
+// NewMinFilter returns a min filter over the given window length. Paper §5.2
+// stacks one at the receiver (per-interval minimum OWD) and one at the
+// sender (minimum RTT over τ ≤ 10 s).
+func NewMinFilter(window sim.Time) *Filter { return &Filter{window: window, min: true} }
+
+// Update folds in an observation at time now and returns the new window
+// extremum.
+func (f *Filter) Update(now sim.Time, v float64) float64 {
 	f.expire(now)
-	for len(f.samples) > 0 && f.samples[len(f.samples)-1].val <= v {
-		f.samples = f.samples[:len(f.samples)-1]
+	n := len(f.samples)
+	for n > 0 && f.supersedes(v, f.samples[n-1].val) {
+		n--
 	}
-	f.samples = append(f.samples, sample{at: now, val: v})
+	f.samples = append(f.samples[:n], sample{at: now, val: v})
 	return f.samples[0].val
 }
 
-// Get returns the current window max, expiring stale samples first.
-// It returns 0 when no sample is live.
-func (f *MaxFilter) Get(now sim.Time) float64 {
-	f.expire(now)
-	if len(f.samples) == 0 {
-		return 0
+// supersedes reports whether a newer observation v makes an older one
+// irrelevant: old can never be the window's extremum again.
+func (f *Filter) supersedes(v, old float64) bool {
+	if f.min {
+		return old >= v
 	}
-	return f.samples[0].val
+	return old <= v
 }
 
-// Empty reports whether the filter holds no live samples at time now.
-func (f *MaxFilter) Empty(now sim.Time) bool {
-	f.expire(now)
-	return len(f.samples) == 0
-}
-
-// SetWindow changes the window length for subsequent queries.
-func (f *MaxFilter) SetWindow(w sim.Time) { f.window = w }
-
-func (f *MaxFilter) expire(now sim.Time) {
-	cut := now - f.window
-	i := 0
-	for i < len(f.samples) && f.samples[i].at < cut {
-		i++
-	}
-	if i > 0 {
-		f.samples = f.samples[i:]
-	}
-}
-
-// MinFilter tracks the minimum observation within a sliding time window.
-// It mirrors MaxFilter; paper §5.2 stacks one at the receiver (per-interval
-// minimum OWD) and one at the sender (minimum RTT over τ ≤ 10 s).
-type MinFilter struct {
-	window sim.Time
-	// samples holds a monotonically increasing deque: samples[0] is the
-	// current window minimum.
-	samples []sample
-}
-
-// NewMinFilter returns a min filter over the given window length.
-func NewMinFilter(window sim.Time) *MinFilter { return &MinFilter{window: window} }
-
-// Update folds in an observation at time now and returns the new window min.
-func (f *MinFilter) Update(now sim.Time, v float64) float64 {
-	f.expire(now)
-	for len(f.samples) > 0 && f.samples[len(f.samples)-1].val >= v {
-		f.samples = f.samples[:len(f.samples)-1]
-	}
-	f.samples = append(f.samples, sample{at: now, val: v})
-	return f.samples[0].val
-}
-
-// Get returns the current window min, expiring stale samples first.
+// Get returns the current window extremum, expiring stale samples first.
 // It returns 0 when no sample is live; check Empty to disambiguate.
-func (f *MinFilter) Get(now sim.Time) float64 {
+func (f *Filter) Get(now sim.Time) float64 {
 	f.expire(now)
 	if len(f.samples) == 0 {
 		return 0
@@ -101,15 +66,15 @@ func (f *MinFilter) Get(now sim.Time) float64 {
 }
 
 // Empty reports whether the filter holds no live samples at time now.
-func (f *MinFilter) Empty(now sim.Time) bool {
+func (f *Filter) Empty(now sim.Time) bool {
 	f.expire(now)
 	return len(f.samples) == 0
 }
 
 // SetWindow changes the window length for subsequent queries.
-func (f *MinFilter) SetWindow(w sim.Time) { f.window = w }
+func (f *Filter) SetWindow(w sim.Time) { f.window = w }
 
-func (f *MinFilter) expire(now sim.Time) {
+func (f *Filter) expire(now sim.Time) {
 	cut := now - f.window
 	i := 0
 	for i < len(f.samples) && f.samples[i].at < cut {

@@ -234,13 +234,6 @@ func (s *RangeSet) Gaps(from, to uint64) []Range {
 	return out
 }
 
-// Clone returns a deep copy.
-func (s *RangeSet) Clone() *RangeSet {
-	c := &RangeSet{ranges: make([]Range, len(s.ranges))}
-	copy(c.ranges, s.ranges)
-	return c
-}
-
 // String renders the set like {[0,3) [5,9)}.
 func (s *RangeSet) String() string {
 	parts := make([]string, len(s.ranges))

@@ -154,16 +154,6 @@ func TestGapsEdges(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	var s RangeSet
-	s.Add(0, 5)
-	c := s.Clone()
-	c.Add(10, 20)
-	if s.Contains(15) {
-		t.Fatal("clone mutation leaked into original")
-	}
-}
-
 // reference is a brute-force model of RangeSet over a small universe.
 type reference map[uint64]bool
 

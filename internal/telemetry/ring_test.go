@@ -169,8 +169,8 @@ func TestStreamingTracerShortCircuitsAfterWriteError(t *testing.T) {
 		t.Fatalf("writer saw %d writes, want 3 (short-circuit after first error)", w.writes)
 	}
 	// The errored event plus the 7 short-circuited ones are dropped.
-	if got := tr.DroppedEvents(); got != 8 {
-		t.Fatalf("DroppedEvents = %d, want 8", got)
+	if tr.dropped != 8 {
+		t.Fatalf("dropped = %d, want 8", tr.dropped)
 	}
 	if got := reg.Counter("telemetry.dropped_events").Value(); got != 8 {
 		t.Fatalf("dropped_events counter = %d, want 8", got)

@@ -372,7 +372,7 @@ func New() *Tracer {
 // NewStreaming returns a tracer that encodes each event to w as a JSONL
 // line at record time (constant memory; suited to long runs). Call Err
 // after the run to check for sink write failures; events emitted after a
-// write error are dropped (see DroppedEvents / CountDrops) rather than
+// write error are dropped (see CountDrops) rather than
 // encoded into the dead writer.
 func NewStreaming(w io.Writer) *Tracer {
 	t := New()
@@ -445,18 +445,6 @@ func (t *Tracer) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.werr
-}
-
-// DroppedEvents returns how many events were discarded because the
-// streaming sink had failed (including the event whose write surfaced
-// the error).
-func (t *Tracer) DroppedEvents() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // CountDrops mirrors dropped-event accounting into c (conventionally

@@ -15,6 +15,7 @@ import (
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
+	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
 )
@@ -161,63 +162,70 @@ func HybridPath(loop *sim.Loop, wlan WLANConfig, wan WANConfig) (*Path, *mac.Med
 	return p, m, apToSrv, srvToAp
 }
 
-// Flow couples a transport Sender and Receiver over a Path (sender at A).
+// Flow couples a transport Sender and Receiver over a Path (sender at A),
+// and keeps the two sample logs the figures read — simulator bookkeeping a
+// production receiver has no use for.
 type Flow struct {
 	Sender   *transport.Sender
 	Receiver *transport.Receiver
+	// OWD collects the one-way delay of every DATA packet that reaches the
+	// receiver (the sim clock is shared, so these are true OWDs).
+	OWD *stats.Summary
+	// BlockedSamples records the receive buffer's head-of-line-blocked
+	// volume at each acknowledgment (Figure 5(a)'s metric).
+	BlockedSamples *stats.Summary
 }
 
 // NewFlow attaches a sender (A side) and receiver (B side) built from cfg
 // to the path. Call Start to begin.
 func NewFlow(loop *sim.Loop, cfg transport.Config, p *Path) (*Flow, error) {
-	snd, err := transport.NewSender(loop, cfg, func(pkt *packet.Packet) { p.SendA(pkt) })
-	if err != nil {
-		return nil, err
-	}
-	rcv := transport.NewReceiver(loop, cfg, func(pkt *packet.Packet) { p.SendB(pkt) })
-	prevA, prevB := p.DeliverA, p.DeliverB
-	p.DeliverA = func(pkt *packet.Packet) {
-		if pkt.ConnID == cfg.ConnID {
-			snd.OnPacket(pkt)
-		} else if prevA != nil {
-			prevA(pkt)
-		}
-	}
-	p.DeliverB = func(pkt *packet.Packet) {
-		if pkt.ConnID == cfg.ConnID {
-			rcv.OnPacket(pkt)
-		} else if prevB != nil {
-			prevB(pkt)
-		}
-	}
-	return &Flow{Sender: snd, Receiver: rcv}, nil
+	return newFlow(loop, cfg, &p.SendA, &p.SendB, &p.DeliverA, &p.DeliverB)
 }
-
-// Start begins the flow's handshake.
-func (f *Flow) Start() { f.Sender.Start() }
 
 // ReversedFlow attaches a sender at the B side and receiver at the A side
 // (for bidirectional workloads and reverse cross traffic).
 func ReversedFlow(loop *sim.Loop, cfg transport.Config, p *Path) (*Flow, error) {
-	snd, err := transport.NewSender(loop, cfg, func(pkt *packet.Packet) { p.SendB(pkt) })
+	return newFlow(loop, cfg, &p.SendB, &p.SendA, &p.DeliverB, &p.DeliverA)
+}
+
+// newFlow wires a flow whose sender injects through *sndSend and hears on
+// *sndDeliver, and whose receiver uses the opposite pair. The send hooks
+// are read at each packet (a path's are set once, before traffic); the
+// deliver hooks are chained by ConnID so several flows can share a path.
+func newFlow(loop *sim.Loop, cfg transport.Config, sndSend, rcvSend, sndDeliver, rcvDeliver *func(*packet.Packet)) (*Flow, error) {
+	f := &Flow{OWD: stats.NewSummary(), BlockedSamples: stats.NewSummary()}
+	snd, err := transport.NewSender(loop, cfg, func(pkt *packet.Packet) { (*sndSend)(pkt) })
 	if err != nil {
 		return nil, err
 	}
-	rcv := transport.NewReceiver(loop, cfg, func(pkt *packet.Packet) { p.SendA(pkt) })
-	prevA, prevB := p.DeliverA, p.DeliverB
-	p.DeliverB = func(pkt *packet.Packet) {
+	rcv := transport.NewReceiver(loop, cfg, func(pkt *packet.Packet) {
+		switch pkt.Type {
+		case packet.TypeTACK, packet.TypeIACK, packet.TypeFINACK:
+			f.BlockedSamples.Add(float64(f.Receiver.Buffer().BlockedBytes()))
+		}
+		(*rcvSend)(pkt)
+	})
+	f.Sender, f.Receiver = snd, rcv
+	prevSnd, prevRcv := *sndDeliver, *rcvDeliver
+	*sndDeliver = func(pkt *packet.Packet) {
 		if pkt.ConnID == cfg.ConnID {
 			snd.OnPacket(pkt)
-		} else if prevB != nil {
-			prevB(pkt)
+		} else if prevSnd != nil {
+			prevSnd(pkt)
 		}
 	}
-	p.DeliverA = func(pkt *packet.Packet) {
+	*rcvDeliver = func(pkt *packet.Packet) {
 		if pkt.ConnID == cfg.ConnID {
+			if pkt.Type == packet.TypeData {
+				f.OWD.Add((loop.Now() - pkt.SentAt).Seconds())
+			}
 			rcv.OnPacket(pkt)
-		} else if prevA != nil {
-			prevA(pkt)
+		} else if prevRcv != nil {
+			prevRcv(pkt)
 		}
 	}
-	return &Flow{Sender: snd, Receiver: rcv}, nil
+	return f, nil
 }
+
+// Start begins the flow's handshake.
+func (f *Flow) Start() { f.Sender.Start() }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/tacktp/tack/internal/cc"
-	"github.com/tacktp/tack/internal/core"
 	"github.com/tacktp/tack/internal/sim"
 )
 
@@ -15,7 +14,7 @@ func TestBetaSweepRobustness(t *testing.T) {
 	const linkBps = 50e6
 	dur := 10 * sim.Second
 	run := func(beta int) (goodput float64, acks int) {
-		cfg := Config{Mode: ModeTACK, Params: core.Params{Beta: beta, L: 2}}
+		cfg := Config{Mode: ModeTACK, Params: Params{Beta: beta, L: 2}}
 		h := newHarness(t, 31, cfg, linkBps, ms(50), 0, 0)
 		h.run(dur)
 		return float64(h.rcv.Delivered()) * 8 / dur.Seconds(), h.rcv.Stats.AcksSent()
@@ -50,7 +49,7 @@ func TestBetaSweepRobustness(t *testing.T) {
 func TestLSweepLowRate(t *testing.T) {
 	dur := 20 * sim.Second
 	run := func(l int) (acks int, delivered int64) {
-		cfg := Config{Mode: ModeTACK, CC: "static", Params: core.Params{Beta: 4, L: l}}
+		cfg := Config{Mode: ModeTACK, CC: "static", Params: Params{Beta: 4, L: l}}
 		h := newHarness(t, 32, cfg, 10e6, ms(10), 0, 0)
 		h.snd.Start()
 		// 2 Mbit/s against a 10 Mbit/s link: deep in the byte-counting

@@ -1,32 +1,32 @@
-// Package core implements the TACK acknowledgment mechanism — the paper's
-// primary contribution (§4–5). It provides the receiver-side machinery that
-// the transport engine composes:
+package transport
+
+// The TACK acknowledgment mechanism — the paper's primary contribution
+// (§4–5) — as the receiver- and sender-side pieces the engine composes:
 //
-//   - LossTracker: receiver-based loss detection over the PKT.SEQ space
+//   - lossTracker: receiver-based loss detection over the PKT.SEQ space
 //     with a reordering settle delay (§5.1, §7), driving loss-event IACKs
 //     and remembering which losses were reported so TACKs can repeat them.
-//   - BlockBudget: Appendix A's analysis of when a TACK must carry more
+//   - blockBudget: Appendix A's analysis of when a TACK must carry more
 //     unacked blocks (Eq. 6/9) and how many more (ΔQ), as a function of the
 //     data-path loss ρ, ACK-path loss ρ′, and the bdp regime.
-//   - AckBuilder: assembles the acked/unacked lists for a TACK under an
+//   - buildBlocks: assembles the acked/unacked lists for a TACK under an
 //     MSS-bounded block budget, preferring the newest acked blocks and the
 //     oldest unacked blocks (§5.1).
-//   - WindowMonitor: decides when an abrupt receive-window change warrants
+//   - windowMonitor: decides when an abrupt receive-window change warrants
 //     a window-update IACK (§5.3).
-//   - AckLossEstimator: sender-side ρ′ estimation from ACK sequence gaps
+//   - ackLossEstimator: sender-side ρ′ estimation from ACK sequence gaps
 //     (§5.4).
 //
 // The acknowledgment *timing* discipline lives in package ackpolicy; the
 // wire format in package packet.
-package core
 
 import (
 	"github.com/tacktp/tack/internal/seqspace"
 	"github.com/tacktp/tack/internal/sim"
 )
 
-// MSS mirrors the full-sized packet assumption of the paper.
-const MSS = 1500
+// mss mirrors the full-sized packet assumption of the paper.
+const mss = 1500
 
 // Params bundles the TACK mechanism constants.
 type Params struct {
@@ -43,14 +43,14 @@ type Params struct {
 	SettleFraction int
 }
 
-// DefaultParams returns the paper's recommended configuration.
-func DefaultParams() Params {
+// defaultParams returns the paper's recommended configuration.
+func defaultParams() Params {
 	return Params{Beta: 4, L: 2, Q: 1, SettleFraction: 4}
 }
 
 // withDefaults fills zero fields.
 func (p Params) withDefaults() Params {
-	d := DefaultParams()
+	d := defaultParams()
 	if p.Beta <= 0 {
 		p.Beta = d.Beta
 	}
@@ -73,12 +73,12 @@ type suspect struct {
 	at sim.Time // when the gap was first observed
 }
 
-// LossTracker performs receiver-based loss detection in the packet-number
+// lossTracker performs receiver-based loss detection in the packet-number
 // space. Because every transmission (including retransmissions) carries a
 // fresh, monotonically increasing PKT.SEQ, a gap below the largest received
 // number can only mean loss or reordering — never ambiguity about which
 // transmission arrived (§5.1).
-type LossTracker struct {
+type lossTracker struct {
 	received seqspace.RangeSet // PKT.SEQs seen
 	reported seqspace.RangeSet // PKT.SEQs reported lost via IACK
 	// reportedAt timestamps each reported range so stale entries can be
@@ -96,16 +96,16 @@ type LossTracker struct {
 	intervalReceived int
 }
 
-// NewLossTracker returns an empty tracker.
-func NewLossTracker() *LossTracker { return &LossTracker{} }
+// newLossTracker returns an empty tracker.
+func newLossTracker() *lossTracker { return &lossTracker{} }
 
 // Largest returns the largest PKT.SEQ received (and whether any packet
 // arrived yet).
-func (lt *LossTracker) Largest() (uint64, bool) { return lt.largest, lt.have }
+func (lt *lossTracker) Largest() (uint64, bool) { return lt.largest, lt.have }
 
 // OnPacket records the arrival of pktSeq at time now and returns any newly
 // suspected gap (the PKT.SEQs skipped over), which starts its settle timer.
-func (lt *LossTracker) OnPacket(now sim.Time, pktSeq uint64) (newGap seqspace.Range, gapped bool) {
+func (lt *lossTracker) OnPacket(now sim.Time, pktSeq uint64) (newGap seqspace.Range, gapped bool) {
 	lt.intervalReceived++
 	if !lt.have {
 		lt.have = true
@@ -131,10 +131,10 @@ func (lt *LossTracker) OnPacket(now sim.Time, pktSeq uint64) (newGap seqspace.Ra
 	return seqspace.Range{}, false
 }
 
-// DueLoss is one settled loss range plus the time its gap was first
+// dueLoss is one settled loss range plus the time its gap was first
 // observed, so callers can report the detection latency (observation →
 // declaration) to the telemetry layer.
-type DueLoss struct {
+type dueLoss struct {
 	Range seqspace.Range
 	// Observed is when the gap first appeared (the settle timer's start).
 	Observed sim.Time
@@ -144,8 +144,8 @@ type DueLoss struct {
 // elapsed and that are still missing, each with its observation time; they
 // are marked as reported (the IACK trigger). The caller sends one loss IACK
 // covering the returned ranges.
-func (lt *LossTracker) DueLossDetails(now sim.Time, settle sim.Time) []DueLoss {
-	var due []DueLoss
+func (lt *lossTracker) DueLossDetails(now sim.Time, settle sim.Time) []dueLoss {
+	var due []dueLoss
 	kept := lt.suspects[:0]
 	for _, s := range lt.suspects {
 		if now-s.at < settle {
@@ -154,7 +154,7 @@ func (lt *LossTracker) DueLossDetails(now sim.Time, settle sim.Time) []DueLoss {
 		}
 		// Reduce the suspect range to what is still missing.
 		for _, missing := range lt.received.Gaps(s.r.Lo, s.r.Hi) {
-			due = append(due, DueLoss{Range: missing, Observed: s.at})
+			due = append(due, dueLoss{Range: missing, Observed: s.at})
 			lt.reported.AddRange(missing)
 			lt.reportedAt = append(lt.reportedAt, suspect{r: missing, at: now})
 		}
@@ -165,7 +165,7 @@ func (lt *LossTracker) DueLossDetails(now sim.Time, settle sim.Time) []DueLoss {
 
 // NextDue returns the earliest settle deadline among pending suspects
 // (ok=false when none).
-func (lt *LossTracker) NextDue(settle sim.Time) (sim.Time, bool) {
+func (lt *lossTracker) NextDue(settle sim.Time) (sim.Time, bool) {
 	var best sim.Time
 	found := false
 	for _, s := range lt.suspects {
@@ -182,7 +182,7 @@ func (lt *LossTracker) NextDue(settle sim.Time) (sim.Time, bool) {
 // suspect; ok is false when no suspects are pending. Below the frontier,
 // the reported set is authoritative: every missing PKT.SEQ has been
 // declared lost.
-func (lt *LossTracker) SuspectFrontier() (uint64, bool) {
+func (lt *lossTracker) SuspectFrontier() (uint64, bool) {
 	var best uint64
 	found := false
 	for _, s := range lt.suspects {
@@ -198,7 +198,7 @@ func (lt *LossTracker) SuspectFrontier() (uint64, bool) {
 // IACK and have still not arrived — the pool TACKs draw their unacked list
 // from (§5.1: "TACK only reports missing packets that have been reported
 // by loss-event-driven IACKs").
-func (lt *LossTracker) ReportedMissing() []seqspace.Range {
+func (lt *lossTracker) ReportedMissing() []seqspace.Range {
 	var out []seqspace.Range
 	for _, r := range lt.reported.Ranges() {
 		out = append(out, lt.received.Gaps(r.Lo, r.Hi)...)
@@ -207,14 +207,14 @@ func (lt *LossTracker) ReportedMissing() []seqspace.Range {
 }
 
 // AckedRanges returns the received PKT.SEQ ranges (the acked list).
-func (lt *LossTracker) AckedRanges() []seqspace.Range { return lt.received.Ranges() }
+func (lt *lossTracker) AckedRanges() []seqspace.Range { return lt.received.Ranges() }
 
 // Received reports whether pktSeq has arrived.
-func (lt *LossTracker) Received(pktSeq uint64) bool { return lt.received.Contains(pktSeq) }
+func (lt *lossTracker) Received(pktSeq uint64) bool { return lt.received.Contains(pktSeq) }
 
 // CloseInterval ends a loss-rate measurement interval (aligned with TACK
 // emission) and returns ρ for the interval in [0,1].
-func (lt *LossTracker) CloseInterval() float64 {
+func (lt *lossTracker) CloseInterval() float64 {
 	if !lt.have {
 		return 0
 	}
@@ -233,7 +233,7 @@ func (lt *LossTracker) CloseInterval() float64 {
 
 // Compact drops tracking state for PKT.SEQs below floor (all fully
 // processed), bounding memory on long flows.
-func (lt *LossTracker) Compact(floor uint64) {
+func (lt *lossTracker) Compact(floor uint64) {
 	lt.received.RemoveBelow(floor)
 	lt.reported.RemoveBelow(floor)
 	kept := lt.suspects[:0]
@@ -255,33 +255,33 @@ func (lt *LossTracker) Compact(floor uint64) {
 	lt.reportedAt = keptRep
 }
 
-// BlockBudget computes how many unacked blocks a TACK should carry
+// blockBudget computes how many unacked blocks a TACK should carry
 // (Appendix A). Inputs: the configured primary budget Q, measured loss
 // rates ρ (data path) and ρ′ (ACK path), the bandwidth-delay product in
 // bytes, and the L/β/MSS constants.
-type BlockBudget struct {
+type blockBudget struct {
 	p Params
 }
 
-// NewBlockBudget returns a budget calculator for params p.
-func NewBlockBudget(p Params) *BlockBudget { return &BlockBudget{p: p.withDefaults()} }
+// newBlockBudget returns a budget calculator for params p.
+func newBlockBudget(p Params) *blockBudget { return &blockBudget{p: p.withDefaults()} }
 
 // largeBDP reports whether the flow is in the periodic-TACK regime
 // (bdp ≥ β·L·MSS).
-func (b *BlockBudget) largeBDP(bdpBytes float64) bool {
-	return bdpBytes >= float64(b.p.Beta*b.p.L*MSS)
+func (b *blockBudget) largeBDP(bdpBytes float64) bool {
+	return bdpBytes >= float64(b.p.Beta*b.p.L*mss)
 }
 
 // RichThreshold returns the ACK-path loss rate ρ′ above which a TACK must
 // carry more than the primary Q blocks (Eq. 6/9). An infinite threshold is
 // returned as 1 (ρ′ can never exceed it) when the data path is loss-free.
-func (b *BlockBudget) RichThreshold(rho, bdpBytes float64) float64 {
+func (b *blockBudget) RichThreshold(rho, bdpBytes float64) float64 {
 	if rho <= 0 {
 		return 1
 	}
 	var th float64
 	if b.largeBDP(bdpBytes) {
-		th = float64(b.p.Q) * MSS / (rho * bdpBytes)
+		th = float64(b.p.Q) * mss / (rho * bdpBytes)
 	} else {
 		th = float64(b.p.Q) / (rho * float64(b.p.L))
 	}
@@ -294,14 +294,14 @@ func (b *BlockBudget) RichThreshold(rho, bdpBytes float64) float64 {
 // Blocks returns the number of unacked blocks the next TACK should report:
 // Q when ρ′ is at or below the threshold, Q+ΔQ above it (Appendix A's
 // ΔQ = ρ·ρ′·bdp/MSS − Q in the large-bdp regime, ρ·ρ′·L − Q in the small).
-func (b *BlockBudget) Blocks(rho, rhoPrime, bdpBytes float64) int {
+func (b *blockBudget) Blocks(rho, rhoPrime, bdpBytes float64) int {
 	q := b.p.Q
 	if rho <= 0 || rhoPrime <= b.RichThreshold(rho, bdpBytes) {
 		return q
 	}
 	var need float64
 	if b.largeBDP(bdpBytes) {
-		need = rho * rhoPrime * bdpBytes / MSS
+		need = rho * rhoPrime * bdpBytes / mss
 	} else {
 		need = rho * rhoPrime * float64(b.p.L)
 	}
@@ -312,13 +312,11 @@ func (b *BlockBudget) Blocks(rho, rhoPrime, bdpBytes float64) int {
 	return n
 }
 
-// AckBuilder selects the block lists for a TACK under a budget.
-type AckBuilder struct{}
-
-// Build picks up to maxAcked acked blocks (preferring the largest packet
-// numbers — the freshest information) and up to maxUnacked unacked blocks
-// (preferring the smallest — the oldest outstanding losses), per §5.1.
-func (AckBuilder) Build(acked, unacked []seqspace.Range, maxAcked, maxUnacked int) (a, u []seqspace.Range) {
+// buildBlocks selects the block lists for a TACK under a budget: up to
+// maxAcked acked blocks (preferring the largest packet numbers — the
+// freshest information) and up to maxUnacked unacked blocks (preferring the
+// smallest — the oldest outstanding losses), per §5.1.
+func buildBlocks(acked, unacked []seqspace.Range, maxAcked, maxUnacked int) (a, u []seqspace.Range) {
 	if n := len(acked); n > maxAcked {
 		acked = acked[n-maxAcked:]
 	}
@@ -330,26 +328,26 @@ func (AckBuilder) Build(acked, unacked []seqspace.Range, maxAcked, maxUnacked in
 	return a, u
 }
 
-// WindowMonitor triggers window-update IACKs on abrupt receive-window
+// windowMonitor triggers window-update IACKs on abrupt receive-window
 // changes (§4.4 item 2, §5.3): a zero window must be announced at once, and
 // so must the release of a large volume of buffered data (more than a
 // quarter of capacity by default).
-type WindowMonitor struct {
+type windowMonitor struct {
 	capacity     int
 	lastAnnounce uint64
 	// ReleaseFraction of capacity that counts as a "large volume" release.
 	releaseNum, releaseDen int
 }
 
-// NewWindowMonitor returns a monitor for a receive buffer of the given
+// newWindowMonitor returns a monitor for a receive buffer of the given
 // capacity in bytes.
-func NewWindowMonitor(capacity int) *WindowMonitor {
-	return &WindowMonitor{capacity: capacity, lastAnnounce: uint64(capacity), releaseNum: 1, releaseDen: 4}
+func newWindowMonitor(capacity int) *windowMonitor {
+	return &windowMonitor{capacity: capacity, lastAnnounce: uint64(capacity), releaseNum: 1, releaseDen: 4}
 }
 
 // Check inspects the current advertised window and reports whether an
 // immediate IACK is warranted. It records the announcement when it fires.
-func (w *WindowMonitor) Check(window uint64) bool {
+func (w *windowMonitor) Check(window uint64) bool {
 	if window == 0 && w.lastAnnounce != 0 {
 		w.lastAnnounce = 0
 		return true
@@ -364,21 +362,21 @@ func (w *WindowMonitor) Check(window uint64) bool {
 
 // OnAckSent records that window was announced through a regular TACK, so
 // only future *abrupt* changes trigger IACKs.
-func (w *WindowMonitor) OnAckSent(window uint64) { w.lastAnnounce = window }
+func (w *windowMonitor) OnAckSent(window uint64) { w.lastAnnounce = window }
 
-// AckLossEstimator measures the ACK-path loss rate ρ′ at the sender from
+// ackLossEstimator measures the ACK-path loss rate ρ′ at the sender from
 // gaps in the ACK sequence numbers carried by TACKs/IACKs (§5.4).
-type AckLossEstimator struct {
+type ackLossEstimator struct {
 	largest  uint64
 	received int
 	have     bool
 }
 
-// NewAckLossEstimator returns an empty estimator.
-func NewAckLossEstimator() *AckLossEstimator { return &AckLossEstimator{} }
+// newAckLossEstimator returns an empty estimator.
+func newAckLossEstimator() *ackLossEstimator { return &ackLossEstimator{} }
 
 // OnAck records an arriving acknowledgment's sequence number.
-func (e *AckLossEstimator) OnAck(ackSeq uint64) {
+func (e *ackLossEstimator) OnAck(ackSeq uint64) {
 	e.received++
 	if !e.have || ackSeq > e.largest {
 		e.largest = ackSeq
@@ -387,7 +385,7 @@ func (e *AckLossEstimator) OnAck(ackSeq uint64) {
 }
 
 // Rate returns the estimated ρ′ in [0,1].
-func (e *AckLossEstimator) Rate() float64 {
+func (e *ackLossEstimator) Rate() float64 {
 	if !e.have {
 		return 0
 	}

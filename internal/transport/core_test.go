@@ -1,4 +1,4 @@
-package core
+package transport
 
 import (
 	"testing"
@@ -9,7 +9,7 @@ import (
 )
 
 // dueLosses is DueLossDetails without the observation times.
-func (lt *LossTracker) dueLosses(now sim.Time, settle sim.Time) []seqspace.Range {
+func (lt *lossTracker) dueLosses(now sim.Time, settle sim.Time) []seqspace.Range {
 	var due []seqspace.Range
 	for _, d := range lt.DueLossDetails(now, settle) {
 		due = append(due, d.Range)
@@ -17,10 +17,8 @@ func (lt *LossTracker) dueLosses(now sim.Time, settle sim.Time) []seqspace.Range
 	return due
 }
 
-func ms(n int64) sim.Time { return sim.Time(n) * sim.Millisecond }
-
 func TestDefaultParams(t *testing.T) {
-	p := DefaultParams()
+	p := defaultParams()
 	if p.Beta != 4 || p.L != 2 || p.Q != 1 || p.SettleFraction != 4 {
 		t.Fatalf("defaults = %+v", p)
 	}
@@ -31,7 +29,7 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestLossTrackerInOrderNoGaps(t *testing.T) {
-	lt := NewLossTracker()
+	lt := newLossTracker()
 	for i := uint64(0); i < 10; i++ {
 		if _, gapped := lt.OnPacket(ms(int64(i)), i); gapped {
 			t.Fatalf("in-order packet %d flagged a gap", i)
@@ -46,7 +44,7 @@ func TestLossTrackerInOrderNoGaps(t *testing.T) {
 }
 
 func TestLossTrackerDetectsGap(t *testing.T) {
-	lt := NewLossTracker()
+	lt := newLossTracker()
 	lt.OnPacket(ms(0), 0)
 	lt.OnPacket(ms(1), 1)
 	gap, gapped := lt.OnPacket(ms(2), 3) // 2 missing
@@ -64,7 +62,7 @@ func TestLossTrackerDetectsGap(t *testing.T) {
 }
 
 func TestLossTrackerSettleDelaySuppressesReordering(t *testing.T) {
-	lt := NewLossTracker()
+	lt := newLossTracker()
 	lt.OnPacket(ms(0), 0)
 	lt.OnPacket(ms(1), 2) // 1 appears missing...
 	// ...but it is only reordered and arrives before the settle delay.
@@ -76,7 +74,7 @@ func TestLossTrackerSettleDelaySuppressesReordering(t *testing.T) {
 }
 
 func TestLossTrackerNotDueBeforeSettle(t *testing.T) {
-	lt := NewLossTracker()
+	lt := newLossTracker()
 	lt.OnPacket(ms(0), 0)
 	lt.OnPacket(ms(1), 2)
 	if due := lt.dueLosses(ms(2), ms(5)); len(due) != 0 {
@@ -89,7 +87,7 @@ func TestLossTrackerNotDueBeforeSettle(t *testing.T) {
 }
 
 func TestLossTrackerFirstPacketGap(t *testing.T) {
-	lt := NewLossTracker()
+	lt := newLossTracker()
 	gap, gapped := lt.OnPacket(ms(0), 3)
 	if !gapped || gap != (seqspace.Range{Lo: 0, Hi: 3}) {
 		t.Fatalf("initial gap = %v,%v", gap, gapped)
@@ -97,7 +95,7 @@ func TestLossTrackerFirstPacketGap(t *testing.T) {
 }
 
 func TestReportedMissingShrinksOnArrival(t *testing.T) {
-	lt := NewLossTracker()
+	lt := newLossTracker()
 	lt.OnPacket(ms(0), 0)
 	lt.OnPacket(ms(1), 5) // gap 1..4
 	lt.dueLosses(ms(10), ms(1))
@@ -116,7 +114,7 @@ func TestReportedMissingShrinksOnArrival(t *testing.T) {
 }
 
 func TestLossRateInterval(t *testing.T) {
-	lt := NewLossTracker()
+	lt := newLossTracker()
 	// 10 expected (0..9), 2 dropped.
 	for i := uint64(0); i < 10; i++ {
 		if i == 3 || i == 7 {
@@ -138,7 +136,7 @@ func TestLossRateInterval(t *testing.T) {
 }
 
 func TestCompactBoundsState(t *testing.T) {
-	lt := NewLossTracker()
+	lt := newLossTracker()
 	for i := uint64(0); i < 1000; i += 2 {
 		lt.OnPacket(ms(int64(i)), i)
 	}
@@ -157,11 +155,11 @@ func TestCompactBoundsState(t *testing.T) {
 }
 
 func TestBlockBudgetThresholdLargeBDP(t *testing.T) {
-	b := NewBlockBudget(Params{Q: 4})
-	// Large bdp regime: threshold = Q·MSS/(ρ·bdp).
-	bdp := 100 * MSS * 1.0
+	b := newBlockBudget(Params{Q: 4})
+	// Large bdp regime: threshold = Q·mss/(ρ·bdp).
+	bdp := 100 * mss * 1.0
 	th := b.RichThreshold(0.1, bdp)
-	want := 4.0 * MSS / (0.1 * bdp)
+	want := 4.0 * mss / (0.1 * bdp)
 	if th != want {
 		t.Fatalf("threshold = %v, want %v", th, want)
 	}
@@ -171,18 +169,18 @@ func TestBlockBudgetThresholdLargeBDP(t *testing.T) {
 }
 
 func TestBlockBudgetThresholdSmallBDP(t *testing.T) {
-	b := NewBlockBudget(Params{Q: 4, L: 2, Beta: 4})
+	b := newBlockBudget(Params{Q: 4, L: 2, Beta: 4})
 	// Small bdp regime: threshold = Q/(ρ·L); with Q=4, ρ=10%, L=2 → 20,
 	// clamped to 1.
-	th := b.RichThreshold(0.1, MSS)
+	th := b.RichThreshold(0.1, mss)
 	if th != 1 {
 		t.Fatalf("threshold = %v, want clamped 1", th)
 	}
 }
 
 func TestBlockBudgetBlocks(t *testing.T) {
-	b := NewBlockBudget(Params{Q: 1})
-	bdp := 1000 * MSS * 1.0
+	b := newBlockBudget(Params{Q: 1})
+	bdp := 1000 * mss * 1.0
 	// ρ=5%, ρ′=10%: need = 0.05*0.1*1000 = 5 blocks > Q.
 	if got := b.Blocks(0.05, 0.10, bdp); got != 5 {
 		t.Fatalf("Blocks = %d, want 5", got)
@@ -199,7 +197,7 @@ func TestBlockBudgetBlocks(t *testing.T) {
 
 // Property: Blocks is monotone in ρ′ and never below Q.
 func TestQuickBlocksMonotone(t *testing.T) {
-	b := NewBlockBudget(Params{Q: 2})
+	b := newBlockBudget(Params{Q: 2})
 	f := func(rhoRaw, rp1Raw, rp2Raw uint16, bdpPkts uint16) bool {
 		rho := float64(rhoRaw%1000) / 1000
 		r1 := float64(rp1Raw%1000) / 1000
@@ -207,7 +205,7 @@ func TestQuickBlocksMonotone(t *testing.T) {
 		if r1 > r2 {
 			r1, r2 = r2, r1
 		}
-		bdp := float64(bdpPkts%5000) * MSS
+		bdp := float64(bdpPkts%5000) * mss
 		b1 := b.Blocks(rho, r1, bdp)
 		b2 := b.Blocks(rho, r2, bdp)
 		return b1 >= 2 && b2 >= b1
@@ -220,7 +218,7 @@ func TestQuickBlocksMonotone(t *testing.T) {
 func TestAckBuilderPreference(t *testing.T) {
 	acked := []seqspace.Range{{Lo: 1, Hi: 2}, {Lo: 4, Hi: 7}, {Lo: 10, Hi: 11}}
 	unacked := []seqspace.Range{{Lo: 2, Hi: 4}, {Lo: 7, Hi: 10}}
-	a, u := AckBuilder{}.Build(acked, unacked, 1, 1)
+	a, u := buildBlocks(acked, unacked, 1, 1)
 	// Acked prefers the largest serial; unacked prefers the smallest.
 	if len(a) != 1 || a[0] != (seqspace.Range{Lo: 10, Hi: 11}) {
 		t.Fatalf("acked = %v", a)
@@ -228,14 +226,14 @@ func TestAckBuilderPreference(t *testing.T) {
 	if len(u) != 1 || u[0] != (seqspace.Range{Lo: 2, Hi: 4}) {
 		t.Fatalf("unacked = %v", u)
 	}
-	a, u = AckBuilder{}.Build(acked, unacked, 10, 10)
+	a, u = buildBlocks(acked, unacked, 10, 10)
 	if len(a) != 3 || len(u) != 2 {
 		t.Fatalf("unbounded build dropped blocks: %v %v", a, u)
 	}
 }
 
 func TestWindowMonitorZeroWindow(t *testing.T) {
-	w := NewWindowMonitor(100000)
+	w := newWindowMonitor(100000)
 	if w.Check(50000) {
 		t.Fatal("ordinary shrink should not trigger")
 	}
@@ -248,7 +246,7 @@ func TestWindowMonitorZeroWindow(t *testing.T) {
 }
 
 func TestWindowMonitorLargeRelease(t *testing.T) {
-	w := NewWindowMonitor(100000)
+	w := newWindowMonitor(100000)
 	w.OnAckSent(10000)
 	// Release of 26% of capacity: above the quarter threshold.
 	if !w.Check(36001) {
@@ -261,7 +259,7 @@ func TestWindowMonitorLargeRelease(t *testing.T) {
 }
 
 func TestAckLossEstimator(t *testing.T) {
-	e := NewAckLossEstimator()
+	e := newAckLossEstimator()
 	if e.Rate() != 0 {
 		t.Fatal("empty estimator rate should be 0")
 	}
@@ -287,7 +285,7 @@ func TestAckLossEstimator(t *testing.T) {
 // arrived ones never do.
 func TestQuickLossTrackerCompleteness(t *testing.T) {
 	f := func(seqsRaw []uint16) bool {
-		lt := NewLossTracker()
+		lt := newLossTracker()
 		seen := map[uint64]bool{}
 		var largest uint64
 		now := sim.Time(0)

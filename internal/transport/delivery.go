@@ -1,10 +1,13 @@
-package rate
+package transport
 
-import "github.com/tacktp/tack/internal/sim"
+import (
+	"github.com/tacktp/tack/internal/rate"
+	"github.com/tacktp/tack/internal/sim"
+)
 
-// DeliverySample is one delivery-rate observation over a measurement
+// deliverySample is one delivery-rate observation over a measurement
 // interval ending at a TACK.
-type DeliverySample struct {
+type deliverySample struct {
 	// Bytes delivered within the interval (all packets).
 	Bytes int64
 	// Elapsed is the whole interval length.
@@ -21,7 +24,7 @@ type DeliverySample struct {
 // Bps returns the train-based delivery rate in bits per second — an
 // unbiased estimate of the bottleneck drain rate for a contiguous train.
 // Intervals with fewer than two packets yield 0 (no rate information).
-func (s DeliverySample) Bps() float64 {
+func (s deliverySample) Bps() float64 {
 	if s.Packets < 2 || s.TrainSpan <= 0 {
 		return 0
 	}
@@ -30,18 +33,18 @@ func (s DeliverySample) Bps() float64 {
 
 // IntervalBps returns bytes-over-interval throughput (includes idle time;
 // a lower bound on the path rate).
-func (s DeliverySample) IntervalBps() float64 {
+func (s deliverySample) IntervalBps() float64 {
 	if s.Elapsed <= 0 {
 		return 0
 	}
 	return float64(s.Bytes) * 8 / s.Elapsed.Seconds()
 }
 
-// DeliveryEstimator computes per-interval delivery-rate samples at the
+// deliveryEstimator computes per-interval delivery-rate samples at the
 // receiver and keeps the windowed maximum delivery rate ("bw" in paper
 // Eq. 3 and §5.4: a max filter over θ_filter = 5–10 RTTs).
-type DeliveryEstimator struct {
-	max        *MaxFilter
+type deliveryEstimator struct {
+	max        *rate.Filter
 	intervalAt sim.Time
 
 	firstAt    sim.Time
@@ -53,13 +56,13 @@ type DeliveryEstimator struct {
 	started bool
 }
 
-// NewDeliveryEstimator returns an estimator whose max filter spans window.
-func NewDeliveryEstimator(window sim.Time) *DeliveryEstimator {
-	return &DeliveryEstimator{max: NewMaxFilter(window)}
+// newDeliveryEstimator returns an estimator whose max filter spans window.
+func newDeliveryEstimator(window sim.Time) *deliveryEstimator {
+	return &deliveryEstimator{max: rate.NewMaxFilter(window)}
 }
 
 // OnDeliver records bytes arriving at time now.
-func (e *DeliveryEstimator) OnDeliver(now sim.Time, bytes int) {
+func (e *deliveryEstimator) OnDeliver(now sim.Time, bytes int) {
 	if bytes <= 0 {
 		return
 	}
@@ -86,8 +89,8 @@ func (e *DeliveryEstimator) OnDeliver(now sim.Time, bytes int) {
 // receiver-coordinated BBR no more aggressive than the sender-based one.
 // Degenerate intervals (fewer than two packets, or shorter than 1 ms) carry
 // no usable rate information and are skipped.
-func (e *DeliveryEstimator) EndInterval(now sim.Time) DeliverySample {
-	s := DeliverySample{
+func (e *deliveryEstimator) EndInterval(now sim.Time) deliverySample {
+	s := deliverySample{
 		Bytes:      e.bytes,
 		Elapsed:    now - e.intervalAt,
 		TrainBytes: e.bytes - int64(e.firstBytes),
@@ -107,8 +110,8 @@ func (e *DeliveryEstimator) EndInterval(now sim.Time) DeliverySample {
 }
 
 // MaxBps returns the current windowed maximum delivery rate in bits/s.
-func (e *DeliveryEstimator) MaxBps(now sim.Time) float64 { return e.max.Get(now) }
+func (e *deliveryEstimator) MaxBps(now sim.Time) float64 { return e.max.Get(now) }
 
 // SetWindow adjusts the max-filter window (θ_filter), e.g. as RTT estimates
 // firm up.
-func (e *DeliveryEstimator) SetWindow(w sim.Time) { e.max.SetWindow(w) }
+func (e *deliveryEstimator) SetWindow(w sim.Time) { e.max.SetWindow(w) }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/fec"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
@@ -191,12 +190,10 @@ func (r *Receiver) fecAccount(p *packet.Packet) {
 }
 
 // injectRecovered delivers a FEC-reconstructed DATA packet as if it had
-// arrived on the wire: connection reassembly, stream demultiplex, and —
-// critically — marking its packet number received so the block is
-// acknowledged like delivered data. The sender then never sees a gap for
-// it: no loss IACK, no RACK mark, no retransmission. One-way-delay and
-// timing samples are skipped (the packet never crossed the path; a
-// synthetic timestamp would poison the Δt correction).
+// arrived on the wire (deliver's recovered arm): connection reassembly,
+// stream demultiplex, and — critically — marking its packet number received
+// so the block is acknowledged like delivered data. The sender then never
+// sees a gap for it: no loss IACK, no RACK mark, no retransmission.
 func (r *Receiver) injectRecovered(p *packet.Packet) {
 	now := r.loop.Now()
 	r.Stats.FECRecovered++
@@ -204,32 +201,5 @@ func (r *Receiver) injectRecovered(p *packet.Packet) {
 	r.mFECRecovered.Inc()
 	r.mFECRecoveredBytes.Add(int64(len(p.Payload)))
 	r.tracer.FECRecovered(now, r.cfg.ConnID, p.FECGroup, p.PktSeq, len(p.Payload), p.StreamID)
-
-	wire := len(p.Payload)
-	if p.HasStream && p.StreamFIN {
-		wire++
-	}
-	accepted, overflow := r.buf.Offer(p.Seq, wire)
-	if overflow {
-		r.Stats.Overflows++
-		return
-	}
-	if p.FIN {
-		r.buf.OnFIN(p.Seq + uint64(len(p.Payload)))
-	}
-	if p.HasStream && r.mux != nil {
-		r.mux.OnFrame(now, p.StreamID, p.StreamOff, p.Payload, p.StreamFIN)
-	}
-	r.deliv.OnDeliver(now, accepted)
-	r.loss.OnPacket(now, p.PktSeq)
-	if !r.cfg.ManualDrain {
-		r.Stats.BytesDelivered += int64(r.buf.Read(r.buf.Readable()))
-	}
-	if fire := r.policy.OnData(now, accepted); fire {
-		r.sendTACK(policyTrigger(ackpolicy.ExplainTrigger(r.policy)))
-	} else {
-		r.armAckTimer()
-	}
-	r.scheme.windowMoved()
-	r.checkComplete()
+	r.deliver(now, p, true)
 }

@@ -44,7 +44,7 @@ func (l *legacySender) absorb(now sim.Time, p *packet.Packet) ackSample {
 	var got ackSample
 	if a.EchoDeparture > 0 {
 		// Timestamp echo: no ACK-delay correction.
-		s.legacyRTT.OnAck(now, a.EchoDeparture)
+		s.legacyRTT.Update(now, now-a.EchoDeparture)
 		got.rtt = now - a.EchoDeparture
 	}
 	got.rackRTT = got.rtt

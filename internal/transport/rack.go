@@ -21,7 +21,6 @@ package transport
 import (
 	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/buffer"
-	"github.com/tacktp/tack/internal/rtt"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
 )
@@ -47,9 +46,9 @@ const (
 // timers; rackState is pure state.
 type rackState struct {
 	// minRTT is the sliding-window minimum the reorder window derives
-	// from. It forgets by sample count (rtt.DefaultSlidingMinSize) so a
+	// from. It forgets by sample count (defaultSlidingMinSize) so a
 	// route change flushes a stale minimum.
-	minRTT *rtt.SlidingMin
+	minRTT *slidingMin
 	// rtt is the most recent RTT sample (RFC 8985 RACK.rtt: the RTT of the
 	// most recently delivered packet).
 	rtt sim.Time
@@ -73,7 +72,7 @@ type rackState struct {
 }
 
 func newRackState() *rackState {
-	return &rackState{minRTT: rtt.NewSlidingMin(rtt.DefaultSlidingMinSize), wndMult: 1}
+	return &rackState{minRTT: newSlidingMin(defaultSlidingMinSize), wndMult: 1}
 }
 
 // onRTTSample folds one RTT sample into the window base and RACK.rtt.

@@ -3,14 +3,10 @@ package transport
 import (
 	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/buffer"
-	"github.com/tacktp/tack/internal/core"
 	"github.com/tacktp/tack/internal/fec"
 	"github.com/tacktp/tack/internal/packet"
-	"github.com/tacktp/tack/internal/rate"
-	"github.com/tacktp/tack/internal/rtt"
 	"github.com/tacktp/tack/internal/seqspace"
 	"github.com/tacktp/tack/internal/sim"
-	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/stream"
 	"github.com/tacktp/tack/internal/telemetry"
 )
@@ -37,11 +33,11 @@ type Receiver struct {
 	// legacy-TCP baseline of legacy.go — picked once in NewReceiver.
 	scheme receiverScheme
 	policy ackpolicy.Policy
-	loss   *core.LossTracker
-	budget *core.BlockBudget
-	window *core.WindowMonitor
-	timing *rtt.ReceiverTiming
-	deliv  *rate.DeliveryEstimator
+	loss   *lossTracker
+	budget *blockBudget
+	window *windowMonitor
+	timing *receiverTiming
+	deliv  *deliveryEstimator
 
 	// PKT.SEQ → byte-range mapping so cumPktSeq can be derived and dup data
 	// recognized.
@@ -101,12 +97,6 @@ type Receiver struct {
 	mFECRepairsUsed    *telemetry.Counter
 	mFECRepairsWasted  *telemetry.Counter
 	mFECDropped        *telemetry.Counter
-	// OWD collects per-packet one-way delays (sim clock is shared, so these
-	// are true OWDs) for latency reporting.
-	OWD *stats.Summary
-	// BlockedSamples records receive-buffer HoLB volume at each ack
-	// (Figure 5(a)'s metric).
-	BlockedSamples *stats.Summary
 
 	// OnComplete fires once when a bounded stream has fully arrived.
 	OnComplete func()
@@ -118,18 +108,16 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 	cfg = cfg.withDefaults()
 	legacy := cfg.Mode == ModeLegacy
 	r := &Receiver{
-		loop:           loop,
-		cfg:            cfg,
-		out:            out,
-		buf:            buffer.NewReceiveBuffer(cfg.RecvBuf),
-		policy:         cfg.AckPolicy,
-		loss:           core.NewLossTracker(),
-		budget:         core.NewBlockBudget(cfg.Params),
-		window:         core.NewWindowMonitor(cfg.RecvBuf),
-		timing:         rtt.NewReceiverTiming(0),
-		deliv:          rate.NewDeliveryEstimator(sim.Second),
-		OWD:            stats.NewSummary(),
-		BlockedSamples: stats.NewSummary(),
+		loop:   loop,
+		cfg:    cfg,
+		out:    out,
+		buf:    buffer.NewReceiveBuffer(cfg.RecvBuf),
+		policy: cfg.AckPolicy,
+		loss:   newLossTracker(),
+		budget: newBlockBudget(cfg.Params),
+		window: newWindowMonitor(cfg.RecvBuf),
+		timing: newReceiverTiming(0),
+		deliv:  newDeliveryEstimator(sim.Second),
 
 		tracer:       cfg.Tracer,
 		mDataPackets: cfg.Metrics.Counter("rcv.data_packets"),
@@ -210,8 +198,8 @@ func (r *Receiver) FlushStreamWindows() {
 // as a prior until the sender's next RTT-sync IACK overwrites it from its
 // own reseeded estimator.
 func (r *Receiver) OnPathMigration() {
-	r.timing = rtt.NewReceiverTiming(0)
-	r.deliv = rate.NewDeliveryEstimator(sim.Second)
+	r.timing = newReceiverTiming(0)
+	r.deliv = newDeliveryEstimator(sim.Second)
 }
 
 // Stop disarms the receiver's timers, so that a loop shared with other
@@ -392,11 +380,21 @@ func (r *Receiver) onSenderIACK(p *packet.Packet) {
 }
 
 func (r *Receiver) onData(p *packet.Packet) {
-	now := r.loop.Now()
 	r.Stats.DataPackets++
 	r.mDataPackets.Inc()
-	r.OWD.Add((now - p.SentAt).Seconds())
+	r.deliver(r.loop.Now(), p, false)
+}
 
+// deliver runs one DATA packet through reassembly, stream demultiplex, the
+// delivery-rate and loss trackers, the drain and the acknowledgment
+// decision. recovered marks a packet FEC reconstructed rather than one that
+// arrived: it never crossed the path, so it yields no timing sample (a
+// synthetic timestamp would poison the Δt correction), is not mirrored back
+// into the decoder, and only has its packet number marked received — the
+// settle timer and the sender's floor are the business of real arrivals. A
+// recovered packet the buffer cannot hold is dropped; the original may yet
+// be retransmitted.
+func (r *Receiver) deliver(now sim.Time, p *packet.Packet, recovered bool) {
 	// Connection-sequence-space footprint: a StreamFIN frame occupies one
 	// phantom byte beyond its payload (see internal/stream).
 	wire := len(p.Payload)
@@ -406,9 +404,9 @@ func (r *Receiver) onData(p *packet.Packet) {
 	accepted, overflow := r.buf.Offer(p.Seq, wire)
 	if overflow {
 		r.Stats.Overflows++
-	}
-	if accepted == 0 && !overflow {
-		r.Stats.DupPackets++
+		if recovered {
+			return
+		}
 	}
 	if p.FIN {
 		r.buf.OnFIN(p.Seq + uint64(len(p.Payload)))
@@ -419,17 +417,25 @@ func (r *Receiver) onData(p *packet.Packet) {
 		// sequence state above is untouched by a stream-level refusal.
 		r.mux.OnFrame(now, p.StreamID, p.StreamOff, p.Payload, p.StreamFIN)
 	}
-	// Mirror FEC-tagged sources into the group decoder (may complete a
-	// recovery if this group's repairs arrived first).
-	r.fecOnData(p)
-	r.deliv.OnDeliver(now, accepted)
-	r.timing.OnData(now, p.SentAt)
-
-	if !r.firstEchoValid {
-		r.firstEchoDeparture = p.SentAt
-		r.firstEchoValid = true
+	if !recovered {
+		if accepted == 0 && !overflow {
+			r.Stats.DupPackets++
+		}
+		// Mirror FEC-tagged sources into the group decoder (may complete a
+		// recovery if this group's repairs arrived first).
+		r.fecOnData(p)
 	}
-	r.scheme.onData(now, p)
+	r.deliv.OnDeliver(now, accepted)
+	if recovered {
+		r.loss.OnPacket(now, p.PktSeq)
+	} else {
+		r.timing.OnData(now, p.SentAt)
+		if !r.firstEchoValid {
+			r.firstEchoDeparture = p.SentAt
+			r.firstEchoValid = true
+		}
+		r.scheme.onData(now, p)
+	}
 
 	if !r.cfg.ManualDrain {
 		r.Stats.BytesDelivered += int64(r.buf.Read(r.buf.Readable()))
@@ -566,7 +572,6 @@ func (r *Receiver) sendAck(typ packet.Type, kind packet.IACKKind, trigger uint8,
 
 	r.scheme.fill(now, a, typ, kind, lossRanges)
 
-	r.BlockedSamples.Add(float64(r.buf.BlockedBytes()))
 	if typ == packet.TypeTACK {
 		r.Stats.TACKsSent++
 		r.mTACKs.Inc()
@@ -720,7 +725,7 @@ func (r tackReceiver) fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kin
 		}
 		ackedBudget = 2 // cumulative prefix plus the freshest block
 	}
-	a.AckedBlocks, a.UnackedBlocks = core.AckBuilder{}.Build(acked, unacked, ackedBudget, unackedBudget)
+	a.AckedBlocks, a.UnackedBlocks = buildBlocks(acked, unacked, ackedBudget, unackedBudget)
 	// ReportedThrough: the unacked list is authoritative below the
 	// first pending (unsettled) suspect and below its own truncation
 	// point — everything under it not listed as a gap was received.
@@ -756,7 +761,7 @@ func (r tackReceiver) targetHz() float64 {
 	}
 	var byteHz float64
 	if bw := r.deliv.MaxBps(r.loop.Now()); bw > 0 && l > 0 && r.cfg.Payload > 0 {
-		pktsPerAck := (l*core.MSS + r.cfg.Payload - 1) / r.cfg.Payload
+		pktsPerAck := (l*mss + r.cfg.Payload - 1) / r.cfg.Payload
 		byteHz = bw / 8 / float64(pktsPerAck*r.cfg.Payload)
 	}
 	switch {

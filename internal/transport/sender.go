@@ -3,9 +3,7 @@ package transport
 import (
 	"github.com/tacktp/tack/internal/buffer"
 	"github.com/tacktp/tack/internal/cc"
-	"github.com/tacktp/tack/internal/core"
 	"github.com/tacktp/tack/internal/packet"
-	"github.com/tacktp/tack/internal/rtt"
 	"github.com/tacktp/tack/internal/seqspace"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stream"
@@ -48,9 +46,9 @@ type Sender struct {
 	// Timing. The corrected estimator and the uncorrected sampler both run
 	// on a TACK flow (one flow yields both series of Figure 6(a)); est is
 	// the one that drives control.
-	timing    *rtt.SenderTiming
-	legacyRTT *rtt.Sampler
-	est       *rtt.Estimate
+	timing    *estimate
+	legacyRTT *estimate
+	est       *estimate
 	synSentAt sim.Time
 
 	// Handshake retransmission state.
@@ -59,7 +57,7 @@ type Sender struct {
 	// Loss bookkeeping.
 	recoverPkt      uint64 // loss episode ends when acks pass this PKT.SEQ
 	inRecovery      bool
-	ackLoss         *core.AckLossEstimator
+	ackLoss         *ackLossEstimator
 	largestAckedPkt uint64
 
 	// lastDeliveredBytes is the send buffer's released-bytes counter as of
@@ -140,9 +138,9 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		ctrl:      ctrl,
 		pacer:     newPacer(ctrl.PacingRate(), 10*cfg.Payload),
 		buf:       buffer.NewSendBuffer(),
-		timing:    rtt.NewSenderTiming(0),
-		legacyRTT: rtt.NewSampler(0),
-		ackLoss:   core.NewAckLossEstimator(),
+		timing:    newEstimate(0),
+		legacyRTT: newEstimate(0),
+		ackLoss:   newAckLossEstimator(),
 		payload:   make([]byte, cfg.Payload),
 
 		tracer:        cfg.Tracer,
@@ -166,11 +164,11 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		mFECRatio:       cfg.Metrics.Gauge("fec.redundancy_ratio"),
 	}
 	if cfg.Mode == ModeLegacy {
-		s.scheme, s.est = &legacySender{s: s}, &s.legacyRTT.Estimate
+		s.scheme, s.est = &legacySender{s: s}, s.legacyRTT
 	} else {
-		s.scheme, s.est = tackSender{s}, &s.timing.Estimate
+		s.scheme, s.est = tackSender{s}, s.timing
 		if cfg.LegacyTiming {
-			s.est = &s.legacyRTT.Estimate
+			s.est = s.legacyRTT
 		}
 	}
 	if cfg.Loss.Detector == DetectorRACK {
@@ -273,7 +271,7 @@ func (s *Sender) srttOrGuess() sim.Time {
 // SampledRTTMin returns the legacy (uncorrected) estimator's minimum — the
 // "RTT sampling" series of paper Figure 6(a).
 func (s *Sender) SampledRTTMin() (sim.Time, bool) {
-	return s.legacyRTT.Estimate.Min(s.loop.Now())
+	return s.legacyRTT.Min(s.loop.Now())
 }
 
 // AdvancedRTTMin returns the TACK corrected estimator's minimum — the
@@ -282,7 +280,7 @@ func (s *Sender) AdvancedRTTMin() (sim.Time, bool) {
 	if s.timing.Samples() == 0 {
 		return 0, false
 	}
-	return s.timing.Estimate.Min(s.loop.Now())
+	return s.timing.Min(s.loop.Now())
 }
 
 // rtoAfter returns the data-path retransmission timeout after backoff
@@ -657,8 +655,8 @@ func (s *Sender) OnPathMigration() {
 		s.ctrl = ctrl
 	}
 	// Reseeded in place: est keeps pointing at the one that drives control.
-	*s.timing = *rtt.NewSenderTiming(0)
-	*s.legacyRTT = *rtt.NewSampler(0)
+	*s.timing = *newEstimate(0)
+	*s.legacyRTT = *newEstimate(0)
 	s.rtoBackoff = 0
 	s.inRecovery = false
 	s.pacer = newPacer(s.ctrl.PacingRate(), 10*s.cfg.Payload)
@@ -838,9 +836,8 @@ func (s tackSender) absorb(now sim.Time, p *packet.Packet) ackSample {
 
 	var got ackSample
 	if a.EchoDeparture > 0 {
-		e := rtt.Echo{Departure: a.EchoDeparture, AckDelay: a.AckDelay, Valid: true}
 		before := s.timing.Samples()
-		s.timing.OnAck(now, e)
+		s.timing.onEcho(now, echo{Departure: a.EchoDeparture, AckDelay: a.AckDelay, Valid: true})
 		if s.timing.Samples() > before {
 			got.rtt = now - a.EchoDeparture - a.AckDelay
 		}
@@ -850,7 +847,7 @@ func (s tackSender) absorb(now sim.Time, p *packet.Packet) ackSample {
 		// pending packet with no Δt correction — exactly what legacy RTT
 		// sampling under delayed ACKs measures (Figure 6). It only drives
 		// control when LegacyTiming is set.
-		s.legacyRTT.OnAck(now, a.FirstEchoDeparture)
+		s.legacyRTT.Update(now, now-a.FirstEchoDeparture)
 		if s.cfg.LegacyTiming {
 			got.rtt = now - a.FirstEchoDeparture
 		}
@@ -1070,7 +1067,3 @@ func (s *Sender) CumAcked() uint64 { return s.cumAcked }
 // OldestOutstanding returns the sender's oldest outstanding packet number
 // (diagnostics only).
 func (s *Sender) OldestOutstanding() uint64 { return s.buf.OldestPktSeq(s.nextPktSeq) }
-
-// ReleasedBytes exposes the cumulative acknowledged payload bytes
-// (diagnostics only).
-func (s *Sender) ReleasedBytes() int64 { return s.buf.ReleasedBytes() }

@@ -232,7 +232,7 @@ func TestStreamFlowControlStallAndResume(t *testing.T) {
 	// Phase check at 500 ms: the window must be exhausted (sender stalled at
 	// exactly one stream window) with nothing consumed yet.
 	var stalledAt int64
-	check := sim.NewTimer(h.loop, func() { stalledAt = h.snd.ReleasedBytes() })
+	check := sim.NewTimer(h.loop, func() { stalledAt = h.snd.buf.ReleasedBytes() })
 	check.Reset(500 * sim.Millisecond)
 
 	// Resume: drain on a tight poll from 600 ms on.

@@ -1,13 +1,14 @@
-// Package rtt implements round-trip timing for TACK-based transports.
+package transport
+
+// Round-trip timing. Two estimators run, mirroring the paper's §5.2
+// comparison, and both are an estimate fed differently:
 //
-// Two estimators are provided, mirroring the paper's §5.2 comparison:
+//   - The legacy sender-side approach — one RTT sample per ACK, computed as
+//     ack-arrival minus data-departure. When ACKs are delayed (which TACK
+//     does aggressively) samples inherit the ACK delay, biasing RTTmin
+//     estimates upward by 8–18% in the paper's microbenchmark.
 //
-//   - Sampler: the legacy sender-side approach — one RTT sample per ACK,
-//     computed as ack-arrival minus data-departure. When ACKs are delayed
-//     (which TACK does aggressively) samples inherit the ACK delay, biasing
-//     RTTmin estimates upward by 8–18% in the paper's microbenchmark.
-//
-//   - ReceiverTiming + SenderTiming: the "advanced" TACK scheme. The
+//   - The "advanced" TACK scheme (receiverTiming + estimate.onEcho). The
 //     receiver computes per-packet relative one-way delays (no clock sync
 //     needed — only variation matters), smooths them with an EWMA, picks
 //     the packet achieving the minimum smoothed OWD in each TACK interval,
@@ -16,38 +17,37 @@
 //     windowed min-filter (τ ≤ 10 s, handling route changes); a second
 //     min-filter at the receiver side is implicit in per-interval minimum
 //     selection.
-package rtt
 
 import (
 	"github.com/tacktp/tack/internal/rate"
 	"github.com/tacktp/tack/internal/sim"
 )
 
-// MinWindow is the default min-filter horizon τ (paper §5.2: τ ≤ 10 s,
+// minWindow is the default min-filter horizon τ (paper §5.2: τ ≤ 10 s,
 // the 10-second part handling route changes).
-const MinWindow = 10 * sim.Second
+const minWindow = 10 * sim.Second
 
-// Estimate is the smoothed state shared by both estimator flavours,
+// estimate is the smoothed state shared by both estimator flavours,
 // following the RFC 6298 smoothing discipline.
-type Estimate struct {
+type estimate struct {
 	srtt   sim.Time
 	rttvar sim.Time
-	min    *rate.MinFilter
+	min    *rate.Filter
 	init   bool
 	count  int
 }
 
-// NewEstimate returns an estimator with the given min-filter window
-// (0 selects MinWindow).
-func NewEstimate(window sim.Time) *Estimate {
+// newEstimate returns an estimator with the given min-filter window
+// (0 selects minWindow).
+func newEstimate(window sim.Time) *estimate {
 	if window <= 0 {
-		window = MinWindow
+		window = minWindow
 	}
-	return &Estimate{min: rate.NewMinFilter(window)}
+	return &estimate{min: rate.NewMinFilter(window)}
 }
 
 // Update folds in one RTT sample taken at time now.
-func (e *Estimate) Update(now sim.Time, sample sim.Time) {
+func (e *estimate) Update(now sim.Time, sample sim.Time) {
 	if sample <= 0 {
 		return
 	}
@@ -69,11 +69,11 @@ func (e *Estimate) Update(now sim.Time, sample sim.Time) {
 }
 
 // Smoothed returns the smoothed RTT (0 before the first sample).
-func (e *Estimate) Smoothed() sim.Time { return e.srtt }
+func (e *estimate) Smoothed() sim.Time { return e.srtt }
 
 // Min returns the windowed minimum RTT at time now; ok is false before the
 // first sample (or after the window empties).
-func (e *Estimate) Min(now sim.Time) (sim.Time, bool) {
+func (e *estimate) Min(now sim.Time) (sim.Time, bool) {
 	if e.min.Empty(now) {
 		return 0, false
 	}
@@ -81,11 +81,11 @@ func (e *Estimate) Min(now sim.Time) (sim.Time, bool) {
 }
 
 // Samples returns how many samples were folded in.
-func (e *Estimate) Samples() int { return e.count }
+func (e *estimate) Samples() int { return e.count }
 
 // RTO returns the retransmission timeout: srtt + 4·rttvar, clamped to
 // [minRTO, maxRTO]; before any sample it returns fallback.
-func (e *Estimate) RTO(minRTO, maxRTO, fallback sim.Time) sim.Time {
+func (e *estimate) RTO(minRTO, maxRTO, fallback sim.Time) sim.Time {
 	if !e.init {
 		return fallback
 	}
@@ -99,34 +99,34 @@ func (e *Estimate) RTO(minRTO, maxRTO, fallback sim.Time) sim.Time {
 	return rto
 }
 
-// DefaultSlidingMinSize is the default sample count of a SlidingMin window
+// defaultSlidingMinSize is the default sample count of a slidingMin window
 // (matching VPP's tcp_rack minrtt_window_size default).
-const DefaultSlidingMinSize = 8
+const defaultSlidingMinSize = 8
 
-// SlidingMin tracks the minimum RTT over the last N samples — the RACK
+// slidingMin tracks the minimum RTT over the last N samples — the RACK
 // reorder-window base (RFC 8985 §6.1.1). Unlike the time-windowed
-// Estimate.Min it forgets by sample count, so a route change flushes the
+// estimate.Min it forgets by sample count, so a route change flushes the
 // stale minimum after N acknowledgments regardless of elapsed time; RACK
 // wants "min of the last few RTTs, not a global minimum" (VPP tcp_rack.c
 // rack_get_minrtt_from_window).
-type SlidingMin struct {
+type slidingMin struct {
 	window []sim.Time
 	next   int
 	filled int
 }
 
-// NewSlidingMin returns a sliding minimum over the last size samples
-// (size <= 0 selects DefaultSlidingMinSize).
-func NewSlidingMin(size int) *SlidingMin {
+// newSlidingMin returns a sliding minimum over the last size samples
+// (size <= 0 selects defaultSlidingMinSize).
+func newSlidingMin(size int) *slidingMin {
 	if size <= 0 {
-		size = DefaultSlidingMinSize
+		size = defaultSlidingMinSize
 	}
-	return &SlidingMin{window: make([]sim.Time, size)}
+	return &slidingMin{window: make([]sim.Time, size)}
 }
 
 // Update folds in one RTT sample, evicting the oldest once the window is
 // full.
-func (m *SlidingMin) Update(sample sim.Time) {
+func (m *slidingMin) Update(sample sim.Time) {
 	if sample <= 0 {
 		return
 	}
@@ -139,7 +139,7 @@ func (m *SlidingMin) Update(sample sim.Time) {
 
 // Min returns the smallest sample currently in the window; ok is false
 // before the first sample.
-func (m *SlidingMin) Min() (sim.Time, bool) {
+func (m *slidingMin) Min() (sim.Time, bool) {
 	if m.filled == 0 {
 		return 0, false
 	}
@@ -154,31 +154,12 @@ func (m *SlidingMin) Min() (sim.Time, bool) {
 	return min, true
 }
 
-// Samples returns how many samples currently populate the window.
-func (m *SlidingMin) Samples() int { return m.filled }
-
-// Sampler is the legacy sender-side estimator: RTT = ackArrival − dataSent,
-// with no correction for receiver-side ACK delay.
-type Sampler struct {
-	Estimate
-}
-
-// NewSampler returns a legacy estimator with the given min window.
-func NewSampler(window sim.Time) *Sampler {
-	return &Sampler{Estimate: *NewEstimate(window)}
-}
-
-// OnAck folds in a sample for a packet sent at sentAt and acknowledged now.
-func (s *Sampler) OnAck(now, sentAt sim.Time) {
-	s.Update(now, now-sentAt)
-}
-
-// ReceiverTiming is the receiver half of the advanced scheme.
-type ReceiverTiming struct {
+// receiverTiming is the receiver half of the advanced scheme.
+type receiverTiming struct {
 	// owd is the windowed minimum of the smoothed OWD series. Nothing but
 	// the package's test reads it; the per-packet update stays until the
 	// allocation work (ROADMAP item 1) can remove it with the rung it moves.
-	owd *rate.MinFilter
+	owd *rate.Filter
 	// EWMA of raw per-packet OWD samples; the per-interval minimum is taken
 	// over the smoothed series to suppress single-packet jitter.
 	smooth *sim.Time
@@ -191,20 +172,20 @@ type ReceiverTiming struct {
 	bestArrival   sim.Time
 }
 
-// NewReceiverTiming returns receiver timing state. alpha is the OWD EWMA
+// newReceiverTiming returns receiver timing state. alpha is the OWD EWMA
 // smoothing factor; the paper's scheme uses an EWMA over per-packet OWD
 // samples (we default to 1/8 when alpha <= 0).
-func NewReceiverTiming(alpha float64) *ReceiverTiming {
+func newReceiverTiming(alpha float64) *receiverTiming {
 	if alpha <= 0 {
 		alpha = 0.125
 	}
-	return &ReceiverTiming{alpha: alpha, owd: rate.NewMinFilter(MinWindow)}
+	return &receiverTiming{alpha: alpha, owd: rate.NewMinFilter(minWindow)}
 }
 
 // OnData records the arrival of a packet carrying departure timestamp
 // sentAt (sender clock). Relative OWD = arrival − departure; absolute clock
 // offset cancels out of all comparisons.
-func (r *ReceiverTiming) OnData(now, sentAt sim.Time) {
+func (r *receiverTiming) OnData(now, sentAt sim.Time) {
 	sample := now - sentAt
 	var smoothed sim.Time
 	if r.smooth == nil {
@@ -225,8 +206,8 @@ func (r *ReceiverTiming) OnData(now, sentAt sim.Time) {
 	}
 }
 
-// Echo is the timing payload the receiver attaches to a TACK.
-type Echo struct {
+// echo is the timing payload the receiver attaches to a TACK.
+type echo struct {
 	// Departure is t0⋆: the departure timestamp of the packet achieving the
 	// minimum smoothed OWD this interval.
 	Departure sim.Time
@@ -238,31 +219,20 @@ type Echo struct {
 
 // OnAckSent closes the interval at TACK transmission time and returns the
 // echo fields to embed in the TACK.
-func (r *ReceiverTiming) OnAckSent(now sim.Time) Echo {
+func (r *receiverTiming) OnAckSent(now sim.Time) echo {
 	if !r.haveBest {
-		return Echo{}
+		return echo{}
 	}
-	e := Echo{Departure: r.bestDeparture, AckDelay: now - r.bestArrival, Valid: true}
+	e := echo{Departure: r.bestDeparture, AckDelay: now - r.bestArrival, Valid: true}
 	r.haveBest = false
 	return e
 }
 
-// SenderTiming is the sender half of the advanced scheme: it converts TACK
-// echoes into corrected RTT samples.
-type SenderTiming struct {
-	Estimate
-}
-
-// NewSenderTiming returns sender timing state with the given min window.
-func NewSenderTiming(window sim.Time) *SenderTiming {
-	return &SenderTiming{Estimate: *NewEstimate(window)}
-}
-
-// OnAck folds in the echo from a TACK arriving at time now:
-// RTT = now − t0⋆ − Δt⋆ (paper Figure 4).
-func (s *SenderTiming) OnAck(now sim.Time, e Echo) {
-	if !e.Valid {
+// onEcho folds in the echo from a TACK arriving at time now — the sender
+// half of the advanced scheme: RTT = now − t0⋆ − Δt⋆ (paper Figure 4).
+func (e *estimate) onEcho(now sim.Time, ec echo) {
+	if !ec.Valid {
 		return
 	}
-	s.Update(now, now-e.Departure-e.AckDelay)
+	e.Update(now, now-ec.Departure-ec.AckDelay)
 }

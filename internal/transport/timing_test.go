@@ -1,4 +1,4 @@
-package rtt
+package transport
 
 import (
 	"testing"
@@ -6,10 +6,8 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 )
 
-func ms(n int64) sim.Time { return sim.Time(n) * sim.Millisecond }
-
 func TestEstimateFirstSample(t *testing.T) {
-	e := NewEstimate(0)
+	e := newEstimate(0)
 	e.Update(ms(100), ms(50))
 	if e.Smoothed() != ms(50) {
 		t.Fatalf("srtt = %v, want 50ms", e.Smoothed())
@@ -23,7 +21,7 @@ func TestEstimateFirstSample(t *testing.T) {
 }
 
 func TestEstimateSmoothing(t *testing.T) {
-	e := NewEstimate(0)
+	e := newEstimate(0)
 	e.Update(0, ms(100))
 	e.Update(ms(10), ms(200))
 	// srtt = 7/8*100 + 1/8*200 = 112.5ms
@@ -37,7 +35,7 @@ func TestEstimateSmoothing(t *testing.T) {
 }
 
 func TestEstimateIgnoresNonPositive(t *testing.T) {
-	e := NewEstimate(0)
+	e := newEstimate(0)
 	e.Update(0, 0)
 	e.Update(0, -ms(5))
 	if e.Samples() != 0 {
@@ -46,7 +44,7 @@ func TestEstimateIgnoresNonPositive(t *testing.T) {
 }
 
 func TestMinWindowExpiry(t *testing.T) {
-	e := NewEstimate(sim.Second)
+	e := newEstimate(sim.Second)
 	e.Update(0, ms(10))
 	e.Update(ms(500), ms(40))
 	if m, _ := e.Min(ms(600)); m != ms(10) {
@@ -62,7 +60,7 @@ func TestMinWindowExpiry(t *testing.T) {
 }
 
 func TestRTO(t *testing.T) {
-	e := NewEstimate(0)
+	e := newEstimate(0)
 	if got := e.RTO(ms(200), ms(60000), ms(1000)); got != ms(1000) {
 		t.Fatalf("fallback RTO = %v", got)
 	}
@@ -82,11 +80,11 @@ func TestRTO(t *testing.T) {
 func TestLegacySamplerBiasUnderAckDelay(t *testing.T) {
 	// True RTT is 100ms but ACKs are delayed 20ms at the receiver: the
 	// legacy sampler over-estimates RTTmin by the ACK delay.
-	s := NewSampler(0)
+	s := newEstimate(0)
 	for i := int64(0); i < 10; i++ {
 		sent := ms(i * 50)
 		ackArrival := sent + ms(100) + ms(20)
-		s.OnAck(ackArrival, sent)
+		s.Update(ackArrival, ackArrival-sent)
 	}
 	m, _ := s.Min(ms(1000))
 	if m != ms(120) {
@@ -97,8 +95,8 @@ func TestLegacySamplerBiasUnderAckDelay(t *testing.T) {
 func TestAdvancedTimingCorrectsAckDelay(t *testing.T) {
 	// Same scenario through the advanced path: receiver echoes departure
 	// and Δt, sender recovers the true 100ms RTT.
-	rt := NewReceiverTiming(0)
-	st := NewSenderTiming(0)
+	rt := newReceiverTiming(0)
+	st := newEstimate(0)
 	owd := ms(50)
 	for i := int64(0); i < 10; i++ {
 		sent := ms(i * 50)
@@ -108,7 +106,7 @@ func TestAdvancedTimingCorrectsAckDelay(t *testing.T) {
 		if !echo.Valid {
 			t.Fatal("echo should be valid after data")
 		}
-		st.OnAck(tackAt+owd, echo)
+		st.onEcho(tackAt+owd, echo)
 	}
 	m, _ := st.Min(ms(1000))
 	if m != ms(100) {
@@ -117,7 +115,7 @@ func TestAdvancedTimingCorrectsAckDelay(t *testing.T) {
 }
 
 func TestReceiverTimingPicksMinOWDPacket(t *testing.T) {
-	rt := NewReceiverTiming(1.0) // alpha=1: no smoothing, raw OWD
+	rt := newReceiverTiming(1.0) // alpha=1: no smoothing, raw OWD
 	// Three packets with OWDs 60, 40, 70ms.
 	rt.OnData(ms(60), ms(0))
 	rt.OnData(ms(140), ms(100))
@@ -132,7 +130,7 @@ func TestReceiverTimingPicksMinOWDPacket(t *testing.T) {
 }
 
 func TestReceiverTimingIntervalReset(t *testing.T) {
-	rt := NewReceiverTiming(1.0)
+	rt := newReceiverTiming(1.0)
 	rt.OnData(ms(60), 0)
 	_ = rt.OnAckSent(ms(70))
 	echo := rt.OnAckSent(ms(80))
@@ -142,7 +140,7 @@ func TestReceiverTimingIntervalReset(t *testing.T) {
 }
 
 func TestReceiverSmoothedAndMinOWD(t *testing.T) {
-	rt := NewReceiverTiming(0.5)
+	rt := newReceiverTiming(0.5)
 	if rt.smooth != nil {
 		t.Fatal("no samples yet")
 	}
@@ -157,8 +155,8 @@ func TestReceiverSmoothedAndMinOWD(t *testing.T) {
 }
 
 func TestSenderTimingIgnoresInvalidEcho(t *testing.T) {
-	st := NewSenderTiming(0)
-	st.OnAck(ms(100), Echo{})
+	st := newEstimate(0)
+	st.onEcho(ms(100), echo{})
 	if st.Samples() != 0 {
 		t.Fatal("invalid echo must not produce a sample")
 	}
@@ -168,9 +166,9 @@ func TestSenderTimingIgnoresInvalidEcho(t *testing.T) {
 // with a true 100ms floor and jittered queueing plus TACK delays, the legacy
 // estimate should exceed the advanced estimate by a clear margin.
 func TestBiasGapMatchesPaperShape(t *testing.T) {
-	legacy := NewSampler(0)
-	rt := NewReceiverTiming(0)
-	st := NewSenderTiming(0)
+	legacy := newEstimate(0)
+	rt := newReceiverTiming(0)
+	st := newEstimate(0)
 	base := ms(50) // one-way
 	for i := int64(0); i < 200; i++ {
 		sent := ms(i * 10)
@@ -180,8 +178,8 @@ func TestBiasGapMatchesPaperShape(t *testing.T) {
 		if i%5 == 4 { // TACK every 5 packets → up to 40ms ack delay
 			tackAt := arr + ms(8)
 			echo := rt.OnAckSent(tackAt)
-			st.OnAck(tackAt+base, echo)
-			legacy.OnAck(tackAt+base, sent)
+			st.onEcho(tackAt+base, echo)
+			legacy.Update(tackAt+base, tackAt+base-sent)
 		}
 	}
 	now := ms(3000)
@@ -197,7 +195,7 @@ func TestBiasGapMatchesPaperShape(t *testing.T) {
 }
 
 func TestSlidingMinTracksWindowedMinimum(t *testing.T) {
-	m := NewSlidingMin(3)
+	m := newSlidingMin(3)
 	if _, ok := m.Min(); ok {
 		t.Fatal("empty window must report no minimum")
 	}

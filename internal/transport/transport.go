@@ -43,7 +43,6 @@ import (
 
 	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/cc"
-	"github.com/tacktp/tack/internal/core"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stream"
@@ -73,6 +72,17 @@ func (m Mode) String() string {
 // DefaultPayload is the data payload size per packet, chosen so a DATA
 // frame occupies 1518 bytes on the wire like the paper's traffic.
 const DefaultPayload = 1439
+
+// What withDefaults fills in for an unset MinRTO, HandshakeRTO and
+// MaxSYNRetries. They are named because the layer above schedules by them
+// too — the endpoint retransmits an embryo's SYNACK on the dialing side's
+// SYN schedule and measures a receiver-side stall in minimum RTOs — and a
+// restated number would drift.
+const (
+	DefaultMinRTO        = 200 * sim.Millisecond
+	DefaultHandshakeRTO  = 250 * sim.Millisecond
+	DefaultMaxSYNRetries = 8
+)
 
 // LossDetector selects the sender-side loss detection machinery.
 type LossDetector int
@@ -128,7 +138,7 @@ type Config struct {
 	// Payload is the data bytes per packet (default DefaultPayload).
 	Payload int
 	// Params are the TACK mechanism constants (β, L, Q, settle fraction).
-	Params core.Params
+	Params Params
 	// RichTACK lets TACKs carry as many blocks as fit in the MSS
 	// ("TACK-rich"); when false the block budget follows Appendix A from
 	// the primary Q ("TACK-poor" when Q==1 and loss is low).
@@ -171,18 +181,19 @@ type Config struct {
 	// reordering was mistaken for loss) and decays toward the configured
 	// RTTmin/SettleFraction baseline when they stop.
 	AdaptiveSettle bool
-	// MinRTO / MaxRTO clamp the retransmission timeout.
+	// MinRTO / MaxRTO clamp the retransmission timeout (defaults
+	// DefaultMinRTO and 60 s).
 	MinRTO, MaxRTO sim.Time
 	// HandshakeRTO is the initial SYN retransmission timeout, before any
 	// RTT sample exists. It doubles on every retry (clamped to MaxRTO) and
-	// defaults to 250 ms — aggressive relative to the steady-state MinRTO
-	// because a lost SYN stalls the whole connection and there is nothing
-	// in flight to protect from spurious retransmission.
+	// defaults to DefaultHandshakeRTO — aggressive relative to the
+	// steady-state MinRTO because a lost SYN stalls the whole connection and
+	// there is nothing in flight to protect from spurious retransmission.
 	HandshakeRTO sim.Time
 	// MaxSYNRetries caps SYN retransmissions (not counting the original).
 	// When the budget is exhausted without a SYNACK the sender calls
-	// OnHandshakeFailed. Default 8; negative disables retransmission
-	// entirely (a single SYN is sent).
+	// OnHandshakeFailed. Default DefaultMaxSYNRetries; negative disables
+	// retransmission entirely (a single SYN is sent).
 	MaxSYNRetries int
 	// Streams enables stream multiplexing: the sender transmits STREAM
 	// frames pulled from a stream.SendMux scheduler instead of one flat
@@ -210,35 +221,23 @@ func (c Config) withDefaults() Config {
 	if c.Payload <= 0 {
 		c.Payload = DefaultPayload
 	}
-	d := core.DefaultParams()
-	if c.Params.Beta <= 0 {
-		c.Params.Beta = d.Beta
-	}
-	if c.Params.L <= 0 {
-		c.Params.L = d.L
-	}
-	if c.Params.Q <= 0 {
-		c.Params.Q = d.Q
-	}
-	if c.Params.SettleFraction <= 0 {
-		c.Params.SettleFraction = d.SettleFraction
-	}
+	c.Params = c.Params.withDefaults()
 	if c.RecvBuf <= 0 {
 		// Default sized for the highest-BDP evaluation point (≈560 Mbit/s
 		// at 200 ms RTT needs ~14 MB; give 2 BDP like an autotuned stack).
 		c.RecvBuf = 32 << 20
 	}
 	if c.MinRTO <= 0 {
-		c.MinRTO = 200 * sim.Millisecond
+		c.MinRTO = DefaultMinRTO
 	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = 60 * sim.Second
 	}
 	if c.HandshakeRTO <= 0 {
-		c.HandshakeRTO = 250 * sim.Millisecond
+		c.HandshakeRTO = DefaultHandshakeRTO
 	}
 	if c.MaxSYNRetries == 0 {
-		c.MaxSYNRetries = 8
+		c.MaxSYNRetries = DefaultMaxSYNRetries
 	} else if c.MaxSYNRetries < 0 {
 		c.MaxSYNRetries = 0
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
+	"github.com/tacktp/tack/internal/stats"
 )
 
 // harness wires a Sender and Receiver over a duplex netem pipe.
@@ -17,6 +18,9 @@ type harness struct {
 	rcv  *Receiver
 	fwd  *netem.Link
 	rev  *netem.Link
+	// blocked samples the receive buffer's head-of-line-blocked bytes at
+	// each packet the receiver emits (Figure 5(a)'s metric).
+	blocked *stats.Summary
 }
 
 func ms(n int64) sim.Time { return sim.Time(n) * sim.Millisecond }
@@ -25,7 +29,7 @@ func ms(n int64) sim.Time { return sim.Time(n) * sim.Millisecond }
 func newHarness(t *testing.T, seed int64, cfg Config, rateBps float64, owd sim.Time, dataLoss, ackLoss float64) *harness {
 	t.Helper()
 	loop := sim.NewLoop(seed)
-	h := &harness{loop: loop}
+	h := &harness{loop: loop, blocked: stats.NewSummary()}
 	fwdCfg, revCfg := netem.Symmetric(rateBps, owd, 0, dataLoss, ackLoss)
 	h.fwd = netem.NewLink(loop, fwdCfg, func(pl any, n int) { h.rcv.OnPacket(pl.(*packet.Packet)) })
 	h.rev = netem.NewLink(loop, revCfg, func(pl any, n int) { h.snd.OnPacket(pl.(*packet.Packet)) })
@@ -34,7 +38,10 @@ func newHarness(t *testing.T, seed int64, cfg Config, rateBps float64, owd sim.T
 		t.Fatal(err)
 	}
 	h.snd = snd
-	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.WireSize()) })
+	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) {
+		h.blocked.Add(float64(h.rcv.Buffer().BlockedBytes()))
+		h.rev.Send(p, p.WireSize())
+	})
 	return h
 }
 
@@ -242,7 +249,7 @@ func TestDisableIACKSlowsLossRecovery(t *testing.T) {
 		if h.rcv.Delivered() == 0 {
 			t.Fatalf("flow (disable=%v) delivered nothing", disable)
 		}
-		return h.rcv.BlockedSamples.Percentile(90)
+		return h.blocked.Percentile(90)
 	}
 	with := run(false)
 	without := run(true)
@@ -295,7 +302,10 @@ func TestPacingSmoothsBursts(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.snd = snd
-		h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.WireSize()) })
+		h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) {
+			h.blocked.Add(float64(h.rcv.Buffer().BlockedBytes()))
+			h.rev.Send(p, p.WireSize())
+		})
 		h.run(10 * sim.Second)
 		return maxBurst
 	}

@@ -3,7 +3,6 @@ package transport
 import (
 	"testing"
 
-	"github.com/tacktp/tack/internal/core"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stream"
@@ -30,7 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		{"payload beyond wire length", Config{Payload: 70000}, false},
 		{"negative transfer", Config{TransferBytes: -1}, false},
 		{"negative recvbuf", Config{RecvBuf: -1}, false},
-		{"negative beta", Config{Params: core.Params{Beta: -1}}, false},
+		{"negative beta", Config{Params: Params{Beta: -1}}, false},
 		{"negative rto", Config{MinRTO: -sim.Second}, false},
 		{"min rto above max", Config{MinRTO: 2 * sim.Second, MaxRTO: sim.Second}, false},
 		{"app paced with byte bound", Config{AppPaced: true, TransferBytes: 1 << 20}, false},

@@ -28,7 +28,6 @@ package tack
 import (
 	"io"
 
-	"github.com/tacktp/tack/internal/core"
 	"github.com/tacktp/tack/internal/debugserver"
 	"github.com/tacktp/tack/internal/endpoint"
 	"github.com/tacktp/tack/internal/fec"
@@ -46,7 +45,7 @@ type (
 	Config = transport.Config
 	// Params are the TACK acknowledgment-frequency parameters
 	// (β, L, q, settle fraction) carried in Config.Params.
-	Params = core.Params
+	Params = transport.Params
 	// LossDetection groups the sender's loss-detection knobs carried in
 	// Config.Loss: the detector choice and the tail-loss-probe ablation
 	// switch.
