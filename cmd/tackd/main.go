@@ -307,10 +307,10 @@ func serve(args []string) {
 
 // printBatchStats summarizes the batched-datapath telemetry for the human
 // output (the JSON document carries the full snapshot): syscall batch
-// sizes and datapath freelist hit rates. Max batch > 1 is the visible
-// proof that recvmmsg/sendmmsg coalescing is engaged.
+// sizes, egress train lengths, freelist hit rates. Max batch > 1 proves
+// recvmmsg/sendmmsg coalescing is engaged, max train > 1 that trains form.
 func printBatchStats(s telemetry.Snapshot) {
-	rd, wr := s.Histograms["ep.batch.read_size"], s.Histograms["ep.batch.write_size"]
+	rd, wr, tr := s.Histograms["ep.batch.read_size"], s.Histograms["ep.batch.write_size"], s.Histograms["ep.batch.train_size"]
 	if rd.Count == 0 && wr.Count == 0 {
 		return
 	}
@@ -320,8 +320,8 @@ func printBatchStats(s telemetry.Snapshot) {
 		}
 		return 100 * (1 - float64(misses)/float64(gets))
 	}
-	fmt.Printf("io batches: read mean %.1f max %.0f, write mean %.1f max %.0f; pool hit rate: pkt %.1f%%, buf %.1f%%\n",
-		rd.Mean, rd.Max, wr.Mean, wr.Max,
+	fmt.Printf("io batches: read mean %.1f max %.0f, write mean %.1f max %.0f, trains mean %.1f max %.0f; pool hit rate: pkt %.1f%%, buf %.1f%%\n",
+		rd.Mean, rd.Max, wr.Mean, wr.Max, tr.Mean, tr.Max,
 		hit(s.Counters["ep.batch.pkt_pool_gets"], s.Counters["ep.batch.pkt_pool_misses"]),
 		hit(s.Counters["ep.batch.buf_pool_gets"], s.Counters["ep.batch.buf_pool_misses"]))
 }

@@ -1,6 +1,8 @@
 // Package batchio provides batched datagram I/O over a *net.UDPConn:
-// many datagrams per syscall via recvmmsg/sendmmsg on Linux, with a
-// graceful single-message fallback on other platforms.
+// many datagrams per syscall via recvmmsg/sendmmsg on Linux, and many per
+// trip through the kernel's UDP stack via segment trains (UDP_SEGMENT on
+// egress, UDP_GRO on ingress), with a graceful single-message fallback on
+// other platforms.
 //
 // The API mirrors golang.org/x/net's ipv4.PacketConn ReadBatch/WriteBatch
 // shape (which QUIC stacks use for the same purpose) without taking the
@@ -23,6 +25,7 @@ package batchio
 
 import (
 	"net"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -30,9 +33,13 @@ import (
 //
 // After ReadBatch, Buf[:N] holds the received datagram and Addr its
 // source; both point into Reader-owned storage that is overwritten by the
-// next ReadBatch — copy anything that must outlive the batch. For
-// WriteBatch the caller fills Buf (the full slice is sent) and Addr (the
-// destination).
+// next ReadBatch — copy anything that must outlive the batch; datagrams
+// that arrived as one train are views into one receive slot and share one
+// Addr. For WriteBatch the caller fills Buf (the full slice is sent) and
+// Addr (the destination), and the Writer reports in N how the datagrams
+// left: the length of the train a datagram led (1 when it went alone), 0
+// when it rode in one, negative when the train it led was refused by the
+// kernel and went out as single datagrams.
 type Message struct {
 	Buf  []byte
 	N    int
@@ -48,6 +55,9 @@ type Conn struct {
 	// dual-stack socket).
 	v6      bool
 	batched bool
+	// gsoOff latches once the kernel has refused a segment train on this
+	// socket: every Writer of the Conn then sends one datagram per header.
+	gsoOff atomic.Bool
 }
 
 // New wraps uc. It never fails to produce a usable Conn: when the raw
@@ -70,9 +80,9 @@ func New(uc *net.UDPConn) *Conn {
 func (c *Conn) Batched() bool { return c.batched }
 
 // DisableBatching forces the single-message fallback even where the
-// platform supports batch syscalls. Call before creating Readers/Writers
-// (tests and diagnostics; the fallback path is otherwise unreachable on
-// Linux).
+// platform supports batch syscalls: one datagram per syscall, no segment
+// trains in either direction. Call before creating Readers/Writers (tests
+// and diagnostics; the fallback path is otherwise unreachable on Linux).
 func (c *Conn) DisableBatching() { c.batched = false }
 
 // Reader reads datagram batches from the socket. A Reader is owned by one
@@ -85,7 +95,11 @@ type Reader struct {
 
 // NewReader builds a reader holding `batch` message slots of `size` bytes
 // each. Datagrams longer than size are truncated (and will fail to decode
-// upstream); size should be the protocol's maximum datagram length.
+// upstream); size should be the protocol's maximum datagram length. A
+// reader whose slots can hold the largest UDP payload (size ≥ 65,535) also
+// asks the kernel to deliver trains whole (UDP_GRO, a property of the
+// socket from then on) and may return more than `batch` datagrams; smaller
+// slots never do, because a train cut off at a slot's end loses datagrams.
 func (c *Conn) NewReader(batch, size int) *Reader {
 	if batch < 1 || !c.batched {
 		batch = 1
@@ -100,9 +114,9 @@ func (c *Conn) NewReader(batch, size int) *Reader {
 }
 
 // ReadBatch blocks until at least one datagram arrives and returns the
-// filled message slots (valid until the next call). On Linux a single
-// recvmmsg drains up to the reader's batch size; elsewhere one datagram
-// is read per call.
+// datagrams read (valid until the next call). On Linux a single recvmmsg
+// fills up to the reader's batch size of slots; elsewhere one datagram is
+// read per call.
 func (r *Reader) ReadBatch() ([]Message, error) {
 	if r.c.batched {
 		return r.readMmsg()
@@ -142,7 +156,8 @@ func (c *Conn) NewWriter(batch int) *Writer {
 // WriteBatch sends every message (chunking and retrying partial batches)
 // and returns the number sent. On error it reports how many datagrams
 // were handed to the kernel before the failure; the message at index
-// `sent` is the one that failed.
+// `sent` is the one that failed, or the first of a train that failed whole
+// (none of a failed train was sent).
 func (w *Writer) WriteBatch(ms []Message) (int, error) {
 	if w.c.batched {
 		return w.writeMmsg(ms)
@@ -156,6 +171,7 @@ func (w *Writer) writeSingle(ms []Message) (int, error) {
 		if _, err := w.c.uc.WriteToUDP(ms[i].Buf, ms[i].Addr); err != nil {
 			return i, err
 		}
+		ms[i].N = 1
 	}
 	return len(ms), nil
 }

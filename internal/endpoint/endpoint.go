@@ -319,10 +319,13 @@ type Endpoint struct {
 	mAnomalyDumpErrs *telemetry.Counter
 	mAckOverhead     *telemetry.Gauge
 
-	// Batched-datapath telemetry: syscall batch sizes and freelist hit
-	// rates (hit rate = 1 - misses/gets).
+	// Batched-datapath telemetry: syscall batch sizes, egress train
+	// lengths, trains-off latches, and freelist hit rates (hit rate =
+	// 1 - misses/gets).
 	mBatchRead     *telemetry.Histogram
 	mBatchWrite    *telemetry.Histogram
+	mTrainSize     *telemetry.Histogram
+	mGSOFallbacks  *telemetry.Counter
 	mPktPoolGets   *telemetry.Counter
 	mPktPoolMisses *telemetry.Counter
 	mBufPoolGets   *telemetry.Counter
@@ -422,6 +425,8 @@ func Listen(laddr string, cfg Config) (*Endpoint, error) {
 	ep.mAckOverhead = reg.Gauge("ep.ack_overhead_bytes_per_mb")
 	ep.mBatchRead = reg.Histogram("ep.batch.read_size")
 	ep.mBatchWrite = reg.Histogram("ep.batch.write_size")
+	ep.mTrainSize = reg.Histogram("ep.batch.train_size")
+	ep.mGSOFallbacks = reg.Counter("ep.batch.gso_fallbacks")
 	ep.mPktPoolGets = reg.Counter("ep.batch.pkt_pool_gets")
 	ep.mPktPoolMisses = reg.Counter("ep.batch.pkt_pool_misses")
 	ep.mBufPoolGets = reg.Counter("ep.batch.buf_pool_gets")
@@ -482,7 +487,8 @@ func (ep *Endpoint) shardFor(id uint32) *shard {
 }
 
 // readLoop pulls datagram batches off one socket-group member (one
-// recvmmsg per batch on Linux), decodes each into a pooled packet, and
+// recvmmsg per batch on Linux, whole segment trains split back into their
+// datagrams by batchio), decodes each into a pooled packet, and
 // routes them to the owning shard — which may be bound to a different
 // socket: accept-anywhere, reply-from-owner. Overflowing a shard's
 // channel drops the packet (backpressure surfaces as loss; the protocol

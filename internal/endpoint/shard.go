@@ -305,8 +305,9 @@ func (sh *shard) enqueue(p *packet.Packet, addr *net.UDPAddr) {
 }
 
 // flush writes the egress queue with as few syscalls as the platform
-// allows and recycles the datagram buffers. A datagram that errors is
-// counted and skipped; the rest of the batch still goes out.
+// allows and recycles the datagram buffers. A datagram that errors (or
+// leads a train that does) is counted and skipped; the rest of the batch
+// still goes out.
 func (sh *shard) flush() {
 	if len(sh.egress) == 0 {
 		return
@@ -325,6 +326,17 @@ func (sh *shard) flush() {
 		}
 	}
 	sh.sock.mTx.Add(int64(len(ms)) - txErrs)
+	// The writer left in each N how the datagram went out (batchio.Message).
+	for i := range ms {
+		n := ms[i].N
+		if n < 0 {
+			sh.ep.mGSOFallbacks.Inc()
+			n = -n
+		}
+		if n > 0 {
+			sh.ep.mTrainSize.Observe(float64(n))
+		}
+	}
 	for _, bp := range sh.egressBufs {
 		sh.ep.putBuf(bp)
 	}

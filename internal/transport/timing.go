@@ -156,10 +156,6 @@ func (m *slidingMin) Min() (sim.Time, bool) {
 
 // receiverTiming is the receiver half of the advanced scheme.
 type receiverTiming struct {
-	// owd is the windowed minimum of the smoothed OWD series. Nothing but
-	// the package's test reads it; the per-packet update stays until the
-	// allocation work (ROADMAP item 1) can remove it with the rung it moves.
-	owd *rate.Filter
 	// EWMA of raw per-packet OWD samples; the per-interval minimum is taken
 	// over the smoothed series to suppress single-packet jitter.
 	smooth *sim.Time
@@ -179,7 +175,7 @@ func newReceiverTiming(alpha float64) *receiverTiming {
 	if alpha <= 0 {
 		alpha = 0.125
 	}
-	return &receiverTiming{alpha: alpha, owd: rate.NewMinFilter(minWindow)}
+	return &receiverTiming{alpha: alpha}
 }
 
 // OnData records the arrival of a packet carrying departure timestamp
@@ -197,7 +193,6 @@ func (r *receiverTiming) OnData(now, sentAt sim.Time) {
 		*r.smooth = v
 		smoothed = v
 	}
-	r.owd.Update(now, float64(smoothed))
 	if !r.haveBest || smoothed <= r.bestOWD {
 		r.haveBest = true
 		r.bestOWD = smoothed

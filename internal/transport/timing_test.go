@@ -149,8 +149,8 @@ func TestReceiverSmoothedAndMinOWD(t *testing.T) {
 	if rt.smooth == nil || *rt.smooth != ms(75) {
 		t.Fatalf("smoothed OWD = %v want 75ms", rt.smooth)
 	}
-	if min := sim.Time(rt.owd.Get(ms(250))); rt.owd.Empty(ms(250)) || min != ms(75) {
-		t.Fatalf("min OWD = %v want 75ms (min of smoothed series)", min)
+	if !rt.haveBest || rt.bestOWD != ms(75) {
+		t.Fatalf("interval's min OWD = %v want 75ms (min of smoothed series)", rt.bestOWD)
 	}
 }
 
