@@ -9,8 +9,8 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 )
 
-func seg(seq uint64, n int, pkt uint64) *Segment {
-	return &Segment{Seq: seq, Len: n, PktSeq: pkt}
+func seg(seq uint64, n int, pkt uint64) Segment {
+	return Segment{Seq: seq, Len: n, PktSeq: pkt}
 }
 
 func TestSendBufferInsertAck(t *testing.T) {
@@ -81,20 +81,43 @@ func TestMarkLossSkipsStaleReports(t *testing.T) {
 	if marked := b.MarkLossByPktRanges([]seqspace.Range{{Lo: 9, Hi: 10}}); len(marked) != 0 {
 		t.Fatal("re-marking should be idempotent")
 	}
-	if !s.LossMarked || b.markedLive != 1 {
-		t.Fatalf("LossMarked = %v with %d live marks, want the one segment marked", s.LossMarked, b.markedLive)
+	if !s.LossMarked || len(b.marked) != 1 {
+		t.Fatalf("LossMarked = %v with %d marks, want the one segment marked", s.LossMarked, len(b.marked))
 	}
 }
 
 func TestMarkLossStreamOrder(t *testing.T) {
+	// Retransmissions put packet-number order at odds with stream order:
+	// the report walks 6 (seq 300), 7 (seq 0), 8 (seq 100).
 	b := NewSendBuffer()
-	b.Insert(seg(300, 100, 4))
-	b.Insert(seg(0, 100, 5))
-	b.Insert(seg(100, 100, 6))
-	marked := b.MarkLossByPktRanges([]seqspace.Range{{Lo: 4, Hi: 7}})
+	b.Insert(seg(0, 100, 4))
+	b.Insert(seg(100, 100, 5))
+	b.Insert(seg(300, 100, 6))
+	b.Retransmitted(b.ByPktSeq(4), 7, 0)
+	b.Retransmitted(b.ByPktSeq(5), 8, 0)
+	marked := b.MarkLossByPktRanges([]seqspace.Range{{Lo: 4, Hi: 9}})
 	if len(marked) != 3 || marked[0].Seq != 0 || marked[1].Seq != 100 || marked[2].Seq != 300 {
 		t.Fatalf("marked order wrong: %v", marked)
 	}
+	var visited []uint64
+	b.ForEachEligibleRetransmit(sim.Second, 0, func(s *Segment) bool {
+		visited = append(visited, s.Seq)
+		return true
+	})
+	if len(visited) != 3 || visited[0] != 0 || visited[1] != 100 || visited[2] != 300 {
+		t.Fatalf("retransmit order wrong: %v", visited)
+	}
+}
+
+func TestInsertOutOfStreamOrderPanics(t *testing.T) {
+	b := NewSendBuffer()
+	b.Insert(seg(300, 100, 4))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("insert below the stream's end should panic")
+		}
+	}()
+	b.Insert(seg(0, 100, 5))
 }
 
 func TestOncePerRTTRetransmitRule(t *testing.T) {
@@ -102,14 +125,14 @@ func TestOncePerRTTRetransmitRule(t *testing.T) {
 	b.Insert(seg(0, 100, 1))
 	s := b.ByPktSeq(1)
 	rtt := 50 * sim.Millisecond
-	if !b.MayRetransmit(s, 0, rtt) {
+	if !s.mayRetransmit(0, rtt) {
 		t.Fatal("never-retransmitted segment must be eligible")
 	}
 	b.Retransmitted(s, 2, 100*sim.Millisecond)
-	if b.MayRetransmit(s, 120*sim.Millisecond, rtt) {
+	if s.mayRetransmit(120*sim.Millisecond, rtt) {
 		t.Fatal("must not retransmit twice within an RTT")
 	}
-	if !b.MayRetransmit(s, 150*sim.Millisecond, rtt) {
+	if !s.mayRetransmit(150*sim.Millisecond, rtt) {
 		t.Fatal("after an RTT the segment is eligible again")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 )
 
-func sentSeg(seq uint64, n int, pkt uint64, at sim.Time) *Segment {
+func sentSeg(seq uint64, n int, pkt uint64, at sim.Time) Segment {
 	s := seg(seq, n, pkt)
 	s.SentAt = at
 	return s
@@ -23,7 +23,7 @@ func TestScanRackLossesEqualTimestampTiebreak(t *testing.T) {
 	for pkt := uint64(1); pkt <= 4; pkt++ {
 		b.Insert(sentSeg((pkt-1)*100, 100, pkt, at))
 	}
-	b.BeginRateSample(30*sim.Millisecond, 0)
+	b.BeginAck(30*sim.Millisecond, 0)
 	b.AckPktRanges([]seqspace.Range{{Lo: 2, Hi: 3}}) // deliver pkt 2 only
 
 	cutoff, cutoffPkt, ok := b.RackState()
@@ -48,7 +48,7 @@ func TestScanRackLossesStopsAtPendingEntry(t *testing.T) {
 	b.Insert(sentSeg(0, 100, 1, 5*sim.Millisecond))
 	b.Insert(sentSeg(100, 100, 2, 6*sim.Millisecond))
 	b.Insert(sentSeg(200, 100, 3, 20*sim.Millisecond))
-	b.BeginRateSample(45*sim.Millisecond, 0)
+	b.BeginAck(45*sim.Millisecond, 0)
 	b.AckPktRanges([]seqspace.Range{{Lo: 3, Hi: 4}})
 
 	marked := 0
@@ -75,12 +75,11 @@ func TestAmbiguousRetransmitAckDoesNotAdvanceRackClock(t *testing.T) {
 	// jump to the retransmit timestamp (which would spuriously age every
 	// other in-flight segment).
 	b := NewSendBuffer()
-	s1 := sentSeg(0, 100, 1, 10*sim.Millisecond)
-	b.Insert(s1)
+	b.Insert(sentSeg(0, 100, 1, 10*sim.Millisecond))
 	b.Insert(sentSeg(100, 100, 2, 11*sim.Millisecond))
-	b.Retransmitted(s1, 3, 100*sim.Millisecond)
+	b.Retransmitted(b.ByPktSeq(1), 3, 100*sim.Millisecond)
 
-	b.BeginRateSample(105*sim.Millisecond, 20*sim.Millisecond)
+	b.BeginAck(105*sim.Millisecond, 20*sim.Millisecond)
 	b.AckPktRanges([]seqspace.Range{{Lo: 3, Hi: 4}})
 	if _, _, ok := b.RackState(); ok {
 		t.Fatal("ambiguous retransmit ack advanced the RACK clock")
@@ -89,10 +88,9 @@ func TestAmbiguousRetransmitAckDoesNotAdvanceRackClock(t *testing.T) {
 	// The same release pattern with a plausible RTT (ack at 125ms) is a
 	// genuine delivery of the retransmission and does advance it.
 	b2 := NewSendBuffer()
-	s := sentSeg(0, 100, 1, 10*sim.Millisecond)
-	b2.Insert(s)
-	b2.Retransmitted(s, 3, 100*sim.Millisecond)
-	b2.BeginRateSample(125*sim.Millisecond, 20*sim.Millisecond)
+	b2.Insert(sentSeg(0, 100, 1, 10*sim.Millisecond))
+	b2.Retransmitted(b2.ByPktSeq(1), 3, 100*sim.Millisecond)
+	b2.BeginAck(125*sim.Millisecond, 20*sim.Millisecond)
 	b2.AckPktRanges([]seqspace.Range{{Lo: 3, Hi: 4}})
 	if xmit, pkt, ok := b2.RackState(); !ok || xmit != 100*sim.Millisecond || pkt != 3 {
 		t.Fatalf("RackState = (%v, %d, %v), want (100ms, 3, true)", xmit, pkt, ok)
@@ -107,7 +105,7 @@ func TestNewestReturnsHighestUnreleased(t *testing.T) {
 	b.Insert(sentSeg(0, 100, 1, 1*sim.Millisecond))
 	b.Insert(sentSeg(100, 100, 2, 2*sim.Millisecond))
 	b.Insert(sentSeg(200, 100, 3, 3*sim.Millisecond))
-	b.BeginRateSample(10*sim.Millisecond, 0)
+	b.BeginAck(10*sim.Millisecond, 0)
 	b.AckPktRanges([]seqspace.Range{{Lo: 3, Hi: 4}}) // tail released selectively
 	got := b.Newest()
 	if got == nil || got.Seq != 100 {

@@ -13,7 +13,8 @@
 package buffer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/tacktp/tack/internal/seqspace"
 	"github.com/tacktp/tack/internal/sim"
@@ -40,59 +41,87 @@ type Segment struct {
 	LossMarked  bool     // a loss report for the current PktSeq is pending service
 	lastRetx    sim.Time // last retransmission time (for the once-per-RTT rule)
 	hasRetx     bool
-	released    bool // removed from the buffer (acknowledged)
-	// deliveredAtSend snapshots the buffer's released-bytes counter at the
-	// segment's (re)transmission, anchoring BBR-style delivery-rate
-	// samples: rate = (released_now − deliveredAtSend) / (now − SentAt).
-	deliveredAtSend int64
+	released    bool // acknowledged; the slot waits for the floor to pass it
 }
 
 // End returns the byte offset one past the segment.
 func (s *Segment) End() uint64 { return s.Seq + uint64(s.Len) }
 
-// SendBuffer tracks unacknowledged segments, indexed both by byte sequence
-// and by the packet number of their latest transmission.
-type SendBuffer struct {
-	bySeq map[uint64]*Segment // keyed by Seq
-	byPkt map[uint64]*Segment // keyed by current PktSeq
-	// order holds Seq values in insertion (stream) order; entries released
-	// out of order (selective acks) go stale and are skipped on iteration.
-	// head indexes the first potentially-live entry, advancing as the
-	// cumulative ack moves, so per-ack processing is amortized O(released).
-	order []uint64
-	head  int
-	bytes int // unacked payload bytes
+// mayRetransmit reports whether the once-per-RTT retransmission rule allows
+// re-sending the segment at time now (paper §5.1: "the sender only
+// retransmits a specific packet once per RTT").
+func (s *Segment) mayRetransmit(now, rtt sim.Time) bool {
+	return !s.hasRetx || now-s.lastRetx >= rtt
+}
 
-	// oldestFloor is a monotone lower bound for OldestPktSeq: packet
-	// numbers are never reused, so the scan resumes where it left off.
-	oldestFloor uint64
+const (
+	// ringInitial is a ring's first allocation in slots; a full ring doubles.
+	// Rings are allocated on first use (an idle connection holds none) and
+	// never shrink: both span highest-sent − cumulative-ack, which the
+	// peer's window bounds.
+	ringInitial = 32
+	// deadSlot marks a packet number that is no segment's current
+	// transmission: acknowledged, superseded by a retransmission, or never
+	// used.
+	deadSlot = ^uint64(0)
+)
+
+// ring is a growable power-of-two ring addressed by a dense, ever-increasing
+// index: slot i is present for lo ≤ i < hi.
+type ring[T any] struct {
+	buf    []T
+	lo, hi uint64
+}
+
+func (r *ring[T]) at(i uint64) *T { return &r.buf[i&uint64(len(r.buf)-1)] }
+
+func (r *ring[T]) push(v T) {
+	if n := uint64(len(r.buf)); r.hi-r.lo == n {
+		grown := make([]T, max(2*n, ringInitial))
+		for i := r.lo; i < r.hi; i++ {
+			grown[i&uint64(len(grown)-1)] = r.buf[i&(n-1)]
+		}
+		r.buf = grown
+	}
+	*r.at(r.hi) = v
+	r.hi++
+}
+
+// SendBuffer tracks unacknowledged segments: one record per in-flight byte
+// range, reachable by stream position and by the packet number of its
+// current transmission.
+//
+// Packet numbers are dense, never reused and monotone in send time (§5.1),
+// so the ring indexed by them is at once the PKT.SEQ lookup, RACK's
+// transmission-time order and the oldest-outstanding floor.
+//
+// Every *Segment handed out points into the segment ring and is valid until
+// the next Insert (the only operation that may move the ring).
+type SendBuffer struct {
+	// segs holds segments in stream order; Insert only ever appends in
+	// ascending byte order, so a segment's ring index is its ordinal. Slots
+	// released out of order (selective acks) keep their place until the
+	// floor passes them: segs.lo is live whenever anything is.
+	segs ring[Segment]
+	// pkts maps packet number → ordinal of the segment whose *current*
+	// transmission it is, or deadSlot; pkts.lo is live whenever anything is.
+	pkts ring[uint64]
+	// marked lists the ordinals of loss-marked segments, ascending (stream
+	// order). An entry leaves when its mark clears (retransmit, release), so
+	// every entry is actionable. A list rather than a flag scan because
+	// trySend consults it per call and a scan would cost O(window).
+	marked []uint64
+
+	end   uint64 // byte offset one past the last inserted segment
+	live  int    // unacknowledged segments
+	bytes int    // unacknowledged payload bytes
+	// scan is the first packet number the RACK scan has not consumed.
+	scan uint64
 
 	// releasedBytes counts payload bytes ever acknowledged (cumulatively or
-	// selectively) — the sender-side delivered-data counter BBR-style rate
-	// sampling needs (cumack jumps after hole repairs must not look like
-	// delivery-rate spikes).
+	// selectively) — the sender-side delivered-data counter (cumack jumps
+	// after hole repairs must not look like delivery-rate spikes).
 	releasedBytes int64
-
-	// Delivery-rate sample anchor: the most recently *sent* segment
-	// released in the current acknowledgment batch.
-	rateValid           bool
-	rateSentAt          sim.Time
-	rateDeliveredAtSend int64
-
-	// marked tracks loss-marked segments in ascending Seq order so hot
-	// paths never scan or sort the whole buffer. Entries go stale when a
-	// segment is retransmitted (mark cleared) or released; markedLive
-	// counts the rest and compaction runs only when stale entries dominate.
-	marked     []*Segment
-	markedLive int
-
-	// tsorted is the transmission-time-ordered scan list RACK loss
-	// detection walks: one entry per (re)transmission, appended in send
-	// order (send times are monotone within a connection), consumed as a
-	// prefix. An entry goes stale when its segment was released, was
-	// retransmitted since (SentAt moved), or is already loss-marked.
-	tsorted []tsEntry
-	tsHead  int
 
 	// RACK delivery state: the most recently *transmitted* segment ever
 	// acknowledged — RFC 8985's (RACK.xmit_ts, RACK.end_seq) pair, keyed
@@ -110,9 +139,9 @@ type SendBuffer struct {
 	reorders     int64
 	batchRackPkt uint64
 
-	// Per-ack context set by BeginRateSample: the ack's arrival time and
-	// the path's minimum RTT, used to reject ambiguous acks of
-	// retransmitted segments from the RACK clock.
+	// Per-ack context set by BeginAck: the ack's arrival time and the
+	// path's minimum RTT, used to reject ambiguous acks of retransmitted
+	// segments from the RACK clock.
 	ackNow      sim.Time
 	ackRTTFloor sim.Time
 
@@ -123,99 +152,95 @@ type SendBuffer struct {
 	OnRelease func(*Segment)
 }
 
-// tsEntry pins a segment at one transmission time in the time-ordered
-// RACK scan list.
-type tsEntry struct {
-	seg    *Segment
-	sentAt sim.Time
-}
-
-// live reports whether the entry still describes its segment's current,
-// unacknowledged, unmarked transmission.
-func (e tsEntry) live() bool {
-	return !e.seg.released && !e.seg.LossMarked && e.seg.SentAt == e.sentAt
-}
-
 // NewSendBuffer returns an empty send buffer.
-func NewSendBuffer() *SendBuffer {
-	return &SendBuffer{
-		bySeq: make(map[uint64]*Segment),
-		byPkt: make(map[uint64]*Segment),
+func NewSendBuffer() *SendBuffer { return &SendBuffer{} }
+
+// Insert registers a freshly transmitted segment, copying it into the
+// buffer. Segments arrive in ascending, non-overlapping byte ranges under
+// ever-increasing packet numbers; anything else is a sender bug and panics.
+func (b *SendBuffer) Insert(seg Segment) {
+	if seg.Seq < b.end {
+		panic("buffer: segment inserted out of stream order")
 	}
+	b.end = seg.End()
+	b.pushPkt(seg.PktSeq, b.segs.hi)
+	b.segs.push(seg)
+	b.live++
+	b.bytes += seg.Len
 }
 
-// Insert registers a freshly transmitted segment.
-func (b *SendBuffer) Insert(seg *Segment) {
-	if _, dup := b.bySeq[seg.Seq]; dup {
-		panic("buffer: duplicate segment insert")
+// pushPkt records pkt as the current transmission of segment ord. Numbers
+// skipped since the previous transmission get dead slots.
+func (b *SendBuffer) pushPkt(pkt, ord uint64) {
+	if pkt < b.pkts.hi {
+		panic("buffer: packet number reused")
 	}
-	seg.deliveredAtSend = b.releasedBytes
-	b.bySeq[seg.Seq] = seg
-	b.byPkt[seg.PktSeq] = seg
-	b.order = append(b.order, seg.Seq)
-	b.bytes += seg.Len
-	b.tsorted = append(b.tsorted, tsEntry{seg: seg, sentAt: seg.SentAt})
+	if b.pkts.lo == b.pkts.hi {
+		b.pkts.lo, b.pkts.hi = pkt, pkt
+	}
+	for b.pkts.hi < pkt {
+		b.pkts.push(deadSlot)
+	}
+	b.pkts.push(ord)
 }
 
 // Retransmitted updates a segment's packet number after it was re-sent:
 // the old PKT.SEQ mapping is dropped (paper §5.1: "the PKT.SEQ ... be
 // always replaced and updated by the latest PKT.SEQ").
 func (b *SendBuffer) Retransmitted(seg *Segment, newPktSeq uint64, now sim.Time) {
-	delete(b.byPkt, seg.PktSeq)
+	slot := b.pkts.at(seg.PktSeq)
+	ord := *slot
+	*slot = deadSlot
 	seg.PktSeq = newPktSeq
 	seg.SentAt = now
 	seg.Retransmits++
-	if seg.LossMarked {
-		seg.LossMarked = false
-		b.markedLive--
-	}
+	b.unmark(ord, seg)
 	seg.lastRetx = now
 	seg.hasRetx = true
-	seg.deliveredAtSend = b.releasedBytes
-	b.byPkt[newPktSeq] = seg
-	b.tsorted = append(b.tsorted, tsEntry{seg: seg, sentAt: now})
+	b.pushPkt(newPktSeq, ord)
+	b.trim()
 }
 
-// MayRetransmit reports whether the once-per-RTT retransmission rule allows
-// re-sending the segment at time now (paper §5.1: "the sender only
-// retransmits a specific packet once per RTT").
-func (b *SendBuffer) MayRetransmit(seg *Segment, now sim.Time, rtt sim.Time) bool {
-	return !seg.hasRetx || now-seg.lastRetx >= rtt
+// trim advances both floors past slots nothing refers to any more.
+func (b *SendBuffer) trim() {
+	for b.segs.lo < b.segs.hi && b.segs.at(b.segs.lo).released {
+		b.segs.lo++
+	}
+	for b.pkts.lo < b.pkts.hi && *b.pkts.at(b.pkts.lo) == deadSlot {
+		b.pkts.lo++
+	}
 }
 
 // ByPktSeq returns the segment whose most recent transmission used pktSeq,
 // or nil (e.g. the report refers to a superseded transmission).
-func (b *SendBuffer) ByPktSeq(pktSeq uint64) *Segment { return b.byPkt[pktSeq] }
+func (b *SendBuffer) ByPktSeq(pktSeq uint64) *Segment {
+	if pktSeq < b.pkts.lo || pktSeq >= b.pkts.hi {
+		return nil
+	}
+	if ord := *b.pkts.at(pktSeq); ord != deadSlot {
+		return b.segs.at(ord)
+	}
+	return nil
+}
 
 // AckBytes removes every segment fully below cumAck (cumulative byte
-// acknowledgment) and returns the number of segments released. Because
-// order ascends in Seq, the release is a prefix: amortized O(released).
+// acknowledgment) and returns the number of segments released. The release
+// is a prefix of the segment ring: amortized O(released).
 func (b *SendBuffer) AckBytes(cumAck uint64) int {
 	released := 0
-	for b.head < len(b.order) {
-		seq := b.order[b.head]
-		seg, ok := b.bySeq[seq]
-		if !ok {
-			b.head++ // released earlier via selective ack
-			continue
+	for ord := b.segs.lo; ord < b.segs.hi; ord++ {
+		seg := b.segs.at(ord)
+		if seg.released {
+			continue // released earlier via selective ack
 		}
 		if seg.End() > cumAck {
 			break
 		}
-		b.release(seg)
+		b.release(ord)
 		released++
-		b.head++
 	}
-	b.maybeCompactOrder()
+	b.trim()
 	return released
-}
-
-// maybeCompactOrder reclaims the consumed prefix once it dominates.
-func (b *SendBuffer) maybeCompactOrder() {
-	if b.head > 1024 && b.head*2 > len(b.order) {
-		b.order = append(b.order[:0:0], b.order[b.head:]...)
-		b.head = 0
-	}
 }
 
 // AckPktRanges removes segments whose current packet number lies in any of
@@ -223,38 +248,32 @@ func (b *SendBuffer) maybeCompactOrder() {
 func (b *SendBuffer) AckPktRanges(ranges []seqspace.Range) int {
 	released := 0
 	for _, r := range ranges {
-		// Iterate the smaller side: for narrow ranges walk the range,
-		// otherwise scan the map.
-		if r.Len() <= uint64(len(b.byPkt)) {
-			for pkt := r.Lo; pkt < r.Hi; pkt++ {
-				if seg, ok := b.byPkt[pkt]; ok {
-					b.release(seg)
-					released++
-				}
-			}
-		} else {
-			for pkt, seg := range b.byPkt {
-				if r.Contains(pkt) {
-					b.release(seg)
-					released++
-				}
+		// The ranges are the peer's: clamp to the numbers actually
+		// outstanding before walking, so no claim costs more than that.
+		for pkt, hi := max(r.Lo, b.pkts.lo), min(r.Hi, b.pkts.hi); pkt < hi; pkt++ {
+			if ord := *b.pkts.at(pkt); ord != deadSlot {
+				b.release(ord)
+				released++
 			}
 		}
 	}
-	// Released entries go stale in order and are skipped on iteration.
+	b.trim()
 	return released
 }
 
-func (b *SendBuffer) release(seg *Segment) {
-	delete(b.bySeq, seg.Seq)
-	delete(b.byPkt, seg.PktSeq)
+// ReleasePktBelow removes every segment whose current packet number is
+// below cum: the receiver's cumulative packet number guarantees all of them
+// were received (possibly crowded out of the selective-ack block budget).
+func (b *SendBuffer) ReleasePktBelow(cum uint64) int {
+	return b.AckPktRanges([]seqspace.Range{{Hi: cum}})
+}
+
+func (b *SendBuffer) release(ord uint64) {
+	seg := b.segs.at(ord)
+	*b.pkts.at(seg.PktSeq) = deadSlot
+	b.live--
 	b.bytes -= seg.Len
 	b.releasedBytes += int64(seg.Len)
-	if !b.rateValid || seg.SentAt >= b.rateSentAt {
-		b.rateValid = true
-		b.rateSentAt = seg.SentAt
-		b.rateDeliveredAtSend = seg.deliveredAtSend
-	}
 	// Reordering evidence, judged before the mark is cleared below. Only
 	// original transmissions count: a retransmission acked late proves
 	// nothing about network ordering.
@@ -266,7 +285,7 @@ func (b *SendBuffer) release(seg *Segment) {
 		} else if b.batchRackPkt > 0 && seg.PktSeq < b.batchRackPkt {
 			// A later transmission was acked by an *earlier* ack (the
 			// per-ack snapshot keeps same-ack batches, whose release order
-			// is arbitrary, from counting).
+			// says nothing about arrival order, from counting).
 			b.reorders++
 		}
 	}
@@ -283,10 +302,7 @@ func (b *SendBuffer) release(seg *Segment) {
 		b.rackPktSeq = seg.PktSeq
 	}
 	seg.released = true
-	if seg.LossMarked {
-		seg.LossMarked = false
-		b.markedLive--
-	}
+	b.unmark(ord, seg)
 	if b.OnRelease != nil {
 		b.OnRelease(seg)
 	}
@@ -299,14 +315,15 @@ func (b *SendBuffer) release(seg *Segment) {
 func (b *SendBuffer) MarkLossByPktRanges(ranges []seqspace.Range) []*Segment {
 	var marked []*Segment
 	for _, r := range ranges {
-		for pkt := r.Lo; pkt < r.Hi; pkt++ {
-			if seg, ok := b.byPkt[pkt]; ok && !seg.LossMarked {
+		// Peer-supplied, like AckPktRanges': clamp before walking.
+		for pkt, hi := max(r.Lo, b.pkts.lo), min(r.Hi, b.pkts.hi); pkt < hi; pkt++ {
+			if seg := b.ByPktSeq(pkt); seg != nil && !seg.LossMarked {
 				b.MarkLoss(seg)
 				marked = append(marked, seg)
 			}
 		}
 	}
-	sort.Slice(marked, func(i, j int) bool { return marked[i].Seq < marked[j].Seq })
+	slices.SortFunc(marked, func(x, y *Segment) int { return cmp.Compare(x.Seq, y.Seq) })
 	return marked
 }
 
@@ -317,67 +334,73 @@ func (b *SendBuffer) MarkLoss(seg *Segment) {
 		return
 	}
 	seg.LossMarked = true
-	b.markedLive++
-	n := len(b.marked)
-	if n == 0 || b.marked[n-1].Seq <= seg.Seq {
-		b.marked = append(b.marked, seg)
-		return
-	}
-	i := sort.Search(n, func(i int) bool { return b.marked[i].Seq > seg.Seq })
-	b.marked = append(b.marked, nil)
-	copy(b.marked[i+1:], b.marked[i:])
-	b.marked[i] = seg
+	ord := *b.pkts.at(seg.PktSeq)
+	i, _ := slices.BinarySearch(b.marked, ord)
+	b.marked = slices.Insert(b.marked, i, ord)
 }
 
-// markedEntryLive reports whether a marked-list entry is still actionable.
-func markedEntryLive(seg *Segment) bool { return seg.LossMarked && !seg.released }
-
-// compactMarked drops stale entries once they dominate the list.
-func (b *SendBuffer) compactMarked() {
-	if len(b.marked)-b.markedLive <= len(b.marked)/2 || len(b.marked) < 64 {
+// unmark clears seg's loss mark, if any, and drops its marked-list entry.
+func (b *SendBuffer) unmark(ord uint64, seg *Segment) {
+	if !seg.LossMarked {
 		return
 	}
-	kept := b.marked[:0]
-	for _, seg := range b.marked {
-		if markedEntryLive(seg) {
-			kept = append(kept, seg)
-		}
-	}
-	b.marked = kept
+	seg.LossMarked = false
+	i, _ := slices.BinarySearch(b.marked, ord)
+	b.marked = slices.Delete(b.marked, i, i+1)
 }
 
 // HasMarked reports whether any segment is flagged lost.
-func (b *SendBuffer) HasMarked() bool { return b.markedLive > 0 }
+func (b *SendBuffer) HasMarked() bool { return len(b.marked) > 0 }
 
 // ForEachEligibleRetransmit visits every loss-marked segment whose
 // once-per-RTT cooldown has expired, in stream order, in one pass. The
 // callback may retransmit the segment (clearing its mark); returning false
 // stops the walk.
 func (b *SendBuffer) ForEachEligibleRetransmit(now, rtt sim.Time, fn func(*Segment) bool) {
-	if b.markedLive == 0 {
-		return
-	}
-	b.compactMarked()
-	for i := 0; i < len(b.marked); i++ {
-		seg := b.marked[i]
-		if markedEntryLive(seg) && b.MayRetransmit(seg, now, rtt) {
-			if !fn(seg) {
-				return
-			}
+	for i := 0; i < len(b.marked); {
+		ord := b.marked[i]
+		seg := b.segs.at(ord)
+		if seg.mayRetransmit(now, rtt) && !fn(seg) {
+			return
+		}
+		// A retransmission removed entry i; the next one slid into its place.
+		if i < len(b.marked) && b.marked[i] == ord {
+			i++
 		}
 	}
 }
 
 // Oldest returns the unacked segment with the lowest byte offset, or nil.
 func (b *SendBuffer) Oldest() *Segment {
-	for b.head < len(b.order) {
-		if seg, ok := b.bySeq[b.order[b.head]]; ok {
+	if b.live == 0 {
+		return nil
+	}
+	return b.segs.at(b.segs.lo)
+}
+
+// Newest returns the unacked segment with the highest byte offset (the
+// tail a TLP probe retransmits), or nil when nothing is outstanding.
+func (b *SendBuffer) Newest() *Segment {
+	for ord := b.segs.hi; ord > b.segs.lo; ord-- {
+		if seg := b.segs.at(ord - 1); !seg.released {
 			return seg
 		}
-		b.head++
 	}
 	return nil
 }
+
+// Walk calls fn on every unacked segment in stream order; fn returning
+// false stops the walk.
+func (b *SendBuffer) Walk(fn func(*Segment) bool) {
+	for ord := b.segs.lo; ord < b.segs.hi; ord++ {
+		if seg := b.segs.at(ord); !seg.released && !fn(seg) {
+			return
+		}
+	}
+}
+
+// Len returns the number of unacknowledged segments.
+func (b *SendBuffer) Len() int { return b.live }
 
 // Bytes returns the total unacknowledged payload bytes.
 func (b *SendBuffer) Bytes() int { return b.bytes }
@@ -386,16 +409,25 @@ func (b *SendBuffer) Bytes() int { return b.bytes }
 // (cumulatively or selectively) since the buffer was created.
 func (b *SendBuffer) ReleasedBytes() int64 { return b.releasedBytes }
 
-// BeginRateSample resets the delivery-rate anchor and snapshots the RACK
-// delivery state for reorder detection; call before processing one
-// acknowledgment's releases. now is the ack's arrival time and rttFloor
-// the path's minimum RTT (0 disables the check): together they
-// disambiguate acks of retransmitted segments — a release whose implied
-// RTT is below the floor was a delivery of an *earlier* transmission, so
-// its retransmit timestamp must not advance the RACK clock (RFC 8985
-// §6.2 step 2).
-func (b *SendBuffer) BeginRateSample(now, rttFloor sim.Time) {
-	b.rateValid = false
+// OldestPktSeq returns the smallest packet number among the current
+// transmissions of unacknowledged segments; when nothing is outstanding it
+// returns next (the sender's next packet number). Every number below the
+// result is dead: acknowledged or superseded by a retransmission.
+func (b *SendBuffer) OldestPktSeq(next uint64) uint64 {
+	if b.live == 0 {
+		return next
+	}
+	return min(b.pkts.lo, next)
+}
+
+// BeginAck opens one acknowledgment's releases: it snapshots the RACK
+// delivery state for reorder detection and records the per-ack context. now
+// is the ack's arrival time and rttFloor the path's minimum RTT (0 disables
+// the check): together they disambiguate acks of retransmitted segments — a
+// release whose implied RTT is below the floor was a delivery of an
+// *earlier* transmission, so its retransmit timestamp must not advance the
+// RACK clock (RFC 8985 §6.2 step 2).
+func (b *SendBuffer) BeginAck(now, rttFloor sim.Time) {
 	b.ackNow, b.ackRTTFloor = now, rttFloor
 	if b.rackValid {
 		b.batchRackPkt = b.rackPktSeq
@@ -415,149 +447,32 @@ func (b *SendBuffer) RackState() (xmitTime sim.Time, pktSeq uint64, ok bool) {
 // react to fresh evidence.
 func (b *SendBuffer) ReorderEvents() int64 { return b.reorders }
 
-// ScanRackLosses walks unacknowledged segments in transmission-time order,
-// visiting only those sent before the RACK most-recently-delivered
-// transmission (cutoff/cutoffPkt): strictly earlier send times qualify, and
-// timestamp ties — a paced burst emits many segments at one instant — break
-// by packet number like RFC 8985 breaks them by sequence, so the unacked
-// tail of the very burst the delivered segment came from is not mistaken
-// for "older than delivered". fn returns true when it marked the segment
-// lost (the entry is consumed); returning false stops the walk — every
-// later entry was sent even more recently, so its loss deadline is further
-// out. The returned sentAt/pending report the first un-marked candidate's
-// transmission time so the caller can arm a reorder-window re-check timer.
+// ScanRackLosses walks unacknowledged, unmarked segments in transmission
+// order — packet-number order *is* (SentAt, PktSeq) order — visiting only
+// those sent before the RACK most-recently-delivered transmission
+// (cutoff/cutoffPkt): strictly earlier send times qualify, and timestamp
+// ties — a paced burst emits many segments at one instant — break by packet
+// number like RFC 8985 breaks them by sequence, so the unacked tail of the
+// very burst the delivered segment came from is not mistaken for "older
+// than delivered". fn returns true when it marked the segment lost (the
+// packet number is consumed: a retransmission gets a fresh one beyond the
+// cursor); returning false stops the walk — every later transmission is
+// more recent, so its loss deadline is further out. The returned
+// sentAt/pending report the first un-marked candidate's transmission time
+// so the caller can arm a reorder-window re-check timer.
 func (b *SendBuffer) ScanRackLosses(cutoff sim.Time, cutoffPkt uint64, fn func(*Segment) bool) (sentAt sim.Time, pending bool) {
-	for b.tsHead < len(b.tsorted) {
-		e := b.tsorted[b.tsHead]
-		if !e.live() {
-			b.tsorted[b.tsHead] = tsEntry{} // release the *Segment
-			b.tsHead++
+	for b.scan = max(b.scan, b.pkts.lo); b.scan < b.pkts.hi; b.scan++ {
+		seg := b.ByPktSeq(b.scan)
+		if seg == nil || seg.LossMarked {
 			continue
 		}
-		// Entries order by (sentAt, PktSeq), so the first non-candidate ends
-		// the candidate prefix.
-		if e.sentAt > cutoff || (e.sentAt == cutoff && e.seg.PktSeq >= cutoffPkt) {
+		// The first non-candidate ends the candidate prefix.
+		if seg.SentAt > cutoff || (seg.SentAt == cutoff && seg.PktSeq >= cutoffPkt) {
 			return 0, false
 		}
-		if !fn(e.seg) {
-			return e.sentAt, true
+		if !fn(seg) {
+			return seg.SentAt, true
 		}
-		// fn marked the segment: the entry is stale now (LossMarked), and
-		// a future retransmission re-appends it with a fresh timestamp.
-		b.tsorted[b.tsHead] = tsEntry{}
-		b.tsHead++
 	}
-	b.maybeCompactTsorted()
 	return 0, false
-}
-
-// maybeCompactTsorted reclaims the consumed prefix once it dominates.
-func (b *SendBuffer) maybeCompactTsorted() {
-	if b.tsHead > 1024 && b.tsHead*2 > len(b.tsorted) {
-		b.tsorted = append(b.tsorted[:0:0], b.tsorted[b.tsHead:]...)
-		b.tsHead = 0
-	}
-}
-
-// Newest returns the unacked segment with the highest byte offset (the
-// tail a TLP probe retransmits), or nil when nothing is outstanding.
-func (b *SendBuffer) Newest() *Segment {
-	for i := len(b.order) - 1; i >= b.head; i-- {
-		if seg, ok := b.bySeq[b.order[i]]; ok {
-			return seg
-		}
-	}
-	return nil
-}
-
-// RateSample returns a BBR-style delivery-rate sample for the releases
-// since BeginRateSample: delivered bytes over the send-anchored interval.
-// ok is false when nothing was released or the interval is degenerate.
-func (b *SendBuffer) RateSample(now sim.Time) (bps float64, ok bool) {
-	if !b.rateValid || now <= b.rateSentAt {
-		return 0, false
-	}
-	bytes := b.releasedBytes - b.rateDeliveredAtSend
-	if bytes <= 0 {
-		return 0, false
-	}
-	return float64(bytes) * 8 / (now - b.rateSentAt).Seconds(), true
-}
-
-// Len returns the number of unacknowledged segments.
-func (b *SendBuffer) Len() int { return len(b.bySeq) }
-
-// NextRetransmitTime returns the earliest time any loss-marked segment
-// becomes eligible under the once-per-RTT rule; ok is false when nothing is
-// marked.
-func (b *SendBuffer) NextRetransmitTime(rtt sim.Time) (sim.Time, bool) {
-	if b.markedLive == 0 {
-		return 0, false
-	}
-	b.compactMarked()
-	var best sim.Time
-	found := false
-	for _, seg := range b.marked {
-		if !markedEntryLive(seg) {
-			continue
-		}
-		at := sim.Time(0)
-		if seg.hasRetx {
-			at = seg.lastRetx + rtt
-		}
-		if !found || at < best {
-			best = at
-			found = true
-		}
-		if at == 0 {
-			break // cannot beat "eligible now"
-		}
-	}
-	return best, found
-}
-
-// ReleasePktBelow removes every segment whose current packet number is
-// below cum: the receiver's cumulative packet number guarantees all of them
-// were received (possibly crowded out of the selective-ack block budget).
-// The scan is monotone from the oldest floor, so it is amortized O(1) per
-// packet number ever used.
-func (b *SendBuffer) ReleasePktBelow(cum uint64) int {
-	released := 0
-	for b.oldestFloor < cum {
-		if seg, ok := b.byPkt[b.oldestFloor]; ok {
-			b.release(seg)
-			released++
-		}
-		b.oldestFloor++
-	}
-	return released
-}
-
-// OldestPktSeq returns the smallest packet number among the current
-// transmissions of unacknowledged segments; when nothing is outstanding it
-// returns next (the sender's next packet number). Every number below the
-// result is dead: acknowledged or superseded by a retransmission.
-func (b *SendBuffer) OldestPktSeq(next uint64) uint64 {
-	if len(b.byPkt) == 0 {
-		return next
-	}
-	for b.oldestFloor < next {
-		if _, ok := b.byPkt[b.oldestFloor]; ok {
-			return b.oldestFloor
-		}
-		b.oldestFloor++
-	}
-	return next
-}
-
-// Walk calls fn on every unacked segment in stream order; fn returning
-// false stops the walk.
-func (b *SendBuffer) Walk(fn func(*Segment) bool) {
-	for _, seq := range b.order[b.head:] {
-		if seg, ok := b.bySeq[seq]; ok {
-			if !fn(seg) {
-				return
-			}
-		}
-	}
 }

@@ -99,7 +99,7 @@ func TestForEachEligibleRetransmit(t *testing.T) {
 		t.Fatalf("visited %v, want first three in stream order", visited)
 	}
 	// Retransmit one mid-walk style: cooldown applies afterwards.
-	s1 := b.bySeq[0]
+	s1 := b.Oldest()
 	b.MarkLoss(s1) // still marked? Retransmitted clears; re-mark first
 	b.Retransmitted(s1, 10, 50*sim.Millisecond)
 	b.MarkLoss(s1)
@@ -113,79 +113,5 @@ func TestForEachEligibleRetransmit(t *testing.T) {
 	})
 	if count == 0 {
 		t.Fatal("other marked segments should still be eligible")
-	}
-}
-
-func TestNextRetransmitTimeEdges(t *testing.T) {
-	b := NewSendBuffer()
-	rtt := 100 * sim.Millisecond
-	if _, ok := b.NextRetransmitTime(rtt); ok {
-		t.Fatal("empty buffer should have no retransmit time")
-	}
-	b.Insert(seg(0, 10, 1))
-	b.MarkLoss(b.ByPktSeq(1))
-	at, ok := b.NextRetransmitTime(rtt)
-	if !ok || at != 0 {
-		t.Fatalf("never-retransmitted mark should be eligible now: %v,%v", at, ok)
-	}
-	b.Retransmitted(b.ByPktSeq(1), 2, 30*sim.Millisecond)
-	b.MarkLoss(b.ByPktSeq(2))
-	at, ok = b.NextRetransmitTime(rtt)
-	if !ok || at != 130*sim.Millisecond {
-		t.Fatalf("cooldown end = %v,%v want 130ms", at, ok)
-	}
-}
-
-func TestRateSample(t *testing.T) {
-	b := NewSendBuffer()
-	s1 := seg(0, 1000, 1)
-	s1.SentAt = 10 * sim.Millisecond
-	b.Insert(s1)
-	s2 := seg(1000, 1000, 2)
-	s2.SentAt = 20 * sim.Millisecond
-	b.Insert(s2)
-
-	b.BeginRateSample(0, 0)
-	if _, ok := b.RateSample(30 * sim.Millisecond); ok {
-		t.Fatal("no releases: no sample")
-	}
-	b.AckBytes(2000)
-	bps, ok := b.RateSample(30 * sim.Millisecond)
-	if !ok {
-		t.Fatal("expected a sample")
-	}
-	// Anchor is s2 (latest SentAt=20ms, deliveredAtSend=0): 2000 B over
-	// 10 ms = 1.6 Mbit/s.
-	if bps < 1.59e6 || bps > 1.61e6 {
-		t.Fatalf("rate = %v, want ~1.6e6", bps)
-	}
-	// Degenerate interval rejected.
-	b.BeginRateSample(0, 0)
-	s3 := seg(2000, 1000, 3)
-	s3.SentAt = 40 * sim.Millisecond
-	b.Insert(s3)
-	b.AckBytes(3000)
-	if _, ok := b.RateSample(40 * sim.Millisecond); ok {
-		t.Fatal("zero-elapsed sample must be rejected")
-	}
-}
-
-func TestMaybeCompactOrder(t *testing.T) {
-	b := NewSendBuffer()
-	for i := uint64(0); i < 3000; i++ {
-		b.Insert(seg(i*10, 10, i))
-	}
-	b.AckBytes(3000 * 10)
-	if b.Len() != 0 {
-		t.Fatalf("Len = %d after full ack", b.Len())
-	}
-	// Order slice must have been compacted (head reset).
-	if len(b.order) != 0 && b.head != 0 {
-		t.Fatalf("order not compacted: len=%d head=%d", len(b.order), b.head)
-	}
-	// Buffer remains usable.
-	b.Insert(seg(1<<20, 10, 9999))
-	if b.Oldest() == nil {
-		t.Fatal("buffer unusable after compaction")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/tacktp/tack/internal/packet"
+	"github.com/tacktp/tack/internal/seqspace"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
@@ -337,6 +338,50 @@ func TestEndpointDemuxDrops(t *testing.T) {
 	t.Fatalf("demux_drops=%d rx_garbage=%d rx_corrupt=%d, want >= 1 each",
 		reg.Counter("ep.demux_drops").Value(), reg.Counter("ep.rx_garbage").Value(),
 		reg.Counter("ep.rx_corrupt").Value())
+}
+
+// TestEndpointDropsAckForUnsentPacketNumber: a well-framed TACK claiming
+// packet numbers the sender never used (here 2⁶² of them) costs one
+// ep.bad_feedback increment — no shard time, no released data.
+func TestEndpointDropsAckForUnsentPacketNumber(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cli, err := Listen("127.0.0.1:0", Config{Transport: transport.Config{Mode: transport.ModeTACK}, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	peer := newRawPeer(t)
+	var c *Conn
+	dialed := make(chan error, 1)
+	go func() {
+		var err error
+		c, err = cli.Dial(peer.addr())
+		dialed <- err
+	}()
+	peer.accept()
+	if err := <-dialed; err != nil {
+		t.Fatal(err)
+	}
+	data, from, _, ok := peer.recv(packet.TypeData, time.Now().Add(2*time.Second))
+	if !ok {
+		t.Fatal("no DATA arrived")
+	}
+	hostile := &packet.Packet{Type: packet.TypeTACK, ConnID: data.ConnID, Ack: &packet.AckInfo{
+		LargestPktSeq: 1 << 62, CumPktSeq: 1 << 62, Window: 1 << 20,
+		UnackedBlocks: []seqspace.Range{{Lo: 0, Hi: 1 << 62}},
+	}}
+	if err := hostile.Sane(); err != nil {
+		t.Fatalf("the hostile TACK must be well framed: %v", err)
+	}
+	peer.send(from, hostile)
+	if n := waitCounter(reg, "ep.bad_feedback", 1, 2*time.Second); n != 1 {
+		t.Fatalf("ep.bad_feedback = %d, want 1", n)
+	}
+	// The shard goroutines are gone after Close: the engine can be read.
+	cli.Close()
+	if c.snd.CumAcked() != 0 || c.snd.Inflight() == 0 {
+		t.Fatalf("the dropped TACK released data: CumAcked %d, Inflight %d", c.snd.CumAcked(), c.snd.Inflight())
+	}
 }
 
 // TestEndpointAcceptTimeout covers the accept deadline and closed-endpoint

@@ -381,10 +381,10 @@ func (sh *shard) onPacket(p *packet.Packet, from *net.UDPAddr) {
 		return
 	}
 	if c.snd != nil {
-		if a := p.Ack; a != nil && a.CumAck > c.snd.SentSeq() {
+		if a := p.Ack; a != nil && c.snd.AcksUnsent(a) {
 			// Misbehaving-receiver guard: an optimistic acknowledgment
-			// claims bytes never sent; acting on it would inflate the
-			// congestion controller (receiver-driven DoS).
+			// claims bytes or packet numbers never sent; acting on it would
+			// inflate the congestion controller (receiver-driven DoS).
 			sh.ep.mBadFeedback.Inc()
 			return
 		}

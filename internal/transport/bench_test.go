@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/tacktp/tack/internal/netem"
@@ -55,4 +56,54 @@ func BenchmarkTransferLegacyClean(b *testing.B) {
 // BenchmarkTransferLegacyLossy measures legacy SACK/FACK recovery.
 func BenchmarkTransferLegacyLossy(b *testing.B) {
 	benchTransfer(b, Config{Mode: ModeLegacy}, 0.01)
+}
+
+// enginePair wires a Sender and a Receiver back to back on one virtual
+// clock, each packet reaching the other half owd later — the shape of the
+// benchmark ladder's engine rung. onAck, when set, sees every packet on its
+// way into the sender.
+func enginePair(t *testing.T, cfg Config, owd sim.Time, onAck func(*Sender, *packet.Packet)) (*sim.Loop, *Sender, *Receiver) {
+	loop := sim.NewLoop(1)
+	var snd *Sender
+	var rcv *Receiver
+	snd, err := NewSender(loop, cfg, func(p *packet.Packet) {
+		loop.After(owd, func() { rcv.OnPacket(p) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv = NewReceiver(loop, cfg, func(p *packet.Packet) {
+		loop.After(owd, func() {
+			if onAck != nil {
+				onAck(snd, p)
+			}
+			snd.OnPacket(p)
+		})
+	})
+	snd.Start()
+	return loop, snd, rcv
+}
+
+// TestEnginePairAllocsPerDataPacket ratchets the engine's allocation budget
+// as TestCodecZeroAllocs does the codec's: a sender–receiver pair on a clean
+// path may allocate 3.1 objects per DATA packet — the sender's outbound
+// Packet, and the in-sim path's delivery closure and loop event; the send
+// buffer, the receiver and ack processing round to none. The number goes
+// down, never up.
+func TestEnginePairAllocsPerDataPacket(t *testing.T) {
+	const size, budget = 16 << 20, 3.1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	loop, snd, rcv := enginePair(t, Config{Mode: ModeTACK, RichTACK: true, TransferBytes: size}, ms(10), nil)
+	for !snd.Done() && loop.Now() < 600*sim.Second && loop.Step() {
+	}
+	runtime.ReadMemStats(&after)
+	if !snd.Done() || rcv.Delivered() != size {
+		t.Fatalf("transfer incomplete: %d of %d bytes delivered", rcv.Delivered(), size)
+	}
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(snd.Stats.DataPackets)
+	t.Logf("%.3f mallocs per DATA packet over %d packets", perPkt, snd.Stats.DataPackets)
+	if perPkt > budget {
+		t.Errorf("engine pair allocates %.3f objects per DATA packet, budget %.1f", perPkt, budget)
+	}
 }

@@ -334,6 +334,15 @@ func (s *Sender) AddBytes(n int64) {
 // network so far).
 func (s *Sender) SentSeq() uint64 { return s.nextSeq }
 
+// AcksUnsent reports whether a acknowledges bytes or a packet number this
+// sender never sent — a misbehaving receiver, whose feedback the owner
+// drops before OnPacket sees it. Only DATA consumes packet numbers, so an
+// honest LargestPktSeq is below the next one (0 is also the wire's "none
+// yet"), and packet.Sane bounds every other packet number in a by it.
+func (s *Sender) AcksUnsent(a *packet.AckInfo) bool {
+	return a.CumAck > s.nextSeq || (a.LargestPktSeq != 0 && a.LargestPktSeq >= s.nextPktSeq)
+}
+
 // WindowFree returns the byte budget currently available for new data
 // (cwnd and peer-advertised window minus flight); ≤ 0 means the sender
 // is window-blocked.
@@ -436,7 +445,7 @@ func (s *Sender) nextChunk() int {
 // nextSeq so the acknowledgment machinery below the stream layer is
 // untouched.
 func (s *Sender) sendNewSegment(now sim.Time, n int) {
-	seg := &buffer.Segment{Seq: s.nextSeq, Len: n, PktSeq: s.nextPktSeq, SentAt: now}
+	seg := buffer.Segment{Seq: s.nextSeq, Len: n, PktSeq: s.nextPktSeq, SentAt: now}
 	var p *packet.Packet
 	if s.mux != nil {
 		fr, ok := s.mux.NextFrame(now, s.cfg.Payload)
@@ -445,7 +454,7 @@ func (s *Sender) sendNewSegment(now sim.Time, n int) {
 		}
 		seg.Len = fr.WireLen()
 		seg.HasStream, seg.StreamID, seg.StreamOff, seg.StreamFIN = true, fr.ID, fr.Off, fr.FIN
-		p = s.dataPacket(seg, fr.Data, false)
+		p = s.dataPacket(&seg, fr.Data, false)
 		// Fold the packet into its stream's repair group (no-op for
 		// unprotected streams); the tag must be on the wire packet so the
 		// receiver's decoder can key it.
@@ -455,7 +464,7 @@ func (s *Sender) sendNewSegment(now sim.Time, n int) {
 			seg.FIN = true
 			s.finSent = true
 		}
-		p = s.dataPacket(seg, s.payload[:n], false)
+		p = s.dataPacket(&seg, s.payload[:n], false)
 	}
 	s.buf.Insert(seg)
 	s.nextSeq += uint64(seg.Len)
@@ -955,7 +964,7 @@ func (s *Sender) onAck(p *packet.Packet) {
 			ackFloor = m
 		}
 	}
-	s.buf.BeginRateSample(now, ackFloor)
+	s.buf.BeginAck(now, ackFloor)
 	if a.CumAck > s.cumAcked {
 		s.cumAcked = a.CumAck
 		s.rtoBackoff = 0
