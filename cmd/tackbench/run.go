@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
@@ -79,7 +80,7 @@ func runCmd(args []string) {
 	wlanCfg := topo.WLANConfig{Standard: standard, PER: *per, Tracer: tr}
 	wanCfg := topo.WANConfig{
 		RateBps: *rateMbps * 1e6, OWD: sim.Time(*owdMs * 1e6),
-		QueueBytes: 256 << 10, DataLoss: *loss,
+		QueueBytes: 256 << 10, Data: netem.Impairments{LossRate: *loss},
 	}
 	var path *topo.Path
 	switch *pathKind {

@@ -79,8 +79,8 @@ func TestEndpointChaosSoak(t *testing.T) {
 	}
 	proxy, err := netem.NewUDPProxy(netem.ProxyConfig{
 		Target:   srv.LocalAddr().String(),
-		ToServer: chaosImp(),
-		ToClient: chaosImp(),
+		ToServer: netem.Config{Impair: chaosImp()},
+		ToClient: netem.Config{Impair: chaosImp()},
 		Seed:     4,
 	})
 	if err != nil {
@@ -145,7 +145,7 @@ func TestEndpointChaosSoak(t *testing.T) {
 	up, down := proxy.Stats()
 	for _, dir := range []struct {
 		name string
-		s    netem.ProxyDirStats
+		s    netem.Stats
 	}{{"to-server", up}, {"to-client", down}} {
 		if dir.s.Dropped == 0 || dir.s.Duplicated == 0 || dir.s.Corrupted == 0 || dir.s.Reordered == 0 {
 			t.Errorf("%s direction under-exercised: %+v", dir.name, dir.s)
@@ -196,8 +196,8 @@ func TestEndpointHandshakeUnder30PctLoss(t *testing.T) {
 	}
 	proxy, err := netem.NewUDPProxy(netem.ProxyConfig{
 		Target:   srv.LocalAddr().String(),
-		ToServer: netem.Impairments{LossRate: 0.3},
-		ToClient: netem.Impairments{LossRate: 0.3},
+		ToServer: netem.Config{Impair: netem.Impairments{LossRate: 0.3}},
+		ToClient: netem.Config{Impair: netem.Impairments{LossRate: 0.3}},
 		Seed:     5,
 	})
 	if err != nil {

@@ -117,8 +117,8 @@ func TestEndpointMigrationRecovery(t *testing.T) {
 	}
 	proxy, err := netem.NewUDPProxy(netem.ProxyConfig{
 		Target:   srv.LocalAddr().String(),
-		ToServer: chaosImp(),
-		ToClient: chaosImp(),
+		ToServer: netem.Config{Impair: chaosImp()},
+		ToClient: netem.Config{Impair: chaosImp()},
 		Seed:     7,
 	})
 	if err != nil {

@@ -248,8 +248,8 @@ func TestEndpointStreamChaosSoak(t *testing.T) {
 	srv, cli := streamEndpointPair(t, scfg, srvReg, cliReg)
 	proxy, err := netem.NewUDPProxy(netem.ProxyConfig{
 		Target:   srv.LocalAddr().String(),
-		ToServer: burst,
-		ToClient: burst,
+		ToServer: netem.Config{Impair: burst},
+		ToClient: netem.Config{Impair: burst},
 		Seed:     11,
 	})
 	if err != nil {

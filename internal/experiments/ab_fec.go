@@ -100,7 +100,7 @@ func runFECSession(seed int64, dur sim.Time, withFEC bool) (fecResult, error) {
 	tcfg := transport.Config{Mode: transport.ModeTACK, Streams: &scfg}
 	path, fwd, _ := topo.WANPath(loop, topo.WANConfig{
 		RateBps: fecWANRateBps, OWD: fecWANOWD, QueueBytes: fecWANQueue,
-		Impair: netem.Impairments{GE: fecBurst},
+		Data: netem.Impairments{GE: fecBurst},
 	})
 	flow, err := topo.NewFlow(loop, tcfg, path)
 	if err != nil {

@@ -119,8 +119,8 @@ func runHoL(sc holScenario) (holResult, error) {
 		topo.WLANConfig{Standard: phy.Std80211n},
 		topo.WANConfig{
 			RateBps: holWANRateBps, OWD: holWANOWD,
-			QueueBytes: holWANQueue, DataLoss: sc.loss,
-			Impair: netem.Impairments{GE: sc.burst},
+			QueueBytes: holWANQueue,
+			Data:       netem.Impairments{LossRate: sc.loss, GE: sc.burst},
 		})
 	flow, err := topo.NewFlow(loop, tcfg, path)
 	if err != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
@@ -69,7 +70,7 @@ func runReorderFlow(seed int64, adaptive bool, reorderDelay sim.Time, dur sim.Ti
 	loop := sim.NewLoop(seed)
 	path, _, _ := topo.WANPath(loop, topo.WANConfig{
 		RateBps: 50e6, OWD: 20 * sim.Millisecond, QueueBytes: 4 << 20,
-		ReorderRate: 0.05, ReorderDelay: reorderDelay,
+		Data: netem.Impairments{ReorderRate: 0.05, ReorderDelay: reorderDelay},
 	})
 	cfg := tackConfig()
 	cfg.AdaptiveSettle = adaptive

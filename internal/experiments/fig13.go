@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
@@ -69,7 +70,7 @@ func runFig13(opt Options) (*Result, error) {
 	for _, c := range cases {
 		wlan := topo.WLANConfig{Standard: c.std}
 		wan := topo.WANConfig{RateBps: c.wanBps, OWD: c.wanRTT / 2,
-			DataLoss: c.loss, AckLoss: c.loss}
+			Data: netem.Impairments{LossRate: c.loss}, Ack: netem.Impairments{LossRate: c.loss}}
 		bbrG, bbrData, bbrAcks, err := measure(wlan, wan, legacyBBRConfig())
 		if err != nil {
 			return nil, err

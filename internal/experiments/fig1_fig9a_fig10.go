@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/tacktp/tack/internal/ackpolicy"
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
@@ -110,7 +111,8 @@ func runFig10a(opt Options) (*Result, error) {
 func runFig10b(opt Options) (*Result, error) {
 	dur := opt.dur(12 * sim.Second)
 	wlan := topo.WLANConfig{Standard: phy.Std80211n}
-	wan := topo.WANConfig{RateBps: 2e9, OWD: 40 * sim.Millisecond, DataLoss: 0.001}
+	wan := topo.WANConfig{RateBps: 2e9, OWD: 40 * sim.Millisecond,
+		Data: netem.Impairments{LossRate: 0.001}}
 	tbl := stats.NewTable("Scheme", "Actual goodput Mbit/s")
 	ls := []int{1, 2, 4, 8, 16}
 	if opt.Quick {

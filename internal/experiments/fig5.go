@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/tacktp/tack/internal/cc"
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/topo"
@@ -28,7 +29,8 @@ func runFig5a(opt Options) (*Result, error) {
 	run := func(disable bool, loss float64, owd sim.Time, seed int64) *stats.Summary {
 		loop := sim.NewLoop(seed)
 		path, _, _ := topo.WANPath(loop, topo.WANConfig{
-			RateBps: 50e6, OWD: owd, DataLoss: loss, QueueBytes: 4 << 20,
+			RateBps: 50e6, OWD: owd, QueueBytes: 4 << 20,
+			Data: netem.Impairments{LossRate: loss},
 		})
 		cfg := transport.Config{Mode: transport.ModeTACK, CC: "static",
 			DisableIACK: disable, RecvBuf: 256 << 20}
@@ -79,7 +81,7 @@ func runFig5b(opt Options) (*Result, error) {
 	}
 	wan := func(ackLoss float64) topo.WANConfig {
 		return topo.WANConfig{RateBps: linkBps, OWD: 100 * sim.Millisecond,
-			DataLoss: 0.01, AckLoss: ackLoss}
+			Data: netem.Impairments{LossRate: 0.01}, Ack: netem.Impairments{LossRate: ackLoss}}
 	}
 	seeds := opt.count(3)
 	warmup := dur / 4

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/topo"
@@ -108,8 +109,8 @@ func runPantheon(sc pantheonScenario, scheme pantheonScheme) pantheonResult {
 		RateBps:    sc.RateBps,
 		OWD:        sc.OWD,
 		QueueBytes: queueBytes,
-		DataLoss:   sc.Loss,
-		AckLoss:    sc.Loss,
+		Data:       netem.Impairments{LossRate: sc.Loss},
+		Ack:        netem.Impairments{LossRate: sc.Loss},
 	})
 	cfg := scheme.Config()
 	cfg.ConnID = 1

@@ -61,21 +61,22 @@ func (g GilbertElliott) MeanLoss() float64 {
 // Gilbert–Elliott burst loss, duplication, bit corruption and delay jitter.
 // The zero value applies no impairments.
 //
-// Both the in-sim Link and the real-socket UDPProxy consume an Impairments
-// through the same Impairer decision model, so a scenario tuned in
-// simulation translates directly to a live chaos run.
+// A Link applies them through one Impairer on either clock — simulated or
+// the UDPProxy's wall-pinned loop — so a scenario tuned in simulation
+// translates directly to a live chaos run.
 type Impairments struct {
 	// LossRate is an independent Bernoulli drop probability per packet,
-	// applied on top of the Gilbert–Elliott model.
+	// applied on top of the Gilbert–Elliott model (ρ on a data path, ρ′ on
+	// an ACK path).
 	LossRate float64
 	// DuplicateRate is the probability that a surviving packet is delivered
 	// twice (duplicate ACK/data injection, e.g. from link-layer retransmit
 	// races).
 	DuplicateRate float64
 	// CorruptRate is the probability that a packet is bit-corrupted in
-	// flight. The sim Link treats a corrupted packet as dropped (the frame
-	// check sequence would reject it); the UDPProxy forwards the corrupted
-	// bytes so the receiver's header validation is exercised.
+	// flight. A []byte payload (every UDPProxy datagram) is delivered with
+	// its bits flipped, so the receiver's validation is exercised; any
+	// other payload is dropped, as the frame check sequence would drop it.
 	CorruptRate float64
 	// ReorderRate is the probability that a packet is held back and
 	// delivered ReorderDelay later than its peers, forcing out-of-order
@@ -90,12 +91,6 @@ type Impairments struct {
 	JitterMax sim.Time
 	// GE is the Gilbert–Elliott burst-loss model.
 	GE GilbertElliott
-}
-
-// Active reports whether any impairment model is switched on.
-func (im Impairments) Active() bool {
-	return im.LossRate > 0 || im.DuplicateRate > 0 || im.CorruptRate > 0 ||
-		im.ReorderRate > 0 || im.JitterMax > 0 || im.GE.enabled()
 }
 
 func (im Impairments) reorderDelay() sim.Time {

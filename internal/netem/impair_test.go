@@ -59,10 +59,9 @@ func TestLinkImpairmentSequenceDeterministic(t *testing.T) {
 	run := func() (trace []string, stats Link) {
 		loop := sim.NewLoop(7)
 		cfg := Config{
-			RateBps:     8e6,
-			Delay:       5 * sim.Millisecond,
-			ReorderRate: 0.05,
-			Impair:      chaosImpairments(),
+			RateBps: 8e6,
+			Delay:   5 * sim.Millisecond,
+			Impair:  chaosImpairments(),
 		}
 		var link *Link
 		link = NewLink(loop, cfg, func(payload any, size int) {
@@ -263,7 +262,7 @@ func TestUDPProxyRelayAndRebind(t *testing.T) {
 		t.Fatalf("Rebinds() = %d, want 1", proxy.Rebinds())
 	}
 	up, down := proxy.Stats()
-	if up.Forwarded != 2 || down.Forwarded != 1 {
+	if up.Delivered != 2 || down.Delivered != 1 {
 		t.Fatalf("unexpected proxy stats: up %+v down %+v", up, down)
 	}
 }

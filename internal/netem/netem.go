@@ -1,29 +1,28 @@
-// Package netem emulates adversarial network paths, in two flavours that
-// share one impairment model:
+// Package netem emulates adversarial network paths with one link model,
+// Link: impairment verdict → drop-tail queue and serializer → propagation
+// delay, scheduled on whatever sim.Loop it is handed. Two clocks drive it:
 //
-//   - Link/Pipe: in-sim unidirectional/duplex paths driven by a sim.Loop —
-//     serialization rate, propagation delay, a bounded drop-tail queue,
-//     Bernoulli loss, and the Impairments models (Gilbert–Elliott burst
-//     loss, duplication, bit corruption, jitter, coarse reordering).
-//   - UDPProxy: a real-socket UDP relay that applies the same Impairments
-//     to live datagrams between two endpoints, plus a Rebind hook that
-//     emulates a NAT timeout / Wi-Fi roam by changing the proxy's
-//     server-facing source address mid-flow.
+//   - the simulator's virtual clock, where a Link carries in-sim packets
+//     between transport engines;
+//   - wall time, in UDPProxy: a real-socket UDP relay whose two directions
+//     are each one Link on a loop pinned to the wall clock, plus a Rebind
+//     hook that emulates a NAT timeout / Wi-Fi roam by changing the
+//     proxy's server-facing source address mid-flow.
 //
 // It stands in for the hardware network emulator (Spirent Attero) the TACK
 // paper uses to impose WAN latency and impairments between the wireless
 // router and the server (paper §6.1, §6.5): bandwidth, RTT, data-path loss
 // ρ and ACK-path loss ρ′ are exactly the knobs exposed here.
 //
-// Threading and ownership rules: a Link is confined to its sim.Loop
-// goroutine — Send, the stats fields and the Deliver callback all run
-// there, and the link retains no reference to payloads beyond delivery. A
-// UDPProxy owns two internal relay goroutines; its stats are atomics,
-// readable from any goroutine, and every forwarded datagram is copied into
-// a fresh buffer before any delayed or duplicated transmission, so callers
-// never share buffers with the proxy. Impairment verdicts come from a
-// per-direction seeded Impairer, making the drop/duplicate/corrupt/jitter
-// sequence reproducible for a given seed regardless of timing.
+// Threading and ownership rules: a Link is confined to its sim.Loop —
+// Send, the Stats fields and the Deliver callback all run there. A []byte
+// payload is the link's to corrupt in place, so a caller hands over a
+// buffer it will not reuse; any other payload is never touched. A
+// UDPProxy serializes each direction's loop under that direction's mutex
+// and copies every datagram off its read buffer before the Link sees it.
+// Impairment verdicts come from the loop's seeded RNG, so the
+// drop/duplicate/corrupt/jitter sequence — and the bits corruption flips —
+// is reproducible for a given seed on either clock.
 package netem
 
 import (
@@ -46,24 +45,14 @@ type Config struct {
 	// QueueBytes bounds the drop-tail queue; zero selects a default of one
 	// bandwidth-delay product (minimum 64 KiB).
 	QueueBytes int
-	// LossRate is an independent drop probability per packet.
-	LossRate float64
-	// ReorderRate is the probability that a packet is held back and
-	// delivered ReorderDelay later, modelling fine-grained multi-path load
-	// balancing (paper §7 "handling reordering"). Zero disables it.
-	ReorderRate float64
-	// ReorderDelay is the extra delay applied to reordered packets
-	// (default 2 ms when ReorderRate is set).
-	ReorderDelay sim.Time
-	// Impair layers the adversarial models (burst loss, duplication,
-	// corruption, jitter) on top of the base behaviour; the zero value
-	// changes nothing. A corrupted packet is counted and dropped — on a
-	// real link the frame check sequence would reject it before delivery.
+	// Impair is the per-packet impairment model (loss, burst loss,
+	// duplication, corruption, reordering, jitter); the zero value changes
+	// nothing.
 	Impair Impairments
 }
 
-// DefaultQueueBytes returns the queue bound in force for the config.
-func (c Config) DefaultQueueBytes() int {
+// queueLimit returns the queue bound in force for the config.
+func (c Config) queueLimit() int {
 	if c.QueueBytes > 0 {
 		return c.QueueBytes
 	}
@@ -74,8 +63,24 @@ func (c Config) DefaultQueueBytes() int {
 	return bdp
 }
 
+// Stats counts what one link did. Once the link is idle,
+// Sent + Duplicated == Dropped + Overflows + Delivered, plus Corrupted
+// when the payloads are not []byte (those corrupted packets are dropped).
+type Stats struct {
+	Sent       int
+	Dropped    int // loss-model drops (Bernoulli and Gilbert–Elliott)
+	Corrupted  int // corrupted packets: bits flipped in a []byte, else dropped (failed FCS)
+	Duplicated int // extra copies injected by the duplication model
+	Overflows  int // queue-full drops, per copy
+	Reordered  int // packets held back by the reordering model
+	Delivered  int // copies handed to Deliver
+	SentBytes  int64
+}
+
 // Link is one unidirectional emulated path.
 type Link struct {
+	Stats
+
 	loop *sim.Loop
 	cfg  Config
 	out  Deliver
@@ -86,80 +91,48 @@ type Link struct {
 	queueLimit int
 	// busyUntil is when the serializer frees up.
 	busyUntil sim.Time
-
-	// Stats.
-	Sent       int
-	Dropped    int // loss-model drops (Bernoulli and Gilbert–Elliott)
-	Corrupted  int // corruption-model drops (failed FCS)
-	Duplicated int // extra copies injected by the duplication model
-	Overflows  int // queue-full drops
-	Reordered  int // packets delayed by the reordering model
-	Delivered  int
-	SentBytes  int64
 }
 
-// NewLink builds a link delivering surviving packets to out.
+// NewLink builds a link delivering surviving packets to out. Its verdicts
+// draw from loop.Rand().
 func NewLink(loop *sim.Loop, cfg Config, out Deliver) *Link {
-	l := &Link{
+	rng := loop.Rand()
+	return &Link{
 		loop:       loop,
 		cfg:        cfg,
 		out:        out,
-		rng:        loop.Rand(),
-		queueLimit: cfg.DefaultQueueBytes(),
+		rng:        rng,
+		imp:        NewImpairer(cfg.Impair, rng),
+		queueLimit: cfg.queueLimit(),
 	}
-	if cfg.Impair.Active() {
-		l.imp = NewImpairer(cfg.Impair, l.rng)
-	}
-	return l
 }
 
-// Config returns the link configuration.
-func (l *Link) Config() Config { return l.cfg }
-
-// SetLossRate adjusts the loss model on the fly (used by experiments that
-// vary ρ mid-run).
-func (l *Link) SetLossRate(p float64) { l.cfg.LossRate = p }
-
-// QueueBytes returns the bytes currently queued awaiting serialization.
-func (l *Link) QueueBytes() int { return l.queueBytes }
-
-// Send offers a packet of the given size to the link.
+// Send offers a packet of the given size to the link. One verdict decides
+// its fate: dropped, corrupted (a []byte payload has its bits flipped and
+// goes on; any other payload fails the frame check and is dropped), held
+// back, duplicated.
 func (l *Link) Send(payload any, size int) {
 	l.Sent++
-	if l.cfg.LossRate > 0 && l.rng.Float64() < l.cfg.LossRate {
+	v := l.imp.Next()
+	if v.Drop {
 		l.Dropped++
 		return
 	}
-	extra := sim.Time(0)
-	if l.cfg.ReorderRate > 0 && l.rng.Float64() < l.cfg.ReorderRate {
-		extra = l.cfg.ReorderDelay
-		if extra <= 0 {
-			extra = 2 * sim.Millisecond
+	if v.Corrupt {
+		l.Corrupted++
+		b, ok := payload.([]byte)
+		if !ok {
+			return
 		}
+		CorruptBytes(b, l.rng)
+	}
+	if v.Reorder {
 		l.Reordered++
 	}
-	copies := 1
-	if l.imp != nil {
-		v := l.imp.Next()
-		switch {
-		case v.Corrupt:
-			// A corrupted frame fails the link-layer FCS: count and drop.
-			l.Corrupted++
-			return
-		case v.Drop:
-			l.Dropped++
-			return
-		}
-		extra += v.Delay(l.cfg.Impair)
-		if v.Reorder {
-			l.Reordered++
-		}
-		if v.Duplicate {
-			copies = 2
-			l.Duplicated++
-		}
-	}
-	for i := 0; i < copies; i++ {
+	extra := v.Delay(l.cfg.Impair)
+	l.transmit(payload, size, extra)
+	if v.Duplicate {
+		l.Duplicated++
 		l.transmit(payload, size, extra)
 	}
 }
@@ -199,25 +172,10 @@ func (l *Link) transmit(payload any, size int, extra sim.Time) {
 	})
 }
 
-// Pipe is a bidirectional link pair with independent per-direction configs.
-type Pipe struct {
-	AtoB *Link
-	BtoA *Link
-}
-
-// NewPipe builds a duplex link; outA receives traffic sent by B, outB
-// receives traffic sent by A.
-func NewPipe(loop *sim.Loop, aToB, bToA Config, outB, outA Deliver) *Pipe {
-	return &Pipe{
-		AtoB: NewLink(loop, aToB, outB),
-		BtoA: NewLink(loop, bToA, outA),
-	}
-}
-
 // Symmetric returns a duplex config pair with the same rate/delay both ways
 // but distinct loss rates for the data and ACK directions (ρ, ρ′).
 func Symmetric(rateBps float64, owd sim.Time, queueBytes int, dataLoss, ackLoss float64) (fwd, rev Config) {
-	fwd = Config{RateBps: rateBps, Delay: owd, QueueBytes: queueBytes, LossRate: dataLoss}
-	rev = Config{RateBps: rateBps, Delay: owd, QueueBytes: queueBytes, LossRate: ackLoss}
+	fwd = Config{RateBps: rateBps, Delay: owd, QueueBytes: queueBytes, Impair: Impairments{LossRate: dataLoss}}
+	rev = Config{RateBps: rateBps, Delay: owd, QueueBytes: queueBytes, Impair: Impairments{LossRate: ackLoss}}
 	return fwd, rev
 }

@@ -85,7 +85,7 @@ func TestDropTailOverflow(t *testing.T) {
 func TestBernoulliLoss(t *testing.T) {
 	loop := sim.NewLoop(1)
 	delivered := 0
-	l := NewLink(loop, Config{Delay: sim.Microsecond, LossRate: 0.3}, func(p any, n int) { delivered++ })
+	l := NewLink(loop, Config{Delay: sim.Microsecond, Impair: Impairments{LossRate: 0.3}}, func(p any, n int) { delivered++ })
 	const n = 10000
 	for i := 0; i < n; i++ {
 		l.Send(i, 100)
@@ -100,58 +100,25 @@ func TestBernoulliLoss(t *testing.T) {
 	}
 }
 
-func TestSetLossRate(t *testing.T) {
-	loop := sim.NewLoop(1)
-	delivered := 0
-	l := NewLink(loop, Config{Delay: sim.Microsecond}, func(p any, n int) { delivered++ })
-	l.SetLossRate(1.0)
-	for i := 0; i < 10; i++ {
-		l.Send(i, 100)
-	}
-	loop.Run()
-	if delivered != 0 || l.Dropped != 10 {
-		t.Fatalf("delivered %d dropped %d with loss=1", delivered, l.Dropped)
-	}
-}
-
 func TestDefaultQueueBytes(t *testing.T) {
 	c := Config{RateBps: 100e6, Delay: 100 * sim.Millisecond}
 	// bdp = 100e6/8 * 0.1 = 1.25 MB
-	if got := c.DefaultQueueBytes(); got != 1250000 {
-		t.Fatalf("DefaultQueueBytes = %d, want 1250000", got)
+	if got := c.queueLimit(); got != 1250000 {
+		t.Fatalf("queueLimit = %d, want 1250000", got)
 	}
 	small := Config{RateBps: 1e6, Delay: sim.Millisecond}
-	if got := small.DefaultQueueBytes(); got != 64*1024 {
+	if got := small.queueLimit(); got != 64*1024 {
 		t.Fatalf("floor = %d, want 65536", got)
 	}
 	explicit := Config{QueueBytes: 777}
-	if got := explicit.DefaultQueueBytes(); got != 777 {
+	if got := explicit.queueLimit(); got != 777 {
 		t.Fatalf("explicit = %d, want 777", got)
-	}
-}
-
-func TestPipeDirections(t *testing.T) {
-	loop := sim.NewLoop(1)
-	var toA, toB []any
-	p := NewPipe(loop,
-		Config{Delay: sim.Millisecond},
-		Config{Delay: 2 * sim.Millisecond},
-		func(pl any, n int) { toB = append(toB, pl) },
-		func(pl any, n int) { toA = append(toA, pl) })
-	p.AtoB.Send("from-a", 100)
-	p.BtoA.Send("from-b", 100)
-	loop.Run()
-	if len(toB) != 1 || toB[0] != "from-a" {
-		t.Fatalf("B received %v", toB)
-	}
-	if len(toA) != 1 || toA[0] != "from-b" {
-		t.Fatalf("A received %v", toA)
 	}
 }
 
 func TestSymmetricHelper(t *testing.T) {
 	fwd, rev := Symmetric(500e6, 100*sim.Millisecond, 0, 0.01, 0.02)
-	if fwd.LossRate != 0.01 || rev.LossRate != 0.02 {
+	if fwd.Impair.LossRate != 0.01 || rev.Impair.LossRate != 0.02 {
 		t.Fatal("loss rates not applied per direction")
 	}
 	if fwd.RateBps != rev.RateBps || fwd.Delay != rev.Delay {

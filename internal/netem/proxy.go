@@ -1,54 +1,42 @@
 package netem
 
 import (
+	"bytes"
 	"errors"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/tacktp/tack/internal/sim"
 )
+
+// proxySockBuf is the kernel buffer the proxy asks for on each of its
+// sockets: large enough that a burst is dropped by the modelled queue,
+// where it is counted, and not by the kernel, where it is not.
+const proxySockBuf = 8 << 20
 
 // ProxyConfig configures a UDPProxy.
 type ProxyConfig struct {
 	// Target is the server address ("host:port") relayed-to datagrams are
 	// forwarded to.
 	Target string
-	// ToServer impairs the client→server direction.
-	ToServer Impairments
-	// ToClient impairs the server→client direction.
-	ToClient Impairments
-	// Delay is a base one-way delay added in each direction (on top of any
-	// per-packet reorder hold-back or jitter).
-	Delay time.Duration
-	// Seed seeds the per-direction impairment RNGs (the two directions use
-	// Seed and Seed+1). Zero selects seed 1 so runs are reproducible by
-	// default.
+	// ToServer is the client→server link.
+	ToServer Config
+	// ToClient is the server→client link.
+	ToClient Config
+	// Seed seeds the two directions' loops (Seed and Seed+1). Zero selects
+	// seed 1 so runs are reproducible by default.
 	Seed int64
 }
 
-// ProxyDirStats counts per-direction proxy decisions. All fields are
-// cumulative datagram counts.
-type ProxyDirStats struct {
-	// Received datagrams read from the socket.
-	Received uint64
-	// Forwarded datagrams written onward (duplicates counted separately).
-	Forwarded uint64
-	// Dropped by the Bernoulli or Gilbert–Elliott loss models.
-	Dropped uint64
-	// Duplicated extra copies injected.
-	Duplicated uint64
-	// Corrupted datagrams that had bits flipped before forwarding.
-	Corrupted uint64
-	// Reordered datagrams held back by the reordering model.
-	Reordered uint64
-}
-
 // UDPProxy is a real-socket UDP relay that sits between a client and a
-// server endpoint and applies Impairments to live datagrams in both
-// directions. Unlike the in-sim Link, corrupted datagrams are forwarded
-// with their bits flipped, exercising the receiver's decode and sanity
-// validation exactly as radio interference above the FCS would.
+// server endpoint. Each direction is one Link on its own loop pinned to
+// the wall clock, so the proxy has exactly the simulator's rate, queue,
+// delay and impairment model — and, being fed []byte payloads, forwards
+// corrupted datagrams with their bits flipped, exercising the receiver's
+// decode and sanity validation exactly as radio interference above the FCS
+// would.
 //
 // Rebind closes and re-opens the server-facing socket mid-flow, changing
 // the source address the server observes for all subsequent datagrams —
@@ -64,21 +52,16 @@ type ProxyDirStats struct {
 // one client Endpoint multiplexes any number of connections over one
 // socket.
 type UDPProxy struct {
-	cfg    ProxyConfig
-	client *net.UDPConn // client-facing, fixed for the proxy's lifetime
-	target *net.UDPAddr
+	client     *net.UDPConn // client-facing, fixed for the proxy's lifetime
+	target     *net.UDPAddr
+	server     atomic.Pointer[net.UDPConn] // server-facing; replaced by Rebind
+	clientAddr atomic.Pointer[net.UDPAddr] // most recent client source address
 
-	mu         sync.Mutex
-	server     *net.UDPConn // server-facing; replaced by Rebind
-	clientAddr *net.UDPAddr // most recent client source address
-	closed     bool
-	impUp      *Impairer
-	impDown    *Impairer
-	rngUp      *rand.Rand
-	rngDown    *rand.Rand
+	up, down *proxyDir
 
-	up, down ProxyDirStats // guarded by mu
-	rebinds  atomic.Uint64
+	mu      sync.Mutex // serializes Rebind and Close
+	closed  bool
+	rebinds atomic.Uint64
 
 	wg sync.WaitGroup
 }
@@ -99,67 +82,76 @@ func NewUDPProxy(cfg ProxyConfig) (*UDPProxy, error) {
 		client.Close()
 		return nil, err
 	}
+	growBuffers(client)
+	growBuffers(server)
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	p := &UDPProxy{
-		cfg:     cfg,
-		client:  client,
-		target:  target,
-		server:  server,
-		rngUp:   rand.New(rand.NewSource(seed)),
-		rngDown: rand.New(rand.NewSource(seed + 1)),
-	}
-	p.impUp = NewImpairer(cfg.ToServer, p.rngUp)
-	p.impDown = NewImpairer(cfg.ToClient, p.rngDown)
+	p := &UDPProxy{client: client, target: target}
+	p.server.Store(server)
+	p.up = newProxyDir(cfg.ToServer, seed, func(b []byte) { _, _ = p.server.Load().Write(b) })
+	p.down = newProxyDir(cfg.ToClient, seed+1, func(b []byte) {
+		if a := p.clientAddr.Load(); a != nil {
+			_, _ = p.client.WriteToUDP(b, a)
+		}
+	})
 	p.wg.Add(2)
-	go p.clientLoop()
-	go p.serverLoop(server)
+	go p.relay(p.up, func(b []byte) (int, error) {
+		n, from, err := client.ReadFromUDP(b)
+		if a := p.clientAddr.Load(); err == nil && (a == nil || !from.IP.Equal(a.IP) || from.Port != a.Port) {
+			addr := *from
+			p.clientAddr.Store(&addr)
+		}
+		return n, err
+	})
+	go p.relay(p.down, server.Read)
 	return p, nil
+}
+
+// growBuffers asks, best effort, for proxySockBuf-sized kernel buffers; the
+// kernel clamps the request to its configured maximum.
+func growBuffers(c *net.UDPConn) {
+	_ = c.SetReadBuffer(proxySockBuf)
+	_ = c.SetWriteBuffer(proxySockBuf)
 }
 
 // Addr returns the client-facing address; clients dial this instead of the
 // real server.
 func (p *UDPProxy) Addr() *net.UDPAddr { return p.client.LocalAddr().(*net.UDPAddr) }
 
-// Stats returns a snapshot of both directions' counters.
-func (p *UDPProxy) Stats() (toServer, toClient ProxyDirStats) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.up, p.down
-}
+// Stats returns a snapshot of both directions' link counters.
+func (p *UDPProxy) Stats() (toServer, toClient Stats) { return p.up.stats(), p.down.stats() }
 
 // Rebinds returns how many times Rebind has succeeded.
 func (p *UDPProxy) Rebinds() uint64 { return p.rebinds.Load() }
 
 // Rebind swaps the server-facing socket for a new one, changing the source
 // address the server sees mid-flow (NAT timeout / Wi-Fi roam emulation).
-// Datagrams already scheduled on the old socket are silently lost, like
-// packets in flight through a dying NAT mapping.
+// Datagrams still on the client→server link leave from the new socket.
 func (p *UDPProxy) Rebind() error {
 	next, err := net.DialUDP("udp", nil, p.target)
 	if err != nil {
 		return err
 	}
+	growBuffers(next)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		next.Close()
 		return errors.New("netem: proxy closed")
 	}
-	old := p.server
-	p.server = next
+	old := p.server.Swap(next)
+	p.wg.Add(1)
 	p.mu.Unlock()
 	old.Close()
 	p.rebinds.Add(1)
-	p.wg.Add(1)
-	go p.serverLoop(next)
+	go p.relay(p.down, next.Read)
 	return nil
 }
 
 // Close shuts both sockets down and waits for the relay goroutines to
-// exit. Impaired datagrams still pending delayed delivery are discarded.
+// exit. Datagrams still on either link are discarded.
 func (p *UDPProxy) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -167,104 +159,81 @@ func (p *UDPProxy) Close() error {
 		return nil
 	}
 	p.closed = true
-	server := p.server
 	p.mu.Unlock()
 	p.client.Close()
-	server.Close()
+	p.server.Load().Close()
 	p.wg.Wait()
+	for _, d := range []*proxyDir{p.up, p.down} {
+		d.mu.Lock()
+		d.closed = true
+		d.timer.Stop()
+		d.mu.Unlock()
+	}
 	return nil
 }
 
-// clientLoop relays client→server, learning the client's source address.
-func (p *UDPProxy) clientLoop() {
+// relay feeds one socket's datagrams into d until the socket is closed
+// (Rebind starts a fresh relay for the replacement server-facing socket).
+// Any other read error is survived: a connected UDP socket reports an ICMP
+// port-unreachable — a server not yet listening, or restarted — that way.
+func (p *UDPProxy) relay(d *proxyDir, read func([]byte) (int, error)) {
 	defer p.wg.Done()
 	buf := make([]byte, 64<<10)
 	for {
-		n, from, err := p.client.ReadFromUDP(buf)
-		if err != nil {
+		n, err := read(buf)
+		if errors.Is(err, net.ErrClosed) {
 			return
 		}
-		p.mu.Lock()
-		if p.clientAddr == nil || !from.IP.Equal(p.clientAddr.IP) || from.Port != p.clientAddr.Port {
-			addr := *from
-			p.clientAddr = &addr
-		}
-		out := p.server
-		send := p.impair(buf[:n], p.impUp, p.rngUp, p.cfg.ToServer, &p.up)
-		p.mu.Unlock()
-		for _, s := range send {
-			p.transmit(s.buf, s.delay, func(b []byte) { out.Write(b) })
+		if err == nil {
+			d.step(buf[:n])
 		}
 	}
 }
 
-// serverLoop relays server→client for one server-facing socket; Rebind
-// starts a fresh loop for its replacement socket.
-func (p *UDPProxy) serverLoop(conn *net.UDPConn) {
-	defer p.wg.Done()
-	buf := make([]byte, 64<<10)
-	for {
-		n, err := conn.Read(buf)
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		dst := p.clientAddr
-		send := p.impair(buf[:n], p.impDown, p.rngDown, p.cfg.ToClient, &p.down)
-		p.mu.Unlock()
-		if dst == nil {
-			continue
-		}
-		for _, s := range send {
-			p.transmit(s.buf, s.delay, func(b []byte) { p.client.WriteToUDP(b, dst) })
-		}
-	}
+// proxyDir is one direction of the proxy: a Link on a loop whose clock is
+// wall time since epoch, moved under mu by each arriving datagram and by
+// the one OS timer, which is set to the loop's earliest event.
+type proxyDir struct {
+	mu     sync.Mutex
+	loop   *sim.Loop
+	link   *Link
+	epoch  time.Time
+	timer  *time.Timer
+	closed bool
 }
 
-// scheduledSend is one (possibly duplicated) copy awaiting transmission.
-type scheduledSend struct {
-	buf   []byte
-	delay time.Duration
+// newProxyDir builds a direction whose surviving datagrams go to write.
+// Write errors (e.g. a socket closed by Rebind or Close) are deliberately
+// ignored: to the protocol under test they are indistinguishable from loss.
+func newProxyDir(cfg Config, seed int64, write func([]byte)) *proxyDir {
+	d := &proxyDir{loop: sim.NewLoop(seed), epoch: time.Now()}
+	d.link = NewLink(d.loop, cfg, func(pl any, _ int) { write(pl.([]byte)) })
+	d.timer = time.AfterFunc(time.Hour, func() { d.step(nil) })
+	d.timer.Stop()
+	return d
 }
 
-// impair draws the verdict for one datagram and returns the copies to
-// transmit (empty when dropped). Caller holds p.mu.
-func (p *UDPProxy) impair(datagram []byte, im *Impairer, rng *rand.Rand, imp Impairments, st *ProxyDirStats) []scheduledSend {
-	st.Received++
-	v := im.Next()
-	if v.Drop {
-		st.Dropped++
-		return nil
-	}
-	// Copy before any mutation or delayed write: the read buffer is reused
-	// immediately by the relay loop.
-	buf := append([]byte(nil), datagram...)
-	if v.Corrupt {
-		st.Corrupted++
-		CorruptBytes(buf, rng)
-	}
-	if v.Reorder {
-		st.Reordered++
-	}
-	delay := p.cfg.Delay + time.Duration(v.Delay(imp))
-	st.Forwarded++
-	send := []scheduledSend{{buf: buf, delay: delay}}
-	if v.Duplicate {
-		st.Duplicated++
-		dup := append([]byte(nil), buf...)
-		send = append(send, scheduledSend{buf: dup, delay: delay})
-	}
-	return send
-}
-
-// transmit writes the datagram now or after its scheduled delay. Write
-// errors (e.g. a socket closed by Rebind or Close) are deliberately
-// swallowed: to the protocol under test they are indistinguishable from
-// loss.
-func (p *UDPProxy) transmit(buf []byte, delay time.Duration, write func([]byte)) {
-	if delay <= 0 {
-		write(buf)
+// step runs every event due by the wall clock, then offers the datagram
+// (nil when the timer fired) to the link — a copy, as the link keeps it
+// until delivery — and sends what is due right away before rearming.
+func (d *proxyDir) step(datagram []byte) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
 		return
 	}
-	time.AfterFunc(delay, func() { write(buf) })
+	d.loop.RunUntil(sim.Time(time.Since(d.epoch)))
+	if datagram != nil {
+		d.link.Send(bytes.Clone(datagram), len(datagram))
+		d.loop.RunUntil(d.loop.Now())
+	}
+	if at, ok := d.loop.NextAt(); ok {
+		d.timer.Reset(time.Until(d.epoch.Add(time.Duration(at))))
+	}
+}
+
+func (d *proxyDir) stats() Stats {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.link.Stats
 }

@@ -84,24 +84,17 @@ type WANConfig struct {
 	RateBps    float64
 	OWD        sim.Time // one-way propagation delay
 	QueueBytes int
-	DataLoss   float64 // ρ, applied A→B
-	AckLoss    float64 // ρ′, applied B→A
-	// ReorderRate / ReorderDelay inject reordering on the data direction
-	// (paper §7 "handling reordering").
-	ReorderRate  float64
-	ReorderDelay sim.Time
-	// Impair layers the adversarial impairment models (Gilbert–Elliott
-	// burst loss, duplication, corruption, jitter) on the data direction;
-	// the zero value changes nothing.
-	Impair netem.Impairments
+	// Data impairs the data direction (A→B) and Ack the ACK direction
+	// (B→A): ρ is Data.LossRate and ρ′ is Ack.LossRate; reordering (paper
+	// §7), burst loss, duplication, corruption and jitter sit beside them.
+	// The zero value changes nothing.
+	Data, Ack netem.Impairments
 }
 
 // links returns the per-direction netem configs for the WAN.
 func (c WANConfig) links() (fwd, rev netem.Config) {
-	fwd, rev = netem.Symmetric(c.RateBps, c.OWD, c.QueueBytes, c.DataLoss, c.AckLoss)
-	fwd.ReorderRate = c.ReorderRate
-	fwd.ReorderDelay = c.ReorderDelay
-	fwd.Impair = c.Impair
+	fwd = netem.Config{RateBps: c.RateBps, Delay: c.OWD, QueueBytes: c.QueueBytes, Impair: c.Data}
+	rev = netem.Config{RateBps: c.RateBps, Delay: c.OWD, QueueBytes: c.QueueBytes, Impair: c.Ack}
 	return fwd, rev
 }
 

@@ -56,16 +56,18 @@ func TestQuickEndToEndDelivery(t *testing.T) {
 		var snd *Sender
 		var rcv *Receiver
 		fwdCfg := netem.Config{
-			RateBps:     float64(c.RateMbps) * 1e6,
-			Delay:       sim.Time(c.OwdMs) * sim.Millisecond,
-			LossRate:    float64(c.DataLossPct) / 100,
-			ReorderRate: float64(c.ReorderPct) / 100,
-			QueueBytes:  int(c.QueueKB) << 10,
+			RateBps:    float64(c.RateMbps) * 1e6,
+			Delay:      sim.Time(c.OwdMs) * sim.Millisecond,
+			QueueBytes: int(c.QueueKB) << 10,
+			Impair: netem.Impairments{
+				LossRate:    float64(c.DataLossPct) / 100,
+				ReorderRate: float64(c.ReorderPct) / 100,
+			},
 		}
 		revCfg := netem.Config{
-			RateBps:  float64(c.RateMbps) * 1e6,
-			Delay:    sim.Time(c.OwdMs) * sim.Millisecond,
-			LossRate: float64(c.AckLossPct) / 100,
+			RateBps: float64(c.RateMbps) * 1e6,
+			Delay:   sim.Time(c.OwdMs) * sim.Millisecond,
+			Impair:  netem.Impairments{LossRate: float64(c.AckLossPct) / 100},
 		}
 		fwd := netem.NewLink(loop, fwdCfg, func(pl any, n int) { rcv.OnPacket(pl.(*packet.Packet)) })
 		rev := netem.NewLink(loop, revCfg, func(pl any, n int) { snd.OnPacket(pl.(*packet.Packet)) })

@@ -13,7 +13,8 @@ func reorderHarness(t *testing.T, seed int64, cfg Config, reorderRate float64, r
 	t.Helper()
 	loop := sim.NewLoop(seed)
 	h := &harness{loop: loop}
-	fwdCfg := netem.Config{RateBps: 50e6, Delay: ms(10), QueueBytes: 4 << 20, ReorderRate: reorderRate, ReorderDelay: reorderDelay}
+	fwdCfg := netem.Config{RateBps: 50e6, Delay: ms(10), QueueBytes: 4 << 20,
+		Impair: netem.Impairments{ReorderRate: reorderRate, ReorderDelay: reorderDelay}}
 	revCfg := netem.Config{RateBps: 50e6, Delay: ms(10)}
 	h.fwd = netem.NewLink(loop, fwdCfg, func(pl any, n int) { h.rcv.OnPacket(pl.(*packet.Packet)) })
 	h.rev = netem.NewLink(loop, revCfg, func(pl any, n int) { h.snd.OnPacket(pl.(*packet.Packet)) })
@@ -74,7 +75,7 @@ func TestAdaptiveSettleSuppressesSpuriousRetx(t *testing.T) {
 func TestNetemReorderingStats(t *testing.T) {
 	loop := sim.NewLoop(1)
 	got := 0
-	l := netem.NewLink(loop, netem.Config{Delay: ms(1), ReorderRate: 0.5}, func(pl any, n int) { got++ })
+	l := netem.NewLink(loop, netem.Config{Delay: ms(1), Impair: netem.Impairments{ReorderRate: 0.5}}, func(pl any, n int) { got++ })
 	for i := 0; i < 1000; i++ {
 		l.Send(i, 100)
 	}
