@@ -17,7 +17,7 @@ func TestIDsCoverEveryPaperFigure(t *testing.T) {
 		"fig9a", "fig9b", "fig10a", "fig10b", "fig11", "fig13", "fig14",
 		"fig15", "fig16", "fig17",
 		"ab-fec", "ab-hol", "ab-rack",
-		"ext-pacing", "ext-reorder", "ext-split",
+		"ext-pacing", "ext-reorder", "ext-split", "ext-wan",
 	}
 	if got := IDs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("IDs() = %v\nwant    %v", got, want)
