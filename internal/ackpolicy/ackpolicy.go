@@ -47,6 +47,25 @@ const TailDelay = 200 * sim.Millisecond
 // The TACK policy, Receiver.AckTargetHz and the sender's PTO all read it.
 const MinInterval = sim.Millisecond
 
+// Interval returns Eq. 3's acknowledgment spacing 1/f_tack: the longer of
+// the byte-counting spacing — L·MSS at bwBps, in whole packets of payload
+// bytes, because the threshold is crossed only on an arrival — and the
+// periodic spacing α = RTTmin/β, floored at MinInterval. A zero bwBps or
+// rttMin drops its term; 0 means neither is known. This is the one
+// implementation: the TACK policy keeps its α, the receiver reports its
+// target frequency, and the sender provisions its window from it.
+func Interval(beta, l, payload int, bwBps float64, rttMin sim.Time) sim.Time {
+	var iv sim.Time
+	if rttMin > 0 {
+		iv = max(rttMin/sim.Time(beta), MinInterval)
+	}
+	if bwBps > 0 {
+		bits := (l*MSS + payload - 1) / payload * payload * 8
+		iv = max(iv, sim.Time(float64(bits)/bwBps*1e9))
+	}
+	return iv
+}
+
 // Policy decides acknowledgment timing.
 type Policy interface {
 	// Name identifies the policy for reporting.
@@ -291,16 +310,12 @@ func NewTACK(beta, l int) *TACK {
 func (t *TACK) Name() string { return fmt.Sprintf("tack(beta=%d,L=%d)", t.beta, t.l) }
 
 // Update recomputes α from the synced RTTmin; before the first estimate a
-// conservative 25 ms spacing applies.
+// conservative 25 ms spacing applies. The byte-counting half of Eq. 3 needs
+// no rate: OnData counts the bytes themselves.
 func (t *TACK) Update(_ float64, rttMin sim.Time) {
 	t.rttMin = rttMin
-	if rttMin <= 0 {
+	if t.alpha = Interval(t.beta, t.l, MSS, 0, rttMin); t.alpha == 0 {
 		t.alpha = 25 * sim.Millisecond
-		return
-	}
-	t.alpha = rttMin / sim.Time(t.beta)
-	if t.alpha < MinInterval {
-		t.alpha = MinInterval
 	}
 }
 

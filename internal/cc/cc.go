@@ -44,6 +44,11 @@ type Ack struct {
 	Inflight int
 	// AppLimited marks samples taken while the sender had no data to send.
 	AppLimited bool
+	// AckInterval is the spacing of feedback the sender expects: the TACK
+	// interval (Eq. 3) it asked the receiver to keep, or 0 when the
+	// receiver acknowledges as data arrives (legacy TCP). A window must
+	// cover it, because nothing in flight is released any sooner.
+	AckInterval sim.Time
 }
 
 // Loss carries the feedback delivered once per loss episode.

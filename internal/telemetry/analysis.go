@@ -5,13 +5,10 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
 )
-
-// MSS mirrors the full-sized-packet assumption of the paper's Eq. 3
-// (f_tack = min(bw/(L·MSS), β/RTTmin)).
-const MSS = 1500
 
 // FlowSummary aggregates one flow's trace into the quantities the paper
 // reasons about: the achieved acknowledgment frequency against the Eq. 3
@@ -327,33 +324,25 @@ func (f *FlowSummary) finish() {
 	if f.Mode != "tack" {
 		return
 	}
-	beta, l := f.Beta, f.L
+	beta, l, payload := f.Beta, f.L, f.Payload
 	if beta <= 0 {
 		beta = 4
 	}
 	if l <= 0 {
 		l = 2
 	}
-	if f.RTTMin > 0 {
-		alpha := f.RTTMin / sim.Time(beta)
-		// The policy floors the TACK interval at 1 ms (timer resolution).
-		if alpha < sim.Millisecond {
-			alpha = sim.Millisecond
-		}
-		f.TargetPeriodicHz = 1 / alpha.Seconds()
+	if payload <= 0 {
+		payload = ackpolicy.MSS
 	}
-	if f.DeliveryBps > 0 {
-		// Eq. 3's byte-counting bound bw/(L·MSS), discretized to the flow's
-		// actual payload size: the receiver crosses the L·MSS pending-byte
-		// threshold only on whole-packet arrivals, so an ack fires every
-		// ceil(L·MSS/payload) packets.
-		payload := f.Payload
-		if payload <= 0 {
-			payload = MSS
+	// Eq. 3's two bounds, each as the receiver discretizes it.
+	hz := func(iv sim.Time) float64 {
+		if iv <= 0 {
+			return 0
 		}
-		pktsPerAck := (l*MSS + payload - 1) / payload
-		f.TargetByteHz = f.DeliveryBps / 8 / float64(pktsPerAck*payload)
+		return 1 / iv.Seconds()
 	}
+	f.TargetPeriodicHz = hz(ackpolicy.Interval(beta, l, payload, 0, f.RTTMin))
+	f.TargetByteHz = hz(ackpolicy.Interval(beta, l, payload, f.DeliveryBps, 0))
 	switch {
 	case f.TargetPeriodicHz == 0 && f.TargetByteHz == 0:
 		return

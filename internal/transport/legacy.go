@@ -30,9 +30,11 @@ type legacySender struct {
 }
 
 // A legacy receiver acknowledges on its own policy's schedule and the
-// estimator already contains that delay: no separate hold budget.
-func (l *legacySender) rtoHold(sim.Time) sim.Time { return 0 }
-func (l *legacySender) rackHold() sim.Time        { return 0 }
+// estimator already contains that delay: no separate hold budget, and no
+// interval for the controller to provision.
+func (l *legacySender) rtoHold(sim.Time) sim.Time              { return 0 }
+func (l *legacySender) rackHold() sim.Time                     { return 0 }
+func (l *legacySender) ackInterval(float64, sim.Time) sim.Time { return 0 }
 
 func (l *legacySender) absorb(now sim.Time, p *packet.Packet) ackSample {
 	a, s := p.Ack, l.s

@@ -746,30 +746,12 @@ func (r tackReceiver) fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kin
 	}
 }
 
-// targetHz evaluates Eq. 3 with the same discretizations the live policy
-// applies (the MinInterval α floor; byte-count threshold crossed only on
-// whole-packet arrivals).
+// targetHz is Eq. 3's frequency at the receiver's delivery-rate and RTTmin
+// state, with the discretizations the live policy applies.
 func (r tackReceiver) targetHz() float64 {
-	beta, l := r.cfg.Params.Beta, r.cfg.Params.L
-	var periodicHz float64
-	if r.rttMin > 0 && beta > 0 {
-		alpha := r.rttMin / sim.Time(beta)
-		if alpha < ackpolicy.MinInterval {
-			alpha = ackpolicy.MinInterval
-		}
-		periodicHz = 1 / alpha.Seconds()
+	iv := ackpolicy.Interval(r.cfg.Params.Beta, r.cfg.Params.L, r.cfg.Payload, r.deliv.MaxBps(r.loop.Now()), r.rttMin)
+	if iv == 0 {
+		return 0
 	}
-	var byteHz float64
-	if bw := r.deliv.MaxBps(r.loop.Now()); bw > 0 && l > 0 && r.cfg.Payload > 0 {
-		pktsPerAck := (l*mss + r.cfg.Payload - 1) / r.cfg.Payload
-		byteHz = bw / 8 / float64(pktsPerAck*r.cfg.Payload)
-	}
-	switch {
-	case periodicHz == 0:
-		return byteHz
-	case byteHz == 0 || periodicHz <= byteHz:
-		return periodicHz
-	default:
-		return byteHz
-	}
+	return 1 / iv.Seconds()
 }

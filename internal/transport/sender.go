@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/buffer"
 	"github.com/tacktp/tack/internal/cc"
 	"github.com/tacktp/tack/internal/packet"
@@ -771,6 +772,9 @@ type senderScheme interface {
 	// afterAck closes the acknowledgment: recovery exit, and anything the
 	// scheme sends back to the receiver.
 	afterAck(a *packet.AckInfo)
+	// ackInterval is the feedback spacing the receiver keeps at delivery
+	// rate bwBps and RTTmin rttMin (cc.Ack.AckInterval).
+	ackInterval(bwBps float64, rttMin sim.Time) sim.Time
 }
 
 // ackSample is what a scheme extracts from one acknowledgment.
@@ -887,6 +891,12 @@ func (s tackSender) absorb(now sim.Time, p *packet.Packet) ackSample {
 }
 
 func (s tackSender) lossEpisodeBegan() { s.recoverPkt = s.nextPktSeq }
+
+// ackInterval: the receiver paces its TACKs by Eq. 3 at the delivery rate it
+// syncs in every acknowledgment and the RTTmin this sender syncs to it.
+func (s tackSender) ackInterval(bwBps float64, rttMin sim.Time) sim.Time {
+	return ackpolicy.Interval(s.cfg.Params.Beta, s.cfg.Params.L, s.cfg.Payload, bwBps, rttMin)
+}
 
 func (s tackSender) afterAck(*packet.AckInfo) {
 	if s.inRecovery && s.largestAckedPkt >= s.recoverPkt {
@@ -1017,6 +1027,7 @@ func (s *Sender) onAck(p *packet.Packet) {
 		DeliveryRate: got.deliveryRate,
 		Inflight:     s.Inflight(),
 		AppLimited:   !s.StreamBacklog() && s.buf.Len() == 0,
+		AckInterval:  s.scheme.ackInterval(got.deliveryRate, min),
 	})
 	s.enterLossEpisode(now, lostBytes)
 	s.pacer.SetRate(now, s.ctrl.PacingRate())
