@@ -59,9 +59,20 @@ import (
 
 // Datapath batching parameters.
 const (
-	// readBatchSize bounds how many datagrams one recvmmsg drains; under
-	// load a single syscall amortizes across the whole batch.
-	readBatchSize = 32
+	// readBatchSize is how many maxDatagram slots a socket's reader owns:
+	// one recvmmsg fills at most that many, and with UDP GRO each slot can
+	// hold a whole segment train, so a read already returns several times
+	// this many datagrams. Every slot is resident for the socket's life.
+	readBatchSize = 8
+	// drainBurst bounds how many queued packets a shard handles per
+	// wake-up before it runs its timers and flushes.
+	drainBurst = 64
+	// shardQueue is how many decoded packets may wait for one shard. A
+	// shard descheduled for a few milliseconds receives everything its
+	// connections have in flight, and a window covers the TACK interval:
+	// one fast loopback flow keeps about 1 MB there, which overflowed 1024
+	// slots (1.5 MB of DATA).
+	shardQueue = 4096
 	// maxDatagram is the largest decodable datagram (a payload length is
 	// 16 bits, so the wire format tops out just past 64 KiB).
 	maxDatagram = 64 << 10

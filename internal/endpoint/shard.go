@@ -92,7 +92,7 @@ func newShard(ep *Endpoint, sock *epSocket) *shard {
 	return &shard{
 		ep:         ep,
 		sock:       sock,
-		in:         make(chan shardMsg, 1024),
+		in:         make(chan shardMsg, shardQueue),
 		conns:      map[uint32]*Conn{},
 		loop:       sim.NewLoop(now.UnixNano()),
 		epoch:      now,
@@ -169,7 +169,7 @@ func (sh *shard) run() {
 		drain:
 			// Bounded opportunistic drain: batch the rest of the burst
 			// without starving the timers or spinning forever.
-			for i := 0; i < 2*readBatchSize; i++ {
+			for i := 0; i < drainBurst; i++ {
 				select {
 				case m := <-sh.in:
 					sh.handle(m)
