@@ -40,6 +40,27 @@ var bbrCycle = []float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 // receiver and synced inside TACKs, paper §5.3). Since one pacing-rate
 // update per TACK interval suffices — BBR's own gain-cycle steps are RTT
 // granular — BBR tolerates the excessively delayed ACK clock.
+//
+// The window knows that clock (Ack.AckInterval). Nothing in flight is
+// released before the next acknowledgment, so the window must hold what
+// the flow delivers over RTTmin plus the ack interval. The cwnd gain's
+// headroom over the BDP already absorbs a hold of one RTTmin (as in Linux,
+// where it covers delayed ACKs), so only the interval's excess over RTTmin
+// is provisioned, at the same gain:
+//
+//	cwnd = gain·bw·RTTmin + max(gain·ackRate·max(0, interval − RTTmin), extraAcked)
+//
+// The excess is zero wherever the interval is RTTmin/β. It appears where
+// the α floor (ackpolicy.MinInterval) or the byte-counting bound holds the
+// interval above RTTmin: sub-millisecond paths and slow links. It is
+// provisioned at ackRate, the rate the acknowledgments report delivered,
+// not at bw: on a host-bound path the receiver drains its own input
+// backlog faster than it sustains, which inflates the max-filtered bw, and
+// a window that grew with bw would feed that backlog. The aggregation
+// allowance (extraAcked) sees one interval's delivery arrive in one
+// acknowledgment too, so the window takes the larger of the two rather
+// than their sum: the interval is counted once, and a flow too short to
+// have an ackRate sample keeps the allowance it had.
 type BBR struct {
 	bwFilt *rate.Filter // bottleneck bandwidth, bits/s
 	minRTT sim.Time
@@ -72,7 +93,20 @@ type BBR struct {
 	ackEpochStart sim.Time
 	ackEpochAcked int64
 	haveAckEpoch  bool
+
+	// The acknowledgment clock: the feedback interval the sender asked
+	// for, and ackRate (bytes/s), the delivery the acknowledgments report,
+	// measured over spans of at least ackSpanIntervals intervals so that
+	// one acknowledgment of a drained backlog is averaged with the
+	// intervals that built it.
+	ackInterval sim.Time
+	ackRate     float64
+	spanStart   sim.Time
+	spanBytes   int64
 }
+
+// ackSpanIntervals is how many feedback intervals one ackRate sample spans.
+const ackSpanIntervals = 4
 
 // NewBBR constructs a BBR controller.
 func NewBBR() *BBR {
@@ -121,6 +155,7 @@ func (b *BBR) OnAck(a Ack) {
 	if a.DeliveryRate > 0 && !a.AppLimited {
 		b.bwFilt.Update(now, a.DeliveryRate)
 	}
+	b.updateAckClock(now, a)
 	b.updateAckAggregation(now, a)
 	// The bottleneck-bandwidth filter spans ~10 round trips (BBR v1), so
 	// transient startup spikes age out promptly on long-RTT paths.
@@ -214,6 +249,33 @@ func (b *BBR) advanceCycle(now sim.Time, inflight int) {
 	}
 }
 
+// updateAckClock records the feedback interval and samples ackRate. An
+// app-limited acknowledgment restarts the span: it says nothing about the
+// rate the path sustains.
+func (b *BBR) updateAckClock(now sim.Time, a Ack) {
+	b.ackInterval = a.AckInterval
+	if a.AckInterval <= 0 {
+		return
+	}
+	if a.AppLimited || b.spanStart == 0 {
+		b.spanStart, b.spanBytes = now, 0
+		return
+	}
+	b.spanBytes += int64(a.Bytes)
+	if span := now - b.spanStart; span >= ackSpanIntervals*a.AckInterval {
+		b.ackRate = float64(b.spanBytes) / span.Seconds()
+		b.spanStart, b.spanBytes = now, 0
+	}
+}
+
+// intervalExcess is the part of the feedback interval beyond RTTmin.
+func (b *BBR) intervalExcess() sim.Time {
+	if b.ackInterval <= b.minRTT {
+		return 0
+	}
+	return b.ackInterval - b.minRTT
+}
+
 // updateAckAggregation measures how far ACK credit runs ahead of the
 // bandwidth estimate within an aggregation epoch; the windowed maximum is
 // provisioned on top of the BDP-based window.
@@ -250,17 +312,21 @@ func (b *BBR) updateAckAggregation(now sim.Time, a Ack) {
 // extraAcked returns the aggregation allowance in bytes.
 func (b *BBR) extraAcked() int { return int(b.extraFilt.Get(b.lastNow)) }
 
+// target is the window for a cwnd gain (see the type comment).
+func (b *BBR) target(gain float64) int {
+	return b.bdpBytes(gain) + max(int(gain*b.ackRate*b.intervalExcess().Seconds()), b.extraAcked())
+}
+
 func (b *BBR) updateCwnd() {
 	switch b.state {
 	case bbrProbeRTT:
 		b.cwnd = 4 * MSS
 	case bbrStartup:
-		target := b.bdpBytes(bbrHighGain) + b.extraAcked()
-		if target > b.cwnd {
+		if target := b.target(bbrHighGain); target > b.cwnd {
 			b.cwnd = target
 		}
 	default:
-		b.cwnd = b.bdpBytes(bbrCwndGain) + b.extraAcked()
+		b.cwnd = b.target(bbrCwndGain)
 	}
 	if b.state != bbrProbeRTT && b.priorCwnd > 0 && b.cwnd < b.priorCwnd && b.state == bbrProbeBW {
 		// Restore window promptly after ProbeRTT.

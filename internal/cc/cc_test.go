@@ -319,3 +319,56 @@ func TestAllControllersSurviveArbitraryFeedback(t *testing.T) {
 		}
 	}
 }
+
+// loopbackFeedback feeds b acknowledgments 1–1.2 ms apart over a 40 µs
+// path, each reporting one interval's delivery at a rate rising from 10 to
+// 408 MB/s — a TACK flow on loopback, where the α floor makes the ack
+// interval 25× RTTmin — and returns the window after each.
+func loopbackFeedback(b *BBR, interval sim.Time) []int {
+	var trace []int
+	now := ms(1)
+	for i := 0; i < 200; i++ {
+		rate := 10e6 + float64(i)*2e6 // bytes/s
+		now += ms(1) + sim.Time(i%3)*100*sim.Microsecond
+		b.OnAck(Ack{Now: now, Bytes: int(rate / 1000), RTT: 40 * sim.Microsecond, SRTT: 40 * sim.Microsecond,
+			MinRTT: 40 * sim.Microsecond, DeliveryRate: rate * 8, Inflight: int(rate / 1000), AckInterval: interval})
+		trace = append(trace, b.CWND())
+	}
+	return trace
+}
+
+// TestBBRWindowCoversAckInterval: told that feedback comes every
+// millisecond, BBR holds at least what one interval delivers. Without it
+// the window is 2·BDP over RTTmin plus a 64-MSS aggregation cap, a third
+// of what the flow needs.
+func TestBBRWindowCoversAckInterval(t *testing.T) {
+	trace := loopbackFeedback(NewBBR(), sim.Millisecond)
+	perInterval := int(408e6 / 1000)
+	if got := trace[len(trace)-1]; got < perInterval || got <= 68*MSS {
+		t.Fatalf("cwnd %d B, want at least one interval's delivery (%d B) and above 68 MSS", got, perInterval)
+	}
+}
+
+// TestBBRZeroAckIntervalKeepsWindowTrace: with AckInterval 0 (legacy
+// acknowledgments) the window follows the trace it had before the ack
+// clock existed, value for value.
+func TestBBRZeroAckIntervalKeepsWindowTrace(t *testing.T) {
+	want := []int{
+		16000, 16000, 16000, 22000, 22000, 22000, 22000, 30000, 30000, 30000,
+		30000, 38000, 38000, 38000, 38000, 38000, 48000, 48000, 48000, 48000,
+		48000, 58000, 58000, 58000, 58000, 58000, 68000, 68000, 68000, 68000,
+		68000, 68000, 80000, 80080, 80240, 80400, 80560, 80720, 92880, 93040,
+		93200, 93360, 93520, 93680,
+	}
+	// From ack 44 the aggregation cap holds and the BDP term grows by
+	// 2 · 2 MB/s · 40 µs = 160 B per acknowledgment.
+	for v := 103840; len(want) < 200; v += 160 {
+		want = append(want, v)
+	}
+	got := loopbackFeedback(NewBBR(), 0)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cwnd after ack %d = %d, want %d", i, got[i], want[i])
+		}
+	}
+}

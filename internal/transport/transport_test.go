@@ -76,6 +76,27 @@ func TestBoundedTransferCompletesTACK(t *testing.T) {
 	}
 }
 
+// TestLoopbackTransferFillsTheAckInterval moves 32 MiB over a 10 Gbit/s,
+// 2 × 20 µs path: RTTmin 40 µs, so the α floor spaces TACKs 25 RTTmin
+// apart. A window sized to RTTmin and a 64-MSS aggregation cap delivered
+// one small window per millisecond (20.1 MB/s); one that provisions the
+// interval the sender asked for runs more than twice as fast.
+func TestLoopbackTransferFillsTheAckInterval(t *testing.T) {
+	const size = 32 << 20
+	h := newHarness(t, 1, Config{Mode: ModeTACK, TransferBytes: size}, 10e9, 20*sim.Microsecond, 0, 0)
+	var doneAt sim.Time
+	h.snd.OnDone = func() { doneAt = h.loop.Now() }
+	h.run(10 * sim.Second)
+	if doneAt == 0 {
+		t.Fatalf("transfer incomplete: acked %d of %d", h.snd.CumAcked(), size)
+	}
+	goodput := float64(size) / doneAt.Seconds() / 1e6
+	t.Logf("%.1f MB/s, cwnd %d B, %d acks, %d retransmits", goodput, h.snd.CWND(), h.rcv.Stats.AcksSent(), h.snd.Stats.Retransmits)
+	if goodput < 2*20.1 {
+		t.Errorf("goodput %.1f MB/s, want at least twice the 20.1 MB/s of an RTTmin-sized window", goodput)
+	}
+}
+
 func TestBoundedTransferCompletesLegacy(t *testing.T) {
 	const size = 1 << 20
 	h := newHarness(t, 3, Config{Mode: ModeLegacy, TransferBytes: size}, 50e6, ms(10), 0, 0)
