@@ -268,14 +268,6 @@ func (b *BBR) updateAckClock(now sim.Time, a Ack) {
 	}
 }
 
-// intervalExcess is the part of the feedback interval beyond RTTmin.
-func (b *BBR) intervalExcess() sim.Time {
-	if b.ackInterval <= b.minRTT {
-		return 0
-	}
-	return b.ackInterval - b.minRTT
-}
-
 // updateAckAggregation measures how far ACK credit runs ahead of the
 // bandwidth estimate within an aggregation epoch; the windowed maximum is
 // provisioned on top of the BDP-based window.
@@ -314,7 +306,11 @@ func (b *BBR) extraAcked() int { return int(b.extraFilt.Get(b.lastNow)) }
 
 // target is the window for a cwnd gain (see the type comment).
 func (b *BBR) target(gain float64) int {
-	return b.bdpBytes(gain) + max(int(gain*b.ackRate*b.intervalExcess().Seconds()), b.extraAcked())
+	interval := 0
+	if excess := b.ackInterval - b.minRTT; excess > 0 {
+		interval = int(gain * b.ackRate * excess.Seconds())
+	}
+	return b.bdpBytes(gain) + max(interval, b.extraAcked())
 }
 
 func (b *BBR) updateCwnd() {
