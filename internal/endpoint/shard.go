@@ -462,13 +462,24 @@ func (sh *shard) establish(c *Conn) {
 }
 
 // checkDone detects transfer completion. Sender connections are removed
-// as soon as every byte is acknowledged; receiver connections linger for
-// completeLinger so tail retransmissions still get re-acknowledged.
+// as soon as every byte is acknowledged, unless a tail probe is still in
+// flight: the peer will acknowledge it, so the connection finishes and
+// lingers as a closing one does, and that acknowledgment finds it instead
+// of counting as a packet for an unknown connection. Receiver connections
+// linger for completeLinger so tail retransmissions still get
+// re-acknowledged.
 func (sh *shard) checkDone(c *Conn) {
 	if c.closing {
 		return
 	}
 	if c.snd != nil && c.snd.Done() {
+		if c.snd.ProbeInFlight() {
+			c.closing = true
+			c.closeDeadline = sh.now.Add(closeLinger)
+			sh.poke(c)
+			c.finish(nil)
+			return
+		}
 		sh.remove(c, nil)
 		return
 	}
@@ -502,7 +513,7 @@ func (sh *shard) housekeep(c *Conn) {
 		return false
 	}
 	switch {
-	case c.closing: // FINACK never came; tear down anyway
+	case c.closing: // the FINACK or the probe's acknowledgment never came
 		if due(c.closeDeadline) {
 			sh.remove(c, nil)
 			return
