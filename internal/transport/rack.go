@@ -141,13 +141,6 @@ func (r *rackState) probeTimeout(srtt, minRTT sim.Time) sim.Time {
 	return probeTimeoutMult*srtt + hold
 }
 
-// ProbeInFlight reports whether the latest tail loss probe went out under a
-// packet number the peer has not acknowledged: its acknowledgment is still
-// to come, even once every byte is acknowledged (the probe was spurious).
-func (s *Sender) ProbeInFlight() bool {
-	return s.rack != nil && s.Stats.TLPProbes > 0 && s.rack.tlpHighPkt > s.largestAckedPkt
-}
-
 // --- Sender side: the scan, its re-check timer and the tail probe. ---
 
 // rackDetect runs the RFC 8985 scan: every unacked segment sent at or
@@ -246,4 +239,11 @@ func (s *Sender) onTLP() {
 	// RFC 8985 §7.3: the probe restarts the timeout so the RTO measures
 	// from the most recent transmission.
 	s.rtoTimer.ResetAfter(s.rto())
+}
+
+// ProbeInFlight reports whether the latest tail loss probe went out under a
+// packet number the peer has not acknowledged: its acknowledgment is still
+// to come, even once every byte is acknowledged (the probe was spurious).
+func (s *Sender) ProbeInFlight() bool {
+	return s.rack != nil && s.Stats.TLPProbes > 0 && s.rack.tlpHighPkt > s.largestAckedPkt
 }
