@@ -40,11 +40,13 @@ const (
 const TailDelay = 200 * sim.Millisecond
 
 // MinInterval is the floor of the TACK spacing α = RTTmin/β. The reason is
-// the sender's window model, not the clock: at sub-millisecond RTTs a
-// rate-based controller's window is little more than its allowance for
-// aggregated acknowledgments, which TACKs paced faster than this shrink
-// until the flow stalls (at 250 µs a loopback transfer never completes).
-// The TACK policy, Receiver.AckTargetHz and the sender's PTO all read it.
+// the clock that serves it: an endpoint's timers are no more punctual than
+// a millisecond, so a finer spacing adds acknowledgments without adding
+// feedback. The sender's window provisions whatever interval results
+// (cc.Ack.AckInterval), so on a sub-millisecond path the floor costs
+// window, not throughput. Interval, and through it the TACK policy,
+// Receiver.AckTargetHz and the sender's window, read it; so does the
+// sender's probe timeout.
 const MinInterval = sim.Millisecond
 
 // Interval returns Eq. 3's acknowledgment spacing 1/f_tack: the longer of

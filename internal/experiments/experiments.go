@@ -1,10 +1,11 @@
 // Package experiments is the in-simulation evaluation harness. It
 // reproduces every table and figure of the TACK paper's evaluation (§3.2,
 // §5, §6 and the appendices) under the paper's figure id (fig1 … fig17),
-// the paper's §7 discussion points as ext-*, and the A/B comparisons that
-// justify the features grown on top of the paper (streams, RACK-TLP, FEC)
-// as ab-*. The tackbench command runs any of them by id; the package's
-// tests gate the ab-* headline numbers.
+// the paper's §7 discussion points and the benchmark's WAN path as ext-*,
+// and the A/B comparisons that justify the features grown on top of the
+// paper (streams, RACK-TLP, FEC) as ab-*. The tackbench command runs any of
+// them by id; the package's tests gate the ab-* headline numbers and the
+// paper's verdicts (verdict_test.go).
 //
 // Absolute numbers depend on the simulated substrate; the experiments are
 // judged on the paper's qualitative shape (who wins, by roughly what
