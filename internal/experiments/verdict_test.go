@@ -12,7 +12,8 @@ import (
 // The goldens pin a table's bytes; these pin its meaning, so a change that
 // moves a table on purpose (and regenerates the golden) still fails here if
 // it flips a row. Each failure names the row and the cause the summary
-// gives for it. Rows that need full mode skip under -short.
+// gives for it. Like the goldens they skip under -short: the simulations
+// are single-goroutine, so the race job gains nothing from them.
 
 // cellSep splits a rendered table row into cells: stats.Table pads columns
 // and joins them with two spaces, and no cell holds two spaces in a row.
@@ -24,6 +25,9 @@ type table []map[string]string
 // runTable runs experiment id and parses its first table.
 func runTable(t *testing.T, id string, opt Options) table {
 	t.Helper()
+	if testing.Short() {
+		t.Skip("short mode")
+	}
 	r, err := Run(id, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
@@ -123,9 +127,6 @@ func TestVerdictFig5bRichHoldsUnderAckLoss(t *testing.T) {
 // estimator's flow queues less than the sampling one's. Full mode: the
 // quick run ends inside startup, where the two arms trade places by seed.
 func TestVerdictFig6bAdvancedTimingLowersOWD(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full mode")
-	}
 	for seed := int64(1); seed <= 3; seed++ {
 		tb := runTable(t, "fig6b", Options{Seed: seed})
 		before := num(t, tb.row(t, "Timing", "sampling (before)")["95th pct OWD"])
@@ -157,12 +158,10 @@ func TestVerdictFig13QuickCasesWin(t *testing.T) {
 	fig13Wins(t, runTable(t, "fig13", quickAt(1)), "1", "2")
 }
 
-// TestVerdictFig13Full: TACK wins cases 1–3; case 4 is pinned at the
-// partial verdict it has; the ACK count tracks Eq. 3 across RTT.
+// TestVerdictFig13Full (full mode, where cases 3–4 exist): TACK wins cases
+// 1–3; case 4 is pinned at the partial verdict it has; the ACK count tracks
+// Eq. 3 across RTT.
 func TestVerdictFig13Full(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full mode: cases 3-4 exist only there")
-	}
 	tb := runTable(t, "fig13", Options{})
 	fig13Wins(t, tb, "1", "2", "3")
 	c4 := tb.row(t, "Case", "4")
