@@ -287,11 +287,9 @@ func (p *Periodic) Update(float64, sim.Time) {}
 // (α = RTTmin/β) are satisfied, realizing f = min(f_b, f_pack) (Eq. 3).
 type TACK struct {
 	base
-	beta int
-	l    int
-
-	rttMin sim.Time
-	alpha  sim.Time
+	beta  int
+	l     int
+	alpha sim.Time
 }
 
 // NewTACK returns the TACK discipline with the given β and L
@@ -315,7 +313,6 @@ func (t *TACK) Name() string { return fmt.Sprintf("tack(beta=%d,L=%d)", t.beta, 
 // conservative 25 ms spacing applies. The byte-counting half of Eq. 3 needs
 // no rate: OnData counts the bytes themselves.
 func (t *TACK) Update(_ float64, rttMin sim.Time) {
-	t.rttMin = rttMin
 	if t.alpha = Interval(t.beta, t.l, MSS, 0, rttMin); t.alpha == 0 {
 		t.alpha = 25 * sim.Millisecond
 	}

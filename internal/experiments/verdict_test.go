@@ -69,7 +69,7 @@ func (tb table) row(t *testing.T, col, key string) map[string]string {
 func num(t *testing.T, cell string) float64 {
 	t.Helper()
 	if strings.HasSuffix(cell, "s") {
-		d, err := time.ParseDuration(strings.Replace(cell, "µs", "us", 1))
+		d, err := time.ParseDuration(cell)
 		if err != nil {
 			t.Fatalf("cell %q: %v", cell, err)
 		}
