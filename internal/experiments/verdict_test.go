@@ -86,11 +86,11 @@ func quickAt(seed int64) Options { return Options{Quick: true, Seed: seed} }
 
 // fig5bSeeds and fig5bTolerance: the quick fig5b run is one seed and
 // mostly startup, so the verdict is taken on the mean over eight seeds.
-// The tolerance is twice the standard error of that mean at the parent of
-// the change that introduced this test: rich − poor had a per-seed
-// standard deviation of 2.05 points at 0.2 % ACK loss and 4.72 at 10 %
-// over seeds 1–16 (means −0.57 and −1.32: in quick mode the two arms are
-// indistinguishable, and rich must not fall behind).
+// The tolerance is twice the standard error of that mean as measured when
+// this test was written: rich − poor had a per-seed standard deviation of
+// 2.05 points at 0.2 % ACK loss and 4.72 at 10 % over seeds 1–16 (means
+// −0.57 and −1.32: in quick mode the two arms are indistinguishable, and
+// rich must not fall behind).
 const fig5bSeeds = 8
 
 var fig5bTolerance = map[string]float64{"0.2%": 1.5, "10.0%": 3.4}
