@@ -31,10 +31,12 @@ type legacySender struct {
 
 // A legacy receiver acknowledges on its own policy's schedule and the
 // estimator already contains that delay: no separate hold budget, and no
-// interval for the controller to provision.
+// interval for the controller to provision. Its acknowledgments name bytes,
+// never packet numbers.
 func (l *legacySender) rtoHold(sim.Time) sim.Time              { return 0 }
 func (l *legacySender) rackHold() sim.Time                     { return 0 }
 func (l *legacySender) ackInterval(float64, sim.Time) sim.Time { return 0 }
+func (l *legacySender) acksPktNumbers() bool                   { return false }
 
 func (l *legacySender) absorb(now sim.Time, p *packet.Packet) ackSample {
 	a, s := p.Ack, l.s

@@ -244,6 +244,9 @@ func (s *Sender) onTLP() {
 // ProbeInFlight reports whether the latest tail loss probe went out under a
 // packet number the peer has not acknowledged: its acknowledgment is still
 // to come, even once every byte is acknowledged (the probe was spurious).
+// It is false under a scheme whose acknowledgments carry no packet numbers:
+// there no acknowledgment can be told to answer the probe.
 func (s *Sender) ProbeInFlight() bool {
-	return s.rack != nil && s.Stats.TLPProbes > 0 && s.rack.tlpHighPkt > s.largestAckedPkt
+	return s.rack != nil && s.scheme.acksPktNumbers() && s.Stats.TLPProbes > 0 &&
+		s.rack.tlpHighPkt > s.largestAckedPkt
 }

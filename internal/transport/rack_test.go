@@ -157,37 +157,46 @@ func TestTLPRestartsRTO(t *testing.T) {
 // TestProbeInFlightUntilItsAckArrives delays the tail's first transmission
 // past the probe timeout, so the probe is spurious: the original's
 // acknowledgment completes the transfer while the probe is still on its
-// way, and the probe's own acknowledgment arrives after.
+// way, and the probe's own acknowledgment arrives after. Legacy
+// acknowledgments name no packet numbers, so there the probe is never
+// reported in flight: no acknowledgment could be told to answer it.
 func TestProbeInFlightUntilItsAckArrives(t *testing.T) {
-	loop := sim.NewLoop(56)
-	h := &harness{loop: loop}
-	fwdCfg, revCfg := netem.Symmetric(50e6, ms(10), 0, 0, 0)
-	h.fwd = netem.NewLink(loop, fwdCfg, func(pl any, n int) { h.rcv.OnPacket(pl.(*packet.Packet)) })
-	h.rev = netem.NewLink(loop, revCfg, func(pl any, n int) { h.snd.OnPacket(pl.(*packet.Packet)) })
-	cfg := Config{Mode: ModeTACK, TransferBytes: 32 << 10}
-	snd, err := NewSender(loop, cfg, func(p *packet.Packet) {
-		if p.FIN && !p.Retrans {
-			loop.After(ms(40), func() { h.fwd.Send(p, p.WireSize()) })
-			return
-		}
-		h.fwd.Send(p, p.WireSize())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.snd = snd
-	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.WireSize()) })
-	atDone := false
-	snd.OnDone = func() { atDone = snd.ProbeInFlight() }
-	h.run(5 * sim.Second)
-	if !snd.Done() || snd.Stats.TLPProbes != 1 {
-		t.Fatalf("done %v after %d probes, want done after exactly one", snd.Done(), snd.Stats.TLPProbes)
-	}
-	if !atDone {
-		t.Error("at completion the spurious probe's acknowledgment was still due, but ProbeInFlight = false")
-	}
-	if snd.ProbeInFlight() {
-		t.Error("the probe's acknowledgment arrived, but ProbeInFlight = true")
+	for _, tc := range []struct {
+		mode   Mode
+		atDone bool
+	}{{ModeTACK, true}, {ModeLegacy, false}} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			loop := sim.NewLoop(56)
+			h := &harness{loop: loop}
+			fwdCfg, revCfg := netem.Symmetric(50e6, ms(10), 0, 0, 0)
+			h.fwd = netem.NewLink(loop, fwdCfg, func(pl any, n int) { h.rcv.OnPacket(pl.(*packet.Packet)) })
+			h.rev = netem.NewLink(loop, revCfg, func(pl any, n int) { h.snd.OnPacket(pl.(*packet.Packet)) })
+			cfg := Config{Mode: tc.mode, TransferBytes: 32 << 10}
+			snd, err := NewSender(loop, cfg, func(p *packet.Packet) {
+				if p.FIN && !p.Retrans {
+					loop.After(ms(40), func() { h.fwd.Send(p, p.WireSize()) })
+					return
+				}
+				h.fwd.Send(p, p.WireSize())
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.snd = snd
+			h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.WireSize()) })
+			atDone := !tc.atDone
+			snd.OnDone = func() { atDone = snd.ProbeInFlight() }
+			h.run(5 * sim.Second)
+			if !snd.Done() || snd.Stats.TLPProbes != 1 {
+				t.Fatalf("done %v after %d probes, want done after exactly one", snd.Done(), snd.Stats.TLPProbes)
+			}
+			if atDone != tc.atDone {
+				t.Errorf("at completion, with the spurious probe's acknowledgment still due, ProbeInFlight = %v, want %v", atDone, tc.atDone)
+			}
+			if snd.ProbeInFlight() {
+				t.Error("the probe's acknowledgment arrived, but ProbeInFlight = true")
+			}
+		})
 	}
 }
 

@@ -775,6 +775,10 @@ type senderScheme interface {
 	// ackInterval is the feedback spacing the receiver keeps at delivery
 	// rate bwBps and RTTmin rttMin (cc.Ack.AckInterval).
 	ackInterval(bwBps float64, rttMin sim.Time) sim.Time
+	// acksPktNumbers reports whether the peer's acknowledgments name packet
+	// numbers, so a retransmission's acknowledgment is told from its
+	// original's (ProbeInFlight).
+	acksPktNumbers() bool
 }
 
 // ackSample is what a scheme extracts from one acknowledgment.
@@ -897,6 +901,8 @@ func (s tackSender) lossEpisodeBegan() { s.recoverPkt = s.nextPktSeq }
 func (s tackSender) ackInterval(bwBps float64, rttMin sim.Time) sim.Time {
 	return ackpolicy.Interval(s.cfg.Params.Beta, s.cfg.Params.L, s.cfg.Payload, bwBps, rttMin)
 }
+
+func (s tackSender) acksPktNumbers() bool { return true }
 
 func (s tackSender) afterAck(*packet.AckInfo) {
 	if s.inRecovery && s.largestAckedPkt >= s.recoverPkt {
