@@ -19,7 +19,8 @@ const (
 	// have seen the final TACK yet).
 	completeLinger = time.Second
 	// closeLinger bounds how long a FIN-closed connection waits for the
-	// peer's FINACK before being torn down anyway.
+	// peer's FINACK, and a finished sender for the acknowledgment of its
+	// tail probe, before being torn down anyway.
 	closeLinger = 500 * time.Millisecond
 )
 

@@ -463,24 +463,23 @@ func (sh *shard) establish(c *Conn) {
 
 // checkDone detects transfer completion. Sender connections are removed
 // as soon as every byte is acknowledged, unless a tail probe is still in
-// flight: the peer will acknowledge it, so the connection finishes and
-// lingers as a closing one does, and that acknowledgment finds it instead
-// of counting as a packet for an unknown connection. Receiver connections
-// linger for completeLinger so tail retransmissions still get
-// re-acknowledged.
+// flight: the peer will acknowledge it, so the connection stays registered
+// until that acknowledgment arrives (this runs again for it) or
+// closeLinger passes, and the acknowledgment finds it instead of counting
+// as a packet for an unknown connection. Wait returns at the removal, as
+// always. Receiver connections linger for completeLinger so tail
+// retransmissions still get re-acknowledged.
 func (sh *shard) checkDone(c *Conn) {
 	if c.closing {
 		return
 	}
 	if c.snd != nil && c.snd.Done() {
-		if c.snd.ProbeInFlight() {
-			c.closing = true
+		if !c.snd.ProbeInFlight() {
+			sh.remove(c, nil)
+		} else if c.closeDeadline.IsZero() {
 			c.closeDeadline = sh.now.Add(closeLinger)
 			sh.poke(c)
-			c.finish(nil)
-			return
 		}
-		sh.remove(c, nil)
 		return
 	}
 	if c.rcv != nil && c.rcv.Complete() && c.completeAt.IsZero() {
@@ -513,7 +512,9 @@ func (sh *shard) housekeep(c *Conn) {
 		return false
 	}
 	switch {
-	case c.closing: // the FINACK or the probe's acknowledgment never came
+	case c.closing, c.snd != nil && c.snd.Done():
+		// The FINACK, or the acknowledgment of a finished sender's probe,
+		// never came.
 		if due(c.closeDeadline) {
 			sh.remove(c, nil)
 			return

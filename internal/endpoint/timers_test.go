@@ -309,6 +309,86 @@ func TestCloseLingerFiresOnTime(t *testing.T) {
 	}
 }
 
+// TestFinishedSenderAwaitsItsProbesAck plays a receiver that holds its
+// acknowledgment back until the sender's tail loss probe has gone out, then
+// acknowledges the originals: every byte is acknowledged while the probe's
+// own acknowledgment is still due. The connection stays registered and Wait
+// blocked until that acknowledgment arrives; then it is removed, and the
+// sender's counters read after Wait already count it. (Under -race, a shard
+// still driving the sender once Wait returned would be reported here.)
+func TestFinishedSenderAwaitsItsProbesAck(t *testing.T) {
+	const size = 4 << 10
+	peer := newRawPeer(t)
+	reg := telemetry.NewRegistry()
+	cli, err := Listen("127.0.0.1:0", Config{
+		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: reg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var c *Conn
+	dialed := make(chan error, 1)
+	go func() {
+		var err error
+		c, err = cli.Dial(peer.addr())
+		dialed <- err
+	}()
+	syn, from := peer.accept()
+	if err := <-dialed; err != nil {
+		t.Fatal(err)
+	}
+
+	// The originals, then the probe: the newest of them again, under a
+	// fresh packet number.
+	var last uint64
+	var probe *packet.Packet
+	for probe == nil {
+		p, _, _, ok := peer.recv(packet.TypeData, time.Now().Add(5*time.Second))
+		if !ok {
+			t.Fatal("no tail loss probe arrived")
+		}
+		if p.Retrans {
+			probe = p
+		} else {
+			last = p.PktSeq
+		}
+	}
+	ack := func(n, largest uint64) {
+		peer.send(from, &packet.Packet{Type: packet.TypeTACK, ConnID: syn.ConnID,
+			Ack: &packet.AckInfo{CumAck: size, CumPktSeq: largest + 1, LargestPktSeq: largest,
+				AckSeq: n, Window: 1 << 20}})
+	}
+
+	ack(1, last)
+	select {
+	case <-c.Done():
+		t.Fatal("Wait returned while the probe's acknowledgment was still due")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if cli.ConnCount() != 1 {
+		t.Fatalf("finished sender with its probe in flight not registered (conns=%d)", cli.ConnCount())
+	}
+
+	ack(2, probe.PktSeq)
+	acked := time.Now()
+	if err := c.Wait(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(acked); waited > punctual {
+		t.Errorf("Wait returned %v after the probe's acknowledgment, want within %v", waited, punctual)
+	}
+	if n := c.Sender().Stats.AcksReceived; n != 2 {
+		t.Errorf("sender absorbed %d acknowledgments by Wait, want 2 (the originals', the probe's)", n)
+	}
+	if cli.ConnCount() != 0 {
+		t.Errorf("%d connections after Wait", cli.ConnCount())
+	}
+	if n := reg.Counter("ep.demux_drops").Value(); n != 0 {
+		t.Errorf("ep.demux_drops = %d, want 0", n)
+	}
+}
+
 func TestCompleteLingerFiresOnTimeAndLeavesNoTimers(t *testing.T) {
 	srvReg, cliReg := telemetry.NewRegistry(), telemetry.NewRegistry()
 	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: 64 << 10}
