@@ -633,6 +633,13 @@ func (ep *Endpoint) dial(raddr string, owns bool) (*Conn, error) {
 	case <-c.estCh:
 		return c, nil
 	case <-c.doneCh:
+		// A short transfer may complete in the burst that established it,
+		// and select picks either ready case: established is success.
+		select {
+		case <-c.estCh:
+			return c, nil
+		default:
+		}
 		return nil, c.err
 	case <-t.C:
 		c.Close()
