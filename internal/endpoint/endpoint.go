@@ -633,8 +633,8 @@ func (ep *Endpoint) dial(raddr string, owns bool) (*Conn, error) {
 	case <-c.estCh:
 		return c, nil
 	case <-c.doneCh:
-		// A short transfer may complete in the burst that established it,
-		// and select picks either ready case: established is success.
+		// A short transfer may complete before this goroutine runs; select
+		// then picks either ready case, and established is success.
 		select {
 		case <-c.estCh:
 			return c, nil
