@@ -116,7 +116,7 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 		loss:   newLossTracker(),
 		budget: newBlockBudget(cfg.Params),
 		window: newWindowMonitor(cfg.RecvBuf),
-		timing: newReceiverTiming(0),
+		timing: newReceiverTiming(),
 		deliv:  newDeliveryEstimator(sim.Second),
 
 		tracer:       cfg.Tracer,
@@ -198,7 +198,7 @@ func (r *Receiver) FlushStreamWindows() {
 // as a prior until the sender's next RTT-sync IACK overwrites it from its
 // own reseeded estimator.
 func (r *Receiver) OnPathMigration() {
-	r.timing = newReceiverTiming(0)
+	r.timing = newReceiverTiming()
 	r.deliv = newDeliveryEstimator(sim.Second)
 }
 

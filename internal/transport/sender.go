@@ -139,8 +139,8 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		ctrl:      ctrl,
 		pacer:     newPacer(ctrl.PacingRate(), 10*cfg.Payload),
 		buf:       buffer.NewSendBuffer(),
-		timing:    newEstimate(0),
-		legacyRTT: newEstimate(0),
+		timing:    newEstimate(),
+		legacyRTT: newEstimate(),
 		ackLoss:   newAckLossEstimator(),
 		payload:   make([]byte, cfg.Payload),
 
@@ -665,8 +665,8 @@ func (s *Sender) OnPathMigration() {
 		s.ctrl = ctrl
 	}
 	// Reseeded in place: est keeps pointing at the one that drives control.
-	*s.timing = *newEstimate(0)
-	*s.legacyRTT = *newEstimate(0)
+	*s.timing = *newEstimate()
+	*s.legacyRTT = *newEstimate()
 	s.rtoBackoff = 0
 	s.inRecovery = false
 	s.pacer = newPacer(s.ctrl.PacingRate(), 10*s.cfg.Payload)

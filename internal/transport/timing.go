@@ -37,13 +37,9 @@ type estimate struct {
 	count  int
 }
 
-// newEstimate returns an estimator with the given min-filter window
-// (0 selects minWindow).
-func newEstimate(window sim.Time) *estimate {
-	if window <= 0 {
-		window = minWindow
-	}
-	return &estimate{min: rate.NewMinFilter(window)}
+// newEstimate returns an estimator whose min filter spans minWindow.
+func newEstimate() *estimate {
+	return &estimate{min: rate.NewMinFilter(minWindow)}
 }
 
 // Update folds in one RTT sample taken at time now.
@@ -168,14 +164,10 @@ type receiverTiming struct {
 	bestArrival   sim.Time
 }
 
-// newReceiverTiming returns receiver timing state. alpha is the OWD EWMA
-// smoothing factor; the paper's scheme uses an EWMA over per-packet OWD
-// samples (we default to 1/8 when alpha <= 0).
-func newReceiverTiming(alpha float64) *receiverTiming {
-	if alpha <= 0 {
-		alpha = 0.125
-	}
-	return &receiverTiming{alpha: alpha}
+// newReceiverTiming returns receiver timing state. The paper's scheme
+// smooths per-packet OWD samples with an EWMA; its factor is 1/8.
+func newReceiverTiming() *receiverTiming {
+	return &receiverTiming{alpha: 0.125}
 }
 
 // OnData records the arrival of a packet carrying departure timestamp

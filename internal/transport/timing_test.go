@@ -3,11 +3,12 @@ package transport
 import (
 	"testing"
 
+	"github.com/tacktp/tack/internal/rate"
 	"github.com/tacktp/tack/internal/sim"
 )
 
 func TestEstimateFirstSample(t *testing.T) {
-	e := newEstimate(0)
+	e := newEstimate()
 	e.Update(ms(100), ms(50))
 	if e.Smoothed() != ms(50) {
 		t.Fatalf("srtt = %v, want 50ms", e.Smoothed())
@@ -21,7 +22,7 @@ func TestEstimateFirstSample(t *testing.T) {
 }
 
 func TestEstimateSmoothing(t *testing.T) {
-	e := newEstimate(0)
+	e := newEstimate()
 	e.Update(0, ms(100))
 	e.Update(ms(10), ms(200))
 	// srtt = 7/8*100 + 1/8*200 = 112.5ms
@@ -35,7 +36,7 @@ func TestEstimateSmoothing(t *testing.T) {
 }
 
 func TestEstimateIgnoresNonPositive(t *testing.T) {
-	e := newEstimate(0)
+	e := newEstimate()
 	e.Update(0, 0)
 	e.Update(0, -ms(5))
 	if e.Samples() != 0 {
@@ -44,7 +45,8 @@ func TestEstimateIgnoresNonPositive(t *testing.T) {
 }
 
 func TestMinWindowExpiry(t *testing.T) {
-	e := newEstimate(sim.Second)
+	e := newEstimate()
+	e.min = rate.NewMinFilter(sim.Second)
 	e.Update(0, ms(10))
 	e.Update(ms(500), ms(40))
 	if m, _ := e.Min(ms(600)); m != ms(10) {
@@ -60,7 +62,7 @@ func TestMinWindowExpiry(t *testing.T) {
 }
 
 func TestRTO(t *testing.T) {
-	e := newEstimate(0)
+	e := newEstimate()
 	if got := e.RTO(ms(200), ms(60000), ms(1000)); got != ms(1000) {
 		t.Fatalf("fallback RTO = %v", got)
 	}
@@ -80,7 +82,7 @@ func TestRTO(t *testing.T) {
 func TestLegacySamplerBiasUnderAckDelay(t *testing.T) {
 	// True RTT is 100ms but ACKs are delayed 20ms at the receiver: the
 	// legacy sampler over-estimates RTTmin by the ACK delay.
-	s := newEstimate(0)
+	s := newEstimate()
 	for i := int64(0); i < 10; i++ {
 		sent := ms(i * 50)
 		ackArrival := sent + ms(100) + ms(20)
@@ -95,8 +97,8 @@ func TestLegacySamplerBiasUnderAckDelay(t *testing.T) {
 func TestAdvancedTimingCorrectsAckDelay(t *testing.T) {
 	// Same scenario through the advanced path: receiver echoes departure
 	// and Δt, sender recovers the true 100ms RTT.
-	rt := newReceiverTiming(0)
-	st := newEstimate(0)
+	rt := newReceiverTiming()
+	st := newEstimate()
 	owd := ms(50)
 	for i := int64(0); i < 10; i++ {
 		sent := ms(i * 50)
@@ -115,7 +117,8 @@ func TestAdvancedTimingCorrectsAckDelay(t *testing.T) {
 }
 
 func TestReceiverTimingPicksMinOWDPacket(t *testing.T) {
-	rt := newReceiverTiming(1.0) // alpha=1: no smoothing, raw OWD
+	rt := newReceiverTiming()
+	rt.alpha = 1 // no smoothing, raw OWD
 	// Three packets with OWDs 60, 40, 70ms.
 	rt.OnData(ms(60), ms(0))
 	rt.OnData(ms(140), ms(100))
@@ -130,7 +133,8 @@ func TestReceiverTimingPicksMinOWDPacket(t *testing.T) {
 }
 
 func TestReceiverTimingIntervalReset(t *testing.T) {
-	rt := newReceiverTiming(1.0)
+	rt := newReceiverTiming()
+	rt.alpha = 1
 	rt.OnData(ms(60), 0)
 	_ = rt.OnAckSent(ms(70))
 	echo := rt.OnAckSent(ms(80))
@@ -140,7 +144,8 @@ func TestReceiverTimingIntervalReset(t *testing.T) {
 }
 
 func TestReceiverSmoothedAndMinOWD(t *testing.T) {
-	rt := newReceiverTiming(0.5)
+	rt := newReceiverTiming()
+	rt.alpha = 0.5
 	if rt.smooth != nil {
 		t.Fatal("no samples yet")
 	}
@@ -155,7 +160,7 @@ func TestReceiverSmoothedAndMinOWD(t *testing.T) {
 }
 
 func TestSenderTimingIgnoresInvalidEcho(t *testing.T) {
-	st := newEstimate(0)
+	st := newEstimate()
 	st.onEcho(ms(100), echo{})
 	if st.Samples() != 0 {
 		t.Fatal("invalid echo must not produce a sample")
@@ -166,9 +171,9 @@ func TestSenderTimingIgnoresInvalidEcho(t *testing.T) {
 // with a true 100ms floor and jittered queueing plus TACK delays, the legacy
 // estimate should exceed the advanced estimate by a clear margin.
 func TestBiasGapMatchesPaperShape(t *testing.T) {
-	legacy := newEstimate(0)
-	rt := newReceiverTiming(0)
-	st := newEstimate(0)
+	legacy := newEstimate()
+	rt := newReceiverTiming()
+	st := newEstimate()
 	base := ms(50) // one-way
 	for i := int64(0); i < 200; i++ {
 		sent := ms(i * 10)
