@@ -9,7 +9,6 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/topo"
-	"github.com/tacktp/tack/internal/transport"
 )
 
 func init() {
@@ -151,6 +150,3 @@ func runFig10b(opt Options) (*Result, error) {
 		Table: tbl.String(), Notes: notes,
 	}, nil
 }
-
-// ensure transport import is used even if configs change.
-var _ = transport.Config{}
