@@ -17,11 +17,11 @@ const (
 	// completeLinger keeps a completed receiver connection registered so
 	// tail retransmissions still get re-acknowledged (the sender may not
 	// have seen the final TACK yet).
-	completeLinger = time.Second
+	completeLinger = sim.Second
 	// closeLinger bounds how long a FIN-closed connection waits for the
 	// peer's FINACK, and a finished sender for the acknowledgment of its
 	// tail probe, before being torn down anyway.
-	closeLinger = 500 * time.Millisecond
+	closeLinger = 500 * sim.Millisecond
 )
 
 // Conn is one connection half multiplexed on an Endpoint: a sans-IO
@@ -38,39 +38,35 @@ type Conn struct {
 	id   uint32
 	peer *net.UDPAddr
 
-	created time.Time
-
 	// The protocol half, built on the shard goroutine (its timers go on
 	// the shard's loop) before the application sees the connection.
 	snd *transport.Sender
 	rcv *transport.Receiver
 
 	// Shard-owned lifecycle state: only the owning shard goroutine touches
-	// these after registration.
+	// it after registration, and its times are on the shard's loop.
 	established   bool
 	closing       bool
-	closeDeadline time.Time
-	completeAt    time.Time
-	lastRecv      time.Time
-	lastSent      time.Time
+	created       sim.Time
+	closeDeadline sim.Time
+	completeAt    sim.Time
+	lastRecv      sim.Time
+	lastSent      sim.Time
 	// Embryo SYNACK retransmission schedule (receiver side only).
 	hsRetries int
-	nextHS    time.Time
+	nextHS    sim.Time
 
 	// hk is the housekeeping timer on the shard loop, set to the earliest
 	// lifecycle deadline (see shard.housekeep) — including, while packets
 	// keep arriving or leaving (lastActive), nextRefresh: the next
-	// snapshot/anomaly pass, zero while there is none to run.
+	// snapshot/anomaly pass, unset while there is none to run.
 	hk          *sim.Timer
-	nextRefresh time.Time
-	lastActive  time.Time
+	nextRefresh sim.Time
+	lastActive  sim.Time
 
-	// Path-migration state machine (shard-owned; see migration.go).
-	// migAddr is the candidate peer address under (or failed) validation;
-	// migRx/migTx are the anti-amplification byte counters of the current
-	// probing episode; migNext/migDeadline drive the challenge retransmit
-	// schedule from the housekeeping timer, and migBlocked marks a
-	// challenge held back by the budget until the candidate sends more.
+	// Path-migration state (shard-owned; see migration.go): the candidate
+	// address and token, the episode's anti-amplification byte counts and
+	// challenge schedule, and migBlocked, a challenge the budget holds back.
 	migState      pathState
 	migAddr       *net.UDPAddr
 	migToken      uint64
@@ -79,9 +75,9 @@ type Conn struct {
 	migRetries    int
 	migChallenges int
 	migBlocked    bool
-	migNext       time.Time
-	migDeadline   time.Time
-	migStarted    time.Time
+	migNext       sim.Time
+	migDeadline   sim.Time
+	migStarted    sim.Time
 	migCompleted  int64 // validated migrations over the connection's life
 
 	// kickQueued dedups pending stream kicks; guarded by sh.kickMu.
@@ -111,16 +107,18 @@ type Conn struct {
 }
 
 // newConn builds the shared connection scaffolding; the caller assigns
-// id + shard and attaches the protocol half.
-func (ep *Endpoint) newConn(peer *net.UDPAddr, now time.Time) *Conn {
+// id + shard and attaches the protocol half, and the shard's add starts
+// its clocks.
+func (ep *Endpoint) newConn(peer *net.UDPAddr) *Conn {
 	return &Conn{
-		ep:       ep,
-		peer:     peer,
-		created:  now,
-		lastRecv: now,
-		lastSent: now,
-		estCh:    make(chan struct{}),
-		doneCh:   make(chan struct{}),
+		ep:            ep,
+		peer:          peer,
+		closeDeadline: unset,
+		completeAt:    unset,
+		nextRefresh:   unset,
+		anom:          anomalyState{lastProgress: unset, wndBlockedSince: unset},
+		estCh:         make(chan struct{}),
+		doneCh:        make(chan struct{}),
 	}
 }
 
@@ -163,7 +161,7 @@ func (c *Conn) StateSnapshot() *ConnState {
 // the packet is encoded into a pooled buffer and coalesced with the rest
 // of the burst into one batched write.
 func (c *Conn) output(p *packet.Packet) {
-	c.lastSent = c.sh.now
+	c.lastSent = c.sh.loop.Now()
 	c.sh.touch(c)
 	c.sh.enqueue(p, c.peer)
 }
@@ -251,7 +249,12 @@ func (c *Conn) AcceptStream(timeout time.Duration) (*stream.RecvStream, error) {
 // re-acknowledging tail retransmissions — or the zero time if the
 // connection never completed (sender half, failure, or still running).
 // Valid once Done is closed.
-func (c *Conn) CompletedAt() time.Time { return c.completeAt }
+func (c *Conn) CompletedAt() time.Time {
+	if c.completeAt == unset {
+		return time.Time{}
+	}
+	return c.sh.wall(c.completeAt)
+}
 
 // Done returns a channel closed when the connection terminates (transfer
 // complete, closed, reaped, or endpoint shutdown).
@@ -288,7 +291,8 @@ func (c *Conn) Wait(d time.Duration) error {
 
 // Close tears the connection down. A mid-transfer sending connection
 // closes gracefully: a FIN is emitted and the connection lingers briefly
-// for the peer's FINACK. Close is idempotent and safe from any goroutine.
+// for the peer's FINACK, and Done closes when that ends. Close is
+// idempotent and safe from any goroutine.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
 		select {

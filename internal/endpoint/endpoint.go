@@ -9,36 +9,37 @@
 //
 // Architecture:
 //
-//	          ┌──────────────┐    hash(ConnID) % N     ┌─────────────┐
-//	UDP ───▶  │ read goroutine│ ───────────────────▶   │  shard 0..N │
-//	socket    │ (unmarshal)  │     bounded channel     │  goroutine  │
-//	          └──────────────┘  (overflow == drop: the └─────────────┘
-//	                             protocol is loss-       │ owns conns map
-//	                             tolerant)               │ + one sim.Loop
-//	                                                     ▼
-//	                                        per-conn sans-IO Sender /
-//	                                        Receiver, all scheduling on
-//	                                        the shard's loop, which is
-//	                                        pinned to wall time and
-//	                                        backed by one time.Timer
+//	socket driver (socket.go)                   shard (shard.go)
+//	┌────────────────────┐ hash(ConnID) & mask ┌───────────────────────────┐
+//	│ read loop / socket │ ──────────────────▶ │ handle · onPacket ·       │
+//	│ ReadBatch, decode  │  bounded channel    │ housekeep · flush         │
+//	├────────────────────┤  (overflow = drop)  │                           │
+//	│ shard goroutine    │ ── loop.RunUntil ─▶ │ conns map, sans-IO        │
+//	│ OS timer, epoch:   │    (wall − epoch)   │ Sender / Receiver engines │
+//	│ wake-up → vnow     │ ◀─ WriteBatch ───── │ and every lifecycle time  │
+//	└────────────────────┘   (egress queue)    │ on one sim.Loop           │
+//	                                           └───────────────────────────┘
 //
-// Each connection's protocol engine runs on exactly one shard goroutine —
-// the engines keep their single-threaded discipline, and the dispatch hot
-// path needs no lock at all: routing is a pure hash of the connection id
-// and every shard owns its connection table exclusively. Cross-goroutine
-// operations (Dial registration, user Close) travel through the shard's
-// channel as control messages.
+// Each connection's protocol engine runs on exactly one shard — the
+// engines keep their single-threaded discipline, and the dispatch hot path
+// needs no lock at all: routing is a pure hash of the connection id and
+// every shard owns its connection table exclusively. A shard's one clock
+// is its loop; only the driver reads the wall clock, and it hands the
+// shard decoded packets and a batch writer. Cross-goroutine operations
+// (Dial registration, user Close) travel through the shard's channel as
+// control messages. The tests drive the same shards on one seeded loop.
 //
 // Lifecycle: inbound SYNs create embryonic connections that reach Accept
 // only once the handshake completes (first non-SYN packet); Dial blocks
 // until the SYN/SYNACK exchange finishes; Close performs a graceful
-// FIN/FINACK teardown; idle connections and stale embryos are reaped by
-// each connection's housekeeping timer on the shard's loop (between
-// deadlines an idle connection costs its shard nothing). A shared endpoint
-// must also sanity-check receiver
-// feedback before acting on it (cf. misbehaving-receiver / optimistic-ACK
-// attacks): acknowledgments claiming bytes that were never sent are
-// dropped and counted instead of inflating the congestion controller.
+// FIN/FINACK teardown; Done closes only when the shard removes the
+// connection, on every path. Idle connections and stale embryos are
+// reaped by each connection's housekeeping timer on the shard's loop
+// (between deadlines an idle connection costs its shard nothing). A
+// shared endpoint must also sanity-check receiver feedback before acting
+// on it (cf. misbehaving-receiver / optimistic-ACK attacks):
+// acknowledgments claiming bytes that were never sent are dropped and
+// counted instead of inflating the congestion controller.
 package endpoint
 
 import (
@@ -53,6 +54,7 @@ import (
 
 	"github.com/tacktp/tack/internal/batchio"
 	"github.com/tacktp/tack/internal/packet"
+	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
 )
@@ -226,15 +228,15 @@ func (c Config) withDefaults() Config {
 // the given retry count: Transport.HandshakeRTO — the schedule the dialed
 // side's SYNs follow — doubled per retry, clamped to HandshakeTimeout
 // (beyond which the embryo reaper wins anyway).
-func (c Config) handshakeRetryRTO(retries int) time.Duration {
-	rto := time.Duration(c.Transport.HandshakeRTO)
+func (c Config) handshakeRetryRTO(retries int) sim.Time {
+	rto, max := c.Transport.HandshakeRTO, sim.Time(c.HandshakeTimeout)
 	if rto <= 0 {
-		rto = time.Duration(transport.DefaultHandshakeRTO)
+		rto = transport.DefaultHandshakeRTO
 	}
 	for i := 0; i < retries; i++ {
 		rto *= 2
-		if rto >= c.HandshakeTimeout {
-			return c.HandshakeTimeout
+		if rto >= max {
+			return max
 		}
 	}
 	return rto
@@ -371,36 +373,41 @@ func Listen(laddr string, cfg Config) (*Endpoint, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.EnableMigration && cfg.IdleTimeout > 0 && cfg.IdleTimeout <= migrationTimeout {
+	if cfg.EnableMigration && cfg.IdleTimeout > 0 && sim.Time(cfg.IdleTimeout) <= migrationTimeout {
 		// A probing episode starves the connection of dispatched packets
 		// for up to migrationTimeout; an idle reaper tighter than that
 		// would tear the connection down mid-validation.
 		return nil, fmt.Errorf("endpoint: IdleTimeout %v must exceed the %v path-validation window when EnableMigration is set",
 			cfg.IdleTimeout, migrationTimeout)
 	}
-	socks, err := batchio.ListenReusePortGroup("udp", laddr, cfg.Sockets)
+	ucs, err := batchio.ListenReusePortGroup("udp", laddr, cfg.Sockets)
 	if err != nil {
 		return nil, fmt.Errorf("endpoint: listen %q: %w", laddr, err)
 	}
 	// The platform fallback may have clamped the group; everything below
 	// sizes off the effective count.
-	cfg.Sockets = len(socks)
+	cfg.Sockets = len(ucs)
+	socks := make([]*epSocket, len(ucs))
+	for i, uc := range ucs {
+		socks[i] = newEpSocket(i, uc, cfg.Metrics)
+	}
+	ep := newEndpoint(cfg, socks, time.Now().UnixNano())
+	ep.start()
+	return ep, nil
+}
+
+// newEndpoint builds an endpoint over socks and starts nothing; its
+// ConnIDs come from idSeed, and its driver sets each shard's writer.
+func newEndpoint(cfg Config, socks []*epSocket, idSeed int64) *Endpoint {
 	ep := &Endpoint{
 		cfg:    cfg,
+		socks:  socks,
 		accept: make(chan *Conn, cfg.AcceptBacklog),
 		stop:   make(chan struct{}),
-		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
+		rng:    rand.New(rand.NewSource(idSeed)),
 		used:   map[uint32]*Conn{},
 	}
 	reg := cfg.Metrics
-	ep.socks = make([]*epSocket, len(socks))
-	for i, uc := range socks {
-		// The socket carries many connections: newEpSocket grows the
-		// kernel buffers so concurrent initial windows don't silently
-		// vanish before its read loop drains them (best-effort; the OS
-		// may clamp).
-		ep.socks[i] = newEpSocket(i, uc, reg)
-	}
 	ep.mConns = reg.Gauge("ep.conns")
 	ep.mSockets = reg.Gauge("ep.sock.count")
 	ep.mSockets.Set(float64(len(ep.socks)))
@@ -459,20 +466,12 @@ func Listen(laddr string, cfg Config) (*Endpoint, error) {
 	// this runs once at setup, not per packet.
 	ep.shards = make([]*shard, cfg.Shards)
 	for i := range ep.shards {
-		ep.shards[i] = newShard(ep, ep.socks[i%len(ep.socks)])
+		ep.shards[i] = newShard(ep, ep.socks[i%len(ep.socks)], ep.rng.Int63())
 	}
 	if n := uint32(len(ep.shards)); n&(n-1) == 0 {
 		ep.shardMask, ep.shardPow2 = n-1, true
 	}
-	for _, sh := range ep.shards {
-		ep.wg.Add(1)
-		go sh.run()
-	}
-	for _, s := range ep.socks {
-		ep.wg.Add(1)
-		go ep.readLoop(s)
-	}
-	return ep, nil
+	return ep
 }
 
 // LocalAddr returns the bound UDP address (every socket-group member
@@ -497,87 +496,39 @@ func (ep *Endpoint) shardFor(id uint32) *shard {
 	return ep.shards[h%uint32(len(ep.shards))]
 }
 
-// readLoop pulls datagram batches off one socket-group member (one
-// recvmmsg per batch on Linux, whole segment trains split back into their
-// datagrams by batchio), decodes each into a pooled packet, and
-// routes them to the owning shard — which may be bound to a different
-// socket: accept-anywhere, reply-from-owner. Overflowing a shard's
-// channel drops the packet (backpressure surfaces as loss; the protocol
-// recovers). The pooled packet travels into the shard, which returns it
-// to the freelist after dispatch — the reader itself never allocates in
-// steady state.
-func (ep *Endpoint) readLoop(sock *epSocket) {
-	defer ep.wg.Done()
-	rd := sock.bconn.NewReader(readBatchSize, maxDatagram)
-	var backoff time.Duration
-	for {
-		ms, err := rd.ReadBatch()
-		if err != nil {
-			if ep.isClosed() || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			// Transient socket error: count it and retry with exponential
-			// backoff so a persistent failure (a wedged deadline, a bad
-			// fd) degrades to a throttled retry loop instead of spinning
-			// a core.
-			ep.mRxErrors.Inc()
-			backoff = nextReadBackoff(backoff)
-			select {
-			case <-ep.stop:
-				return
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		ep.mBatchRead.Observe(float64(len(ms)))
-		sock.mBatchRead.Observe(float64(len(ms)))
-		for i := range ms {
-			// The CRC32-C frame trailer (see frame.go) catches any
-			// userspace corruption of the datagram content; a mismatch
-			// is dropped here, before the decoder runs, and recovered by
-			// the loss machinery like any other dropped packet.
-			if ms[i].N < frameTrailerLen {
-				ep.mRxGarbage.Inc()
-				sock.mDrops.Inc()
-				continue
-			}
-			body, ok := checkFrameCRC(ms[i].Buf[:ms[i].N])
-			if !ok {
-				ep.mRxCorrupt.Inc()
-				sock.mDrops.Inc()
-				continue
-			}
-			ipk := ep.getPacket()
-			if err := packet.DecodeInto(&ipk.pkt, body); err != nil {
-				ep.mRxGarbage.Inc()
-				sock.mDrops.Inc()
-				ep.putPacket(ipk)
-				continue
-			}
-			// Defense in depth behind the CRC: reject internally
-			// inconsistent packets (a hostile sender passes the CRC, the
-			// trailer only proves the bytes arrived as sent) before their
-			// fields reach protocol state (see packet.Sane).
-			if err := ipk.pkt.Sane(); err != nil {
-				ep.mRxCorrupt.Inc()
-				sock.mDrops.Inc()
-				ep.putPacket(ipk)
-				continue
-			}
-			ipk.setFrom(ms[i].Addr)
-			ep.mRxPackets.Inc()
-			sock.mRx.Inc()
-			sh := ep.shardFor(ipk.pkt.ConnID)
-			select {
-			case sh.in <- shardMsg{op: opPacket, ipk: ipk}:
-			default:
-				ep.mDemuxDrops.Inc()
-				sock.mDrops.Inc()
-				ep.putPacket(ipk)
-			}
-		}
+// decode checks a datagram's CRC32-C frame trailer (frame.go), decodes it
+// into a pooled packet and rejects one that fails packet.Sane (the CRC
+// proves the bytes arrived as sent, not that the sender is honest),
+// counting each drop; nil means dropped. Both drivers call it per datagram.
+func (ep *Endpoint) decode(sock *epSocket, b []byte, from *net.UDPAddr) *inPacket {
+	if len(b) < frameTrailerLen {
+		ep.mRxGarbage.Inc()
+		sock.mDrops.Inc()
+		return nil
 	}
+	body, ok := checkFrameCRC(b)
+	if !ok {
+		ep.mRxCorrupt.Inc()
+		sock.mDrops.Inc()
+		return nil
+	}
+	ipk := ep.getPacket()
+	if err := packet.DecodeInto(&ipk.pkt, body); err != nil {
+		ep.mRxGarbage.Inc()
+		sock.mDrops.Inc()
+		ep.putPacket(ipk)
+		return nil
+	}
+	if err := ipk.pkt.Sane(); err != nil {
+		ep.mRxCorrupt.Inc()
+		sock.mDrops.Inc()
+		ep.putPacket(ipk)
+		return nil
+	}
+	ipk.setFrom(from)
+	ep.mRxPackets.Inc()
+	sock.mRx.Inc()
+	return ipk
 }
 
 // Accept blocks until an inbound connection completes its handshake, the
@@ -615,10 +566,8 @@ func (ep *Endpoint) dial(raddr string, owns bool) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("endpoint: resolve %q: %w", raddr, err)
 	}
-	c := ep.newConn(ra, time.Now())
+	c := ep.register(ra)
 	c.ownsEndpoint = owns
-	c.id = ep.allocID(c)
-	c.sh = ep.shardFor(c.id)
 	// The owning shard builds the sending half and starts the handshake.
 	select {
 	case c.sh.in <- shardMsg{op: opRegister, conn: c}:
@@ -627,29 +576,46 @@ func (ep *Endpoint) dial(raddr string, owns bool) (*Conn, error) {
 		return nil, ErrClosed
 	}
 	ep.mDials.Inc()
+	if err := ep.awaitDial(c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// register builds a connection dialing ra and reserves its id, which
+// picks its shard; the shard starts it on an opRegister message.
+func (ep *Endpoint) register(ra *net.UDPAddr) *Conn {
+	c := ep.newConn(ra)
+	c.id = ep.allocID(c)
+	c.sh = ep.shardFor(c.id)
+	return c
+}
+
+// awaitDial blocks until c's handshake completes, fails or times out.
+func (ep *Endpoint) awaitDial(c *Conn) error {
 	t := time.NewTimer(ep.cfg.HandshakeTimeout)
 	defer t.Stop()
 	select {
 	case <-c.estCh:
-		return c, nil
+		return nil
 	case <-c.doneCh:
 		// A short transfer may complete before this goroutine runs; select
 		// then picks either ready case, and established is success.
 		select {
 		case <-c.estCh:
-			return c, nil
+			return nil
 		default:
 		}
-		return nil, c.err
+		return c.err
 	case <-t.C:
 		c.Close()
 		select {
 		case <-c.doneCh: // teardown is complete before reporting failure
 		case <-ep.stop: // a closing endpoint's shards may already be gone
 		}
-		return nil, ErrHandshakeTimeout
+		return ErrHandshakeTimeout
 	case <-ep.stop:
-		return nil, ErrClosed
+		return ErrClosed
 	}
 }
 

@@ -345,40 +345,33 @@ func TestEndpointDemuxDrops(t *testing.T) {
 // ep.bad_feedback increment — no shard time, no released data.
 func TestEndpointDropsAckForUnsentPacketNumber(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cli, err := Listen("127.0.0.1:0", Config{Transport: transport.Config{Mode: transport.ModeTACK}, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	peer := newRawPeer(t)
-	var c *Conn
-	dialed := make(chan error, 1)
-	go func() {
-		var err error
-		c, err = cli.Dial(peer.addr())
-		dialed <- err
-	}()
+	n := newSimNet(t, 1, simWire)
+	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}, Metrics: reg})
+	peer := n.peer()
+	c := n.dial(cli, peer.addr)
 	peer.accept()
-	if err := <-dialed; err != nil {
-		t.Fatal(err)
-	}
-	data, from, _, ok := peer.recv(packet.TypeData, time.Now().Add(2*time.Second))
+	data, ok := peer.recv(packet.TypeData, n.now()+sim.Second)
 	if !ok {
 		t.Fatal("no DATA arrived")
 	}
-	hostile := &packet.Packet{Type: packet.TypeTACK, ConnID: data.ConnID, Ack: &packet.AckInfo{
+	hostile := &packet.Packet{Type: packet.TypeTACK, ConnID: data.pkt.ConnID, Ack: &packet.AckInfo{
 		LargestPktSeq: 1 << 62, CumPktSeq: 1 << 62, Window: 1 << 20,
 		UnackedBlocks: []seqspace.Range{{Lo: 0, Hi: 1 << 62}},
 	}}
 	if err := hostile.Sane(); err != nil {
 		t.Fatalf("the hostile TACK must be well framed: %v", err)
 	}
-	peer.send(from, hostile)
-	if n := waitCounter(reg, "ep.bad_feedback", 1, 2*time.Second); n != 1 {
-		t.Fatalf("ep.bad_feedback = %d, want 1", n)
+	peer.send(data.from, hostile)
+	arrives := n.now() + simOWD
+	if !n.runUntil(arrives, func() bool { return reg.Counter("ep.bad_feedback").Value() != 0 }) {
+		t.Fatal("the hostile TACK was not counted")
 	}
-	// The shard goroutines are gone after Close: the engine can be read.
-	cli.Close()
+	if n.now() != arrives {
+		t.Errorf("ep.bad_feedback counted at %v, want at the TACK's arrival %v", n.now(), arrives)
+	}
+	if v := reg.Counter("ep.bad_feedback").Value(); v != 1 {
+		t.Fatalf("ep.bad_feedback = %d, want 1", v)
+	}
 	if c.snd.CumAcked() != 0 || c.snd.Inflight() == 0 {
 		t.Fatalf("the dropped TACK released data: CumAcked %d, Inflight %d", c.snd.CumAcked(), c.snd.Inflight())
 	}

@@ -4,48 +4,29 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"net"
-	"time"
 
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
 )
 
-// Path migration (QUIC-style address validation, cf. RFC 9000 §8.2/§9).
-//
-// A connection is bound to its handshake-time peer address. When a packet
-// for a known ConnID arrives from somewhere else — a NAT rebind, a
-// Wi-Fi→cellular roam, or an attacker spoofing the id — the new address
-// must prove it actually hosts the peer before the connection follows it:
+// Path migration (QUIC-style address validation, cf. RFC 9000 §8.2/§9;
+// DESIGN.md "Path migration" is the design). A packet for a known ConnID
+// from a new address opens a probing episode toward that address:
 //
 //	idle ──foreign packet──▶ probing ──matching PATH_RESPONSE──▶ validated
 //	                            │                                (→ idle,
 //	                            └──timeout / budget exhausted──▶ rejected
 //
-// While probing, the shard sends PATH_CHALLENGE frames carrying a
-// crypto-random 64-bit token to the candidate address on the handshake
-// retransmission schedule (250 ms doubling), and holds every other frame
-// from that address back from the engines. Only a PATH_RESPONSE echoing
-// the exact token *from the challenged address* validates it — an
-// off-path attacker who triggered the probe never sees the token, and a
-// replayed response from an earlier episode carries a stale one.
-//
-// Anti-amplification: until the address validates, bytes sent to it are
-// capped at 3× the bytes received from it, so a spoofed source cannot
-// turn the endpoint into a traffic amplifier (the cap is QUIC's).
-//
-// On validation the connection atomically (shard-owned state) repoints
-// its peer address and resets the transport's path-derived state — the
-// congestion controller restarts in slow start with fresh RTT estimators,
-// because everything learned about the old path's capacity is stale (see
-// transport.Sender.OnPathMigration). Failed or timed-out probes latch the
-// candidate address into the rejected state: its packets take the
-// pre-migration reject path (ep.migration_rejected + trace event), while
-// a different new address may still open a fresh probe.
+// Only a PATH_RESPONSE echoing the episode's crypto-random token from the
+// challenged address validates it. Until then the address receives at
+// most 3× the bytes it sent and its other frames are held back from the
+// engines; validation resets the transport's path-derived state, and a
+// failed candidate is latched rejected.
 const (
 	// migrationTimeout bounds one probing episode: a candidate address
 	// that has not echoed the token within this window is rejected. Sized
 	// like a handshake: several retransmit doublings beyond any sane RTT.
-	migrationTimeout = 3 * time.Second
+	migrationTimeout = 3 * sim.Second
 	// migAmplificationFactor caps bytes sent to an unvalidated address as
 	// a multiple of bytes received from it (RFC 9000 §8.1's 3×).
 	migAmplificationFactor = 3
@@ -158,8 +139,8 @@ func (sh *shard) startProbing(c *Conn, p *packet.Packet, from *net.UDPAddr) {
 	c.migTx = 0
 	c.migRetries = 0
 	c.migChallenges = 0
-	c.migStarted = sh.now
-	c.migDeadline = sh.now.Add(migrationTimeout)
+	c.migStarted = sh.loop.Now()
+	c.migDeadline = c.migStarted + migrationTimeout
 	sh.sendChallenge(c)
 	sh.poke(c)
 }
@@ -181,7 +162,7 @@ func (sh *shard) sendChallenge(c *Conn) {
 	}
 	c.migTx += size
 	c.migChallenges++
-	c.migNext = sh.now.Add(sh.ep.cfg.handshakeRetryRTO(c.migRetries))
+	c.migNext = sh.loop.Now() + sh.ep.cfg.handshakeRetryRTO(c.migRetries)
 	c.migRetries++
 	sh.ep.mMigProbes.Inc()
 	c.tracer.PathChallenge(sh.loop.Now(), c.id, c.migChallenges, int(size))
@@ -201,13 +182,13 @@ func (sh *shard) failMigration(c *Conn) {
 // resets the transport's path-derived state (slow-start restart, fresh
 // RTT estimators) — everything learned about the old path is stale.
 func (sh *shard) completeMigration(c *Conn, p *packet.Packet) {
-	elapsed := sh.now.Sub(c.migStarted)
+	now := sh.loop.Now()
 	c.peer = c.migAddr
 	c.migState = pathIdle
 	c.migAddr = nil
 	c.migCompleted++
-	c.lastRecv = sh.now
-	c.tracer.PathResponse(sh.loop.Now(), c.id, p.EncodedLen())
+	c.lastRecv = now
+	c.tracer.PathResponse(now, c.id, p.EncodedLen())
 	if c.snd != nil {
 		c.snd.OnPathMigration()
 	}
@@ -215,7 +196,7 @@ func (sh *shard) completeMigration(c *Conn, p *packet.Packet) {
 		c.rcv.OnPathMigration()
 	}
 	sh.ep.mMigCompleted.Inc()
-	c.tracer.MigrationCompleted(sh.loop.Now(), c.id, c.migChallenges, sim.Time(elapsed))
+	c.tracer.MigrationCompleted(now, c.id, c.migChallenges, now-c.migStarted)
 	sh.refreshSnapshot(c)
 }
 

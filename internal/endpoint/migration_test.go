@@ -192,6 +192,16 @@ func TestEndpointMigrationRecovery(t *testing.T) {
 	leakCheck(t, before)
 }
 
+// episodeStart runs the network until the server opens a probing episode
+// and returns that moment: the first challenge goes out then.
+func episodeStart(t *testing.T, n *simNet, reg *telemetry.Registry) sim.Time {
+	t.Helper()
+	if !n.runUntil(n.now()+sim.Second, func() bool { return reg.Counter("ep.migration.probes").Value() != 0 }) {
+		t.Fatal("the foreign packet opened no probing episode")
+	}
+	return n.now()
+}
+
 // TestEndpointMigrationSpoofedChallenge: an off-path attacker who knows
 // the ConnID injects a PATH_CHALLENGE from its own address. The endpoint
 // answers challenges only toward the bound peer — echoing tokens to
@@ -199,131 +209,72 @@ func TestEndpointMigrationRecovery(t *testing.T) {
 // attacker must never see a PATH_RESPONSE (probing its address with our
 // own challenge is fine; that reveals nothing).
 func TestEndpointMigrationSpoofedChallenge(t *testing.T) {
-	before := runtime.NumGoroutine()
 	srvReg := telemetry.NewRegistry()
-	srv, err := Listen("127.0.0.1:0", migConfig(transport.Config{
-		Mode: transport.ModeTACK, Metrics: srvReg,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Listen("127.0.0.1:0", migConfig(transport.Config{
-		Mode: transport.ModeTACK, TransferBytes: 1 << 40,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cliConn := dialEstablished(t, srv, cli, srv.LocalAddr().String())
+	n := newSimNet(t, 1, simPath)
+	srv, srvAddr := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, Metrics: srvReg}))
+	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 40}))
+	_, cliConn := n.connect(srv, srvAddr, cli)
 
-	atk := attackerSocket(t)
-	defer atk.Close()
-	spoofed := frame(&packet.Packet{
+	atk := n.peer()
+	atk.send(srvAddr, &packet.Packet{
 		Type: packet.TypePathChallenge, ConnID: cliConn.ConnID(),
 		SentAt: 1, Token: 0xdeadbeefcafef00d,
 	})
-	if _, err := atk.WriteToUDP(spoofed, srv.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drain everything the server says to the attacker for a while: the
-	// retransmit schedule fires several challenges in this window, so a
-	// response bug would be caught, not raced past.
-	atk.SetReadDeadline(time.Now().Add(1500 * time.Millisecond))
-	buf := make([]byte, 2048)
-	for {
-		n, _, err := atk.ReadFromUDP(buf)
-		if err != nil {
-			break // deadline
-		}
-		enc, ok := checkFrameCRC(buf[:n])
-		if !ok {
-			t.Errorf("server sent a datagram failing its own frame CRC")
-			continue
-		}
-		var p packet.Packet
-		if err := packet.DecodeInto(&p, enc); err != nil {
-			t.Errorf("server sent undecodable datagram: %v", err)
-			continue
-		}
-		if p.Type == packet.TypePathResponse {
-			t.Fatalf("server echoed PATH_RESPONSE (token %#x) to an off-path address", p.Token)
+	// Everything the server says to the attacker for 1.5 s: the retransmit
+	// schedule fires several challenges in this window, so a response bug
+	// would be caught.
+	n.runFor(1500 * sim.Millisecond)
+	for _, a := range atk.got {
+		if a.pkt.Type == packet.TypePathResponse {
+			t.Fatalf("server echoed PATH_RESPONSE (token %#x) to an off-path address", a.pkt.Token)
 		}
 	}
 	// The spoofed challenge should have opened a (doomed) probe, proving
 	// the packet reached the migration machinery and not some drop path.
-	if probes := srvReg.Counter("ep.migration.probes").Value(); probes == 0 {
+	if len(atk.arrivals(packet.TypePathChallenge)) == 0 || srvReg.Counter("ep.migration.probes").Value() == 0 {
 		t.Error("spoofed challenge never reached the path-validation machinery")
 	}
-
-	cli.Close()
-	srv.Close()
-	leakCheck(t, before)
 }
 
 // TestEndpointMigrationWrongToken: the attacker triggers a probe, reads
 // the real PATH_CHALLENGE off the wire, and answers with a corrupted
 // token — the one thing it cannot forge. The connection must not move:
-// the episode times out into the rejected latch and the legitimate
-// transfer keeps running.
+// the episode times out into the rejected latch at its deadline and the
+// legitimate transfer keeps running.
 func TestEndpointMigrationWrongToken(t *testing.T) {
-	before := runtime.NumGoroutine()
 	srvReg := telemetry.NewRegistry()
-	srv, err := Listen("127.0.0.1:0", migConfig(transport.Config{
-		Mode: transport.ModeTACK, Metrics: srvReg,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Listen("127.0.0.1:0", migConfig(transport.Config{
-		Mode: transport.ModeTACK, TransferBytes: 1 << 40,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvConn, cliConn := dialEstablished(t, srv, cli, srv.LocalAddr().String())
+	n := newSimNet(t, 1, simPath)
+	srv, srvAddr := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, Metrics: srvReg}))
+	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 40}))
+	srvConn, cliConn := n.connect(srv, srvAddr, cli)
 
-	atk := attackerSocket(t)
-	defer atk.Close()
 	// A plausible on-path-looking frame from a new address: a keepalive
 	// IACK with the right ConnID. This opens the probing episode.
-	bait := frame(&packet.Packet{
+	atk := n.peer()
+	atk.send(srvAddr, &packet.Packet{
 		Type: packet.TypeIACK, ConnID: cliConn.ConnID(),
 		SentAt: 1, IACK: packet.IACKKeepalive,
 	})
-	if _, err := atk.WriteToUDP(bait, srv.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
+	start := episodeStart(t, n, srvReg)
 
 	// Capture the challenge and answer it with a flipped token.
-	atk.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 2048)
-	answered := false
-	for !answered {
-		n, _, err := atk.ReadFromUDP(buf)
-		if err != nil {
-			t.Fatal("never received a PATH_CHALLENGE to answer")
-		}
-		enc, ok := checkFrameCRC(buf[:n])
-		if !ok {
-			continue
-		}
-		var p packet.Packet
-		if err := packet.DecodeInto(&p, enc); err != nil || p.Type != packet.TypePathChallenge {
-			continue
-		}
-		forged := frame(&packet.Packet{
-			Type: packet.TypePathResponse, ConnID: cliConn.ConnID(),
-			SentAt: 1, Token: p.Token ^ 1,
-		})
-		if _, err := atk.WriteToUDP(forged, srv.LocalAddr()); err != nil {
-			t.Fatal(err)
-		}
-		answered = true
+	ch, ok := atk.recv(packet.TypePathChallenge, n.now()+5*sim.Second)
+	if !ok {
+		t.Fatal("never received a PATH_CHALLENGE to answer")
 	}
+	atk.send(srvAddr, &packet.Packet{
+		Type: packet.TypePathResponse, ConnID: cliConn.ConnID(),
+		SentAt: 1, Token: ch.pkt.Token ^ 1,
+	})
 
 	// The episode must die at its deadline, never validating.
-	if got := waitCounter(srvReg, "ep.migration.failed", 1, 6*time.Second); got == 0 {
-		t.Error("probing episode never failed after a wrong-token response")
+	if !n.runUntil(start+migrationTimeout+sim.Second, func() bool {
+		return srvReg.Counter("ep.migration.failed").Value() != 0
+	}) {
+		t.Fatal("probing episode never failed after a wrong-token response")
+	}
+	if got := n.now() - start; got != migrationTimeout {
+		t.Errorf("episode failed %v after it began, want %v", got, migrationTimeout)
 	}
 	if done := srvReg.Counter("ep.migration.completed").Value(); done != 0 {
 		t.Fatalf("connection migrated on a forged token (completed=%d)", done)
@@ -331,21 +282,16 @@ func TestEndpointMigrationWrongToken(t *testing.T) {
 	// And the real path was never disturbed: the server's view of the
 	// connection still shows zero migrations and a latched-rejected
 	// candidate, while the transfer is still alive.
-	if s := srvConn.StateSnapshot(); s != nil {
-		if s.Migrations != 0 {
-			t.Errorf("snapshot shows %d migrations, want 0", s.Migrations)
-		}
-		if s.PathState != "rejected" {
-			t.Errorf("snapshot path_state = %q, want rejected", s.PathState)
-		}
+	s := srvConn.StateSnapshot()
+	if s.Migrations != 0 {
+		t.Errorf("snapshot shows %d migrations, want 0", s.Migrations)
 	}
-	if srvConn.Err() != nil {
+	if s.PathState != "rejected" {
+		t.Errorf("snapshot path_state = %q, want rejected", s.PathState)
+	}
+	if closed(srvConn.doneCh) {
 		t.Errorf("server conn died during the attack: %v", srvConn.Err())
 	}
-
-	cli.Close()
-	srv.Close()
-	leakCheck(t, before)
 }
 
 // TestEndpointMigrationReplayedResponse: a PATH_RESPONSE arriving from a
@@ -353,42 +299,25 @@ func TestEndpointMigrationWrongToken(t *testing.T) {
 // episode, or a blind guess) proves nothing and must take the reject
 // path — it must not even open a probe.
 func TestEndpointMigrationReplayedResponse(t *testing.T) {
-	before := runtime.NumGoroutine()
 	srvReg := telemetry.NewRegistry()
-	srv, err := Listen("127.0.0.1:0", migConfig(transport.Config{
-		Mode: transport.ModeTACK, Metrics: srvReg,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Listen("127.0.0.1:0", migConfig(transport.Config{
-		Mode: transport.ModeTACK, TransferBytes: 1 << 40,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cliConn := dialEstablished(t, srv, cli, srv.LocalAddr().String())
+	n := newSimNet(t, 1, simPath)
+	srv, srvAddr := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, Metrics: srvReg}))
+	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 40}))
+	_, cliConn := n.connect(srv, srvAddr, cli)
 
-	atk := attackerSocket(t)
-	defer atk.Close()
-	replay := frame(&packet.Packet{
+	atk := n.peer()
+	atk.send(srvAddr, &packet.Packet{
 		Type: packet.TypePathResponse, ConnID: cliConn.ConnID(),
 		SentAt: 1, Token: 0x1122334455667788,
 	})
-	if _, err := atk.WriteToUDP(replay, srv.LocalAddr()); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := waitCounter(srvReg, "ep.migration_rejected", 1, 5*time.Second); got == 0 {
+	if !n.runUntil(n.now()+sim.Second, func() bool { return srvReg.Counter("ep.migration_rejected").Value() != 0 }) {
 		t.Fatal("replayed PATH_RESPONSE was not rejected")
 	}
-	if probes := srvReg.Counter("ep.migration.probes").Value(); probes != 0 {
-		t.Errorf("replayed PATH_RESPONSE opened a probe (probes=%d), want reject only", probes)
+	n.runFor(sim.Second)
+	if probes := srvReg.Counter("ep.migration.probes").Value(); probes != 0 || len(atk.got) != 0 {
+		t.Errorf("replayed PATH_RESPONSE opened a probe (probes=%d, %d packets to the replayer), want reject only",
+			probes, len(atk.got))
 	}
-
-	cli.Close()
-	srv.Close()
-	leakCheck(t, before)
 }
 
 // TestEndpointMigrationAmplificationBudget: a single small spoofed frame
@@ -397,44 +326,35 @@ func TestEndpointMigrationReplayedResponse(t *testing.T) {
 // schedule would otherwise happily keep firing challenges at a victim
 // who never asked for them.
 func TestEndpointMigrationAmplificationBudget(t *testing.T) {
-	before := runtime.NumGoroutine()
 	srvReg := telemetry.NewRegistry()
-	srv, err := Listen("127.0.0.1:0", migConfig(transport.Config{
-		Mode: transport.ModeTACK, Metrics: srvReg,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Listen("127.0.0.1:0", migConfig(transport.Config{
-		Mode: transport.ModeTACK, TransferBytes: 1 << 40,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cliConn := dialEstablished(t, srv, cli, srv.LocalAddr().String())
+	n := newSimNet(t, 1, simPath)
+	srv, srvAddr := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, Metrics: srvReg}))
+	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 40}))
+	_, cliConn := n.connect(srv, srvAddr, cli)
 
-	atk := attackerSocket(t)
-	defer atk.Close()
-	bait := frame(&packet.Packet{
+	atk := n.peer()
+	bait := &packet.Packet{
 		Type: packet.TypeIACK, ConnID: cliConn.ConnID(),
 		SentAt: 1, IACK: packet.IACKKeepalive,
-	})
-	if _, err := atk.WriteToUDP(bait, srv.LocalAddr()); err != nil {
-		t.Fatal(err)
 	}
-	sent := len(bait)
+	atk.send(srvAddr, bait)
+	sent, start := len(frame(bait)), episodeStart(t, n, srvReg)
 
-	// Count every byte the server sends back across the whole probing
-	// episode (3 s deadline) plus slack for the failure latch.
-	atk.SetReadDeadline(time.Now().Add(4 * time.Second))
-	buf := make([]byte, 2048)
+	// The silent candidate is rejected when the validation window closes.
+	if !n.runUntil(start+migrationTimeout+sim.Second, func() bool {
+		return srvReg.Counter("ep.migration.failed").Value() != 0
+	}) {
+		t.Fatal("silent candidate was never rejected after the validation window")
+	}
+	if got := n.now() - start; got != migrationTimeout {
+		t.Errorf("episode failed %v after it began, want %v", got, migrationTimeout)
+	}
+	// Count every byte the server sent the attacker, the episode and a
+	// second after it.
+	n.runFor(sim.Second)
 	recvd := 0
-	for {
-		n, _, err := atk.ReadFromUDP(buf)
-		if err != nil {
-			break // deadline
-		}
-		recvd += n
+	for _, a := range atk.got {
+		recvd += a.size
 	}
 	if recvd > 3*sent {
 		t.Fatalf("amplification: attacker sent %d bytes, server answered with %d (> 3× budget %d)",
@@ -443,11 +363,4 @@ func TestEndpointMigrationAmplificationBudget(t *testing.T) {
 	if recvd == 0 {
 		t.Error("no challenge reached the attacker: the budget test exercised nothing")
 	}
-	if got := waitCounter(srvReg, "ep.migration.failed", 1, 3*time.Second); got == 0 {
-		t.Error("silent candidate was never rejected after the validation window")
-	}
-
-	cli.Close()
-	srv.Close()
-	leakCheck(t, before)
 }

@@ -42,32 +42,33 @@ func meanOf(runs []parityMetrics) (m parityMetrics) {
 	return m
 }
 
-// paritySim runs one TACK transfer over parityWAN in the simulator.
+// parityLink is one direction of parityWAN as a netem.Config.
+func parityLink(imp netem.Impairments) netem.Config {
+	return netem.Config{RateBps: parityWAN.RateBps, Delay: parityWAN.OWD, QueueBytes: parityWAN.QueueBytes, Impair: imp}
+}
+
+// paritySim runs one TACK transfer between two sim-driven endpoints whose
+// two links are parityWAN's.
 func paritySim(t *testing.T, seed, size int64) parityMetrics {
 	t.Helper()
-	loop := sim.NewLoop(seed)
-	path, _, _ := topo.WANPath(loop, parityWAN)
-	flow, err := topo.NewFlow(loop, transport.Config{Mode: transport.ModeTACK, TransferBytes: size}, path)
-	if err != nil {
-		t.Fatal(err)
+	n := newSimNet(t, seed, parityLink(parityWAN.Ack))
+	srv, srvAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
+	cli, cliAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size}})
+	n.setLink(cliAddr, srvAddr, parityLink(parityWAN.Data))
+	srvConn, cliConn := n.connect(srv, srvAddr, cli)
+	if !n.finished(srvConn, 60*sim.Second) {
+		t.Fatalf("sim seed %d: %d of %d bytes delivered in a minute", seed, srvConn.Receiver().Delivered(), size)
 	}
-	flow.Start()
-	for !flow.Receiver.Complete() {
-		if loop.Now() > 60*sim.Second {
-			t.Fatalf("sim seed %d: %d of %d bytes delivered in a minute", seed, flow.Receiver.Delivered(), size)
-		}
-		loop.RunUntil(loop.Now() + sim.Millisecond)
+	if err := srvConn.Err(); err != nil {
+		t.Fatalf("sim seed %d: server: %v", seed, err)
 	}
-	return measure(size, loop.Now().Seconds(), flow.Sender.Stats, flow.Receiver.Stats)
+	return measure(size, srvConn.completeAt.Seconds(), cliConn.Sender().Stats, srvConn.Receiver().Stats)
 }
 
 // paritySocket runs one TACK transfer between two endpoints on loopback,
 // through a UDPProxy whose two links are parityWAN's.
 func paritySocket(t *testing.T, seed, size int64) parityMetrics {
 	t.Helper()
-	link := func(imp netem.Impairments) netem.Config {
-		return netem.Config{RateBps: parityWAN.RateBps, Delay: parityWAN.OWD, QueueBytes: parityWAN.QueueBytes, Impair: imp}
-	}
 	srv, err := Listen("127.0.0.1:0", Config{Transport: transport.Config{Mode: transport.ModeTACK}})
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +76,8 @@ func paritySocket(t *testing.T, seed, size int64) parityMetrics {
 	defer srv.Close()
 	proxy, err := netem.NewUDPProxy(netem.ProxyConfig{
 		Target:   srv.LocalAddr().String(),
-		ToServer: link(parityWAN.Data),
-		ToClient: link(parityWAN.Ack),
+		ToServer: parityLink(parityWAN.Data),
+		ToClient: parityLink(parityWAN.Ack),
 		Seed:     seed,
 	})
 	if err != nil {
@@ -100,11 +101,12 @@ func paritySocket(t *testing.T, seed, size int64) parityMetrics {
 	return measure(size, srvConn.CompletedAt().Sub(start).Seconds(), cliConn.Sender().Stats, srvConn.Receiver().Stats)
 }
 
-// TestSimSocketParity runs one path on both clocks — parityWAN in the
-// simulator, and the same links in a UDPProxy between two endpoints — and
-// requires the two to agree on goodput, retransmission ratio and ack
-// frequency. It is the check that the simulator, where every figure is
-// reproduced, predicts the endpoint people would run (ROADMAP item 2(c)).
+// TestSimSocketParity runs one path on both clocks — two endpoints over
+// parityWAN's links on the sim driver, and the same links in a UDPProxy
+// between two socket-driven endpoints — and requires the two to agree on
+// goodput, retransmission ratio and ack frequency. Both sides run the same
+// endpoint code, handshake included, so what is left between them is the
+// socket driver: wall-clock timer lateness and batching.
 func TestSimSocketParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock transfers through a rate-limited proxy")

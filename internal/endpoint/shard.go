@@ -29,8 +29,10 @@ const (
 	numWakeCauses
 )
 
-// disarmed is shard.armed while the OS timer is not set.
-const disarmed sim.Time = -1
+// unset marks a shard-owned time that is not set: no deadline, no
+// sample yet, the OS timer disarmed. The loop's clock starts at 0, so
+// unset is negative.
+const unset sim.Time = -1
 
 // shardMsg is one unit of work on a shard's channel.
 type shardMsg struct {
@@ -54,24 +56,24 @@ type shard struct {
 	in    chan shardMsg
 	conns map[uint32]*Conn
 
-	// loop is the shard's timer heap: every engine of every connection the
-	// shard owns schedules on it, and so does each connection's
-	// housekeeping timer. Its clock is wall time since epoch, moved forward
-	// once per wake-up, so one burst shares one coarse now (loop.Now() in
-	// engine time, now on the wall clock). Wire timestamps are relative to
-	// the writing shard's epoch; peers only echo them.
+	// loop is the shard's one clock and timer heap: every engine of every
+	// connection the shard owns schedules on it, every lifecycle time and
+	// deadline is on it, and so is each connection's housekeeping timer.
+	// The socket driver moves it to the wall time since epoch once per
+	// wake-up, so one burst shares one now. Wire timestamps are relative
+	// to the writing shard's epoch; peers only echo them.
 	loop  *sim.Loop
 	epoch time.Time
-	now   time.Time
-	// timer, the one OS timer, is set to armed, the loop's earliest event.
+	// Socket driver state: timer, the one OS timer, is set to armed, the
+	// loop's earliest event.
 	timer  *time.Timer
 	armed  sim.Time
 	timers int // loop.Pending() as last folded into ep.shard.timers
 
-	// Egress queue: encoded datagrams awaiting one WriteBatch. egress and
-	// egressBufs are parallel (egressBufs keeps the pool pointers so the
-	// buffers can be recycled after the flush).
-	wr         *batchio.Writer
+	// Egress queue: encoded datagrams awaiting one WriteBatch on wr, the
+	// driver's writer. egress and egressBufs are parallel (egressBufs keeps
+	// the pool pointers so the buffers can be recycled after the flush).
+	wr         batchWriter
 	egress     []batchio.Message
 	egressBufs []*[]byte
 
@@ -85,21 +87,20 @@ type shard struct {
 	kickCh chan struct{}
 }
 
-func newShard(ep *Endpoint, sock *epSocket) *shard {
-	now := time.Now()
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
+// batchWriter is a shard's egress: it writes a batch of datagrams and
+// reports how many went, as *batchio.Writer does.
+type batchWriter interface {
+	WriteBatch(ms []batchio.Message) (int, error)
+}
+
+func newShard(ep *Endpoint, sock *epSocket, seed int64) *shard {
 	return &shard{
 		ep:         ep,
 		sock:       sock,
 		in:         make(chan shardMsg, shardQueue),
 		conns:      map[uint32]*Conn{},
-		loop:       sim.NewLoop(now.UnixNano()),
-		epoch:      now,
-		now:        now,
-		timer:      timer,
-		armed:      disarmed,
-		wr:         sock.bconn.NewWriter(egressBatchSize),
+		loop:       sim.NewLoop(seed),
+		armed:      unset,
 		egress:     make([]batchio.Message, 0, egressBatchSize),
 		egressBufs: make([]*[]byte, 0, egressBatchSize),
 		kickCh:     make(chan struct{}, 1),
@@ -145,92 +146,14 @@ func (sh *shard) processKicks() {
 	}
 }
 
-// run is the shard worker. It sleeps until a packet, a control message, a
-// stream kick or the deadline of the loop's earliest timer. Each wake-up
-// runs the timers that are due, drains a bounded burst of queued work,
-// runs what that work scheduled for right now, and only then flushes the
-// egress queue — so packets arriving together, the acks they trigger and
-// what the timers sent leave in one batched write — and resets the OS timer.
-func (sh *shard) run() {
-	defer sh.ep.wg.Done()
-	defer sh.shutdown()
-	defer sh.timer.Stop()
-	for {
-		select {
-		case <-sh.ep.stop:
-			return
-		case m := <-sh.in:
-			if m.op == opPacket {
-				sh.wake(wakePacket)
-			} else {
-				sh.wake(wakeControl)
-			}
-			sh.handle(m)
-		drain:
-			// Bounded opportunistic drain: batch the rest of the burst
-			// without starving the timers or spinning forever.
-			for i := 0; i < drainBurst; i++ {
-				select {
-				case m := <-sh.in:
-					sh.handle(m)
-				default:
-					break drain
-				}
-			}
-		case <-sh.kickCh:
-			sh.wake(wakeKick)
-			sh.processKicks()
-		case <-sh.timer.C:
-			sh.wake(wakeTimer)
-		}
-		sh.loop.RunUntil(sh.loop.Now())
-		sh.flush()
-		sh.rearm()
-	}
-}
+// wall is the wall time of loop time t.
+func (sh *shard) wall(t sim.Time) time.Time { return sh.epoch.Add(t.Duration()) }
 
-// wake starts a work burst: it reads the wall clock once and runs every
-// timer that is due by it.
-func (sh *shard) wake(cause int) {
-	sh.ep.mWakeups[cause].Inc()
-	sh.now = time.Now()
-	vnow := sim.Time(sh.now.Sub(sh.epoch))
-	if cause == wakeTimer && sh.armed != disarmed {
-		sh.ep.mTimerLate.Observe((vnow - sh.armed).Seconds())
-		sh.armed = disarmed
-	}
-	sh.loop.RunUntil(vnow)
-}
-
-// rearm sets the OS timer to the loop's earliest pending event, leaving
-// it alone when that has not moved since the last burst.
-func (sh *shard) rearm() {
-	if n := sh.loop.Pending(); n != sh.timers {
-		sh.ep.mTimers.Set(float64(sh.ep.nTimers.Add(int64(n - sh.timers))))
-		sh.timers = n
-	}
-	at, ok := sh.loop.NextAt()
-	if !ok {
-		at = disarmed
-	}
-	if at == sh.armed {
-		return
-	}
-	// A timer that fired while the shard was busy left a tick behind.
-	if !sh.timer.Stop() {
-		select {
-		case <-sh.timer.C:
-		default:
-		}
-	}
-	if sh.armed = at; ok {
-		sh.timer.Reset(time.Until(sh.epoch.Add(time.Duration(at))))
-	}
-}
-
-// add takes ownership of a connection whose protocol half and lifecycle
-// state are set up: table entry, housekeeping timer, first snapshot.
+// add takes ownership of a connection whose protocol half is set up:
+// table entry, lifecycle clocks, housekeeping timer, first snapshot.
 func (sh *shard) add(c *Conn) {
+	now := sh.loop.Now()
+	c.created, c.lastRecv, c.lastSent = now, now, now
 	sh.conns[c.id] = c
 	sh.ep.connAdded()
 	c.hk = sim.NewTimer(sh.loop, func() { sh.housekeep(c) })
@@ -246,8 +169,8 @@ func (sh *shard) poke(c *Conn) { c.hk.Reset(sh.loop.Now()) }
 // touch notes a packet of c, in either direction: activity is what keeps
 // the periodic snapshot/anomaly pass of housekeep running.
 func (sh *shard) touch(c *Conn) {
-	c.lastActive = sh.now
-	if c.nextRefresh.IsZero() {
+	c.lastActive = sh.loop.Now()
+	if c.nextRefresh == unset {
 		c.nextRefresh = sh.refreshSlot()
 		sh.poke(c)
 	}
@@ -255,8 +178,8 @@ func (sh *shard) touch(c *Conn) {
 
 // refreshSlot returns the next point of the shard's snapshotRefresh grid;
 // on one grid, however many connections are active share a wake-up.
-func (sh *shard) refreshSlot() time.Time {
-	return sh.epoch.Add((sh.now.Sub(sh.epoch)/snapshotRefresh + 1) * snapshotRefresh)
+func (sh *shard) refreshSlot() sim.Time {
+	return (sh.loop.Now()/snapshotRefresh + 1) * snapshotRefresh
 }
 
 func (sh *shard) handle(m shardMsg) {
@@ -353,20 +276,13 @@ func (sh *shard) onPacket(p *packet.Packet, from *net.UDPAddr) {
 		return
 	}
 	if !addrEqual(from, c.peer) {
-		// The connection is bound to its handshake-time source address; a
-		// known ConnID arriving from elsewhere — a NAT rebind, a
-		// Wi-Fi→cellular roam, or spoofing — must not be trusted as-is.
-		// With migration enabled the new address is challenged to prove
-		// it hosts the peer (see migration.go); otherwise, or after a
-		// failed challenge, it is rejected. Observably: the counter, the
-		// per-conn tally (the migration-storm anomaly detector's input),
-		// and the trace event — recorded through the connection's flight
-		// recorder — let an operator distinguish "peer's address changed"
-		// from silent loss.
+		// The connection is bound to its handshake-time source address: a
+		// NAT rebind, a roam or a spoofer is challenged when migration is
+		// enabled, else rejected, counted and traced (see migration.go).
 		sh.onForeignPacket(c, p, from)
 		return
 	}
-	c.lastRecv = sh.now
+	c.lastRecv = sh.loop.Now()
 	sh.touch(c)
 	switch p.Type {
 	case packet.TypePathChallenge:
@@ -409,7 +325,7 @@ func (sh *shard) acceptSYN(p *packet.Packet, from *net.UDPAddr) {
 	}
 	// from aliases pooled reader storage that is recycled after dispatch;
 	// the connection outlives it, so it keeps its own copy.
-	c := sh.ep.newConn(cloneAddr(from), sh.now)
+	c := sh.ep.newConn(cloneAddr(from))
 	c.id = p.ConnID
 	c.sh = sh
 	if !sh.ep.reserveID(c.id, c) {
@@ -424,7 +340,7 @@ func (sh *shard) acceptSYN(p *packet.Packet, from *net.UDPAddr) {
 		// goroutines; route window-update wakeups through the shard.
 		m.SetKick(func() { sh.kick(c) })
 	}
-	c.nextHS = sh.now.Add(sh.ep.cfg.handshakeRetryRTO(0))
+	c.nextHS = sh.loop.Now() + sh.ep.cfg.handshakeRetryRTO(0)
 	sh.add(c)
 	c.rcv.OnPacket(p) // emits the SYNACK
 }
@@ -456,19 +372,16 @@ func (sh *shard) postDispatch(c *Conn, p *packet.Packet) {
 
 func (sh *shard) establish(c *Conn) {
 	c.established = true
-	sh.ep.mHandshake.Observe(sh.now.Sub(c.created).Seconds())
+	sh.ep.mHandshake.Observe((sh.loop.Now() - c.created).Seconds())
 	close(c.estCh)
 	sh.poke(c) // handshake deadlines out, idle and keepalive in
 }
 
-// checkDone detects transfer completion. Sender connections are removed
-// as soon as every byte is acknowledged, unless a tail probe is still in
-// flight: the peer will acknowledge it, so the connection stays registered
-// until that acknowledgment arrives (this runs again for it) or
-// closeLinger passes, and the acknowledgment finds it instead of counting
-// as a packet for an unknown connection. Wait returns at the removal, as
-// always. Receiver connections linger for completeLinger so tail
-// retransmissions still get re-acknowledged.
+// checkDone detects transfer completion. A finished sender is removed at
+// once, unless its tail probe is still in flight: then it stays until the
+// probe's acknowledgment (this runs again for it) or closeLinger, so that
+// acknowledgment does not arrive for an unknown connection. Receivers
+// linger completeLinger so tail retransmissions still get re-acknowledged.
 func (sh *shard) checkDone(c *Conn) {
 	if c.closing {
 		return
@@ -476,14 +389,14 @@ func (sh *shard) checkDone(c *Conn) {
 	if c.snd != nil && c.snd.Done() {
 		if !c.snd.ProbeInFlight() {
 			sh.remove(c, nil)
-		} else if c.closeDeadline.IsZero() {
-			c.closeDeadline = sh.now.Add(closeLinger)
+		} else if c.closeDeadline == unset {
+			c.closeDeadline = sh.loop.Now() + closeLinger
 			sh.poke(c)
 		}
 		return
 	}
-	if c.rcv != nil && c.rcv.Complete() && c.completeAt.IsZero() {
-		c.completeAt = sh.now
+	if c.rcv != nil && c.rcv.Complete() && c.completeAt == unset {
+		c.completeAt = sh.loop.Now()
 		c.ring.Release() // what is left is re-acknowledging the tail
 		sh.poke(c)
 	}
@@ -498,15 +411,14 @@ func (sh *shard) checkDone(c *Conn) {
 // deadlines move later with every packet and are not chased: the timer
 // fires at the old one, finds nothing due, and is set again.
 func (sh *shard) housekeep(c *Conn) {
-	now, cfg := sh.now, &sh.ep.cfg
-	var next time.Time
-	acted := false
+	now, cfg := sh.loop.Now(), &sh.ep.cfg
+	next, acted := unset, false
 	// due reports whether deadline t has come; if not, the timer may wait for it.
-	due := func(t time.Time) bool {
-		if !now.Before(t) {
+	due := func(t sim.Time) bool {
+		if now >= t {
 			return true
 		}
-		if next.IsZero() || t.Before(next) {
+		if next == unset || t < next {
 			next = t
 		}
 		return false
@@ -519,21 +431,21 @@ func (sh *shard) housekeep(c *Conn) {
 			sh.remove(c, nil)
 			return
 		}
-	case !c.completeAt.IsZero():
-		if due(c.completeAt.Add(completeLinger)) {
+	case c.completeAt != unset:
+		if due(c.completeAt + completeLinger) {
 			sh.remove(c, nil)
 			return
 		}
 	case c.established:
-		if cfg.IdleTimeout > 0 && due(c.lastRecv.Add(cfg.IdleTimeout)) {
+		if cfg.IdleTimeout > 0 && due(c.lastRecv+sim.Time(cfg.IdleTimeout)) {
 			sh.ep.mReaped.Inc()
 			sh.remove(c, ErrIdleTimeout)
 			return
 		}
 		// Keepalive: a liveness-probe IACK on a transmit-idle dialed connection.
-		if ka := cfg.KeepaliveInterval; ka > 0 && c.snd != nil && due(c.lastSent.Add(ka)) {
+		if ka := sim.Time(cfg.KeepaliveInterval); ka > 0 && c.snd != nil && due(c.lastSent+ka) {
 			c.output(&packet.Packet{
-				Type: packet.TypeIACK, ConnID: c.id, SentAt: sh.loop.Now(),
+				Type: packet.TypeIACK, ConnID: c.id, SentAt: now,
 				IACK: packet.IACKKeepalive, AckOldestPktSeq: c.snd.OldestOutstanding(),
 			})
 			acted = true
@@ -541,7 +453,7 @@ func (sh *shard) housekeep(c *Conn) {
 	case c.rcv != nil:
 		// An embryo. (A dialed connection's handshake is bounded by Dial's
 		// own timer and the SYN retry budget, see startDial.)
-		if due(c.created.Add(cfg.HandshakeTimeout)) { // never completed
+		if due(c.created + sim.Time(cfg.HandshakeTimeout)) { // never completed
 			sh.ep.mReaped.Inc()
 			sh.remove(c, ErrHandshakeTimeout)
 			return
@@ -554,7 +466,7 @@ func (sh *shard) housekeep(c *Conn) {
 			if c.rcv.RetransmitSYNACK() {
 				sh.ep.mSynackRetrans.Inc()
 			}
-			c.nextHS = now.Add(cfg.handshakeRetryRTO(c.hsRetries))
+			c.nextHS = now + cfg.handshakeRetryRTO(c.hsRetries)
 			acted = true
 		}
 	}
@@ -566,27 +478,28 @@ func (sh *shard) housekeep(c *Conn) {
 			acted = true
 		}
 	}
-	if !c.nextRefresh.IsZero() && due(c.nextRefresh) {
+	if c.nextRefresh != unset && due(c.nextRefresh) {
 		sh.detectAnomalies(c, now)
 		sh.refreshSnapshot(c)
-		c.nextRefresh = time.Time{}
+		c.nextRefresh = unset
 		// A connection quiet for longer than any detector needs to see
 		// silence has nothing left to detect or to republish, and neither
 		// has a receiver that is only lingering after completion.
-		if c.completeAt.IsZero() && now.Sub(c.lastActive) <= sh.stallTimeout(c)+wndExhaustTimeout {
+		if c.completeAt == unset && now-c.lastActive <= sh.stallTimeout(c)+wndExhaustTimeout {
 			c.nextRefresh = sh.refreshSlot()
 		}
 		acted = true
 	}
 	if acted {
 		sh.poke(c)
-	} else if !next.IsZero() {
-		c.hk.Reset(sim.Time(next.Sub(sh.epoch)))
+	} else if next != unset {
+		c.hk.Reset(next)
 	}
 }
 
 // closeConn implements a user-initiated Close on the owning shard. A
-// mid-transfer sender closes gracefully (FIN, linger for FINACK); all
+// mid-transfer sender closes gracefully: FIN, then it stays registered,
+// and unfinished, until the FINACK arrives or closeLinger passes. All
 // other shapes tear down immediately.
 func (sh *shard) closeConn(c *Conn) {
 	if sh.conns[c.id] != c {
@@ -599,9 +512,8 @@ func (sh *shard) closeConn(c *Conn) {
 			Seq: c.snd.SentSeq(),
 		})
 		c.closing = true
-		c.closeDeadline = sh.now.Add(closeLinger)
+		c.closeDeadline = sh.loop.Now() + closeLinger
 		sh.poke(c)
-		c.finish(nil)
 		return
 	}
 	sh.remove(c, nil)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
 )
@@ -71,7 +72,7 @@ type ConnState struct {
 	// flight-recorder ring has seen (0 when the recorder is disabled).
 	FlightRecorded uint64 `json:"flight_recorded"`
 
-	// at is when the shard built this snapshot.
+	// at is the wall time the shard built this snapshot.
 	at time.Time
 }
 
@@ -80,7 +81,7 @@ type ConnState struct {
 // connection has gone quiet, is not refreshed, and the copy must catch up.
 func (s *ConnState) read() ConnState {
 	cp := *s
-	if quiet := time.Since(cp.at); quiet > 2*snapshotRefresh {
+	if quiet := time.Since(cp.at); quiet > 2*snapshotRefresh.Duration() {
 		cp.AgeSec += quiet.Seconds()
 	}
 	return cp
@@ -95,19 +96,19 @@ const (
 	// snapshotRefresh is how often a shard runs the detectors on an active
 	// connection and republishes its ConnState (anomalies, registration
 	// and removal additionally publish immediately).
-	snapshotRefresh = 100 * time.Millisecond
+	snapshotRefresh = 100 * sim.Millisecond
 	// retxStormThreshold retransmissions inside one rolling
 	// retxStormWindow fire the retransmission-storm anomaly.
-	retxStormWindow    = time.Second
+	retxStormWindow    = sim.Second
 	retxStormThreshold = 50
 	// wndExhaustTimeout is how long the send window must stay exhausted
 	// with data queued before the window-exhaustion anomaly fires.
-	wndExhaustTimeout = time.Second
+	wndExhaustTimeout = sim.Second
 	// migStormWindow / migStormThreshold: this many migration rejects
 	// within the window fire the migration-storm anomaly (a NAT rebind
 	// turns every arriving packet into a reject, so a real rebind
 	// crosses this in a few RTTs).
-	migStormWindow    = 5 * time.Second
+	migStormWindow    = 5 * sim.Second
 	migStormThreshold = 10
 )
 
@@ -120,24 +121,26 @@ var anomalyClasses = [...]uint8{
 }
 
 // anomalyState is the shard-owned detector bookkeeping embedded in each
-// Conn. Only the owning shard goroutine touches it.
+// Conn, its times on the shard's loop. Only the owning shard goroutine
+// touches it.
 type anomalyState struct {
-	// No-progress stall tracking.
-	lastProgress time.Time
+	// No-progress stall tracking (lastProgress is unset until the first
+	// pass on an established connection).
+	lastProgress sim.Time
 	lastCum      uint64
 	lastDeliv    int64
 
 	// Retransmission-storm rolling window.
-	retxWindowAt time.Time
+	retxWindowAt sim.Time
 	retxAtWindow int
 
-	// Window-exhaustion persistence.
-	wndBlockedSince time.Time
+	// Window-exhaustion persistence (unset while the window is open).
+	wndBlockedSince sim.Time
 
 	// Migration-reject rolling window (migRejects is bumped on the
 	// demux path, same goroutine).
 	migRejects  int64
-	migWindowAt time.Time
+	migWindowAt sim.Time
 	migAtWindow int64
 
 	fired   [len(anomalyClasses)]bool
@@ -155,12 +158,12 @@ func anomalyIndex(class uint8) int {
 
 // buildState assembles a fresh ConnState. Shard goroutine only.
 func (sh *shard) buildState(c *Conn) *ConnState {
-	now := sh.now
+	now := sh.loop.Now()
 	s := &ConnState{
 		ConnID: c.id,
 		Peer:   c.peer.String(),
-		AgeSec: now.Sub(c.created).Seconds(),
-		at:     now,
+		AgeSec: (now - c.created).Seconds(),
+		at:     sh.wall(now),
 	}
 	switch {
 	case c.closing:
@@ -172,7 +175,7 @@ func (sh *shard) buildState(c *Conn) *ConnState {
 	default:
 		s.State = "established"
 	}
-	span := now.Sub(c.created).Seconds()
+	span := (now - c.created).Seconds()
 	if snd := c.snd; snd != nil {
 		s.Role = "sender"
 		s.SRTTMs = snd.SRTT().Seconds() * 1e3
@@ -241,12 +244,12 @@ func (sh *shard) refreshSnapshot(c *Conn) { c.snap.Store(sh.buildState(c)) }
 // emits a telemetry event into the flight recorder, bumps the class
 // counter, dumps the ring as a post-mortem, and republishes the
 // snapshot.
-func (sh *shard) detectAnomalies(c *Conn, now time.Time) {
+func (sh *shard) detectAnomalies(c *Conn, now sim.Time) {
 	if !c.established {
 		return
 	}
 	a := &c.anom
-	if a.lastProgress.IsZero() {
+	if a.lastProgress == unset {
 		a.lastProgress = now
 		a.retxWindowAt = now
 		a.migWindowAt = now
@@ -261,22 +264,22 @@ func (sh *shard) detectAnomalies(c *Conn, now time.Time) {
 			// an application pause starts a fresh clock.)
 			a.lastCum = cum
 			a.lastProgress = now
-		} else if snd.Inflight() > 0 && now.Sub(a.lastProgress) > stallAfter {
-			sh.fireAnomaly(c, telemetry.TrigStall, uint64(now.Sub(a.lastProgress)))
+		} else if snd.Inflight() > 0 && now-a.lastProgress > stallAfter {
+			sh.fireAnomaly(c, telemetry.TrigStall, uint64(now-a.lastProgress))
 		}
 	} else if rcv := c.rcv; rcv != nil && !rcv.Complete() {
 		if d := rcv.Delivered(); d != a.lastDeliv || rcv.Stats.DataPackets == 0 {
 			a.lastDeliv = d
 			a.lastProgress = now
-		} else if now.Sub(c.lastRecv) > stallAfter {
-			sh.fireAnomaly(c, telemetry.TrigStall, uint64(now.Sub(c.lastRecv)))
+		} else if now-c.lastRecv > stallAfter {
+			sh.fireAnomaly(c, telemetry.TrigStall, uint64(now-c.lastRecv))
 		}
 	}
 
 	if snd := c.snd; snd != nil {
 		// Retransmission storm: too many retransmissions inside one
 		// rolling window.
-		if now.Sub(a.retxWindowAt) >= retxStormWindow {
+		if now-a.retxWindowAt >= retxStormWindow {
 			if d := snd.Stats.Retransmits - a.retxAtWindow; d >= retxStormThreshold {
 				sh.fireAnomaly(c, telemetry.TrigRetxStorm, uint64(d))
 			}
@@ -287,19 +290,19 @@ func (sh *shard) detectAnomalies(c *Conn, now time.Time) {
 		// Persistent window exhaustion: data queued but no budget to
 		// send it, continuously, for longer than wndExhaustTimeout.
 		if !snd.Done() && snd.WindowFree() <= 0 && snd.StreamBacklog() {
-			if a.wndBlockedSince.IsZero() {
+			if a.wndBlockedSince == unset {
 				a.wndBlockedSince = now
-			} else if blocked := now.Sub(a.wndBlockedSince); blocked > wndExhaustTimeout {
+			} else if blocked := now - a.wndBlockedSince; blocked > wndExhaustTimeout {
 				sh.fireAnomaly(c, telemetry.TrigWndExhaust, uint64(blocked))
 			}
 		} else {
-			a.wndBlockedSince = time.Time{}
+			a.wndBlockedSince = unset
 		}
 	}
 
 	// Migration-reject storm (both halves; rejects are counted on the
 	// demux path).
-	if now.Sub(a.migWindowAt) >= migStormWindow {
+	if now-a.migWindowAt >= migStormWindow {
 		a.migWindowAt = now
 		a.migAtWindow = a.migRejects
 	}
@@ -311,16 +314,16 @@ func (sh *shard) detectAnomalies(c *Conn, now time.Time) {
 // stallTimeout returns the no-progress threshold for c: StallRTOs times
 // the sender's backoff-free RTO, or — for the receiver half, which has
 // no RTO estimator — the transport's configured minimum RTO.
-func (sh *shard) stallTimeout(c *Conn) time.Duration {
-	n := sh.ep.cfg.StallRTOs
+func (sh *shard) stallTimeout(c *Conn) sim.Time {
+	n := sim.Time(sh.ep.cfg.StallRTOs)
 	if c.snd != nil {
-		return time.Duration(c.snd.BaseRTO()) * time.Duration(n)
+		return c.snd.BaseRTO() * n
 	}
-	rto := time.Duration(sh.ep.cfg.Transport.MinRTO)
+	rto := sh.ep.cfg.Transport.MinRTO
 	if rto <= 0 {
-		rto = time.Duration(transport.DefaultMinRTO)
+		rto = transport.DefaultMinRTO
 	}
-	return rto * time.Duration(n)
+	return rto * n
 }
 
 // fireAnomaly latches one anomaly class on a connection: telemetry
@@ -360,21 +363,11 @@ func (sh *shard) dumpPostMortem(c *Conn, class string) {
 	path := filepath.Join(dir, fmt.Sprintf("postmortem-conn%08x-%s.jsonl", c.id, class))
 	ep := sh.ep
 	go func() {
-		f, err := os.Create(path)
-		if err != nil {
-			ep.mAnomalyDumpErrs.Inc()
-			return
-		}
-		buf := make([]byte, 0, 256)
+		var buf []byte
 		for i := range events {
-			buf = telemetry.AppendEvent(buf[:0], &events[i])
-			if _, err := f.Write(buf); err != nil {
-				f.Close()
-				ep.mAnomalyDumpErrs.Inc()
-				return
-			}
+			buf = telemetry.AppendEvent(buf, &events[i])
 		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(path, buf, 0o666); err != nil {
 			ep.mAnomalyDumpErrs.Inc()
 			return
 		}

@@ -1,13 +1,13 @@
 package endpoint
 
 // Tests of the shard's deadline-driven scheduling: every lifecycle policy
-// the 1 ms tick used to poll is now a deadline on the shard loop, so each
-// must still fire, and fire on time; connections that do nothing must not
-// wake the shard; and a removed connection must leave nothing on the loop.
+// is a deadline on the shard loop, so each must fire at its exact virtual
+// time on the sim driver; connections that do nothing must not wake a
+// socket-driven shard; and a removed connection must leave nothing on the
+// loop.
 
 import (
 	"errors"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -19,90 +19,8 @@ import (
 	"github.com/tacktp/tack/internal/transport"
 )
 
-// punctual is how late a lifecycle deadline may fire.
+// punctual is how late a deadline may fire on a socket-driven shard.
 const punctual = 50 * time.Millisecond
-
-// onTime fails the test unless got lies within [want, want+punctual]. A
-// millisecond of earliness is forgiven: the test's own clock readings
-// bracket the shard's.
-func onTime(t *testing.T, what string, got, want time.Duration) {
-	t.Helper()
-	if got < want-time.Millisecond || got > want+punctual {
-		t.Errorf("%s after %v, want within %v of %v", what, got, punctual, want)
-	}
-}
-
-// rawPeer is a hand-driven UDP socket standing in for a peer endpoint, so
-// a test sees each packet the endpoint under test sends, and when.
-type rawPeer struct {
-	t  *testing.T
-	uc *net.UDPConn
-}
-
-func newRawPeer(t *testing.T) *rawPeer {
-	t.Helper()
-	p := &rawPeer{t: t, uc: attackerSocket(t)}
-	t.Cleanup(func() { p.uc.Close() })
-	return p
-}
-
-func (p *rawPeer) addr() string { return p.uc.LocalAddr().String() }
-
-func (p *rawPeer) send(to *net.UDPAddr, pkt *packet.Packet) {
-	p.t.Helper()
-	if _, err := p.uc.WriteToUDP(frame(pkt), to); err != nil {
-		p.t.Fatal(err)
-	}
-}
-
-// recv returns the next packet of the wanted type (skipping others), its
-// source and its arrival time; ok is false when none arrives by deadline.
-func (p *rawPeer) recv(want packet.Type, deadline time.Time) (pkt *packet.Packet, from *net.UDPAddr, at time.Time, ok bool) {
-	p.t.Helper()
-	buf := make([]byte, 4096)
-	for {
-		p.uc.SetReadDeadline(deadline)
-		n, src, err := p.uc.ReadFromUDP(buf)
-		at = time.Now()
-		if err != nil {
-			return nil, nil, at, false
-		}
-		body, crcOK := checkFrameCRC(buf[:n])
-		if !crcOK {
-			p.t.Fatalf("endpoint sent a datagram with a bad frame CRC")
-		}
-		pkt = &packet.Packet{}
-		if err := packet.DecodeInto(pkt, body); err != nil {
-			p.t.Fatalf("endpoint sent an undecodable datagram: %v", err)
-		}
-		if pkt.Type == want {
-			return pkt, src, at, true
-		}
-	}
-}
-
-// accept plays the server half of a handshake against a dialing endpoint:
-// it answers the first SYN with a SYNACK and returns the SYN.
-func (p *rawPeer) accept() (syn *packet.Packet, from *net.UDPAddr) {
-	p.t.Helper()
-	syn, from, _, ok := p.recv(packet.TypeSYN, time.Now().Add(5*time.Second))
-	if !ok {
-		p.t.Fatal("no SYN arrived")
-	}
-	p.send(from, &packet.Packet{Type: packet.TypeSYNACK, ConnID: syn.ConnID,
-		Ack: &packet.AckInfo{EchoDeparture: syn.SentAt, Window: 1 << 20}})
-	return syn, from
-}
-
-// timersDrained waits up to a second for an endpoint's shard loops to hold
-// no timer at all (the gauge is brought up to date at the end of a burst).
-func timersDrained(reg *telemetry.Registry) bool {
-	deadline := time.Now().Add(time.Second)
-	for reg.Gauge("ep.shard.timers").Value() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	return reg.Gauge("ep.shard.timers").Value() == 0
-}
 
 // wakeups sums an endpoint's shard wake-ups over every cause.
 func wakeups(reg *telemetry.Registry) int64 {
@@ -113,144 +31,130 @@ func wakeups(reg *telemetry.Registry) int64 {
 	return n
 }
 
+// drained fails the test unless nothing is left on the network's loop:
+// every connection is gone, with all its timers, and the wires are idle.
+func drained(t *testing.T, n *simNet) {
+	t.Helper()
+	n.runFor(simOWD) // what was on the wire at the removal lands
+	if p := n.loop.Pending(); p != 0 {
+		t.Errorf("%d events left on the loop after every connection was removed", p)
+	}
+}
+
 func TestIdleTimeoutAndKeepaliveFireOnTime(t *testing.T) {
 	const idle, ka = 600 * time.Millisecond, 100 * time.Millisecond
-	peer := newRawPeer(t)
-	cli, err := Listen("127.0.0.1:0", Config{
+	n := newSimNet(t, 1, simWire)
+	cli, _ := n.endpoint(Config{
 		Transport:   transport.Config{Mode: transport.ModeTACK, AppPaced: true},
 		IdleTimeout: idle, KeepaliveInterval: ka,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	var c *Conn
-	dialed := make(chan error, 1)
-	go func() {
-		var err error
-		c, err = cli.Dial(peer.addr())
-		dialed <- err
-	}()
+	peer := n.peer()
+	c := n.dial(cli, peer.addr)
 	peer.accept()
-	lastRecv := time.Now() // the SYNACK is the last thing the client ever hears
-	if err := <-dialed; err != nil {
-		t.Fatal(err)
-	}
-
-	// Keepalives: the handshake IACK is the last transmission, so probes
-	// follow it one interval apart for as long as the connection lives.
-	_, _, prev, ok := peer.recv(packet.TypeIACK, time.Now().Add(time.Second))
-	if !ok {
-		t.Fatal("no handshake IACK arrived")
-	}
-	probes := 0
-	for {
-		pkt, _, at, ok := peer.recv(packet.TypeIACK, lastRecv.Add(idle+punctual))
-		if !ok {
-			break
-		}
-		if pkt.IACK != packet.IACKKeepalive {
-			t.Fatalf("unexpected IACK kind %v on an idle connection", pkt.IACK)
-		}
-		onTime(t, "keepalive", at.Sub(prev), ka)
-		prev = at
-		probes++
-	}
-	if want := int(idle/ka) - 1; probes < want {
-		t.Errorf("%d keepalives in %v, want at least %d", probes, idle, want)
-	}
+	lastRecv := n.now() + simOWD // the SYNACK is the last thing the client ever hears
 
 	// Keepalives are transmissions; only inbound traffic holds off the idle
-	// reaper, and there has been none. The loop above read until
-	// lastRecv+idle+punctual: the reap is on time only if it is done by now.
-	select {
-	case <-c.Done():
-	default:
-		t.Errorf("connection still alive %v after it last heard from its peer", time.Since(lastRecv))
+	// reaper, and there has been none.
+	if !n.finished(c, sim.Time(idle)+sim.Second) {
+		t.Fatal("the connection was never reaped")
 	}
-	if err := c.Wait(time.Second); !errors.Is(err, ErrIdleTimeout) {
+	if at := n.now(); at != lastRecv+sim.Time(idle) {
+		t.Errorf("reaped at %v, want %v: IdleTimeout after the SYNACK arrived at %v", at, lastRecv+sim.Time(idle), lastRecv)
+	}
+	if err := c.Err(); !errors.Is(err, ErrIdleTimeout) {
 		t.Fatalf("err = %v, want ErrIdleTimeout", err)
 	}
 	if cli.ConnCount() != 0 {
 		t.Fatalf("%d connections after the reap", cli.ConnCount())
 	}
+
+	// The handshake IACK answers the SYNACK and is the last transmission,
+	// so keepalives follow it one interval apart until the reap.
+	iacks := peer.arrivals(packet.TypeIACK)
+	if len(iacks) == 0 || iacks[0].at != lastRecv+simOWD {
+		t.Fatalf("IACKs %v: want the handshake IACK at %v", iacks, lastRecv+simOWD)
+	}
+	for i, a := range iacks[1:] {
+		if a.pkt.IACK != packet.IACKKeepalive {
+			t.Fatalf("unexpected IACK kind %v on an idle connection", a.pkt.IACK)
+		}
+		if want := iacks[0].at + sim.Time(i+1)*sim.Time(ka); a.at != want {
+			t.Errorf("keepalive %d arrived at %v, want %v", i+1, a.at, want)
+		}
+	}
+	if got, want := len(iacks)-1, int(idle/ka)-1; got != want {
+		t.Errorf("%d keepalives in %v, want %d", got, idle, want)
+	}
 }
 
 func TestIdleTimeoutFiresOnTime(t *testing.T) {
 	const idle = 300 * time.Millisecond
-	peer := newRawPeer(t)
-	cli, err := Listen("127.0.0.1:0", Config{
+	n := newSimNet(t, 1, simWire)
+	cli, _ := n.endpoint(Config{
 		Transport:   transport.Config{Mode: transport.ModeTACK, AppPaced: true},
 		IdleTimeout: idle,
 	})
-	if err != nil {
-		t.Fatal(err)
+	peer := n.peer()
+	c := n.dial(cli, peer.addr)
+	peer.accept()
+	if !n.runUntil(n.now()+sim.Second, func() bool { return closed(c.estCh) }) {
+		t.Fatal("no handshake")
 	}
-	defer cli.Close()
-	go peer.accept()
-	c, err := cli.Dial(peer.addr())
-	if err != nil {
-		t.Fatal(err)
+	established := n.now() // the SYNACK's arrival, the last thing the client hears
+	if !n.finished(c, sim.Time(idle)+sim.Second) {
+		t.Fatal("the connection was never reaped")
 	}
-	established := time.Now() // at most a loopback delivery after the SYNACK
-	if err := c.Wait(5 * time.Second); !errors.Is(err, ErrIdleTimeout) {
+	if err := c.Err(); !errors.Is(err, ErrIdleTimeout) {
 		t.Fatalf("err = %v, want ErrIdleTimeout", err)
 	}
-	onTime(t, "idle reap", time.Since(established), idle)
+	if got := n.now() - established; got != sim.Time(idle) {
+		t.Errorf("idle reap %v after establishment, want %v", got, idle)
+	}
 }
 
 func TestEmbryoSYNACKScheduleBudgetAndReap(t *testing.T) {
-	const rto, hsTimeout = 100 * time.Millisecond, 900 * time.Millisecond
+	const rto, hsTimeout = 100 * sim.Millisecond, 900 * time.Millisecond
 	reg := telemetry.NewRegistry()
-	srv, err := Listen("127.0.0.1:0", Config{
+	n := newSimNet(t, 1, simWire)
+	srv, srvAddr := n.endpoint(Config{
 		Transport: transport.Config{Mode: transport.ModeTACK, Metrics: reg,
-			HandshakeRTO: sim.Time(rto), MaxSYNRetries: 2},
+			HandshakeRTO: rto, MaxSYNRetries: 2},
 		HandshakeTimeout: hsTimeout,
 	})
-	if err != nil {
-		t.Fatal(err)
+	peer := n.peer()
+	peer.send(srvAddr, &packet.Packet{Type: packet.TypeSYN, ConnID: 77, SentAt: 1})
+	if !n.runUntil(sim.Second, func() bool { return srv.ConnCount() == 1 }) {
+		t.Fatal("the SYN made no embryo")
 	}
-	defer srv.Close()
-	peer := newRawPeer(t)
-	start := time.Now()
-	peer.send(srv.LocalAddr(), &packet.Packet{Type: packet.TypeSYN, ConnID: 77, SentAt: 1})
+	born := n.now()
+
+	// The embryo is reaped at HandshakeTimeout, not before and not late.
+	if !n.runUntil(born+sim.Time(hsTimeout)+sim.Second, func() bool { return srv.ConnCount() == 0 }) {
+		t.Fatal("the embryo was never reaped")
+	}
+	if got := n.now() - born; got != sim.Time(hsTimeout) {
+		t.Errorf("embryo reaped %v after its SYN, want %v", got, hsTimeout)
+	}
+	if n := reg.Counter("ep.reaped").Value(); n != 1 {
+		t.Errorf("ep.reaped = %d, want 1", n)
+	}
 
 	// The SYNACK, then retransmissions RTO and 2·RTO later, then — the
 	// budget of two being spent — nothing more.
-	var got []time.Duration
-	for {
-		_, _, at, ok := peer.recv(packet.TypeSYNACK, start.Add(hsTimeout-2*punctual))
-		if !ok {
-			break
-		}
-		got = append(got, at.Sub(start))
-	}
-	want := []time.Duration{0, rto, 3 * rto}
-	if len(got) != len(want) {
-		t.Fatalf("SYNACKs at %v, want %d of them (retry budget 2)", got, len(want))
+	synacks := peer.arrivals(packet.TypeSYNACK)
+	want := []sim.Time{0, rto, 3 * rto}
+	if len(synacks) != len(want) {
+		t.Fatalf("%d SYNACKs, want %d (retry budget 2)", len(synacks), len(want))
 	}
 	for i := range want {
-		onTime(t, "SYNACK", got[i], want[i])
+		if got := synacks[i].at - simOWD - born; got != want[i] {
+			t.Errorf("SYNACK %d sent %v after the SYN, want %v", i, got, want[i])
+		}
 	}
 	if n := reg.Counter("ep.synack_retransmits").Value(); n != 2 {
 		t.Errorf("ep.synack_retransmits = %d, want 2", n)
 	}
-
-	// The embryo is reaped at HandshakeTimeout, not before and not late.
-	if srv.ConnCount() != 1 {
-		t.Fatalf("embryo gone before HandshakeTimeout (conns=%d)", srv.ConnCount())
-	}
-	for srv.ConnCount() != 0 && time.Since(start) < hsTimeout+time.Second {
-		time.Sleep(time.Millisecond)
-	}
-	onTime(t, "embryo reap", time.Since(start), hsTimeout)
-	if n := reg.Counter("ep.reaped").Value(); n != 1 {
-		t.Errorf("ep.reaped = %d, want 1", n)
-	}
-	if !timersDrained(reg) {
-		t.Error("timers left on the shard loops after the only connection was reaped")
-	}
+	drained(t, n)
 }
 
 // TestUnsetTransportTimersFollowTransport sets none of HandshakeRTO,
@@ -259,8 +163,8 @@ func TestEmbryoSYNACKScheduleBudgetAndReap(t *testing.T) {
 // not numbers the endpoint keeps for itself.
 func TestUnsetTransportTimersFollowTransport(t *testing.T) {
 	cfg := Config{Transport: transport.Config{Mode: transport.ModeTACK}}.withDefaults()
-	rto := time.Duration(transport.DefaultHandshakeRTO)
-	for retries, want := range []time.Duration{rto, 2 * rto, 4 * rto} {
+	rto := transport.DefaultHandshakeRTO
+	for retries, want := range []sim.Time{rto, 2 * rto, 4 * rto} {
 		if got := cfg.handshakeRetryRTO(retries); got != want {
 			t.Errorf("embryo SYNACK timeout after %d retries = %v, want %v", retries, got, want)
 		}
@@ -269,44 +173,46 @@ func TestUnsetTransportTimersFollowTransport(t *testing.T) {
 		t.Errorf("embryo SYNACK budget = %d, want the transport's %d", got, transport.DefaultMaxSYNRetries)
 	}
 	sh := &shard{ep: &Endpoint{cfg: cfg}}
-	want := time.Duration(cfg.StallRTOs) * time.Duration(transport.DefaultMinRTO)
+	want := sim.Time(cfg.StallRTOs) * transport.DefaultMinRTO
 	if got := sh.stallTimeout(&Conn{}); got != want {
 		t.Errorf("receiver-side stall timeout = %v, want %d × the transport's minimum RTO = %v", got, cfg.StallRTOs, want)
 	}
 }
 
+// TestCloseLingerFiresOnTime closes a connection mid-transfer toward a
+// peer that never sends the FINACK: the connection stays registered, and
+// Wait blocked, until closeLinger runs out; then it is removed and
+// finished at once. (The sim driver fails any test in which a registered
+// connection's Done is closed.)
 func TestCloseLingerFiresOnTime(t *testing.T) {
-	peer := newRawPeer(t)
-	reg := telemetry.NewRegistry()
-	cli, err := Listen("127.0.0.1:0", Config{
-		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 20, Metrics: reg},
+	n := newSimNet(t, 1, simWire)
+	cli, _ := n.endpoint(Config{
+		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 20},
 	})
-	if err != nil {
-		t.Fatal(err)
+	peer := n.peer()
+	c := n.dial(cli, peer.addr)
+	peer.accept()
+	if !n.runUntil(n.now()+sim.Second, func() bool { return closed(c.estCh) }) {
+		t.Fatal("no handshake")
 	}
-	defer cli.Close()
-	go peer.accept()
-	c, err := cli.Dial(peer.addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mid-transfer, and the peer will never FINACK: the connection is torn
-	// down when closeLinger runs out.
 	c.Close()
-	closed := time.Now()
-	if err := c.Wait(time.Second); err != nil {
+	closedAt := n.now()
+	if _, ok := peer.recv(packet.TypeFIN, closedAt+sim.Second); !ok {
+		t.Fatal("no FIN arrived")
+	}
+	if !n.finished(c, closeLinger+sim.Second) {
+		t.Fatal("the closing connection was never removed")
+	}
+	if got := n.now() - closedAt; got != closeLinger {
+		t.Errorf("close-linger teardown %v after Close, want %v", got, closeLinger)
+	}
+	if err := c.Err(); err != nil {
 		t.Fatalf("graceful close reported %v", err)
 	}
-	if cli.ConnCount() != 1 {
-		t.Fatalf("closing connection did not linger (conns=%d)", cli.ConnCount())
+	if cli.ConnCount() != 0 {
+		t.Fatalf("%d connections after the teardown", cli.ConnCount())
 	}
-	for cli.ConnCount() != 0 && time.Since(closed) < closeLinger+time.Second {
-		time.Sleep(time.Millisecond)
-	}
-	onTime(t, "close-linger teardown", time.Since(closed), closeLinger)
-	if !timersDrained(reg) { // its retransmission timers went with it
-		t.Error("timers left on the shard loops after the connection was removed")
-	}
+	drained(t, n) // its retransmission timers went with it
 }
 
 // TestFinishedSenderAwaitsItsProbesAck plays a receiver that holds its
@@ -314,69 +220,58 @@ func TestCloseLingerFiresOnTime(t *testing.T) {
 // acknowledges the originals: every byte is acknowledged while the probe's
 // own acknowledgment is still due. The connection stays registered and Wait
 // blocked until that acknowledgment arrives; then it is removed, and the
-// sender's counters read after Wait already count it. (Under -race, a shard
-// still driving the sender once Wait returned would be reported here.)
+// sender's counters read after Wait already count it.
 func TestFinishedSenderAwaitsItsProbesAck(t *testing.T) {
 	const size = 4 << 10
-	peer := newRawPeer(t)
 	reg := telemetry.NewRegistry()
-	cli, err := Listen("127.0.0.1:0", Config{
+	n := newSimNet(t, 1, simWire)
+	cli, _ := n.endpoint(Config{
 		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: reg},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	var c *Conn
-	dialed := make(chan error, 1)
-	go func() {
-		var err error
-		c, err = cli.Dial(peer.addr())
-		dialed <- err
-	}()
-	syn, from := peer.accept()
-	if err := <-dialed; err != nil {
-		t.Fatal(err)
-	}
+	peer := n.peer()
+	c := n.dial(cli, peer.addr)
+	syn := peer.accept()
 
 	// The originals, then the probe: the newest of them again, under a
 	// fresh packet number.
 	var last uint64
 	var probe *packet.Packet
 	for probe == nil {
-		p, _, _, ok := peer.recv(packet.TypeData, time.Now().Add(5*time.Second))
+		a, ok := peer.recv(packet.TypeData, n.now()+5*sim.Second)
 		if !ok {
 			t.Fatal("no tail loss probe arrived")
 		}
-		if p.Retrans {
-			probe = p
+		if a.pkt.Retrans {
+			probe = a.pkt
 		} else {
-			last = p.PktSeq
+			last = a.pkt.PktSeq
 		}
 	}
 	ack := func(n, largest uint64) {
-		peer.send(from, &packet.Packet{Type: packet.TypeTACK, ConnID: syn.ConnID,
+		peer.send(syn.from, &packet.Packet{Type: packet.TypeTACK, ConnID: syn.pkt.ConnID,
 			Ack: &packet.AckInfo{CumAck: size, CumPktSeq: largest + 1, LargestPktSeq: largest,
 				AckSeq: n, Window: 1 << 20}})
 	}
 
 	ack(1, last)
-	select {
-	case <-c.Done():
+	n.runFor(50 * sim.Millisecond)
+	if closed(c.doneCh) {
 		t.Fatal("Wait returned while the probe's acknowledgment was still due")
-	case <-time.After(50 * time.Millisecond):
 	}
 	if cli.ConnCount() != 1 {
 		t.Fatalf("finished sender with its probe in flight not registered (conns=%d)", cli.ConnCount())
 	}
 
 	ack(2, probe.PktSeq)
-	acked := time.Now()
-	if err := c.Wait(time.Second); err != nil {
-		t.Fatal(err)
+	arrives := n.now() + simOWD
+	if !n.finished(c, sim.Second) {
+		t.Fatal("the sender was never removed")
 	}
-	if waited := time.Since(acked); waited > punctual {
-		t.Errorf("Wait returned %v after the probe's acknowledgment, want within %v", waited, punctual)
+	if n.now() != arrives {
+		t.Errorf("Wait returned at %v, want at the probe acknowledgment's arrival %v", n.now(), arrives)
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if n := c.Sender().Stats.AcksReceived; n != 2 {
 		t.Errorf("sender absorbed %d acknowledgments by Wait, want 2 (the originals', the probe's)", n)
@@ -390,102 +285,89 @@ func TestFinishedSenderAwaitsItsProbesAck(t *testing.T) {
 }
 
 func TestCompleteLingerFiresOnTimeAndLeavesNoTimers(t *testing.T) {
-	srvReg, cliReg := telemetry.NewRegistry(), telemetry.NewRegistry()
 	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: 64 << 10}
-	mk := func(reg *telemetry.Registry) *Endpoint {
-		tc := tcfg
-		tc.Metrics = reg
-		ep, err := Listen("127.0.0.1:0", Config{Transport: tc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ep.Close() })
-		return ep
-	}
-	srv, cli := mk(srvReg), mk(cliReg)
-	sc, c := dialEstablished(t, srv, cli, srv.LocalAddr().String())
+	n := newSimNet(t, 1, simPath)
+	srv, srvAddr := n.endpoint(Config{Transport: tcfg})
+	cli, _ := n.endpoint(Config{Transport: tcfg})
+	sc, c := n.connect(srv, srvAddr, cli)
 	if s := sc.StateSnapshot(); s == nil || s.ConnID != sc.ConnID() {
 		t.Fatalf("accepted connection has no snapshot yet: %+v", s)
 	}
-	if err := c.Wait(10 * time.Second); err != nil {
+	if !n.finished(c, 10*sim.Second) {
+		t.Fatal("the sender never finished")
+	}
+	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	// The sender is removed the moment its last byte is acknowledged, and
-	// with it every timer it had on the client's shard loops. Its final
-	// snapshot says how it ended.
+	// The sender is removed the moment its last byte is acknowledged. Its
+	// final snapshot says how it ended.
 	if s := c.StateSnapshot(); s == nil || s.BytesAcked != tcfg.TransferBytes {
 		t.Errorf("final sender snapshot: %+v, want %d bytes acked", s, tcfg.TransferBytes)
 	}
-	if !timersDrained(cliReg) || cli.ConnCount() != 0 {
-		t.Errorf("client after its only transfer: %v timers queued, %d connections; want 0, 0",
-			cliReg.Gauge("ep.shard.timers").Value(), cli.ConnCount())
+	if cli.ConnCount() != 0 {
+		t.Errorf("client holds %d connections after its only transfer", cli.ConnCount())
 	}
 
 	// The receiver lingers completeLinger past completion, then goes too.
-	if err := sc.Wait(10 * time.Second); err != nil {
+	if !n.finished(sc, 10*sim.Second) {
+		t.Fatal("the receiver never finished")
+	}
+	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	onTime(t, "complete-linger teardown", time.Since(sc.CompletedAt()), completeLinger)
+	if got := n.now() - sc.completeAt; got != completeLinger {
+		t.Errorf("complete-linger teardown %v after completion, want %v", got, completeLinger)
+	}
+	if got, want := sc.CompletedAt(), simEpoch.Add(sc.completeAt.Duration()); !got.Equal(want) {
+		t.Errorf("CompletedAt %v, want the completion's wall view %v", got, want)
+	}
 	if s := sc.StateSnapshot(); s.BytesDelivered != tcfg.TransferBytes || s.State != "complete" {
 		t.Errorf("final receiver snapshot: %+v", s)
 	}
 	if sc.FlightRecorder().Len() != 0 {
 		t.Errorf("finished connection still holds %d recorded events", sc.FlightRecorder().Len())
 	}
-	if !timersDrained(srvReg) {
-		t.Error("timers left on the server's shard loops after its only connection was removed")
-	}
+	drained(t, n)
 }
 
 func TestPathChallengeScheduleAndDeadline(t *testing.T) {
-	const rto = 100 * time.Millisecond
+	const rto = 100 * sim.Millisecond
 	srvReg := telemetry.NewRegistry()
+	n := newSimNet(t, 1, simWire)
 	cfg := migConfig(transport.Config{Mode: transport.ModeTACK, AppPaced: true, Metrics: srvReg})
-	cfg.Transport.HandshakeRTO = sim.Time(rto)
-	srv, err := Listen("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Listen("127.0.0.1:0", migConfig(transport.Config{Mode: transport.ModeTACK, AppPaced: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	_, c := dialEstablished(t, srv, cli, srv.LocalAddr().String())
+	cfg.Transport.HandshakeRTO = rto
+	srv, srvAddr := n.endpoint(cfg)
+	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, AppPaced: true}))
+	_, c := n.connect(srv, srvAddr, cli)
 
 	// A packet for the connection from an address the server has never
 	// seen, big enough that the 3× budget never blocks a challenge.
-	stranger := newRawPeer(t)
-	start := time.Now()
-	stranger.send(srv.LocalAddr(), &packet.Packet{Type: packet.TypeData, ConnID: c.ConnID(),
+	stranger := n.peer()
+	stranger.send(srvAddr, &packet.Packet{Type: packet.TypeData, ConnID: c.ConnID(),
 		PktSeq: 1 << 20, Seq: 1 << 30, Payload: make([]byte, 1200)})
+	start := n.now() + simOWD // its arrival opens the probing episode
 
-	failed := make(chan time.Duration, 1)
-	go func() {
-		for srvReg.Counter("ep.migration.failed").Value() == 0 && time.Since(start) < migrationTimeout+time.Second {
-			time.Sleep(time.Millisecond)
-		}
-		failed <- time.Since(start)
-	}()
+	if !n.runUntil(start+migrationTimeout+sim.Second, func() bool {
+		return srvReg.Counter("ep.migration.failed").Value() != 0
+	}) {
+		t.Fatal("the path validation never failed")
+	}
+	if got := n.now() - start; got != migrationTimeout {
+		t.Errorf("path validation failed %v after it began, want %v", got, migrationTimeout)
+	}
 	// Challenges on the handshake schedule — 0, RTO, 3·RTO, 7·RTO, … —
-	// until the episode's deadline, where it fails, on time.
-	var got []time.Duration
-	for {
-		_, _, at, ok := stranger.recv(packet.TypePathChallenge, start.Add(migrationTimeout+punctual))
-		if !ok {
-			break
+	// until the episode's deadline.
+	got := stranger.arrivals(packet.TypePathChallenge)
+	sent := start
+	for i, a := range got {
+		if a.at-simOWD != sent {
+			t.Errorf("PATH_CHALLENGE %d sent at %v, want %v", i, a.at-simOWD, sent)
 		}
-		got = append(got, at.Sub(start))
+		sent += rto << i
 	}
-	for i, want := 0, time.Duration(0); i < len(got); i++ {
-		onTime(t, "PATH_CHALLENGE", got[i], want)
-		want += rto << i
+	if len(got) != 5 { // at 0, 0.1, 0.3, 0.7 and 1.5 s; the next is due after the 3 s deadline
+		t.Errorf("%d challenges within %v, want 5", len(got), migrationTimeout)
 	}
-	if len(got) < 5 {
-		t.Errorf("challenges at %v, want at least 5 within %v", got, migrationTimeout)
-	}
-	onTime(t, "failed path validation", <-failed, migrationTimeout)
 }
 
 // dialHeld dials n app-paced connections that will never send a byte.

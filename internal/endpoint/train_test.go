@@ -42,7 +42,8 @@ func TestFlushCountsEachDatagramOnceUnderTrainErrors(t *testing.T) {
 		mGSOFallbacks: reg.Counter("ep.batch.gso_fallbacks"),
 	}
 	ep.bufPool.New = func() any { b := make([]byte, 0, 2048); return &b }
-	sh := newShard(ep, newEpSocket(0, uc, reg))
+	sh := newShard(ep, newEpSocket(0, uc, reg), 1)
+	sh.wr = sh.sock.bconn.NewWriter(egressBatchSize)
 
 	queued, wantGood := 0, map[string]bool{}
 	queue := func(run, n int, addr *net.UDPAddr) {
