@@ -183,9 +183,6 @@ type Config struct {
 	// /debug/tack/conns). The endpoint package itself does not open the
 	// listener — package tack wires it to avoid a dependency cycle.
 	DebugAddr string
-	// StallRTOs is the no-progress stall detector's threshold in
-	// multiples of the (backoff-free) RTO. Default 4.
-	StallRTOs int
 }
 
 func (c Config) withDefaults() Config {
@@ -217,9 +214,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = c.Transport.Metrics
-	}
-	if c.StallRTOs <= 0 {
-		c.StallRTOs = 4
 	}
 	return c
 }

@@ -97,6 +97,9 @@ const (
 	// connection and republishes its ConnState (anomalies, registration
 	// and removal additionally publish immediately).
 	snapshotRefresh = 100 * sim.Millisecond
+	// stallRTOs is the no-progress stall threshold in multiples of the
+	// (backoff-free) RTO.
+	stallRTOs = 4
 	// retxStormThreshold retransmissions inside one rolling
 	// retxStormWindow fire the retransmission-storm anomaly.
 	retxStormWindow    = sim.Second
@@ -256,7 +259,7 @@ func (sh *shard) detectAnomalies(c *Conn, now sim.Time) {
 	}
 
 	// No-progress stall: data in flight (sender) or a transfer underway
-	// (receiver) with nothing moving for > StallRTOs × RTO.
+	// (receiver) with nothing moving for > stallRTOs × RTO.
 	stallAfter := sh.stallTimeout(c)
 	if snd := c.snd; snd != nil && !snd.Done() {
 		if cum := snd.CumAcked(); cum != a.lastCum || snd.Inflight() == 0 {
@@ -311,19 +314,18 @@ func (sh *shard) detectAnomalies(c *Conn, now sim.Time) {
 	}
 }
 
-// stallTimeout returns the no-progress threshold for c: StallRTOs times
+// stallTimeout returns the no-progress threshold for c: stallRTOs times
 // the sender's backoff-free RTO, or — for the receiver half, which has
 // no RTO estimator — the transport's configured minimum RTO.
 func (sh *shard) stallTimeout(c *Conn) sim.Time {
-	n := sim.Time(sh.ep.cfg.StallRTOs)
 	if c.snd != nil {
-		return c.snd.BaseRTO() * n
+		return c.snd.BaseRTO() * stallRTOs
 	}
 	rto := sh.ep.cfg.Transport.MinRTO
 	if rto <= 0 {
 		rto = transport.DefaultMinRTO
 	}
-	return rto * n
+	return rto * stallRTOs
 }
 
 // fireAnomaly latches one anomaly class on a connection: telemetry

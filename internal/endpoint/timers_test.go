@@ -173,9 +173,9 @@ func TestUnsetTransportTimersFollowTransport(t *testing.T) {
 		t.Errorf("embryo SYNACK budget = %d, want the transport's %d", got, transport.DefaultMaxSYNRetries)
 	}
 	sh := &shard{ep: &Endpoint{cfg: cfg}}
-	want := sim.Time(cfg.StallRTOs) * transport.DefaultMinRTO
+	want := stallRTOs * transport.DefaultMinRTO
 	if got := sh.stallTimeout(&Conn{}); got != want {
-		t.Errorf("receiver-side stall timeout = %v, want %d × the transport's minimum RTO = %v", got, cfg.StallRTOs, want)
+		t.Errorf("receiver-side stall timeout = %v, want %d × the transport's minimum RTO = %v", got, stallRTOs, want)
 	}
 }
 
@@ -324,8 +324,8 @@ func TestCompleteLingerFiresOnTimeAndLeavesNoTimers(t *testing.T) {
 	if s := sc.StateSnapshot(); s.BytesDelivered != tcfg.TransferBytes || s.State != "complete" {
 		t.Errorf("final receiver snapshot: %+v", s)
 	}
-	if sc.FlightRecorder().Len() != 0 {
-		t.Errorf("finished connection still holds %d recorded events", sc.FlightRecorder().Len())
+	if held := sc.FlightRecorder().Snapshot(nil); len(held) != 0 {
+		t.Errorf("finished connection still holds %d recorded events", len(held))
 	}
 	drained(t, n)
 }

@@ -1,19 +1,14 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-
-	"github.com/tacktp/tack/internal/stats"
 )
 
 // Registry is a process-wide (or per-run) metrics namespace: named
-// counters, gauges, and streaming histograms. Instruments are resolved
+// counters, gauges, and bucketed histograms. Instruments are resolved
 // once at construction time of the instrumented component and then updated
 // lock-free on the hot path (counters and gauges are single atomics).
 //
@@ -41,22 +36,18 @@ func NewRegistry() *Registry {
 	}
 }
 
-// MetricKind discriminates instrument types for Visit/Each.
-type MetricKind uint8
+// metricKind discriminates instrument types for each.
+type metricKind uint8
 
-// Instrument kinds reported by Registry.Visit and Registry.Each.
 const (
-	// MetricCounter is a monotonically increasing count.
-	MetricCounter MetricKind = iota
-	// MetricGauge is a point-in-time value.
-	MetricGauge
-	// MetricHistogram is a bucketed distribution.
-	MetricHistogram
+	metricCounter metricKind = iota
+	metricGauge
+	metricHistogram
 )
 
 type seqEntry struct {
 	name string
-	kind MetricKind
+	kind metricKind
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
@@ -68,20 +59,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-		r.seqDirty = true
-	}
-	return c
+	return instrument(r, r.counters, name)
 }
 
 // Gauge returns (creating on first use) the named gauge.
@@ -89,20 +67,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-		r.seqDirty = true
-	}
-	return g
+	return instrument(r, r.gauges, name)
 }
 
 // Histogram returns (creating on first use) the named histogram.
@@ -110,20 +75,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return instrument(r, r.histograms, name)
+}
+
+// instrument returns m[name], creating a zero instrument under the write
+// lock on first use. m is one of r's three maps.
+func instrument[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.RLock()
-	h := r.histograms[name]
+	v := m[name]
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = &Histogram{s: stats.NewSummary(), buckets: make([]uint64, len(BucketBounds))}
-		r.histograms[name] = h
+	if v = m[name]; v == nil {
+		v = new(T)
+		m[name] = v
 		r.seqDirty = true
 	}
-	return h
+	return v
 }
 
 // sequence returns the deterministic instrument order, rebuilding the
@@ -144,63 +115,39 @@ func (r *Registry) sequence() []seqEntry {
 		return r.seq
 	}
 	seq := make([]seqEntry, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
+	for _, n := range sortedNames(r.counters) {
+		seq = append(seq, seqEntry{name: n, kind: metricCounter, c: r.counters[n]})
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		seq = append(seq, seqEntry{name: n, kind: MetricCounter, c: r.counters[n]})
+	for _, n := range sortedNames(r.gauges) {
+		seq = append(seq, seqEntry{name: n, kind: metricGauge, g: r.gauges[n]})
 	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		seq = append(seq, seqEntry{name: n, kind: MetricGauge, g: r.gauges[n]})
-	}
-	names = names[:0]
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		seq = append(seq, seqEntry{name: n, kind: MetricHistogram, h: r.histograms[n]})
+	for _, n := range sortedNames(r.histograms) {
+		seq = append(seq, seqEntry{name: n, kind: metricHistogram, h: r.histograms[n]})
 	}
 	r.seq, r.seqDirty = seq, false
 	return seq
 }
 
-// Each calls fn for every instrument in deterministic order (counters,
+func sortedNames[T any](m map[string]*T) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// each calls fn for every instrument in deterministic order (counters,
 // then gauges, then histograms; each group sorted by name). Exactly one
 // of c/g/h is non-nil per call. fn runs without the registry lock held,
 // so it may call back into the registry. Nil-safe.
-func (r *Registry) Each(fn func(name string, kind MetricKind, c *Counter, g *Gauge, h *Histogram)) {
+func (r *Registry) each(fn func(name string, kind metricKind, c *Counter, g *Gauge, h *Histogram)) {
 	if r == nil {
 		return
 	}
 	for _, e := range r.sequence() {
 		fn(e.name, e.kind, e.c, e.g, e.h)
 	}
-}
-
-// Visit calls fn with every instrument's name, kind, and current value
-// in the same deterministic order as Each, without allocating a
-// Snapshot (the exporter hot path). Counters report their count as a
-// float64; histograms report their sample count — use Each for bucket
-// access. Nil-safe.
-func (r *Registry) Visit(fn func(name string, kind MetricKind, value float64)) {
-	r.Each(func(name string, kind MetricKind, c *Counter, g *Gauge, h *Histogram) {
-		switch kind {
-		case MetricCounter:
-			fn(name, kind, float64(c.Value()))
-		case MetricGauge:
-			fn(name, kind, g.Value())
-		case MetricHistogram:
-			fn(name, kind, float64(h.Count()))
-		}
-	})
 }
 
 // Counter is a monotonically increasing atomic counter.
@@ -242,17 +189,21 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// BucketBounds are the fixed log-spaced histogram bucket upper bounds
-// shared by every Histogram: a 1-2-5 series per decade from 1e-6 to
-// 1e6. One fixed layout keeps Observe branch-free of sizing decisions,
-// makes every histogram exportable as a real Prometheus histogram, and
-// spans the units the stack records (seconds from microsecond loss
-// latencies to multi-second handshakes, batch sizes from 1 to 1024).
-// Samples above the last bound land only in the implicit +Inf bucket.
-var BucketBounds = makeBucketBounds()
+// numBuckets is the number of finite histogram buckets: a 1-2-5 series
+// per decade over the twelve decades 1e-6 … 5e5, then 1e6.
+const numBuckets = 12*3 + 1
+
+// bucketBounds are the fixed log-spaced histogram bucket upper bounds
+// shared by every Histogram. One fixed layout keeps Observe branch-free
+// of sizing decisions, makes every histogram exportable as a real
+// Prometheus histogram, and spans the units the stack records (seconds
+// from microsecond loss latencies to multi-second handshakes, batch sizes
+// from 1 to 1024). Samples above the last bound land only in the
+// implicit +Inf bucket.
+var bucketBounds = makeBucketBounds()
 
 func makeBucketBounds() []float64 {
-	bounds := make([]float64, 0, 37)
+	bounds := make([]float64, 0, numBuckets)
 	for d := -6; d <= 5; d++ {
 		p := math.Pow(10, float64(d))
 		bounds = append(bounds, 1*p, 2*p, 5*p)
@@ -260,14 +211,17 @@ func makeBucketBounds() []float64 {
 	return append(bounds, 1e6)
 }
 
-// Histogram is a streaming distribution built on stats.Summary plus
-// fixed log-spaced buckets (BucketBounds) for Prometheus export.
-// Observe takes a mutex (histogram observation points are chosen off
-// the per-packet hot path: per-ack, per-loss, per-snapshot).
+// Histogram is a distribution kept as its fixed bucketBounds counts plus
+// the exact count, sum, min and max: its memory does not grow with the
+// samples it observes. Observe takes a mutex (histogram observation
+// points are chosen off the per-packet hot path: per-ack, per-loss,
+// per-batch).
 type Histogram struct {
-	mu      sync.Mutex
-	s       *stats.Summary
-	buckets []uint64 // non-cumulative counts, parallel to BucketBounds
+	mu       sync.Mutex
+	buckets  [numBuckets]uint64 // non-cumulative counts, parallel to bucketBounds
+	count    int
+	sum      float64
+	min, max float64
 }
 
 // Observe records one sample. Nil-safe.
@@ -275,22 +229,20 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
+	i := sort.SearchFloat64s(bucketBounds, v)
 	h.mu.Lock()
-	h.s.Add(v)
-	if i := sort.SearchFloat64s(BucketBounds, v); i < len(h.buckets) {
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
+	if i < numBuckets {
 		h.buckets[i]++
 	}
 	h.mu.Unlock()
-}
-
-// Count returns the number of samples observed (0 on nil).
-func (h *Histogram) Count() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.s.Count()
 }
 
 // VisitBuckets calls fn for each finite bucket bound with the
@@ -302,37 +254,58 @@ func (h *Histogram) VisitBuckets(fn func(le float64, cumulative uint64)) (count 
 	if h == nil {
 		return 0, 0
 	}
-	var cum [64]uint64
 	h.mu.Lock()
-	n := len(h.buckets)
-	var c uint64
-	for i, b := range h.buckets {
-		c += b
-		cum[i] = c
-	}
-	count, sum = h.s.Count(), h.s.Sum()
+	buckets, count, sum := h.buckets, h.count, h.sum
 	h.mu.Unlock()
-	for i := 0; i < n; i++ {
-		fn(BucketBounds[i], cum[i])
+	var cum uint64
+	for i, n := range buckets {
+		cum += n
+		fn(bucketBounds[i], cum)
 	}
 	return count, sum
 }
 
-// stat summarizes the histogram under its lock.
+// stat summarizes the histogram from one consistent copy of its state.
 func (h *Histogram) stat() HistogramStat {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.s.Count() == 0 {
+	buckets := h.buckets
+	s := HistogramStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+	h.mu.Unlock()
+	if s.Count == 0 {
 		return HistogramStat{}
 	}
-	return HistogramStat{
-		Count: h.s.Count(), Sum: h.s.Sum(), Mean: h.s.Mean(),
-		Min: h.s.Min(), Max: h.s.Max(),
-		P50: h.s.Percentile(50), P95: h.s.Percentile(95), P99: h.s.Percentile(99),
-	}
+	s.Mean = s.Sum / float64(s.Count)
+	s.P50 = s.quantile(&buckets, 0.50)
+	s.P95 = s.quantile(&buckets, 0.95)
+	s.P99 = s.quantile(&buckets, 0.99)
+	return s
 }
 
-// HistogramStat is a point-in-time histogram digest.
+// quantile estimates the q-quantile the way Prometheus's
+// histogram_quantile does from the same `le` series: find the bucket
+// holding rank q·Count, interpolate linearly across it (the first
+// bucket's lower edge is 0), and clamp the result to [Min, Max]. The +Inf
+// bucket, which Prometheus can only answer with the last finite bound,
+// has Max as its upper edge here.
+func (s *HistogramStat) quantile(buckets *[numBuckets]uint64, q float64) float64 {
+	rank := q * float64(s.Count)
+	i, below := 0, uint64(0) // below: samples in the buckets before i
+	for ; i < numBuckets && float64(below+buckets[i]) < rank; i++ {
+		below += buckets[i]
+	}
+	lo, hi, n := 0.0, s.Max, uint64(s.Count)-below // i == numBuckets: +Inf
+	if i > 0 {
+		lo = bucketBounds[i-1]
+	}
+	if i < numBuckets {
+		hi, n = bucketBounds[i], buckets[i]
+	}
+	v := lo + (hi-lo)*(rank-float64(below))/float64(n)
+	return math.Min(math.Max(v, s.Min), s.Max)
+}
+
+// HistogramStat is a point-in-time histogram digest. Count, Sum, Mean,
+// Min and Max are exact; the percentiles are bucket estimates.
 type HistogramStat struct {
 	Count int     `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -352,27 +325,24 @@ type Snapshot struct {
 }
 
 // Snapshot captures the registry's current values, reading instruments
-// in the deterministic Each order so concurrent updates are observed in
+// in the deterministic each order so concurrent updates are observed in
 // a stable sequence and exports diff cleanly run-to-run. Nil-safe
 // (returns an empty snapshot).
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{}
-	if r == nil {
-		return s
-	}
-	r.Each(func(name string, kind MetricKind, c *Counter, g *Gauge, h *Histogram) {
+	r.each(func(name string, kind metricKind, c *Counter, g *Gauge, h *Histogram) {
 		switch kind {
-		case MetricCounter:
+		case metricCounter:
 			if s.Counters == nil {
 				s.Counters = map[string]int64{}
 			}
 			s.Counters[name] = c.Value()
-		case MetricGauge:
+		case metricGauge:
 			if s.Gauges == nil {
 				s.Gauges = map[string]float64{}
 			}
 			s.Gauges[name] = g.Value()
-		case MetricHistogram:
+		case metricHistogram:
 			if s.Histograms == nil {
 				s.Histograms = map[string]HistogramStat{}
 			}
@@ -380,42 +350,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	})
 	return s
-}
-
-// MarshalJSON renders the snapshot with deterministic key order (Go maps
-// already marshal sorted, so the default marshaller suffices; kept for
-// documentation of the stable contract).
-func (s Snapshot) JSON() ([]byte, error) { return json.Marshal(s) }
-
-// String renders the snapshot as sorted "name value" lines for human
-// output.
-func (s Snapshot) String() string {
-	var b strings.Builder
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-32s %d\n", n, s.Counters[n])
-	}
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-32s %g\n", n, s.Gauges[n])
-	}
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := s.Histograms[n]
-		fmt.Fprintf(&b, "%-32s n=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g\n",
-			n, h.Count, h.Mean, h.P50, h.P95, h.P99, h.Max)
-	}
-	return b.String()
 }

@@ -8,11 +8,11 @@ import (
 // WritePrometheus renders every instrument in r in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as single
 // samples, histograms as real Prometheus histograms built from the
-// fixed BucketBounds (cumulative `le` buckets, `_sum`, `_count`) plus
-// quantile gauges for the p50/p95/p99 digest. Metric names are the
+// fixed bucketBounds (cumulative `le` buckets, `_sum`, `_count`); a
+// scraper derives quantiles from the buckets. Metric names are the
 // registry names prefixed with "tack_" and sanitized (every character
 // outside [a-zA-Z0-9_:] becomes '_'), so e.g. "ep.rx_packets" exports
-// as tack_ep_rx_packets. Output order follows Registry.Each, so scrapes
+// as tack_ep_rx_packets. Output order follows Registry.each, so scrapes
 // are deterministic for a fixed instrument set. Nil-safe.
 func WritePrometheus(w io.Writer, r *Registry) error {
 	var err error
@@ -23,13 +23,13 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 		}
 		buf = buf[:0]
 	}
-	r.Each(func(name string, kind MetricKind, c *Counter, g *Gauge, h *Histogram) {
+	r.each(func(name string, kind metricKind, c *Counter, g *Gauge, h *Histogram) {
 		if err != nil {
 			return
 		}
 		pn := promName(name)
 		switch kind {
-		case MetricCounter:
+		case metricCounter:
 			buf = append(buf, "# TYPE "...)
 			buf = append(buf, pn...)
 			buf = append(buf, " counter\n"...)
@@ -37,7 +37,7 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			buf = append(buf, ' ')
 			buf = strconv.AppendInt(buf, c.Value(), 10)
 			buf = append(buf, '\n')
-		case MetricGauge:
+		case metricGauge:
 			buf = append(buf, "# TYPE "...)
 			buf = append(buf, pn...)
 			buf = append(buf, " gauge\n"...)
@@ -45,7 +45,7 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			buf = append(buf, ' ')
 			buf = appendPromFloat(buf, g.Value())
 			buf = append(buf, '\n')
-		case MetricHistogram:
+		case metricHistogram:
 			buf = append(buf, "# TYPE "...)
 			buf = append(buf, pn...)
 			buf = append(buf, " histogram\n"...)
@@ -69,23 +69,6 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			buf = append(buf, "_count "...)
 			buf = strconv.AppendInt(buf, int64(count), 10)
 			buf = append(buf, '\n')
-			// The digest quantiles ride along as plain gauges (suffix
-			// chosen to not collide with histogram sample suffixes).
-			st := h.stat()
-			for _, q := range [...]struct {
-				suffix string
-				v      float64
-			}{{"_p50", st.P50}, {"_p95", st.P95}, {"_p99", st.P99}} {
-				buf = append(buf, "# TYPE "...)
-				buf = append(buf, pn...)
-				buf = append(buf, q.suffix...)
-				buf = append(buf, " gauge\n"...)
-				buf = append(buf, pn...)
-				buf = append(buf, q.suffix...)
-				buf = append(buf, ' ')
-				buf = appendPromFloat(buf, q.v)
-				buf = append(buf, '\n')
-			}
 		}
 		flush()
 	})

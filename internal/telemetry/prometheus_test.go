@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"regexp"
 	"strconv"
 	"strings"
@@ -43,10 +44,15 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"# TYPE tack_snd_rtt_s histogram\n",
 		`tack_snd_rtt_s_bucket{le="+Inf"} 5`,
 		"tack_snd_rtt_s_count 5",
-		"tack_snd_rtt_s_p95 ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n%s", want, out)
+		}
+	}
+	// Quantiles are the scraper's to derive from the buckets.
+	for _, gone := range []string{"_p50", "_p95", "_p99"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("output carries a %s quantile gauge\n%s", gone, out)
 		}
 	}
 }
@@ -108,12 +114,12 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// TestVisitDeterministic locks the satellite contract: Visit (and the
-// Each iterator under it) walk instruments in a stable order — grouped
-// counters, gauges, histograms, each sorted by name — regardless of
-// creation order.
-func TestVisitDeterministic(t *testing.T) {
-	build := func(order []string) []string {
+// TestExportDeterministic locks the exporters to one stable order —
+// counters, gauges, histograms, each sorted by name — whatever the
+// creation order: two registries built in different orders export
+// byte-equal Prometheus text and snapshot JSON.
+func TestExportDeterministic(t *testing.T) {
+	export := func(order []string) (prom, snap []byte) {
 		reg := NewRegistry()
 		for _, n := range order {
 			switch n[0] {
@@ -125,51 +131,51 @@ func TestVisitDeterministic(t *testing.T) {
 				reg.Histogram(n).Observe(1)
 			}
 		}
-		var names []string
-		reg.Visit(func(name string, kind MetricKind, value float64) {
-			names = append(names, name)
-		})
-		return names
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, reg); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := json.Marshal(reg.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), snap
 	}
-	a := build([]string{"c.b", "g.x", "h.z", "c.a", "g.y"})
-	b := build([]string{"g.y", "c.a", "c.b", "h.z", "g.x"})
-	if strings.Join(a, ",") != strings.Join(b, ",") {
-		t.Fatalf("visit order depends on creation order: %v vs %v", a, b)
+	promA, snapA := export([]string{"c.b", "g.x", "h.z", "c.a", "g.y"})
+	promB, snapB := export([]string{"g.y", "c.a", "c.b", "h.z", "g.x"})
+	if !bytes.Equal(promA, promB) {
+		t.Fatalf("Prometheus output depends on creation order:\n%s\nvs\n%s", promA, promB)
 	}
-	want := []string{"c.a", "c.b", "g.x", "g.y", "h.z"}
-	if strings.Join(a, ",") != strings.Join(want, ",") {
-		t.Fatalf("visit order = %v, want %v", a, want)
+	if !bytes.Equal(snapA, snapB) {
+		t.Fatalf("snapshot JSON depends on creation order:\n%s\nvs\n%s", snapA, snapB)
 	}
-}
-
-// TestVisitValues checks the scalar projection each kind exports.
-func TestVisitValues(t *testing.T) {
-	reg := buildTestRegistry()
-	got := map[string]float64{}
-	reg.Visit(func(name string, kind MetricKind, value float64) { got[name] = value })
-	if got["ep.rx_packets"] != 42 {
-		t.Errorf("counter value = %v, want 42", got["ep.rx_packets"])
+	var types []string
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllSubmatch(promA, -1) {
+		types = append(types, string(m[1]))
 	}
-	if got["ep.conns"] != 3.5 {
-		t.Errorf("gauge value = %v, want 3.5", got["ep.conns"])
-	}
-	if got["snd.rtt_s"] != 5 {
-		t.Errorf("histogram value (count) = %v, want 5", got["snd.rtt_s"])
+	want := []string{"tack_c_a", "tack_c_b", "tack_g_x", "tack_g_y", "tack_h_z"}
+	if strings.Join(types, ",") != strings.Join(want, ",") {
+		t.Fatalf("export order = %v, want %v", types, want)
 	}
 }
 
-// TestSnapshotDeterministic pins Snapshot to the same stable ordering.
+// TestSnapshotDeterministic pins Snapshot to the same stable ordering
+// and the values each kind exports.
 func TestSnapshotDeterministic(t *testing.T) {
 	reg := buildTestRegistry()
-	a, err := reg.Snapshot().JSON()
+	a, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := reg.Snapshot().JSON()
+	b, err := json.Marshal(reg.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("snapshots differ:\n%s\n%s", a, b)
+	}
+	s := reg.Snapshot()
+	if s.Counters["ep.rx_packets"] != 42 || s.Gauges["ep.conns"] != 3.5 || s.Histograms["snd.rtt_s"].Count != 5 {
+		t.Fatalf("snapshot values: %+v", s)
 	}
 }

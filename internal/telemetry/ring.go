@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"io"
-	"sync"
-)
+import "sync"
 
 // DefaultRingSize is the flight-recorder capacity used when a caller
 // asks for a ring without choosing a size. 256 events cover several
@@ -67,24 +64,6 @@ func (r *Ring) Release() {
 	r.mu.Unlock()
 }
 
-// Cap returns the ring's capacity in events.
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return r.size
-}
-
-// Len returns the number of events currently held (≤ capacity).
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
 // Total returns the number of events ever recorded, including ones
 // already overwritten.
 func (r *Ring) Total() uint64 {
@@ -110,19 +89,4 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 	}
 	dst = append(dst, r.buf[head:]...)
 	return append(dst, r.buf[:head]...)
-}
-
-// WriteJSONL encodes the held events to w as JSON Lines, oldest first.
-// The encoding is the same one streaming tracers and post-mortem dumps
-// use, so DecodeJSONL and cmd/tacktrace read it directly.
-func (r *Ring) WriteJSONL(w io.Writer) error {
-	events := r.Snapshot(nil)
-	buf := make([]byte, 0, 256)
-	for i := range events {
-		buf = AppendEvent(buf[:0], &events[i])
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -21,9 +20,6 @@ func TestRingWraparoundOrdering(t *testing.T) {
 	}
 	if got := r.Total(); got != 20 {
 		t.Fatalf("Total = %d, want 20", got)
-	}
-	if got := r.Len(); got != 8 {
-		t.Fatalf("Len = %d, want 8", got)
 	}
 	events := r.Snapshot(nil)
 	if len(events) != 8 {
@@ -61,34 +57,14 @@ func TestRingPartialFill(t *testing.T) {
 }
 
 func TestRingDefaultsAndNilSafety(t *testing.T) {
-	if n := NewRing(0).Cap(); n != DefaultRingSize {
+	if n := NewRing(0).size; n != DefaultRingSize {
 		t.Fatalf("NewRing(0) cap = %d, want %d", n, DefaultRingSize)
 	}
 	var r *Ring
 	e := ringEvent(1)
 	r.Put(&e) // must not panic
-	if r.Total() != 0 || r.Len() != 0 || r.Snapshot(nil) != nil {
+	if r.Total() != 0 || r.Snapshot(nil) != nil {
 		t.Fatal("nil ring should report empty")
-	}
-}
-
-func TestRingWriteJSONL(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 6; i++ {
-		e := ringEvent(i)
-		r.Put(&e)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events, err := DecodeJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 4 || events[0].Seq != 2 || events[3].Seq != 5 {
-		t.Fatalf("decoded %d events, first=%d last=%d; want 4 events 2..5",
-			len(events), events[0].Seq, events[len(events)-1].Seq)
 	}
 }
 
@@ -169,9 +145,6 @@ func TestStreamingTracerShortCircuitsAfterWriteError(t *testing.T) {
 		t.Fatalf("writer saw %d writes, want 3 (short-circuit after first error)", w.writes)
 	}
 	// The errored event plus the 7 short-circuited ones are dropped.
-	if tr.dropped != 8 {
-		t.Fatalf("dropped = %d, want 8", tr.dropped)
-	}
 	if got := reg.Counter("telemetry.dropped_events").Value(); got != 8 {
 		t.Fatalf("dropped_events counter = %d, want 8", got)
 	}
@@ -211,8 +184,8 @@ func TestRingGrowsOnDemandAndReleases(t *testing.T) {
 	check := func(wantFirst, wantLast int) {
 		t.Helper()
 		got := r.Snapshot(nil)
-		if len(got) != wantLast-wantFirst+1 || r.Len() != len(got) {
-			t.Fatalf("holds %d events (Len %d), want %d", len(got), r.Len(), wantLast-wantFirst+1)
+		if len(got) != wantLast-wantFirst+1 || len(r.buf) != len(got) {
+			t.Fatalf("holds %d events (buf %d), want %d", len(got), len(r.buf), wantLast-wantFirst+1)
 		}
 		for i, e := range got {
 			if e.Seq != uint64(wantFirst+i) {
@@ -226,13 +199,13 @@ func TestRingGrowsOnDemandAndReleases(t *testing.T) {
 	}
 	check(0, 4)
 	put(5, 200) // through every growth step and three times around
-	if c := cap(r.buf); c < 64 || c >= 128 || r.Cap() != 64 {
-		t.Fatalf("storage for %d events, Cap %d; want 64 (plus allocator rounding)", c, r.Cap())
+	if c := cap(r.buf); c < 64 || c >= 128 {
+		t.Fatalf("storage for %d events; want 64 (plus allocator rounding)", c)
 	}
 	check(136, 199)
 	r.Release()
-	if r.buf != nil || r.Len() != 0 || r.Total() != 200 || r.Snapshot(nil) != nil {
-		t.Fatalf("after Release: storage %d, Len %d, Total %d", cap(r.buf), r.Len(), r.Total())
+	if r.buf != nil || r.Total() != 200 || r.Snapshot(nil) != nil {
+		t.Fatalf("after Release: storage %d, Total %d", cap(r.buf), r.Total())
 	}
 	put(200, 203)
 	check(200, 202)

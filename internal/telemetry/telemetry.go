@@ -353,7 +353,6 @@ type Tracer struct {
 	w       io.Writer
 	scratch []byte
 	werr    error
-	dropped int64
 	dropCtr *Counter
 
 	// Flight-recorder sink (optional): events are copied into ring, then
@@ -363,7 +362,7 @@ type Tracer struct {
 }
 
 // New returns an in-memory tracer. Recorded events are retained and
-// available via Events / WriteJSONL. The wall clock defaults to time.Now;
+// available via Events. The wall clock defaults to time.Now;
 // use SetWallClock(nil) for deterministic traces.
 func New() *Tracer {
 	return &Tracer{retain: true, wallNow: func() int64 { return time.Now().UnixNano() }}
@@ -419,13 +418,11 @@ func (t *Tracer) Emit(e Event) {
 		if t.werr != nil {
 			// The sink already failed: do not encode into a dead
 			// writer, just account for the loss.
-			t.dropped++
 			t.dropCtr.Inc()
 		} else {
 			t.scratch = AppendEvent(t.scratch[:0], &e)
 			if _, err := t.w.Write(t.scratch); err != nil {
 				t.werr = err
-				t.dropped++
 				t.dropCtr.Inc()
 			}
 		}
@@ -459,15 +456,6 @@ func (t *Tracer) CountDrops(c *Counter) {
 	t.mu.Unlock()
 }
 
-// Ring returns the flight-recorder ring this tracer records into (nil
-// for plain tracers).
-func (t *Tracer) Ring() *Ring {
-	if t == nil {
-		return nil
-	}
-	return t.ring
-}
-
 // Events returns a copy of the recorded events (empty for streaming
 // tracers).
 func (t *Tracer) Events() []Event {
@@ -479,33 +467,6 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, len(t.events))
 	copy(out, t.events)
 	return out
-}
-
-// Len returns the number of retained events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// WriteJSONL encodes the retained events to w as JSON Lines.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	buf := make([]byte, 0, 256)
-	for i := range t.events {
-		buf = AppendEvent(buf[:0], &t.events[i])
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- Typed emission helpers (the instrumentation points call these). ---

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -47,15 +48,11 @@ func TestJSONLRoundtrip(t *testing.T) {
 	tr.MACCollision(now+11, 0, 2, 3*sim.Millisecond, 4)
 	tr.MACDrop(now+12, 1, TrigQueueFull, 1500)
 
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeJSONL(&buf)
+	want := tr.Events()
+	got, err := DecodeJSONL(bytes.NewReader(appendEvents(nil, want)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.Events()
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d events, want %d", len(got), len(want))
 	}
@@ -85,16 +82,20 @@ func TestStreamingMatchesInMemory(t *testing.T) {
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := mem.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if streamed.String() != buf.String() {
+	if streamed.String() != string(appendEvents(nil, mem.Events())) {
 		t.Fatal("streaming and in-memory encodings differ")
 	}
-	if mem.Len() != 50 || st.Len() != 0 {
-		t.Fatalf("retention: mem=%d (want 50), streaming=%d (want 0)", mem.Len(), st.Len())
+	if len(mem.Events()) != 50 || len(st.Events()) != 0 {
+		t.Fatalf("retention: mem=%d (want 50), streaming=%d (want 0)", len(mem.Events()), len(st.Events()))
 	}
+}
+
+// appendEvents encodes events as JSON Lines onto b.
+func appendEvents(b []byte, events []Event) []byte {
+	for i := range events {
+		b = AppendEvent(b, &events[i])
+	}
+	return b
 }
 
 // TestDecodeTolerant checks unknown events and blank lines survive decoding.
@@ -148,10 +149,7 @@ func TestRegistry(t *testing.T) {
 	if hs.Count != 100 || hs.Min != 1 || hs.Max != 100 || hs.P50 < 49 || hs.P50 > 52 {
 		t.Fatalf("snapshot histogram wrong: %+v", hs)
 	}
-	if !strings.Contains(snap.String(), "c") {
-		t.Fatal("snapshot text missing counter")
-	}
-	if _, err := snap.JSON(); err != nil {
+	if _, err := json.Marshal(snap); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,11 +162,8 @@ func TestNilSafety(t *testing.T) {
 	tr.Emit(Event{})
 	tr.DataSent(1, 0, 0, 0, 0, false, 0)
 	tr.SetWallClock(nil)
-	if tr.Events() != nil || tr.Len() != 0 || tr.Err() != nil {
+	if tr.Events() != nil || tr.Err() != nil {
 		t.Fatal("nil tracer not inert")
-	}
-	if err := tr.WriteJSONL(nil); err != nil {
-		t.Fatal(err)
 	}
 	c, g, h := reg.Counter("x"), reg.Gauge("x"), reg.Histogram("x")
 	if c != nil || g != nil || h != nil {

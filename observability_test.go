@@ -85,8 +85,8 @@ func TestObservabilityPlaneUnderChaosStall(t *testing.T) {
 	defer proxy.Close()
 
 	// The client side carries the senders whose stalls we want recorded:
-	// a short MinRTO makes StallRTOs×RTO trip fast after the rebind cuts
-	// the ack path.
+	// a short MinRTO makes the stall threshold (4 × RTO) trip fast after
+	// the rebind cuts the ack path.
 	cli, err := tack.Listen("127.0.0.1:0", tack.EndpointConfig{
 		Transport: tack.Config{
 			Mode: tack.ModeTACK, TransferBytes: 1 << 40, Metrics: reg,
@@ -95,7 +95,6 @@ func TestObservabilityPlaneUnderChaosStall(t *testing.T) {
 		IdleTimeout:   5 * time.Second,
 		DebugAddr:     debugAddr,
 		PostMortemDir: dumpDir,
-		StallRTOs:     4,
 	})
 	if err != nil {
 		t.Fatal(err)
