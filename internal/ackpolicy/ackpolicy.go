@@ -9,8 +9,6 @@
 //     or after a timer γ (Eq. 5).
 //   - ByteCount:  ACK every L ≥ 2 full-sized packets, unbounded frequency
 //     under bandwidth growth (Eq. 1).
-//   - Periodic:   ACK every fixed interval α, unadaptable at low rate
-//     (Eq. 2).
 //   - TACK:       f = min(bw/(L·MSS), β/RTTmin) (Eq. 3): ACK when at least
 //     L·MSS bytes have arrived AND at least RTTmin/β has elapsed — the
 //     conjunction yields exactly the minimum of the two frequencies. It
@@ -23,7 +21,9 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 )
 
-// MSS is the full-sized packet assumption used in frequency arithmetic.
+// MSS is the paper's full-sized packet: the unit of Eq. 3's L·MSS, of the
+// block budget an acknowledgment may fill, and of congestion windows. It is
+// the one copy; every layer that counts in packets reads it.
 const MSS = 1500
 
 // DefaultBeta and DefaultL are the paper's recommended defaults (§4.1,
@@ -85,6 +85,11 @@ type Policy interface {
 	// maximum delivery rate (bits/s) and the synced RTTmin. Policies that
 	// do not adapt ignore it.
 	Update(bwBps float64, rttMin sim.Time)
+	// LastTrigger reports the trigger behind the most recent decision.
+	// After OnData returns true it explains that immediate ack; after
+	// OnData returns false it explains what a subsequent Deadline-driven
+	// ack would mean.
+	LastTrigger() Trigger
 }
 
 // Trigger identifies which condition of a discipline most recently
@@ -98,8 +103,8 @@ const (
 	TriggerNone Trigger = iota
 	// TriggerBytes: the byte-counting threshold (L·MSS pending) fired.
 	TriggerBytes
-	// TriggerTimer: the periodic spacing (α = RTTmin/β, or a fixed
-	// interval) fired with the byte condition already satisfied.
+	// TriggerTimer: the periodic spacing α = RTTmin/β fired with the byte
+	// condition already satisfied.
 	TriggerTimer
 	// TriggerTail: the bounded tail delay fired for a sub-threshold tail.
 	TriggerTail
@@ -119,23 +124,6 @@ func (t Trigger) String() string {
 	}
 }
 
-// Explainer is implemented by policies that can report the trigger behind
-// their most recent acknowledgment decision. After OnData returns true the
-// value explains that immediate ack; after OnData returns false it
-// explains what a subsequent Deadline-driven ack would mean.
-type Explainer interface {
-	LastTrigger() Trigger
-}
-
-// ExplainTrigger returns p's last trigger when p explains itself, and
-// TriggerNone otherwise.
-func ExplainTrigger(p Policy) Trigger {
-	if e, ok := p.(Explainer); ok {
-		return e.LastTrigger()
-	}
-	return TriggerNone
-}
-
 // base carries the bookkeeping shared by all disciplines.
 type base struct {
 	bytesPending int
@@ -153,7 +141,7 @@ func (b *base) onData(now sim.Time, bytes int) {
 	b.bytesPending += bytes
 }
 
-// LastTrigger implements Explainer for every discipline embedding base.
+// LastTrigger implements Policy for every discipline embedding base.
 func (b *base) LastTrigger() Trigger { return b.lastTrigger }
 
 func (b *base) onAckSent(now sim.Time) {
@@ -243,44 +231,6 @@ func (b *ByteCount) OnAckSent(now sim.Time) { b.onAckSent(now) }
 
 // Update implements Policy.
 func (b *ByteCount) Update(float64, sim.Time) {}
-
-// Periodic acknowledges on a fixed interval alpha regardless of arrivals.
-type Periodic struct {
-	base
-	alpha sim.Time
-}
-
-// NewPeriodic returns the fixed-interval discipline.
-func NewPeriodic(alpha sim.Time) *Periodic {
-	if alpha <= 0 {
-		alpha = 25 * sim.Millisecond
-	}
-	return &Periodic{alpha: alpha}
-}
-
-// Name implements Policy.
-func (p *Periodic) Name() string { return "periodic" }
-
-// OnData implements Policy.
-func (p *Periodic) OnData(now sim.Time, bytes int) bool {
-	p.onData(now, bytes)
-	p.lastTrigger = TriggerTimer
-	return now-p.lastAck >= p.alpha
-}
-
-// Deadline implements Policy.
-func (p *Periodic) Deadline(sim.Time) sim.Time {
-	if !p.havePending {
-		return 0
-	}
-	return p.lastAck + p.alpha
-}
-
-// OnAckSent implements Policy.
-func (p *Periodic) OnAckSent(now sim.Time) { p.onAckSent(now) }
-
-// Update implements Policy.
-func (p *Periodic) Update(float64, sim.Time) {}
 
 // TACK is the paper's discipline: acknowledgments fire when both the
 // byte-counting threshold (L·MSS bytes) and the periodic spacing

@@ -76,19 +76,6 @@ func TestDelayedAckTimerBoundsTail(t *testing.T) {
 	}
 }
 
-func TestPeriodicFrequencyIndependentOfBandwidth(t *testing.T) {
-	// Eq. 2: f = 1/α regardless of rate.
-	a1 := drive(NewPeriodic(ms(25)), 12e6, sim.Second)
-	a2 := drive(NewPeriodic(ms(25)), 120e6, sim.Second)
-	if a1 < 38 || a1 > 42 {
-		t.Fatalf("periodic acks = %d, want ~40", a1)
-	}
-	diff := a1 - a2
-	if diff < -3 || diff > 3 {
-		t.Fatalf("periodic frequency varied with bandwidth: %d vs %d", a1, a2)
-	}
-}
-
 func TestTACKAlphaFromRTTMin(t *testing.T) {
 	p := NewTACK(4, 2)
 	p.Update(0, ms(80))
@@ -196,7 +183,6 @@ func TestNames(t *testing.T) {
 		{NewPerPacket(), "perpacket"},
 		{NewByteCount(4), "bytecount(L=4)"},
 		{NewDelayed(0), "delayed"},
-		{NewPeriodic(0), "periodic"},
 		{NewTACK(0, 0), "tack(beta=4,L=2)"},
 	} {
 		if c.p.Name() != c.want {

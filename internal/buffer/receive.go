@@ -105,11 +105,6 @@ func (b *ReceiveBuffer) Complete() bool {
 	return b.finKnown && b.nextRead >= b.finSeq
 }
 
-// Ranges returns the byte ranges currently buffered (unconsumed), in
-// ascending order. Ranges above the first hole are the SACK blocks a
-// legacy receiver advertises.
-func (b *ReceiveBuffer) Ranges() []seqspace.Range { return b.received.Ranges() }
-
 // RangesView returns the buffered ranges without copying (read-only,
 // valid until the next mutation).
 func (b *ReceiveBuffer) RangesView() []seqspace.Range { return b.received.View() }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/rate"
 	"github.com/tacktp/tack/internal/sim"
 )
@@ -76,10 +77,9 @@ type BBR struct {
 	lastPlateau sim.Time
 
 	// ProbeRTT bookkeeping.
-	probeRTTDone  sim.Time
-	minRTTStamp   sim.Time
-	priorCwnd     int
-	inflightLatch int
+	probeRTTDone sim.Time
+	minRTTStamp  sim.Time
+	priorCwnd    int
 
 	pacingGain float64
 	cwnd       int
@@ -129,8 +129,8 @@ func (b *BBR) bdpBytes(gain float64) int {
 		return InitialWindow
 	}
 	bdp := bw / 8 * b.minRTT.Seconds() * gain
-	if bdp < 4*MSS {
-		bdp = 4 * MSS
+	if bdp < 4*ackpolicy.MSS {
+		bdp = 4 * ackpolicy.MSS
 	}
 	return int(bdp)
 }
@@ -295,7 +295,7 @@ func (b *BBR) updateAckAggregation(now sim.Time, a Ack) {
 	}
 	// Cap the compensation at one initial window per epoch step to keep a
 	// single burst from inflating the window unboundedly.
-	if max := float64(64 * MSS); extra > max {
+	if max := float64(64 * ackpolicy.MSS); extra > max {
 		extra = max
 	}
 	b.extraFilt.Update(now, extra)
@@ -316,7 +316,7 @@ func (b *BBR) target(gain float64) int {
 func (b *BBR) updateCwnd() {
 	switch b.state {
 	case bbrProbeRTT:
-		b.cwnd = 4 * MSS
+		b.cwnd = 4 * ackpolicy.MSS
 	case bbrStartup:
 		if target := b.target(bbrHighGain); target > b.cwnd {
 			b.cwnd = target
@@ -339,7 +339,7 @@ func (b *BBR) updateCwnd() {
 // not a primary congestion signal).
 func (b *BBR) OnLoss(l Loss) {
 	if l.Timeout {
-		b.cwnd = 4 * MSS
+		b.cwnd = 4 * ackpolicy.MSS
 	}
 }
 
@@ -355,21 +355,3 @@ func (b *BBR) PacingRate() float64 {
 	}
 	return bw * b.pacingGain
 }
-
-// State exposes the phase name for diagnostics and tests.
-func (b *BBR) State() string {
-	switch b.state {
-	case bbrStartup:
-		return "startup"
-	case bbrDrain:
-		return "drain"
-	case bbrProbeBW:
-		return "probebw"
-	case bbrProbeRTT:
-		return "probertt"
-	}
-	return "?"
-}
-
-// BtlBw returns the filtered bottleneck bandwidth estimate in bits/s.
-func (b *BBR) BtlBw() float64 { return b.bwFilt.Get(b.lastNow) }

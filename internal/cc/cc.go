@@ -16,14 +16,10 @@ package cc
 
 import (
 	"fmt"
-	"sort"
 
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/sim"
 )
-
-// MSS is the maximum segment size assumed for window arithmetic, matching
-// the paper's full-sized 1500-byte packets.
-const MSS = 1500
 
 // Ack carries the feedback delivered to a controller when new data is
 // acknowledged.
@@ -77,7 +73,7 @@ type Controller interface {
 }
 
 // InitialWindow is the conventional initial congestion window (10 MSS).
-const InitialWindow = 10 * MSS
+const InitialWindow = 10 * ackpolicy.MSS
 
 // maxWindow bounds window growth in bytes.
 const maxWindow = 64 << 20
@@ -102,16 +98,6 @@ func New(name string) (Controller, error) {
 		return nil, fmt.Errorf("cc: unknown controller %q", name)
 	}
 	return f(), nil
-}
-
-// Names lists registered controllers, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // pacingFromWindow converts a congestion window to a pacing rate using the

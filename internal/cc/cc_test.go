@@ -3,20 +3,15 @@ package cc
 import (
 	"testing"
 
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/sim"
 )
 
 func ms(n int64) sim.Time { return sim.Time(n) * sim.Millisecond }
 
 func TestRegistryLists(t *testing.T) {
-	names := Names()
-	want := map[string]bool{"reno": true, "cubic": true, "vegas": true, "bbr": true, "copa": true, "pcc": true, "static": true}
-	got := map[string]bool{}
-	for _, n := range names {
-		got[n] = true
-	}
-	for n := range want {
-		if !got[n] {
+	for _, n := range []string{"reno", "cubic", "vegas", "bbr", "copa", "pcc", "static"} {
+		if registry[n] == nil {
 			t.Errorf("controller %q not registered", n)
 		}
 	}
@@ -53,29 +48,29 @@ func TestRenoCongestionAvoidanceLinear(t *testing.T) {
 	w := r.CWND()
 	// One full window of acks → exactly one MSS growth.
 	r.OnAck(Ack{Now: ms(10), Bytes: w, SRTT: ms(50)})
-	if r.CWND() != w+MSS {
-		t.Fatalf("cwnd = %d, want %d", r.CWND(), w+MSS)
+	if r.CWND() != w+ackpolicy.MSS {
+		t.Fatalf("cwnd = %d, want %d", r.CWND(), w+ackpolicy.MSS)
 	}
 }
 
 func TestRenoLossHalves(t *testing.T) {
 	r := NewReno()
-	r.OnAck(Ack{Now: ms(1), Bytes: 100 * MSS})
+	r.OnAck(Ack{Now: ms(1), Bytes: 100 * ackpolicy.MSS})
 	w := r.CWND()
 	r.OnLoss(Loss{Now: ms(2)})
 	if r.CWND() != w/2 {
 		t.Fatalf("cwnd after loss = %d, want %d", r.CWND(), w/2)
 	}
 	r.OnLoss(Loss{Now: ms(3), Timeout: true})
-	if r.CWND() != 2*MSS {
-		t.Fatalf("cwnd after timeout = %d, want 2 MSS", r.CWND())
+	if r.CWND() != 2*ackpolicy.MSS {
+		t.Fatalf("cwnd after timeout = %d, want 2 ackpolicy.MSS", r.CWND())
 	}
 }
 
 func TestRenoAppLimitedNoGrowth(t *testing.T) {
 	r := NewReno()
 	w := r.CWND()
-	r.OnAck(Ack{Now: ms(1), Bytes: 10 * MSS, AppLimited: true})
+	r.OnAck(Ack{Now: ms(1), Bytes: 10 * ackpolicy.MSS, AppLimited: true})
 	if r.CWND() != w {
 		t.Fatal("app-limited ack should not grow cwnd")
 	}
@@ -84,7 +79,7 @@ func TestRenoAppLimitedNoGrowth(t *testing.T) {
 func TestCubicRecoversTowardWmax(t *testing.T) {
 	c := NewCubic()
 	// Grow to ~100 MSS then lose.
-	c.OnAck(Ack{Now: ms(1), Bytes: 100 * MSS, SRTT: ms(50)})
+	c.OnAck(Ack{Now: ms(1), Bytes: 100 * ackpolicy.MSS, SRTT: ms(50)})
 	wBefore := c.CWND()
 	c.OnLoss(Loss{Now: ms(2)})
 	if got := c.CWND(); got >= wBefore || got < int(float64(wBefore)*0.65) {
@@ -93,7 +88,7 @@ func TestCubicRecoversTowardWmax(t *testing.T) {
 	// Ack steadily for several seconds: window should approach/exceed Wmax.
 	now := ms(10)
 	for i := 0; i < 2000 && c.CWND() < wBefore; i++ {
-		c.OnAck(Ack{Now: now, Bytes: 10 * MSS, SRTT: ms(50)})
+		c.OnAck(Ack{Now: now, Bytes: 10 * ackpolicy.MSS, SRTT: ms(50)})
 		now += ms(10)
 	}
 	if c.CWND() < wBefore {
@@ -103,10 +98,10 @@ func TestCubicRecoversTowardWmax(t *testing.T) {
 
 func TestCubicTimeoutCollapses(t *testing.T) {
 	c := NewCubic()
-	c.OnAck(Ack{Now: ms(1), Bytes: 100 * MSS, SRTT: ms(50)})
+	c.OnAck(Ack{Now: ms(1), Bytes: 100 * ackpolicy.MSS, SRTT: ms(50)})
 	c.OnLoss(Loss{Now: ms(2), Timeout: true})
-	if c.CWND() != 2*MSS {
-		t.Fatalf("cwnd = %d, want 2 MSS", c.CWND())
+	if c.CWND() != 2*ackpolicy.MSS {
+		t.Fatalf("cwnd = %d, want 2 ackpolicy.MSS", c.CWND())
 	}
 }
 
@@ -134,7 +129,7 @@ func TestVegasBacksOffOnQueueing(t *testing.T) {
 func TestVegasStableInBand(t *testing.T) {
 	v := NewVegas()
 	v.slowStart = false
-	v.cwnd = 20 * MSS
+	v.cwnd = 20 * ackpolicy.MSS
 	// backlog = cwnd*(1-base/srtt)/MSS: choose srtt so backlog ∈ (2,4):
 	// 20*(1-50/58.5) ≈ 2.9.
 	w := v.CWND()
@@ -151,19 +146,19 @@ func TestVegasStableInBand(t *testing.T) {
 
 func TestBBRStartupToProbeBW(t *testing.T) {
 	b := NewBBR()
-	if b.State() != "startup" {
-		t.Fatalf("initial state %s", b.State())
+	if b.state != bbrStartup {
+		t.Fatalf("initial state %d", b.state)
 	}
 	now := ms(0)
 	// Deliver a plateaued 100 Mbit/s signal: BBR must exit startup, drain,
 	// and settle in probebw.
 	for i := 0; i < 100; i++ {
 		now += ms(20)
-		b.OnAck(Ack{Now: now, Bytes: 30 * MSS, RTT: ms(20), SRTT: ms(20), MinRTT: ms(20),
-			DeliveryRate: 100e6, Inflight: 10 * MSS})
+		b.OnAck(Ack{Now: now, Bytes: 30 * ackpolicy.MSS, RTT: ms(20), SRTT: ms(20), MinRTT: ms(20),
+			DeliveryRate: 100e6, Inflight: 10 * ackpolicy.MSS})
 	}
-	if b.State() != "probebw" {
-		t.Fatalf("state = %s, want probebw", b.State())
+	if b.state != bbrProbeBW {
+		t.Fatalf("state = %d, want probebw", b.state)
 	}
 	// cwnd ≈ 2*BDP = 2 * 100e6/8*0.02 = 500 KB.
 	wantBDP := int(100e6 / 8 * 0.02)
@@ -183,8 +178,8 @@ func TestBBRGainCycleProbes(t *testing.T) {
 	seen := map[float64]bool{}
 	for i := 0; i < 400; i++ {
 		now += ms(20)
-		b.OnAck(Ack{Now: now, Bytes: 30 * MSS, RTT: ms(20), SRTT: ms(20), MinRTT: ms(20),
-			DeliveryRate: 100e6, Inflight: 20 * MSS})
+		b.OnAck(Ack{Now: now, Bytes: 30 * ackpolicy.MSS, RTT: ms(20), SRTT: ms(20), MinRTT: ms(20),
+			DeliveryRate: 100e6, Inflight: 20 * ackpolicy.MSS})
 		seen[b.pacingGain] = true
 	}
 	if !seen[1.25] || !seen[0.75] || !seen[1.0] {
@@ -194,18 +189,18 @@ func TestBBRGainCycleProbes(t *testing.T) {
 
 func TestBBRIgnoresAppLimitedSamples(t *testing.T) {
 	b := NewBBR()
-	b.OnAck(Ack{Now: ms(10), Bytes: MSS, RTT: ms(20), DeliveryRate: 500e6, AppLimited: true})
-	if b.BtlBw() != 0 {
+	b.OnAck(Ack{Now: ms(10), Bytes: ackpolicy.MSS, RTT: ms(20), DeliveryRate: 500e6, AppLimited: true})
+	if b.bwFilt.Get(b.lastNow) != 0 {
 		t.Fatal("app-limited delivery sample polluted the bw filter")
 	}
 }
 
 func TestBBRTimeoutCollapse(t *testing.T) {
 	b := NewBBR()
-	b.OnAck(Ack{Now: ms(10), Bytes: 30 * MSS, RTT: ms(20), DeliveryRate: 100e6})
+	b.OnAck(Ack{Now: ms(10), Bytes: 30 * ackpolicy.MSS, RTT: ms(20), DeliveryRate: 100e6})
 	b.OnLoss(Loss{Now: ms(20), Timeout: true})
-	if b.CWND() != 4*MSS {
-		t.Fatalf("cwnd = %d, want 4 MSS", b.CWND())
+	if b.CWND() != 4*ackpolicy.MSS {
+		t.Fatalf("cwnd = %d, want 4 ackpolicy.MSS", b.CWND())
 	}
 }
 
@@ -219,7 +214,7 @@ func TestCopaShrinksOnStandingQueue(t *testing.T) {
 	}
 	shrunk := c.CWND()
 	// target = 200/(0.5*150) ≈ 2.7 pkts → window should be small.
-	if shrunk > 20*MSS {
+	if shrunk > 20*ackpolicy.MSS {
 		t.Fatalf("copa kept a big window (%d) despite standing queue", shrunk)
 	}
 }
@@ -244,7 +239,7 @@ func TestPCCMovesRateUpWhenClean(t *testing.T) {
 	now := ms(0)
 	for i := 0; i < 200; i++ {
 		now += ms(20)
-		p.OnAck(Ack{Now: now, Bytes: 20 * MSS, SRTT: ms(100)})
+		p.OnAck(Ack{Now: now, Bytes: 20 * ackpolicy.MSS, SRTT: ms(100)})
 	}
 	if p.rate <= r0 {
 		t.Fatalf("pcc rate did not increase without loss: %.0f -> %.0f", r0, p.rate)
@@ -257,8 +252,8 @@ func TestPCCBacksOffOnLoss(t *testing.T) {
 	now := ms(0)
 	for i := 0; i < 200; i++ {
 		now += ms(20)
-		p.OnAck(Ack{Now: now, Bytes: 5 * MSS, SRTT: ms(100)})
-		p.OnLoss(Loss{Now: now, Bytes: 3 * MSS})
+		p.OnAck(Ack{Now: now, Bytes: 5 * ackpolicy.MSS, SRTT: ms(100)})
+		p.OnLoss(Loss{Now: now, Bytes: 3 * ackpolicy.MSS})
 	}
 	if p.rate >= 50e6 {
 		t.Fatalf("pcc rate did not decrease under heavy loss: %.0f", p.rate)
@@ -271,8 +266,8 @@ func TestPCCBacksOffOnLoss(t *testing.T) {
 
 func TestStaticFixedRate(t *testing.T) {
 	s := NewStatic(42e6)
-	s.OnAck(Ack{Bytes: 100 * MSS})
-	s.OnLoss(Loss{Bytes: 100 * MSS, Timeout: true})
+	s.OnAck(Ack{Bytes: 100 * ackpolicy.MSS})
+	s.OnLoss(Loss{Bytes: 100 * ackpolicy.MSS, Timeout: true})
 	if s.PacingRate() != 42e6 {
 		t.Fatalf("rate = %v", s.PacingRate())
 	}
@@ -288,7 +283,7 @@ func TestStaticFixedRate(t *testing.T) {
 func TestAllControllersSurviveArbitraryFeedback(t *testing.T) {
 	// Smoke: no controller may panic, return nonpositive cwnd, or a negative
 	// pacing rate under adversarial event streams.
-	for _, name := range Names() {
+	for name := range registry {
 		ctrl, err := New(name)
 		if err != nil {
 			t.Fatal(err)
@@ -298,16 +293,16 @@ func TestAllControllersSurviveArbitraryFeedback(t *testing.T) {
 			now += ms(int64(i%17 + 1))
 			switch i % 5 {
 			case 0:
-				ctrl.OnAck(Ack{Now: now, Bytes: MSS, RTT: ms(int64(i%300 + 1)), SRTT: ms(100), MinRTT: ms(10), DeliveryRate: float64(i) * 1e5, Inflight: i * 100})
+				ctrl.OnAck(Ack{Now: now, Bytes: ackpolicy.MSS, RTT: ms(int64(i%300 + 1)), SRTT: ms(100), MinRTT: ms(10), DeliveryRate: float64(i) * 1e5, Inflight: i * 100})
 			case 1:
-				ctrl.OnAck(Ack{Now: now, Bytes: 100 * MSS, AppLimited: true})
+				ctrl.OnAck(Ack{Now: now, Bytes: 100 * ackpolicy.MSS, AppLimited: true})
 			case 2:
-				ctrl.OnLoss(Loss{Now: now, Bytes: MSS})
+				ctrl.OnLoss(Loss{Now: now, Bytes: ackpolicy.MSS})
 			case 3:
 				ctrl.OnAck(Ack{Now: now})
 			case 4:
 				if i%55 == 4 {
-					ctrl.OnLoss(Loss{Now: now, Bytes: 10 * MSS, Timeout: true})
+					ctrl.OnLoss(Loss{Now: now, Bytes: 10 * ackpolicy.MSS, Timeout: true})
 				}
 			}
 			if ctrl.CWND() <= 0 {
@@ -344,8 +339,8 @@ func loopbackFeedback(b *BBR, interval sim.Time) []int {
 func TestBBRWindowCoversAckInterval(t *testing.T) {
 	trace := loopbackFeedback(NewBBR(), sim.Millisecond)
 	perInterval := int(408e6 / 1000)
-	if got := trace[len(trace)-1]; got < perInterval || got <= 68*MSS {
-		t.Fatalf("cwnd %d B, want at least one interval's delivery (%d B) and above 68 MSS", got, perInterval)
+	if got := trace[len(trace)-1]; got < perInterval || got <= 68*ackpolicy.MSS {
+		t.Fatalf("cwnd %d B, want at least one interval's delivery (%d B) and above 68 ackpolicy.MSS", got, perInterval)
 	}
 }
 

@@ -1,6 +1,9 @@
 package cc
 
-import "github.com/tacktp/tack/internal/sim"
+import (
+	"github.com/tacktp/tack/internal/ackpolicy"
+	"github.com/tacktp/tack/internal/sim"
+)
 
 func init() {
 	Register("copa", func() Controller { return NewCopa() })
@@ -60,11 +63,11 @@ func (c *Copa) OnAck(a Ack) {
 	// srtt/(delta·dq) packets.
 	var targetPkts float64
 	if dq <= 0 {
-		targetPkts = float64(maxWindow) / MSS
+		targetPkts = float64(maxWindow) / ackpolicy.MSS
 	} else {
 		targetPkts = float64(c.srtt) / (copaDelta * float64(dq))
 	}
-	curPkts := float64(c.cwnd) / MSS
+	curPkts := float64(c.cwnd) / ackpolicy.MSS
 	dir := 1
 	if curPkts > targetPkts {
 		dir = -1
@@ -83,7 +86,7 @@ func (c *Copa) OnAck(a Ack) {
 		c.dirCount = 0
 		c.lastDir = dir
 	}
-	c.cwnd += dir * int(c.velocity/(copaDelta)*MSS/2)
+	c.cwnd += dir * int(c.velocity/(copaDelta)*ackpolicy.MSS/2)
 	c.clamp()
 }
 
@@ -92,10 +95,10 @@ func (c *Copa) OnAck(a Ack) {
 func (c *Copa) OnLoss(l Loss) {
 	c.slow = false
 	if l.Timeout {
-		c.cwnd = 2 * MSS
+		c.cwnd = 2 * ackpolicy.MSS
 		return
 	}
-	c.cwnd = max(c.cwnd/2, 2*MSS)
+	c.cwnd = max(c.cwnd/2, 2*ackpolicy.MSS)
 	c.velocity = 1
 }
 
@@ -103,8 +106,8 @@ func (c *Copa) clamp() {
 	if c.cwnd > maxWindow {
 		c.cwnd = maxWindow
 	}
-	if c.cwnd < 2*MSS {
-		c.cwnd = 2 * MSS
+	if c.cwnd < 2*ackpolicy.MSS {
+		c.cwnd = 2 * ackpolicy.MSS
 	}
 }
 

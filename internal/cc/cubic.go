@@ -3,6 +3,7 @@ package cc
 import (
 	"math"
 
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/sim"
 )
 
@@ -58,7 +59,7 @@ func (c *Cubic) OnAck(a Ack) {
 	if !c.inEpoch {
 		c.inEpoch = true
 		c.epochStart = a.Now
-		cur := float64(c.cwnd) / MSS
+		cur := float64(c.cwnd) / ackpolicy.MSS
 		if cur < c.wMax {
 			c.k = math.Cbrt(c.wMax * (1 - cubicBeta) / cubicC)
 		} else {
@@ -68,7 +69,7 @@ func (c *Cubic) OnAck(a Ack) {
 	}
 	t := (a.Now - c.epochStart).Seconds()
 	target := cubicC*math.Pow(t-c.k, 3) + c.wMax // in MSS
-	cur := float64(c.cwnd) / MSS
+	cur := float64(c.cwnd) / ackpolicy.MSS
 	if target > cur {
 		// Approach the cubic target over roughly one RTT.
 		c.acked += a.Bytes
@@ -83,7 +84,7 @@ func (c *Cubic) OnAck(a Ack) {
 		c.acked += a.Bytes
 		if c.acked >= c.cwnd {
 			c.acked -= c.cwnd
-			c.cwnd += MSS
+			c.cwnd += ackpolicy.MSS
 		}
 	}
 	if c.cwnd > maxWindow {
@@ -93,14 +94,14 @@ func (c *Cubic) OnAck(a Ack) {
 
 // OnLoss implements Controller.
 func (c *Cubic) OnLoss(l Loss) {
-	c.wMax = float64(c.cwnd) / MSS
+	c.wMax = float64(c.cwnd) / ackpolicy.MSS
 	c.inEpoch = false
 	if l.Timeout {
-		c.ssthresh = max(int(float64(c.cwnd)*cubicBeta), 2*MSS)
-		c.cwnd = 2 * MSS
+		c.ssthresh = max(int(float64(c.cwnd)*cubicBeta), 2*ackpolicy.MSS)
+		c.cwnd = 2 * ackpolicy.MSS
 		return
 	}
-	c.cwnd = max(int(float64(c.cwnd)*cubicBeta), 2*MSS)
+	c.cwnd = max(int(float64(c.cwnd)*cubicBeta), 2*ackpolicy.MSS)
 	c.ssthresh = c.cwnd
 	c.acked = 0
 }

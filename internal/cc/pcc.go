@@ -1,6 +1,9 @@
 package cc
 
-import "github.com/tacktp/tack/internal/sim"
+import (
+	"github.com/tacktp/tack/internal/ackpolicy"
+	"github.com/tacktp/tack/internal/sim"
+)
 
 func init() {
 	Register("pcc", func() Controller { return NewPCC() })
@@ -133,8 +136,8 @@ func (p *PCC) CWND() int {
 		rtt = 100 * sim.Millisecond
 	}
 	w := int(p.rate / 8 * rtt.Seconds() * 2)
-	if w < 4*MSS {
-		w = 4 * MSS
+	if w < 4*ackpolicy.MSS {
+		w = 4 * ackpolicy.MSS
 	}
 	if w > maxWindow {
 		w = maxWindow

@@ -1,6 +1,9 @@
 package cc
 
-import "github.com/tacktp/tack/internal/sim"
+import (
+	"github.com/tacktp/tack/internal/ackpolicy"
+	"github.com/tacktp/tack/internal/sim"
+)
 
 func init() {
 	Register("reno", func() Controller { return NewReno() })
@@ -40,7 +43,7 @@ func (r *Reno) OnAck(a Ack) {
 		r.acked += a.Bytes
 		if r.acked >= r.cwnd {
 			r.acked -= r.cwnd
-			r.cwnd += MSS
+			r.cwnd += ackpolicy.MSS
 		}
 	}
 	if r.cwnd > maxWindow {
@@ -51,11 +54,11 @@ func (r *Reno) OnAck(a Ack) {
 // OnLoss implements Controller.
 func (r *Reno) OnLoss(l Loss) {
 	if l.Timeout {
-		r.ssthresh = max(r.cwnd/2, 2*MSS)
-		r.cwnd = 2 * MSS
+		r.ssthresh = max(r.cwnd/2, 2*ackpolicy.MSS)
+		r.cwnd = 2 * ackpolicy.MSS
 		return
 	}
-	r.ssthresh = max(r.cwnd/2, 2*MSS)
+	r.ssthresh = max(r.cwnd/2, 2*ackpolicy.MSS)
 	r.cwnd = r.ssthresh
 	r.acked = 0
 }

@@ -1,6 +1,9 @@
 package cc
 
-import "github.com/tacktp/tack/internal/sim"
+import (
+	"github.com/tacktp/tack/internal/ackpolicy"
+	"github.com/tacktp/tack/internal/sim"
+)
 
 func init() {
 	Register("vegas", func() Controller { return NewVegas() })
@@ -44,7 +47,7 @@ func (v *Vegas) OnAck(a Ack) {
 	if a.AppLimited || v.baseRTT == 0 || v.srtt <= 0 {
 		return
 	}
-	diffPkts := float64(v.cwnd) / MSS * (1 - float64(v.baseRTT)/float64(v.srtt))
+	diffPkts := float64(v.cwnd) / ackpolicy.MSS * (1 - float64(v.baseRTT)/float64(v.srtt))
 	if v.slowStart {
 		// Vegas slow start: double every other RTT while backlog < alpha... we
 		// approximate with byte-counted growth until the backlog appears.
@@ -62,9 +65,9 @@ func (v *Vegas) OnAck(a Ack) {
 	v.lastAdjust = a.Now
 	switch {
 	case diffPkts < vegasAlpha:
-		v.cwnd += MSS
+		v.cwnd += ackpolicy.MSS
 	case diffPkts > vegasBeta:
-		v.cwnd -= MSS
+		v.cwnd -= ackpolicy.MSS
 	}
 	v.clamp()
 }
@@ -73,18 +76,18 @@ func (v *Vegas) OnAck(a Ack) {
 func (v *Vegas) OnLoss(l Loss) {
 	v.slowStart = false
 	if l.Timeout {
-		v.cwnd = 2 * MSS
+		v.cwnd = 2 * ackpolicy.MSS
 		return
 	}
-	v.cwnd = max(v.cwnd*3/4, 2*MSS)
+	v.cwnd = max(v.cwnd*3/4, 2*ackpolicy.MSS)
 }
 
 func (v *Vegas) clamp() {
 	if v.cwnd > maxWindow {
 		v.cwnd = maxWindow
 	}
-	if v.cwnd < 2*MSS {
-		v.cwnd = 2 * MSS
+	if v.cwnd < 2*ackpolicy.MSS {
+		v.cwnd = 2 * ackpolicy.MSS
 	}
 }
 

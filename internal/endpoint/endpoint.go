@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -164,9 +165,6 @@ type Config struct {
 	// on-path challenges from the peer is always on — the knob gates only
 	// whether this endpoint initiates probes.
 	EnableMigration bool
-	// Metrics registers endpoint-level instruments (nil falls back to
-	// Transport.Metrics; both nil disables).
-	Metrics *telemetry.Registry
 	// FlightRecorder sizes the per-connection flight-recorder ring
 	// (telemetry events, overwrite-oldest). 0 selects
 	// telemetry.DefaultRingSize; negative disables the recorder. The
@@ -178,10 +176,11 @@ type Config struct {
 	// (postmortem-conn<id>-<class>.jsonl, readable by cmd/tacktrace).
 	// Empty disables dumps; detection still counts and traces.
 	PostMortemDir string
-	// DebugAddr, when non-empty, is the address the tack facade serves
-	// the debug HTTP endpoint on (/metrics, /debug/pprof/,
-	// /debug/tack/conns). The endpoint package itself does not open the
-	// listener — package tack wires it to avoid a dependency cycle.
+	// DebugAddr, when non-empty, is the TCP address Listen serves the
+	// debug HTTP routes on (/metrics, /debug/tack/conns, /debug/pprof/;
+	// see debug.go) until Close. Endpoint instruments register in
+	// Transport.Metrics, which a DebugAddr without one gets a fresh
+	// registry for, so the routes are never empty.
 	DebugAddr string
 }
 
@@ -212,8 +211,8 @@ func (c Config) withDefaults() Config {
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = 5 * time.Second
 	}
-	if c.Metrics == nil {
-		c.Metrics = c.Transport.Metrics
+	if c.DebugAddr != "" && c.Transport.Metrics == nil {
+		c.Transport.Metrics = telemetry.NewRegistry()
 	}
 	return c
 }
@@ -288,11 +287,8 @@ type Endpoint struct {
 	pktPool sync.Pool
 	bufPool sync.Pool
 
-	// Shutdown hooks (facade-attached debug server, etc.); run once
-	// after the workers drain.
-	hookMu    sync.Mutex
-	onClose   []func()
-	hooksOnce sync.Once
+	// debug serves Config.DebugAddr (nil without one); Close stops it.
+	debug *http.Server
 
 	// Endpoint telemetry (nil-safe).
 	mConns             *telemetry.Gauge
@@ -383,10 +379,16 @@ func Listen(laddr string, cfg Config) (*Endpoint, error) {
 	cfg.Sockets = len(ucs)
 	socks := make([]*epSocket, len(ucs))
 	for i, uc := range ucs {
-		socks[i] = newEpSocket(i, uc, cfg.Metrics)
+		socks[i] = newEpSocket(i, uc, cfg.Transport.Metrics)
 	}
 	ep := newEndpoint(cfg, socks, time.Now().UnixNano())
 	ep.start()
+	if cfg.DebugAddr != "" {
+		if err := ep.serveDebug(cfg.DebugAddr); err != nil {
+			ep.Close()
+			return nil, err
+		}
+	}
 	return ep, nil
 }
 
@@ -401,7 +403,7 @@ func newEndpoint(cfg Config, socks []*epSocket, idSeed int64) *Endpoint {
 		rng:    rand.New(rand.NewSource(idSeed)),
 		used:   map[uint32]*Conn{},
 	}
-	reg := cfg.Metrics
+	reg := cfg.Transport.Metrics
 	ep.mConns = reg.Gauge("ep.conns")
 	ep.mSockets = reg.Gauge("ep.sock.count")
 	ep.mSockets.Set(float64(len(ep.socks)))
@@ -663,37 +665,20 @@ func (ep *Endpoint) isClosed() bool {
 	}
 }
 
-// OnClose registers fn to run once after the endpoint has fully shut
-// down (workers drained). The tack facade uses it to stop the debug
-// HTTP server with the endpoint. Hooks registered after Close may run
-// immediately on the caller's goroutine.
-func (ep *Endpoint) OnClose(fn func()) {
-	ep.hookMu.Lock()
-	ep.onClose = append(ep.onClose, fn)
-	ep.hookMu.Unlock()
-}
-
-// Close shuts the endpoint down: every group socket closes, shard
-// workers finish every connection (their Wait unblocks with ErrClosed),
-// and Accept/Dial return ErrClosed. Safe to call multiple times.
+// Close shuts the endpoint down: the debug listener and every group
+// socket close, shard workers finish every connection (their Wait
+// unblocks with ErrClosed), and Accept/Dial return ErrClosed. Safe to
+// call multiple times.
 func (ep *Endpoint) Close() error {
 	ep.closeOnce.Do(func() {
 		close(ep.stop)
+		if ep.debug != nil {
+			ep.debug.Close()
+		}
 		for _, s := range ep.socks {
 			s.uc.Close()
 		}
 	})
 	ep.wg.Wait()
-	ep.hooksOnce.Do(func() {
-		ep.hookMu.Lock()
-		hooks := ep.onClose
-		ep.hookMu.Unlock()
-		for _, fn := range hooks {
-			fn()
-		}
-	})
 	return nil
 }
-
-// Metrics returns the endpoint's metrics registry (possibly nil).
-func (ep *Endpoint) Metrics() *telemetry.Registry { return ep.cfg.Metrics }

@@ -267,8 +267,8 @@ func TestEndpointIdleReap(t *testing.T) {
 // but the server has seen recent packets and holds its half open.
 func TestEndpointKeepalive(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	srvT := transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 10}
-	srv, err := Listen("127.0.0.1:0", Config{Transport: srvT, IdleTimeout: 400 * time.Millisecond, Metrics: reg})
+	srvT := transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 10, Metrics: reg}
+	srv, err := Listen("127.0.0.1:0", Config{Transport: srvT, IdleTimeout: 400 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +306,8 @@ func TestEndpointKeepalive(t *testing.T) {
 // one garbage datagram) and checks the counters.
 func TestEndpointDemuxDrops(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 10}
-	ep, err := Listen("127.0.0.1:0", Config{Transport: tcfg, Metrics: reg})
+	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 10, Metrics: reg}
+	ep, err := Listen("127.0.0.1:0", Config{Transport: tcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestEndpointDemuxDrops(t *testing.T) {
 func TestEndpointDropsAckForUnsentPacketNumber(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	n := newSimNet(t, 1, simWire)
-	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}, Metrics: reg})
+	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, Metrics: reg}})
 	peer := n.peer()
 	c := n.dial(cli, peer.addr)
 	peer.accept()

@@ -10,19 +10,17 @@ package experiments
 import (
 	"math"
 
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/sim"
 )
 
-// mss is the full-sized packet assumption (bytes).
-const mss = 1500
-
-// freqByteCount returns f_b = bw/(L·mss) in Hz (Eq. 1): the frequency of a
+// freqByteCount returns f_b = bw/(L·MSS) in Hz (Eq. 1): the frequency of a
 // byte-counting ACK policy at data throughput bwBps.
 func freqByteCount(bwBps float64, l int) float64 {
 	if l < 1 {
 		l = 1
 	}
-	return bwBps / 8 / float64(l*mss)
+	return bwBps / 8 / float64(l*ackpolicy.MSS)
 }
 
 // freqPeriodic returns f = 1/α in Hz (Eq. 2).
@@ -33,7 +31,7 @@ func freqPeriodic(alpha sim.Time) float64 {
 	return 1 / alpha.Seconds()
 }
 
-// freqTACK returns f_tack = min(bw/(L·mss), β/RTTmin) in Hz (Eq. 3).
+// freqTACK returns f_tack = min(bw/(L·MSS), β/RTTmin) in Hz (Eq. 3).
 func freqTACK(bwBps float64, l, beta int, rttMin sim.Time) float64 {
 	fb := freqByteCount(bwBps, l)
 	if rttMin <= 0 {
@@ -43,17 +41,17 @@ func freqTACK(bwBps float64, l, beta int, rttMin sim.Time) float64 {
 	return math.Min(fb, fp)
 }
 
-// freqPerPacket returns f_tcp = bw/mss in Hz (Eq. 4): legacy TCP with
+// freqPerPacket returns f_tcp = bw/MSS in Hz (Eq. 4): legacy TCP with
 // TCP_QUICKACK.
 func freqPerPacket(bwBps float64) float64 { return freqByteCount(bwBps, 1) }
 
 // freqDelayed returns the delayed-ACK frequency (Eq. 5): per-packet below
-// 2 mss/γ of throughput, bw/(2·mss) above it.
+// 2 MSS/γ of throughput, bw/(2·MSS) above it.
 func freqDelayed(bwBps float64, gamma sim.Time) float64 {
 	if gamma <= 0 {
 		gamma = 40 * sim.Millisecond
 	}
-	pivot := 2 * float64(mss) * 8 / gamma.Seconds()
+	pivot := 2 * float64(ackpolicy.MSS) * 8 / gamma.Seconds()
 	if bwBps < pivot {
 		return freqPerPacket(bwBps)
 	}
@@ -61,9 +59,9 @@ func freqDelayed(bwBps float64, gamma sim.Time) float64 {
 }
 
 // periodicRegime reports whether a flow with the given bdp (bytes) operates
-// TACK in the periodic regime (bdp ≥ β·L·mss) rather than byte-counting.
+// TACK in the periodic regime (bdp ≥ β·L·MSS) rather than byte-counting.
 func periodicRegime(bdpBytes float64, beta, l int) bool {
-	return bdpBytes >= float64(beta*l*mss)
+	return bdpBytes >= float64(beta*l*ackpolicy.MSS)
 }
 
 // richThreshold returns the ACK-path loss rate ρ′ above which a TACK must
@@ -74,7 +72,7 @@ func richThreshold(q int, rho, bdpBytes float64, beta, l int) float64 {
 	}
 	var th float64
 	if periodicRegime(bdpBytes, beta, l) {
-		th = float64(q) * mss / (rho * bdpBytes)
+		th = float64(q) * ackpolicy.MSS / (rho * bdpBytes)
 	} else {
 		th = float64(q) / (rho * float64(l))
 	}
@@ -82,12 +80,12 @@ func richThreshold(q int, rho, bdpBytes float64, beta, l int) float64 {
 }
 
 // deltaQ returns the additional unacked blocks a TACK should report above
-// the rich threshold (Appendix A): ρ·ρ′·bdp/mss − Q (large bdp) or
+// the rich threshold (Appendix A): ρ·ρ′·bdp/MSS − Q (large bdp) or
 // ρ·ρ′·L − Q (small bdp), floored at zero.
 func deltaQ(q int, rho, rhoPrime, bdpBytes float64, beta, l int) float64 {
 	var need float64
 	if periodicRegime(bdpBytes, beta, l) {
-		need = rho * rhoPrime * bdpBytes / mss
+		need = rho * rhoPrime * bdpBytes / ackpolicy.MSS
 	} else {
 		need = rho * rhoPrime * float64(l)
 	}
@@ -123,21 +121,21 @@ func maxL(q int, rho, rhoPrime float64) float64 {
 
 // pivotBandwidth returns the throughput at which TACK switches from the
 // byte-counting to the periodic regime for a given RTTmin:
-// bw = β·L·mss/RTTmin (in bit/s). Figure 17(a)'s pivot points.
+// bw = β·L·MSS/RTTmin (in bit/s). Figure 17(a)'s pivot points.
 func pivotBandwidth(beta, l int, rttMin sim.Time) float64 {
 	if rttMin <= 0 {
 		return math.Inf(1)
 	}
-	return float64(beta*l*mss) * 8 / rttMin.Seconds()
+	return float64(beta*l*ackpolicy.MSS) * 8 / rttMin.Seconds()
 }
 
 // pivotRTT returns the RTTmin at which TACK switches regimes for a given
-// throughput: RTT = β·L·mss/bw. Figure 17(b)'s pivot points.
+// throughput: RTT = β·L·MSS/bw. Figure 17(b)'s pivot points.
 func pivotRTT(beta, l int, bwBps float64) sim.Time {
 	if bwBps <= 0 {
 		return sim.Time(math.MaxInt64)
 	}
-	return sim.Time(float64(beta*l*mss) * 8 / bwBps * 1e9)
+	return sim.Time(float64(beta*l*ackpolicy.MSS) * 8 / bwBps * 1e9)
 }
 
 // reductionVsPerPacket returns the fraction of ACKs TACK eliminates
@@ -151,8 +149,8 @@ func reductionVsPerPacket(bwBps float64, l, beta int, rttMin sim.Time) float64 {
 }
 
 // iackLossFreqUpperBound returns the worst-case loss-event IACK frequency
-// ρ·bw/mss in Hz (§4.4): with typical small ρ the extra return-path load is
+// ρ·bw/MSS in Hz (§4.4): with typical small ρ the extra return-path load is
 // negligible.
 func iackLossFreqUpperBound(rho, bwBps float64) float64 {
-	return rho * bwBps / 8 / mss
+	return rho * bwBps / 8 / ackpolicy.MSS
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/sim"
 )
 
@@ -45,7 +46,7 @@ func TestFreqTACKRegimes(t *testing.T) {
 
 func TestFreqDelayedPivot(t *testing.T) {
 	gamma := 40 * sim.Millisecond
-	pivot := 2 * float64(mss) * 8 / gamma.Seconds() // 600 kbit/s
+	pivot := 2 * float64(ackpolicy.MSS) * 8 / gamma.Seconds() // 600 kbit/s
 	below := freqDelayed(pivot*0.9, gamma)
 	if math.Abs(below-freqPerPacket(pivot*0.9)) > 1e-9 {
 		t.Fatalf("below pivot should be per-packet: %v", below)
@@ -183,13 +184,13 @@ func TestMaxL(t *testing.T) {
 }
 
 func TestRichThresholdAndDeltaQ(t *testing.T) {
-	bdp := 1000.0 * mss
-	// Large-bdp: threshold Q·mss/(ρ·bdp) with Q=1, ρ=5% → 1/(0.05·1000)=2%.
+	bdp := 1000.0 * ackpolicy.MSS
+	// Large-bdp: threshold Q·MSS/(ρ·bdp) with Q=1, ρ=5% → 1/(0.05·1000)=2%.
 	th := richThreshold(1, 0.05, bdp, 4, 2)
 	if math.Abs(th-0.02) > 1e-9 {
 		t.Fatalf("threshold = %v, want 0.02", th)
 	}
-	// ΔQ above threshold: ρ·ρ′·bdp/mss − Q = 0.05*0.1*1000 − 1 = 4.
+	// ΔQ above threshold: ρ·ρ′·bdp/MSS − Q = 0.05*0.1*1000 − 1 = 4.
 	if got := deltaQ(1, 0.05, 0.1, bdp, 4, 2); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("ΔQ = %v, want 4", got)
 	}
@@ -198,7 +199,7 @@ func TestRichThresholdAndDeltaQ(t *testing.T) {
 		t.Fatalf("ΔQ = %v, want 0", got)
 	}
 	// Small-bdp regime path.
-	smallTh := richThreshold(1, 0.5, mss, 4, 2)
+	smallTh := richThreshold(1, 0.5, ackpolicy.MSS, 4, 2)
 	if smallTh != 1 {
 		t.Fatalf("small-bdp threshold = %v, want clamped 1", smallTh)
 	}

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/tacktp/tack/internal/mac"
-	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
@@ -148,19 +146,6 @@ func metricsOf(f *topo.Flow, dur sim.Time) flowMetrics {
 		SndStats:    f.Sender.Stats,
 		RcvStats:    f.Receiver.Stats,
 	}
-}
-
-// runWLANFlow measures one flow over a two-station WLAN.
-func runWLANFlow(seed int64, std phy.Standard, cfg transport.Config, dur sim.Time) (flowMetrics, *mac.Medium, error) {
-	loop := sim.NewLoop(seed)
-	path, medium := topo.WLANPath(loop, topo.WLANConfig{Standard: std})
-	flow, err := topo.NewFlow(loop, cfg, path)
-	if err != nil {
-		return flowMetrics{}, nil, err
-	}
-	flow.Start()
-	loop.RunUntil(dur)
-	return metricsOf(flow, dur), medium, nil
 }
 
 // runHybridFlow measures one flow over WLAN + WAN (paper Figure 12).

@@ -17,12 +17,11 @@ func init() {
 
 // fig13Case is one row of the paper's Figure 13 hybrid WLAN+WAN matrix.
 type fig13Case struct {
-	id      int
-	std     phy.Standard
-	wlanBps float64
-	wanRTT  sim.Time
-	wanBps  float64
-	loss    float64 // ρ = ρ′
+	id     int
+	std    phy.Standard
+	wanRTT sim.Time
+	wanBps float64
+	loss   float64 // ρ = ρ′
 }
 
 // runFig13 reproduces Figure 13: performance over combined WLAN + WAN
@@ -32,10 +31,10 @@ type fig13Case struct {
 func runFig13(opt Options) (*Result, error) {
 	dur := opt.dur(40 * sim.Second)
 	cases := []fig13Case{
-		{1, phy.Std80211g, 54e6, 20 * sim.Millisecond, 100e6, 0},
-		{2, phy.Std80211g, 54e6, 20 * sim.Millisecond, 100e6, 0.01},
-		{3, phy.Std80211n, 300e6, 200 * sim.Millisecond, 500e6, 0},
-		{4, phy.Std80211n, 300e6, 200 * sim.Millisecond, 500e6, 0.01},
+		{1, phy.Std80211g, 20 * sim.Millisecond, 100e6, 0},
+		{2, phy.Std80211g, 20 * sim.Millisecond, 100e6, 0.01},
+		{3, phy.Std80211n, 200 * sim.Millisecond, 500e6, 0},
+		{4, phy.Std80211n, 200 * sim.Millisecond, 500e6, 0.01},
 	}
 	if opt.Quick {
 		cases = cases[:2]

@@ -63,8 +63,8 @@ func runFig15(opt Options) (*Result, error) {
 	}
 	pairings := []pairing{
 		{"BBR vs CUBIC", legacy("bbr"), legacy("cubic"), "TCP BBR", "TCP CUBIC"},
-		{"TACK vs CUBIC", tackConfig2, legacy("cubic"), "TCP-TACK", "TCP CUBIC"},
-		{"TACK vs BBR", tackConfig2, legacy("bbr"), "TCP-TACK", "TCP BBR"},
+		{"TACK vs CUBIC", tackConfig, legacy("cubic"), "TCP-TACK", "TCP CUBIC"},
+		{"TACK vs BBR", tackConfig, legacy("bbr"), "TCP-TACK", "TCP BBR"},
 	}
 	tbl := stats.NewTable("Pairing", "flow A", "A ratio", "flow B", "B ratio")
 	var tackVsCubic, bbrVsCubic float64
@@ -94,9 +94,6 @@ func runFig15(opt Options) (*Result, error) {
 	notes := fmt.Sprintf("Paper shape: the TACK-based receiver-coordinated BBR shows the same friendliness profile as standard BBR (ratio vs CUBIC: BBR %.2f, TACK %.2f here) — the ACK mechanism does not change controller aggressiveness.", bbrVsCubic, tackVsCubic)
 	return &Result{ID: "fig15", Title: "TCP friendliness: throughput vs ideal fair share", Table: tbl.String(), Notes: notes}, nil
 }
-
-// tackConfig2 mirrors tackConfig as a plain function value.
-func tackConfig2() transport.Config { return tackConfig() }
 
 // runSharedBottleneck runs two flows (configs a at ConnID 1, b at ConnID 2)
 // over one shared WAN bottleneck and returns their goodputs.

@@ -116,12 +116,6 @@ func (c *Controller) Geometry() (k, r int) {
 	return k, r
 }
 
-// Ratio returns the redundancy ratio r/k of the current geometry.
-func (c *Controller) Ratio() float64 {
-	k, r := c.Geometry()
-	return float64(r) / float64(k)
-}
-
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo

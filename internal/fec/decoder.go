@@ -69,14 +69,6 @@ func NewDecoder(maxGroups, maxSymbol int) *Decoder {
 	}
 }
 
-// Reset discards all group state (path migration, connection restart).
-func (d *Decoder) Reset() {
-	for id := range d.groups {
-		delete(d.groups, id)
-	}
-	d.order = d.order[:0]
-}
-
 func (d *Decoder) lookup(id uint32) *group {
 	if g, ok := d.groups[id]; ok {
 		return g

@@ -391,7 +391,7 @@ func TestGFField(t *testing.T) {
 		if gfMul(a, b^c) != gfMul(a, b)^gfMul(a, c) {
 			t.Fatalf("distributivity fails at (%d,%d,%d)", a, b, c)
 		}
-		if b != 0 && gfMul(gfDiv(a, b), b) != a {
+		if b != 0 && gfMul(gfMul(a, gfInv(b)), b) != a {
 			t.Fatalf("div/mul round trip fails at (%d,%d)", a, b)
 		}
 	}

@@ -36,14 +36,6 @@ func gfInv(a byte) byte {
 	return gfExp[255-int(gfLog[a])]
 }
 
-// gfDiv returns a/b in GF(2^8); b must be nonzero.
-func gfDiv(a, b byte) byte {
-	if a == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+255-int(gfLog[b])]
-}
-
 // addScaled folds c·src into dst position-wise: dst[i] ^= c·src[i] for the
 // length of src (dst must be at least as long). The c==1 fast path is the
 // whole XOR scheme; the general path walks the log/exp tables once per

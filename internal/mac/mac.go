@@ -38,8 +38,6 @@ type Frame struct {
 	Dst *Station
 	// Payload is an opaque handle delivered to the destination's handler.
 	Payload any
-	// enqueued records arrival time for queueing-delay stats.
-	enqueued sim.Time
 }
 
 // Stats aggregates per-station MAC counters.
@@ -51,7 +49,6 @@ type Stats struct {
 	FramesTx     int      // MSDUs delivered
 	BytesTx      int64    // MSDU bytes delivered
 	Airtime      sim.Time // time spent transmitting (incl. preambles)
-	QueueDelay   sim.Time // cumulative head-of-line waiting time
 }
 
 // Station is one 802.11 transmitter/receiver attached to a Medium.
@@ -85,7 +82,6 @@ func (s *Station) Enqueue(f *Frame) {
 		s.medium.Tracer.MACDrop(s.medium.loop.Now(), s.index, telemetry.TrigQueueFull, f.Size)
 		return
 	}
-	f.enqueued = s.medium.loop.Now()
 	s.queue = append(s.queue, f)
 	s.medium.maybeSchedule()
 }
@@ -111,19 +107,12 @@ type Medium struct {
 	// Tracer records MAC-level telemetry events (acquisitions, collisions,
 	// drops); nil — the default — disables tracing.
 	Tracer *telemetry.Tracer
-
-	// Busy time accounting for utilization reporting.
-	busyTime    sim.Time
-	collideTime sim.Time
 }
 
 // NewMedium creates a medium with the given 802.11 parameter set.
 func NewMedium(loop *sim.Loop, params phy.Params) *Medium {
 	return &Medium{loop: loop, params: params}
 }
-
-// Params returns the PHY/MAC parameter set in force.
-func (m *Medium) Params() phy.Params { return m.params }
 
 // AddStation attaches and returns a new station. maxQueue bounds its
 // transmit queue (frames); values <= 0 select a default of 2048.
@@ -135,12 +124,6 @@ func (m *Medium) AddStation(name string, maxQueue int) *Station {
 	m.stations = append(m.stations, st)
 	return st
 }
-
-// BusyTime returns cumulative medium-busy time (successful + collided).
-func (m *Medium) BusyTime() sim.Time { return m.busyTime }
-
-// CollisionTime returns cumulative airtime wasted in collisions.
-func (m *Medium) CollisionTime() sim.Time { return m.collideTime }
 
 // maybeSchedule arms contention resolution if the medium is idle and at
 // least one station has pending frames.
@@ -258,7 +241,6 @@ func (m *Medium) transmit(st *Station, slots int) {
 		air = p.DataAirtime(frames[0].Size) + p.SIFS + p.AckAirtime()
 	}
 	m.busy = true
-	m.busyTime += air
 	st.Stats.Acquisitions++
 	st.Stats.Airtime += air
 
@@ -298,7 +280,6 @@ func (m *Medium) transmit(st *Station, slots int) {
 		m.loop.At(at, func() {
 			st.Stats.FramesTx++
 			st.Stats.BytesTx += int64(f.Size)
-			st.Stats.QueueDelay += at - f.enqueued
 			if f.Dst != nil && f.Dst.Receive != nil {
 				f.Dst.Receive(f)
 			}
@@ -373,8 +354,6 @@ func (m *Medium) collide(winners []*Station, slots int) {
 	}
 	waste := longest + p.SIFS + p.AckAirtime() // ack timeout
 	m.busy = true
-	m.busyTime += waste
-	m.collideTime += waste
 	m.Tracer.MACCollision(m.loop.Now(), winners[0].index, len(winners), waste, slots)
 	for _, st := range winners {
 		st.Stats.Collisions++

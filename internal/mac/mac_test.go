@@ -5,6 +5,7 @@ import (
 
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
+	"github.com/tacktp/tack/internal/telemetry"
 )
 
 // saturate keeps a station's queue topped up with frames to dst.
@@ -118,6 +119,7 @@ func TestContentionReducesDataThroughput(t *testing.T) {
 func TestCollisionsHappenUnderContention(t *testing.T) {
 	loop := sim.NewLoop(4)
 	m := NewMedium(loop, phy.Get(phy.Std80211g))
+	m.Tracer = telemetry.New()
 	a := m.AddStation("a", 0)
 	b := m.AddStation("b", 0)
 	c := m.AddStation("c", 0)
@@ -128,11 +130,17 @@ func TestCollisionsHappenUnderContention(t *testing.T) {
 	if a.Stats.Collisions+b.Stats.Collisions == 0 {
 		t.Fatal("two saturated stations never collided")
 	}
-	if m.CollisionTime() == 0 {
-		t.Fatal("collision time not accounted")
+	traced := 0
+	for _, e := range m.Tracer.Events() {
+		if e.Kind == telemetry.KindMACCollision {
+			if e.Aux == 0 {
+				t.Fatal("a collision wasted no airtime")
+			}
+			traced++
+		}
 	}
-	if m.BusyTime() < m.CollisionTime() {
-		t.Fatal("busy time must include collision time")
+	if traced == 0 {
+		t.Fatal("collisions not traced")
 	}
 }
 

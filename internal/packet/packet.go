@@ -318,15 +318,6 @@ func (p *Packet) EncodedLen() int {
 // framing; the MAC simulator charges airtime for this size.
 func (p *Packet) WireSize() int { return p.EncodedLen() + overheadEthIPUDP }
 
-// IsAck reports whether the packet carries acknowledgment feedback.
-func (p *Packet) IsAck() bool {
-	switch p.Type {
-	case TypeTACK, TypeIACK, TypeSYNACK, TypeFINACK:
-		return true
-	}
-	return false
-}
-
 // errTruncated is returned when a buffer is too short for the declared
 // structure.
 var errTruncated = errors.New("packet: truncated")

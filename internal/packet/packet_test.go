@@ -138,17 +138,6 @@ func TestWireSizeMatchesPaperScale(t *testing.T) {
 	}
 }
 
-func TestIsAck(t *testing.T) {
-	for typ, want := range map[Type]bool{
-		TypeData: false, TypeSYN: false, TypeFIN: false,
-		TypeTACK: true, TypeIACK: true, TypeSYNACK: true, TypeFINACK: true,
-	} {
-		if got := (&Packet{Type: typ}).IsAck(); got != want {
-			t.Errorf("IsAck(%v) = %v, want %v", typ, got, want)
-		}
-	}
-}
-
 func TestMaxBlocks(t *testing.T) {
 	n := MaxBlocks(1500)
 	if n < 60 || n > 100 {

@@ -231,6 +231,3 @@ func (p Params) CW(retries int) int {
 	}
 	return cw
 }
-
-// PHYRateMbps returns the nominal PHY rate in Mbit/s (for reporting).
-func (p Params) PHYRateMbps() float64 { return p.DataRate / 1e6 }

@@ -190,9 +190,3 @@ func TestSubframeEnds(t *testing.T) {
 
 // SubframeEndsOf avoids shadowing in the test.
 func SubframeEndsOf(p Params, payloads []int) []sim.Time { return p.SubframeEnds(payloads) }
-
-func TestPHYRateMbps(t *testing.T) {
-	if got := Get(Std80211n).PHYRateMbps(); got != 300 {
-		t.Fatalf("PHYRateMbps = %v", got)
-	}
-}

@@ -26,14 +26,8 @@ func (r Range) Len() uint64 {
 	return r.Hi - r.Lo
 }
 
-// Empty reports whether the range covers nothing.
-func (r Range) Empty() bool { return r.Hi <= r.Lo }
-
 // Contains reports whether v lies in [Lo, Hi).
 func (r Range) Contains(v uint64) bool { return v >= r.Lo && v < r.Hi }
-
-// Overlaps reports whether r and o share any value.
-func (r Range) Overlaps(o Range) bool { return r.Lo < o.Hi && o.Lo < r.Hi }
 
 // String renders [lo,hi).
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
@@ -190,9 +184,6 @@ func (s *RangeSet) Max() (v uint64, ok bool) {
 	}
 	return s.ranges[len(s.ranges)-1].Hi - 1, true
 }
-
-// Empty reports whether the set covers nothing.
-func (s *RangeSet) Empty() bool { return len(s.ranges) == 0 }
 
 // ContiguousFrom returns the end of the contiguous run starting at base:
 // the smallest value >= base not in the set. If base itself is missing it

@@ -38,26 +38,11 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // Event is a scheduled callback.
 type Event struct {
-	at     Time
-	seq    uint64 // tie-break: FIFO among equal timestamps
-	fn     func()
-	index  int // heap index, -1 while not queued
-	cancel bool
+	at    Time
+	seq   uint64 // tie-break: FIFO among equal timestamps
+	fn    func()
+	index int // heap index, -1 while not queued
 }
-
-// Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancel = true
-	}
-}
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e != nil && e.cancel }
-
-// Time returns the virtual time the event is scheduled for.
-func (e *Event) Time() Time { return e.at }
 
 type eventQueue []*Event
 
@@ -115,20 +100,17 @@ func (l *Loop) Rand() *rand.Rand { return l.rng }
 // as a runaway guard).
 func (l *Loop) Fired() uint64 { return l.fired }
 
-// Pending returns the number of events still queued (including ones
-// cancelled through Event.Cancel but not yet popped; stopped Timers are gone).
+// Pending returns the number of events still queued (stopped Timers are
+// gone).
 func (l *Loop) Pending() int { return len(l.queue) }
 
 // NextAt returns the timestamp of the earliest pending event, and false
 // when nothing is queued. A loop pinned to wall time sleeps until then.
 func (l *Loop) NextAt() (Time, bool) {
-	for len(l.queue) > 0 {
-		if e := l.queue[0]; !e.cancel {
-			return e.at, true
-		}
-		heap.Pop(&l.queue)
+	if len(l.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return l.queue[0].at, true
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
@@ -154,7 +136,7 @@ func (l *Loop) After(d Time, fn func()) *Event {
 // Step executes the next event, advancing the clock to its timestamp.
 // It reports false when the queue is empty.
 func (l *Loop) Step() bool {
-	if _, ok := l.NextAt(); !ok {
+	if len(l.queue) == 0 {
 		return false
 	}
 	e := heap.Pop(&l.queue).(*Event)

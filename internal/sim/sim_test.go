@@ -35,17 +35,6 @@ func TestLoopFIFOTieBreak(t *testing.T) {
 	}
 }
 
-func TestLoopCancel(t *testing.T) {
-	l := NewLoop(1)
-	fired := false
-	e := l.At(Millisecond, func() { fired = true })
-	e.Cancel()
-	l.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestLoopRunUntil(t *testing.T) {
 	l := NewLoop(1)
 	var fired []Time
@@ -207,21 +196,18 @@ func TestTimeHelpers(t *testing.T) {
 
 func TestEventIntrospection(t *testing.T) {
 	l := NewLoop(1)
-	e := l.At(5*Millisecond, func() {})
-	if e.Time() != 5*Millisecond {
-		t.Fatalf("Time = %v", e.Time())
+	if _, ok := l.NextAt(); ok {
+		t.Fatal("empty loop reports a next event")
 	}
-	if e.Cancelled() {
-		t.Fatal("fresh event reported cancelled")
+	l.At(5*Millisecond, func() {})
+	tm := NewTimer(l, func() {})
+	tm.Reset(7 * Millisecond)
+	if at, ok := l.NextAt(); !ok || at != 5*Millisecond {
+		t.Fatalf("NextAt = %v, %v; want 5ms, true", at, ok)
 	}
-	e.Cancel()
-	if !e.Cancelled() {
-		t.Fatal("Cancel not observed")
-	}
-	var nilEvent *Event
-	nilEvent.Cancel() // must not panic
-	if nilEvent.Cancelled() {
-		t.Fatal("nil event reported cancelled")
+	tm.Reset(Microsecond)
+	if at, _ := l.NextAt(); at != Microsecond {
+		t.Fatalf("NextAt = %v after moving the timer to the head, want 1µs", at)
 	}
 }
 
@@ -331,23 +317,5 @@ func TestTimerRearmedFromItsOwnCallback(t *testing.T) {
 	l.Run()
 	if fires != 3 || l.Now() != 2*Millisecond || l.Pending() != 0 {
 		t.Fatalf("fires=%d now=%v pending=%d, want 3, 2ms, 0", fires, l.Now(), l.Pending())
-	}
-}
-
-func TestNextAtSkipsCancelledEvents(t *testing.T) {
-	l := NewLoop(1)
-	if _, ok := l.NextAt(); ok {
-		t.Fatal("empty loop reports a next event")
-	}
-	l.At(Millisecond, func() {}).Cancel()
-	tm := NewTimer(l, func() {})
-	tm.Reset(3 * Millisecond)
-	l.At(2*Millisecond, func() {})
-	if at, ok := l.NextAt(); !ok || at != 2*Millisecond {
-		t.Fatalf("NextAt = %v, %v; want 2ms, true", at, ok)
-	}
-	tm.Reset(Microsecond)
-	if at, _ := l.NextAt(); at != Microsecond {
-		t.Fatalf("NextAt = %v after moving the timer to the head, want 1µs", at)
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the light statistical toolkit used across the
-// experiment harness: streaming summaries, percentiles, CDFs, EWMAs and
-// fixed-width table rendering for paper-style result output.
+// experiment harness: streaming summaries, percentiles and fixed-width
+// table rendering for paper-style result output.
 package stats
 
 import (
@@ -70,21 +70,6 @@ func (s *Summary) Max() float64 {
 	return s.max
 }
 
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.vals {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks. Empty summaries return 0.
 func (s *Summary) Percentile(p float64) float64 {
@@ -126,68 +111,6 @@ func (s *Summary) ensureSorted() {
 		s.sorted = true
 	}
 }
-
-// CDFPoint is one (value, cumulative fraction) sample of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical CDF of the summary sampled at every observation.
-func (s *Summary) CDF() []CDFPoint {
-	s.ensureSorted()
-	n := len(s.vals)
-	out := make([]CDFPoint, n)
-	for i, v := range s.vals {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(n)}
-	}
-	return out
-}
-
-// CDFAt returns the fraction of observations <= v.
-func (s *Summary) CDFAt(v float64) float64 {
-	s.ensureSorted()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(s.vals, math.Nextafter(v, math.Inf(1)))
-	return float64(i) / float64(len(s.vals))
-}
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0,1]: next = alpha*sample + (1-alpha)*prev. The first sample
-// initializes the average.
-type EWMA struct {
-	alpha float64
-	val   float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor. Alpha outside
-// (0,1] panics: it is a construction-time programming error.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: EWMA alpha %v out of (0,1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Update folds one sample in and returns the new average.
-func (e *EWMA) Update(v float64) float64 {
-	if !e.init {
-		e.val = v
-		e.init = true
-		return v
-	}
-	e.val = e.alpha*v + (1-e.alpha)*e.val
-	return e.val
-}
-
-// Value returns the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.val }
-
-// Initialized reports whether at least one sample was folded in.
-func (e *EWMA) Initialized() bool { return e.init }
 
 // Table renders fixed-width ASCII tables for experiment output.
 type Table struct {

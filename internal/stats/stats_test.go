@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,9 +36,6 @@ func TestSummaryEmpty(t *testing.T) {
 	}
 	if !math.IsInf(s.Min(), 1) || !math.IsInf(s.Max(), -1) {
 		t.Fatal("empty Min/Max should be infinities")
-	}
-	if s.CDFAt(1) != 0 {
-		t.Fatal("empty CDFAt should be 0")
 	}
 }
 
@@ -106,68 +102,6 @@ func TestAddAfterPercentileQuery(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	s := NewSummary()
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.Stddev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("Stddev = %v, want 2", got)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	s := NewSummary()
-	for _, v := range []float64{1, 2, 3, 4} {
-		s.Add(v)
-	}
-	cdf := s.CDF()
-	if len(cdf) != 4 {
-		t.Fatalf("CDF has %d points, want 4", len(cdf))
-	}
-	if cdf[3].Fraction != 1 {
-		t.Fatalf("last CDF fraction = %v, want 1", cdf[3].Fraction)
-	}
-	if got := s.CDFAt(2); got != 0.5 {
-		t.Fatalf("CDFAt(2) = %v, want 0.5", got)
-	}
-	if got := s.CDFAt(0); got != 0 {
-		t.Fatalf("CDFAt(0) = %v, want 0", got)
-	}
-	if got := s.CDFAt(10); got != 1 {
-		t.Fatalf("CDFAt(10) = %v, want 1", got)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA should be uninitialized")
-	}
-	if got := e.Update(10); got != 10 {
-		t.Fatalf("first Update = %v, want 10 (initialization)", got)
-	}
-	if got := e.Update(20); got != 15 {
-		t.Fatalf("second Update = %v, want 15", got)
-	}
-	if e.Value() != 15 {
-		t.Fatalf("Value = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMABadAlphaPanics(t *testing.T) {
-	for _, a := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("alpha %v should panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Link", "Goodput")
 	tb.AddRow("802.11n", "198")
@@ -211,36 +145,6 @@ func TestQuickPercentileMonotone(t *testing.T) {
 		}
 		va, vb := s.Percentile(pa), s.Percentile(pb)
 		return va <= vb && va >= s.Min() && vb <= s.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: CDFAt is a nondecreasing function matching sorted rank.
-func TestQuickCDFMatchesRank(t *testing.T) {
-	f := func(vals []float64, probe float64) bool {
-		s := NewSummary()
-		clean := vals[:0]
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			s.Add(v)
-			clean = append(clean, v)
-		}
-		if len(clean) == 0 || math.IsNaN(probe) {
-			return true
-		}
-		sort.Float64s(clean)
-		n := 0
-		for _, v := range clean {
-			if v <= probe {
-				n++
-			}
-		}
-		want := float64(n) / float64(len(clean))
-		return math.Abs(s.CDFAt(probe)-want) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

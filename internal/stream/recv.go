@@ -4,6 +4,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tacktp/tack/internal/buffer"
@@ -23,8 +24,10 @@ import (
 // The transport receiver (protocol goroutine) calls OnFrame and collects
 // WindowAdverts when it emits acknowledgments; the application calls
 // Accept / RecvStream.Read. Consumption raises the stream's advertised
-// limit; releasing at least half a stream window arms an urgent advert
-// that the receiver turns into the paper's window-update IACK.
+// limit; releasing at least half a stream window, or more of the
+// connection window than RecvDeps.WindowRelease since the last
+// acknowledgment, arms an urgent advert that the receiver turns into the
+// paper's window-update IACK.
 type RecvMux struct {
 	mu  sync.Mutex
 	cfg Config
@@ -38,15 +41,24 @@ type RecvMux struct {
 	acceptCh chan *RecvStream
 	closedCh chan struct{}
 
-	buffered int // bytes held across all stream rings (unconsumed)
-	urgent   bool
-	kick     func()
-	closed   bool
-	err      error
-	lastNow  sim.Time
+	// buffered is the bytes held across all stream rings (unconsumed).
+	// It changes under mu but is read without it: the receiver checks the
+	// connection window on every DATA packet, and a lock there would wait
+	// out every application read's copy.
+	buffered atomic.Int64
+	// release is RecvDeps.WindowRelease; advertBuffered is buffered when
+	// WindowAdverts last ran, so advertBuffered-buffered is the connection
+	// window the reads have reopened since the last acknowledgment.
+	release        int
+	advertBuffered int
+	urgent         bool
+	kick           func()
+	closed         bool
+	err            error
+	lastNow        sim.Time
 
 	mOpened, mClosed, mFrames, mBytes, mViolations, mLimitDrops, mUpdates *telemetry.Counter
-	gActive                                                              *telemetry.Gauge
+	gActive                                                               *telemetry.Gauge
 
 	connID uint32
 	tracer *telemetry.Tracer
@@ -60,6 +72,11 @@ type RecvDeps struct {
 	Tracer *telemetry.Tracer
 	// Metrics receives stream.* counters (nil-safe).
 	Metrics *telemetry.Registry
+	// WindowRelease, when positive, is the connection-window release that
+	// warrants an immediate update: reads that free more than this many
+	// bytes since the last acknowledgment arm the urgent advert, so a
+	// sender parked on a closed connection window hears of its reopening.
+	WindowRelease int
 }
 
 // NewRecvMux builds the receive-side stream layer for one connection. cfg
@@ -71,6 +88,7 @@ func NewRecvMux(cfg Config, deps RecvDeps) *RecvMux {
 		streams:     make(map[uint32]*RecvStream),
 		acceptCh:    make(chan *RecvStream, cfg.MaxStreams),
 		closedCh:    make(chan struct{}),
+		release:     deps.WindowRelease,
 		connID:      deps.ConnID,
 		tracer:      deps.Tracer,
 		mOpened:     deps.Metrics.Counter("stream.accepted"),
@@ -158,7 +176,7 @@ func (m *RecvMux) OnFrame(now sim.Time, sid uint32, off uint64, payload []byte, 
 	if fin {
 		s.rb.OnFIN(off + uint64(len(payload)))
 	}
-	m.buffered += n
+	m.buffered.Add(int64(n))
 	m.mFrames.Inc()
 	m.mBytes.Add(int64(n))
 	if s.discard {
@@ -175,7 +193,7 @@ func (m *RecvMux) OnFrame(now sim.Time, sid uint32, off uint64, payload []byte, 
 func (m *RecvMux) drainDiscardLocked(s *RecvStream) {
 	n := s.rb.Read(s.rb.Readable())
 	s.base += uint64(n)
-	m.buffered -= n
+	m.buffered.Add(-int64(n))
 	m.noteConsumedLocked(s)
 	if s.rb.Complete() {
 		m.retireLocked(s)
@@ -183,11 +201,13 @@ func (m *RecvMux) drainDiscardLocked(s *RecvStream) {
 }
 
 // noteConsumedLocked updates urgency after the application consumed
-// stream bytes: releasing at least half a stream window arms the
-// window-update IACK.
+// stream bytes: releasing at least half a stream window, or more of the
+// connection window than the release threshold, arms the window-update
+// IACK.
 func (m *RecvMux) noteConsumedLocked(s *RecvStream) {
 	limit := s.base + uint64(m.cfg.RecvWindow)
-	if limit-s.lastAdvert >= uint64(m.cfg.RecvWindow)/2 {
+	if limit-s.lastAdvert >= uint64(m.cfg.RecvWindow)/2 ||
+		m.release > 0 && m.advertBuffered-int(m.buffered.Load()) > m.release {
 		m.urgent = true
 	}
 }
@@ -271,11 +291,7 @@ func (m *RecvMux) Close(err error) {
 
 // Buffered returns the total unconsumed bytes across all stream rings —
 // the stream layer's contribution to connection-level window occupancy.
-func (m *RecvMux) Buffered() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.buffered
-}
+func (m *RecvMux) Buffered() int { return int(m.buffered.Load()) }
 
 // ActiveStreams returns the number of live streams.
 func (m *RecvMux) ActiveStreams() int {
@@ -284,9 +300,9 @@ func (m *RecvMux) ActiveStreams() int {
 	return m.active
 }
 
-// UrgentAdvert reports whether a half-window (or larger) release is
-// waiting to be advertised — the receiver should emit a window-update
-// IACK rather than wait for the next TACK boundary.
+// UrgentAdvert reports whether a large window release is waiting to be
+// advertised — the receiver should emit a window-update IACK rather than
+// wait for the next TACK boundary.
 func (m *RecvMux) UrgentAdvert() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -299,8 +315,8 @@ func (m *RecvMux) InitialWindow() uint64 { return uint64(m.cfg.RecvWindow) }
 
 // WindowAdverts collects up to max pending per-stream advertisements
 // (streams whose limit rose since last advertised), sorted by stream ID,
-// and clears the urgent flag. Streams beyond max stay dirty for the next
-// acknowledgment.
+// clears the urgent flag and notes the buffered bytes the acknowledgment
+// leaves. Streams beyond max stay dirty for the next acknowledgment.
 func (m *RecvMux) WindowAdverts(now sim.Time, max int) []packet.StreamWindow {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -328,9 +344,8 @@ func (m *RecvMux) WindowAdverts(now sim.Time, max int) []packet.StreamWindow {
 			m.tracer.StreamWindow(now, m.connID, s.id, limit, urgent)
 		}
 	}
-	if len(out) > 0 || m.urgent {
-		m.urgent = false
-	}
+	m.urgent = false
+	m.advertBuffered = int(m.buffered.Load())
 	return out
 }
 
@@ -411,7 +426,7 @@ func (s *RecvStream) readLocked(p []byte) (n int, eof bool, err error) {
 		}
 		s.rb.Read(avail)
 		s.base += uint64(avail)
-		m.buffered -= avail
+		m.buffered.Add(-int64(avail))
 		n = avail
 		m.noteConsumedLocked(s)
 		needKick := m.urgent && m.kick != nil

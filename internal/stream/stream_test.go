@@ -501,6 +501,30 @@ func TestWindowAdvertsRiseWithConsumption(t *testing.T) {
 	}
 }
 
+// TestConnectionWindowReleaseArmsUrgent: reads that free more of the
+// connection window than WindowRelease since the last acknowledgment arm
+// the urgent advert even when no stream frees half its own window.
+func TestConnectionWindowReleaseArmsUrgent(t *testing.T) {
+	m := NewRecvMux(Config{RecvWindow: 1 << 20, MaxStreams: 4}, RecvDeps{WindowRelease: 1000})
+	m.OnFrame(0, 0, 0, mkPattern(0, 0, 3000), false)
+	s := m.TryAccept()
+	m.WindowAdverts(0, 16) // the acknowledgment left with 3000 bytes held
+	var sink [1000]byte
+	s.Read(sink[:]) // exactly the threshold: not yet
+	if m.UrgentAdvert() {
+		t.Fatal("a release of exactly WindowRelease armed the urgent advert")
+	}
+	s.Read(sink[:1])
+	if !m.UrgentAdvert() {
+		t.Fatal("connection-window release did not arm the urgent advert")
+	}
+	m.WindowAdverts(0, 16)
+	s.Read(sink[:])
+	if m.UrgentAdvert() {
+		t.Fatal("the release is counted from the last acknowledgment, not from the start")
+	}
+}
+
 // TestAcceptBlockingAndClose verifies Accept wakes on close and blocked
 // readers error out.
 func TestAcceptBlockingAndClose(t *testing.T) {

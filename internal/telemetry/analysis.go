@@ -123,16 +123,6 @@ type TraceSummary struct {
 	MAC    *MACSummary
 }
 
-// Flow returns the summary for the given flow id (nil when absent).
-func (s *TraceSummary) Flow(id uint32) *FlowSummary {
-	for _, f := range s.Flows {
-		if f.Flow == id {
-			return f
-		}
-	}
-	return nil
-}
-
 // Analyze replays a trace into per-flow and MAC summaries.
 func Analyze(events []Event) *TraceSummary {
 	ts := &TraceSummary{Events: len(events)}

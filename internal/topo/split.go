@@ -96,9 +96,6 @@ func (sf *SplitFlow) Start() {
 	sf.ProxySend.Start()
 }
 
-// Relayed returns the bytes the proxy has forwarded to the WAN leg.
-func (sf *SplitFlow) Relayed() int64 { return sf.relayed }
-
 // ProxyBacklog returns bytes received from the client but not yet
 // acknowledged end-to-end by the server — the data at risk if the proxy
 // fails (§7's reliability caveat).

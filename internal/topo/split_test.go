@@ -23,8 +23,8 @@ func TestSplitFlowRelays(t *testing.T) {
 	if !sf.Client.Done() {
 		t.Fatalf("WLAN leg incomplete: %d acked", sf.Client.CumAcked())
 	}
-	if sf.Relayed() != 2<<20 {
-		t.Fatalf("proxy relayed %d bytes, want all", sf.Relayed())
+	if sf.relayed != 2<<20 {
+		t.Fatalf("proxy relayed %d bytes, want all", sf.relayed)
 	}
 	if got := sf.Server.Delivered(); got != 2<<20 {
 		t.Fatalf("server delivered %d, want all", got)

@@ -170,24 +170,12 @@ type Flow struct {
 }
 
 // NewFlow attaches a sender (A side) and receiver (B side) built from cfg
-// to the path. Call Start to begin.
+// to the path. Call Start to begin. The send hooks are read at each packet
+// (a path's are set once, before traffic); the deliver hooks are chained by
+// ConnID so several flows can share a path.
 func NewFlow(loop *sim.Loop, cfg transport.Config, p *Path) (*Flow, error) {
-	return newFlow(loop, cfg, &p.SendA, &p.SendB, &p.DeliverA, &p.DeliverB)
-}
-
-// ReversedFlow attaches a sender at the B side and receiver at the A side
-// (for bidirectional workloads and reverse cross traffic).
-func ReversedFlow(loop *sim.Loop, cfg transport.Config, p *Path) (*Flow, error) {
-	return newFlow(loop, cfg, &p.SendB, &p.SendA, &p.DeliverB, &p.DeliverA)
-}
-
-// newFlow wires a flow whose sender injects through *sndSend and hears on
-// *sndDeliver, and whose receiver uses the opposite pair. The send hooks
-// are read at each packet (a path's are set once, before traffic); the
-// deliver hooks are chained by ConnID so several flows can share a path.
-func newFlow(loop *sim.Loop, cfg transport.Config, sndSend, rcvSend, sndDeliver, rcvDeliver *func(*packet.Packet)) (*Flow, error) {
 	f := &Flow{OWD: stats.NewSummary(), BlockedSamples: stats.NewSummary()}
-	snd, err := transport.NewSender(loop, cfg, func(pkt *packet.Packet) { (*sndSend)(pkt) })
+	snd, err := transport.NewSender(loop, cfg, func(pkt *packet.Packet) { p.SendA(pkt) })
 	if err != nil {
 		return nil, err
 	}
@@ -196,18 +184,18 @@ func newFlow(loop *sim.Loop, cfg transport.Config, sndSend, rcvSend, sndDeliver,
 		case packet.TypeTACK, packet.TypeIACK, packet.TypeFINACK:
 			f.BlockedSamples.Add(float64(f.Receiver.Buffer().BlockedBytes()))
 		}
-		(*rcvSend)(pkt)
+		p.SendB(pkt)
 	})
 	f.Sender, f.Receiver = snd, rcv
-	prevSnd, prevRcv := *sndDeliver, *rcvDeliver
-	*sndDeliver = func(pkt *packet.Packet) {
+	prevSnd, prevRcv := p.DeliverA, p.DeliverB
+	p.DeliverA = func(pkt *packet.Packet) {
 		if pkt.ConnID == cfg.ConnID {
 			snd.OnPacket(pkt)
 		} else if prevSnd != nil {
 			prevSnd(pkt)
 		}
 	}
-	*rcvDeliver = func(pkt *packet.Packet) {
+	p.DeliverB = func(pkt *packet.Packet) {
 		if pkt.ConnID == cfg.ConnID {
 			if pkt.Type == packet.TypeData {
 				f.OWD.Add((loop.Now() - pkt.SentAt).Seconds())

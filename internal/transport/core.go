@@ -21,12 +21,10 @@ package transport
 // wire format in package packet.
 
 import (
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/seqspace"
 	"github.com/tacktp/tack/internal/sim"
 )
-
-// mss mirrors the full-sized packet assumption of the paper.
-const mss = 1500
 
 // Params bundles the TACK mechanism constants.
 type Params struct {
@@ -269,7 +267,7 @@ func newBlockBudget(p Params) *blockBudget { return &blockBudget{p: p.withDefaul
 // largeBDP reports whether the flow is in the periodic-TACK regime
 // (bdp ≥ β·L·MSS).
 func (b *blockBudget) largeBDP(bdpBytes float64) bool {
-	return bdpBytes >= float64(b.p.Beta*b.p.L*mss)
+	return bdpBytes >= float64(b.p.Beta*b.p.L*ackpolicy.MSS)
 }
 
 // RichThreshold returns the ACK-path loss rate ρ′ above which a TACK must
@@ -281,7 +279,7 @@ func (b *blockBudget) RichThreshold(rho, bdpBytes float64) float64 {
 	}
 	var th float64
 	if b.largeBDP(bdpBytes) {
-		th = float64(b.p.Q) * mss / (rho * bdpBytes)
+		th = float64(b.p.Q) * ackpolicy.MSS / (rho * bdpBytes)
 	} else {
 		th = float64(b.p.Q) / (rho * float64(b.p.L))
 	}
@@ -301,7 +299,7 @@ func (b *blockBudget) Blocks(rho, rhoPrime, bdpBytes float64) int {
 	}
 	var need float64
 	if b.largeBDP(bdpBytes) {
-		need = rho * rhoPrime * bdpBytes / mss
+		need = rho * rhoPrime * bdpBytes / ackpolicy.MSS
 	} else {
 		need = rho * rhoPrime * float64(b.p.L)
 	}
@@ -331,18 +329,18 @@ func buildBlocks(acked, unacked []seqspace.Range, maxAcked, maxUnacked int) (a, 
 // windowMonitor triggers window-update IACKs on abrupt receive-window
 // changes (§4.4 item 2, §5.3): a zero window must be announced at once, and
 // so must the release of a large volume of buffered data (more than a
-// quarter of capacity by default).
+// quarter of capacity).
 type windowMonitor struct {
-	capacity     int
+	// release is the "large volume" in bytes; stream reads that reopen
+	// this much of the window kick the receiver (stream.RecvDeps).
+	release      int
 	lastAnnounce uint64
-	// ReleaseFraction of capacity that counts as a "large volume" release.
-	releaseNum, releaseDen int
 }
 
 // newWindowMonitor returns a monitor for a receive buffer of the given
 // capacity in bytes.
 func newWindowMonitor(capacity int) *windowMonitor {
-	return &windowMonitor{capacity: capacity, lastAnnounce: uint64(capacity), releaseNum: 1, releaseDen: 4}
+	return &windowMonitor{release: capacity / 4, lastAnnounce: uint64(capacity)}
 }
 
 // Check inspects the current advertised window and reports whether an
@@ -352,8 +350,7 @@ func (w *windowMonitor) Check(window uint64) bool {
 		w.lastAnnounce = 0
 		return true
 	}
-	released := int64(window) - int64(w.lastAnnounce)
-	if released > int64(w.capacity)*int64(w.releaseNum)/int64(w.releaseDen) {
+	if int64(window)-int64(w.lastAnnounce) > int64(w.release) {
 		w.lastAnnounce = window
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/seqspace"
 	"github.com/tacktp/tack/internal/sim"
 )
@@ -156,10 +157,10 @@ func TestCompactBoundsState(t *testing.T) {
 
 func TestBlockBudgetThresholdLargeBDP(t *testing.T) {
 	b := newBlockBudget(Params{Q: 4})
-	// Large bdp regime: threshold = Q·mss/(ρ·bdp).
-	bdp := 100 * mss * 1.0
+	// Large bdp regime: threshold = Q·MSS/(ρ·bdp).
+	bdp := 100 * ackpolicy.MSS * 1.0
 	th := b.RichThreshold(0.1, bdp)
-	want := 4.0 * mss / (0.1 * bdp)
+	want := 4.0 * ackpolicy.MSS / (0.1 * bdp)
 	if th != want {
 		t.Fatalf("threshold = %v, want %v", th, want)
 	}
@@ -172,7 +173,7 @@ func TestBlockBudgetThresholdSmallBDP(t *testing.T) {
 	b := newBlockBudget(Params{Q: 4, L: 2, Beta: 4})
 	// Small bdp regime: threshold = Q/(ρ·L); with Q=4, ρ=10%, L=2 → 20,
 	// clamped to 1.
-	th := b.RichThreshold(0.1, mss)
+	th := b.RichThreshold(0.1, ackpolicy.MSS)
 	if th != 1 {
 		t.Fatalf("threshold = %v, want clamped 1", th)
 	}
@@ -180,7 +181,7 @@ func TestBlockBudgetThresholdSmallBDP(t *testing.T) {
 
 func TestBlockBudgetBlocks(t *testing.T) {
 	b := newBlockBudget(Params{Q: 1})
-	bdp := 1000 * mss * 1.0
+	bdp := 1000 * ackpolicy.MSS * 1.0
 	// ρ=5%, ρ′=10%: need = 0.05*0.1*1000 = 5 blocks > Q.
 	if got := b.Blocks(0.05, 0.10, bdp); got != 5 {
 		t.Fatalf("Blocks = %d, want 5", got)
@@ -205,7 +206,7 @@ func TestQuickBlocksMonotone(t *testing.T) {
 		if r1 > r2 {
 			r1, r2 = r2, r1
 		}
-		bdp := float64(bdpPkts%5000) * mss
+		bdp := float64(bdpPkts%5000) * ackpolicy.MSS
 		b1 := b.Blocks(rho, r1, bdp)
 		b2 := b.Blocks(rho, r2, bdp)
 		return b1 >= 2 && b2 >= b1

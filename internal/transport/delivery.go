@@ -12,23 +12,8 @@ type deliverySample struct {
 	Bytes int64
 	// Elapsed is the whole interval length.
 	Elapsed sim.Time
-	// TrainBytes / TrainSpan describe the packet train: bytes excluding the
-	// first packet, over the span from first to last arrival. This removes
-	// the fencepost bias of dividing N packets by N−1 serialization gaps.
-	TrainBytes int64
-	TrainSpan  sim.Time
 	// Packets counts arrivals in the interval.
 	Packets int
-}
-
-// Bps returns the train-based delivery rate in bits per second — an
-// unbiased estimate of the bottleneck drain rate for a contiguous train.
-// Intervals with fewer than two packets yield 0 (no rate information).
-func (s deliverySample) Bps() float64 {
-	if s.Packets < 2 || s.TrainSpan <= 0 {
-		return 0
-	}
-	return float64(s.TrainBytes) * 8 / s.TrainSpan.Seconds()
 }
 
 // IntervalBps returns bytes-over-interval throughput (includes idle time;
@@ -46,10 +31,6 @@ func (s deliverySample) IntervalBps() float64 {
 type deliveryEstimator struct {
 	max        *rate.Filter
 	intervalAt sim.Time
-
-	firstAt    sim.Time
-	firstBytes int
-	lastAt     sim.Time
 	bytes      int64
 	packets    int
 
@@ -70,11 +51,6 @@ func (e *deliveryEstimator) OnDeliver(now sim.Time, bytes int) {
 		e.started = true
 		e.intervalAt = now
 	}
-	if e.packets == 0 {
-		e.firstAt = now
-		e.firstBytes = bytes
-	}
-	e.lastAt = now
 	e.packets++
 	e.bytes += int64(bytes)
 }
@@ -90,13 +66,7 @@ func (e *deliveryEstimator) OnDeliver(now sim.Time, bytes int) {
 // Degenerate intervals (fewer than two packets, or shorter than 1 ms) carry
 // no usable rate information and are skipped.
 func (e *deliveryEstimator) EndInterval(now sim.Time) deliverySample {
-	s := deliverySample{
-		Bytes:      e.bytes,
-		Elapsed:    now - e.intervalAt,
-		TrainBytes: e.bytes - int64(e.firstBytes),
-		TrainSpan:  e.lastAt - e.firstAt,
-		Packets:    e.packets,
-	}
+	s := deliverySample{Bytes: e.bytes, Elapsed: now - e.intervalAt, Packets: e.packets}
 	if s.Packets >= 2 && s.Elapsed >= sim.Millisecond {
 		if bps := s.IntervalBps(); bps > 0 {
 			e.max.Update(now, bps)
@@ -105,7 +75,6 @@ func (e *deliveryEstimator) EndInterval(now sim.Time) deliverySample {
 	e.intervalAt = now
 	e.bytes = 0
 	e.packets = 0
-	e.firstBytes = 0
 	return s
 }
 

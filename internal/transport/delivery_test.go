@@ -7,25 +7,6 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 )
 
-func TestDeliverySampleBps(t *testing.T) {
-	// Train of 3 packets, 1250 B each, spaced 1 ms: train rate counts the
-	// last two packets over the 2 ms span = 10 Mbit/s.
-	s := deliverySample{Bytes: 3750, Elapsed: 3 * sim.Millisecond,
-		TrainBytes: 2500, TrainSpan: 2 * sim.Millisecond, Packets: 3}
-	if got := s.Bps(); math.Abs(got-10e6) > 1 {
-		t.Fatalf("Bps = %v, want 10e6", got)
-	}
-	if got := s.IntervalBps(); math.Abs(got-10e6) > 1 {
-		t.Fatalf("IntervalBps = %v, want 10e6", got)
-	}
-	if (deliverySample{Packets: 1}).Bps() != 0 {
-		t.Fatal("single-packet interval carries no rate information")
-	}
-	if (deliverySample{Bytes: 100, Elapsed: 0}).IntervalBps() != 0 {
-		t.Fatal("zero elapsed should give 0 rate")
-	}
-}
-
 func TestDeliveryEstimatorIntervalRate(t *testing.T) {
 	e := newDeliveryEstimator(sim.Second)
 	// 3 packets of 1250 B over a 3 ms interval: 10 Mbit/s throughput.
@@ -56,6 +37,9 @@ func TestDeliveryEstimatorEmptyInterval(t *testing.T) {
 	}
 	if got := e.MaxBps(sim.Millisecond); got != 0 {
 		t.Fatalf("MaxBps with no data = %v, want 0", got)
+	}
+	if (deliverySample{Bytes: 100, Elapsed: 0}).IntervalBps() != 0 {
+		t.Fatal("zero elapsed should give 0 rate")
 	}
 	// Single packet: degenerate interval, no sample.
 	e.OnDeliver(2*sim.Millisecond, 1250)

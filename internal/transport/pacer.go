@@ -1,6 +1,9 @@
 package transport
 
-import "github.com/tacktp/tack/internal/sim"
+import (
+	"github.com/tacktp/tack/internal/ackpolicy"
+	"github.com/tacktp/tack/internal/sim"
+)
 
 // pacer is a token bucket metering out transmission credit at a
 // configurable rate with a bounded burst allowance. TACK-based senders
@@ -16,11 +19,9 @@ type pacer struct {
 }
 
 // newPacer returns a pacer at rateBps whose bucket holds burstBytes of
-// credit (minimum one typical packet, 1500 bytes). The bucket starts full.
+// credit (minimum one full-sized packet). The bucket starts full.
 func newPacer(rateBps float64, burstBytes int) *pacer {
-	if burstBytes < 1500 {
-		burstBytes = 1500
-	}
+	burstBytes = max(burstBytes, ackpolicy.MSS)
 	return &pacer{rateBps: rateBps, burstBytes: float64(burstBytes), tokens: float64(burstBytes)}
 }
 

@@ -135,7 +135,7 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 		mFECDropped:        cfg.Metrics.Counter("fec.dropped"),
 	}
 	r.tracer.FlowParams(loop.Now(), cfg.ConnID, legacy,
-		cfg.Params.Beta, cfg.Params.L, cfg.Payload, cfg.Params.SettleFraction)
+		cfg.Params.Beta, cfg.Params.L, DefaultPayload, cfg.Params.SettleFraction)
 	if legacy {
 		r.scheme = legacyReceiver{r}
 		if r.policy == nil {
@@ -152,9 +152,10 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 	r.streamTimer = sim.NewTimer(loop, r.FlushStreamWindows)
 	if cfg.Streams != nil {
 		r.mux = stream.NewRecvMux(*cfg.Streams, stream.RecvDeps{
-			ConnID:  cfg.ConnID,
-			Tracer:  cfg.Tracer,
-			Metrics: cfg.Metrics,
+			ConnID:        cfg.ConnID,
+			Tracer:        cfg.Tracer,
+			Metrics:       cfg.Metrics,
+			WindowRelease: r.window.release,
 		})
 		// FEC recovery synthesizes STREAM frames, so the decoder only
 		// exists on stream-multiplexed connections.
@@ -177,10 +178,11 @@ func (r *Receiver) Streams() *stream.RecvMux { return r.mux }
 // which runs with the mux lock held. Loop-goroutine only.
 func (r *Receiver) KickStreams() { r.streamTimer.Reset(r.loop.Now()) }
 
-// FlushStreamWindows emits a window-update IACK when an urgent per-stream
+// FlushStreamWindows emits a window-update IACK when an urgent
 // advertisement is pending (the application released at least half a
-// stream window — the paper's §4.4 immediate-feedback case). It is the
-// stream-layer analogue of maybeWindowIACK and a no-op otherwise.
+// stream window, or reopened more of the connection window than the
+// window monitor's threshold — the paper's §4.4 immediate-feedback case).
+// It is the read-side analogue of windowMoved and a no-op otherwise.
 func (r *Receiver) FlushStreamWindows() {
 	if r.mux == nil || !r.mux.UrgentAdvert() {
 		return
@@ -215,17 +217,6 @@ func (r *Receiver) Delivered() int64 { return int64(r.buf.Delivered()) }
 
 // Buffer exposes the reassembly buffer (experiments sample HoLB state).
 func (r *Receiver) Buffer() *buffer.ReceiveBuffer { return r.buf }
-
-// Read consumes up to n in-order bytes when Config.ManualDrain is set.
-func (r *Receiver) Read(n int) int {
-	got := r.buf.Read(n)
-	if got > 0 {
-		r.Stats.BytesDelivered += int64(got)
-		r.scheme.windowMoved()
-	}
-	r.checkComplete()
-	return got
-}
 
 // Complete reports whether a bounded stream fully arrived and drained.
 func (r *Receiver) Complete() bool { return r.buf.Complete() }
@@ -324,7 +315,7 @@ func (r *Receiver) RetransmitSYNACK() bool {
 func (r *Receiver) emitSYNACK(echo sim.Time) {
 	a := &packet.AckInfo{
 		EchoDeparture: echo,
-		Window:        r.buf.Window(),
+		Window:        r.advertisedWindow(),
 		AckSeq:        r.ackSeq,
 	}
 	if r.mux != nil {
@@ -437,15 +428,13 @@ func (r *Receiver) deliver(now sim.Time, p *packet.Packet, recovered bool) {
 		r.scheme.onData(now, p)
 	}
 
-	if !r.cfg.ManualDrain {
-		r.Stats.BytesDelivered += int64(r.buf.Read(r.buf.Readable()))
-	}
+	r.Stats.BytesDelivered += int64(r.buf.Read(r.buf.Readable()))
 	r.adaptSettle(now)
 
 	// Ack-policy decision. FIN-bearing data is acknowledged immediately so
 	// the sender learns of completion without waiting out the tail timer.
 	if fire := r.policy.OnData(now, accepted); fire || p.FIN {
-		trig := policyTrigger(ackpolicy.ExplainTrigger(r.policy))
+		trig := policyTrigger(r.policy.LastTrigger())
 		if !fire {
 			trig = telemetry.TrigFIN
 		}
@@ -476,7 +465,7 @@ func (r *Receiver) armAckTimer() {
 func (r *Receiver) onAckTimer() {
 	// After OnData declined, the policy's last trigger explains what a
 	// timer-driven acknowledgment means (periodic boundary or tail delay).
-	r.sendTACK(policyTrigger(ackpolicy.ExplainTrigger(r.policy)))
+	r.sendTACK(policyTrigger(r.policy.LastTrigger()))
 }
 
 func (r *Receiver) armSettleTimer() {
@@ -516,7 +505,7 @@ func (r *Receiver) onSettleTimer() {
 		// A single IACK carries at most an MSS worth of blocks; large loss
 		// bursts (e.g. a startup overshoot) are chunked across several
 		// IACKs so no due range is silently dropped.
-		budget := packet.MaxBlocks(1500) / 2
+		budget := packet.MaxBlocks(ackpolicy.MSS) / 2
 		if budget < 1 {
 			budget = 1
 		}
@@ -546,29 +535,22 @@ func (r *Receiver) sendAck(typ packet.Type, kind packet.IACKKind, trigger uint8,
 	now := r.loop.Now()
 	a := &packet.AckInfo{
 		CumAck: r.buf.NextExpected(),
-		Window: r.buf.Window(),
 		AckSeq: r.ackSeq,
 	}
 	r.ackSeq++
 	if r.mux != nil {
-		// Connection window: the connection-level buffer runs in
-		// accounting-only mode (it auto-drains), so the bytes actually
-		// held live in the per-stream rings — advertise capacity minus
-		// those, never more than the accounting buffer's own window.
-		if held := int64(r.cfg.RecvBuf) - int64(r.mux.Buffered()); held < int64(a.Window) {
-			if held < 0 {
-				held = 0
-			}
-			a.Window = uint64(held)
-		}
 		// Per-stream limits that rose since last advertised, plus the
 		// standing initial grant for streams the peer has yet to open
 		// (repeated every ack so a lost SYNACK cannot wedge the sender).
+		// Collected before the window is read, so an application read
+		// racing this acknowledgment can at worst arm one early window
+		// update, never hide a release.
 		a.StreamWindows = append(
 			r.mux.WindowAdverts(now, maxStreamAdverts),
 			packet.StreamWindow{ID: packet.InitialWindowID, Limit: r.mux.InitialWindow()},
 		)
 	}
+	a.Window = r.advertisedWindow()
 
 	r.scheme.fill(now, a, typ, kind, lossRanges)
 
@@ -597,6 +579,20 @@ func (r *Receiver) sendAck(typ packet.Type, kind packet.IACKKind, trigger uint8,
 	r.mAckBytes.Add(n)
 	r.out(pkt)
 	r.nextPktSeq++
+}
+
+// advertisedWindow is the connection window an acknowledgment carries. On
+// a stream connection the reassembly buffer only accounts (it auto-drains)
+// and the bytes actually held live in the stream rings, so the window is
+// capacity minus those, never more than the buffer's own.
+func (r *Receiver) advertisedWindow() uint64 {
+	w := r.buf.Window()
+	if r.mux != nil {
+		if free := int64(r.cfg.RecvBuf) - int64(r.mux.Buffered()); free < int64(w) {
+			w = uint64(max(free, 0))
+		}
+	}
+	return w
 }
 
 // bdpBytes estimates the flow's bandwidth-delay product for the block
@@ -668,7 +664,7 @@ func (r tackReceiver) onData(now sim.Time, p *packet.Packet) {
 
 // windowMoved announces abrupt receive-window changes immediately.
 func (r tackReceiver) windowMoved() {
-	if r.window.Check(r.buf.Window()) {
+	if r.window.Check(r.advertisedWindow()) {
 		r.Stats.WindowIACKs++
 		r.sendAck(packet.TypeIACK, packet.IACKWindow, telemetry.TrigWindow, nil)
 	}
@@ -707,7 +703,7 @@ func (r tackReceiver) fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kin
 	// IACKs disabled (Figure 5(a) ablation) nothing enters the pool and
 	// loss recovery falls back to the sender's RTO, exactly as the paper's
 	// "without IACK" arm degrades.
-	maxBlocks := packet.MaxBlocks(1500)
+	maxBlocks := packet.MaxBlocks(ackpolicy.MSS)
 	acked := r.loss.AckedRanges()
 	unacked := r.loss.ReportedMissing()
 	if typ == packet.TypeIACK && kind == packet.IACKLoss {
@@ -749,7 +745,7 @@ func (r tackReceiver) fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kin
 // targetHz is Eq. 3's frequency at the receiver's delivery-rate and RTTmin
 // state, with the discretizations the live policy applies.
 func (r tackReceiver) targetHz() float64 {
-	iv := ackpolicy.Interval(r.cfg.Params.Beta, r.cfg.Params.L, r.cfg.Payload, r.deliv.MaxBps(r.loop.Now()), r.rttMin)
+	iv := ackpolicy.Interval(r.cfg.Params.Beta, r.cfg.Params.L, DefaultPayload, r.deliv.MaxBps(r.loop.Now()), r.rttMin)
 	if iv == 0 {
 		return 0
 	}

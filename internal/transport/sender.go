@@ -137,12 +137,12 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		cfg:       cfg,
 		out:       out,
 		ctrl:      ctrl,
-		pacer:     newPacer(ctrl.PacingRate(), 10*cfg.Payload),
+		pacer:     newPacer(ctrl.PacingRate(), 10*DefaultPayload),
 		buf:       buffer.NewSendBuffer(),
 		timing:    newEstimate(),
 		legacyRTT: newEstimate(),
 		ackLoss:   newAckLossEstimator(),
-		payload:   make([]byte, cfg.Payload),
+		payload:   make([]byte, DefaultPayload),
 
 		tracer:        cfg.Tracer,
 		mDataPackets:  cfg.Metrics.Counter("snd.data_packets"),
@@ -416,7 +416,7 @@ func (s *Sender) trySend() {
 // exact cost NextFrame will commit.
 func (s *Sender) nextChunk() int {
 	if s.mux != nil {
-		n, ok := s.mux.NextFrameLen(s.cfg.Payload)
+		n, ok := s.mux.NextFrameLen(DefaultPayload)
 		if !ok {
 			return 0
 		}
@@ -425,7 +425,7 @@ func (s *Sender) nextChunk() int {
 	if !s.StreamBacklog() {
 		return 0
 	}
-	n := s.cfg.Payload
+	n := DefaultPayload
 	if s.cfg.TransferBytes > 0 {
 		if rem := s.cfg.TransferBytes - int64(s.nextSeq); int64(n) > rem {
 			n = int(rem)
@@ -449,7 +449,7 @@ func (s *Sender) sendNewSegment(now sim.Time, n int) {
 	seg := buffer.Segment{Seq: s.nextSeq, Len: n, PktSeq: s.nextPktSeq, SentAt: now}
 	var p *packet.Packet
 	if s.mux != nil {
-		fr, ok := s.mux.NextFrame(now, s.cfg.Payload)
+		fr, ok := s.mux.NextFrame(now, DefaultPayload)
 		if !ok {
 			return
 		}
@@ -564,7 +564,7 @@ func (s *Sender) armSendTimer() {
 		s.sendTimer.Reset(at)
 		return
 	}
-	paceAt := s.pacer.NextSendTime(now, s.cfg.Payload)
+	paceAt := s.pacer.NextSendTime(now, DefaultPayload)
 	if paceAt > at {
 		at = paceAt
 	}
@@ -669,7 +669,7 @@ func (s *Sender) OnPathMigration() {
 	*s.legacyRTT = *newEstimate()
 	s.rtoBackoff = 0
 	s.inRecovery = false
-	s.pacer = newPacer(s.ctrl.PacingRate(), 10*s.cfg.Payload)
+	s.pacer = newPacer(s.ctrl.PacingRate(), 10*DefaultPayload)
 	if s.rack != nil {
 		// The reorder window was learned on the old path; the pending tail
 		// probe was timed against the old SRTT.
@@ -899,7 +899,7 @@ func (s tackSender) lossEpisodeBegan() { s.recoverPkt = s.nextPktSeq }
 // ackInterval: the receiver paces its TACKs by Eq. 3 at the delivery rate it
 // syncs in every acknowledgment and the RTTmin this sender syncs to it.
 func (s tackSender) ackInterval(bwBps float64, rttMin sim.Time) sim.Time {
-	return ackpolicy.Interval(s.cfg.Params.Beta, s.cfg.Params.L, s.cfg.Payload, bwBps, rttMin)
+	return ackpolicy.Interval(s.cfg.Params.Beta, s.cfg.Params.L, DefaultPayload, bwBps, rttMin)
 }
 
 func (s tackSender) acksPktNumbers() bool { return true }

@@ -135,8 +135,6 @@ type Config struct {
 	Mode Mode
 	// CC names the congestion controller (default "bbr").
 	CC string
-	// Payload is the data bytes per packet (default DefaultPayload).
-	Payload int
 	// Params are the TACK mechanism constants (β, L, Q, settle fraction).
 	Params Params
 	// RichTACK lets TACKs carry as many blocks as fit in the MSS
@@ -150,13 +148,6 @@ type Config struct {
 	// RecvBuf is the receive buffer capacity in bytes (default 32 MiB,
 	// emulating an autotuned receive window).
 	RecvBuf int
-	// ManualDrain stops the receiver from consuming in-order bytes
-	// immediately; the application must call Receiver.Read, which is how
-	// flow-control experiments exercise the receive window. The zero value
-	// keeps the default auto-draining behaviour.
-	//
-	// (This replaces the former AutoDrain/NoAutoDrain double-boolean pair.)
-	ManualDrain bool
 	// TransferBytes ends the stream after this many bytes (0 = unbounded).
 	TransferBytes int64
 	// AppPaced makes the sender transmit only bytes made available via
@@ -199,8 +190,8 @@ type Config struct {
 	// frames pulled from a stream.SendMux scheduler instead of one flat
 	// bytestream, and the receiver demultiplexes into per-stream reassembly
 	// buffers (see internal/stream). Requires ModeTACK and is mutually
-	// exclusive with TransferBytes, AppPaced, and ManualDrain: stream
-	// lifetimes replace the connection-level termination/drain knobs. Nil
+	// exclusive with TransferBytes and AppPaced: stream lifetimes replace
+	// the connection-level termination knobs. Nil
 	// (the default) keeps the single-bytestream behaviour.
 	Streams *stream.Config
 	// ConnID tags packets (useful when multiplexing flows over one path).
@@ -217,9 +208,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CC == "" {
 		c.CC = "bbr"
-	}
-	if c.Payload <= 0 {
-		c.Payload = DefaultPayload
 	}
 	c.Params = c.Params.withDefaults()
 	if c.RecvBuf <= 0 {
@@ -249,8 +237,7 @@ func (c Config) withDefaults() Config {
 // rejects values that withDefaults would otherwise paper over silently and
 // combinations whose semantics contradict each other:
 //
-//   - negative sizes (Payload, TransferBytes, RecvBuf)
-//   - Payload beyond the wire format's 16-bit length field (65535)
+//   - negative sizes (TransferBytes, RecvBuf)
 //   - negative mechanism constants (β, L, Q, settle fraction)
 //   - negative RTO bounds, or MinRTO above MaxRTO when both are set
 //   - an unknown loss detector, or DetectorDupThresh in legacy mode (the
@@ -261,9 +248,8 @@ func (c Config) withDefaults() Config {
 //     termination authority — the application feed (AppPaced) or the byte
 //     bound — and configuring both leaves completion undefined when the
 //     feed stops short of the bound.
-//   - Streams outside TACK mode, or combined with TransferBytes, AppPaced,
-//     or ManualDrain (stream lifetimes replace those connection-level
-//     knobs), or carrying an invalid stream.Config (zero or negative
+//   - Streams outside TACK mode, or combined with TransferBytes or AppPaced
+//     (stream lifetimes replace those connection-level knobs), or carrying an invalid stream.Config (zero or negative
 //     windows and stream limits are rejected, not defaulted).
 //
 // NewSender validates implicitly; endpoint constructors validate before
@@ -271,9 +257,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.Mode != ModeTACK && c.Mode != ModeLegacy {
 		return fmt.Errorf("transport: unknown mode %d", int(c.Mode))
-	}
-	if c.Payload < 0 || c.Payload > 65535 {
-		return fmt.Errorf("transport: payload %d outside [0, 65535] (16-bit wire length)", c.Payload)
 	}
 	if c.TransferBytes < 0 {
 		return fmt.Errorf("transport: negative TransferBytes %d", c.TransferBytes)
@@ -313,9 +296,6 @@ func (c Config) Validate() error {
 		}
 		if c.AppPaced {
 			return fmt.Errorf("transport: Streams and AppPaced both set; stream writes pace the source")
-		}
-		if c.ManualDrain {
-			return fmt.Errorf("transport: Streams and ManualDrain both set; stream reads drain per-stream buffers")
 		}
 		if err := c.Streams.Validate(); err != nil {
 			return fmt.Errorf("transport: %w", err)

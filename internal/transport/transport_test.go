@@ -9,6 +9,7 @@ import (
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
+	"github.com/tacktp/tack/internal/stream"
 )
 
 // harness wires a Sender and Receiver over a duplex netem pipe.
@@ -224,13 +225,20 @@ func TestLegacyRTTMinBiasedByDelayedAcks(t *testing.T) {
 }
 
 func TestZeroWindowAndIACKRelease(t *testing.T) {
-	cfg := Config{Mode: ModeTACK, ManualDrain: true, RecvBuf: 64 << 10, TransferBytes: 1 << 20}
-	h := newHarness(t, 12, cfg, 100e6, ms(5), 0, 0)
-	h.snd.Start()
-	h.loop.RunUntil(sim.Second)
+	// One stream whose window (1 MiB) dwarfs the connection's RecvBuf: a
+	// reader that consumes nothing fills the connection window, and a
+	// reader that then drains it frees no stream half a window — only the
+	// connection-level release can wake the sender.
+	const size = 1 << 20
+	cfg := streamCfg(stream.Config{RecvWindow: size, MaxStreams: 4, SendBuffer: 2 << 20})
+	cfg.RecvBuf = 64 << 10
+	h := newHarness(t, 14, cfg, 50e6, ms(10), 0, 0)
+	sizes := openAndSend(t, h, 1, size)
+	h.run(sim.Second)
 	// The receiver stalls at 64 KiB; sender must have stopped without loss.
-	if h.rcv.Delivered() != 0 {
-		t.Fatal("nothing should be delivered without reads")
+	if held := h.rcv.Streams().Buffered(); int64(held) != h.rcv.Delivered() {
+		t.Fatalf("nothing should be delivered without reads: %d of %d bytes left the stream rings",
+			h.rcv.Delivered()-int64(held), h.rcv.Delivered())
 	}
 	if h.snd.Inflight() > 64<<10 {
 		t.Fatalf("sender overran the advertised window: inflight=%d", h.snd.Inflight())
@@ -240,14 +248,17 @@ func TestZeroWindowAndIACKRelease(t *testing.T) {
 		t.Fatal("no data transferred before stall")
 	}
 	// Drain the buffer: a window IACK should release the sender promptly.
-	h.loop.After(0, func() { h.rcv.Read(64 << 10) })
+	iacks := h.rcv.Stats.WindowIACKs
+	sink := newStreamSink(t, h.loop, h.rcv.Streams())
 	h.loop.RunUntil(1100 * sim.Millisecond)
 	if h.snd.CumAcked() <= blockedAt {
 		t.Fatalf("sender did not resume after window release (acked %d)", h.snd.CumAcked())
 	}
-	if h.rcv.Stats.WindowIACKs == 0 {
+	if h.rcv.Stats.WindowIACKs == iacks {
 		t.Fatal("no window IACK was sent")
 	}
+	h.loop.RunUntil(5 * sim.Second)
+	sink.verify(sizes)
 }
 
 func TestDisableIACKSlowsLossRecovery(t *testing.T) {

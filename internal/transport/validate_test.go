@@ -19,14 +19,12 @@ func TestConfigValidate(t *testing.T) {
 		{"zero config", Config{}, true},
 		{"full tack config", Config{
 			Mode: ModeTACK, CC: "bbr", RichTACK: true,
-			TransferBytes: 1 << 20, Payload: 1200,
+			TransferBytes: 1 << 20,
 		}, true},
 		{"legacy mode", Config{Mode: ModeLegacy, CC: "cubic"}, true},
 		{"app paced", Config{Mode: ModeTACK, AppPaced: true}, true},
 		{"unknown mode", Config{Mode: Mode(42)}, false},
 		{"unknown cc", Config{CC: "no-such-cc"}, false},
-		{"negative payload", Config{Payload: -1}, false},
-		{"payload beyond wire length", Config{Payload: 70000}, false},
 		{"negative transfer", Config{TransferBytes: -1}, false},
 		{"negative recvbuf", Config{RecvBuf: -1}, false},
 		{"negative beta", Config{Params: Params{Beta: -1}}, false},
@@ -41,8 +39,6 @@ func TestConfigValidate(t *testing.T) {
 		{"streams with transfer bytes", Config{Mode: ModeTACK, TransferBytes: 1 << 20,
 			Streams: ptr(stream.Default())}, false},
 		{"streams with app pacing", Config{Mode: ModeTACK, AppPaced: true,
-			Streams: ptr(stream.Default())}, false},
-		{"streams with manual drain", Config{Mode: ModeTACK, ManualDrain: true,
 			Streams: ptr(stream.Default())}, false},
 		{"streams zero recv window", Config{Mode: ModeTACK,
 			Streams: &stream.Config{RecvWindow: 0, MaxStreams: 16}}, false},

@@ -41,6 +41,13 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 
+# A CPU profile takes a second: take it while the server waits for the
+# transfer, so the scrapes below still find the transfer in flight.
+curl -sf "http://$DEBUG/debug/pprof/profile?seconds=1" > "$workdir/cpu.pprof" && [ -s "$workdir/cpu.pprof" ] || {
+    echo "/debug/pprof/profile unreachable or empty" >&2
+    exit 1
+}
+
 # A transfer big enough to still be in flight when we scrape.
 "$workdir/tackd" send -to "127.0.0.1:$PORT" -bytes 256M -json \
     > "$workdir/send.json" 2> "$workdir/send.log" &
@@ -76,7 +83,7 @@ grep -q '"role": "receiver"' "$workdir/conns.json" || {
 }
 echo "debug smoke: /debug/tack/conns OK"
 
-# 3. pprof must answer.
+# 3. pprof must answer (the CPU profile was taken before the transfer).
 curl -sf "http://$DEBUG/debug/pprof/goroutine?debug=1" | grep -q goroutine || {
     echo "/debug/pprof/goroutine unreachable or empty" >&2
     exit 1

@@ -28,7 +28,6 @@ package tack
 import (
 	"io"
 
-	"github.com/tacktp/tack/internal/debugserver"
 	"github.com/tacktp/tack/internal/endpoint"
 	"github.com/tacktp/tack/internal/fec"
 	"github.com/tacktp/tack/internal/stream"
@@ -172,7 +171,8 @@ type (
 )
 
 // NewMetrics builds an empty metrics registry; assign it to
-// Config.Metrics (and/or EndpointConfig.Metrics) before use.
+// Config.Metrics before use (on an endpoint, EndpointConfig.Transport's
+// registry also holds the endpoint's own instruments).
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
 
 // NewTracer builds an in-memory event tracer; assign it to Config.Tracer.
@@ -185,34 +185,12 @@ func NewStreamingTracer(w io.Writer) *Tracer { return telemetry.NewStreaming(w) 
 // Listen binds a UDP socket and starts a multi-connection endpoint that
 // can both Accept inbound connections and Dial outbound ones.
 //
-// When cfg.DebugAddr is non-empty a debug HTTP server is started on that
-// address alongside the endpoint, exposing /metrics (Prometheus),
-// /debug/pprof/, and /debug/tack/conns; it is torn down with the
-// endpoint. A metrics registry is created automatically if none was
-// configured so the debug routes are never empty.
+// When cfg.DebugAddr is non-empty the endpoint also serves debug HTTP
+// routes on that address — /metrics (Prometheus), /debug/tack/conns and
+// /debug/pprof/ — until it is closed, creating a metrics registry if
+// cfg.Transport.Metrics is nil so the routes are never empty.
 func Listen(laddr string, cfg EndpointConfig) (*Endpoint, error) {
-	if cfg.DebugAddr != "" && cfg.Metrics == nil && cfg.Transport.Metrics == nil {
-		cfg.Metrics = telemetry.NewRegistry()
-	}
-	ep, err := endpoint.Listen(laddr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.DebugAddr != "" {
-		srv, err := debugserver.New(cfg.DebugAddr, debugserver.Options{
-			Registry: ep.Metrics(),
-			// StateSnapshots also refreshes the aggregate ack-overhead
-			// gauge, so /metrics scrapes it fresh too.
-			Conns:    ep.StateSnapshots,
-			OnScrape: func() { ep.StateSnapshots() },
-		})
-		if err != nil {
-			ep.Close()
-			return nil, err
-		}
-		ep.OnClose(func() { srv.Close() })
-	}
-	return ep, nil
+	return endpoint.Listen(laddr, cfg)
 }
 
 // Dial opens a standalone sending connection to raddr over a private

@@ -1,6 +1,8 @@
 package tack_test
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -65,5 +67,16 @@ func TestFacadeValidate(t *testing.T) {
 	}
 	if _, err := tack.Dial("127.0.0.1:1", bad); err == nil {
 		t.Fatal("Dial accepted an unknown congestion controller")
+	}
+}
+
+// TestDebugRoutesStayOffDefaultServeMux: importing the package must not
+// mount the debug plane's profiles on http.DefaultServeMux, where an
+// application's public listener would serve them.
+func TestDebugRoutesStayOffDefaultServeMux(t *testing.T) {
+	rec := httptest.NewRecorder()
+	http.DefaultServeMux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /debug/pprof/ on http.DefaultServeMux: status %d, want 404", rec.Code)
 	}
 }
