@@ -12,6 +12,14 @@
 // in the named document, so the metrics reference can never fall behind
 // the code.
 //
+// It also holds the documents in the working directory (DESIGN.md,
+// README.md, EXPERIMENTS.md) to the tests they cite: a Test…, Benchmark…
+// or Fuzz… name in code (inline or fenced) must equal, or be a prefix of,
+// a function in some _test.go file under the linted tree, so a -run
+// pattern like TestEndpointMigration stays valid and a deleted test's
+// name does not. A subtest path (TestAllExperimentsQuick/fig16) is checked
+// by its function.
+//
 // Arguments are directories (or the literal ./... to walk the whole
 // module); _test.go files and testdata directories are skipped. Exit
 // status is 1 when any symbol is missing documentation.
@@ -26,6 +34,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,13 +47,14 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	var dirs []string
+	var dirs, roots []string
 	for _, a := range args {
 		if strings.HasSuffix(a, "...") {
 			root := strings.TrimSuffix(strings.TrimSuffix(a, "..."), string(filepath.Separator))
 			if root == "" {
 				root = "."
 			}
+			roots = append(roots, root)
 			sub, err := walkDirs(root)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "doclint:", err)
@@ -54,6 +64,7 @@ func main() {
 			continue
 		}
 		dirs = append(dirs, a)
+		roots = append(roots, a)
 	}
 	sort.Strings(dirs)
 
@@ -70,9 +81,72 @@ func main() {
 			failed = true
 		}
 	}
+	for _, problem := range lintTestNames(roots, []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}) {
+		fmt.Println(problem)
+		failed = true
+	}
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// testName matches a test, benchmark or fuzz function name; inlineCode an
+// inline code span.
+var (
+	testName   = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	inlineCode = regexp.MustCompile("`[^`\n]+`")
+)
+
+// lintTestNames reports each test name the docs cite in code (inline, or
+// in a fenced block) that neither names nor prefixes a function of a
+// _test.go file under roots.
+func lintTestNames(roots, docs []string) []string {
+	var funcs []string
+	fset := token.NewFileSet()
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+					funcs = append(funcs, fd.Name.Name)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return []string{fmt.Sprintf("doclint: %v", err)}
+		}
+	}
+	var problems []string
+	for _, doc := range docs {
+		text, _ := os.ReadFile(doc) // a missing document cites nothing
+		fenced := false
+		for i, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			}
+			code := inlineCode.FindAllString(line, -1)
+			if fenced {
+				code = []string{line}
+			}
+		names:
+			for _, name := range testName.FindAllString(strings.Join(code, " "), -1) {
+				for _, f := range funcs {
+					if strings.HasPrefix(f, name) {
+						continue names
+					}
+				}
+				problems = append(problems, fmt.Sprintf("%s:%d: %s names no test function", doc, i+1, name))
+			}
+		}
+	}
+	return problems
 }
 
 // lintMetrics collects every metric name registered with a string

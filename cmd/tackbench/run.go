@@ -9,16 +9,19 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/tacktp/tack/internal/endpoint"
+	"github.com/tacktp/tack/internal/experiments"
+	"github.com/tacktp/tack/internal/mac"
 	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
-// runCmd drives one instrumented flow over a simulated path and reports its
-// outcome — the quickest way to produce a trace for cmd/tacktrace:
+// runCmd drives one instrumented connection between two sim-driven
+// endpoints over a simulated path and reports its outcome — the quickest
+// way to produce a trace for cmd/tacktrace:
 //
 //	tackbench run -path wlan -std n -dur 10 -trace out.jsonl
 //	tacktrace out.jsonl
@@ -76,44 +79,46 @@ func runCmd(args []string) {
 		cfg.TransferBytes = n
 	}
 
-	loop := sim.NewLoop(*seed)
-	wlanCfg := topo.WLANConfig{Standard: standard, PER: *per, Tracer: tr}
-	wanCfg := topo.WANConfig{
-		RateBps: *rateMbps * 1e6, OWD: sim.Time(*owdMs * 1e6),
-		QueueBytes: 256 << 10, Data: netem.Impairments{LossRate: *loss},
+	n := endpoint.NewSimNet(*seed, netem.Config{})
+	a, b := n.Host(), n.Host()
+	up := netem.Config{
+		RateBps: *rateMbps * 1e6, Delay: sim.Time(*owdMs * 1e6),
+		QueueBytes: 256 << 10, Impair: netem.Impairments{LossRate: *loss},
 	}
-	var path *topo.Path
+	down := up
+	down.Impair = netem.Impairments{}
+	wlan := func() *mac.Medium {
+		m := mac.NewMedium(n.Loop(), phy.Get(standard))
+		m.PER, m.Tracer = *per, tr
+		return m
+	}
 	switch *pathKind {
 	case "wlan":
-		path, _ = topo.WLANPath(loop, wlanCfg)
+		experiments.WLANPath(n, a, b, wlan())
 	case "wan":
-		path, _, _ = topo.WANPath(loop, wanCfg)
+		experiments.WANPath(n, a, b, up, down)
 	case "hybrid":
-		path, _, _, _ = topo.HybridPath(loop, wlanCfg, wanCfg)
+		experiments.HybridPath(n, a, b, wlan(), up, down)
 	default:
 		fatal(fmt.Errorf("unknown -path %q (wlan, wan, hybrid)", *pathKind))
 	}
 
-	flow, err := topo.NewFlow(loop, cfg, path)
+	srv, err := n.Endpoint(b, endpoint.Config{Transport: cfg})
 	if err != nil {
 		fatal(err)
 	}
-	flow.Start()
-	dur := sim.Time(*durSec * float64(sim.Second))
-	if cfg.TransferBytes > 0 {
-		// A bounded transfer usually finishes before -dur; stop shortly after
-		// it does so goodput reflects transfer time, not the idle tail.
-		for loop.Now() < dur && !flow.Sender.Done() {
-			next := loop.Now() + sim.Millisecond
-			if next > dur {
-				next = dur
-			}
-			loop.RunUntil(next)
-		}
-	} else {
-		loop.RunUntil(dur)
+	cli, err := n.Endpoint(a, endpoint.Config{Transport: cfg})
+	if err != nil {
+		fatal(err)
 	}
-	elapsed := loop.Now()
+	snd := n.Dial(cli, srv.LocalAddr()).Sender()
+	// A bounded transfer usually finishes before -dur: stop the instant it
+	// does, so goodput reflects transfer time, not the idle tail.
+	dur := sim.Time(*durSec * float64(sim.Second))
+	if _, err := n.RunUntil(dur, func() bool { return cfg.TransferBytes > 0 && snd.Done() }); err != nil {
+		fatal(err)
+	}
+	elapsed := n.Loop().Now()
 
 	if traceBuf != nil {
 		if err := tr.Err(); err != nil {
@@ -127,9 +132,12 @@ func runCmd(args []string) {
 		}
 	}
 
-	delivered := flow.Receiver.Delivered()
+	var delivered int64
+	var rcv transport.ReceiverStats
+	if acc, _ := n.Accept(srv, 0); acc != nil {
+		delivered, rcv = acc.Receiver().Delivered(), acc.Receiver().Stats
+	}
 	goodput := float64(delivered) * 8 / elapsed.Seconds()
-	snd, rcv := flow.Sender.Stats, flow.Receiver.Stats
 	if *jsonOut {
 		doc := struct {
 			Path       string                  `json:"path"`
@@ -144,8 +152,8 @@ func runCmd(args []string) {
 			Metrics    telemetry.Snapshot      `json:"metrics"`
 		}{
 			Path: *pathKind, Mode: *mode, CC: *ccName, SimSec: elapsed.Seconds(),
-			Delivered: delivered, GoodputBps: goodput, Done: flow.Sender.Done(),
-			Sender: snd, Receiver: rcv, Metrics: reg.Snapshot(),
+			Delivered: delivered, GoodputBps: goodput, Done: snd.Done(),
+			Sender: snd.Stats, Receiver: rcv, Metrics: reg.Snapshot(),
 		}
 		if err := json.NewEncoder(os.Stdout).Encode(doc); err != nil {
 			fatal(err)
@@ -155,8 +163,8 @@ func runCmd(args []string) {
 	fmt.Printf("%s %s/%s: %.2f Mbit/s over %.1fs sim (%d bytes delivered)\n",
 		*pathKind, *mode, *ccName, goodput/1e6, elapsed.Seconds(), delivered)
 	fmt.Printf("data packets: %d (retx %d), TACKs: %d, IACKs: %d (loss %d), data:ack %.1f\n",
-		snd.DataPackets, snd.Retransmits, rcv.TACKsSent, rcv.IACKsSent, rcv.LossIACKs,
-		float64(snd.DataPackets)/float64(max(1, rcv.AcksSent())))
+		snd.Stats.DataPackets, snd.Stats.Retransmits, rcv.TACKsSent, rcv.IACKsSent, rcv.LossIACKs,
+		float64(snd.Stats.DataPackets)/float64(max(1, rcv.AcksSent())))
 	if *tracePath != "" {
 		fmt.Fprintf(os.Stderr, "trace written to %s (analyze with: tacktrace %s)\n", *tracePath, *tracePath)
 	}
@@ -210,11 +218,4 @@ func parseStd(s string) (phy.Standard, error) {
 		return phy.Std80211ac, nil
 	}
 	return 0, fmt.Errorf("bad -std %q: want b, g, n or ac", s)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

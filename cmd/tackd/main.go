@@ -437,10 +437,3 @@ func send(args []string) {
 		printBatchStats(res.Metrics)
 	})
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -68,10 +68,3 @@ func (r *Reno) CWND() int { return r.cwnd }
 
 // PacingRate implements Controller.
 func (r *Reno) PacingRate() float64 { return pacingFromWindow(r.cwnd, r.srtt) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

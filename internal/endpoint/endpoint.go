@@ -263,6 +263,10 @@ func floorPow2(n int) int {
 type Endpoint struct {
 	cfg   Config
 	socks []*epSocket
+	laddr *net.UDPAddr
+	// driver is the SimNet of a sim-driven endpoint (no socket, no
+	// goroutine), nil on sockets.
+	driver *SimNet
 
 	shards []*shard
 	// shardMask is len(shards)-1 when the count is a power of two (the
@@ -359,16 +363,9 @@ func (ep *Endpoint) putBuf(b *[]byte) { ep.bufPool.Put(b) }
 // inbound connections (Accept) and originates outbound ones (Dial) over
 // the same group.
 func Listen(laddr string, cfg Config) (*Endpoint, error) {
-	if err := cfg.Transport.Validate(); err != nil {
+	cfg, err := cfg.validated()
+	if err != nil {
 		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if cfg.EnableMigration && cfg.IdleTimeout > 0 && sim.Time(cfg.IdleTimeout) <= migrationTimeout {
-		// A probing episode starves the connection of dispatched packets
-		// for up to migrationTimeout; an idle reaper tighter than that
-		// would tear the connection down mid-validation.
-		return nil, fmt.Errorf("endpoint: IdleTimeout %v must exceed the %v path-validation window when EnableMigration is set",
-			cfg.IdleTimeout, migrationTimeout)
 	}
 	ucs, err := batchio.ListenReusePortGroup("udp", laddr, cfg.Sockets)
 	if err != nil {
@@ -382,6 +379,7 @@ func Listen(laddr string, cfg Config) (*Endpoint, error) {
 		socks[i] = newEpSocket(i, uc, cfg.Transport.Metrics)
 	}
 	ep := newEndpoint(cfg, socks, time.Now().UnixNano())
+	ep.laddr = ucs[0].LocalAddr().(*net.UDPAddr)
 	ep.start()
 	if cfg.DebugAddr != "" {
 		if err := ep.serveDebug(cfg.DebugAddr); err != nil {
@@ -390,6 +388,22 @@ func Listen(laddr string, cfg Config) (*Endpoint, error) {
 		}
 	}
 	return ep, nil
+}
+
+// validated returns cfg with its defaults, or why it cannot run.
+func (c Config) validated() (Config, error) {
+	if err := c.Transport.Validate(); err != nil {
+		return c, err
+	}
+	c = c.withDefaults()
+	if c.EnableMigration && c.IdleTimeout > 0 && sim.Time(c.IdleTimeout) <= migrationTimeout {
+		// A probing episode starves the connection of dispatched packets
+		// for up to migrationTimeout; an idle reaper tighter than that
+		// would tear the connection down mid-validation.
+		return c, fmt.Errorf("endpoint: IdleTimeout %v must exceed the %v path-validation window when EnableMigration is set",
+			c.IdleTimeout, migrationTimeout)
+	}
+	return c, nil
 }
 
 // newEndpoint builds an endpoint over socks and starts nothing; its
@@ -471,8 +485,8 @@ func newEndpoint(cfg Config, socks []*epSocket, idSeed int64) *Endpoint {
 }
 
 // LocalAddr returns the bound UDP address (every socket-group member
-// shares it).
-func (ep *Endpoint) LocalAddr() *net.UDPAddr { return ep.socks[0].uc.LocalAddr().(*net.UDPAddr) }
+// shares it), or a SimNet endpoint's address on its network.
+func (ep *Endpoint) LocalAddr() *net.UDPAddr { return ep.laddr }
 
 // ConnCount returns the number of live connections (including embryonic
 // and draining ones).
@@ -667,13 +681,20 @@ func (ep *Endpoint) isClosed() bool {
 
 // Close shuts the endpoint down: the debug listener and every group
 // socket close, shard workers finish every connection (their Wait
-// unblocks with ErrClosed), and Accept/Dial return ErrClosed. Safe to
-// call multiple times.
+// unblocks with ErrClosed), and Accept/Dial return ErrClosed. A SimNet
+// endpoint has no socket or worker: Close finishes its connections itself.
+// Safe to call multiple times.
 func (ep *Endpoint) Close() error {
 	ep.closeOnce.Do(func() {
 		close(ep.stop)
 		if ep.debug != nil {
 			ep.debug.Close()
+		}
+		if ep.driver != nil {
+			for _, sh := range ep.shards {
+				sh.shutdown()
+			}
+			return
 		}
 		for _, s := range ep.socks {
 			s.uc.Close()

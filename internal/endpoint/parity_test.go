@@ -6,16 +6,16 @@ import (
 
 	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/sim"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
 // parityWAN is the one path both clocks run in the parity test: 20 Mbit/s,
-// 10 ms one way, a 50 KB drop-tail queue, Gilbert–Elliott burst loss on the
-// data direction.
-var parityWAN = topo.WANConfig{
-	RateBps: 20e6, OWD: 10 * sim.Millisecond, QueueBytes: 50_000,
-	Data: netem.Impairments{GE: netem.GilbertElliott{PEnterBad: 0.005, PExitBad: 0.5}},
+// 10 ms one way, a 50 KB drop-tail queue each way, Gilbert–Elliott burst
+// loss on the data direction.
+var parityWAN = struct{ data, ack netem.Config }{
+	data: netem.Config{RateBps: 20e6, Delay: 10 * sim.Millisecond, QueueBytes: 50_000,
+		Impair: netem.Impairments{GE: netem.GilbertElliott{PEnterBad: 0.005, PExitBad: 0.5}}},
+	ack: netem.Config{RateBps: 20e6, Delay: 10 * sim.Millisecond, QueueBytes: 50_000},
 }
 
 // parityMetrics is what the parity test compares: goodput in MB/s,
@@ -42,19 +42,14 @@ func meanOf(runs []parityMetrics) (m parityMetrics) {
 	return m
 }
 
-// parityLink is one direction of parityWAN as a netem.Config.
-func parityLink(imp netem.Impairments) netem.Config {
-	return netem.Config{RateBps: parityWAN.RateBps, Delay: parityWAN.OWD, QueueBytes: parityWAN.QueueBytes, Impair: imp}
-}
-
 // paritySim runs one TACK transfer between two sim-driven endpoints whose
 // two links are parityWAN's.
 func paritySim(t *testing.T, seed, size int64) parityMetrics {
 	t.Helper()
-	n := newSimNet(t, seed, parityLink(parityWAN.Ack))
+	n := newSimNet(t, seed, parityWAN.ack)
 	srv, srvAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
 	cli, cliAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size}})
-	n.setLink(cliAddr, srvAddr, parityLink(parityWAN.Data))
+	n.setLink(cliAddr, srvAddr, parityWAN.data)
 	srvConn, cliConn := n.connect(srv, srvAddr, cli)
 	if !n.finished(srvConn, 60*sim.Second) {
 		t.Fatalf("sim seed %d: %d of %d bytes delivered in a minute", seed, srvConn.Receiver().Delivered(), size)
@@ -76,8 +71,8 @@ func paritySocket(t *testing.T, seed, size int64) parityMetrics {
 	defer srv.Close()
 	proxy, err := netem.NewUDPProxy(netem.ProxyConfig{
 		Target:   srv.LocalAddr().String(),
-		ToServer: parityLink(parityWAN.Data),
-		ToClient: parityLink(parityWAN.Ack),
+		ToServer: parityWAN.data,
+		ToClient: parityWAN.ack,
 		Seed:     seed,
 	})
 	if err != nil {

@@ -1,20 +1,18 @@
 package endpoint
 
-// The sim driver: endpoints on one seeded sim.Loop, wired by netem.Links,
-// driven through the same handle / onPacket / housekeep / flush as the
-// socket driver. Nothing sleeps and nothing races: a test reads the exact
-// virtual time of every packet and every lifecycle event, and the same
-// seed replays the same run.
+// The sim tests' side of the sim driver (simnet.go): a SimNet bound to the
+// test, and a scripted peer.
 
 import (
+	"fmt"
 	"net"
+	"strings"
 	"testing"
-	"time"
 
-	"github.com/tacktp/tack/internal/batchio"
 	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
+	"github.com/tacktp/tack/internal/transport"
 )
 
 // The sim tests' wires: simWire is a 1 ms one-way delay line, for tests
@@ -27,197 +25,59 @@ var (
 	simPath = netem.Config{RateBps: 20e6, Delay: simOWD}
 )
 
-// simEpoch is the wall time of virtual time 0 on every sim-driven shard:
-// the wall views (CompletedAt, a snapshot's publication time) read it.
-var simEpoch = time.Unix(1_000_000_000, 0)
-
-// simNet is a network of sim-driven endpoints and scripted peers sharing
-// one loop. Every direction between two addresses is one netem.Link,
-// configured by wire unless setLink says otherwise.
+// simNet is a SimNet bound to a test: its helpers fail the test where the
+// driver returns an error.
 type simNet struct {
-	t     testing.TB
-	loop  *sim.Loop
-	wire  netem.Config
-	cfgs  map[[2]string]netem.Config
-	links map[[2]string]*netem.Link
-	nodes map[string]func(b []byte, from *net.UDPAddr)
-	eps   []*Endpoint
-	hosts byte
+	*SimNet
+	t testing.TB
 }
 
 func newSimNet(t testing.TB, seed int64, wire netem.Config) *simNet {
-	return &simNet{
-		t:     t,
-		loop:  sim.NewLoop(seed),
-		wire:  wire,
-		cfgs:  map[[2]string]netem.Config{},
-		links: map[[2]string]*netem.Link{},
-		nodes: map[string]func([]byte, *net.UDPAddr){},
-	}
+	return &simNet{NewSimNet(seed, wire), t}
 }
 
 // now is the network's virtual time.
 func (n *simNet) now() sim.Time { return n.loop.Now() }
 
-// host allocates the next address on the network.
-func (n *simNet) host() *net.UDPAddr {
-	n.hosts++
-	return &net.UDPAddr{IP: net.IPv4(10, 0, 0, n.hosts).To4(), Port: 4519}
-}
-
 // setLink configures the direction from → to before it carries a packet.
 func (n *simNet) setLink(from, to *net.UDPAddr, cfg netem.Config) {
-	n.cfgs[[2]string{from.String(), to.String()}] = cfg
+	n.Route(from.IP, to.IP, netem.NewLink(n.loop, cfg, n.Deliver).Send)
 }
 
-// send puts datagram b on the wire from → to; b must not be reused.
-func (n *simNet) send(from, to *net.UDPAddr, b []byte) {
-	key := [2]string{from.String(), to.String()}
-	l := n.links[key]
-	if l == nil {
-		cfg, ok := n.cfgs[key]
-		if !ok {
-			cfg = n.wire
-		}
-		src := cloneAddr(from)
-		l = netem.NewLink(n.loop, cfg, func(p any, _ int) {
-			if deliver := n.nodes[key[1]]; deliver != nil {
-				deliver(p.([]byte), src)
-			}
-		})
-		n.links[key] = l
-	}
-	l.Send(b, len(b))
-}
-
-// simWriter is a sim-driven shard's egress: each datagram goes on the wire.
-type simWriter struct {
-	n    *simNet
-	from *net.UDPAddr
-}
-
-func (w simWriter) WriteBatch(ms []batchio.Message) (int, error) {
-	for i := range ms {
-		w.n.send(w.from, ms[i].Addr, append([]byte(nil), ms[i].Buf...))
-	}
-	return len(ms), nil
-}
-
-// endpoint adds a sim-driven endpoint at a fresh address. Its ConnIDs
-// and its shards' randomness come from the network's seed.
+// endpoint adds a sim-driven endpoint on a fresh host.
 func (n *simNet) endpoint(cfg Config) (*Endpoint, *net.UDPAddr) {
 	n.t.Helper()
-	if err := cfg.Transport.Validate(); err != nil {
+	ep, err := n.Endpoint(n.Host(), cfg)
+	if err != nil {
 		n.t.Fatal(err)
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	cfg = cfg.withDefaults()
-	cfg.Sockets = 1
-	addr := n.host()
-	ep := newEndpoint(cfg, []*epSocket{{}}, n.loop.Rand().Int63())
-	for _, sh := range ep.shards {
-		sh.loop, sh.epoch, sh.wr = n.loop, simEpoch, simWriter{n, addr}
-	}
-	n.nodes[addr.String()] = func(b []byte, from *net.UDPAddr) {
-		if ipk := ep.decode(ep.socks[0], b, from); ipk != nil {
-			ep.shardFor(ipk.pkt.ConnID).handle(shardMsg{op: opPacket, ipk: ipk})
-		}
-	}
-	n.eps = append(n.eps, ep)
-	return ep, addr
+	return ep, ep.LocalAddr()
 }
 
-// settle does what a socket-driven shard does at the end of a burst for
-// work that arrived from outside the loop: it handles queued control
-// messages (Conn.Close) and stream kicks, then flushes every shard.
-func (n *simNet) settle() {
-	for _, ep := range n.eps {
-		for _, sh := range ep.shards {
-			for drained := false; !drained; {
-				select {
-				case m := <-sh.in:
-					sh.handle(m)
-				case <-sh.kickCh:
-					sh.processKicks()
-				default:
-					drained = true
-				}
-			}
-			sh.flush()
-		}
-	}
-	n.check()
-}
-
-// check fails the test if a registered connection has finished: Done
-// closes only once the shard has let go of the connection.
-func (n *simNet) check() {
-	for _, ep := range n.eps {
-		for _, sh := range ep.shards {
-			for _, c := range sh.conns {
-				select {
-				case <-c.doneCh:
-					n.t.Fatalf("at %v connection %08x is finished (err %v) but still registered", n.now(), c.id, c.err)
-				default:
-				}
-			}
-		}
-	}
-}
-
-// runUntil runs the network burst by burst — every event due at one
-// instant, checking after each, then settle — until cond holds or the
-// clock reaches end, and reports cond. A nil cond runs to end.
+// runUntil is RunUntil, failing the test on a broken invariant.
 func (n *simNet) runUntil(end sim.Time, cond func() bool) bool {
-	for {
-		n.settle()
-		if cond != nil && cond() {
-			return true
-		}
-		at, ok := n.loop.NextAt()
-		if !ok || at > end {
-			n.loop.RunUntil(end)
-			n.settle()
-			return cond != nil && cond()
-		}
-		for {
-			if next, ok := n.loop.NextAt(); !ok || next > at {
-				break
-			}
-			n.loop.Step()
-			n.check()
-		}
+	n.t.Helper()
+	ok, err := n.RunUntil(end, cond)
+	if err != nil {
+		n.t.Fatal(err)
 	}
+	return ok
 }
 
 // runFor runs the network for d.
 func (n *simNet) runFor(d sim.Time) { n.runUntil(n.now()+d, nil) }
 
-// dial starts a connection from ep to the endpoint at to, as Dial does
-// minus the wait.
-func (n *simNet) dial(ep *Endpoint, to *net.UDPAddr) *Conn {
-	c := ep.register(cloneAddr(to))
-	c.sh.handle(shardMsg{op: opRegister, conn: c})
-	return c
-}
+// dial starts a connection from ep to the endpoint at to.
+func (n *simNet) dial(ep *Endpoint, to *net.UDPAddr) *Conn { return n.Dial(ep, to) }
 
-// connect dials srv (at addr) from cli and runs the network until both
-// halves are established, within a HandshakeTimeout of virtual time.
-func (n *simNet) connect(srv *Endpoint, addr *net.UDPAddr, cli *Endpoint) (srvConn, cliConn *Conn) {
+// connect dials srv from cli and runs the network until both halves are
+// established.
+func (n *simNet) connect(srv *Endpoint, _ *net.UDPAddr, cli *Endpoint) (srvConn, cliConn *Conn) {
 	n.t.Helper()
-	cliConn = n.dial(cli, addr)
-	if !n.runUntil(n.now()+sim.Time(srv.cfg.HandshakeTimeout), func() bool {
-		if srvConn == nil {
-			select {
-			case srvConn = <-srv.accept:
-			default:
-			}
-		}
-		return srvConn != nil && closed(cliConn.estCh)
-	}) {
-		n.t.Fatalf("no handshake by %v", n.now())
+	cliConn = n.Dial(cli, srv.LocalAddr())
+	srvConn, err := n.Accept(srv, sim.Time(srv.cfg.HandshakeTimeout))
+	if err != nil {
+		n.t.Fatalf("no handshake by %v: %v", n.now(), err)
 	}
 	return srvConn, cliConn
 }
@@ -226,15 +86,6 @@ func (n *simNet) connect(srv *Endpoint, addr *net.UDPAddr, cli *Endpoint) (srvCo
 // c finished, and the clock then reads the moment it did.
 func (n *simNet) finished(c *Conn, d sim.Time) bool {
 	return n.runUntil(n.now()+d, func() bool { return closed(c.doneCh) })
-}
-
-func closed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
 }
 
 // simPeer is a scripted peer: it sends hand-built packets and records each
@@ -255,8 +106,8 @@ type simArrival struct {
 }
 
 func (n *simNet) peer() *simPeer {
-	p := &simPeer{n: n, addr: n.host()}
-	n.nodes[p.addr.String()] = func(b []byte, from *net.UDPAddr) {
+	p := &simPeer{n: n, addr: &net.UDPAddr{IP: n.Host(), Port: 4519}}
+	n.nodes[addrKey(p.addr)] = func(b []byte, from *net.UDPAddr, _ sim.Time) {
 		body, ok := checkFrameCRC(b)
 		if !ok {
 			n.t.Fatalf("endpoint sent a datagram with a bad frame CRC")
@@ -312,4 +163,75 @@ func (p *simPeer) accept() simArrival {
 	p.send(syn.from, &packet.Packet{Type: packet.TypeSYNACK, ConnID: syn.pkt.ConnID,
 		Ack: &packet.AckInfo{EchoDeparture: syn.pkt.SentAt, Window: 1 << 20}})
 	return syn
+}
+
+// TestSimEndpointAddrAndClose: an endpoint of a SimNet has no socket, yet
+// LocalAddr reads back its address on the network and Close finishes its
+// connections.
+func TestSimEndpointAddrAndClose(t *testing.T) {
+	n := newSimNet(t, 1, simWire)
+	srv, srvAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
+	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, AppPaced: true}})
+	srvConn, cliConn := n.connect(srv, srvAddr, cli)
+	if got := srvConn.LocalAddr(); !addrEqual(got, srvAddr) {
+		t.Fatalf("server conn LocalAddr = %v, want %v", got, srvAddr)
+	}
+	if got, want := cliConn.LocalAddr(), cli.LocalAddr(); got == nil || !addrEqual(got, want) || addrEqual(got, srvAddr) {
+		t.Fatalf("client conn LocalAddr = %v, want its endpoint's %v", got, want)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(srvConn.doneCh) || srvConn.Err() != ErrClosed {
+		t.Fatalf("after Close: server conn done %v, err %v; want done with ErrClosed", closed(srvConn.doneCh), srvConn.Err())
+	}
+	if srv.ConnCount() != 0 {
+		t.Fatalf("%d connections left on a closed endpoint", srv.ConnCount())
+	}
+	n.runFor(sim.Second) // the driver's invariant holds across the close
+}
+
+// TestSimNetCheckFindsFinishedRegisteredConn: the driver's invariant
+// check names the connection that finished while still registered, and
+// the virtual time it found it.
+func TestSimNetCheckFindsFinishedRegisteredConn(t *testing.T) {
+	n := newSimNet(t, 1, simWire)
+	srv, srvAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
+	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, AppPaced: true}})
+	_, c := n.connect(srv, srvAddr, cli)
+	n.runFor(10 * sim.Millisecond)
+	at := n.now()
+	close(c.doneCh) // finished, yet its shard still holds it
+	_, err := n.RunUntil(at+sim.Second, nil)
+	if err == nil {
+		t.Fatal("RunUntil ran past a finished connection still registered")
+	}
+	for _, want := range []string{fmt.Sprintf("%08x", c.ConnID()), at.String()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestDataDatagramsFitEthernetMTU: a bulk sender's full-size DATA
+// datagrams, frame trailer included, fit a 1500-byte IP MTU with their IPv4
+// and UDP headers: 1518 bytes on an Ethernet wire, never a fragment.
+func TestDataDatagramsFitEthernetMTU(t *testing.T) {
+	n := newSimNet(t, 1, simWire)
+	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 20}})
+	peer := n.peer()
+	n.dial(cli, peer.addr)
+	peer.accept()
+	n.runFor(50 * sim.Millisecond)
+	data := peer.arrivals(packet.TypeData)
+	if len(data) == 0 {
+		t.Fatal("no DATA arrived")
+	}
+	largest := 0
+	for _, a := range data {
+		largest = max(largest, a.size)
+	}
+	if ip := largest + 8 + 20; ip != 1500 {
+		t.Fatalf("largest DATA datagram is %d bytes, a %d-byte IP packet; want it to fill a 1500-byte MTU exactly", largest, ip)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/stream"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -89,7 +88,8 @@ func (r *fecResult) add(o fecResult) {
 // runFECSession executes one simulated video session, ARQ-only or with the
 // FEC stream class.
 func runFECSession(seed int64, dur sim.Time, withFEC bool) (fecResult, error) {
-	loop := sim.NewLoop(seed)
+	n, a, b := newNet(seed)
+	loop := n.Loop()
 
 	scfg := stream.Default()
 	scfg.RecvWindow = 512 << 10
@@ -98,20 +98,18 @@ func runFECSession(seed int64, dur sim.Time, withFEC bool) (fecResult, error) {
 	scfg.SendBuffer = 2 << 20
 
 	tcfg := transport.Config{Mode: transport.ModeTACK, Streams: &scfg}
-	path, fwd, _ := topo.WANPath(loop, topo.WANConfig{
+	up, down := wanConfig{
 		RateBps: fecWANRateBps, OWD: fecWANOWD, QueueBytes: fecWANQueue,
 		Data: netem.Impairments{GE: fecBurst},
-	})
-	flow, err := topo.NewFlow(loop, tcfg, path)
-	if err != nil {
-		return fecResult{}, err
-	}
+	}.links()
+	fwd, _ := WANPath(n, a, b, up, down)
+	f := dialFlow(n, a, b, tcfg)
 
 	var opts stream.Options
 	if withFEC {
 		opts.FEC = fecArmOptions
 	}
-	ss, err := flow.Sender.Streams().Open(opts)
+	ss, err := f.sender().Streams().Open(opts)
 	if err != nil {
 		return fecResult{}, err
 	}
@@ -162,8 +160,8 @@ func runFECSession(seed int64, dur sim.Time, withFEC bool) (fecResult, error) {
 	var rs *stream.RecvStream
 	var poll *sim.Timer
 	poll = sim.NewTimer(loop, func() {
-		if rs == nil {
-			rs = flow.Receiver.Streams().TryAccept()
+		if r := f.receiver(); rs == nil && r != nil {
+			rs = r.Streams().TryAccept()
 		}
 		if rs != nil {
 			for {
@@ -192,18 +190,17 @@ func runFECSession(seed int64, dur sim.Time, withFEC bool) (fecResult, error) {
 	})
 	poll.Reset(sim.Millisecond)
 
-	flow.Start()
-	loop.RunUntil(dur)
+	runTo(n, dur)
 	playout.Finish(dur)
 
-	snd := flow.Sender.Stats
+	snd := f.sender().Stats
 	return fecResult{
 		frames:      len(frameEnds),
 		lateFrames:  late,
 		stalls:      playout.Stalls,
 		dataBytes:   snd.DataBytes,
 		repairBytes: snd.FECRepairBytes,
-		recovered:   flow.Receiver.Stats.FECRecovered,
+		recovered:   f.rcvStats().FECRecovered,
 		retransmits: snd.Retransmits,
 		linkDropped: fwd.Dropped,
 	}, nil

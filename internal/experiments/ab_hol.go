@@ -8,7 +8,6 @@ import (
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
 	"github.com/tacktp/tack/internal/stream"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -100,7 +99,8 @@ func jain(xs []float64) float64 {
 
 // runHoL executes one simulated fetch.
 func runHoL(sc holScenario) (holResult, error) {
-	loop := sim.NewLoop(sc.seed)
+	n, a, b := newNet(sc.seed)
+	loop := n.Loop()
 
 	scfg := stream.Default()
 	scfg.Scheduler = sc.scheduler
@@ -115,21 +115,17 @@ func runHoL(sc holScenario) (holResult, error) {
 		Streams: &scfg,
 		Loss:    transport.LossDetection{Detector: sc.detector},
 	}
-	path, _, _, _ := topo.HybridPath(loop,
-		topo.WLANConfig{Standard: phy.Std80211n},
-		topo.WANConfig{
-			RateBps: holWANRateBps, OWD: holWANOWD,
-			QueueBytes: holWANQueue,
-			Data:       netem.Impairments{LossRate: sc.loss, GE: sc.burst},
-		})
-	flow, err := topo.NewFlow(loop, tcfg, path)
-	if err != nil {
-		return holResult{}, err
-	}
+	up, down := wanConfig{
+		RateBps: holWANRateBps, OWD: holWANOWD,
+		QueueBytes: holWANQueue,
+		Data:       netem.Impairments{LossRate: sc.loss, GE: sc.burst},
+	}.links()
+	HybridPath(n, a, b, medium(n, phy.Std80211n), up, down)
+	f := dialFlow(n, a, b, tcfg)
 
 	// Queue the workload: one stream per object, or every object
 	// back-to-back on stream 0 for the serialized baseline.
-	mux := flow.Sender.Streams()
+	mux := f.sender().Streams()
 	nStreams, writes := sc.objects, 1
 	if sc.serialize {
 		nStreams, writes = 1, sc.objects
@@ -183,9 +179,10 @@ func runHoL(sc holScenario) (holResult, error) {
 	retired := make(map[uint32]bool)
 	var poll *sim.Timer
 	poll = sim.NewTimer(loop, func() {
-		rm := flow.Receiver.Streams()
-		for rs := rm.TryAccept(); rs != nil; rs = rm.TryAccept() {
-			streams = append(streams, rs)
+		if r := f.receiver(); r != nil {
+			for rs := r.Streams().TryAccept(); rs != nil; rs = r.Streams().TryAccept() {
+				streams = append(streams, rs)
+			}
 		}
 		for _, rs := range streams {
 			id := rs.ID()
@@ -229,9 +226,8 @@ func runHoL(sc holScenario) (holResult, error) {
 	})
 	poll.Reset(sim.Millisecond)
 
-	flow.Start()
-	for loop.Now() < holMaxSimTime && done < sc.objects {
-		loop.RunUntil(min(loop.Now()+10*sim.Millisecond, holMaxSimTime))
+	if _, err := n.RunUntil(holMaxSimTime, func() bool { return done == sc.objects }); err != nil {
+		return holResult{}, err
 	}
 	if done < sc.objects {
 		return holResult{}, fmt.Errorf("%d/%d objects completed within %v (serialize=%v)",
@@ -242,7 +238,7 @@ func runHoL(sc holScenario) (holResult, error) {
 		completions: completions,
 		ms:          msSummary(completions),
 		fairness:    jain(fairSample),
-		snd:         flow.Sender.Stats,
+		snd:         f.sender().Stats,
 	}
 	if last := res.ms.Max(); last > 0 {
 		res.goodputBps = float64(sc.objects*sc.objectBytes) * 8 / (last / 1e3)

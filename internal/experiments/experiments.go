@@ -15,10 +15,14 @@ package experiments
 
 import (
 	"fmt"
+	"net"
+	"runtime"
 	"sort"
+	"sync"
 
+	"github.com/tacktp/tack/internal/endpoint"
+	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -109,11 +113,20 @@ func IDs() []string {
 }
 
 // Run executes the experiment with the given id.
-func Run(id string, opt Options) (*Result, error) {
+func Run(id string, opt Options) (res *Result, err error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
+	defer func() {
+		switch p := recover().(type) {
+		case nil:
+		case simFault:
+			res, err = nil, fmt.Errorf("experiments: %s: %w", id, p.error)
+		default:
+			panic(p)
+		}
+	}()
 	return r(opt)
 }
 
@@ -123,55 +136,67 @@ type flowMetrics struct {
 	DataPackets int
 	AcksSent    int
 	Retransmits int
-	Timeouts    int
 	OWD95       sim.Time
-	LossIACKs   int
-	Delivered   int64
-	Done        bool
-	SndStats    transport.SenderStats
-	RcvStats    transport.ReceiverStats
 }
 
-func metricsOf(f *topo.Flow, dur sim.Time) flowMetrics {
+func metricsOf(f *flow, dur sim.Time) flowMetrics {
+	snd := f.sender().Stats
 	return flowMetrics{
-		GoodputBps:  float64(f.Receiver.Delivered()) * 8 / dur.Seconds(),
-		DataPackets: f.Sender.Stats.DataPackets,
-		AcksSent:    f.Receiver.Stats.AcksSent(),
-		Retransmits: f.Sender.Stats.Retransmits,
-		Timeouts:    f.Sender.Stats.Timeouts,
-		OWD95:       sim.Time(f.OWD.Percentile(95) * 1e9),
-		LossIACKs:   f.Receiver.Stats.LossIACKs,
-		Delivered:   f.Receiver.Delivered(),
-		Done:        f.Sender.Done(),
-		SndStats:    f.Sender.Stats,
-		RcvStats:    f.Receiver.Stats,
+		GoodputBps:  float64(f.delivered()) * 8 / dur.Seconds(),
+		DataPackets: snd.DataPackets,
+		AcksSent:    f.rcvStats().AcksSent(),
+		Retransmits: snd.Retransmits,
+		OWD95:       sim.Time(f.owd.Percentile(95) * 1e9),
 	}
+}
+
+// runFlow measures one flow for dur over the path that lay puts between
+// its two hosts.
+func runFlow(seed int64, lay func(n *endpoint.SimNet, a, b net.IP), cfg transport.Config, dur sim.Time) flowMetrics {
+	n, a, b := newNet(seed)
+	lay(n, a, b)
+	f := dialFlow(n, a, b, cfg)
+	runTo(n, dur)
+	return metricsOf(f, dur)
 }
 
 // runHybridFlow measures one flow over WLAN + WAN (paper Figure 12).
-func runHybridFlow(seed int64, wlan topo.WLANConfig, wan topo.WANConfig, cfg transport.Config, dur sim.Time) (flowMetrics, error) {
-	loop := sim.NewLoop(seed)
-	path, _, _, _ := topo.HybridPath(loop, wlan, wan)
-	flow, err := topo.NewFlow(loop, cfg, path)
-	if err != nil {
-		return flowMetrics{}, err
-	}
-	flow.Start()
-	loop.RunUntil(dur)
-	return metricsOf(flow, dur), nil
+func runHybridFlow(seed int64, std phy.Standard, wan wanConfig, cfg transport.Config, dur sim.Time) flowMetrics {
+	return runFlow(seed, func(n *endpoint.SimNet, a, b net.IP) {
+		up, down := wan.links()
+		HybridPath(n, a, b, medium(n, std), up, down)
+	}, cfg, dur)
 }
 
 // runWANFlow measures one flow over a wired emulated path.
-func runWANFlow(seed int64, wan topo.WANConfig, cfg transport.Config, dur sim.Time) (flowMetrics, *topo.Flow, error) {
-	loop := sim.NewLoop(seed)
-	path, _, _ := topo.WANPath(loop, wan)
-	flow, err := topo.NewFlow(loop, cfg, path)
-	if err != nil {
-		return flowMetrics{}, nil, err
+func runWANFlow(seed int64, wan wanConfig, cfg transport.Config, dur sim.Time) flowMetrics {
+	return runFlow(seed, func(n *endpoint.SimNet, a, b net.IP) {
+		up, down := wan.links()
+		WANPath(n, a, b, up, down)
+	}, cfg, dur)
+}
+
+// each runs fn(0) … fn(n-1) on up to GOMAXPROCS goroutines. The runs must
+// share nothing (each builds its own network), so their results are those
+// of running them in order; a run's panic is raised again here.
+func each(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	panics := make([]any, n)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i := range panics {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer func() { panics[i] = recover(); <-slots; wg.Done() }()
+			fn(i)
+		}()
 	}
-	flow.Start()
-	loop.RunUntil(dur)
-	return metricsOf(flow, dur), flow, nil
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // tackConfig returns the TCP-TACK configuration used across experiments.

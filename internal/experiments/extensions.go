@@ -3,12 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/tacktp/tack/internal/endpoint"
 	"github.com/tacktp/tack/internal/netem"
-	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -29,27 +28,24 @@ func init() {
 func runExtWAN(opt Options) (*Result, error) {
 	const rateBps = 100e6
 	dur := opt.dur(20 * sim.Second)
-	run := func(cfg transport.Config) (flows [2]flowMetrics, offered int64, link *netem.Link, err error) {
-		loop := sim.NewLoop(opt.seed())
-		path, up, _ := topo.WANPath(loop, topo.WANConfig{
+	run := func(cfg transport.Config) (flows [2]flowMetrics, offered int64, link *netem.Link) {
+		n, a, b := newNet(opt.seed())
+		up, down := wanConfig{
 			RateBps: rateBps, OWD: 10 * sim.Millisecond, QueueBytes: 250e3,
 			Data: netem.Impairments{GE: netem.GilbertElliott{PEnterBad: 0.005, PExitBad: 0.5}},
+		}.links()
+		link, _ = WANPath(n, a, b, up, down)
+		// Offered load: every datagram as it enters the data direction.
+		n.Route(a, b, func(d any, size int) {
+			offered += int64(size + framing)
+			link.Send(d, size+framing)
 		})
-		send := path.SendA
-		path.SendA = func(p *packet.Packet) { offered += int64(p.WireSize()); send(p) }
-		var fs [2]*topo.Flow
-		for i := range fs {
-			cfg.ConnID = uint32(i + 1)
-			if fs[i], err = topo.NewFlow(loop, cfg, path); err != nil {
-				return flows, 0, nil, err
-			}
-			fs[i].Start()
-		}
-		loop.RunUntil(dur)
+		fs := [2]*flow{dialFlow(n, a, b, cfg), dialFlow(n, a, b, cfg)}
+		runTo(n, dur)
 		for i, f := range fs {
 			flows[i] = metricsOf(f, dur)
 		}
-		return flows, offered, up, nil
+		return flows, offered, link
 	}
 	tbl := stats.NewTable("Scheme", "Goodput Mbit/s", "Retx/DATA", "ACKs/DATA", "Offered/capacity", "Tail drops", "Burst drops")
 	for _, arm := range []struct {
@@ -59,10 +55,7 @@ func runExtWAN(opt Options) (*Result, error) {
 		{"TCP-TACK", transport.Config{Mode: transport.ModeTACK}},
 		{"TCP BBR", legacyBBRConfig()},
 	} {
-		flows, offered, link, err := run(arm.cfg)
-		if err != nil {
-			return nil, err
-		}
+		flows, offered, link := run(arm.cfg)
 		var goodput float64
 		var data, retx, acks int
 		for _, f := range flows {
@@ -87,30 +80,65 @@ func runExtWAN(opt Options) (*Result, error) {
 // reliability cost of splitting).
 func runExtSplit(opt Options) (*Result, error) {
 	dur := opt.dur(20 * sim.Second)
-	wlan := topo.WLANConfig{Standard: phy.Std80211n}
-	wan := topo.WANConfig{RateBps: 500e6, OWD: 100 * sim.Millisecond}
+	wan := wanConfig{RateBps: 500e6, OWD: 100 * sim.Millisecond}
 
-	e2e, err := runHybridFlow(opt.seed(), wlan, wan, tackConfig(), dur)
-	if err != nil {
-		return nil, err
-	}
-
-	loop := sim.NewLoop(opt.seed())
-	sf, err := topo.NewSplitFlow(loop, tackConfig(), tackConfig(), wlan, wan)
-	if err != nil {
-		return nil, err
-	}
-	sf.Start()
-	loop.RunUntil(dur)
-	splitGoodput := float64(sf.Server.Delivered()) * 8 / dur.Seconds()
-	clientMin, _ := sf.Client.RTTMin()
+	e2e := runHybridFlow(opt.seed(), phy.Std80211n, wan, tackConfig(), dur)
+	split := runSplitFlow(opt.seed(), tackConfig(), wan, dur)
 
 	tbl := stats.NewTable("Deployment", "Goodput Mbit/s", "Client RTTmin", "Proxy backlog (bytes)")
 	tbl.AddRow("end-to-end TACK", stats.Mbps(e2e.GoodputBps), "(end-to-end)", "0")
-	tbl.AddRow("split at AP", stats.Mbps(splitGoodput), clientMin.String(),
-		fmt.Sprintf("%d", sf.ProxyBacklog()))
+	tbl.AddRow("split at AP", stats.Mbps(float64(split.delivered)*8/dur.Seconds()), split.clientRTTMin.String(),
+		fmt.Sprintf("%d", split.backlog))
 	notes := "§7 discussion: splitting shortens the client's control loop (local RTTmin) at the cost of proxy-held data that is not end-to-end acknowledged."
 	return &Result{ID: "ext-split", Title: "Extension: TCP splitting at the access point (§7)", Table: tbl.String(), Notes: notes}, nil
+}
+
+// splitResult is what a split deployment's run leaves: bytes the proxy
+// relayed and the server received, the client's RTTmin, and the proxy's
+// backlog — bytes received from the client but not yet acknowledged by the
+// server, the data at risk if the proxy fails (§7's reliability caveat).
+type splitResult struct {
+	relayed, delivered, backlog int64
+	clientRTTMin                sim.Time
+}
+
+// runSplitFlow runs the TCP-splitting deployment the paper's §7 discusses
+// for dur: client → (802.11n) → proxy → (WAN) → server, the client's leg
+// built from cfg. The proxy, an endpoint at the access point, accepts the
+// client's WLAN-side connection and relays its bytestream over a WAN-side
+// TCP-TACK connection it dials app-paced: after every burst, the bytes its
+// WLAN leg delivered since the last one go onto the WAN leg. The last-mile
+// loop converges fast (small RTT), and the WAN connection runs its own
+// control loop.
+func runSplitFlow(seed int64, cfg transport.Config, wan wanConfig, dur sim.Time) (res splitResult) {
+	n, cli, srv := newNet(seed)
+	ap := n.Host()
+	WLANPath(n, cli, ap, medium(n, phy.Std80211n))
+	up, down := wan.links()
+	WANPath(n, ap, srv, up, down)
+	relayCfg := tackConfig()
+	relayCfg.AppPaced = true
+	proxy, server := newEndpoint(n, ap, relayCfg), newEndpoint(n, srv, tackConfig())
+	wlanLeg := n.Dial(newEndpoint(n, cli, cfg), proxy.LocalAddr())
+	wanLeg := n.Dial(proxy, server.LocalAddr())
+	var in *endpoint.Conn
+	_, err := n.RunUntil(dur, func() bool {
+		if in == nil {
+			in, _ = n.Accept(proxy, 0)
+		}
+		if in != nil && in.Receiver().Delivered() > res.relayed {
+			wanLeg.Sender().AddBytes(in.Receiver().Delivered() - res.relayed)
+			res.relayed = in.Receiver().Delivered()
+		}
+		return false
+	})
+	must(err)
+	if out, _ := n.Accept(server, 0); out != nil {
+		res.delivered = out.Receiver().Delivered()
+	}
+	res.backlog = res.relayed - int64(wanLeg.Sender().CumAcked())
+	res.clientRTTMin, _ = wlanLeg.Sender().RTTMin()
+	return res
 }
 
 // runExtReorder reproduces the §7 reordering discussion: spurious
@@ -131,42 +159,27 @@ func runExtReorder(opt Options) (*Result, error) {
 
 // runReorderFlow measures one flow over a reordering path.
 func runReorderFlow(seed int64, adaptive bool, reorderDelay sim.Time, dur sim.Time) (retx int, goodput float64) {
-	loop := sim.NewLoop(seed)
-	path, _, _ := topo.WANPath(loop, topo.WANConfig{
-		RateBps: 50e6, OWD: 20 * sim.Millisecond, QueueBytes: 4 << 20,
-		Data: netem.Impairments{ReorderRate: 0.05, ReorderDelay: reorderDelay},
-	})
 	cfg := tackConfig()
 	cfg.AdaptiveSettle = adaptive
-	flow, err := topo.NewFlow(loop, cfg, path)
-	if err != nil {
-		panic(err)
-	}
-	flow.Start()
-	loop.RunUntil(dur)
-	return flow.Sender.Stats.Retransmits, float64(flow.Receiver.Delivered()) * 8 / dur.Seconds()
+	m := runWANFlow(seed, wanConfig{
+		RateBps: 50e6, OWD: 20 * sim.Millisecond, QueueBytes: 4 << 20,
+		Data: netem.Impairments{ReorderRate: 0.05, ReorderDelay: reorderDelay},
+	}, cfg, dur)
+	return m.Retransmits, m.GoodputBps
 }
 
 // runExtPacing is the ablation bench for the paper's §5.3 send-pattern
 // claim: pacing versus ACK-clocked bursts on a shallow-buffered path.
 func runExtPacing(opt Options) (*Result, error) {
 	dur := opt.dur(20 * sim.Second)
-	run := func(disablePacing bool) (flowMetrics, error) {
+	run := func(disablePacing bool) flowMetrics {
 		cfg := tackConfig()
 		cfg.DisablePacing = disablePacing
-		m, _, err := runWANFlow(opt.seed(), topo.WANConfig{
+		return runWANFlow(opt.seed(), wanConfig{
 			RateBps: 50e6, OWD: 50 * sim.Millisecond, QueueBytes: 128 << 10,
 		}, cfg, dur)
-		return m, err
 	}
-	paced, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	burst, err := run(true)
-	if err != nil {
-		return nil, err
-	}
+	paced, burst := run(false), run(true)
 	lossRate := func(m flowMetrics) float64 {
 		if m.DataPackets == 0 {
 			return 0

@@ -7,7 +7,6 @@ import (
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -52,15 +51,14 @@ func addMiracastCross(loop *sim.Loop, m *mac.Medium) {
 // runMiracastReliable streams the video over a reliable transport; a frame
 // plays once all of its bytes are delivered in order.
 func runMiracastReliable(seed int64, cfg transport.Config, dur sim.Time) miracastResult {
-	loop := sim.NewLoop(seed)
-	path, medium := topo.WLANPath(loop, topo.WLANConfig{Standard: phy.Std80211n, PER: miracastPER})
-	addMiracastCross(loop, medium)
+	n, a, b := newNet(seed)
+	loop := n.Loop()
+	m := medium(n, phy.Std80211n)
+	m.PER = miracastPER
+	WLANPath(n, a, b, m)
+	addMiracastCross(loop, m)
 	cfg.AppPaced = true
-	flow, err := topo.NewFlow(loop, cfg, path)
-	if err != nil {
-		panic(err)
-	}
-	flow.Start()
+	f := dialFlow(n, a, b, cfg)
 
 	src := newVideoSource(miracastBitrate)
 	playout := newVideoPlayout(miracastFPS, 5)
@@ -75,9 +73,9 @@ func runMiracastReliable(seed int64, cfg transport.Config, dur sim.Time) miracas
 		n := src.NextFrameBytes()
 		total += uint64(n)
 		frameEnds = append(frameEnds, total)
-		flow.Sender.AddBytes(int64(n))
+		f.sender().AddBytes(int64(n))
 		// Deliver completed frames to the playout model.
-		delivered := uint64(flow.Receiver.Delivered())
+		delivered := uint64(f.delivered())
 		for nextPlayed < len(frameEnds) && frameEnds[nextPlayed] <= delivered {
 			playout.OnFrame(loop.Now(), false)
 			nextPlayed++
@@ -86,7 +84,7 @@ func runMiracastReliable(seed int64, cfg transport.Config, dur sim.Time) miracas
 		loop.After(frame, tick)
 	}
 	loop.After(0, tick)
-	loop.RunUntil(dur)
+	runTo(n, dur)
 	playout.Finish(dur)
 	return miracastResult{
 		Rebuffer:    playout.RebufferRatio(dur),

@@ -7,7 +7,6 @@ import (
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -44,40 +43,42 @@ func runFig13(opt Options) (*Result, error) {
 		"TACK Mbit/s", "TACK data#", "TACK ACK#")
 	seeds := opt.count(3)
 	warmup := dur / 4
-	// One row cell set, averaged over seeds with the startup quarter
-	// excluded from the goodput (the table studies steady behaviour).
-	measure := func(wlan topo.WLANConfig, wan topo.WANConfig, cfg transport.Config) (goodput float64, dataPkts, acks int, err error) {
-		for i := 0; i < seeds; i++ {
-			loop := sim.NewLoop(opt.seed() + int64(i*1000))
-			path, _, _, _ := topo.HybridPath(loop, wlan, wan)
-			flow, ferr := topo.NewFlow(loop, cfg, path)
-			if ferr != nil {
-				return 0, 0, 0, ferr
-			}
-			flow.Start()
-			loop.RunUntil(warmup)
-			base := flow.Receiver.Delivered()
-			loop.RunUntil(dur)
-			goodput += float64(flow.Receiver.Delivered()-base) * 8 / (dur - warmup).Seconds()
-			dataPkts += flow.Sender.Stats.DataPackets
-			acks += flow.Receiver.Stats.AcksSent()
+	// Each cell is averaged over seeds with the startup quarter excluded
+	// from the goodput (the table studies steady behaviour). Every (case,
+	// scheme, seed) run is independent, so they all run at once.
+	schemes := []func() transport.Config{legacyBBRConfig, tackConfig}
+	type run struct {
+		goodput    float64
+		data, acks int
+	}
+	runs := make([]run, len(cases)*len(schemes)*seeds)
+	each(len(runs), func(j int) {
+		c := cases[j/(len(schemes)*seeds)]
+		n, a, b := newNet(opt.seed() + int64(j%seeds*1000))
+		up, down := wanConfig{RateBps: c.wanBps, OWD: c.wanRTT / 2,
+			Data: netem.Impairments{LossRate: c.loss}, Ack: netem.Impairments{LossRate: c.loss}}.links()
+		HybridPath(n, a, b, medium(n, c.std), up, down)
+		f := dialFlow(n, a, b, schemes[j/seeds%len(schemes)]())
+		runTo(n, warmup)
+		base := f.delivered()
+		runTo(n, dur)
+		m := metricsOf(f, dur)
+		runs[j] = run{float64(f.delivered()-base) * 8 / (dur - warmup).Seconds(), m.DataPackets, m.AcksSent}
+	})
+	measure := func(cell []run) (goodput float64, dataPkts, acks int) {
+		for _, r := range cell {
+			goodput += r.goodput
+			dataPkts += r.data
+			acks += r.acks
 		}
-		return goodput / float64(seeds), dataPkts / seeds, acks / seeds, nil
+		return goodput / float64(seeds), dataPkts / seeds, acks / seeds
 	}
 	type rowStat struct{ tackAcks int }
 	var rows []rowStat
-	for _, c := range cases {
-		wlan := topo.WLANConfig{Standard: c.std}
-		wan := topo.WANConfig{RateBps: c.wanBps, OWD: c.wanRTT / 2,
-			Data: netem.Impairments{LossRate: c.loss}, Ack: netem.Impairments{LossRate: c.loss}}
-		bbrG, bbrData, bbrAcks, err := measure(wlan, wan, legacyBBRConfig())
-		if err != nil {
-			return nil, err
-		}
-		tackG, tackData, tackAcks, err := measure(wlan, wan, tackConfig())
-		if err != nil {
-			return nil, err
-		}
+	for i, c := range cases {
+		cell := runs[i*len(schemes)*seeds:]
+		bbrG, bbrData, bbrAcks := measure(cell[:seeds])
+		tackG, tackData, tackAcks := measure(cell[seeds : 2*seeds])
 		rows = append(rows, rowStat{tackAcks: tackAcks})
 		tbl.AddRow(fmt.Sprintf("%d", c.id),
 			fmt.Sprintf("%s", c.std),

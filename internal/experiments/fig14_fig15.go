@@ -5,7 +5,6 @@ import (
 
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -95,25 +94,17 @@ func runFig15(opt Options) (*Result, error) {
 	return &Result{ID: "fig15", Title: "TCP friendliness: throughput vs ideal fair share", Table: tbl.String(), Notes: notes}, nil
 }
 
-// runSharedBottleneck runs two flows (configs a at ConnID 1, b at ConnID 2)
-// over one shared WAN bottleneck and returns their goodputs.
+// runSharedBottleneck runs two flows (configs a and b, each between its
+// own pair of endpoints on the same two hosts) over one shared WAN
+// bottleneck and returns their goodputs.
 func runSharedBottleneck(seed int64, bw float64, owd sim.Time, queue int, ca, cb transport.Config, dur sim.Time) (float64, float64) {
-	loop := sim.NewLoop(seed)
-	path, _, _ := topo.WANPath(loop, topo.WANConfig{RateBps: bw, OWD: owd, QueueBytes: queue})
-	ca.ConnID = 1
-	cb.ConnID = 2
-	fa, err := topo.NewFlow(loop, ca, path)
-	if err != nil {
-		panic(err)
-	}
-	fb, err := topo.NewFlow(loop, cb, path)
-	if err != nil {
-		panic(err)
-	}
-	fa.Start()
+	n, a, b := newNet(seed)
+	up, down := wanConfig{RateBps: bw, OWD: owd, QueueBytes: queue}.links()
+	WANPath(n, a, b, up, down)
+	fa := dialFlow(n, a, b, ca)
 	// Stagger the second flow slightly (real concurrent starts).
-	loop.After(100*sim.Millisecond, func() { fb.Start() })
-	loop.RunUntil(dur)
-	return float64(fa.Receiver.Delivered()) * 8 / dur.Seconds(),
-		float64(fb.Receiver.Delivered()) * 8 / dur.Seconds()
+	runTo(n, 100*sim.Millisecond)
+	fb := dialFlow(n, a, b, cb)
+	runTo(n, dur)
+	return float64(fa.delivered()) * 8 / dur.Seconds(), float64(fb.delivered()) * 8 / dur.Seconds()
 }

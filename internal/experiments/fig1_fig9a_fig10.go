@@ -8,7 +8,6 @@ import (
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
-	"github.com/tacktp/tack/internal/topo"
 )
 
 func init() {
@@ -21,15 +20,9 @@ func init() {
 // wlanPair runs TCP-TACK and TCP-BBR over a WLAN + high-rate WAN hybrid
 // (the WAN hop adds the experiment's RTT without throttling), returning
 // both flows' metrics.
-func wlanPair(opt Options, std phy.Standard, rtt sim.Time, dur sim.Time) (tack, bbr flowMetrics, err error) {
-	wlan := topo.WLANConfig{Standard: std}
-	wan := topo.WANConfig{RateBps: 2e9, OWD: rtt / 2}
-	tack, err = runHybridFlow(opt.seed(), wlan, wan, tackConfig(), dur)
-	if err != nil {
-		return
-	}
-	bbr, err = runHybridFlow(opt.seed(), wlan, wan, legacyBBRConfig(), dur)
-	return
+func wlanPair(opt Options, std phy.Standard, rtt sim.Time, dur sim.Time) (tack, bbr flowMetrics) {
+	wan := wanConfig{RateBps: 2e9, OWD: rtt / 2}
+	return runHybridFlow(opt.seed(), std, wan, tackConfig(), dur), runHybridFlow(opt.seed(), std, wan, legacyBBRConfig(), dur)
 }
 
 // runFig1 reproduces Figure 1 (and the ACK-reduction headline): percentage
@@ -43,10 +36,7 @@ func runFig1(opt Options) (*Result, error) {
 		// The paper's public-room RTT ranged 4-200 ms; 80 ms is a
 		// representative midpoint (and puts every standard in the regime
 		// the paper's Figure 8 analyzes).
-		tack, bbr, err := wlanPair(opt, std, 80*sim.Millisecond, dur)
-		if err != nil {
-			return nil, err
-		}
+		tack, bbr := wlanPair(opt, std, 80*sim.Millisecond, dur)
 		ackRed := 1 - float64(tack.AcksSent)/float64(bbr.AcksSent)
 		gain := tack.GoodputBps/bbr.GoodputBps - 1
 		tbl.AddRow(std.String(), stats.Pct(ackRed), stats.Pct(gain),
@@ -67,10 +57,7 @@ func runFig9a(opt Options) (*Result, error) {
 	}
 	for _, std := range phy.All() {
 		for _, rtt := range rtts {
-			tack, bbr, err := wlanPair(opt, std, rtt, dur)
-			if err != nil {
-				return nil, err
-			}
+			tack, bbr := wlanPair(opt, std, rtt, dur)
 			tbl.AddRow(std.String(), rtt.String(),
 				stats.Mbps(tack.GoodputBps-bbr.GoodputBps),
 				stats.Mbps(tack.GoodputBps), stats.Mbps(bbr.GoodputBps))
@@ -89,10 +76,7 @@ func runFig10a(opt Options) (*Result, error) {
 	dur := opt.dur(12 * sim.Second)
 	tbl := stats.NewTable("Link", "TCP-TACK Mbit/s", "TCP BBR Mbit/s", "Gain")
 	for _, std := range phy.All() {
-		tack, bbr, err := wlanPair(opt, std, 20*sim.Millisecond, dur)
-		if err != nil {
-			return nil, err
-		}
+		tack, bbr := wlanPair(opt, std, 20*sim.Millisecond, dur)
 		tbl.AddRow(std.String(), stats.Mbps(tack.GoodputBps), stats.Mbps(bbr.GoodputBps),
 			stats.Pct(tack.GoodputBps/bbr.GoodputBps-1))
 	}
@@ -109,8 +93,8 @@ func runFig10a(opt Options) (*Result, error) {
 // ACKs thin; TACK's co-design does not.
 func runFig10b(opt Options) (*Result, error) {
 	dur := opt.dur(12 * sim.Second)
-	wlan := topo.WLANConfig{Standard: phy.Std80211n}
-	wan := topo.WANConfig{RateBps: 2e9, OWD: 40 * sim.Millisecond,
+	wlan := phy.Std80211n
+	wan := wanConfig{RateBps: 2e9, OWD: 40 * sim.Millisecond,
 		Data: netem.Impairments{LossRate: 0.001}}
 	tbl := stats.NewTable("Scheme", "Actual goodput Mbit/s")
 	ls := []int{1, 2, 4, 8, 16}
@@ -125,10 +109,7 @@ func runFig10b(opt Options) (*Result, error) {
 		} else {
 			cfg.AckPolicy = ackpolicy.NewByteCount(l)
 		}
-		m, err := runHybridFlow(opt.seed(), wlan, wan, cfg, dur)
-		if err != nil {
-			return nil, err
-		}
+		m := runHybridFlow(opt.seed(), wlan, wan, cfg, dur)
 		if l == 1 {
 			l1 = m.GoodputBps
 		}
@@ -137,10 +118,7 @@ func runFig10b(opt Options) (*Result, error) {
 		}
 		tbl.AddRow(fmt.Sprintf("TCP (L=%d)", l), stats.Mbps(m.GoodputBps))
 	}
-	tackM, err := runHybridFlow(opt.seed(), wlan, wan, tackConfig(), dur)
-	if err != nil {
-		return nil, err
-	}
+	tackM := runHybridFlow(opt.seed(), wlan, wan, tackConfig(), dur)
 	tbl.AddRow("TACK (L=2)", stats.Mbps(tackM.GoodputBps))
 	notes := fmt.Sprintf(
 		"Paper shape: legacy TCP fails to follow the ideal rising trend when ACKs thin (L=1 %.1f vs L=16 %.1f Mbit/s here), while TACK (%.1f) approaches the ideal.",

@@ -4,10 +4,11 @@ import (
 	"fmt"
 
 	"github.com/tacktp/tack/internal/cc"
+	"github.com/tacktp/tack/internal/endpoint"
 	"github.com/tacktp/tack/internal/netem"
+	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -27,21 +28,26 @@ func runFig5a(opt Options) (*Result, error) {
 	rng := sim.NewLoop(opt.seed()).Rand()
 
 	run := func(disable bool, loss float64, owd sim.Time, seed int64) *stats.Summary {
-		loop := sim.NewLoop(seed)
-		path, _, _ := topo.WANPath(loop, topo.WANConfig{
-			RateBps: 50e6, OWD: owd, QueueBytes: 4 << 20,
-			Data: netem.Impairments{LossRate: loss},
-		})
+		n, a, b := newNet(seed)
+		up, down := wanConfig{RateBps: 50e6, OWD: owd, QueueBytes: 4 << 20,
+			Data: netem.Impairments{LossRate: loss}}.links()
+		WANPath(n, a, b, up, down)
 		cfg := transport.Config{Mode: transport.ModeTACK, CC: "static",
 			DisableIACK: disable, RecvBuf: 256 << 20}
-		flow, err := topo.NewFlow(loop, cfg, path)
-		if err != nil {
-			panic(err)
-		}
-		flow.Start()
-		flow.Sender.Controller().(*cc.Static).SetRate(30e6)
-		loop.RunUntil(dur)
-		return flow.BlockedSamples
+		f := dialFlow(n, a, b, cfg)
+		f.sender().Controller().(*cc.Static).SetRate(30e6)
+		// Sample the receive buffer's head-of-line-blocked volume as each
+		// acknowledgment leaves the receiver.
+		blocked := stats.NewSummary()
+		n.Watch(false, func(ep *endpoint.Endpoint, p *packet.Packet, _ sim.Time) {
+			switch r := f.receiver(); {
+			case ep != f.srv || r == nil:
+			case p.Type == packet.TypeTACK, p.Type == packet.TypeIACK, p.Type == packet.TypeFINACK:
+				blocked.Add(float64(r.Buffer().BlockedBytes()))
+			}
+		})
+		runTo(n, dur)
+		return blocked
 	}
 
 	with := stats.NewSummary()
@@ -79,30 +85,32 @@ func runFig5b(opt Options) (*Result, error) {
 	if opt.Quick {
 		ackLosses = []float64{0.002, 0.10}
 	}
-	wan := func(ackLoss float64) topo.WANConfig {
-		return topo.WANConfig{RateBps: linkBps, OWD: 100 * sim.Millisecond,
+	wan := func(ackLoss float64) wanConfig {
+		return wanConfig{RateBps: linkBps, OWD: 100 * sim.Millisecond,
 			Data: netem.Impairments{LossRate: 0.01}, Ack: netem.Impairments{LossRate: ackLoss}}
 	}
 	seeds := opt.count(3)
 	warmup := dur / 4
 	// steadyUtil measures goodput after a warmup quarter (startup
-	// convergence is not what Figure 5(b) studies), averaged over seeds.
-	steadyUtil := func(al float64, cfg transport.Config) (float64, error) {
+	// convergence is not what Figure 5(b) studies), averaged over seeds
+	// that run at once.
+	steadyUtil := func(al float64, cfg transport.Config) float64 {
+		utils := make([]float64, seeds)
+		each(seeds, func(i int) {
+			n, a, b := newNet(opt.seed() + int64(i*1000))
+			up, down := wan(al).links()
+			WANPath(n, a, b, up, down)
+			f := dialFlow(n, a, b, cfg)
+			runTo(n, warmup)
+			base := f.delivered()
+			runTo(n, dur)
+			utils[i] = float64(f.delivered()-base) * 8 / (dur - warmup).Seconds() / linkBps
+		})
 		sum := 0.0
-		for i := 0; i < seeds; i++ {
-			loop := sim.NewLoop(opt.seed() + int64(i*1000))
-			path, _, _ := topo.WANPath(loop, wan(al))
-			flow, err := topo.NewFlow(loop, cfg, path)
-			if err != nil {
-				return 0, err
-			}
-			flow.Start()
-			loop.RunUntil(warmup)
-			base := flow.Receiver.Delivered()
-			loop.RunUntil(dur)
-			sum += float64(flow.Receiver.Delivered()-base) * 8 / (dur - warmup).Seconds() / linkBps
+		for _, u := range utils {
+			sum += u
 		}
-		return sum / float64(seeds), nil
+		return sum / float64(seeds)
 	}
 	tbl := stats.NewTable("ACK loss", "TACK-rich", "TACK-poor", "TCP BBR")
 	var richAt10, poorAt10, bbrAt10 float64
@@ -111,18 +119,7 @@ func runFig5b(opt Options) (*Result, error) {
 		poor := tackConfig()
 		poor.RichTACK = false
 		bbr := legacyBBRConfig()
-		uRich, err := steadyUtil(al, rich)
-		if err != nil {
-			return nil, err
-		}
-		uPoor, err := steadyUtil(al, poor)
-		if err != nil {
-			return nil, err
-		}
-		uBBR, err := steadyUtil(al, bbr)
-		if err != nil {
-			return nil, err
-		}
+		uRich, uPoor, uBBR := steadyUtil(al, rich), steadyUtil(al, poor), steadyUtil(al, bbr)
 		if al == 0.10 {
 			richAt10, poorAt10, bbrAt10 = uRich, uPoor, uBBR
 		}

@@ -6,7 +6,6 @@ import (
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
-	"github.com/tacktp/tack/internal/topo"
 )
 
 func init() {
@@ -21,25 +20,20 @@ func init() {
 // estimate 8–18% above the true floor while the advanced one tracks it.
 func runFig6a(opt Options) (*Result, error) {
 	dur := opt.dur(25 * sim.Second)
-	loop := sim.NewLoop(opt.seed())
+	n, a, b := newNet(opt.seed())
 	// Paper setup: two Wi-Fi endpoints with an emulator forwarding and a
 	// fixed 100 ms bidirectional latency — the WLAN hop supplies the
 	// queueing/airtime jitter that separates the estimators.
-	path, _, _, _ := topo.HybridPath(loop,
-		topo.WLANConfig{Standard: phy.Std80211g},
-		topo.WANConfig{RateBps: 200e6, OWD: 50 * sim.Millisecond})
-	flow, err := topo.NewFlow(loop, tackConfig(), path)
-	if err != nil {
-		return nil, err
-	}
-	flow.Start()
+	up, down := wanConfig{RateBps: 200e6, OWD: 50 * sim.Millisecond}.links()
+	HybridPath(n, a, b, medium(n, phy.Std80211g), up, down)
+	f := dialFlow(n, a, b, tackConfig())
 	tbl := stats.NewTable("t", "sampled RTTmin", "advanced RTTmin")
 	var lastSampled, lastAdvanced sim.Time
 	step := dur / 5
 	for at := step; at <= dur; at += step {
-		loop.RunUntil(at)
-		s, _ := flow.Sender.SampledRTTMin()
-		a, _ := flow.Sender.AdvancedRTTMin()
+		runTo(n, at)
+		s, _ := f.sender().SampledRTTMin()
+		a, _ := f.sender().AdvancedRTTMin()
 		lastSampled, lastAdvanced = s, a
 		tbl.AddRow(at.String(), s.String(), a.String())
 	}
@@ -58,22 +52,14 @@ func runFig6a(opt Options) (*Result, error) {
 // 95th-percentile OWD and ~54% less loss after the change.
 func runFig6b(opt Options) (*Result, error) {
 	dur := opt.dur(30 * sim.Second)
-	wlan := topo.WLANConfig{Standard: phy.Std80211g}
-	wan := topo.WANConfig{RateBps: 200e6, OWD: 50 * sim.Millisecond}
-	run := func(legacyTiming bool) (flowMetrics, error) {
+	wlan := phy.Std80211g
+	wan := wanConfig{RateBps: 200e6, OWD: 50 * sim.Millisecond}
+	run := func(legacyTiming bool) flowMetrics {
 		cfg := tackConfig()
 		cfg.LegacyTiming = legacyTiming
-		m, err := runHybridFlow(opt.seed(), wlan, wan, cfg, dur)
-		return m, err
+		return runHybridFlow(opt.seed(), wlan, wan, cfg, dur)
 	}
-	before, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	after, err := run(false)
-	if err != nil {
-		return nil, err
-	}
+	before, after := run(true), run(false)
 	lossRate := func(m flowMetrics) float64 {
 		if m.DataPackets == 0 {
 			return 0

@@ -17,7 +17,6 @@ import (
 	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -100,37 +99,27 @@ type pantheonResult struct {
 
 // runPantheon measures one scheme over one scenario.
 func runPantheon(sc pantheonScenario, scheme pantheonScheme) pantheonResult {
-	loop := sim.NewLoop(sc.Seed)
+	n, a, b := newNet(sc.Seed)
 	queueBytes := int(sc.RateBps / 8 * (2 * sc.OWD).Seconds() * sc.QueueBDP)
 	if queueBytes < 32<<10 {
 		queueBytes = 32 << 10
 	}
-	path, _, _ := topo.WANPath(loop, topo.WANConfig{
+	up, down := wanConfig{
 		RateBps:    sc.RateBps,
 		OWD:        sc.OWD,
 		QueueBytes: queueBytes,
 		Data:       netem.Impairments{LossRate: sc.Loss},
 		Ack:        netem.Impairments{LossRate: sc.Loss},
-	})
-	cfg := scheme.Config()
-	cfg.ConnID = 1
-	flow, err := topo.NewFlow(loop, cfg, path)
-	if err != nil {
-		return pantheonResult{Scheme: scheme.Name}
-	}
+	}.links()
+	WANPath(n, a, b, up, down)
 	if sc.CrossTraffic {
-		cross, err := topo.NewFlow(loop, transport.Config{
-			Mode: transport.ModeLegacy, CC: "cubic", ConnID: 2,
-		}, path)
-		if err == nil {
-			cross.Start()
-		}
+		dialFlow(n, a, b, transport.Config{Mode: transport.ModeLegacy, CC: "cubic"})
 	}
-	flow.Start()
-	loop.RunUntil(sc.Dur)
-	delivered := flow.Receiver.Delivered()
+	f := dialFlow(n, a, b, scheme.Config())
+	runTo(n, sc.Dur)
+	delivered := f.delivered()
 	goodput := float64(delivered) * 8 / sc.Dur.Seconds()
-	owd95 := sim.Time(flow.OWD.Percentile(95) * 1e9)
+	owd95 := sim.Time(f.owd.Percentile(95) * 1e9)
 	power := math.Inf(-1)
 	if goodput > 0 && owd95 > 0 {
 		power = math.Log(goodput / owd95.Seconds())

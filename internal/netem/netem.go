@@ -2,8 +2,8 @@
 // Link: impairment verdict → drop-tail queue and serializer → propagation
 // delay, scheduled on whatever sim.Loop it is handed. Two clocks drive it:
 //
-//   - the simulator's virtual clock, where a Link carries in-sim packets
-//     between transport engines;
+//   - the simulator's virtual clock, where a Link carries datagrams
+//     between sim-driven endpoints;
 //   - wall time, in UDPProxy: a real-socket UDP relay whose two directions
 //     are each one Link on a loop pinned to the wall clock, plus a Rebind
 //     hook that emulates a NAT timeout / Wi-Fi roam by changing the

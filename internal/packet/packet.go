@@ -7,9 +7,8 @@
 // get fresh packet numbers, which is what removes retransmission ambiguity
 // and enables receiver-based loss detection.
 //
-// The same encoding is used by the in-process simulator (which mostly passes
-// *Packet values around but relies on WireSize for airtime computation) and
-// by the UDP runner (which marshals to the wire verbatim).
+// The endpoint puts the encoding on the wire verbatim, over sockets and in
+// the simulator alike.
 package packet
 
 import (
@@ -315,7 +314,7 @@ func (p *Packet) EncodedLen() int {
 }
 
 // WireSize returns the full on-air frame size in bytes including layer-2/3/4
-// framing; the MAC simulator charges airtime for this size.
+// framing, without the endpoint's frame trailer.
 func (p *Packet) WireSize() int { return p.EncodedLen() + overheadEthIPUDP }
 
 // errTruncated is returned when a buffer is too short for the declared
@@ -681,6 +680,9 @@ func (a *AckInfo) sane() error {
 	if a.LossRatePermille > 1000 {
 		return fmt.Errorf("%w: loss rate %d‰ exceeds 1000", errInsane, a.LossRatePermille)
 	}
+	// An ack naming no packet number (LargestPktSeq 0, the wire's "none
+	// yet") is a legacy ack, whose blocks are SACK byte ranges: only the
+	// sender, which knows what it sent, can bound those.
 	for _, blocks := range [2][]seqspace.Range{a.AckedBlocks, a.UnackedBlocks} {
 		prev := uint64(0)
 		for _, r := range blocks {
@@ -690,7 +692,7 @@ func (a *AckInfo) sane() error {
 			if r.Lo < prev {
 				return fmt.Errorf("%w: blocks out of order at %v", errInsane, r)
 			}
-			if r.Hi > a.LargestPktSeq+1 {
+			if a.LargestPktSeq != 0 && r.Hi > a.LargestPktSeq+1 {
 				return fmt.Errorf("%w: block %v beyond LargestPktSeq %d", errInsane, r, a.LargestPktSeq)
 			}
 			prev = r.Hi

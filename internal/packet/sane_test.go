@@ -28,6 +28,10 @@ func TestSaneAcceptsHonestPackets(t *testing.T) {
 		{Type: TypeIACK, ConnID: 1, PktSeq: 5, IACK: IACKRTTSync, RTTMinNS: 1e7},
 		{Type: TypeFIN, ConnID: 1, PktSeq: 6, Seq: 1 << 30},
 		{Type: TypeFINACK, ConnID: 1, PktSeq: 7, Ack: saneAck()},
+		// A legacy ack: SACK byte ranges above the cumulative point, no
+		// packet number.
+		{Type: TypeTACK, ConnID: 1, PktSeq: 8, Ack: &AckInfo{CumAck: 4096,
+			AckedBlocks: []seqspace.Range{{Lo: 8192, Hi: 12288}, {Lo: 16384, Hi: 20480}}}},
 	}
 	for _, p := range pkts {
 		if err := p.Sane(); err != nil {

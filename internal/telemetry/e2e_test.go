@@ -1,39 +1,51 @@
-// End-to-end trace tests: run real flows over simulated paths with a
-// streaming tracer attached, decode the JSONL back, and check the analyzer
+// End-to-end trace tests: run connections between sim-driven endpoints over
+// simulated paths with a streaming tracer attached, decode the JSONL back, and check the analyzer
 // reproduces the paper's Eq. 3 target f_tack = min(bw/(L·MSS), β/RTTmin)
 // from the trace alone — in both regimes.
 package telemetry_test
 
 import (
 	"bytes"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 
+	"github.com/tacktp/tack/internal/endpoint"
+	"github.com/tacktp/tack/internal/experiments"
+	"github.com/tacktp/tack/internal/mac"
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/telemetry"
-	"github.com/tacktp/tack/internal/topo"
 	"github.com/tacktp/tack/internal/transport"
 )
 
-// traceFlow runs one TACK flow for dur with a streaming tracer attached and
-// returns the analyzed trace summary.
-func traceFlow(t *testing.T, dur sim.Time, build func(loop *sim.Loop, tr *telemetry.Tracer) (*topo.Path, transport.Config)) *telemetry.TraceSummary {
+// traceFlow runs one TACK connection between two sim-driven endpoints for
+// dur with a streaming tracer attached, over the path lay puts between their
+// hosts, and returns the analyzed trace summary and the connection's id.
+func traceFlow(t *testing.T, dur sim.Time, lay func(n *endpoint.SimNet, a, b net.IP, tr *telemetry.Tracer)) (*telemetry.TraceSummary, uint32) {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := telemetry.NewStreaming(&buf)
 	tr.SetWallClock(nil) // deterministic traces: sim time only
 
-	loop := sim.NewLoop(1)
-	path, cfg := build(loop, tr)
-	cfg.Tracer = tr
-	cfg.Metrics = telemetry.NewRegistry()
-	flow, err := topo.NewFlow(loop, cfg, path)
+	n := endpoint.NewSimNet(1, netem.Config{})
+	a, b := n.Host(), n.Host()
+	lay(n, a, b, tr)
+	cfg := endpoint.Config{Transport: transport.Config{Mode: transport.ModeTACK, Tracer: tr, Metrics: telemetry.NewRegistry()}}
+	srv, err := n.Endpoint(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow.Start()
-	loop.RunUntil(dur)
+	cli, err := n.Endpoint(a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := n.Dial(cli, srv.LocalAddr())
+	if _, err := n.RunUntil(dur, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +57,17 @@ func traceFlow(t *testing.T, dur sim.Time, build func(loop *sim.Loop, tr *teleme
 	if len(events) == 0 {
 		t.Fatal("trace is empty")
 	}
-	return telemetry.Analyze(events)
+	return telemetry.Analyze(events), c.ConnID()
+}
+
+// wlan puts hosts a and b on one 802.11 medium of standard std that traces
+// into tr.
+func wlan(std phy.Standard) func(n *endpoint.SimNet, a, b net.IP, tr *telemetry.Tracer) {
+	return func(n *endpoint.SimNet, a, b net.IP, tr *telemetry.Tracer) {
+		m := mac.NewMedium(n.Loop(), phy.Get(std))
+		m.Tracer = tr
+		experiments.WLANPath(n, a, b, m)
+	}
 }
 
 // checkRegime asserts the single flow in the summary landed in the wanted
@@ -75,10 +97,7 @@ func checkRegime(t *testing.T, s *telemetry.TraceSummary, regime string) *teleme
 // small, so β/RTTmin < bw/(L·MSS): the periodic bound binds and the receiver
 // should ack ~β times per RTTmin (clamped by the α ≥ 1 ms floor).
 func TestAckFrequencyPeriodicRegime(t *testing.T) {
-	s := traceFlow(t, 3*sim.Second, func(loop *sim.Loop, tr *telemetry.Tracer) (*topo.Path, transport.Config) {
-		path, _ := topo.WLANPath(loop, topo.WLANConfig{Standard: phy.Std80211n, Tracer: tr})
-		return path, transport.Config{Mode: transport.ModeTACK}
-	})
+	s, _ := traceFlow(t, 3*sim.Second, wlan(phy.Std80211n))
 	f := checkRegime(t, s, "periodic")
 	if s.MAC == nil || s.MAC.FramesTx == 0 {
 		t.Error("WLAN trace carries no MAC telemetry")
@@ -92,13 +111,9 @@ func TestAckFrequencyPeriodicRegime(t *testing.T) {
 // 20 ms RTT) where bw/(L·MSS) < β/RTTmin: the byte-count bound binds and
 // the receiver should ack about every L·MSS delivered bytes.
 func TestAckFrequencyBytecountRegime(t *testing.T) {
-	s := traceFlow(t, 8*sim.Second, func(loop *sim.Loop, tr *telemetry.Tracer) (*topo.Path, transport.Config) {
-		path, _, _ := topo.WANPath(loop, topo.WANConfig{
-			RateBps:    5e6,
-			OWD:        10 * sim.Millisecond,
-			QueueBytes: 256 << 10,
-		})
-		return path, transport.Config{Mode: transport.ModeTACK}
+	s, _ := traceFlow(t, 8*sim.Second, func(n *endpoint.SimNet, a, b net.IP, _ *telemetry.Tracer) {
+		link := netem.Config{RateBps: 5e6, Delay: 10 * sim.Millisecond, QueueBytes: 256 << 10}
+		experiments.WANPath(n, a, b, link, link)
 	})
 	f := checkRegime(t, s, "bytecount")
 	// Sanity: the periodic bound really was looser than the byte bound.
@@ -111,12 +126,9 @@ func TestAckFrequencyBytecountRegime(t *testing.T) {
 // TestTraceSummaryReport checks the human report contains the headline
 // sections cmd/tacktrace prints.
 func TestTraceSummaryReport(t *testing.T) {
-	s := traceFlow(t, sim.Second, func(loop *sim.Loop, tr *telemetry.Tracer) (*topo.Path, transport.Config) {
-		path, _ := topo.WLANPath(loop, topo.WLANConfig{Tracer: tr})
-		return path, transport.Config{Mode: transport.ModeTACK}
-	})
+	s, id := traceFlow(t, sim.Second, wlan(phy.Std80211b))
 	out := s.String()
-	for _, want := range []string{"ack frequency", "Eq.3 target", "mac:", "flow 0"} {
+	for _, want := range []string{"ack frequency", "Eq.3 target", "mac:", fmt.Sprintf("flow %d", id)} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

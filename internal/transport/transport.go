@@ -70,8 +70,10 @@ func (m Mode) String() string {
 }
 
 // DefaultPayload is the data payload size per packet, chosen so a DATA
-// frame occupies 1518 bytes on the wire like the paper's traffic.
-const DefaultPayload = 1439
+// datagram — the endpoint's 4-byte frame trailer included — fills a
+// 1500-byte IP MTU and occupies 1518 bytes on the wire like the paper's
+// traffic.
+const DefaultPayload = 1427
 
 // What withDefaults fills in for an unset MinRTO, HandshakeRTO and
 // MaxSYNRetries. They are named because the layer above schedules by them
