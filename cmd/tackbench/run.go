@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -63,9 +64,9 @@ func runCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	standard, err := parseStd(*std)
-	if err != nil {
-		fatal(err)
+	standard, ok := map[string]phy.Standard{"b": phy.Std80211b, "g": phy.Std80211g, "n": phy.Std80211n, "ac": phy.Std80211ac}[*std]
+	if !ok {
+		fatal(fmt.Errorf("bad -std %q: want b, g, n or ac", *std))
 	}
 	cfg := transport.Config{
 		Mode: m, CC: *ccName, RichTACK: true,
@@ -107,10 +108,7 @@ func runCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	cli, err := n.Endpoint(a, endpoint.Config{Transport: cfg})
-	if err != nil {
-		fatal(err)
-	}
+	cli, _ := n.Endpoint(a, endpoint.Config{Transport: cfg}) // the same config: valid
 	snd := n.Dial(cli, srv.LocalAddr()).Sender()
 	// A bounded transfer usually finishes before -dur: stop the instant it
 	// does, so goodput reflects transfer time, not the idle tail.
@@ -121,20 +119,14 @@ func runCmd(args []string) {
 	elapsed := n.Loop().Now()
 
 	if traceBuf != nil {
-		if err := tr.Err(); err != nil {
-			fatal(fmt.Errorf("trace: %w", err))
-		}
-		if err := traceBuf.Flush(); err != nil {
-			fatal(fmt.Errorf("trace: %w", err))
-		}
-		if err := traceFile.Close(); err != nil {
+		if err := errors.Join(tr.Err(), traceBuf.Flush(), traceFile.Close()); err != nil {
 			fatal(fmt.Errorf("trace: %w", err))
 		}
 	}
 
 	var delivered int64
 	var rcv transport.ReceiverStats
-	if acc, _ := n.Accept(srv, 0); acc != nil {
+	if acc := n.Accept(srv); acc != nil {
 		delivered, rcv = acc.Receiver().Delivered(), acc.Receiver().Stats
 	}
 	goodput := float64(delivered) * 8 / elapsed.Seconds()
@@ -204,18 +196,4 @@ func parseBytes(s string) (int64, error) {
 		return 0, err
 	}
 	return n * mult, nil
-}
-
-func parseStd(s string) (phy.Standard, error) {
-	switch s {
-	case "b":
-		return phy.Std80211b, nil
-	case "g":
-		return phy.Std80211g, nil
-	case "n":
-		return phy.Std80211n, nil
-	case "ac":
-		return phy.Std80211ac, nil
-	}
-	return 0, fmt.Errorf("bad -std %q: want b, g, n or ac", s)
 }

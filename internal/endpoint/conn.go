@@ -182,6 +182,9 @@ func (c *Conn) finish(err error) {
 			}
 		}
 		close(c.doneCh)
+		if d := c.ep.driver; d != nil {
+			d.changed = true
+		}
 		if c.ownsEndpoint {
 			// Close must not run on the shard goroutine (it waits for it).
 			go c.ep.Close()

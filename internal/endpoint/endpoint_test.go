@@ -348,7 +348,7 @@ func TestEndpointDropsAckForUnsentPacketNumber(t *testing.T) {
 	n := newSimNet(t, 1, simWire)
 	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, Metrics: reg}})
 	peer := n.peer()
-	c := n.dial(cli, peer.addr)
+	c := n.Dial(cli, peer.addr)
 	peer.accept()
 	data, ok := peer.recv(packet.TypeData, n.now()+sim.Second)
 	if !ok {

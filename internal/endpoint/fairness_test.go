@@ -50,7 +50,7 @@ func multiflowGoodput(t *testing.T, flows, stas int, warmup, measure sim.Time) [
 	snds := map[uint32]*transport.Sender{}
 	// The MAC delivers frames without a source handle, so both directions
 	// route by ConnID.
-	reply := func(p *packet.Packet) { ap.Send(staFor[p.ConnID], p.WireSize(), p) }
+	reply := func(p *packet.Packet) { ap.Send(staFor[p.ConnID], p.EncodedLen()+packet.OverheadEthIPUDP, p) }
 	ap.Receive = func(f *mac.Frame) { srv.onPacket(f.Payload.(*packet.Packet), reply) }
 
 	stations := make([]*mac.Station, stas)
@@ -70,7 +70,7 @@ func multiflowGoodput(t *testing.T, flows, stas int, warmup, measure sim.Time) [
 		staFor[id] = sta
 		cfg := transport.Config{Mode: transport.ModeTACK, ConnID: id}
 		snd, err := transport.NewSender(loop, cfg, func(p *packet.Packet) {
-			sta.Send(ap, p.WireSize(), p)
+			sta.Send(ap, p.EncodedLen()+packet.OverheadEthIPUDP, p)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -213,7 +213,7 @@ func TestEndpointMigrationSpoofedChallenge(t *testing.T) {
 	n := newSimNet(t, 1, simPath)
 	srv, srvAddr := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, Metrics: srvReg}))
 	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 40}))
-	_, cliConn := n.connect(srv, srvAddr, cli)
+	_, cliConn := n.connect(srv, cli)
 
 	atk := n.peer()
 	atk.send(srvAddr, &packet.Packet{
@@ -246,7 +246,7 @@ func TestEndpointMigrationWrongToken(t *testing.T) {
 	n := newSimNet(t, 1, simPath)
 	srv, srvAddr := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, Metrics: srvReg}))
 	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 40}))
-	srvConn, cliConn := n.connect(srv, srvAddr, cli)
+	srvConn, cliConn := n.connect(srv, cli)
 
 	// A plausible on-path-looking frame from a new address: a keepalive
 	// IACK with the right ConnID. This opens the probing episode.
@@ -303,7 +303,7 @@ func TestEndpointMigrationReplayedResponse(t *testing.T) {
 	n := newSimNet(t, 1, simPath)
 	srv, srvAddr := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, Metrics: srvReg}))
 	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 40}))
-	_, cliConn := n.connect(srv, srvAddr, cli)
+	_, cliConn := n.connect(srv, cli)
 
 	atk := n.peer()
 	atk.send(srvAddr, &packet.Packet{
@@ -330,7 +330,7 @@ func TestEndpointMigrationAmplificationBudget(t *testing.T) {
 	n := newSimNet(t, 1, simPath)
 	srv, srvAddr := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, Metrics: srvReg}))
 	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 40}))
-	_, cliConn := n.connect(srv, srvAddr, cli)
+	_, cliConn := n.connect(srv, cli)
 
 	atk := n.peer()
 	bait := &packet.Packet{

@@ -50,7 +50,7 @@ func paritySim(t *testing.T, seed, size int64) parityMetrics {
 	srv, srvAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
 	cli, cliAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size}})
 	n.setLink(cliAddr, srvAddr, parityWAN.data)
-	srvConn, cliConn := n.connect(srv, srvAddr, cli)
+	srvConn, cliConn := n.connect(srv, cli)
 	if !n.finished(srvConn, 60*sim.Second) {
 		t.Fatalf("sim seed %d: %d of %d bytes delivered in a minute", seed, srvConn.Receiver().Delivered(), size)
 	}

@@ -155,6 +155,9 @@ func (sh *shard) add(c *Conn) {
 	now := sh.loop.Now()
 	c.created, c.lastRecv, c.lastSent = now, now, now
 	sh.conns[c.id] = c
+	if d := sh.ep.driver; d != nil {
+		d.changed = true
+	}
 	sh.ep.connAdded()
 	c.hk = sim.NewTimer(sh.loop, func() { sh.housekeep(c) })
 	sh.refreshSnapshot(c)

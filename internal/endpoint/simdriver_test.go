@@ -67,17 +67,16 @@ func (n *simNet) runUntil(end sim.Time, cond func() bool) bool {
 // runFor runs the network for d.
 func (n *simNet) runFor(d sim.Time) { n.runUntil(n.now()+d, nil) }
 
-// dial starts a connection from ep to the endpoint at to.
-func (n *simNet) dial(ep *Endpoint, to *net.UDPAddr) *Conn { return n.Dial(ep, to) }
-
 // connect dials srv from cli and runs the network until both halves are
 // established.
-func (n *simNet) connect(srv *Endpoint, _ *net.UDPAddr, cli *Endpoint) (srvConn, cliConn *Conn) {
+func (n *simNet) connect(srv, cli *Endpoint) (srvConn, cliConn *Conn) {
 	n.t.Helper()
 	cliConn = n.Dial(cli, srv.LocalAddr())
-	srvConn, err := n.Accept(srv, sim.Time(srv.cfg.HandshakeTimeout))
-	if err != nil {
-		n.t.Fatalf("no handshake by %v: %v", n.now(), err)
+	if !n.runUntil(n.now()+sim.Time(srv.cfg.HandshakeTimeout), func() bool {
+		srvConn = n.Accept(srv)
+		return srvConn != nil
+	}) {
+		n.t.Fatalf("no handshake by %v", n.now())
 	}
 	return srvConn, cliConn
 }
@@ -172,7 +171,7 @@ func TestSimEndpointAddrAndClose(t *testing.T) {
 	n := newSimNet(t, 1, simWire)
 	srv, srvAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
 	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, AppPaced: true}})
-	srvConn, cliConn := n.connect(srv, srvAddr, cli)
+	srvConn, cliConn := n.connect(srv, cli)
 	if got := srvConn.LocalAddr(); !addrEqual(got, srvAddr) {
 		t.Fatalf("server conn LocalAddr = %v, want %v", got, srvAddr)
 	}
@@ -193,15 +192,16 @@ func TestSimEndpointAddrAndClose(t *testing.T) {
 
 // TestSimNetCheckFindsFinishedRegisteredConn: the driver's invariant
 // check names the connection that finished while still registered, and
-// the virtual time it found it.
+// the virtual time it found it. It checks after every event, so a later
+// event of the same instant that removes the connection does not hide it.
 func TestSimNetCheckFindsFinishedRegisteredConn(t *testing.T) {
 	n := newSimNet(t, 1, simWire)
-	srv, srvAddr := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
+	srv, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
 	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, AppPaced: true}})
-	_, c := n.connect(srv, srvAddr, cli)
-	n.runFor(10 * sim.Millisecond)
-	at := n.now()
-	close(c.doneCh) // finished, yet its shard still holds it
+	_, c := n.connect(srv, cli)
+	at := n.now() + 10*sim.Millisecond
+	n.loop.At(at, func() { c.finish(nil) }) // finished, yet its shard still holds it
+	n.loop.At(at, func() { c.sh.remove(c, nil) })
 	_, err := n.RunUntil(at+sim.Second, nil)
 	if err == nil {
 		t.Fatal("RunUntil ran past a finished connection still registered")
@@ -220,7 +220,7 @@ func TestDataDatagramsFitEthernetMTU(t *testing.T) {
 	n := newSimNet(t, 1, simWire)
 	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 20}})
 	peer := n.peer()
-	n.dial(cli, peer.addr)
+	n.Dial(cli, peer.addr)
 	peer.accept()
 	n.runFor(50 * sim.Millisecond)
 	data := peer.arrivals(packet.TypeData)

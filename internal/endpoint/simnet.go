@@ -38,6 +38,8 @@ type SimNet struct {
 	// they receive.
 	watchers [2][]func(ep *Endpoint, p *packet.Packet, entered sim.Time)
 	scratch  packet.Packet
+	// changed: a connection was added or finished since check last looked.
+	changed bool
 }
 
 // simDatagram is one datagram on a path.
@@ -180,8 +182,13 @@ func (n *SimNet) settle() {
 }
 
 // check is the driver's invariant: Done closes only once the shard has let
-// go of the connection, so no registered connection has finished.
+// go of the connection, so no registered connection has finished. It
+// looks only after a connection was added or finished.
 func (n *SimNet) check() error {
+	if !n.changed {
+		return nil
+	}
+	n.changed = false
 	for _, sh := range n.shards {
 		for _, c := range sh.conns {
 			if closed(c.doneCh) {
@@ -204,22 +211,20 @@ func closed(ch chan struct{}) bool {
 // RunUntil runs the network burst by burst — every event due at one
 // instant, then what that work queued from outside the loop, then every
 // shard's egress — until cond holds or the clock reaches end, and reports
-// cond. After each burst it checks the invariant and runs cond; what cond
-// sets going leaves at that instant, so cond may act as well as look. A
-// nil cond runs to end. The error names a connection that finished while
-// still registered.
+// cond. It checks the invariant after every event and every burst, and
+// runs cond after each burst; what cond sets going leaves at that instant,
+// so cond may act as well as look. A nil cond runs to end. The error names
+// a connection that finished while still registered.
 func (n *SimNet) RunUntil(end sim.Time, cond func() bool) (bool, error) {
 	for {
 		n.settle()
 		if err := n.check(); err != nil {
 			return false, err
 		}
-		if cond != nil {
-			if cond() {
-				return true, nil
-			}
-			n.settle()
+		if cond != nil && cond() {
+			return true, nil
 		}
+		n.settle()
 		at, ok := n.loop.NextAt()
 		if !ok || at > end {
 			n.loop.RunUntil(end)
@@ -228,6 +233,9 @@ func (n *SimNet) RunUntil(end sim.Time, cond func() bool) (bool, error) {
 		}
 		for next := at; ok && next == at; next, ok = n.loop.NextAt() {
 			n.loop.Step()
+			if err := n.check(); err != nil {
+				return false, err
+			}
 		}
 	}
 }
@@ -240,25 +248,13 @@ func (n *SimNet) Dial(ep *Endpoint, to *net.UDPAddr) *Conn {
 	return c
 }
 
-// Accept returns a connection srv has accepted, running the network for
-// up to d of virtual time until there is one (with d 0 it only looks): no
-// connection is ErrDeadline.
-func (n *SimNet) Accept(srv *Endpoint, d sim.Time) (*Conn, error) {
-	var c *Conn
-	accepted := func() bool {
-		select {
-		case c = <-srv.accept:
-		default:
-		}
-		return c != nil
+// Accept returns a connection srv has accepted and not yet handed out, or
+// nil: the virtual-time Endpoint.Accept, run by RunUntil's cond.
+func (n *SimNet) Accept(srv *Endpoint) *Conn {
+	select {
+	case c := <-srv.accept:
+		return c
+	default:
+		return nil
 	}
-	if !accepted() && d > 0 {
-		if _, err := n.RunUntil(n.loop.Now()+d, accepted); err != nil {
-			return nil, err
-		}
-	}
-	if c == nil {
-		return nil, ErrDeadline
-	}
-	return c, nil
 }

@@ -49,7 +49,7 @@ func TestIdleTimeoutAndKeepaliveFireOnTime(t *testing.T) {
 		IdleTimeout: idle, KeepaliveInterval: ka,
 	})
 	peer := n.peer()
-	c := n.dial(cli, peer.addr)
+	c := n.Dial(cli, peer.addr)
 	peer.accept()
 	lastRecv := n.now() + simOWD // the SYNACK is the last thing the client ever hears
 
@@ -95,7 +95,7 @@ func TestIdleTimeoutFiresOnTime(t *testing.T) {
 		IdleTimeout: idle,
 	})
 	peer := n.peer()
-	c := n.dial(cli, peer.addr)
+	c := n.Dial(cli, peer.addr)
 	peer.accept()
 	if !n.runUntil(n.now()+sim.Second, func() bool { return closed(c.estCh) }) {
 		t.Fatal("no handshake")
@@ -190,7 +190,7 @@ func TestCloseLingerFiresOnTime(t *testing.T) {
 		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: 1 << 20},
 	})
 	peer := n.peer()
-	c := n.dial(cli, peer.addr)
+	c := n.Dial(cli, peer.addr)
 	peer.accept()
 	if !n.runUntil(n.now()+sim.Second, func() bool { return closed(c.estCh) }) {
 		t.Fatal("no handshake")
@@ -229,7 +229,7 @@ func TestFinishedSenderAwaitsItsProbesAck(t *testing.T) {
 		Transport: transport.Config{Mode: transport.ModeTACK, TransferBytes: size, Metrics: reg},
 	})
 	peer := n.peer()
-	c := n.dial(cli, peer.addr)
+	c := n.Dial(cli, peer.addr)
 	syn := peer.accept()
 
 	// The originals, then the probe: the newest of them again, under a
@@ -287,9 +287,9 @@ func TestFinishedSenderAwaitsItsProbesAck(t *testing.T) {
 func TestCompleteLingerFiresOnTimeAndLeavesNoTimers(t *testing.T) {
 	tcfg := transport.Config{Mode: transport.ModeTACK, TransferBytes: 64 << 10}
 	n := newSimNet(t, 1, simPath)
-	srv, srvAddr := n.endpoint(Config{Transport: tcfg})
+	srv, _ := n.endpoint(Config{Transport: tcfg})
 	cli, _ := n.endpoint(Config{Transport: tcfg})
-	sc, c := n.connect(srv, srvAddr, cli)
+	sc, c := n.connect(srv, cli)
 	if s := sc.StateSnapshot(); s == nil || s.ConnID != sc.ConnID() {
 		t.Fatalf("accepted connection has no snapshot yet: %+v", s)
 	}
@@ -338,7 +338,7 @@ func TestPathChallengeScheduleAndDeadline(t *testing.T) {
 	cfg.Transport.HandshakeRTO = rto
 	srv, srvAddr := n.endpoint(cfg)
 	cli, _ := n.endpoint(migConfig(transport.Config{Mode: transport.ModeTACK, AppPaced: true}))
-	_, c := n.connect(srv, srvAddr, cli)
+	_, c := n.connect(srv, cli)
 
 	// A packet for the connection from an address the server has never
 	// seen, big enough that the 3× budget never blocks a challenge.

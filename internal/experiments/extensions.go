@@ -5,6 +5,7 @@ import (
 
 	"github.com/tacktp/tack/internal/endpoint"
 	"github.com/tacktp/tack/internal/netem"
+	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/phy"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stats"
@@ -37,8 +38,8 @@ func runExtWAN(opt Options) (*Result, error) {
 		link, _ = WANPath(n, a, b, up, down)
 		// Offered load: every datagram as it enters the data direction.
 		n.Route(a, b, func(d any, size int) {
-			offered += int64(size + framing)
-			link.Send(d, size+framing)
+			offered += int64(size + packet.OverheadEthIPUDP)
+			link.Send(d, size+packet.OverheadEthIPUDP)
 		})
 		fs := [2]*flow{dialFlow(n, a, b, cfg), dialFlow(n, a, b, cfg)}
 		runTo(n, dur)
@@ -93,11 +94,13 @@ func runExtSplit(opt Options) (*Result, error) {
 	return &Result{ID: "ext-split", Title: "Extension: TCP splitting at the access point (§7)", Table: tbl.String(), Notes: notes}, nil
 }
 
-// splitResult is what a split deployment's run leaves: bytes the proxy
-// relayed and the server received, the client's RTTmin, and the proxy's
-// backlog — bytes received from the client but not yet acknowledged by the
-// server, the data at risk if the proxy fails (§7's reliability caveat).
+// splitResult is what a split deployment's run leaves: whether the
+// client's sender finished, bytes the proxy relayed and the server
+// received, the client's RTTmin, and the proxy's backlog — bytes received
+// from the client but not yet acknowledged by the server, the data at risk
+// if the proxy fails (§7's reliability caveat).
 type splitResult struct {
+	clientDone                  bool
 	relayed, delivered, backlog int64
 	clientRTTMin                sim.Time
 }
@@ -124,7 +127,7 @@ func runSplitFlow(seed int64, cfg transport.Config, wan wanConfig, dur sim.Time)
 	var in *endpoint.Conn
 	_, err := n.RunUntil(dur, func() bool {
 		if in == nil {
-			in, _ = n.Accept(proxy, 0)
+			in = n.Accept(proxy)
 		}
 		if in != nil && in.Receiver().Delivered() > res.relayed {
 			wanLeg.Sender().AddBytes(in.Receiver().Delivered() - res.relayed)
@@ -133,10 +136,11 @@ func runSplitFlow(seed int64, cfg transport.Config, wan wanConfig, dur sim.Time)
 		return false
 	})
 	must(err)
-	if out, _ := n.Accept(server, 0); out != nil {
+	if out := n.Accept(server); out != nil {
 		res.delivered = out.Receiver().Delivered()
 	}
 	res.backlog = res.relayed - int64(wanLeg.Sender().CumAcked())
+	res.clientDone = wlanLeg.Sender().Done()
 	res.clientRTTMin, _ = wlanLeg.Sender().RTTMin()
 	return res
 }

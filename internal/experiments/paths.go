@@ -27,8 +27,6 @@ import (
 )
 
 const (
-	// framing approximates Ethernet + IPv4 + UDP headers on a datagram.
-	framing = 18 + 20 + 8
 	// wlanQueue bounds each station's MAC queue. For a transport endpoint
 	// the MAC queue models the local driver/qdisc, which backpressures the
 	// stack rather than dropping: congestion control, not tail drop, bounds
@@ -42,8 +40,8 @@ func WLANPath(n *endpoint.SimNet, a, b net.IP, m *mac.Medium) {
 	sa, sb := m.AddStation("sta", wlanQueue), m.AddStation("ap", wlanQueue)
 	sa.Receive = func(f *mac.Frame) { n.Deliver(f.Payload, f.Size) }
 	sb.Receive = sa.Receive
-	n.Route(a, b, func(d any, size int) { sa.Send(sb, size+framing, d) })
-	n.Route(b, a, func(d any, size int) { sb.Send(sa, size+framing, d) })
+	n.Route(a, b, func(d any, size int) { sa.Send(sb, size+packet.OverheadEthIPUDP, d) })
+	n.Route(b, a, func(d any, size int) { sb.Send(sa, size+packet.OverheadEthIPUDP, d) })
 }
 
 // WANPath joins hosts a and b with one netem.Link per direction, up
@@ -51,8 +49,8 @@ func WLANPath(n *endpoint.SimNet, a, b net.IP, m *mac.Medium) {
 func WANPath(n *endpoint.SimNet, a, b net.IP, up, down netem.Config) (ab, ba *netem.Link) {
 	ab = netem.NewLink(n.Loop(), up, n.Deliver)
 	ba = netem.NewLink(n.Loop(), down, n.Deliver)
-	n.Route(a, b, func(d any, size int) { ab.Send(d, size+framing) })
-	n.Route(b, a, func(d any, size int) { ba.Send(d, size+framing) })
+	n.Route(a, b, func(d any, size int) { ab.Send(d, size+packet.OverheadEthIPUDP) })
+	n.Route(b, a, func(d any, size int) { ba.Send(d, size+packet.OverheadEthIPUDP) })
 	return ab, ba
 }
 
@@ -65,8 +63,8 @@ func HybridPath(n *endpoint.SimNet, a, b net.IP, m *mac.Medium, up, down netem.C
 	bToAP := netem.NewLink(n.Loop(), down, func(d any, size int) { ap.Send(sta, size, d) })
 	ap.Receive = func(f *mac.Frame) { apToB.Send(f.Payload, f.Size) }
 	sta.Receive = func(f *mac.Frame) { n.Deliver(f.Payload, f.Size) }
-	n.Route(a, b, func(d any, size int) { sta.Send(ap, size+framing, d) })
-	n.Route(b, a, func(d any, size int) { bToAP.Send(d, size+framing) })
+	n.Route(a, b, func(d any, size int) { sta.Send(ap, size+packet.OverheadEthIPUDP, d) })
+	n.Route(b, a, func(d any, size int) { bToAP.Send(d, size+packet.OverheadEthIPUDP) })
 }
 
 // medium returns a clean 802.11 medium of standard std on n's loop.
@@ -157,10 +155,9 @@ func (f *flow) sender() *transport.Sender { return f.snd.Sender() }
 // receiver is the flow's receiving engine, nil until the server accepted.
 func (f *flow) receiver() *transport.Receiver {
 	if f.rcv == nil {
-		f.rcv, _ = f.n.Accept(f.srv, 0)
-	}
-	if f.rcv == nil {
-		return nil
+		if f.rcv = f.n.Accept(f.srv); f.rcv == nil {
+			return nil
+		}
 	}
 	return f.rcv.Receiver()
 }

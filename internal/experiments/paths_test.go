@@ -94,6 +94,9 @@ func TestTwoFlowsShareOnePath(t *testing.T) {
 func TestSplitFlowRelays(t *testing.T) {
 	res := runSplitFlow(9, transport.Config{Mode: transport.ModeTACK, TransferBytes: 2 << 20},
 		wanConfig{RateBps: 200e6, OWD: ms(100)}, 20*sim.Second)
+	if !res.clientDone {
+		t.Fatalf("WLAN leg incomplete: proxy relayed %d bytes", res.relayed)
+	}
 	if res.relayed != 2<<20 {
 		t.Fatalf("proxy relayed %d bytes, want all", res.relayed)
 	}

@@ -258,9 +258,10 @@ func (p *Packet) Reset() {
 	*p = Packet{Payload: payload, spareAck: spare}
 }
 
-// overheadEthIPUDP approximates Ethernet + IPv4 + UDP framing so WireSize
-// matches what the paper puts on air (64-byte ACKs, 1518-byte data frames).
-const overheadEthIPUDP = 18 + 20 + 8
+// OverheadEthIPUDP approximates the Ethernet + IPv4 + UDP framing around a
+// datagram, so a path model charges what the paper puts on air (64-byte
+// ACKs, 1518-byte data frames).
+const OverheadEthIPUDP = 18 + 20 + 8
 
 const commonHeaderLen = 1 + 1 + 4 + 8 + 8 // version, type, connid, pktseq, sentat
 
@@ -312,10 +313,6 @@ func (p *Packet) EncodedLen() int {
 	}
 	return n
 }
-
-// WireSize returns the full on-air frame size in bytes including layer-2/3/4
-// framing, without the endpoint's frame trailer.
-func (p *Packet) WireSize() int { return p.EncodedLen() + overheadEthIPUDP }
 
 // errTruncated is returned when a buffer is too short for the declared
 // structure.
@@ -584,7 +581,7 @@ func (a *AckInfo) decodeInto(body []byte) error {
 // exceeding mss bytes on the wire; the TACK encoder truncates block lists to
 // this budget (paper §5.1 "limited by MSS").
 func MaxBlocks(mss int) int {
-	budget := mss - commonHeaderLen - 10 - ackFixedLen - overheadEthIPUDP
+	budget := mss - commonHeaderLen - 10 - ackFixedLen - OverheadEthIPUDP
 	if budget < 0 {
 		return 0
 	}
@@ -682,7 +679,8 @@ func (a *AckInfo) sane() error {
 	}
 	// An ack naming no packet number (LargestPktSeq 0, the wire's "none
 	// yet") is a legacy ack, whose blocks are SACK byte ranges: only the
-	// sender, which knows what it sent, can bound those.
+	// sender, which knows what it sent and in which scheme, can bound
+	// those (transport's Sender.AcksUnsent).
 	for _, blocks := range [2][]seqspace.Range{a.AckedBlocks, a.UnackedBlocks} {
 		prev := uint64(0)
 		for _, r := range blocks {

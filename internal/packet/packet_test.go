@@ -129,11 +129,11 @@ func TestWireSizeMatchesPaperScale(t *testing.T) {
 	// A full-sized data packet should be close to the paper's 1518-byte
 	// frame; a minimal ACK close to its 64-byte frame.
 	data := &Packet{Type: TypeData, Payload: make([]byte, 1400)}
-	if s := data.WireSize(); s < 1400+46 || s > 1518 {
+	if s := data.EncodedLen() + OverheadEthIPUDP; s < 1400+46 || s > 1518 {
 		t.Fatalf("data wire size = %d, want within [1446,1518]", s)
 	}
 	ack := &Packet{Type: TypeIACK, IACK: IACKKeepalive}
-	if s := ack.WireSize(); s < 64 || s > 128 {
+	if s := ack.EncodedLen() + OverheadEthIPUDP; s < 64 || s > 128 {
 		t.Fatalf("bare ack wire size = %d, want small (64..128)", s)
 	}
 }

@@ -23,11 +23,11 @@ func benchTransfer(b *testing.B, cfg Config, loss float64) {
 		rev := netem.NewLink(loop, revCfg, func(pl any, n int) { snd.OnPacket(pl.(*packet.Packet)) })
 		var err error
 		cfg.TransferBytes = 8 << 20
-		snd, err = NewSender(loop, cfg, func(p *packet.Packet) { fwd.Send(p, p.WireSize()) })
+		snd, err = NewSender(loop, cfg, func(p *packet.Packet) { fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 		if err != nil {
 			b.Fatal(err)
 		}
-		rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { rev.Send(p, p.WireSize()) })
+		rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { rev.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 		snd.Start()
 		loop.RunUntil(60 * sim.Second)
 		if !snd.Done() {

@@ -24,12 +24,12 @@ func newFECHarness(t *testing.T, seed int64, cfg Config, rateBps float64, owd si
 	revCfg := netem.Config{RateBps: rateBps, Delay: owd, QueueBytes: 4 << 20}
 	h.fwd = netem.NewLink(loop, fwdCfg, func(pl any, n int) { h.rcv.OnPacket(pl.(*packet.Packet)) })
 	h.rev = netem.NewLink(loop, revCfg, func(pl any, n int) { h.snd.OnPacket(pl.(*packet.Packet)) })
-	snd, err := NewSender(loop, cfg, func(p *packet.Packet) { h.fwd.Send(p, p.WireSize()) })
+	snd, err := NewSender(loop, cfg, func(p *packet.Packet) { h.fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.snd = snd
-	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.WireSize()) })
+	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 	return h
 }
 

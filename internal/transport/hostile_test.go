@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/seqspace"
 	"github.com/tacktp/tack/internal/sim"
@@ -73,6 +74,67 @@ func TestAcksUnsentPassesHonestFeedback(t *testing.T) {
 	}
 	if flagged != 0 {
 		t.Fatalf("%d of %d honest acknowledgments flagged as acking the unsent", flagged, acks)
+	}
+}
+
+// TestAcksUnsentBoundsBlocksWithoutLargest: an ack naming no packet number
+// passes Sane with blocks of any size, since a legacy ack's blocks are byte
+// ranges Sane cannot bound. The guard bounds them by what this sender sent
+// in its own scheme, in either list, and lets a block ending there through.
+func TestAcksUnsentBoundsBlocksWithoutLargest(t *testing.T) {
+	for _, mode := range []Mode{ModeTACK, ModeLegacy} {
+		h := newHarness(t, 1, Config{Mode: mode}, 200e6, ms(50), 0, 0)
+		h.snd.Start()
+		for h.snd.buf.Len() < 100 && h.loop.Step() {
+		}
+		sent := h.snd.nextPktSeq
+		if mode == ModeLegacy {
+			sent = h.snd.nextSeq
+		}
+		for _, tc := range []struct {
+			acked, unacked []seqspace.Range
+			unsent         bool
+		}{
+			{acked: []seqspace.Range{{Lo: 1, Hi: 1 << 62}}, unsent: true},
+			{unacked: []seqspace.Range{{Lo: 1, Hi: 2}, {Lo: 3, Hi: 1 << 62}}, unsent: true},
+			{acked: []seqspace.Range{{Lo: 1, Hi: sent}}},
+		} {
+			p := &packet.Packet{Type: packet.TypeTACK, Ack: &packet.AckInfo{
+				Window: 1 << 20, AckedBlocks: tc.acked, UnackedBlocks: tc.unacked}}
+			if err := p.Sane(); err != nil {
+				t.Fatalf("%v: the ack must be well framed: %v", mode, err)
+			}
+			if got := h.snd.AcksUnsent(p.Ack); got != tc.unsent {
+				t.Errorf("%v: AcksUnsent(acked %v, unacked %v) = %v with %d sent, want %v",
+					mode, tc.acked, tc.unacked, got, sent, tc.unsent)
+			}
+		}
+	}
+}
+
+// TestAcksUnsentPassesHonestLegacySACK: the legacy receiver's SACK blocks
+// under loss pass Sane and the guard.
+func TestAcksUnsentPassesHonestLegacySACK(t *testing.T) {
+	const rate, owd, loss = 50e6, 10 * sim.Millisecond, 0.02
+	h := newHarness(t, 3, Config{Mode: ModeLegacy, TransferBytes: 4 << 20}, rate, owd, loss, 0)
+	_, revCfg := netem.Symmetric(rate, owd, 0, loss, 0)
+	sacks, flagged := 0, 0
+	h.rev = netem.NewLink(h.loop, revCfg, func(pl any, _ int) {
+		p := pl.(*packet.Packet)
+		if p.Ack != nil && len(p.Ack.AckedBlocks) > 0 {
+			sacks++
+			if p.Sane() != nil || h.snd.AcksUnsent(p.Ack) {
+				flagged++
+			}
+		}
+		h.snd.OnPacket(p)
+	})
+	h.run(60 * sim.Second)
+	if !h.snd.Done() || sacks == 0 {
+		t.Fatalf("transfer incomplete or no SACK blocks (%d acks with blocks)", sacks)
+	}
+	if flagged != 0 {
+		t.Fatalf("%d of %d honest SACK acknowledgments refused", flagged, sacks)
 	}
 }
 

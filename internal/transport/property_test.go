@@ -72,11 +72,11 @@ func TestQuickEndToEndDelivery(t *testing.T) {
 		fwd := netem.NewLink(loop, fwdCfg, func(pl any, n int) { rcv.OnPacket(pl.(*packet.Packet)) })
 		rev := netem.NewLink(loop, revCfg, func(pl any, n int) { snd.OnPacket(pl.(*packet.Packet)) })
 		var err error
-		snd, err = NewSender(loop, cfg, func(p *packet.Packet) { fwd.Send(p, p.WireSize()) })
+		snd, err = NewSender(loop, cfg, func(p *packet.Packet) { fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 		if err != nil {
 			return false
 		}
-		rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { rev.Send(p, p.WireSize()) })
+		rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { rev.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 		snd.Start()
 		loop.RunUntil(180 * sim.Second)
 		if !snd.Done() {

@@ -95,13 +95,13 @@ func tailLossHarness(t *testing.T, seed int64, cfg Config) *harness {
 		if p.FIN && !p.Retrans {
 			return // drop the tail's first transmission
 		}
-		h.fwd.Send(p, p.WireSize())
+		h.fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.snd = snd
-	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.WireSize()) })
+	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 	return h
 }
 
@@ -174,16 +174,16 @@ func TestProbeInFlightUntilItsAckArrives(t *testing.T) {
 			cfg := Config{Mode: tc.mode, TransferBytes: 32 << 10}
 			snd, err := NewSender(loop, cfg, func(p *packet.Packet) {
 				if p.FIN && !p.Retrans {
-					loop.After(ms(40), func() { h.fwd.Send(p, p.WireSize()) })
+					loop.After(ms(40), func() { h.fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 					return
 				}
-				h.fwd.Send(p, p.WireSize())
+				h.fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			h.snd = snd
-			h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.WireSize()) })
+			h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 			atDone := !tc.atDone
 			snd.OnDone = func() { atDone = snd.ProbeInFlight() }
 			h.run(5 * sim.Second)

@@ -18,12 +18,12 @@ func reorderHarness(t *testing.T, seed int64, cfg Config, reorderRate float64, r
 	revCfg := netem.Config{RateBps: 50e6, Delay: ms(10)}
 	h.fwd = netem.NewLink(loop, fwdCfg, func(pl any, n int) { h.rcv.OnPacket(pl.(*packet.Packet)) })
 	h.rev = netem.NewLink(loop, revCfg, func(pl any, n int) { h.snd.OnPacket(pl.(*packet.Packet)) })
-	snd, err := NewSender(loop, cfg, func(p *packet.Packet) { h.fwd.Send(p, p.WireSize()) })
+	snd, err := NewSender(loop, cfg, func(p *packet.Packet) { h.fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.snd = snd
-	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.WireSize()) })
+	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) { h.rev.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 	return h
 }
 

@@ -339,9 +339,23 @@ func (s *Sender) SentSeq() uint64 { return s.nextSeq }
 // sender never sent — a misbehaving receiver, whose feedback the owner
 // drops before OnPacket sees it. Only DATA consumes packet numbers, so an
 // honest LargestPktSeq is below the next one (0 is also the wire's "none
-// yet"), and packet.Sane bounds every other packet number in a by it.
+// yet"), and packet.Sane bounds CumPktSeq and ReportedThrough by it. The
+// blocks, which Sane put in order, are bounded here by what was sent:
+// packet numbers, or SACK byte ranges in legacy mode.
 func (s *Sender) AcksUnsent(a *packet.AckInfo) bool {
-	return a.CumAck > s.nextSeq || (a.LargestPktSeq != 0 && a.LargestPktSeq >= s.nextPktSeq)
+	if a.CumAck > s.nextSeq || (a.LargestPktSeq != 0 && a.LargestPktSeq >= s.nextPktSeq) {
+		return true
+	}
+	sent := s.nextPktSeq
+	if s.cfg.Mode == ModeLegacy {
+		sent = s.nextSeq
+	}
+	for _, blocks := range [2][]seqspace.Range{a.AckedBlocks, a.UnackedBlocks} {
+		if len(blocks) > 0 && blocks[len(blocks)-1].Hi > sent {
+			return true
+		}
+	}
+	return false
 }
 
 // WindowFree returns the byte budget currently available for new data

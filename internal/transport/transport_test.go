@@ -34,14 +34,14 @@ func newHarness(t *testing.T, seed int64, cfg Config, rateBps float64, owd sim.T
 	fwdCfg, revCfg := netem.Symmetric(rateBps, owd, 0, dataLoss, ackLoss)
 	h.fwd = netem.NewLink(loop, fwdCfg, func(pl any, n int) { h.rcv.OnPacket(pl.(*packet.Packet)) })
 	h.rev = netem.NewLink(loop, revCfg, func(pl any, n int) { h.snd.OnPacket(pl.(*packet.Packet)) })
-	snd, err := NewSender(loop, cfg, func(p *packet.Packet) { h.fwd.Send(p, p.WireSize()) })
+	snd, err := NewSender(loop, cfg, func(p *packet.Packet) { h.fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.snd = snd
 	h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) {
 		h.blocked.Add(float64(h.rcv.Buffer().BlockedBytes()))
-		h.rev.Send(p, p.WireSize())
+		h.rev.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP)
 	})
 	return h
 }
@@ -328,7 +328,7 @@ func TestPacingSmoothsBursts(t *testing.T) {
 			if cur > maxBurst {
 				maxBurst = cur
 			}
-			h.fwd.Send(p, p.WireSize())
+			h.fwd.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -336,7 +336,7 @@ func TestPacingSmoothsBursts(t *testing.T) {
 		h.snd = snd
 		h.rcv = NewReceiver(loop, cfg, func(p *packet.Packet) {
 			h.blocked.Add(float64(h.rcv.Buffer().BlockedBytes()))
-			h.rev.Send(p, p.WireSize())
+			h.rev.Send(p, p.EncodedLen()+packet.OverheadEthIPUDP)
 		})
 		h.run(10 * sim.Second)
 		return maxBurst
