@@ -506,31 +506,25 @@ func (ep *Endpoint) shardFor(id uint32) *shard {
 	return ep.shards[h%uint32(len(ep.shards))]
 }
 
-// decode checks a datagram's CRC32-C frame trailer (frame.go), decodes it
-// into a pooled packet and rejects one that fails packet.Sane (the CRC
-// proves the bytes arrived as sent, not that the sender is honest),
-// counting each drop; nil means dropped. Both drivers call it per datagram.
+// decode verifies a datagram's CRC32-C trailer and decodes it into a
+// pooled packet (packet.DecodeDatagram), then rejects one that fails
+// packet.Sane (the CRC proves the bytes arrived as sent, not that the
+// sender is honest), counting each drop; nil means dropped. Both drivers
+// call it per datagram.
 func (ep *Endpoint) decode(sock *epSocket, b []byte, from *net.UDPAddr) *inPacket {
-	if len(b) < frameTrailerLen {
-		ep.mRxGarbage.Inc()
-		sock.mDrops.Inc()
-		return nil
-	}
-	body, ok := checkFrameCRC(b)
-	if !ok {
-		ep.mRxCorrupt.Inc()
-		sock.mDrops.Inc()
-		return nil
-	}
 	ipk := ep.getPacket()
-	if err := packet.DecodeInto(&ipk.pkt, body); err != nil {
-		ep.mRxGarbage.Inc()
-		sock.mDrops.Inc()
-		ep.putPacket(ipk)
-		return nil
-	}
-	if err := ipk.pkt.Sane(); err != nil {
+	err := packet.DecodeDatagram(&ipk.pkt, b)
+	switch {
+	case errors.Is(err, packet.ErrChecksum):
 		ep.mRxCorrupt.Inc()
+	case err != nil:
+		ep.mRxGarbage.Inc()
+	default:
+		if err = ipk.pkt.Sane(); err != nil {
+			ep.mRxCorrupt.Inc()
+		}
+	}
+	if err != nil {
 		sock.mDrops.Inc()
 		ep.putPacket(ipk)
 		return nil

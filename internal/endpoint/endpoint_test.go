@@ -322,7 +322,7 @@ func TestEndpointDemuxDrops(t *testing.T) {
 	// (The datagram must carry a valid frame CRC to get past the read
 	// loop's corruption check and reach demux.)
 	stray := &packet.Packet{Type: packet.TypeData, ConnID: 4242, Payload: []byte("x")}
-	sock.Write(appendFrameCRC(stray.AppendMarshal(nil)))
+	sock.Write(stray.AppendDatagram(nil))
 	sock.Write([]byte{0xFF, 0xFF, 0xFF})                                 // not a packet at all
 	sock.Write(append(stray.AppendMarshal(nil), 0xDE, 0xAD, 0xBE, 0xEF)) // bad frame CRC
 

@@ -63,12 +63,6 @@ func randToken() (uint64, error) {
 	return binary.BigEndian.Uint64(b[:]), nil
 }
 
-// wireSize is the bytes the packet occupies on the wire (encoding plus
-// the CRC frame trailer) — the unit the amplification budget counts.
-func wireSize(p *packet.Packet) int64 {
-	return int64(p.EncodedLen() + frameTrailerLen)
-}
-
 // onForeignPacket handles a packet for an established connection arriving
 // from an address other than the bound peer. Shard goroutine only.
 func (sh *shard) onForeignPacket(c *Conn, p *packet.Packet, from *net.UDPAddr) {
@@ -79,7 +73,7 @@ func (sh *shard) onForeignPacket(c *Conn, p *packet.Packet, from *net.UDPAddr) {
 	switch c.migState {
 	case pathProbing:
 		if addrEqual(from, c.migAddr) {
-			c.migRx += wireSize(p)
+			c.migRx += int64(p.DatagramLen())
 			if p.Type == packet.TypePathResponse && p.Token == c.migToken {
 				sh.completeMigration(c, p)
 				return
@@ -135,7 +129,7 @@ func (sh *shard) startProbing(c *Conn, p *packet.Packet, from *net.UDPAddr) {
 	c.migState = pathProbing
 	c.migAddr = cloneAddr(from)
 	c.migToken = tok
-	c.migRx = wireSize(p)
+	c.migRx = int64(p.DatagramLen())
 	c.migTx = 0
 	c.migRetries = 0
 	c.migChallenges = 0
@@ -153,7 +147,7 @@ func (sh *shard) sendChallenge(c *Conn) {
 		Type: packet.TypePathChallenge, ConnID: c.id,
 		SentAt: sh.loop.Now(), Token: c.migToken,
 	}
-	size := wireSize(chp)
+	size := int64(chp.DatagramLen())
 	// Budget-blocked: the episode deadline still bounds how long a silent
 	// candidate is tolerated.
 	c.migBlocked = c.migTx+size > migAmplificationFactor*c.migRx

@@ -63,7 +63,7 @@ func dialEstablished(t *testing.T, srv, cli *Endpoint, target string) (srvConn, 
 // codec bytes plus the CRC32-C trailer. This is what an attacker who
 // knows the wire format (it is public) can synthesize.
 func frame(p *packet.Packet) []byte {
-	return appendFrameCRC(p.AppendMarshal(nil))
+	return p.AppendDatagram(nil)
 }
 
 // attackerSocket binds a raw UDP socket on a fresh ephemeral port — an

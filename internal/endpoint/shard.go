@@ -222,7 +222,7 @@ func (sh *shard) startDial(c *Conn) {
 // flushing when the batch is full. Runs only on the shard goroutine.
 func (sh *shard) enqueue(p *packet.Packet, addr *net.UDPAddr) {
 	bp := sh.ep.getBuf()
-	*bp = appendFrameCRC(p.AppendMarshal((*bp)[:0]))
+	*bp = p.AppendDatagram((*bp)[:0])
 	sh.egress = append(sh.egress, batchio.Message{Buf: *bp, Addr: addr})
 	sh.egressBufs = append(sh.egressBufs, bp)
 	if len(sh.egress) >= egressBatchSize {

@@ -9,9 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tacktp/tack/internal/fec"
 	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
+	"github.com/tacktp/tack/internal/stream"
 	"github.com/tacktp/tack/internal/transport"
 )
 
@@ -107,13 +109,9 @@ type simArrival struct {
 func (n *simNet) peer() *simPeer {
 	p := &simPeer{n: n, addr: &net.UDPAddr{IP: n.Host(), Port: 4519}}
 	n.nodes[addrKey(p.addr)] = func(b []byte, from *net.UDPAddr, _ sim.Time) {
-		body, ok := checkFrameCRC(b)
-		if !ok {
-			n.t.Fatalf("endpoint sent a datagram with a bad frame CRC")
-		}
 		pkt := &packet.Packet{}
-		if err := packet.DecodeInto(pkt, body); err != nil {
-			n.t.Fatalf("endpoint sent an undecodable datagram: %v", err)
+		if err := packet.DecodeDatagram(pkt, b); err != nil {
+			n.t.Fatalf("endpoint sent a bad datagram: %v", err)
 		}
 		p.got = append(p.got, simArrival{pkt, cloneAddr(from), n.now(), len(b)})
 	}
@@ -233,5 +231,61 @@ func TestDataDatagramsFitEthernetMTU(t *testing.T) {
 	}
 	if ip := largest + 8 + 20; ip != 1500 {
 		t.Fatalf("largest DATA datagram is %d bytes, a %d-byte IP packet; want it to fill a 1500-byte MTU exactly", largest, ip)
+	}
+}
+
+// TestEveryDatagramFitsEthernetMTU watches every datagram two endpoints
+// send while eight FEC-protected streams of 200 KiB cross a 100 Mbit/s
+// path losing 2 % of its packets, and requires each, trailer included, to
+// fit a 1500-byte IP packet.
+func TestEveryDatagramFitsEthernetMTU(t *testing.T) {
+	const streams, size = 8, 200 << 10
+	n := newSimNet(t, 1, netem.Config{RateBps: 100e6, Delay: simOWD, Impair: netem.Impairments{LossRate: 0.02}})
+	scfg := stream.Default()
+	cfg := Config{Transport: transport.Config{Mode: transport.ModeTACK, Streams: &scfg}}
+	srv, _ := n.endpoint(cfg)
+	cli, _ := n.endpoint(cfg)
+	largest := map[packet.Type]int{}
+	n.Watch(false, func(_ *Endpoint, p *packet.Packet, _ sim.Time) {
+		largest[p.Type] = max(largest[p.Type], p.DatagramLen())
+	})
+	srvConn, cliConn := n.connect(srv, cli)
+	protected := stream.Options{FEC: fec.Options{Scheme: fec.SchemeRS, GroupLen: 12, MaxOverhead: 0.18}}
+	for i := 0; i < streams; i++ {
+		ss, err := cliConn.OpenStreamOptions(protected)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ss.Write(make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		ss.Close()
+	}
+	var open []*stream.RecvStream
+	got, buf := 0, make([]byte, 64<<10)
+	if !n.runUntil(n.now()+30*sim.Second, func() bool {
+		for rs := srvConn.Receiver().Streams().TryAccept(); rs != nil; rs = srvConn.Receiver().Streams().TryAccept() {
+			open = append(open, rs)
+		}
+		for _, rs := range open {
+			for k := 1; k > 0; {
+				k, _, _ = rs.ReadAvailable(buf)
+				got += k
+			}
+		}
+		return got == streams*size
+	}) {
+		t.Fatalf("%d of %d bytes delivered by %v", got, streams*size, n.now())
+	}
+	for _, typ := range []packet.Type{packet.TypeData, packet.TypeRepair, packet.TypeTACK, packet.TypeIACK} {
+		if largest[typ] == 0 {
+			t.Errorf("no %v datagram was sent", typ)
+		}
+	}
+	for typ, size := range largest {
+		t.Logf("largest %v: %d-byte datagram", typ, size)
+		if size > packet.MaxDatagram {
+			t.Errorf("largest %v datagram is %d bytes, a %d-byte IP packet over the 1500-byte MTU", typ, size, size+28)
+		}
 	}
 }

@@ -122,7 +122,7 @@ func (w simWriter) WriteBatch(ms []batchio.Message) (int, error) {
 	n := w.ep.driver
 	for i := range ms {
 		b := ms[i].Buf
-		if len(n.watchers[0]) > 0 && packet.DecodeInto(&n.scratch, b[:len(b)-frameTrailerLen]) == nil {
+		if len(n.watchers[0]) > 0 && packet.DecodeDatagram(&n.scratch, b) == nil {
 			for _, fn := range n.watchers[0] {
 				fn(w.ep, &n.scratch, n.loop.Now())
 			}

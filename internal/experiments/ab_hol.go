@@ -59,6 +59,9 @@ func holHeadline(seed int64) holScenario {
 
 // holResult reports one run's per-object completion profile.
 type holResult struct {
+	// noHandshake marks a run whose connection never established: the
+	// loss took every SYN or SYNACK, and nothing below is measured.
+	noHandshake bool
 	// completions holds each object's completion time from flow start,
 	// indexed by object: the instant the application read its final byte;
 	// ms summarizes them in milliseconds.
@@ -229,6 +232,9 @@ func runHoL(sc holScenario) (holResult, error) {
 	if _, err := n.RunUntil(holMaxSimTime, func() bool { return done == sc.objects }); err != nil {
 		return holResult{}, err
 	}
+	if !f.sender().Established() {
+		return holResult{noHandshake: true}, nil
+	}
 	if done < sc.objects {
 		return holResult{}, fmt.Errorf("%d/%d objects completed within %v (serialize=%v)",
 			done, sc.objects, holMaxSimTime, sc.serialize)
@@ -244,6 +250,16 @@ func runHoL(sc holScenario) (holResult, error) {
 		res.goodputBps = float64(sc.objects*sc.objectBytes) * 8 / (last / 1e3)
 	}
 	return res, nil
+}
+
+// runEstablished is runHoL for an arm of one run, which fails when that
+// run never established.
+func runEstablished(sc holScenario) (holResult, error) {
+	res, err := runHoL(sc)
+	if err == nil && res.noHandshake {
+		err = fmt.Errorf("handshake never completed (seed %d)", sc.seed)
+	}
+	return res, err
 }
 
 // holImprovement is the ab-hol headline: the fraction by which multiplexing
@@ -263,11 +279,11 @@ func runABHoL(opt Options) (*Result, error) {
 	mux := holHeadline(opt.seed())
 	serial := mux
 	serial.serialize = true
-	sres, err := runHoL(serial)
+	sres, err := runEstablished(serial)
 	if err != nil {
 		return nil, fmt.Errorf("serialized arm: %w", err)
 	}
-	mres, err := runHoL(mux)
+	mres, err := runEstablished(mux)
 	if err != nil {
 		return nil, fmt.Errorf("multiplexed arm: %w", err)
 	}
@@ -291,7 +307,7 @@ func runABHoL(opt Options) (*Result, error) {
 		sc := mux
 		sc.loss = 0
 		sc.scheduler = name
-		r, err := runHoL(sc)
+		r, err := runEstablished(sc)
 		if err != nil {
 			return nil, fmt.Errorf("scheduler %s: %w", name, err)
 		}
@@ -307,6 +323,9 @@ func runABHoL(opt Options) (*Result, error) {
 type rackArm struct {
 	completions []sim.Time
 	snd         transport.SenderStats
+	// noHandshake counts the runs that never established, left out of
+	// the pool.
+	noHandshake int
 }
 
 // rackSeeds is the ab-rack pool size per arm: enough seeds that several
@@ -331,11 +350,18 @@ func runRackArm(det transport.LossDetector, seed int64, seeds int) (rackArm, err
 		if err != nil {
 			return rackArm{}, fmt.Errorf("detector %v seed %d: %w", det, seed+int64(s), err)
 		}
+		if res.noHandshake {
+			arm.noHandshake++
+			continue
+		}
 		arm.completions = append(arm.completions, res.completions...)
 		arm.snd.Retransmits += res.snd.Retransmits
 		arm.snd.Timeouts += res.snd.Timeouts
 		arm.snd.TLPProbes += res.snd.TLPProbes
 		arm.snd.RackMarked += res.snd.RackMarked
+	}
+	if arm.noHandshake == seeds {
+		return rackArm{}, fmt.Errorf("detector %v: no run of %d established", det, seeds)
 	}
 	return arm, nil
 }
@@ -351,6 +377,7 @@ func runABRack(opt Options) (*Result, error) {
 	seeds := opt.count(rackSeeds)
 	tbl := stats.NewTable("Detector", "p50 ms", "p95 ms", "p99 ms", "max ms", "Retx", "RTO", "TLP", "Marked")
 	var p99 [2]float64
+	unscored := ""
 	for i, det := range []transport.LossDetector{transport.DetectorRACK, transport.DetectorDupThresh} {
 		arm, err := runRackArm(det, opt.seed(), seeds)
 		if err != nil {
@@ -362,9 +389,12 @@ func runABRack(opt Options) (*Result, error) {
 			fmt.Sprintf("%.1f", p99[i]), fmt.Sprintf("%.1f", ms.Max()),
 			fmt.Sprint(arm.snd.Retransmits), fmt.Sprint(arm.snd.Timeouts),
 			fmt.Sprint(arm.snd.TLPProbes), fmt.Sprint(arm.snd.RackMarked))
+		if arm.noHandshake > 0 {
+			unscored += fmt.Sprintf(" %s: %d run(s) never established, left out of the pool.", det, arm.noHandshake)
+		}
 	}
 	notes := fmt.Sprintf("p99 per-object completion improvement: %.1f%% (TestRACKBeatsDupThreshAtP99 requires RACK < dup-thresh). 4 x 16 KiB objects x %d seeds pooled per arm, Gilbert-Elliott enter 0.05 / exit 0.5.",
-		(1-p99[0]/p99[1])*100, seeds)
+		(1-p99[0]/p99[1])*100, seeds) + unscored
 	return &Result{ID: "ab-rack", Title: "A/B: RACK-TLP vs duplicate-threshold loss detection under burst loss",
 		Table: tbl.String(), Notes: notes}, nil
 }

@@ -123,6 +123,19 @@ func TestRACKBeatsDupThreshAtP99(t *testing.T) {
 	}
 }
 
+// TestHoLReportsRunWithoutHandshake: a run whose SYNs are all lost is a
+// reported, unscored outcome, not an error of the whole experiment.
+func TestHoLReportsRunWithoutHandshake(t *testing.T) {
+	res, err := runHoL(holScenario{objects: 4, objectBytes: 16 << 10, loss: 1,
+		scheduler: stream.SchedulerRoundRobin, streamWindow: 64 << 10, seed: 1})
+	if err != nil {
+		t.Fatalf("runHoL: %v, want an unscored run", err)
+	}
+	if !res.noHandshake || res.completions != nil {
+		t.Fatalf("result %+v, want noHandshake and no completions", res)
+	}
+}
+
 // TestFECArmBeatsARQ gates the ab-fec headline: over burst loss the FEC arm
 // must cut deadline-miss events by at least 30% while spending under 20% of
 // its bytes on repair symbols; less means the encoder, the adaptive

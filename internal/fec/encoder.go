@@ -85,10 +85,7 @@ func (e *Encoder) Seal(now sim.Time, connID uint32, emit func(*packet.Packet)) {
 	r := e.r
 	if e.n < e.k {
 		// Proportional repair budget for the short group, at least one.
-		r = (e.n*e.r + e.k - 1) / e.k
-		if r < 1 {
-			r = 1
-		}
+		r = max((e.n*e.r+e.k-1)/e.k, 1)
 	}
 	for j := 0; j < r; j++ {
 		emit(&packet.Packet{

@@ -116,6 +116,11 @@ func (o Options) Validate() error {
 // complete packet, not just bytes.
 const symbolHeaderLen = 8 + 8 + 4 + 8 + 2 + 1
 
+// MaxSourcePayload is the most stream data a protected DATA packet carries
+// (1405 bytes): its repair symbol, header and payload, must fit a full
+// REPAIR packet. That binds before the FEC-tagged DATA packet's own budget.
+const MaxSourcePayload = packet.MaxRepairPayload - symbolHeaderLen
+
 // Symbol flag bits.
 const (
 	symFIN       = 1 // connection-level FIN rode on the packet

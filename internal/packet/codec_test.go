@@ -246,13 +246,18 @@ func hotShapes() []hotShape {
 }
 
 // TestCodecZeroAllocs is the hard invariant behind the datapath's
-// allocation budget: AppendMarshal into a buffer with room and DecodeInto
-// into a warm packet allocate nothing, for every hot shape.
+// allocation budget: AppendMarshal and AppendDatagram into a buffer with
+// room, and DecodeInto and DecodeDatagram into a warm packet, allocate
+// nothing, for every hot shape.
 func TestCodecZeroAllocs(t *testing.T) {
 	for _, sh := range hotShapes() {
 		buf := make([]byte, 0, sh.p.EncodedLen())
 		if n := testing.AllocsPerRun(100, func() { buf = sh.p.AppendMarshal(buf[:0]) }); n != 0 {
 			t.Errorf("AppendMarshal(%s): %v allocs/op, want 0", sh.name, n)
+		}
+		dgram := make([]byte, 0, sh.p.DatagramLen())
+		if n := testing.AllocsPerRun(100, func() { dgram = sh.p.AppendDatagram(dgram[:0]) }); n != 0 {
+			t.Errorf("AppendDatagram(%s): %v allocs/op, want 0", sh.name, n)
 		}
 		var p Packet
 		if err := DecodeInto(&p, buf); err != nil { // warm storage
@@ -260,6 +265,12 @@ func TestCodecZeroAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { _ = DecodeInto(&p, buf) }); n != 0 {
 			t.Errorf("DecodeInto(%s): %v allocs/op, want 0", sh.name, n)
+		}
+		if err := DecodeDatagram(&p, dgram); err != nil {
+			t.Fatalf("DecodeDatagram(%s): %v", sh.name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = DecodeDatagram(&p, dgram) }); n != 0 {
+			t.Errorf("DecodeDatagram(%s): %v allocs/op, want 0", sh.name, n)
 		}
 	}
 }

@@ -50,32 +50,16 @@ const (
 	TypeRepair
 )
 
+var typeNames = [...]string{TypeSYN: "SYN", TypeSYNACK: "SYNACK", TypeData: "DATA", TypeTACK: "TACK",
+	TypeIACK: "IACK", TypeFIN: "FIN", TypeFINACK: "FINACK", TypePathChallenge: "PATH_CHALLENGE",
+	TypePathResponse: "PATH_RESPONSE", TypeRepair: "REPAIR"}
+
 // String returns the conventional name of the type.
 func (t Type) String() string {
-	switch t {
-	case TypeSYN:
-		return "SYN"
-	case TypeSYNACK:
-		return "SYNACK"
-	case TypeData:
-		return "DATA"
-	case TypeTACK:
-		return "TACK"
-	case TypeIACK:
-		return "IACK"
-	case TypeFIN:
-		return "FIN"
-	case TypeFINACK:
-		return "FINACK"
-	case TypePathChallenge:
-		return "PATH_CHALLENGE"
-	case TypePathResponse:
-		return "PATH_RESPONSE"
-	case TypeRepair:
-		return "REPAIR"
-	default:
-		return fmt.Sprintf("Type(%d)", uint8(t))
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
+	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
 // IACKKind identifies the instant event that triggered an IACK (paper §4.4).
@@ -90,22 +74,15 @@ const (
 	IACKKeepalive                     // liveness probe
 )
 
+var kindNames = [...]string{IACKLoss: "loss", IACKWindow: "window", IACKRTTSync: "rttsync",
+	IACKHandshake: "handshake", IACKKeepalive: "keepalive"}
+
 // String returns the kind's name.
 func (k IACKKind) String() string {
-	switch k {
-	case IACKLoss:
-		return "loss"
-	case IACKWindow:
-		return "window"
-	case IACKRTTSync:
-		return "rttsync"
-	case IACKHandshake:
-		return "handshake"
-	case IACKKeepalive:
-		return "keepalive"
-	default:
-		return fmt.Sprintf("IACKKind(%d)", uint8(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("IACKKind(%d)", uint8(k))
 }
 
 // AckInfo is the feedback block shared by TACK and IACK bodies.
@@ -258,12 +235,18 @@ func (p *Packet) Reset() {
 	*p = Packet{Payload: payload, spareAck: spare}
 }
 
-// OverheadEthIPUDP approximates the Ethernet + IPv4 + UDP framing around a
-// datagram, so a path model charges what the paper puts on air (64-byte
-// ACKs, 1518-byte data frames).
-const OverheadEthIPUDP = 18 + 20 + 8
-
 const commonHeaderLen = 1 + 1 + 4 + 8 + 8 // version, type, connid, pktseq, sentat
+
+// dataFixedLen is the fixed DATA-body length: byte offset, oldest
+// outstanding packet number, payload length, flags.
+const dataFixedLen = 8 + 8 + 2 + 1
+
+// ackHeaderLen is the fixed length of an ack body before its AckInfo: IACK
+// kind, RTTmin, oldest outstanding packet number, has-ack marker.
+const ackHeaderLen = 1 + 8 + 8 + 1
+
+// ackBlockLen is the encoded size of one acked or unacked block.
+const ackBlockLen = 8 + 8
 
 // ackFixedLen is the encoded size of AckInfo minus variable blocks (the
 // trailing three bytes count acked blocks, unacked blocks, and stream
@@ -286,12 +269,12 @@ const fecTagLen = 4 + 1
 const repairFixedLen = 4 + 1 + 1 + 1 + 1 + 2
 
 // EncodedLen returns the body+header length of the transport PDU in bytes
-// (excluding Ethernet/IP/UDP framing).
+// (excluding the trailer and the Ethernet/IP/UDP framing).
 func (p *Packet) EncodedLen() int {
 	n := commonHeaderLen
 	switch p.Type {
 	case TypeData, TypeSYN:
-		n += 8 + 8 + 2 + 1 + len(p.Payload) // seq, oldest, paylen, flags
+		n += dataFixedLen + len(p.Payload)
 		if p.HasStream {
 			n += streamHeaderLen
 		}
@@ -299,9 +282,9 @@ func (p *Packet) EncodedLen() int {
 			n += fecTagLen
 		}
 	case TypeTACK, TypeIACK, TypeSYNACK, TypeFINACK:
-		n += 1 + 8 + 8 + 1 // iack kind, rttmin, oldest, has-ack marker
+		n += ackHeaderLen
 		if p.Ack != nil {
-			n += ackFixedLen + 16*(len(p.Ack.AckedBlocks)+len(p.Ack.UnackedBlocks)) +
+			n += ackFixedLen + ackBlockLen*(len(p.Ack.AckedBlocks)+len(p.Ack.UnackedBlocks)) +
 				streamWindowLen*len(p.Ack.StreamWindows)
 		}
 	case TypeFIN:
@@ -434,7 +417,7 @@ func DecodeInto(p *Packet, buf []byte) error {
 	body := buf[commonHeaderLen:]
 	switch p.Type {
 	case TypeData, TypeSYN:
-		if len(body) < 19 {
+		if len(body) < dataFixedLen {
 			p.Reset()
 			return errTruncated
 		}
@@ -448,7 +431,7 @@ func DecodeInto(p *Packet, buf []byte) error {
 		p.HasStream = f&8 != 0
 		p.StreamFIN = f&16 != 0
 		p.HasFEC = f&32 != 0
-		body = body[19:]
+		body = body[dataFixedLen:]
 		if p.HasStream {
 			if len(body) < streamHeaderLen {
 				p.Reset()
@@ -473,7 +456,7 @@ func DecodeInto(p *Packet, buf []byte) error {
 		}
 		p.Payload = append(p.Payload[:0], body[:plen]...)
 	case TypeTACK, TypeIACK, TypeSYNACK, TypeFINACK:
-		if len(body) < 18 {
+		if len(body) < ackHeaderLen {
 			p.Reset()
 			return errTruncated
 		}
@@ -481,7 +464,7 @@ func DecodeInto(p *Packet, buf []byte) error {
 		p.RTTMinNS = int64(binary.BigEndian.Uint64(body[1:]))
 		p.AckOldestPktSeq = binary.BigEndian.Uint64(body[9:])
 		has := body[17]
-		body = body[18:]
+		body = body[ackHeaderLen:]
 		if has == 1 {
 			a := p.spareAck
 			if a == nil {
@@ -550,7 +533,7 @@ func (a *AckInfo) decodeInto(body []byte) error {
 	a.LossRatePermille = binary.BigEndian.Uint16(body[80:])
 	nAcked, nUnacked, nWindows := int(body[82]), int(body[83]), int(body[84])
 	body = body[ackFixedLen:]
-	if len(body) < 16*(nAcked+nUnacked)+streamWindowLen*nWindows {
+	if len(body) < ackBlockLen*(nAcked+nUnacked)+streamWindowLen*nWindows {
 		return errTruncated
 	}
 	for i := 0; i < nAcked; i++ {
@@ -558,14 +541,14 @@ func (a *AckInfo) decodeInto(body []byte) error {
 			Lo: binary.BigEndian.Uint64(body),
 			Hi: binary.BigEndian.Uint64(body[8:]),
 		})
-		body = body[16:]
+		body = body[ackBlockLen:]
 	}
 	for i := 0; i < nUnacked; i++ {
 		a.UnackedBlocks = append(a.UnackedBlocks, seqspace.Range{
 			Lo: binary.BigEndian.Uint64(body),
 			Hi: binary.BigEndian.Uint64(body[8:]),
 		})
-		body = body[16:]
+		body = body[ackBlockLen:]
 	}
 	for i := 0; i < nWindows; i++ {
 		a.StreamWindows = append(a.StreamWindows, StreamWindow{
@@ -575,21 +558,6 @@ func (a *AckInfo) decodeInto(body []byte) error {
 		body = body[streamWindowLen:]
 	}
 	return nil
-}
-
-// MaxBlocks returns how many 16-byte blocks fit in an ACK without the frame
-// exceeding mss bytes on the wire; the TACK encoder truncates block lists to
-// this budget (paper §5.1 "limited by MSS").
-func MaxBlocks(mss int) int {
-	budget := mss - commonHeaderLen - 10 - ackFixedLen - OverheadEthIPUDP
-	if budget < 0 {
-		return 0
-	}
-	n := budget / 16
-	if n > 255 {
-		n = 255 // block counts are single bytes on the wire
-	}
-	return n
 }
 
 // errInsane is the base error for Sane failures.
@@ -603,10 +571,8 @@ var errInsane = errors.New("packet: insane field")
 // its fields can poison RTT estimation, loss accounting, or retransmission
 // state. It deliberately is not a checksum: corruption confined to payload
 // bytes is indistinguishable from valid data at this layer. Content
-// integrity belongs to the framing around the codec — the endpoint wraps
-// every datagram in a CRC32-C trailer, and the in-sim link drops corrupted
-// frames outright (FCS semantics) — leaving Sane as the defense against
-// hostile-but-well-framed input.
+// integrity belongs to the datagram's CRC32-C trailer (datagram.go),
+// leaving Sane as the defense against hostile-but-well-framed input.
 func (p *Packet) Sane() error {
 	if p.SentAt < 0 {
 		return fmt.Errorf("%w: negative departure timestamp", errInsane)

@@ -139,15 +139,16 @@ func TestWireSizeMatchesPaperScale(t *testing.T) {
 }
 
 func TestMaxBlocks(t *testing.T) {
-	n := MaxBlocks(1500)
-	if n < 60 || n > 100 {
-		t.Fatalf("MaxBlocks(1500) = %d, want roughly 80", n)
+	if n := MaxBlocks(0); n != 83 {
+		t.Fatalf("MaxBlocks(0) = %d, want 83", n)
 	}
-	if MaxBlocks(0) != 0 {
-		t.Fatal("MaxBlocks(0) should be 0")
+	// A stream ack's nine adverts (eight streams and the initial grant)
+	// cost 108 bytes: six blocks.
+	if n := MaxBlocks(9); n != 77 {
+		t.Fatalf("MaxBlocks(9) = %d, want 77", n)
 	}
-	if MaxBlocks(1<<20) != 255 {
-		t.Fatal("MaxBlocks should clamp at 255 (single-byte count)")
+	if n := MaxBlocks(255); n != 0 {
+		t.Fatalf("MaxBlocks(255) = %d, want 0: the adverts alone overflow the datagram", n)
 	}
 }
 

@@ -192,9 +192,15 @@ func (m *SendMux) peekLocked() *SendStream {
 }
 
 // frameLenLocked returns the data-byte length of the next frame from s,
-// capped at max.
+// capped at max and at what one datagram carries: a full stream DATA
+// packet, or, on a protected stream, a packet whose repair symbol still
+// fits a REPAIR packet.
 func (m *SendMux) frameLenLocked(s *SendStream, max int) int {
-	n := uint64(max)
+	budget := packet.MaxStreamPayload
+	if s.fec.Enabled() {
+		budget = fec.MaxSourcePayload
+	}
+	n := uint64(min(max, budget))
 	if avail := s.writeEnd() - s.next; avail < n {
 		n = avail
 	}
@@ -226,8 +232,9 @@ func (m *SendMux) NextFrameLen(max int) (n int, ok bool) {
 }
 
 // NextFrame commits the scheduler's next frame: up to max data bytes of
-// the head stream (plus FIN when the frame reaches a closed stream's
-// tail). The returned frame owns its payload copy.
+// the head stream, no more than its datagram holds (plus FIN when the
+// frame reaches a closed stream's tail). The returned frame owns its
+// payload copy.
 func (m *SendMux) NextFrame(now sim.Time, max int) (Frame, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -443,10 +450,7 @@ func (s *SendStream) Write(b []byte) (int, error) {
 			s.cond.Wait()
 			continue
 		}
-		n := len(b)
-		if n > room {
-			n = room
-		}
+		n := min(len(b), room)
 		s.data = append(s.data, b[:n]...)
 		b = b[n:]
 		total += n

@@ -13,7 +13,7 @@ import (
 
 // maxStreamAdverts bounds the per-stream window advertisements attached to
 // one acknowledgment; dirtier streams stay pending for the next ack. Kept
-// small so adverts never crowd the TACK's selective-ack block budget.
+// small so adverts crowd out few of the TACK's selective-ack blocks.
 const maxStreamAdverts = 8
 
 // Receiver is the receiving half of a connection.
@@ -343,9 +343,7 @@ func (r *Receiver) updateFloor(oldest uint64) {
 	}
 	r.pktFloor = oldest
 	r.loss.Compact(r.pktFloor)
-	if r.cumPktSeq < r.pktFloor {
-		r.cumPktSeq = r.pktFloor
-	}
+	r.cumPktSeq = max(r.cumPktSeq, r.pktFloor)
 }
 
 // onSenderIACK handles sender-originated IACKs (handshake completion and
@@ -502,18 +500,12 @@ func (r *Receiver) onSettleTimer() {
 			r.tracer.LossDeclared(now, r.cfg.ConnID, d.Range.Lo, d.Range.Hi, now-d.Observed)
 			r.mLossLatency.Observe((now - d.Observed).Seconds())
 		}
-		// A single IACK carries at most an MSS worth of blocks; large loss
-		// bursts (e.g. a startup overshoot) are chunked across several
+		// A single IACK carries at most a datagram's worth of blocks; large
+		// loss bursts (e.g. a startup overshoot) are chunked across several
 		// IACKs so no due range is silently dropped.
-		budget := packet.MaxBlocks(ackpolicy.MSS) / 2
-		if budget < 1 {
-			budget = 1
-		}
+		budget := r.maxBlocks() / 2
 		for start := 0; start < len(ranges); start += budget {
-			end := start + budget
-			if end > len(ranges) {
-				end = len(ranges)
-			}
+			end := min(start+budget, len(ranges))
 			r.Stats.LossIACKs++
 			r.sendAck(packet.TypeIACK, packet.IACKLoss, telemetry.TrigLoss, ranges[start:end])
 		}
@@ -593,6 +585,18 @@ func (r *Receiver) advertisedWindow() uint64 {
 		}
 	}
 	return w
+}
+
+// maxBlocks is how many ack blocks fit in one acknowledgment beside the
+// most stream-window adverts it can carry: maxStreamAdverts plus the
+// initial grant on a stream connection, none otherwise. It budgets for the
+// most, not the count an ack ends up with, because a loss IACK's ranges
+// are cut into chunks before its adverts are collected.
+func (r *Receiver) maxBlocks() int {
+	if r.mux == nil {
+		return packet.MaxBlocks(0)
+	}
+	return packet.MaxBlocks(maxStreamAdverts + 1)
 }
 
 // bdpBytes estimates the flow's bandwidth-delay product for the block
@@ -703,7 +707,7 @@ func (r tackReceiver) fill(now sim.Time, a *packet.AckInfo, typ packet.Type, kin
 	// IACKs disabled (Figure 5(a) ablation) nothing enters the pool and
 	// loss recovery falls back to the sender's RTO, exactly as the paper's
 	// "without IACK" arm degrades.
-	maxBlocks := packet.MaxBlocks(ackpolicy.MSS)
+	maxBlocks := r.maxBlocks()
 	acked := r.loss.AckedRanges()
 	unacked := r.loss.ReportedMissing()
 	if typ == packet.TypeIACK && kind == packet.IACKLoss {

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+
 	"github.com/tacktp/tack/internal/ackpolicy"
 	"github.com/tacktp/tack/internal/buffer"
 	"github.com/tacktp/tack/internal/cc"
@@ -113,6 +115,12 @@ type Sender struct {
 	mFECRepairBytes *telemetry.Counter
 	mFECQueueDrops  *telemetry.Counter
 	mFECRatio       *telemetry.Gauge
+	mCWND           *telemetry.Gauge
+	mPacing         *telemetry.Gauge
+	mCCLosses       *telemetry.Counter
+	// ccCWND and ccPacing are the controller outputs last published.
+	ccCWND   int
+	ccPacing float64
 
 	// OnDone fires once when the transfer completes (all bytes acked).
 	OnDone func()
@@ -128,9 +136,9 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	ctrl, err := newController(cfg)
+	ctrl, err := cc.New(cfg.CC)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	s := &Sender{
 		loop:      loop,
@@ -163,6 +171,9 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 		mFECRepairBytes: cfg.Metrics.Counter("fec.repair_bytes_sent"),
 		mFECQueueDrops:  cfg.Metrics.Counter("fec.queue_drops"),
 		mFECRatio:       cfg.Metrics.Gauge("fec.redundancy_ratio"),
+		mCWND:           cfg.Metrics.Gauge("cc.cwnd_bytes"),
+		mPacing:         cfg.Metrics.Gauge("cc.pacing_bps"),
+		mCCLosses:       cfg.Metrics.Counter("cc.loss_events"),
 	}
 	if cfg.Mode == ModeLegacy {
 		s.scheme, s.est = &legacySender{s: s}, s.legacyRTT
@@ -249,9 +260,8 @@ func (s *Sender) handshakeRTO() sim.Time {
 	return rto
 }
 
-// Controller exposes the congestion controller (diagnostics). Telemetry
-// wrappers are peeled off so callers see the algorithm itself.
-func (s *Sender) Controller() cc.Controller { return cc.Unwrap(s.ctrl) }
+// Controller exposes the congestion controller (diagnostics).
+func (s *Sender) Controller() cc.Controller { return s.ctrl }
 
 // RTTMin returns the sender's current minimum-RTT estimate.
 func (s *Sender) RTTMin() (sim.Time, bool) {
@@ -643,12 +653,9 @@ func (s *Sender) onRTO() {
 	s.Stats.Timeouts++
 	s.mTimeouts.Inc()
 	s.tracer.RTOFired(now, s.cfg.ConnID, s.Inflight(), s.rtoBackoff)
-	s.rtoBackoff++
-	if s.rtoBackoff > 6 {
-		s.rtoBackoff = 6
-	}
+	s.rtoBackoff = min(s.rtoBackoff+1, 6)
 	s.tracer.LossEpisode(now, s.cfg.ConnID, s.Inflight(), s.Inflight(), true)
-	s.ctrl.OnLoss(cc.Loss{Now: now, Bytes: s.Inflight(), Inflight: s.Inflight(), Timeout: true})
+	s.ccLoss(cc.Loss{Now: now, Bytes: s.Inflight(), Inflight: s.Inflight(), Timeout: true})
 	s.pacer.SetRate(now, s.ctrl.PacingRate())
 	if s.rack != nil {
 		// The timeout supersedes any pending tail probe; a new flight will
@@ -675,8 +682,8 @@ func (s *Sender) onRTO() {
 // path, not the byte stream.
 func (s *Sender) OnPathMigration() {
 	now := s.loop.Now()
-	if ctrl, err := newController(s.cfg); err == nil {
-		s.ctrl = ctrl
+	if ctrl, err := cc.New(s.cfg.CC); err == nil {
+		s.ctrl, s.ccCWND, s.ccPacing = ctrl, 0, 0
 	}
 	// Reseeded in place: est keeps pointing at the one that drives control.
 	*s.timing = *newEstimate()
@@ -1009,10 +1016,7 @@ func (s *Sender) onAck(p *packet.Packet) {
 	}
 	s.buf.AckBytes(a.CumAck)
 	got := s.scheme.absorb(now, p)
-	ackedBytes := s.buf.ReleasedBytes() - s.lastDeliveredBytes
-	if ackedBytes < 0 {
-		ackedBytes = 0
-	}
+	ackedBytes := max(s.buf.ReleasedBytes()-s.lastDeliveredBytes, 0)
 
 	// --- Loss handling. ---
 	lostBytes := got.lost
@@ -1049,6 +1053,7 @@ func (s *Sender) onAck(p *packet.Packet) {
 		AppLimited:   !s.StreamBacklog() && s.buf.Len() == 0,
 		AckInterval:  s.scheme.ackInterval(got.deliveryRate, min),
 	})
+	s.publishCC(now, false)
 	s.enterLossEpisode(now, lostBytes)
 	s.pacer.SetRate(now, s.ctrl.PacingRate())
 
@@ -1094,7 +1099,28 @@ func (s *Sender) enterLossEpisode(now sim.Time, lostBytes int) {
 	s.Stats.LossEpisodes++
 	s.mLossEpisodes.Inc()
 	s.tracer.LossEpisode(now, s.cfg.ConnID, lostBytes, s.Inflight(), false)
-	s.ctrl.OnLoss(cc.Loss{Now: now, Bytes: lostBytes, Inflight: s.Inflight()})
+	s.ccLoss(cc.Loss{Now: now, Bytes: lostBytes, Inflight: s.Inflight()})
+}
+
+// ccLoss hands the controller a loss episode and publishes its reaction.
+func (s *Sender) ccLoss(l cc.Loss) {
+	s.mCCLosses.Inc()
+	s.ctrl.OnLoss(l)
+	s.publishCC(l.Now, true)
+}
+
+// publishCC publishes the controller's outputs after it took feedback: a
+// cc_update event and the cc.* gauges, when an output changed or the
+// feedback was a loss.
+func (s *Sender) publishCC(now sim.Time, onLoss bool) {
+	cwnd, pacing := s.ctrl.CWND(), s.ctrl.PacingRate()
+	if cwnd == s.ccCWND && pacing == s.ccPacing && !onLoss {
+		return
+	}
+	s.ccCWND, s.ccPacing = cwnd, pacing
+	s.mCWND.Set(float64(cwnd))
+	s.mPacing.Set(pacing)
+	s.tracer.CCUpdate(now, s.cfg.ConnID, cwnd, pacing, onLoss)
 }
 
 // Kick schedules an immediate send attempt (used by harnesses after

@@ -69,11 +69,11 @@ func (m Mode) String() string {
 	return "legacy"
 }
 
-// DefaultPayload is the data payload size per packet, chosen so a DATA
-// datagram — the endpoint's 4-byte frame trailer included — fills a
-// 1500-byte IP MTU and occupies 1518 bytes on the wire like the paper's
-// traffic.
-const DefaultPayload = 1427
+// DefaultPayload is the data payload size per packet: a full bulk DATA
+// datagram fills the 1500-byte IP MTU (packet.MaxPayload, 1427 bytes).
+// Stream frames are cut shorter by the stream mux, which knows their
+// headers.
+const DefaultPayload = packet.MaxPayload
 
 // What withDefaults fills in for an unset MinRTO, HandshakeRTO and
 // MaxSYNRetries. They are named because the layer above schedules by them
@@ -373,16 +373,6 @@ func (r ReceiverStats) AcksSent() int { return r.TACKsSent + r.IACKsSent }
 
 // Output is the packet egress function a connection half writes to.
 type Output func(*packet.Packet)
-
-// newController builds the configured congestion controller, wrapped with
-// telemetry when the connection is instrumented.
-func newController(cfg Config) (cc.Controller, error) {
-	ctrl, err := cc.New(cfg.CC)
-	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
-	}
-	return cc.Traced(ctrl, cfg.Tracer, cfg.ConnID, cfg.Metrics), nil
-}
 
 // iackTrigger maps a wire IACK kind onto the telemetry trigger namespace
 // (TrigNone for plain TACKs).

@@ -124,17 +124,35 @@ func TestObservabilityPlaneUnderChaosStall(t *testing.T) {
 	}
 
 	// Scrape mid-transfer, pre-failure: every line must be valid
-	// exposition format and the conns route must list all senders.
-	time.Sleep(200 * time.Millisecond)
+	// exposition format and the conns route must list all senders. A
+	// connection's snapshot is published when it registers and then on its
+	// shard's 100 ms refresh grid, which a shard loaded down (as under
+	// -race) reaches hundreds of ms late: poll until every sender's
+	// snapshot shows its recorder running.
+	var states []endpoint.ConnState
+	recording := func() bool {
+		n := 0
+		for _, s := range states {
+			if s.FlightRecorded > 0 {
+				n++
+			}
+		}
+		return n == nConns
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		states = nil
+		if err := json.Unmarshal([]byte(scrape(t, "http://"+debugAddr+"/debug/tack/conns")), &states); err != nil {
+			t.Fatalf("conns route: %v", err)
+		}
+		if recording() || time.Now().After(deadline) {
+			break
+		}
+	}
 	metricsURL := "http://" + debugAddr + "/metrics"
 	for _, line := range strings.Split(strings.TrimRight(scrape(t, metricsURL), "\n"), "\n") {
 		if !expositionLine.MatchString(line) {
 			t.Errorf("invalid exposition line mid-run: %q", line)
 		}
-	}
-	var states []endpoint.ConnState
-	if err := json.Unmarshal([]byte(scrape(t, "http://"+debugAddr+"/debug/tack/conns")), &states); err != nil {
-		t.Fatalf("conns route: %v", err)
 	}
 	if len(states) != nConns {
 		t.Fatalf("conns route listed %d connections, want %d", len(states), nConns)
