@@ -170,7 +170,7 @@ func TestEndpointChaosSoak(t *testing.T) {
 	t.Logf("server: rx_corrupt=%d rx_garbage=%d demux_drops=%d bad_feedback=%d synack_retx=%d",
 		srvReg.Counter("ep.rx_corrupt").Value(), srvReg.Counter("ep.rx_garbage").Value(),
 		srvReg.Counter("ep.demux_drops").Value(), srvReg.Counter("ep.bad_feedback").Value(),
-		srvReg.Counter("ep.synack_retransmits").Value())
+		srvReg.Counter("rcv.synack_retransmits").Value())
 	t.Logf("client: syn_retx=%d rx_corrupt=%d rx_garbage=%d",
 		cliReg.Counter("snd.syn_retransmits").Value(), cliReg.Counter("ep.rx_corrupt").Value(),
 		cliReg.Counter("ep.rx_garbage").Value())
@@ -209,9 +209,8 @@ func TestEndpointHandshakeUnder30PctLoss(t *testing.T) {
 			// Cap the doubling at 500ms so the 30s deadline buys ~60
 			// attempts; the chance 30% symmetric loss defeats them all is
 			// negligible (0.51^60).
-			MaxRTO:        500 * sim.Millisecond,
-			HandshakeRTO:  30 * sim.Millisecond,
-			MaxSYNRetries: 64,
+			MaxRTO:       500 * sim.Millisecond,
+			HandshakeRTO: 30 * sim.Millisecond,
 		},
 		HandshakeTimeout: 30 * time.Second,
 	})

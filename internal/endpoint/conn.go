@@ -52,9 +52,6 @@ type Conn struct {
 	completeAt    sim.Time
 	lastRecv      sim.Time
 	lastSent      sim.Time
-	// Embryo SYNACK retransmission schedule (receiver side only).
-	hsRetries int
-	nextHS    sim.Time
 
 	// hk is the housekeeping timer on the shard loop, set to the earliest
 	// lifecycle deadline (see shard.housekeep) — including, while packets

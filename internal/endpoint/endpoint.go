@@ -147,8 +147,10 @@ type Config struct {
 	// IdleTimeout reaps established connections after this long without
 	// inbound traffic. Default 30s; negative disables.
 	IdleTimeout time.Duration
-	// HandshakeTimeout bounds both Dial's wait for a SYNACK and the
-	// lifetime of embryonic (accepted-but-unestablished) server state.
+	// HandshakeTimeout is the one bound on a handshake, dialed or
+	// accepted: a connection not established this long after it was
+	// registered is reaped with ErrHandshakeTimeout. Until then the
+	// engines retransmit SYN and SYNACK on Transport.HandshakeBackoff.
 	// Default 5s.
 	HandshakeTimeout time.Duration
 	// KeepaliveInterval, when positive, makes dialed (sender) connections
@@ -217,37 +219,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// handshakeRetryRTO returns the embryo SYNACK retransmission timeout for
-// the given retry count: Transport.HandshakeRTO — the schedule the dialed
-// side's SYNs follow — doubled per retry, clamped to HandshakeTimeout
-// (beyond which the embryo reaper wins anyway).
-func (c Config) handshakeRetryRTO(retries int) sim.Time {
-	rto, max := c.Transport.HandshakeRTO, sim.Time(c.HandshakeTimeout)
-	if rto <= 0 {
-		rto = transport.DefaultHandshakeRTO
-	}
-	for i := 0; i < retries; i++ {
-		rto *= 2
-		if rto >= max {
-			return max
-		}
-	}
-	return rto
-}
-
-// handshakeRetryBudget returns the SYNACK retransmission cap for embryos:
-// Transport.MaxSYNRetries, read the way the transport reads it.
-func (c Config) handshakeRetryBudget() int {
-	switch n := c.Transport.MaxSYNRetries; {
-	case n < 0:
-		return 0
-	case n == 0:
-		return transport.DefaultMaxSYNRetries
-	default:
-		return n
-	}
-}
-
 // floorPow2 rounds n down to the nearest power of two (minimum 1).
 func floorPow2(n int) int {
 	p := 1
@@ -307,7 +278,6 @@ type Endpoint struct {
 	mMigProbes         *telemetry.Counter
 	mMigCompleted      *telemetry.Counter
 	mMigFailed         *telemetry.Counter
-	mSynackRetrans     *telemetry.Counter
 	mAcceptDrops       *telemetry.Counter
 	mBadFeedback       *telemetry.Counter
 	mReaped            *telemetry.Counter
@@ -431,7 +401,6 @@ func newEndpoint(cfg Config, socks []*epSocket, idSeed int64) *Endpoint {
 	ep.mMigProbes = reg.Counter("ep.migration.probes")
 	ep.mMigCompleted = reg.Counter("ep.migration.completed")
 	ep.mMigFailed = reg.Counter("ep.migration.failed")
-	ep.mSynackRetrans = reg.Counter("ep.synack_retransmits")
 	ep.mAcceptDrops = reg.Counter("ep.accept_drops")
 	ep.mBadFeedback = reg.Counter("ep.bad_feedback")
 	ep.mReaped = reg.Counter("ep.reaped")
@@ -595,10 +564,9 @@ func (ep *Endpoint) register(ra *net.UDPAddr) *Conn {
 	return c
 }
 
-// awaitDial blocks until c's handshake completes, fails or times out.
+// awaitDial blocks until c's handshake completes or fails; the shard
+// fails it at Config.HandshakeTimeout.
 func (ep *Endpoint) awaitDial(c *Conn) error {
-	t := time.NewTimer(ep.cfg.HandshakeTimeout)
-	defer t.Stop()
 	select {
 	case <-c.estCh:
 		return nil
@@ -611,13 +579,6 @@ func (ep *Endpoint) awaitDial(c *Conn) error {
 		default:
 		}
 		return c.err
-	case <-t.C:
-		c.Close()
-		select {
-		case <-c.doneCh: // teardown is complete before reporting failure
-		case <-ep.stop: // a closing endpoint's shards may already be gone
-		}
-		return ErrHandshakeTimeout
 	case <-ep.stop:
 		return ErrClosed
 	}

@@ -156,7 +156,7 @@ func (sh *shard) sendChallenge(c *Conn) {
 	}
 	c.migTx += size
 	c.migChallenges++
-	c.migNext = sh.loop.Now() + sh.ep.cfg.handshakeRetryRTO(c.migRetries)
+	c.migNext = sh.loop.Now() + sh.ep.cfg.Transport.HandshakeBackoff(c.migRetries)
 	c.migRetries++
 	sh.ep.mMigProbes.Inc()
 	c.tracer.PathChallenge(sh.loop.Now(), c.id, c.migChallenges, int(size))

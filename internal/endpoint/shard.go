@@ -206,10 +206,6 @@ func (sh *shard) startDial(c *Conn) {
 		return
 	}
 	c.snd = snd
-	snd.OnHandshakeFailed = func() { // fail now, not at HandshakeTimeout
-		sh.ep.mReaped.Inc()
-		sh.remove(c, ErrHandshakeTimeout)
-	}
 	if m := snd.Streams(); m != nil {
 		// Stream writes happen on application goroutines: kick the shard.
 		m.SetKick(func() { sh.kick(c) })
@@ -316,7 +312,7 @@ func (sh *shard) onPacket(p *packet.Packet, from *net.UDPAddr) {
 		sh.remove(c, nil) // graceful close confirmed
 		return
 	}
-	sh.postDispatch(c, p)
+	sh.postDispatch(c)
 }
 
 // acceptSYN creates an embryonic server connection for an unknown ConnID.
@@ -343,20 +339,17 @@ func (sh *shard) acceptSYN(p *packet.Packet, from *net.UDPAddr) {
 		// goroutines; route window-update wakeups through the shard.
 		m.SetKick(func() { sh.kick(c) })
 	}
-	c.nextHS = sh.loop.Now() + sh.ep.cfg.handshakeRetryRTO(0)
 	sh.add(c)
 	c.rcv.OnPacket(p) // emits the SYNACK
 }
 
 // postDispatch advances connection lifecycle after a packet was handled:
 // handshake completion (gating Accept), then transfer completion.
-func (sh *shard) postDispatch(c *Conn, p *packet.Packet) {
+func (sh *shard) postDispatch(c *Conn) {
 	if !c.established {
 		if c.snd != nil && c.snd.Established() {
 			sh.establish(c)
-		} else if c.rcv != nil && p.Type != packet.TypeSYN {
-			// Server side: the first post-SYN packet (handshake IACK or
-			// data) proves the peer saw our SYNACK — handshake complete.
+		} else if c.rcv != nil && c.rcv.Established() {
 			sh.establish(c)
 			select {
 			case sh.ep.accept <- c:
@@ -407,8 +400,8 @@ func (sh *shard) checkDone(c *Conn) {
 
 // housekeep is the callback of a connection's housekeeping timer: it
 // applies whichever lifecycle policies have come due — close and
-// completion linger, embryo reap and SYNACK retransmission, idle timeout,
-// keepalive, the path-challenge schedule, and on an active connection the
+// completion linger, the handshake deadline, idle timeout, keepalive, the
+// path-challenge schedule, and on an active connection the
 // anomaly check and snapshot refresh. Having acted it looks again; else it
 // sets the timer to the earliest deadline ahead. Idle and keepalive
 // deadlines move later with every packet and are not chased: the timer
@@ -447,30 +440,16 @@ func (sh *shard) housekeep(c *Conn) {
 		}
 		// Keepalive: a liveness-probe IACK on a transmit-idle dialed connection.
 		if ka := sim.Time(cfg.KeepaliveInterval); ka > 0 && c.snd != nil && due(c.lastSent+ka) {
-			c.output(&packet.Packet{
-				Type: packet.TypeIACK, ConnID: c.id, SentAt: now,
-				IACK: packet.IACKKeepalive, AckOldestPktSeq: c.snd.OldestOutstanding(),
-			})
+			c.snd.SendKeepalive()
 			acted = true
 		}
-	case c.rcv != nil:
-		// An embryo. (A dialed connection's handshake is bounded by Dial's
-		// own timer and the SYN retry budget, see startDial.)
-		if due(c.created + sim.Time(cfg.HandshakeTimeout)) { // never completed
+	default:
+		// The handshake, dialed or accepted. The engines retransmit SYN and
+		// SYNACK; this deadline alone ends either.
+		if due(c.created + sim.Time(cfg.HandshakeTimeout)) {
 			sh.ep.mReaped.Inc()
 			sh.remove(c, ErrHandshakeTimeout)
 			return
-		}
-		if c.hsRetries < cfg.handshakeRetryBudget() && due(c.nextHS) {
-			// The SYNACK (or the client's follow-up) appears lost; re-emit
-			// on the same doubling schedule the client's SYN retransmission
-			// uses, within the same retry budget.
-			c.hsRetries++
-			if c.rcv.RetransmitSYNACK() {
-				sh.ep.mSynackRetrans.Inc()
-			}
-			c.nextHS = now + cfg.handshakeRetryRTO(c.hsRetries)
-			acted = true
 		}
 	}
 	if c.migState == pathProbing {
@@ -510,10 +489,7 @@ func (sh *shard) closeConn(c *Conn) {
 		return
 	}
 	if c.snd != nil && c.established && !c.snd.Done() && !c.closing {
-		c.output(&packet.Packet{
-			Type: packet.TypeFIN, ConnID: c.id, SentAt: sh.loop.Now(),
-			Seq: c.snd.SentSeq(),
-		})
+		c.snd.SendFIN()
 		c.closing = true
 		c.closeDeadline = sh.loop.Now() + closeLinger
 		sh.poke(c)

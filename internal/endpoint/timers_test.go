@@ -112,66 +112,101 @@ func TestIdleTimeoutFiresOnTime(t *testing.T) {
 	}
 }
 
-func TestEmbryoSYNACKScheduleBudgetAndReap(t *testing.T) {
-	const rto, hsTimeout = 100 * sim.Millisecond, 900 * time.Millisecond
-	reg := telemetry.NewRegistry()
-	n := newSimNet(t, 1, simWire)
-	srv, srvAddr := n.endpoint(Config{
-		Transport: transport.Config{Mode: transport.ModeTACK, Metrics: reg,
-			HandshakeRTO: rto, MaxSYNRetries: 2},
-		HandshakeTimeout: hsTimeout,
-	})
-	peer := n.peer()
-	peer.send(srvAddr, &packet.Packet{Type: packet.TypeSYN, ConnID: 77, SentAt: 1})
-	if !n.runUntil(sim.Second, func() bool { return srv.ConnCount() == 1 }) {
-		t.Fatal("the SYN made no embryo")
-	}
-	born := n.now()
+// handshakeSchedule is when, at default settings, a handshake's SYNs and
+// each SYN's SYNACKs leave, relative to the first: the transport's one
+// backoff schedule, cut off by the endpoint's 5 s HandshakeTimeout.
+var handshakeSchedule = []sim.Time{0, 250 * sim.Millisecond, 750 * sim.Millisecond,
+	1750 * sim.Millisecond, 3750 * sim.Millisecond}
 
-	// The embryo is reaped at HandshakeTimeout, not before and not late.
-	if !n.runUntil(born+sim.Time(hsTimeout)+sim.Second, func() bool { return srv.ConnCount() == 0 }) {
-		t.Fatal("the embryo was never reaped")
-	}
-	if got := n.now() - born; got != sim.Time(hsTimeout) {
-		t.Errorf("embryo reaped %v after its SYN, want %v", got, hsTimeout)
-	}
-	if n := reg.Counter("ep.reaped").Value(); n != 1 {
-		t.Errorf("ep.reaped = %d, want 1", n)
-	}
-
-	// The SYNACK, then retransmissions RTO and 2·RTO later, then — the
-	// budget of two being spent — nothing more.
-	synacks := peer.arrivals(packet.TypeSYNACK)
-	want := []sim.Time{0, rto, 3 * rto}
-	if len(synacks) != len(want) {
-		t.Fatalf("%d SYNACKs, want %d (retry budget 2)", len(synacks), len(want))
+// leftAt fails the test unless the packets in got left their sender at
+// start plus want, one by one (they arrived simOWD later).
+func leftAt(t *testing.T, what string, got []simArrival, start sim.Time, want []sim.Time) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d %ss, want %d", len(got), what, len(want))
 	}
 	for i := range want {
-		if got := synacks[i].at - simOWD - born; got != want[i] {
-			t.Errorf("SYNACK %d sent %v after the SYN, want %v", i, got, want[i])
+		if at := got[i].at - simOWD - start; at != want[i] {
+			t.Errorf("%s %d sent %v after the first, want %v", what, i, at, want[i])
 		}
 	}
-	if n := reg.Counter("ep.synack_retransmits").Value(); n != 2 {
-		t.Errorf("ep.synack_retransmits = %d, want 2", n)
+}
+
+// TestEmbryoSYNACKScheduleBudgetAndReap runs both halves of a handshake
+// at default settings toward a peer that never completes it: a dialer's
+// SYNs and the SYNACKs an embryo answers one SYN with leave on the same
+// schedule, the embryo is reaped HandshakeTimeout after its SYN and the
+// dial fails with ErrHandshakeTimeout (TestSimDialFailsAtHandshakeTimeout
+// pins when). One SYN draws five SYNACKs.
+func TestEmbryoSYNACKScheduleBudgetAndReap(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	n := newSimNet(t, 1, simWire)
+	tcfg := transport.Config{Mode: transport.ModeTACK, Metrics: reg}
+	srv, srvAddr := n.endpoint(Config{Transport: tcfg})
+	cli, _ := n.endpoint(Config{Transport: tcfg})
+	peer := n.peer()
+	born := n.now()
+	c := n.Dial(cli, peer.addr)
+	peer.send(srvAddr, &packet.Packet{Type: packet.TypeSYN, ConnID: 77, SentAt: 1})
+
+	timeout := sim.Time(srv.cfg.HandshakeTimeout)
+	if !n.runUntil(born+timeout+sim.Second, func() bool {
+		return srv.ConnCount() == 0 && cli.ConnCount() == 0
+	}) {
+		t.Fatal("the handshakes were never reaped")
+	}
+	// The embryo is born when the SYN lands, simOWD after the dial.
+	if got := n.now() - born; got != simOWD+timeout {
+		t.Errorf("embryo reaped %v after the dial, want HandshakeTimeout %v after its SYN", got, timeout)
+	}
+	if err := c.Err(); !errors.Is(err, ErrHandshakeTimeout) {
+		t.Errorf("dial err = %v, want ErrHandshakeTimeout", err)
+	}
+	if n := reg.Counter("ep.reaped").Value(); n != 2 {
+		t.Errorf("ep.reaped = %d, want 2", n)
+	}
+
+	leftAt(t, "SYN", peer.arrivals(packet.TypeSYN), born, handshakeSchedule)
+	leftAt(t, "SYNACK", peer.arrivals(packet.TypeSYNACK), born+simOWD, handshakeSchedule)
+	if n := reg.Counter("snd.syn_retransmits").Value(); n != 4 {
+		t.Errorf("snd.syn_retransmits = %d, want 4", n)
+	}
+	if n := reg.Counter("rcv.synack_retransmits").Value(); n != 4 {
+		t.Errorf("rcv.synack_retransmits = %d, want 4", n)
 	}
 	drained(t, n)
 }
 
-// TestUnsetTransportTimersFollowTransport sets none of HandshakeRTO,
-// MaxSYNRetries and MinRTO: the embryo's SYNACK schedule and the
-// receiver-side stall threshold must then be the transport's own defaults,
-// not numbers the endpoint keeps for itself.
+// TestSimDialFailsAtHandshakeTimeout dials a host that never answers on
+// the sim driver: the dial ends with ErrHandshakeTimeout exactly
+// HandshakeTimeout after it started, as it does on sockets
+// (TestEndpointHandshakeTimeout), not when the SYN retries would run out.
+func TestSimDialFailsAtHandshakeTimeout(t *testing.T) {
+	n := newSimNet(t, 1, simWire)
+	cli, _ := n.endpoint(Config{Transport: transport.Config{Mode: transport.ModeTACK}})
+	peer := n.peer()
+	start := n.now()
+	c := n.Dial(cli, peer.addr)
+	if !n.finished(c, 200*sim.Second) {
+		t.Fatal("the dial never ended")
+	}
+	if got, want := n.now()-start, sim.Time(cli.cfg.HandshakeTimeout); got != want {
+		t.Errorf("dial ended %v after it started, want %v", got, want)
+	}
+	if err := c.Err(); !errors.Is(err, ErrHandshakeTimeout) {
+		t.Errorf("err = %v, want ErrHandshakeTimeout", err)
+	}
+	if cli.ConnCount() != 0 {
+		t.Errorf("%d connections after the failed dial", cli.ConnCount())
+	}
+	drained(t, n)
+}
+
+// TestUnsetTransportTimersFollowTransport leaves MinRTO unset: the
+// receiver-side stall threshold must then be the transport's own default,
+// not a number the endpoint keeps for itself.
 func TestUnsetTransportTimersFollowTransport(t *testing.T) {
 	cfg := Config{Transport: transport.Config{Mode: transport.ModeTACK}}.withDefaults()
-	rto := transport.DefaultHandshakeRTO
-	for retries, want := range []sim.Time{rto, 2 * rto, 4 * rto} {
-		if got := cfg.handshakeRetryRTO(retries); got != want {
-			t.Errorf("embryo SYNACK timeout after %d retries = %v, want %v", retries, got, want)
-		}
-	}
-	if got := cfg.handshakeRetryBudget(); got != transport.DefaultMaxSYNRetries {
-		t.Errorf("embryo SYNACK budget = %d, want the transport's %d", got, transport.DefaultMaxSYNRetries)
-	}
 	sh := &shard{ep: &Endpoint{cfg: cfg}}
 	want := stallRTOs * transport.DefaultMinRTO
 	if got := sh.stallTimeout(&Conn{}); got != want {

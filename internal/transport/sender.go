@@ -54,9 +54,6 @@ type Sender struct {
 	est       *estimate
 	synSentAt sim.Time
 
-	// Handshake retransmission state.
-	synRetries int // SYNs re-sent so far
-
 	// Loss bookkeeping.
 	recoverPkt      uint64 // loss episode ends when acks pass this PKT.SEQ
 	inRecovery      bool
@@ -124,10 +121,6 @@ type Sender struct {
 
 	// OnDone fires once when the transfer completes (all bytes acked).
 	OnDone func()
-	// OnHandshakeFailed fires once when the SYN retry budget
-	// (MaxSYNRetries) is exhausted without a SYNACK. The owner is expected
-	// to tear the connection down with a handshake-timeout error.
-	OnHandshakeFailed func()
 }
 
 // NewSender builds the sending half. Packets are emitted through out.
@@ -225,11 +218,13 @@ func (s *Sender) Streams() *stream.SendMux { return s.mux }
 // mux lock held. Loop-goroutine only (like every timer operation).
 func (s *Sender) KickStreams() { s.sendTimer.Reset(s.loop.Now()) }
 
-// Start initiates the handshake.
+// Start initiates the handshake. The SYN is re-sent on HandshakeBackoff
+// until a SYNACK arrives or the owner stops the sender: the deadline that
+// ends a handshake is the owner's.
 func (s *Sender) Start() {
 	s.synSentAt = s.loop.Now()
 	s.out(&packet.Packet{Type: packet.TypeSYN, ConnID: s.cfg.ConnID, SentAt: s.loop.Now()})
-	s.rtoTimer.ResetAfter(s.handshakeRTO())
+	s.rtoTimer.ResetAfter(s.cfg.HandshakeBackoff(0))
 }
 
 // Stop disarms the sender's timers, so that a loop shared with other
@@ -246,19 +241,6 @@ func (s *Sender) Done() bool { return s.done }
 
 // Established reports whether the handshake completed.
 func (s *Sender) Established() bool { return s.established }
-
-// handshakeRTO returns the SYN retransmission timeout for the current
-// retry count: HandshakeRTO doubled per retry, clamped to MaxRTO.
-func (s *Sender) handshakeRTO() sim.Time {
-	rto := s.cfg.HandshakeRTO
-	for i := 0; i < s.synRetries; i++ {
-		rto *= 2
-		if rto >= s.cfg.MaxRTO {
-			return s.cfg.MaxRTO
-		}
-	}
-	return rto
-}
 
 // Controller exposes the congestion controller (diagnostics).
 func (s *Sender) Controller() cc.Controller { return s.ctrl }
@@ -297,7 +279,7 @@ func (s *Sender) AdvancedRTTMin() (sim.Time, bool) {
 // rtoAfter returns the data-path retransmission timeout after backoff
 // doublings: the estimator's RTO plus the scheme's budget for the
 // receiver's acknowledgment hold, doubled, and only then clamped — MaxRTO
-// bounds the timeout that is armed, like handshakeRTO's.
+// bounds the timeout that is armed, like HandshakeBackoff's.
 func (s *Sender) rtoAfter(backoff int) sim.Time {
 	rto := s.est.RTO(s.cfg.MinRTO, s.cfg.MaxRTO, sim.Second) + s.scheme.rtoHold(s.loop.Now())
 	return min(rto<<backoff, s.cfg.MaxRTO)
@@ -340,10 +322,6 @@ func (s *Sender) AddBytes(n int64) {
 	s.appAvail += n
 	s.trySend()
 }
-
-// SentSeq returns the next byte offset to transmit (bytes handed to the
-// network so far).
-func (s *Sender) SentSeq() uint64 { return s.nextSeq }
 
 // AcksUnsent reports whether a acknowledges bytes or a packet number this
 // sender never sent — a misbehaving receiver, whose feedback the owner
@@ -629,22 +607,12 @@ func (s *Sender) restartRTO() {
 func (s *Sender) onRTO() {
 	now := s.loop.Now()
 	if !s.established {
-		// Handshake retransmission: a dedicated schedule (HandshakeRTO
-		// doubling, MaxSYNRetries budget) independent of the data-path
-		// RTO, since no RTT estimate exists yet and a stalled handshake
-		// must fail fast rather than back off for minutes.
-		if s.synRetries >= s.cfg.MaxSYNRetries {
-			s.tracer.RTOFired(now, s.cfg.ConnID, 0, s.synRetries)
-			if s.OnHandshakeFailed != nil {
-				s.OnHandshakeFailed()
-			}
-			return
-		}
-		s.synRetries++
+		// Handshake retransmission: HandshakeBackoff, not the data-path
+		// RTO, since no RTT estimate exists yet.
 		s.Stats.SYNRetransmits++
 		s.mSYNRetrans.Inc()
 		s.out(&packet.Packet{Type: packet.TypeSYN, ConnID: s.cfg.ConnID, SentAt: now})
-		s.rtoTimer.ResetAfter(s.handshakeRTO())
+		s.rtoTimer.ResetAfter(s.cfg.HandshakeBackoff(s.Stats.SYNRetransmits))
 		return
 	}
 	if s.buf.Len() == 0 {
@@ -1130,6 +1098,18 @@ func (s *Sender) Kick() { s.trySend() }
 // CumAcked returns the cumulative acknowledged byte offset.
 func (s *Sender) CumAcked() uint64 { return s.cumAcked }
 
-// OldestOutstanding returns the sender's oldest outstanding packet number
-// (diagnostics only).
-func (s *Sender) OldestOutstanding() uint64 { return s.buf.OldestPktSeq(s.nextPktSeq) }
+// SendFIN announces the end of the byte stream at what was sent so far:
+// a graceful close, which the receiver answers with a FINACK.
+func (s *Sender) SendFIN() {
+	s.out(&packet.Packet{Type: packet.TypeFIN, ConnID: s.cfg.ConnID, SentAt: s.loop.Now(), Seq: s.nextSeq})
+}
+
+// SendKeepalive emits a liveness-probe IACK carrying the oldest
+// outstanding packet number. Like every control packet it consumes no
+// packet number.
+func (s *Sender) SendKeepalive() {
+	s.out(&packet.Packet{
+		Type: packet.TypeIACK, ConnID: s.cfg.ConnID, SentAt: s.loop.Now(),
+		IACK: packet.IACKKeepalive, AckOldestPktSeq: s.buf.OldestPktSeq(s.nextPktSeq),
+	})
+}

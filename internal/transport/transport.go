@@ -75,16 +75,14 @@ func (m Mode) String() string {
 // headers.
 const DefaultPayload = packet.MaxPayload
 
-// What withDefaults fills in for an unset MinRTO, HandshakeRTO and
-// MaxSYNRetries. They are named because the layer above schedules by them
-// too — the endpoint retransmits an embryo's SYNACK on the dialing side's
-// SYN schedule and measures a receiver-side stall in minimum RTOs — and a
-// restated number would drift.
-const (
-	DefaultMinRTO        = 200 * sim.Millisecond
-	DefaultHandshakeRTO  = 250 * sim.Millisecond
-	DefaultMaxSYNRetries = 8
-)
+// DefaultMinRTO is what withDefaults fills in for an unset MinRTO. It is
+// exported because the endpoint measures a receiver-side stall in minimum
+// RTOs, and a restated number would drift.
+const DefaultMinRTO = 200 * sim.Millisecond
+
+// defaultHandshakeRTO is what withDefaults fills in for an unset
+// HandshakeRTO.
+const defaultHandshakeRTO = 250 * sim.Millisecond
 
 // LossDetector selects the sender-side loss detection machinery.
 type LossDetector int
@@ -177,17 +175,13 @@ type Config struct {
 	// MinRTO / MaxRTO clamp the retransmission timeout (defaults
 	// DefaultMinRTO and 60 s).
 	MinRTO, MaxRTO sim.Time
-	// HandshakeRTO is the initial SYN retransmission timeout, before any
-	// RTT sample exists. It doubles on every retry (clamped to MaxRTO) and
-	// defaults to DefaultHandshakeRTO — aggressive relative to the
-	// steady-state MinRTO because a lost SYN stalls the whole connection and
-	// there is nothing in flight to protect from spurious retransmission.
+	// HandshakeRTO is the first step of HandshakeBackoff, the schedule SYNs
+	// and SYNACKs are retransmitted on before any RTT sample exists
+	// (default 250 ms) — aggressive relative to the steady-state MinRTO
+	// because a lost SYN stalls the whole connection and there is nothing in
+	// flight to protect from spurious retransmission. The engines retry
+	// until their owner gives up on the handshake.
 	HandshakeRTO sim.Time
-	// MaxSYNRetries caps SYN retransmissions (not counting the original).
-	// When the budget is exhausted without a SYNACK the sender calls
-	// OnHandshakeFailed. Default DefaultMaxSYNRetries; negative disables
-	// retransmission entirely (a single SYN is sent).
-	MaxSYNRetries int
 	// Streams enables stream multiplexing: the sender transmits STREAM
 	// frames pulled from a stream.SendMux scheduler instead of one flat
 	// bytestream, and the receiver demultiplexes into per-stream reassembly
@@ -224,14 +218,23 @@ func (c Config) withDefaults() Config {
 		c.MaxRTO = 60 * sim.Second
 	}
 	if c.HandshakeRTO <= 0 {
-		c.HandshakeRTO = DefaultHandshakeRTO
-	}
-	if c.MaxSYNRetries == 0 {
-		c.MaxSYNRetries = DefaultMaxSYNRetries
-	} else if c.MaxSYNRetries < 0 {
-		c.MaxSYNRetries = 0
+		c.HandshakeRTO = defaultHandshakeRTO
 	}
 	return c
+}
+
+// HandshakeBackoff is the one retransmission schedule of a handshake: how
+// long the Sender waits after its SYN, and the Receiver after its SYNACK,
+// once they have re-sent it retries times (the endpoint's PATH_CHALLENGE
+// keeps the same schedule). HandshakeRTO doubled per retry, clamped to
+// MaxRTO, both defaulted.
+func (c Config) HandshakeBackoff(retries int) sim.Time {
+	c = c.withDefaults()
+	rto := c.HandshakeRTO
+	for ; retries > 0 && rto < c.MaxRTO; retries-- {
+		rto *= 2
+	}
+	return min(rto, c.MaxRTO)
 }
 
 // Validate reports whether the configuration is self-consistent. The zero
@@ -349,8 +352,8 @@ type ReceiverStats struct {
 	WindowIACKs    int
 	LossesDetected int
 	Overflows      int
-	// SYNACKRetransmits counts SYNACKs re-emitted for an embryo whose
-	// previous SYNACK (or the client's follow-up) apparently got lost.
+	// SYNACKRetransmits counts SYNACKs re-sent under the handshake backoff
+	// schedule: nothing but SYNs arrived since the last one.
 	SYNACKRetransmits int
 	// FEC accounting: repairs received, lost packets reconstructed (and
 	// their payload bytes), repairs consumed by a reconstruction, repairs
