@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
 	"github.com/tacktp/tack/internal/stream"
@@ -200,6 +201,50 @@ func TestSimDialFailsAtHandshakeTimeout(t *testing.T) {
 		t.Errorf("%d connections after the failed dial", cli.ConnCount())
 	}
 	drained(t, n)
+}
+
+// TestHandshakeRTTSurvivesALostPacket drops the first SYN, and in a second
+// run the first SYNACK, on a 2 ms path: the RTTmin the handshake IACK syncs
+// to the receiver is still the path's, not the path's plus the
+// retransmission timeout the loss cost. The SYNACK's AckDelay takes out the
+// time the receiver held the SYN it echoes.
+func TestHandshakeRTTSurvivesALostPacket(t *testing.T) {
+	const pathRTT = 2 * simOWD
+	for _, lost := range []packet.Type{packet.TypeSYN, packet.TypeSYNACK} {
+		t.Run(lost.String(), func(t *testing.T) {
+			n := newSimNet(t, 1, simWire)
+			tcfg := transport.Config{Mode: transport.ModeTACK}
+			srv, srvAddr := n.endpoint(Config{Transport: tcfg})
+			cli, cliAddr := n.endpoint(Config{Transport: tcfg})
+			from, to := cliAddr, srvAddr
+			if lost == packet.TypeSYNACK {
+				from, to = srvAddr, cliAddr
+			}
+			link := netem.NewLink(n.loop, simWire, n.Deliver).Send
+			dropped := false
+			n.Route(from.IP, to.IP, func(d any, size int) {
+				var p packet.Packet
+				if !dropped && packet.DecodeDatagram(&p, d.(*simDatagram).b) == nil && p.Type == lost {
+					dropped = true
+					return
+				}
+				link(d, size)
+			})
+			var synced sim.Time
+			n.Watch(true, func(ep *Endpoint, p *packet.Packet, _ sim.Time) {
+				if ep == srv && p.Type == packet.TypeIACK && p.IACK == packet.IACKHandshake && synced == 0 {
+					synced = sim.Time(p.RTTMinNS)
+				}
+			})
+			n.connect(srv, cli)
+			if !dropped {
+				t.Fatalf("no %s was dropped", lost)
+			}
+			if synced < pathRTT*9/10 || synced > pathRTT*11/10 {
+				t.Errorf("handshake synced RTTmin %v, want the path RTT %v ± 10%%", synced, pathRTT)
+			}
+		})
+	}
 }
 
 // TestUnsetTransportTimersFollowTransport leaves MinRTO unset: the

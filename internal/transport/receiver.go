@@ -53,6 +53,7 @@ type Receiver struct {
 	// Handshake state. The SYNACK is re-sent on HandshakeBackoff until a
 	// packet other than a SYN proves the peer got one (established).
 	synDeparture sim.Time // SentAt of the most recent SYN, echoed on retransmits
+	synArrival   sim.Time // when that SYN arrived: the SYNACK's AckDelay runs from here
 	established  bool
 
 	// Departure timestamp of the first packet the pending acknowledgment
@@ -310,8 +311,8 @@ func (r *Receiver) onSYN(p *packet.Packet) {
 	if !r.established && !r.synackTimer.Armed() {
 		r.synackTimer.ResetAfter(r.cfg.HandshakeBackoff(0))
 	}
-	r.synDeparture = p.SentAt
-	r.emitSYNACK(p.SentAt)
+	r.synDeparture, r.synArrival = p.SentAt, r.loop.Now()
+	r.emitSYNACK()
 }
 
 // onSYNACKTimer re-sends the SYNACK of a handshake the peer has not
@@ -320,16 +321,19 @@ func (r *Receiver) onSYN(p *packet.Packet) {
 func (r *Receiver) onSYNACKTimer() {
 	r.Stats.SYNACKRetransmits++
 	r.mSYNACKRetrans.Inc()
-	r.emitSYNACK(r.synDeparture)
+	r.emitSYNACK()
 	r.synackTimer.ResetAfter(r.cfg.HandshakeBackoff(r.Stats.SYNACKRetransmits))
 }
 
-// emitSYNACK sends one SYNACK echoing the given SYN departure time. On
-// stream-multiplexed connections it carries the initial per-stream window
-// grant (InitialWindowID sentinel) — the peer can frame nothing before it.
-func (r *Receiver) emitSYNACK(echo sim.Time) {
+// emitSYNACK sends one SYNACK echoing the latest SYN's departure, with the
+// time held since it arrived as the AckDelay (§5.2's Δt), so a SYNACK
+// re-sent on the timer still yields the path's RTT. On stream-multiplexed
+// connections it carries the initial per-stream window grant
+// (InitialWindowID sentinel) — the peer can frame nothing before it.
+func (r *Receiver) emitSYNACK() {
 	a := &packet.AckInfo{
-		EchoDeparture: echo,
+		EchoDeparture: r.synDeparture,
+		AckDelay:      r.loop.Now() - r.synArrival,
 		Window:        r.advertisedWindow(),
 		AckSeq:        r.ackSeq,
 	}

@@ -699,8 +699,7 @@ func (s *Sender) onSynAck(p *packet.Packet) {
 	now := s.loop.Now()
 	s.established = true
 	s.rtoBackoff = 0
-	initialRTT := now - s.synSentAt
-	s.est.Update(now, initialRTT)
+	s.est.Update(now, s.handshakeRTT(now, p.Ack))
 	s.pacer.SetRate(now, s.ctrl.PacingRate())
 	if s.mux != nil && p.Ack != nil {
 		// The SYNACK carries the peer's initial per-stream window grant
@@ -711,6 +710,20 @@ func (s *Sender) onSynAck(p *packet.Packet) {
 	// α needs it).
 	s.sendRTTSync(packet.IACKHandshake)
 	s.trySend()
+}
+
+// handshakeRTT is the first RTT sample: the SYN the SYNACK echoes, corrected
+// by the time the peer held it (§5.2's Δt), so a lost SYN or SYNACK does not
+// add a retransmission timeout to it. Time since the first SYN bounds it and
+// stands in for a correction that is not positive.
+func (s *Sender) handshakeRTT(now sim.Time, a *packet.AckInfo) sim.Time {
+	rtt := now - s.synSentAt
+	if a != nil {
+		if c := now - a.EchoDeparture - a.AckDelay; c > 0 && c < rtt {
+			rtt = c
+		}
+	}
+	return rtt
 }
 
 // sendRTTSync emits an IACK syncing RTTmin and the ACK-path loss estimate
