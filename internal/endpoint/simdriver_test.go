@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/tacktp/tack/internal/fec"
 	"github.com/tacktp/tack/internal/netem"
 	"github.com/tacktp/tack/internal/packet"
 	"github.com/tacktp/tack/internal/sim"
@@ -250,9 +249,8 @@ func TestEveryDatagramFitsEthernetMTU(t *testing.T) {
 		largest[p.Type] = max(largest[p.Type], p.DatagramLen())
 	})
 	srvConn, cliConn := n.connect(srv, cli)
-	protected := stream.Options{FEC: fec.Options{Scheme: fec.SchemeRS, GroupLen: 12, MaxOverhead: 0.18}}
 	for i := 0; i < streams; i++ {
-		ss, err := cliConn.OpenStreamOptions(protected)
+		ss, err := cliConn.OpenStreamOptions(stream.Options{FEC: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,9 +42,6 @@ const (
 // fecBurst is ≈ 5.7% mean loss in 2-packet bursts, the paper's 5–10% regime.
 var fecBurst = netem.GilbertElliott{PEnterBad: 0.03, PExitBad: 0.5}
 
-// fecArmOptions is the FEC arm's stream class.
-var fecArmOptions = fec.Options{Scheme: fec.SchemeRS, GroupLen: 12, MaxOverhead: 0.18, Adaptive: true}
-
 // fecResult is one session's (or, summed with add, one arm's) playout and
 // transport accounting.
 type fecResult struct {
@@ -105,11 +102,7 @@ func runFECSession(seed int64, dur sim.Time, withFEC bool) (fecResult, error) {
 	fwd, _ := WANPath(n, a, b, up, down)
 	f := dialFlow(n, a, b, tcfg)
 
-	var opts stream.Options
-	if withFEC {
-		opts.FEC = fecArmOptions
-	}
-	ss, err := f.sender().Streams().Open(opts)
+	ss, err := f.sender().Streams().Open(stream.Options{FEC: withFEC})
 	if err != nil {
 		return fecResult{}, err
 	}
@@ -244,7 +237,7 @@ func runABFEC(opt Options) (*Result, error) {
 	for _, a := range []struct {
 		name string
 		r    fecResult
-	}{{"ARQ only", arq}, {"FEC (RS k=12, adaptive, cap 18%)", withFEC}} {
+	}{{"ARQ only", arq}, {fmt.Sprintf("FEC (RS k=%d, adaptive, cap %.0f%%)", fec.GroupLen, fec.MaxOverhead*100), withFEC}} {
 		tbl.AddRowf(a.name, a.r.lateFrames, a.r.frames, a.r.stalls, a.r.retransmits,
 			a.r.recovered, a.r.linkDropped, stats.Pct(a.r.overhead()))
 	}

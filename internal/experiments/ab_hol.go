@@ -114,9 +114,9 @@ func runHoL(sc holScenario) (holResult, error) {
 	scfg.SendBuffer = sc.objects*sc.objectBytes + 1<<10
 
 	tcfg := transport.Config{
-		Mode:    transport.ModeTACK,
-		Streams: &scfg,
-		Loss:    transport.LossDetection{Detector: sc.detector},
+		Mode:     transport.ModeTACK,
+		Streams:  &scfg,
+		Detector: sc.detector,
 	}
 	up, down := wanConfig{
 		RateBps: holWANRateBps, OWD: holWANOWD,

@@ -33,7 +33,7 @@ func runFig5a(opt Options) (*Result, error) {
 			Data: netem.Impairments{LossRate: loss}}.links()
 		WANPath(n, a, b, up, down)
 		cfg := transport.Config{Mode: transport.ModeTACK, CC: "static",
-			DisableIACK: disable, RecvBuf: 256 << 20}
+			DisableIACK: disable}
 		f := dialFlow(n, a, b, cfg)
 		f.sender().Controller().(*cc.Static).SetRate(30e6)
 		// Sample the receive buffer's head-of-line-blocked volume as each

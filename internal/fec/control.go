@@ -19,12 +19,8 @@ import (
 //
 // so under light loss the stream pays one repair per max-length group, and
 // as loss or burstiness grows the groups shorten and grow repairs until
-// the overhead cap binds. SchemeXOR pins r = 1 and moves only k. With
-// Adaptive off the geometry is static: the configured GroupLen with the
-// repair budget the cap affords.
+// the overhead cap binds.
 type Controller struct {
-	opts Options
-
 	seeded    bool
 	lossEWMA  float64 // data-path loss rate, 0..1
 	burstEWMA float64 // mean consecutive-loss run length in packets
@@ -37,18 +33,13 @@ const ewmaAlpha = 0.25
 // leaves headroom for the loss estimate lagging the channel.
 const redundancyGain = 2.0
 
-// NewController returns a controller for the given (validated) options.
-func NewController(opts Options) *Controller {
-	return &Controller{opts: opts}
-}
+// NewController returns a controller with no loss observed yet.
+func NewController() *Controller { return &Controller{} }
 
 // OnAck folds one acknowledgment's receiver-side observations into the
 // estimators: the loss rate in permille and the unacked (gap) block list,
 // whose run lengths sample burstiness.
 func (c *Controller) OnAck(lossPermille uint16, unacked []seqspace.Range) {
-	if !c.opts.Adaptive {
-		return
-	}
 	loss := float64(lossPermille) / 1000
 	if loss > 1 {
 		loss = 1
@@ -80,39 +71,17 @@ func (c *Controller) Reset() {
 }
 
 // Geometry returns the (k, r) the next group should use under the current
-// estimates, always honoring r/k ≤ MaxOverhead.
+// estimates, always honoring r/k ≤ MaxOverhead and k ≥ r.
 func (c *Controller) Geometry() (k, r int) {
-	o := c.opts
-	rMax := int(float64(o.GroupLen) * o.MaxOverhead)
-	if rMax < 1 {
-		rMax = 1 // Validate guarantees GroupLen·MaxOverhead ≥ 1
-	}
-	if !o.Adaptive {
-		if o.Scheme == SchemeXOR {
-			return o.GroupLen, 1
-		}
-		return o.GroupLen, rMax
-	}
-
-	rhoMin := 1 / float64(o.GroupLen)
 	rho := redundancyGain * c.lossEWMA
-	if rho < rhoMin {
-		rho = rhoMin
+	if rho < 1.0/GroupLen {
+		rho = 1.0 / GroupLen
 	}
-	if rho > o.MaxOverhead {
-		rho = o.MaxOverhead
+	if rho > MaxOverhead {
+		rho = MaxOverhead
 	}
-
-	if o.Scheme == SchemeXOR {
-		k = clampInt(int(math.Round(1/rho)), ceilDiv(1, o.MaxOverhead), o.GroupLen)
-		return k, 1
-	}
-
-	r = clampInt(int(math.Round(c.burstEWMA)), 1, rMax)
-	k = clampInt(int(math.Round(float64(r)/rho)), ceilDiv(float64(r), o.MaxOverhead), o.GroupLen)
-	if k < r {
-		k = r // degenerate caps: never more repairs than data
-	}
+	r = clampInt(int(math.Round(c.burstEWMA)), 1, maxRepairs)
+	k = clampInt(int(math.Round(float64(r)/rho)), ceilDiv(float64(r), MaxOverhead), GroupLen)
 	return k, r
 }
 

@@ -26,12 +26,11 @@ type Decoder struct {
 	Dropped        uint64 // symbols rejected: bad geometry, bogus index, oversize, corrupt solve
 }
 
-// group tracks one FEC group's arrivals. Geometry (k, r, scheme) is
-// unknown until the first repair arrives: source symbols carry only their
-// group id and index, so until then they are parked by index.
+// group tracks one FEC group's arrivals. Geometry (k, r) is unknown until
+// the first repair arrives: source symbols carry only their group id and
+// index, so until then they are parked by index.
 type group struct {
 	geomKnown bool
-	scheme    Scheme
 	k, r      int
 
 	src     [][]byte // serialized source symbols by index
@@ -126,10 +125,10 @@ func (d *Decoder) AddSource(p *packet.Packet) []*packet.Packet {
 
 // AddRepair feeds a received REPAIR packet into its group and returns any
 // packets recovery reconstructed. The packet must already have passed
-// packet.Sane (k ≥ 1, r ≥ 1, index < r, k+r ≤ 255, known scheme).
+// packet.Sane (k ≥ 1, r ≥ 1, index < r, k+r ≤ 255, nonzero scheme); one
+// whose scheme is not SchemeRS is dropped.
 func (d *Decoder) AddRepair(p *packet.Packet) []*packet.Packet {
-	if len(p.Payload) > d.maxSymbol || Scheme(p.FECScheme) == SchemeNone ||
-		(Scheme(p.FECScheme) != SchemeXOR && Scheme(p.FECScheme) != SchemeRS) {
+	if len(p.Payload) > d.maxSymbol || Scheme(p.FECScheme) != SchemeRS {
 		d.Dropped++
 		return nil
 	}
@@ -140,13 +139,13 @@ func (d *Decoder) AddRepair(p *packet.Packet) []*packet.Packet {
 	}
 	k, r := int(p.FECGroupLen), int(p.FECRepairCount)
 	if g.geomKnown {
-		if g.k != k || g.r != r || g.scheme != Scheme(p.FECScheme) {
+		if g.k != k || g.r != r {
 			d.Dropped++ // conflicting geometry: someone is lying
 			return nil
 		}
 	} else {
 		g.geomKnown = true
-		g.k, g.r, g.scheme = k, r, Scheme(p.FECScheme)
+		g.k, g.r = k, r
 		g.repairs = make([][]byte, r)
 		g.repHave = make([]bool, r)
 		// Drop parked sources whose index the pinned geometry disavows.
@@ -209,7 +208,7 @@ func (d *Decoder) tryRecover(id uint32, g *group) []*packet.Packet {
 // over GF(2^8): each available repair j contributes the equation
 // Σ_{i missing} coeff(j,i)·s_i = repair_j ⊕ Σ_{i held} coeff(j,i)·s_i.
 // Returns nil (and counts a drop) if the system is singular — impossible
-// for honestly-coded Cauchy/XOR symbols, reachable only via forged input —
+// for honestly-coded Cauchy symbols, reachable only via forged input —
 // or if a solved symbol fails structural parsing.
 func (d *Decoder) solve(id uint32, g *group, m int) []*packet.Packet {
 	missing := make([]int, 0, m)
@@ -234,12 +233,12 @@ func (d *Decoder) solve(id uint32, g *group, m int) []*packet.Packet {
 		copy(rhs, g.repairs[j])
 		for i := 0; i < g.k; i++ {
 			if g.have[i] {
-				addScaled(rhs, g.src[i], coeff(g.scheme, j, i))
+				addScaled(rhs, g.src[i], coeff(j, i))
 			}
 		}
 		co := make([]byte, m)
 		for c, i := range missing {
-			co[c] = coeff(g.scheme, j, i)
+			co[c] = coeff(j, i)
 		}
 		rows = append(rows, row{co, rhs})
 	}

@@ -14,7 +14,6 @@ import (
 // stream encoder settles into zero steady-state allocation on the Add
 // path; only Seal allocates (the repair payloads it hands off).
 type Encoder struct {
-	scheme Scheme
 	k, r   int
 	group  uint32
 	n      int // source symbols folded in so far
@@ -25,9 +24,10 @@ type Encoder struct {
 
 // Begin starts a new group with the given identifier and geometry. Any
 // unsealed previous group is discarded. Geometry must satisfy k ≥ 1,
-// r ≥ 1, k+r ≤ 255 (callers go through Options.Validate / Controller).
-func (e *Encoder) Begin(group uint32, scheme Scheme, k, r int) {
-	e.scheme, e.k, e.r = scheme, k, r
+// r ≥ 1, k+r ≤ 255 (the Controller's always does). The scheme is
+// SchemeRS, the only one.
+func (e *Encoder) Begin(group uint32, _ Scheme, k, r int) {
+	e.k, e.r = k, r
 	e.group = group
 	e.n, e.maxLen = 0, 0
 	if cap(e.acc) < r {
@@ -64,7 +64,7 @@ func (e *Encoder) Add(p *packet.Packet) int {
 		for len(e.acc[j]) < len(e.sym) {
 			e.acc[j] = append(e.acc[j], 0)
 		}
-		addScaled(e.acc[j], e.sym, coeff(e.scheme, j, e.n))
+		addScaled(e.acc[j], e.sym, coeff(j, e.n))
 	}
 	idx := e.n
 	e.n++
@@ -96,7 +96,7 @@ func (e *Encoder) Seal(now sim.Time, connID uint32, emit func(*packet.Packet)) {
 			FECGroupLen:    uint8(e.n),
 			FECRepairCount: uint8(r),
 			FECIndex:       uint8(j),
-			FECScheme:      uint8(e.scheme),
+			FECScheme:      uint8(SchemeRS),
 			Payload:        append([]byte(nil), e.acc[j][:e.maxLen]...),
 		})
 	}

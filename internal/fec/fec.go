@@ -12,11 +12,10 @@
 // headers and payload, ready to inject into per-stream reassembly as if
 // they had arrived off the wire.
 //
-// Two schemes are supported: SchemeXOR (one parity symbol, repairs any
-// single loss per group) and SchemeRS (Reed-Solomon over GF(2^8) via a
-// Cauchy matrix, repairs up to r losses per group). A Controller adapts
-// the (k, r) geometry online to the observed Gilbert-Elliott loss regime,
-// clamped to a configured overhead cap.
+// The code is Reed-Solomon over GF(2^8) via a Cauchy matrix: r repairs
+// recover up to r losses per group. A Controller adapts the (k, r)
+// geometry online to the observed Gilbert-Elliott loss regime, under the
+// fixed caps GroupLen and MaxOverhead.
 //
 // The package is sans-IO and deterministic: it moves bytes between
 // packet.Packet values and never touches clocks, sockets, or goroutines.
@@ -24,90 +23,31 @@ package fec
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"github.com/tacktp/tack/internal/packet"
 )
 
-// Scheme selects the repair coding discipline.
+// Scheme is a REPAIR packet's coding scheme (packet.Packet.FECScheme).
 type Scheme uint8
 
-// Coding schemes. The values are carried on the wire in REPAIR packets
-// (packet.Packet.FECScheme), so they are stable protocol constants.
+// SchemeRS, Reed-Solomon, is the one scheme. Its value is carried on the
+// wire, so it is a stable protocol constant; a REPAIR naming any other is
+// dropped.
+const SchemeRS Scheme = 2
+
+// The geometry caps. GroupLen is k's ceiling, the most data symbols per
+// group; MaxOverhead caps the redundancy ratio r/k.
 const (
-	// SchemeNone disables FEC (the zero value: streams opt in).
-	SchemeNone Scheme = 0
-	// SchemeXOR sends one parity symbol per group: cheapest, repairs any
-	// single loss per group.
-	SchemeXOR Scheme = 1
-	// SchemeRS sends r Reed-Solomon repair symbols per group: repairs up
-	// to r losses per group at r/k overhead.
-	SchemeRS Scheme = 2
+	GroupLen    = 12
+	MaxOverhead = 0.18
 )
 
-// String returns the scheme's name.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeNone:
-		return "none"
-	case SchemeXOR:
-		return "xor"
-	case SchemeRS:
-		return "rs"
-	default:
-		return fmt.Sprintf("Scheme(%d)", uint8(s))
-	}
-}
+// maxRepairs is ⌊GroupLen·MaxOverhead⌋, the most repairs one group carries.
+const maxRepairs = 2
 
 // maxSymbols bounds k+r: the Cauchy coordinate space is GF(2^8) minus the
 // diagonal, and symbol indices ride in single wire bytes.
 const maxSymbols = 255
-
-// Options are the per-stream FEC knobs (stream.Options.FEC, re-exported
-// through the tack facade).
-type Options struct {
-	// Scheme selects the coding discipline; SchemeNone (zero) disables FEC
-	// for the stream.
-	Scheme Scheme
-	// GroupLen is k, the (maximum) number of data symbols per group.
-	// Smaller groups repair faster and tolerate denser bursts at higher
-	// overhead. Bounds: 1..128.
-	GroupLen int
-	// MaxOverhead caps the repair redundancy ratio r/k in (0, 1]. The
-	// encoder never exceeds it, adaptive or not.
-	MaxOverhead float64
-	// Adaptive lets the Controller retune (k, r) online from the observed
-	// loss rate and burstiness; when false the geometry is static at the
-	// configured GroupLen and the overhead cap.
-	Adaptive bool
-}
-
-// Enabled reports whether the options request FEC at all.
-func (o Options) Enabled() bool { return o.Scheme != SchemeNone }
-
-// Validate bounds-checks the options. The zero value (FEC disabled) is
-// always valid.
-func (o Options) Validate() error {
-	if o.Scheme == SchemeNone {
-		return nil
-	}
-	if o.Scheme != SchemeXOR && o.Scheme != SchemeRS {
-		return fmt.Errorf("fec: unknown scheme %d", uint8(o.Scheme))
-	}
-	if o.GroupLen < 1 || o.GroupLen > 128 {
-		return fmt.Errorf("fec: GroupLen %d outside 1..128", o.GroupLen)
-	}
-	if o.MaxOverhead <= 0 || o.MaxOverhead > 1 {
-		return fmt.Errorf("fec: MaxOverhead %g outside (0, 1]", o.MaxOverhead)
-	}
-	// At least one repair symbol must fit under the cap at the configured
-	// group length, or the stream could never emit any protection.
-	if float64(o.GroupLen)*o.MaxOverhead < 1 {
-		return fmt.Errorf("fec: GroupLen %d × MaxOverhead %g grants no repair budget (need ≥ 1)",
-			o.GroupLen, o.MaxOverhead)
-	}
-	return nil
-}
 
 // symbolHeaderLen is the serialized per-symbol header: the fields of the
 // original DATA packet a recovery must resynthesize — packet number,

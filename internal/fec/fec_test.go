@@ -2,7 +2,6 @@ package fec
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,10 +26,10 @@ func mkData(i int, size int) *packet.Packet {
 
 // encodeGroup runs k packets through an encoder and returns the tagged
 // sources plus the sealed repairs.
-func encodeGroup(t *testing.T, scheme Scheme, k, r int, sizes []int) (srcs, reps []*packet.Packet) {
+func encodeGroup(t *testing.T, k, r int, sizes []int) (srcs, reps []*packet.Packet) {
 	t.Helper()
 	var enc Encoder
-	enc.Begin(42, scheme, k, r)
+	enc.Begin(42, SchemeRS, k, r)
 	for i := 0; i < k; i++ {
 		p := mkData(i, sizes[i%len(sizes)])
 		p.HasFEC, p.FECGroup = true, enc.Group()
@@ -74,7 +73,7 @@ func TestRecoverEveryLossPattern(t *testing.T) {
 	sizes := []int{700, 1400, 1, 333, 1024, 64}
 	for a := 0; a < k; a++ {
 		for b := a; b < k; b++ { // a==b → single loss
-			srcs, reps := encodeGroup(t, SchemeRS, k, r, sizes)
+			srcs, reps := encodeGroup(t, k, r, sizes)
 			dec := NewDecoder(0, 0)
 			for i, p := range srcs {
 				if i == a || i == b {
@@ -102,31 +101,11 @@ func TestRecoverEveryLossPattern(t *testing.T) {
 	}
 }
 
-// TestXORSingleLoss recovers each single loss from an XOR parity group.
-func TestXORSingleLoss(t *testing.T) {
-	const k = 5
-	sizes := []int{900, 1400, 30, 512, 1}
-	for lost := 0; lost < k; lost++ {
-		srcs, reps := encodeGroup(t, SchemeXOR, k, 1, sizes)
-		dec := NewDecoder(0, 0)
-		for i, p := range srcs {
-			if i != lost {
-				dec.AddSource(p)
-			}
-		}
-		rec := dec.AddRepair(reps[0])
-		if len(rec) != 1 {
-			t.Fatalf("lost %d: recovered %d packets, want 1", lost, len(rec))
-		}
-		checkRecovered(t, rec[0], srcs[lost])
-	}
-}
-
 // TestRepairBeforeData delivers all repairs first (deep reorder): recovery
 // must trigger off the final source arrival instead.
 func TestRepairBeforeData(t *testing.T) {
 	const k, r = 4, 2
-	srcs, reps := encodeGroup(t, SchemeRS, k, r, []int{800, 801, 802, 803})
+	srcs, reps := encodeGroup(t, k, r, []int{800, 801, 802, 803})
 	dec := NewDecoder(0, 0)
 	for _, rp := range reps {
 		if out := dec.AddRepair(rp); out != nil {
@@ -154,7 +133,7 @@ func TestRepairBeforeData(t *testing.T) {
 // count wasted too.
 func TestDuplicateAndWasted(t *testing.T) {
 	const k, r = 3, 1
-	srcs, reps := encodeGroup(t, SchemeRS, k, r, []int{100, 200, 300})
+	srcs, reps := encodeGroup(t, k, r, []int{100, 200, 300})
 	dec := NewDecoder(0, 0)
 	for _, p := range srcs {
 		dec.AddSource(p)
@@ -183,7 +162,7 @@ func TestDuplicateAndWasted(t *testing.T) {
 // completes via data — the held repairs are wasted, not used.
 func TestRepairArrivesBeforeLossThenWasted(t *testing.T) {
 	const k, r = 3, 2
-	srcs, reps := encodeGroup(t, SchemeRS, k, r, []int{64, 64, 64})
+	srcs, reps := encodeGroup(t, k, r, []int{64, 64, 64})
 	dec := NewDecoder(0, 0)
 	dec.AddRepair(reps[0])
 	dec.AddRepair(reps[1])
@@ -241,7 +220,7 @@ func TestEarlySealShortGroup(t *testing.T) {
 // from, and the honest remainder must still work.
 func TestDecoderHostileInput(t *testing.T) {
 	const k, r = 4, 2
-	srcs, reps := encodeGroup(t, SchemeRS, k, r, []int{256, 256, 256, 256})
+	srcs, reps := encodeGroup(t, k, r, []int{256, 256, 256, 256})
 	dec := NewDecoder(0, 0)
 	dec.AddRepair(reps[0])
 
@@ -261,8 +240,15 @@ func TestDecoderHostileInput(t *testing.T) {
 	big := mkData(0, DefaultMaxSymbol+1)
 	big.HasFEC, big.FECGroup, big.FECIndex = true, 42, 0
 	dec.AddSource(big)
-	if dec.Dropped != 3 {
-		t.Fatalf("Dropped = %d, want 3", dec.Dropped)
+	// A repair in an unknown scheme (1, the wire value of the former XOR
+	// code) is never solved over.
+	alien := *reps[1]
+	alien.FECScheme = 1
+	if out := dec.AddRepair(&alien); out != nil {
+		t.Fatal("unknown-scheme repair accepted")
+	}
+	if dec.Dropped != 4 {
+		t.Fatalf("Dropped = %d, want 4", dec.Dropped)
 	}
 
 	// The honest code still recovers around the garbage.
@@ -292,18 +278,14 @@ func TestDecoderEviction(t *testing.T) {
 // TestControllerLaw pins the adaptive geometry against hand-computed
 // points of the control law.
 func TestControllerLaw(t *testing.T) {
-	opts := Options{Scheme: SchemeRS, GroupLen: 12, MaxOverhead: 0.2, Adaptive: true}
-	if err := opts.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c := NewController(opts)
+	c := NewController()
 
 	// No loss observed: one repair per max-length group.
 	if k, r := c.Geometry(); k != 12 || r != 1 {
 		t.Fatalf("idle geometry (%d,%d), want (12,1)", k, r)
 	}
 
-	// Sustained 5% loss, bursts of 2: overhead grows toward 2/k ≈ 10%.
+	// Sustained 5% loss, bursts of 2: two repairs per group.
 	for i := 0; i < 50; i++ {
 		c.OnAck(50, []seqspace.Range{{Lo: 10, Hi: 12}})
 	}
@@ -311,8 +293,8 @@ func TestControllerLaw(t *testing.T) {
 	if r != 2 {
 		t.Fatalf("bursty geometry r=%d, want 2", r)
 	}
-	if ratio := float64(r) / float64(k); ratio > opts.MaxOverhead {
-		t.Fatalf("ratio %.3f exceeds cap %.3f", ratio, opts.MaxOverhead)
+	if ratio := float64(r) / float64(k); ratio > MaxOverhead {
+		t.Fatalf("ratio %.3f exceeds cap %.3f", ratio, MaxOverhead)
 	}
 
 	// Heavy loss saturates at the cap, never beyond.
@@ -320,60 +302,14 @@ func TestControllerLaw(t *testing.T) {
 		c.OnAck(300, []seqspace.Range{{Lo: 0, Hi: 4}})
 	}
 	k, r = c.Geometry()
-	if ratio := float64(r) / float64(k); ratio > opts.MaxOverhead+1e-9 {
-		t.Fatalf("saturated ratio %.3f exceeds cap %.3f", ratio, opts.MaxOverhead)
+	if ratio := float64(r) / float64(k); ratio > MaxOverhead+1e-9 {
+		t.Fatalf("saturated ratio %.3f exceeds cap %.3f", ratio, MaxOverhead)
 	}
 
 	// Reset forgets the regime.
 	c.Reset()
 	if k, r := c.Geometry(); k != 12 || r != 1 {
 		t.Fatalf("post-reset geometry (%d,%d), want (12,1)", k, r)
-	}
-}
-
-// TestControllerXOR: the XOR scheme moves k only, keeping r = 1 and the
-// ratio under the cap.
-func TestControllerXOR(t *testing.T) {
-	c := NewController(Options{Scheme: SchemeXOR, GroupLen: 16, MaxOverhead: 0.25, Adaptive: true})
-	for i := 0; i < 50; i++ {
-		c.OnAck(100, []seqspace.Range{{Lo: 5, Hi: 6}})
-	}
-	k, r := c.Geometry()
-	if r != 1 {
-		t.Fatalf("xor r=%d, want 1", r)
-	}
-	if k < 4 || k > 16 {
-		t.Fatalf("xor k=%d outside sane range", k)
-	}
-	if 1/float64(k) > 0.25+1e-9 {
-		t.Fatalf("xor ratio %.3f exceeds cap", 1/float64(k))
-	}
-}
-
-// TestOptionsValidate sweeps the bounds.
-func TestOptionsValidate(t *testing.T) {
-	valid := []Options{
-		{}, // disabled
-		{Scheme: SchemeXOR, GroupLen: 4, MaxOverhead: 0.25},
-		{Scheme: SchemeRS, GroupLen: 128, MaxOverhead: 1, Adaptive: true},
-	}
-	for i, o := range valid {
-		if err := o.Validate(); err != nil {
-			t.Errorf("valid[%d]: %v", i, err)
-		}
-	}
-	invalid := []Options{
-		{Scheme: 99, GroupLen: 8, MaxOverhead: 0.5},
-		{Scheme: SchemeRS, GroupLen: 0, MaxOverhead: 0.5},
-		{Scheme: SchemeRS, GroupLen: 129, MaxOverhead: 0.5},
-		{Scheme: SchemeRS, GroupLen: 8, MaxOverhead: 0},
-		{Scheme: SchemeRS, GroupLen: 8, MaxOverhead: 1.5},
-		{Scheme: SchemeRS, GroupLen: 4, MaxOverhead: 0.2}, // 0.8 repairs: no budget
-	}
-	for i, o := range invalid {
-		if err := o.Validate(); err == nil {
-			t.Errorf("invalid[%d] accepted: %+v", i, o)
-		}
 	}
 }
 
@@ -419,7 +355,7 @@ func FuzzDecoderInjection(f *testing.F) {
 		})
 		// An honest group threaded through the same decoder still works.
 		var enc Encoder
-		enc.Begin(grp+1, SchemeXOR, 3, 1)
+		enc.Begin(grp+1, SchemeRS, 3, 1)
 		var srcs []*packet.Packet
 		for i := 0; i < 3; i++ {
 			p := mkData(i, 40)
@@ -443,34 +379,18 @@ func FuzzDecoderInjection(f *testing.F) {
 
 // BenchmarkEncodeGroup measures the sender-side fold cost per packet.
 func BenchmarkEncodeGroup(b *testing.B) {
-	for _, scheme := range []Scheme{SchemeXOR, SchemeRS} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			p := mkData(0, 1400)
-			var enc Encoder
-			b.SetBytes(1400)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%8 == 0 {
-					enc.Begin(uint32(i), scheme, 8, 2)
-				}
-				p.HasFEC, p.FECGroup = true, enc.Group()
-				p.FECIndex = uint8(enc.Add(p))
-				if enc.Full() {
-					enc.Seal(0, 1, func(*packet.Packet) {})
-				}
-			}
-		})
-	}
-}
-
-func TestSchemeString(t *testing.T) {
-	for want, s := range map[string]Scheme{"none": SchemeNone, "xor": SchemeXOR, "rs": SchemeRS} {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
+	p := mkData(0, 1400)
+	var enc Encoder
+	b.SetBytes(1400)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%8 == 0 {
+			enc.Begin(uint32(i), SchemeRS, 8, 2)
 		}
-	}
-	if got := Scheme(9).String(); got != fmt.Sprintf("Scheme(9)") {
-		t.Errorf("unknown scheme string %q", got)
+		p.HasFEC, p.FECGroup = true, enc.Group()
+		p.FECIndex = uint8(enc.Add(p))
+		if enc.Full() {
+			enc.Seal(0, 1, func(*packet.Packet) {})
+		}
 	}
 }

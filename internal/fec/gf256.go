@@ -37,39 +37,25 @@ func gfInv(a byte) byte {
 }
 
 // addScaled folds c·src into dst position-wise: dst[i] ^= c·src[i] for the
-// length of src (dst must be at least as long). The c==1 fast path is the
-// whole XOR scheme; the general path walks the log/exp tables once per
-// nonzero byte.
+// length of src (dst must be at least as long), walking the log/exp tables
+// once per nonzero byte.
 func addScaled(dst, src []byte, c byte) {
-	switch c {
-	case 0:
+	if c == 0 {
 		return
-	case 1:
-		for i, s := range src {
-			dst[i] ^= s
-		}
-	default:
-		lc := int(gfLog[c])
-		for i, s := range src {
-			if s != 0 {
-				dst[i] ^= gfExp[lc+int(gfLog[s])]
-			}
+	}
+	lc := int(gfLog[c])
+	for i, s := range src {
+		if s != 0 {
+			dst[i] ^= gfExp[lc+int(gfLog[s])]
 		}
 	}
 }
 
 // coeff returns the repair-matrix coefficient applied to data symbol i by
-// repair symbol j. For Reed-Solomon it is the Cauchy element
-// 1/(x_j ⊕ y_i) with x_j = 255-j and y_i = i: the x and y coordinate sets
+// repair symbol j: the Cauchy element 1/(x_j ⊕ y_i) with x_j = 255-j and y_i = i: the x and y coordinate sets
 // are distinct and disjoint whenever k+r ≤ 255, and every square submatrix
 // of a Cauchy matrix is invertible, so any k of the k+r symbols
 // reconstruct the group (MDS). Anchoring x_j at 255-j rather than k+j
 // makes the coefficients independent of the group length, which lets a
 // group seal early (fewer data symbols than planned) without re-coding.
-// The XOR scheme is the all-ones row: a single parity symbol.
-func coeff(scheme Scheme, j, i int) byte {
-	if scheme == SchemeXOR {
-		return 1
-	}
-	return gfInv(byte(255-j) ^ byte(i))
-}
+func coeff(j, i int) byte { return gfInv(byte(255-j) ^ byte(i)) }

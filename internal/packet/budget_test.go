@@ -56,13 +56,12 @@ func ackAtBudget(typ packet.Type, kind packet.IACKKind, windows []packet.StreamW
 // requires each datagram, trailer included, to fit one 1500-byte IP
 // packet. A full bulk DATA datagram fills it exactly.
 func TestEveryShapeFitsTheMTU(t *testing.T) {
-	protected := stream.Options{FEC: fec.Options{Scheme: fec.SchemeRS, GroupLen: 12, MaxOverhead: 0.18}}
-	fecData := streamData(fullFrame(t, protected))
+	fecData := streamData(fullFrame(t, stream.Options{FEC: true}))
 	fecData.HasFEC, fecData.FECGroup = true, 1<<31
 
 	// The repair symbols of a full group of full protected frames.
 	var enc fec.Encoder
-	enc.Begin(fecData.FECGroup, fec.SchemeRS, 12, 2)
+	enc.Begin(fecData.FECGroup, fec.SchemeRS, fec.GroupLen, 2)
 	for !enc.Full() {
 		fecData.FECIndex = uint8(enc.Add(fecData))
 	}

@@ -93,9 +93,6 @@ func (m *SendMux) Open(opts Options) (*SendStream, error) {
 	if m.active >= m.cfg.MaxStreams {
 		return nil, ErrTooManyStreams
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	s := &SendStream{
 		mux:    m,
 		id:     m.nextID,
@@ -197,7 +194,7 @@ func (m *SendMux) peekLocked() *SendStream {
 // fits a REPAIR packet.
 func (m *SendMux) frameLenLocked(s *SendStream, max int) int {
 	budget := packet.MaxStreamPayload
-	if s.fec.Enabled() {
+	if s.fec {
 		budget = fec.MaxSourcePayload
 	}
 	n := uint64(min(max, budget))
@@ -388,7 +385,7 @@ type SendStream struct {
 	id     uint32
 	prio   int
 	weight int
-	fec    fec.Options
+	fec    bool
 
 	// deficit is owned by the weighted scheduler.
 	deficit int

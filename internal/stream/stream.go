@@ -35,8 +35,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-
-	"github.com/tacktp/tack/internal/fec"
 )
 
 // Frame is one schedulable unit handed to the transport sender: a run of
@@ -52,10 +50,9 @@ type Frame struct {
 	Data []byte
 	// FIN marks the end of the stream immediately after Data.
 	FIN bool
-	// FEC carries the owning stream's FEC options so the transport sender
-	// can fold the frame into a repair group without a mux round trip; the
-	// zero value means the stream is not FEC-protected.
-	FEC fec.Options
+	// FEC carries the owning stream's FEC flag so the transport sender can
+	// fold the frame into a repair group without a mux round trip.
+	FEC bool
 }
 
 // WireLen returns the connection-sequence-space footprint of the frame:
@@ -164,16 +161,10 @@ type Options struct {
 	// (zero means 1).
 	Weight int
 	// FEC opts the stream into forward-error-correction: its frames are
-	// coded into repair groups so burst loss recovers without a
-	// retransmission round trip (latency-critical streams). The zero value
-	// disables FEC for the stream.
-	FEC fec.Options
-}
-
-// Validate bounds-checks the per-stream options (today that is the FEC
-// sub-surface; scheduling knobs accept any value).
-func (o Options) Validate() error {
-	return o.FEC.Validate()
+	// coded into Reed-Solomon repair groups, sized by internal/fec's
+	// adaptive controller under fixed caps, so burst loss recovers without
+	// a retransmission round trip (latency-critical streams).
+	FEC bool
 }
 
 // Stream-layer errors.

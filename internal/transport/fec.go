@@ -22,13 +22,13 @@ type fecSender struct {
 
 // fecState returns (lazily creating) the encoding state for a
 // FEC-protected stream.
-func (s *Sender) fecState(id uint32, opts fec.Options) *fecSender {
+func (s *Sender) fecState(id uint32) *fecSender {
 	st := s.fecStreams[id]
 	if st == nil {
 		if s.fecStreams == nil {
 			s.fecStreams = make(map[uint32]*fecSender)
 		}
-		st = &fecSender{ctrl: fec.NewController(opts)}
+		st = &fecSender{ctrl: fec.NewController()}
 		s.fecStreams[id] = st
 	}
 	return st
@@ -40,14 +40,14 @@ func (s *Sender) fecState(id uint32, opts fec.Options) *fecSender {
 // stream's final frame — seals immediately so repairs chase their data
 // onto the wire with no added latency.
 func (s *Sender) fecCapture(now sim.Time, p *packet.Packet, fr *stream.Frame) {
-	if !fr.FEC.Enabled() {
+	if !fr.FEC {
 		return
 	}
-	st := s.fecState(fr.ID, fr.FEC)
+	st := s.fecState(fr.ID)
 	if st.enc.Len() == 0 {
 		k, r := st.ctrl.Geometry()
 		s.fecGroupSeq++
-		st.enc.Begin(s.fecGroupSeq, fr.FEC.Scheme, k, r)
+		st.enc.Begin(s.fecGroupSeq, fec.SchemeRS, k, r)
 		s.Stats.FECGroups++
 		s.mFECGroups.Inc()
 		s.mFECRatio.Set(float64(r) / float64(k))

@@ -35,9 +35,9 @@ func newFECHarness(t *testing.T, seed int64, cfg Config, rateBps float64, owd si
 
 // openFECStream opens one FEC-protected stream, writes size patterned
 // bytes, and closes it.
-func openFECStream(t *testing.T, h *harness, opts fec.Options, size int) map[uint32]int {
+func openFECStream(t *testing.T, h *harness, size int) map[uint32]int {
 	t.Helper()
-	s, err := h.snd.Streams().Open(stream.Options{FEC: opts})
+	s, err := h.snd.Streams().Open(stream.Options{FEC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +62,7 @@ func TestFECStreamRecoversBurstLoss(t *testing.T) {
 	})
 	imp := netem.Impairments{GE: netem.GilbertElliott{PEnterBad: 0.02, PExitBad: 0.5}}
 	h := newFECHarness(t, 21, cfg, 20e6, ms(20), imp)
-	sizes := openFECStream(t, h, fec.Options{
-		Scheme: fec.SchemeRS, GroupLen: 8, MaxOverhead: 0.25, Adaptive: true,
-	}, 512<<10)
+	sizes := openFECStream(t, h, 512<<10)
 	sink := newStreamSink(t, h.loop, h.rcv.Streams())
 	h.run(30 * sim.Second)
 	sink.verify(sizes)
@@ -101,9 +99,7 @@ func TestFECRecoveryUnderReorderAndDuplication(t *testing.T) {
 		ReorderDelay:  4 * sim.Millisecond,
 	}
 	h := newFECHarness(t, 22, cfg, 20e6, ms(15), imp)
-	sizes := openFECStream(t, h, fec.Options{
-		Scheme: fec.SchemeRS, GroupLen: 10, MaxOverhead: 0.3, Adaptive: true,
-	}, 512<<10)
+	sizes := openFECStream(t, h, 512<<10)
 	sink := newStreamSink(t, h.loop, h.rcv.Streams())
 	h.run(30 * sim.Second)
 	sink.verify(sizes)
@@ -125,9 +121,7 @@ func TestFECCompleteGroupWastesRepairs(t *testing.T) {
 		RecvWindow: 512 << 10, MaxStreams: 4, SendBuffer: 1 << 20,
 	})
 	h := newFECHarness(t, 23, cfg, 20e6, ms(10), netem.Impairments{})
-	sizes := openFECStream(t, h, fec.Options{
-		Scheme: fec.SchemeXOR, GroupLen: 8, MaxOverhead: 0.2,
-	}, size)
+	sizes := openFECStream(t, h, size)
 	sink := newStreamSink(t, h.loop, h.rcv.Streams())
 	h.run(10 * sim.Second)
 	sink.verify(sizes) // exact size: recovery never double-delivered
@@ -154,13 +148,11 @@ func TestFECHostileRepairInjection(t *testing.T) {
 		RecvWindow: 512 << 10, MaxStreams: 4, SendBuffer: 1 << 20,
 	})
 	h := newFECHarness(t, 24, cfg, 20e6, ms(10), netem.Impairments{})
-	sizes := openFECStream(t, h, fec.Options{
-		Scheme: fec.SchemeRS, GroupLen: 8, MaxOverhead: 0.25,
-	}, 128<<10)
+	sizes := openFECStream(t, h, 128<<10)
 	sink := newStreamSink(t, h.loop, h.rcv.Streams())
 
 	hostile := []*packet.Packet{
-		// Unknown scheme.
+		// Unknown schemes: 99, and 1, the wire value of the former XOR code.
 		{Type: packet.TypeRepair, ConnID: cfg.ConnID, FECGroup: 9999,
 			FECGroupLen: 8, FECRepairCount: 2, FECIndex: 0, FECScheme: 99,
 			Payload: make([]byte, 64)},
@@ -168,11 +160,14 @@ func TestFECHostileRepairInjection(t *testing.T) {
 		{Type: packet.TypeRepair, ConnID: cfg.ConnID, FECGroup: 9998,
 			FECGroupLen: 8, FECRepairCount: 1, FECIndex: 0,
 			FECScheme: uint8(fec.SchemeRS), Payload: make([]byte, 1<<20)},
+		{Type: packet.TypeRepair, ConnID: cfg.ConnID, FECGroup: 9997,
+			FECGroupLen: 4, FECRepairCount: 1, FECIndex: 0, FECScheme: 1,
+			Payload: make([]byte, 40)},
 		// Bogus group id with plausible geometry: parks harmlessly and ages
 		// out of the bounded group window.
 		{Type: packet.TypeRepair, ConnID: cfg.ConnID, FECGroup: 1 << 30,
 			FECGroupLen: 4, FECRepairCount: 1, FECIndex: 0,
-			FECScheme: uint8(fec.SchemeXOR), Payload: make([]byte, 40)},
+			FECScheme: uint8(fec.SchemeRS), Payload: make([]byte, 40)},
 	}
 	h.loop.At(50*sim.Millisecond, func() {
 		for _, p := range hostile {
@@ -205,9 +200,7 @@ func TestFECRepairsAreFireAndForget(t *testing.T) {
 		RecvWindow: 512 << 10, MaxStreams: 4, SendBuffer: 1 << 20,
 	})
 	h := newFECHarness(t, 25, cfg, 20e6, ms(10), netem.Impairments{})
-	sizes := openFECStream(t, h, fec.Options{
-		Scheme: fec.SchemeRS, GroupLen: 8, MaxOverhead: 0.25,
-	}, 256<<10)
+	sizes := openFECStream(t, h, 256<<10)
 	sink := newStreamSink(t, h.loop, h.rcv.Streams())
 	h.run(10 * sim.Second)
 	sink.verify(sizes)

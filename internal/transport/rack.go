@@ -199,7 +199,7 @@ func (s *Sender) onRackTimer() {
 // while marked segments already drive recovery, or while a probe is
 // outstanding (one-probe rule).
 func (s *Sender) armTLP() {
-	if s.rack == nil || s.cfg.Loss.DisableTLP {
+	if s.rack == nil {
 		return
 	}
 	if s.done || !s.established || s.buf.Len() == 0 || s.buf.HasMarked() || s.rack.tlpOut {

@@ -120,16 +120,17 @@ func TestTLPRecoversTailLossBeforeRTO(t *testing.T) {
 	}
 }
 
-func TestDisableTLPFallsBackToRTO(t *testing.T) {
-	cfg := Config{Mode: ModeTACK, TransferBytes: 32 << 10,
-		Loss: LossDetection{DisableTLP: true}}
+// TestDupThreshTailFallsBackToRTO runs the tail-loss harness on the
+// dup-thresh baseline, which has no probe: the lost tail waits for the RTO.
+func TestDupThreshTailFallsBackToRTO(t *testing.T) {
+	cfg := Config{Mode: ModeTACK, TransferBytes: 32 << 10, Detector: DetectorDupThresh}
 	h := tailLossHarness(t, 52, cfg)
 	h.run(5 * sim.Second)
 	if !h.snd.Done() {
 		t.Fatalf("tail-loss transfer incomplete: acked %d", h.snd.CumAcked())
 	}
 	if h.snd.Stats.TLPProbes != 0 {
-		t.Fatalf("TLP disabled but %d probes fired", h.snd.Stats.TLPProbes)
+		t.Fatalf("dup-thresh has no probe but %d fired", h.snd.Stats.TLPProbes)
 	}
 	if h.snd.Stats.Timeouts == 0 {
 		t.Fatal("without TLP the tail loss should have required an RTO")

@@ -71,7 +71,7 @@ type Sender struct {
 	lastOldestSync   sim.Time
 
 	// RACK-TLP loss detection (nil when the dup-thresh baseline is
-	// selected; see Config.Loss).
+	// selected; see Config.Detector).
 	rack         *rackState
 	lastDataSend sim.Time // departure time of the most recent DATA emission
 
@@ -176,7 +176,7 @@ func NewSender(loop *sim.Loop, cfg Config, out Output) (*Sender, error) {
 			s.est = s.legacyRTT
 		}
 	}
-	if cfg.Loss.Detector == DetectorRACK {
+	if cfg.Detector == DetectorRACK {
 		s.rack = newRackState()
 	}
 	s.sendTimer = sim.NewTimer(loop, s.trySend)

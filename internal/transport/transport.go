@@ -109,26 +109,6 @@ func (d LossDetector) String() string {
 	return "dupthresh"
 }
 
-// LossDetection groups the sender's loss-detection knobs. The zero value
-// selects RACK-TLP; its reorder-window bounds, probe timeout and min-RTT
-// window are the constants in rack.go.
-type LossDetection struct {
-	// Detector picks the machinery: DetectorRACK (default) or
-	// DetectorDupThresh for A/B comparison against the baseline.
-	Detector LossDetector
-	// DisableTLP suppresses Tail Loss Probes, leaving RACK marking alone
-	// (ablation; tail losses then wait for the RTO).
-	DisableTLP bool
-}
-
-// Validate rejects an unknown detector.
-func (l LossDetection) Validate() error {
-	if l.Detector != DetectorRACK && l.Detector != DetectorDupThresh {
-		return fmt.Errorf("transport: unknown loss detector %d", int(l.Detector))
-	}
-	return nil
-}
-
 // Config parameterizes a connection pair.
 type Config struct {
 	// Mode selects TACK or legacy behaviour.
@@ -162,10 +142,11 @@ type Config struct {
 	// uncorrected legacy RTT estimator (Figure 6 ablation: "sampling"
 	// timing without the Δt correction).
 	LegacyTiming bool
-	// Loss groups the sender-side loss-detection knobs: which detector
-	// runs (RACK-TLP by default, the TACK-only dup-thresh A/B baseline)
-	// and whether tail loss probes are sent.
-	Loss LossDetection
+	// Detector picks the sender-side loss detection: DetectorRACK, RACK-TLP
+	// (the default; its reorder-window bounds, probe timeout and min-RTT
+	// window are the constants in rack.go), or DetectorDupThresh, the
+	// TACK-only A/B baseline.
+	Detector LossDetector
 	// AdaptiveSettle enables dynamic adjustment of the IACK reordering
 	// settle delay (the paper's §7 future work): the delay grows when
 	// spurious retransmissions appear (duplicates at the receiver, i.e.
@@ -283,10 +264,10 @@ func (c Config) Validate() error {
 	if c.HandshakeRTO < 0 {
 		return fmt.Errorf("transport: negative HandshakeRTO %v", c.HandshakeRTO)
 	}
-	if err := c.Loss.Validate(); err != nil {
-		return err
+	if c.Detector != DetectorRACK && c.Detector != DetectorDupThresh {
+		return fmt.Errorf("transport: unknown loss detector %d", int(c.Detector))
 	}
-	if c.Mode == ModeLegacy && c.Loss.Detector == DetectorDupThresh {
+	if c.Mode == ModeLegacy && c.Detector == DetectorDupThresh {
 		return fmt.Errorf("transport: DetectorDupThresh requires TACK mode (a legacy receiver reports no gaps)")
 	}
 	if c.AppPaced && c.TransferBytes > 0 {

@@ -273,7 +273,7 @@ func TestDisableIACKSlowsLossRecovery(t *testing.T) {
 		// notification path, and sender-side RACK marking would partially
 		// mask the recovery gap it measures.
 		cfg := Config{Mode: ModeTACK, DisableIACK: disable, CC: "static", RecvBuf: 64 << 20,
-			Loss: LossDetection{Detector: DetectorDupThresh}}
+			Detector: DetectorDupThresh}
 		h := newHarness(t, 13, cfg, 20e6, ms(100), 0.01, 0)
 		h.snd.Start()
 		h.snd.Controller().(*cc.Static).SetRate(12e6)
@@ -400,7 +400,7 @@ func TestUnknownControllerErrors(t *testing.T) {
 func TestMaxRTOBoundsBackedOffTimeout(t *testing.T) {
 	const maxRTO = 500 * sim.Millisecond
 	loop := sim.NewLoop(1)
-	cfg := Config{TransferBytes: 1 << 20, MaxRTO: maxRTO, Loss: LossDetection{DisableTLP: true}}
+	cfg := Config{TransferBytes: 1 << 20, MaxRTO: maxRTO, Detector: DetectorDupThresh}
 	var snd *Sender
 	var timeouts []sim.Time // departure of each RTO retransmission
 	snd, err := NewSender(loop, cfg, func(p *packet.Packet) {

@@ -52,10 +52,10 @@ func TestConfigValidate(t *testing.T) {
 			Streams: &stream.Config{RecvWindow: 64 << 10, MaxStreams: 16, SendBuffer: -1}}, false},
 		{"streams unknown scheduler", Config{Mode: ModeTACK,
 			Streams: &stream.Config{RecvWindow: 64 << 10, MaxStreams: 16, Scheduler: "fifo"}}, false},
-		{"loss rack default", Config{Loss: LossDetection{Detector: DetectorRACK}}, true},
-		{"loss dupthresh", Config{Loss: LossDetection{Detector: DetectorDupThresh}}, true},
-		{"loss unknown detector", Config{Loss: LossDetection{Detector: LossDetector(7)}}, false},
-		{"loss dupthresh legacy mode", Config{Mode: ModeLegacy, Loss: LossDetection{Detector: DetectorDupThresh}}, false},
+		{"loss rack default", Config{Detector: DetectorRACK}, true},
+		{"loss dupthresh", Config{Detector: DetectorDupThresh}, true},
+		{"loss unknown detector", Config{Detector: LossDetector(7)}, false},
+		{"loss dupthresh legacy mode", Config{Mode: ModeLegacy, Detector: DetectorDupThresh}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

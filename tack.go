@@ -29,7 +29,6 @@ import (
 	"io"
 
 	"github.com/tacktp/tack/internal/endpoint"
-	"github.com/tacktp/tack/internal/fec"
 	"github.com/tacktp/tack/internal/stream"
 	"github.com/tacktp/tack/internal/telemetry"
 	"github.com/tacktp/tack/internal/transport"
@@ -45,12 +44,8 @@ type (
 	// Params are the TACK acknowledgment-frequency parameters
 	// (β, L, q, settle fraction) carried in Config.Params.
 	Params = transport.Params
-	// LossDetection groups the sender's loss-detection knobs carried in
-	// Config.Loss: the detector choice and the tail-loss-probe ablation
-	// switch.
-	LossDetection = transport.LossDetection
 	// LossDetector names a loss-detection machinery (DetectorRACK or
-	// DetectorDupThresh) in LossDetection.Detector.
+	// DetectorDupThresh) in Config.Detector.
 	LossDetector = transport.LossDetector
 	// SenderStats / ReceiverStats are per-connection counters.
 	SenderStats = transport.SenderStats
@@ -69,7 +64,7 @@ const (
 	ModeLegacy = transport.ModeLegacy
 )
 
-// Loss detectors accepted by LossDetection.Detector.
+// Loss detectors accepted by Config.Detector.
 const (
 	// DetectorRACK is RFC 8985 time-based loss detection with tail loss
 	// probes (the default).
@@ -110,19 +105,14 @@ type (
 	// buffer, and scheduler.
 	StreamConfig = stream.Config
 	// StreamOptions are per-stream scheduling knobs (priority, weight)
-	// and the forward-error-correction opt-in, passed to
+	// and the forward-error-correction flag (FEC: Reed-Solomon repair
+	// groups, adaptively sized under fixed caps), passed to
 	// Conn.OpenStreamOptions.
 	StreamOptions = stream.Options
 	// SendStream is the writable half of one multiplexed stream.
 	SendStream = stream.SendStream
 	// RecvStream is the readable half of one multiplexed stream.
 	RecvStream = stream.RecvStream
-	// FECOptions opts a stream into forward error correction
-	// (StreamOptions.FEC): scheme, group length, overhead cap, and the
-	// adaptive-redundancy switch. Validate() bounds-checks it.
-	FECOptions = fec.Options
-	// FECScheme names a repair code (FECSchemeXOR or FECSchemeRS).
-	FECScheme = fec.Scheme
 )
 
 // Scheduler names accepted by StreamConfig.Scheduler.
@@ -133,17 +123,6 @@ const (
 	SchedulerPriority = stream.SchedulerPriority
 	// SchedulerWeighted shares bandwidth by per-stream weight (DRR).
 	SchedulerWeighted = stream.SchedulerWeighted
-)
-
-// FEC schemes accepted by FECOptions.Scheme.
-const (
-	// FECSchemeXOR is the single-repair parity code: one XOR repair per
-	// group recovers any one lost packet. Cheapest; right for low,
-	// non-bursty loss.
-	FECSchemeXOR = fec.SchemeXOR
-	// FECSchemeRS is the Reed-Solomon-style GF(2^8) code: r repairs per
-	// group recover any r lost packets. Right for bursty loss.
-	FECSchemeRS = fec.SchemeRS
 )
 
 // Sentinel errors surfaced by stream operations.
