@@ -80,7 +80,7 @@ func (c *Controller) Geometry() (k, r int) {
 	if rho > MaxOverhead {
 		rho = MaxOverhead
 	}
-	r = clampInt(int(math.Round(c.burstEWMA)), 1, maxRepairs)
+	r = clampInt(int(math.Round(c.burstEWMA)), 1, int(math.Floor(GroupLen*MaxOverhead)))
 	k = clampInt(int(math.Round(float64(r)/rho)), ceilDiv(float64(r), MaxOverhead), GroupLen)
 	return k, r
 }

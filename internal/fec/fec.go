@@ -42,9 +42,6 @@ const (
 	MaxOverhead = 0.18
 )
 
-// maxRepairs is ⌊GroupLen·MaxOverhead⌋, the most repairs one group carries.
-const maxRepairs = 2
-
 // maxSymbols bounds k+r: the Cauchy coordinate space is GF(2^8) minus the
 // diagonal, and symbol indices ride in single wire bytes.
 const maxSymbols = 255

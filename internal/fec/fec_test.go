@@ -302,6 +302,9 @@ func TestControllerLaw(t *testing.T) {
 		c.OnAck(300, []seqspace.Range{{Lo: 0, Hi: 4}})
 	}
 	k, r = c.Geometry()
+	if r != 2 { // bursts of 4, but ⌊GroupLen·MaxOverhead⌋ = 2
+		t.Fatalf("saturated geometry r=%d, want 2", r)
+	}
 	if ratio := float64(r) / float64(k); ratio > MaxOverhead+1e-9 {
 		t.Fatalf("saturated ratio %.3f exceeds cap %.3f", ratio, MaxOverhead)
 	}

@@ -52,10 +52,11 @@ func addScaled(dst, src []byte, c byte) {
 }
 
 // coeff returns the repair-matrix coefficient applied to data symbol i by
-// repair symbol j: the Cauchy element 1/(x_j ⊕ y_i) with x_j = 255-j and y_i = i: the x and y coordinate sets
-// are distinct and disjoint whenever k+r ≤ 255, and every square submatrix
-// of a Cauchy matrix is invertible, so any k of the k+r symbols
-// reconstruct the group (MDS). Anchoring x_j at 255-j rather than k+j
-// makes the coefficients independent of the group length, which lets a
-// group seal early (fewer data symbols than planned) without re-coding.
+// repair symbol j: the Cauchy element 1/(x_j ⊕ y_i) with x_j = 255-j and
+// y_i = i. The x and y coordinate sets are distinct and disjoint whenever
+// k+r ≤ 255, and every square submatrix of a Cauchy matrix is invertible,
+// so any k of the k+r symbols reconstruct the group (MDS). Anchoring x_j
+// at 255-j rather than k+j makes the coefficients independent of the group
+// length, which lets a group seal early (fewer data symbols than planned)
+// without re-coding.
 func coeff(j, i int) byte { return gfInv(byte(255-j) ^ byte(i)) }
