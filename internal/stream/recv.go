@@ -17,8 +17,8 @@ import (
 // RecvMux demultiplexes STREAM frames into per-stream reassembly buffers.
 //
 // Each stream reassembles independently on a buffer.ReceiveBuffer (range
-// accounting) paired with a data ring sized to the stream window, so a
-// hole on one stream never blocks delivery on another — the
+// accounting) paired with a data ring that grows up to the stream window,
+// so a hole on one stream never blocks delivery on another — the
 // head-of-line-blocking win the stream layer exists for.
 //
 // The transport receiver (protocol goroutine) calls OnFrame and collects
@@ -131,10 +131,9 @@ func (m *RecvMux) OnFrame(now sim.Time, sid uint32, off uint64, payload []byte, 
 			return 0, false
 		}
 		s = &RecvStream{
-			mux:  m,
-			id:   sid,
-			rb:   buffer.NewReceiveBuffer(m.cfg.RecvWindow),
-			ring: make([]byte, m.cfg.RecvWindow),
+			mux: m,
+			id:  sid,
+			rb:  buffer.NewReceiveBuffer(m.cfg.RecvWindow),
 		}
 		s.cond = sync.NewCond(&m.mu)
 		m.streams[sid] = s
@@ -156,22 +155,13 @@ func (m *RecvMux) OnFrame(now sim.Time, sid uint32, off uint64, payload []byte, 
 	}
 	// Copy the in-window overlap into the data ring. Duplicate bytes from
 	// overlapping retransmissions overwrite identical content.
-	w := uint64(len(s.ring))
 	lo, hi := off, off+uint64(len(payload))
 	if lo < s.base {
 		lo = s.base
 	}
-	if hi > s.base+w {
-		hi = s.base + w // unreachable: Offer refused overflow already
-	}
-	for lo < hi {
-		pos := lo % w
-		run := w - pos
-		if run > hi-lo {
-			run = hi - lo
-		}
-		copy(s.ring[pos:pos+run], payload[lo-off:])
-		lo += run
+	if lo < hi {
+		s.growLocked(hi - s.base)
+		ringWrite(s.ring, lo, payload[lo-off:])
 	}
 	if fin {
 		s.rb.OnFIN(off + uint64(len(payload)))
@@ -224,6 +214,7 @@ func (m *RecvMux) retireLocked(s *RecvStream) {
 	m.gActive.Set(float64(m.active))
 	m.mClosed.Inc()
 	m.tracer.StreamClosed(m.lastNow, m.connID, s.id, s.rb.Delivered())
+	s.ring = nil // nothing is left to read; the application may hold s a while
 }
 
 // Accept returns the next peer-initiated stream, blocking up to timeout
@@ -355,7 +346,8 @@ type RecvStream struct {
 	id  uint32
 
 	// rb tracks received ranges and the FIN in stream-offset space; ring
-	// holds the data bytes for offsets [base, base+len(ring)).
+	// holds the data bytes for offsets [base, base+len(ring)), offset o at
+	// o % len(ring); it is allocated and enlarged by growLocked.
 	rb   *buffer.ReceiveBuffer
 	ring []byte
 	base uint64 // == rb.Delivered(): first unconsumed offset
@@ -413,17 +405,7 @@ func (s *RecvStream) readLocked(p []byte) (n int, eof bool, err error) {
 		avail = len(p)
 	}
 	if avail > 0 {
-		w := uint64(len(s.ring))
-		lo, hi := s.base, s.base+uint64(avail)
-		for lo < hi {
-			pos := lo % w
-			run := w - pos
-			if run > hi-lo {
-				run = hi - lo
-			}
-			copy(p[lo-s.base:], s.ring[pos:pos+run])
-			lo += run
-		}
+		ringRead(p[:avail], s.ring, s.base)
 		s.rb.Read(avail)
 		s.base += uint64(avail)
 		m.buffered.Add(-int64(avail))
@@ -444,6 +426,41 @@ func (s *RecvStream) readLocked(p []byte) (n int, eof bool, err error) {
 		return 0, true, nil
 	}
 	return 0, false, nil
+}
+
+// minRing is a stream's first data ring. growLocked enlarges it to the span
+// the stream's frames reach past its read point, up to the stream window.
+const minRing = 16 << 10
+
+// growLocked makes the ring hold span (at most RecvWindow) bytes past base,
+// moving the bytes held for [base, base+len(ring)) to their new positions.
+func (s *RecvStream) growLocked(span uint64) {
+	if span <= uint64(len(s.ring)) {
+		return
+	}
+	old := s.ring
+	s.ring = make([]byte, min(max(minRing, 2*len(old), int(span)), s.mux.cfg.RecvWindow))
+	if len(old) > 0 {
+		pos := s.base % uint64(len(old))
+		ringWrite(s.ring, s.base, old[pos:])
+		ringWrite(s.ring, s.base+uint64(len(old))-pos, old[:pos])
+	}
+}
+
+// ringWrite copies src into ring at stream offset off (len(src) <= len(ring)).
+func ringWrite(ring []byte, off uint64, src []byte) {
+	for len(src) > 0 {
+		n := copy(ring[off%uint64(len(ring)):], src)
+		src, off = src[n:], off+uint64(n)
+	}
+}
+
+// ringRead fills dst from ring starting at stream offset off.
+func ringRead(dst, ring []byte, off uint64) {
+	for len(dst) > 0 {
+		n := copy(dst, ring[off%uint64(len(ring)):])
+		dst, off = dst[n:], off+uint64(n)
+	}
 }
 
 // Close abandons the stream: arriving data is silently consumed (keeping

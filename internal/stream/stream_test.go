@@ -417,6 +417,52 @@ func TestRecvOverlappingRetransmits(t *testing.T) {
 	}
 }
 
+// TestRecvRingGrowsOnDemand: a stream read as it arrives keeps the
+// smallest ring however long it runs; a reader that lags grows the ring
+// to the span it leaves unread, up to the window, and growing while the
+// held bytes wrap round the ring's end keeps every byte.
+func TestRecvRingGrowsOnDemand(t *testing.T) {
+	const window = 1 << 17
+	m := NewRecvMux(Config{RecvWindow: window, MaxStreams: 2}, RecvDeps{})
+	var off uint64
+	frame := func(n int) {
+		if _, ok := m.OnFrame(0, 5, off, mkPattern(5, off, n), false); !ok {
+			t.Fatalf("frame off=%d refused", off)
+		}
+		off += uint64(n)
+	}
+	sink := make([]byte, window)
+	read := func(want int) {
+		t.Helper()
+		base := m.streams[5].base
+		n, _, err := m.streams[5].ReadAvailable(sink)
+		if n != want || err != nil {
+			t.Fatalf("read %d, %v; want %d", n, err, want)
+		}
+		if !bytes.Equal(sink[:n], mkPattern(5, base, n)) {
+			t.Fatalf("bytes [%d,%d) corrupted", base, base+uint64(n))
+		}
+	}
+	for i := 0; i < 100; i++ { // 100 kB, read frame by frame
+		frame(1000)
+		read(1000)
+	}
+	if got := len(m.streams[5].ring); got != minRing {
+		t.Fatalf("prompt reader: ring %d bytes, want %d", got, minRing)
+	}
+	frame(15000) // from 100000 % minRing on: wraps round the ring's end
+	frame(28000)
+	if got := len(m.streams[5].ring); got != 43000 {
+		t.Fatalf("43 kB unread: ring %d bytes, want 43000", got)
+	}
+	read(43000)
+	frame(window)
+	if got := len(m.streams[5].ring); got != window {
+		t.Fatalf("a full window unread: ring %d bytes, want %d", got, window)
+	}
+	read(window)
+}
+
 func mkPattern(sid uint32, off uint64, n int) []byte {
 	b := make([]byte, n)
 	pattern(sid, off, b)
